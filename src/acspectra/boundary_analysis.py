@@ -15,6 +15,10 @@ where the scaled limit is (-i eps) m(lambda + i eps) on the line and
 ((1 - r)/2) f(r zeta) on the circle, converging to the point mass.  Singular
 points are flagged by two variants (Im-blowup and |value|-blowup); their
 disagreement is reported, never assumed away.
+
+The grid sweeps at the end serve the Jacobi, CMV and Schrodinger modules:
+one Richardson sweep, phase, ac hull, reflectionless test, multiplicity
+classifier and CSV writer, with each family's conventions passed as data.
 """
 
 from __future__ import annotations
@@ -28,8 +32,8 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import NonConvergent
-from .interval_sets import (RealIntervalSet, CircleArcSet, angles_hull,
-                            canonicalize, circle_set, points_hull)
+from .interval_sets import (angles_hull, essential_closure, longest_component,
+                            points_hull, set_algebra, widen)
 
 DIVERGENCE_CAP = 1e8
 INFINITE_LIMIT = 1e6
@@ -79,6 +83,15 @@ def relaxed_ok(value, err, converged, rel: float = 1e-6):
     relative instead of contracting)."""
     value = np.asarray(value)
     return converged | (np.isfinite(value) & (err <= rel * (1.0 + np.abs(value))))
+
+
+def blowup_flags(mags):
+    """(infinite, diverged) along axis 0 of magnitudes ordered toward the
+    boundary: the last one past 1e6 with monotone growth over the last 4
+    samples, resp. any one past the 1e8 hard cap."""
+    mags = np.asarray(mags)
+    grow = np.all(np.diff(mags[-4:], axis=0) > 0, axis=0)
+    return (mags[-1] > INFINITE_LIMIT) & grow, np.any(mags > DIVERGENCE_CAP, axis=0)
 
 
 @dataclass(frozen=True)
@@ -165,10 +178,7 @@ def boundary_value(f: BoundaryFunction, p, schedule=None) -> BoundaryValue:
     """
     schedule = schedule or geometric_schedule()
     samples, _ = _sample_with_extension(f, p, schedule)
-    mags = np.abs(samples)
-    diverged = bool(np.any(mags > DIVERGENCE_CAP))
-    tail = mags[-4:]
-    infinite = bool(mags[-1] > INFINITE_LIMIT and np.all(np.diff(tail) > 0))
+    infinite, diverged = (bool(flag) for flag in blowup_flags(np.abs(samples)))
     value, err, converged = richardson_sequence(samples)
     if diverged or infinite:
         return BoundaryValue(complex(value), float(err), diverged, infinite, tuple(samples))
@@ -219,35 +229,27 @@ def classify_point(f: BoundaryFunction, p, schedule=None,
     loc = float(p) if f.kind == "herglotz" else _as_angle(p)
     samples, used = _sample_with_extension(f, p, schedule)
     part = samples.imag if f.kind == "herglotz" else samples.real
-    mags = np.abs(samples)
 
     def blows(seq):
-        t = np.asarray(seq)[-4:]
-        return bool(np.abs(t[-1]) > INFINITE_LIMIT and np.all(np.diff(np.abs(t)) > 0)) \
-            or bool(np.any(np.abs(seq) > DIVERGENCE_CAP))
+        infinite, diverged = blowup_flags(np.abs(seq))
+        return bool(infinite | diverged)
 
     singular_unprimed = blows(part)
-    singular_primed = blows(mags)
+    singular_primed = blows(samples)
     agree = singular_unprimed == singular_primed
 
     if singular_unprimed or singular_primed:
         sval, serr, sconv = scaled_limit(f, p, used)
-        mass = sval.real if f.kind == "herglotz" else sval.real
-        if sconv and mass > mass_tol:
-            return PointClassification(loc, "pp", complex(np.inf, np.inf), math.inf,
-                                       point_mass=float(mass), scaled_value=sval,
-                                       singular_unprimed=singular_unprimed,
-                                       singular_primed=singular_primed, variants_agree=agree)
-        if sconv and abs(sval) <= mass_tol:
-            return PointClassification(loc, "sc", complex(np.inf, np.inf), math.inf,
-                                       scaled_value=sval,
-                                       singular_unprimed=singular_unprimed,
-                                       singular_primed=singular_primed, variants_agree=agree)
-        return PointClassification(loc, "singular", complex(np.inf, np.inf), math.inf,
-                                   scaled_value=sval,
-                                   singular_unprimed=singular_unprimed,
+        if sconv and sval.real > mass_tol:
+            verdict, extra = "pp", {"point_mass": float(sval.real)}
+        elif sconv and abs(sval) <= mass_tol:
+            verdict, extra = "sc", {}
+        else:
+            verdict, extra = "singular", {"diagnostics": "scaled limit did not settle"}
+        return PointClassification(loc, verdict, complex(np.inf, np.inf), math.inf,
+                                   scaled_value=sval, singular_unprimed=singular_unprimed,
                                    singular_primed=singular_primed, variants_agree=agree,
-                                   diagnostics="scaled limit did not settle")
+                                   **extra)
 
     value, err, converged = richardson_sequence(samples)
     value = complex(value)
@@ -287,10 +289,8 @@ def essential_support_ac(f: BoundaryFunction, grid, schedule=None, ac_tol: float
     verdicts = [classify_point(f, p, schedule, ac_tol=ac_tol) for p in grid]
     step = abs(grid[1] - grid[0])
     passing = [v.location for v in verdicts if v.verdict == "ac"]
-    if f.kind == "herglotz":
-        from .interval_sets import essential_closure
-        return essential_closure(points_hull(passing, step)), verdicts
-    return angles_hull(passing, step).essential_closure(), verdicts
+    hull = points_hull if f.kind == "herglotz" else angles_hull
+    return essential_closure(hull(passing, step)), verdicts
 
 
 def reflect(f: BoundaryFunction, z: complex) -> complex:
@@ -357,17 +357,224 @@ def herglotz_representation(f: BoundaryFunction, measure_probe=None,
 
 def classification_csv(f: BoundaryFunction, grid, out=None, schedule=None) -> str:
     """Per-grid-point CSV: location, Re, Im, error_estimate, verdict, point_mass."""
-    buf = io.StringIO()
-    w = csv.writer(buf, lineterminator="\n")
-    w.writerow(["location", "re", "im", "error_estimate", "verdict", "point_mass"])
+    rows = []
     for p in grid:
         cp = classify_point(f, p, schedule)
         re = cp.limit_value.real if math.isfinite(cp.limit_value.real) else "inf"
         im = cp.limit_value.imag if math.isfinite(cp.limit_value.imag) else "inf"
         err = cp.error if math.isfinite(cp.error) else "inf"
-        w.writerow([f"{cp.location:.12g}", re, im, err, cp.verdict, f"{cp.point_mass:.12g}"])
+        rows.append([f"{cp.location:.12g}", re, im, err, cp.verdict, f"{cp.point_mass:.12g}"])
+    return write_csv(["location", "re", "im", "error_estimate", "verdict", "point_mass"],
+                     rows, out)
+
+
+def write_csv(header, rows, out=None) -> str:
+    """CSV text with LF line ends; also written to the path out when given."""
+    buf = io.StringIO()
+    w = csv.writer(buf, lineterminator="\n")
+    w.writerow(header)
+    w.writerows(rows)
     text = buf.getvalue()
     if out is not None:
         with open(out, "w", encoding="utf-8", newline="") as fh:
             fh.write(text)
     return text
+
+
+# ---------------------------------------------------------------------------
+# Grid sweeps shared by the operator families
+
+def plus_side(side) -> bool:
+    """True for the right half line ('+'), False for the left ('-')."""
+    if side in ("+", "plus", 1, +1):
+        return True
+    if side in ("-", "minus", -1):
+        return False
+    raise ValueError(f"side must be '+' or '-', got {side!r}")
+
+
+def require_off_axis(z) -> complex:
+    z = complex(z)
+    if z.imag == 0.0:
+        raise ValueError("spectral parameter must lie off the real axis")
+    return z
+
+
+@dataclass(frozen=True)
+class ReflectionlessReport:
+    verdict: bool
+    fraction: float              # worst passing fraction across reference sites
+    max_residual: float          # max matching residual over tested points
+    tol: float
+    sites: tuple
+    n_points: int
+    defect_points: tuple         # grid points failing the matching condition
+    xi_fraction: float = 0.0     # fraction with the phase within tolerance of its center
+    witness_residual: float = math.nan
+    details: str = ""
+
+
+@dataclass(frozen=True)
+class SweepFamily:
+    """An operator family's conventions, as data for the shared grid sweeps.
+
+    Family modules pass lambdas for sweep and phase so that their
+    boundary_*_grid and phase-grid functions are looked up at call time.
+    """
+    sweep: callable         # sweep(op, grid, site) -> boundary_sweep dict
+    phase: callable         # phase(op, grid, site) -> (values, errors, ok)
+    grid: callable          # grid(op) -> default grid
+    circle: bool            # carrier: the unit circle (angles), else the real line
+    pair: tuple             # sweep keys of the boundary pair (M_+, M_-)
+    phase_key: str          # sweep key whose boundary argument is the phase
+    witness: callable       # witness(sweep, passing) -> witness residual
+    zero_floor: bool = False    # phase undefined where |value| <= 100 err + 1e-12
+    site_word: str = "sites"    # what messages call the reference sites
+
+    @property
+    def phase_range(self) -> tuple:
+        return (-0.5, 0.5) if self.circle else (0.0, 1.0)
+
+    @property
+    def hull(self):
+        return angles_hull if self.circle else points_hull
+
+
+def boundary_sweep(kernel, grid, circle: bool, schedule=None) -> dict:
+    """Richardson-extrapolated boundary values of kernel(zs) -> {key: array}
+    over a grid, with zs = lambda + i eps on the line and (1 - eps) e^{i theta}
+    on the circle along the schedule.  For each key returns (value, error,
+    converged) arrays, plus 'inf_<key>'/'div_<key>' blowup flags."""
+    grid = np.asarray(grid, dtype=float)
+    zeta = np.exp(1j * grid) if circle else None
+    rows = [kernel((1.0 - eps) * zeta if circle else grid + 1j * eps)
+            for eps in schedule or geometric_schedule()]
+    out = {}
+    for k in rows[0]:
+        arr = np.array([row[k] for row in rows])
+        out[k] = richardson_sequence(arr)
+        out["inf_" + k], out["div_" + k] = blowup_flags(np.abs(arr))
+    return out
+
+
+def sweep_phase(fam: SweepFamily, bd: dict):
+    """Boundary phase Arg(v)/pi of the sweep's phase key, in phase_range:
+    (values, errors, ok).  A positive part (Im on the line, Re on the circle)
+    below 0 within the extrapolation error is clamped to the axis."""
+    v, err, conv = bd[fam.phase_key]
+    # phase tolerance: a 1e-4-relative amplitude plateau moves Arg v by
+    # < 1e-4/pi, below every phase use tolerance; exact closing band edges
+    # stall there rather than at the default 1e-6 floor
+    ok = relaxed_ok(v, err, conv, rel=1e-4) & ~bd["div_" + fam.phase_key] & np.isfinite(v)
+    tol = 10.0 * err + 1e-12 * (1.0 + np.abs(v))
+    pos = v.real if fam.circle else v.imag
+    bad = pos < -tol
+    pos = np.where((pos < 0.0) & ~bad, 0.0, pos)
+    ok = ok & ~bad
+    if fam.zero_floor:
+        # boundary zeros leave the phase undefined; they carry zero ac density
+        ok = ok & (np.abs(v) > 100.0 * err + 1e-12)
+    arg = np.angle(pos + 1j * v.imag) if fam.circle else np.angle(v.real + 1j * pos)
+    vals = np.clip(arg / math.pi, *fam.phase_range)
+    return np.where(ok, vals, np.nan), err, ok
+
+
+def phase_verdict(fam: SweepFamily, value: float, ok: bool) -> str:
+    """CSV verdict of one phase value: interior, exterior (edge on the circle)."""
+    if not ok:
+        return "undetermined"
+    lo, hi = fam.phase_range
+    if lo < value < hi:
+        return "interior"
+    return "edge" if fam.circle else "exterior"
+
+
+def sweep_ac_spectrum(fam: SweepFamily, op, grid, n0, check_site, xi_tol: float):
+    """Essential closure of the widened grid hull of the interior-phase
+    points; a disagreement with check_site beyond two grid steps raises."""
+    grid = fam.grid(op) if grid is None else np.asarray(grid, dtype=float)
+    step = float(grid[1] - grid[0])
+    lo, hi = fam.phase_range
+
+    def one_site(site):
+        vals, _, ok = fam.phase(op, grid, site)
+        with np.errstate(invalid="ignore"):
+            passing = grid[ok & (vals > lo + xi_tol) & (vals < hi - xi_tol)]
+        return essential_closure(widen(fam.hull(passing, step), step))
+
+    main = one_site(n0)
+    other = one_site(check_site)
+    if longest_component(set_algebra(main, other, "symmetric_difference")) > 2.0 * step + 1e-12:
+        raise RuntimeError(
+            f"ac spectrum disagrees between reference {fam.site_word} {n0} and {check_site}")
+    return main
+
+
+def sweep_reflectionless(fam: SweepFamily, op, E, grid, sites, tol: float) -> ReflectionlessReport:
+    """Boundary matching of the pair on the grid points in E at every site:
+    M_+ is the reflection of M_- (conj across the line, -conj across the
+    circle) at more than 99% of the points, phase at its center."""
+    if E.measure() <= 0.0:
+        raise ValueError("reflectionless test needs a set of positive measure")
+    if len(sites) < 2:
+        raise ValueError(f"need at least 2 reference {fam.site_word}")
+    grid = fam.grid(op) if grid is None else np.asarray(grid, dtype=float)
+    inside = np.array([E.contains(x) for x in grid])
+    lams = grid[inside]
+    if lams.size == 0:
+        raise ValueError("grid does not meet E")
+
+    center = sum(fam.phase_range) / 2.0
+    worst_fraction = 1.0
+    max_res = 0.0
+    xi_fraction = 1.0
+    witness = 0.0
+    defects = set()
+    for site in sites:
+        bd = fam.sweep(op, lams, site)
+        Mp, ep, cp = bd[fam.pair[0]]
+        Mm, em, cm = bd[fam.pair[1]]
+        okm = (relaxed_ok(Mp, ep, cp) & relaxed_ok(Mm, em, cm)
+               & np.isfinite(Mp) & np.isfinite(Mm))
+        res = np.abs(Mp + np.conj(Mm)) if fam.circle else np.abs(Mp - np.conj(Mm))
+        pass_mask = okm & (res < tol)
+        worst_fraction = min(worst_fraction, float(np.mean(pass_mask)))
+        max_res = max(max_res, float(np.max(np.where(okm, res, 0.0))))
+        defects.update(lams[~pass_mask].tolist())
+
+        vals, _, okx = sweep_phase(fam, bd)
+        xi_fraction = min(xi_fraction, float(np.mean(okx & (np.abs(vals - center) < 10 * tol))))
+        witness = max(witness, fam.witness(bd, pass_mask))
+
+    verdict = worst_fraction > 0.99
+    return ReflectionlessReport(
+        verdict=verdict, fraction=worst_fraction, max_residual=max_res, tol=tol,
+        sites=tuple(sites), n_points=int(lams.size), defect_points=tuple(sorted(defects)),
+        xi_fraction=xi_fraction,
+        witness_residual=witness if verdict else math.nan,
+        details=f"{lams.size} grid {'angles' if fam.circle else 'points'} in E "
+                f"at {fam.site_word} {tuple(sites)}")
+
+
+def sweep_multiplicity_sets(fam: SweepFamily, op, grid, n0, tol: float):
+    """Grid hulls (M2, M1) of the uniform-multiplicity sets from the
+    boundary pair; a value is off the axis when nonreal on the line
+    (|Im v| > tol), off the imaginary axis on the circle (|Re v| > tol (1 + |v|))."""
+    grid = fam.grid(op) if grid is None else np.asarray(grid, dtype=float)
+    step = float(grid[1] - grid[0])
+    bd = fam.sweep(op, grid, n0)
+
+    def side(key):
+        v, e, c = bd[key]
+        inf = bd["inf_" + key] | bd["div_" + key]
+        fin = relaxed_ok(v, e, c) & ~inf & np.isfinite(v)
+        off = fin & (np.abs(v.real) > tol * (1.0 + np.abs(v)) if fam.circle
+                     else np.abs(v.imag) > tol)
+        return v, inf, off, fin & ~off
+
+    (Mp, infp, off_p, on_p), (Mm, infm, off_m, on_m) = (side(key) for key in fam.pair)
+    equal_on = on_p & on_m & (np.abs(Mp - Mm) <= tol * (1.0 + np.abs(Mp)))
+
+    mask2 = off_p & off_m
+    mask1 = equal_on | (infp & infm) | (on_p & off_m) | (on_m & off_p)
+    return fam.hull(grid[mask2], step), fam.hull(grid[mask1], step)

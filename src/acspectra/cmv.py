@@ -32,10 +32,11 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DegenerateDenominator, NonConvergent
-from .boundary_analysis import (geometric_schedule, relaxed_ok, richardson_sequence,
-                                DIVERGENCE_CAP, INFINITE_LIMIT)
-from .interval_sets import CircleArcSet, angles_hull, circle_set, full_circle, set_algebra
-from .jacobi import ReflectionlessReport
+from .boundary_analysis import (ReflectionlessReport, SweepFamily, boundary_sweep,
+                                phase_verdict, plus_side, relaxed_ok, sweep_ac_spectrum,
+                                sweep_multiplicity_sets, sweep_phase, sweep_reflectionless,
+                                write_csv)
+from .interval_sets import CircleArcSet, circle_set, full_circle
 
 TWO_PI = 2.0 * math.pi
 IMAG_AXIS_TOL = 1e-4
@@ -177,19 +178,11 @@ def _require_in_disk(z):
 
 
 def _m_grid(V: VerblunskyCoefficients, zs, n0: int, side: str):
-    if _plus_side(side):
+    if plus_side(side):
         head, tail = _gammas_plus(V, n0)
         return _schur_to_caratheodory(head, tail, zs)
     head, tail = _gammas_minus(V, n0)
     return -_schur_to_caratheodory(head, tail, zs)
-
-
-def _plus_side(side) -> bool:
-    if side in ("+", "plus", 1, +1):
-        return True
-    if side in ("-", "minus", -1):
-        return False
-    raise ValueError(f"side must be '+' or '-', got {side!r}")
 
 
 def m_half_lattice(V: VerblunskyCoefficients, z: complex, n0: int, side: str) -> complex:
@@ -200,7 +193,7 @@ def m_half_lattice(V: VerblunskyCoefficients, z: complex, n0: int, side: str) ->
 
 
 def _big_M_grid(V: VerblunskyCoefficients, zs, n0: int, side: str):
-    if _plus_side(side):
+    if plus_side(side):
         return _m_grid(V, zs, n0, "+")
     mm = _m_grid(V, zs, n0 - 1, "-")
     a0 = V.alpha(n0)
@@ -213,7 +206,7 @@ def big_M(V: VerblunskyCoefficients, z: complex, n0: int, side: str) -> complex:
     """M_+ = m_+ verbatim; M_- is the alpha(n0) Moebius twist of m_-(z, n0-1).
     Re M_+ >= 0 >= Re M_- in the disk."""
     z = _require_in_disk(z)
-    if _plus_side(side):
+    if plus_side(side):
         return m_half_lattice(V, z, n0, "+")
     mm = m_half_lattice(V, z, n0 - 1, "-")
     a0 = V.alpha(n0)
@@ -271,24 +264,10 @@ def boundary_cmv_grid(V: VerblunskyCoefficients, thetas, n0: int, schedule=None)
     For each key returns (value, error, converged); 'inf_'/'div_' flags mark
     blowup past 1e6 with monotone growth, resp. past the 1e8 hard cap.
     """
-    schedule = schedule or geometric_schedule()
-    thetas = np.asarray(thetas, dtype=float)
-    zeta = np.exp(1j * thetas)
-    stack = {"M_plus": [], "M_minus": [], "M11": []}
-    for eps in schedule:
-        m11, Mp, Mm = _M11_grid(V, (1.0 - eps) * zeta, n0)
-        stack["M_plus"].append(Mp)
-        stack["M_minus"].append(Mm)
-        stack["M11"].append(m11)
-    out = {}
-    for k, rows in stack.items():
-        arr = np.array(rows)
-        out[k] = richardson_sequence(arr)
-        mags = np.abs(arr)
-        grow = np.all(np.diff(mags[-4:], axis=0) > 0, axis=0)
-        out["inf_" + k] = (mags[-1] > INFINITE_LIMIT) & grow
-        out["div_" + k] = np.any(mags > DIVERGENCE_CAP, axis=0)
-    return out
+    def kernel(zs):
+        m11, Mp, Mm = _M11_grid(V, zs, n0)
+        return {"M_plus": Mp, "M_minus": Mm, "M11": m11}
+    return boundary_sweep(kernel, thetas, True, schedule)
 
 
 def Xi11_grid(V: VerblunskyCoefficients, thetas, n0: int, schedule=None):
@@ -300,19 +279,7 @@ def Xi11_grid(V: VerblunskyCoefficients, thetas, n0: int, schedule=None):
     M11 (limit below the extrapolation noise) leave the phase undefined and
     are also marked not ok; they carry zero ac density.
     """
-    bd = boundary_cmv_grid(V, thetas, n0, schedule)
-    m11, err, conv = bd["M11"]
-    # phase tolerance: a 1e-4-relative amplitude plateau moves Arg M11 by
-    # < 1e-4/pi, below every Xi use tolerance
-    ok = relaxed_ok(m11, err, conv, rel=1e-4) & ~bd["div_M11"] & np.isfinite(m11)
-    tol = 10.0 * err + 1e-12 * (1.0 + np.abs(m11))
-    re = m11.real
-    bad = re < -tol
-    re = np.where((re < 0.0) & ~bad, 0.0, re)
-    ok = ok & ~bad & (np.abs(m11) > 100.0 * err + 1e-12)
-    vals = np.angle(re + 1j * m11.imag) / math.pi
-    vals = np.clip(vals, -0.5, 0.5)
-    return np.where(ok, vals, np.nan), err, ok
+    return sweep_phase(_FAMILY, boundary_cmv_grid(V, thetas, n0, schedule))
 
 
 def Xi11(V: VerblunskyCoefficients, theta: float, n0: int, schedule=None) -> float:
@@ -327,6 +294,23 @@ def default_angles(points: int = 512):
     return np.linspace(0.0, TWO_PI, points, endpoint=False)
 
 
+def _witness(bd: dict, passing) -> float:
+    """Max residual of the uniform-multiplicity identity
+    M11 = (1+|M_+-|^2)/(+-2 Re M_+-)."""
+    Mp, Mm, (m11, e11, c11) = bd["M_plus"][0], bd["M_minus"][0], bd["M11"]
+    with np.errstate(divide="ignore", invalid="ignore"):
+        wp = np.abs(m11 - (1.0 + np.abs(Mp) ** 2) / (2.0 * Mp.real))
+        wm = np.abs(m11 - (1.0 + np.abs(Mm) ** 2) / (-2.0 * Mm.real))
+    return float(np.max(np.where(passing & relaxed_ok(m11, e11, c11), np.maximum(wp, wm), 0.0)))
+
+
+_FAMILY = SweepFamily(
+    sweep=lambda V, thetas, n0: boundary_cmv_grid(V, thetas, n0),
+    phase=lambda V, thetas, n0: Xi11_grid(V, thetas, n0),
+    grid=lambda V: default_angles(), circle=True, pair=("M_plus", "M_minus"),
+    phase_key="M11", witness=_witness, zero_floor=True)
+
+
 def ac_spectrum(V: VerblunskyCoefficients, grid=None, n0: int = 0, check_site=None,
                 xi_tol: float = 1e-3) -> CircleArcSet:
     """Circle essential closure of the angle hull of {|Xi11| < 1/2}, one grid
@@ -334,27 +318,8 @@ def ac_spectrum(V: VerblunskyCoefficients, grid=None, n0: int = 0, check_site=No
     grid = default_angles() if grid is None else np.asarray(grid, dtype=float)
     if grid.size < 512:
         raise ValueError("angular grid needs at least 512 points")
-    step = float(grid[1] - grid[0])
     check_site = n0 + 1 if check_site is None else check_site
-
-    def one_site(site):
-        vals, _, ok = Xi11_grid(V, grid, site)
-        with np.errstate(invalid="ignore"):
-            passing = grid[ok & (np.abs(vals) < 0.5 - xi_tol)]
-        hull = angles_hull(passing, step)
-        if hull.is_full() or any(a.length + 2.0 * step >= TWO_PI for a in hull.arcs):
-            return full_circle()
-        widened = [(arc.theta1 - step, arc.theta2 + step, "cc") for arc in hull.arcs]
-        widened += [(t - step, t + step, "cc") for t in hull.isolated_points]
-        return circle_set(widened, []).essential_closure()
-
-    main = one_site(n0)
-    other = one_site(check_site)
-    diff = set_algebra(main, other, "symmetric_difference")
-    if any(a.length > 2.0 * step + 1e-12 for a in diff.arcs):
-        raise RuntimeError(
-            f"ac spectrum disagrees between reference sites {n0} and {check_site}")
-    return main
+    return sweep_ac_spectrum(_FAMILY, V, grid, n0, check_site, xi_tol)
 
 
 def reflectionless_on(V: VerblunskyCoefficients, E: CircleArcSet, grid=None,
@@ -363,50 +328,7 @@ def reflectionless_on(V: VerblunskyCoefficients, E: CircleArcSet, grid=None,
     plus the phase criterion Xi11 = 0, at two or more reference sites.  Where
     the verdict holds, the uniform-multiplicity witness
     M11 = (1+|M_+-|^2)/(+-2 Re M_+-) is recorded as a max residual."""
-    if E.measure() <= 0.0:
-        raise ValueError("reflectionless test needs a set of positive measure")
-    if len(sites) < 2:
-        raise ValueError("need at least 2 reference sites")
-    grid = default_angles() if grid is None else np.asarray(grid, dtype=float)
-    inside = np.array([E.contains(t) for t in grid])
-    angs = grid[inside]
-    if angs.size == 0:
-        raise ValueError("grid does not meet E")
-
-    worst_fraction = 1.0
-    max_res = 0.0
-    xi_fraction = 1.0
-    witness = 0.0
-    defects = set()
-    for site in sites:
-        bd = boundary_cmv_grid(V, angs, site)
-        Mp, ep, cp = bd["M_plus"]
-        Mm, em, cm = bd["M_minus"]
-        m11, e11, c11 = bd["M11"]
-        okm = (relaxed_ok(Mp, ep, cp) & relaxed_ok(Mm, em, cm)
-               & np.isfinite(Mp) & np.isfinite(Mm))
-        res = np.abs(Mp + np.conj(Mm))
-        pass_mask = okm & (res < tol)
-        worst_fraction = min(worst_fraction, float(np.mean(pass_mask)))
-        max_res = max(max_res, float(np.max(np.where(okm, res, 0.0))))
-        defects.update(angs[~pass_mask].tolist())
-
-        vals, _, okx = Xi11_grid(V, angs, site)
-        xi_fraction = min(xi_fraction, float(np.mean(okx & (np.abs(vals) < 10 * tol))))
-
-        with np.errstate(divide="ignore", invalid="ignore"):
-            wp = np.abs(m11 - (1.0 + np.abs(Mp) ** 2) / (2.0 * Mp.real))
-            wm = np.abs(m11 - (1.0 + np.abs(Mm) ** 2) / (-2.0 * Mm.real))
-        wit = np.where(pass_mask & relaxed_ok(m11, e11, c11), np.maximum(wp, wm), 0.0)
-        witness = max(witness, float(np.max(wit)))
-
-    verdict = worst_fraction > 0.99
-    return ReflectionlessReport(
-        verdict=verdict, fraction=worst_fraction, max_residual=max_res, tol=tol,
-        sites=tuple(sites), n_points=int(angs.size), defect_points=tuple(sorted(defects)),
-        xi_fraction=xi_fraction,
-        witness_residual=witness if verdict else math.nan,
-        details=f"{angs.size} grid angles in E at sites {tuple(sites)}")
+    return sweep_reflectionless(_FAMILY, V, E, grid, sites, tol)
 
 
 def m11_boundary_identity_residual(V: VerblunskyCoefficients, thetas, n0: int) -> float:
@@ -432,25 +354,7 @@ def multiplicity_sets(V: VerblunskyCoefficients, grid=None, n0: int = 0,
     both boundary values off the imaginary axis, multiplicity one collects the
     equal-imaginary, both-infinite, and exactly-one-off-axis cases.
     """
-    grid = default_angles() if grid is None else np.asarray(grid, dtype=float)
-    step = float(grid[1] - grid[0])
-    bd = boundary_cmv_grid(V, grid, n0)
-    Mp, ep, cp = bd["M_plus"]
-    Mm, em, cm = bd["M_minus"]
-    infp = bd["inf_M_plus"] | bd["div_M_plus"]
-    infm = bd["inf_M_minus"] | bd["div_M_minus"]
-    finp = relaxed_ok(Mp, ep, cp) & ~infp & np.isfinite(Mp)
-    finm = relaxed_ok(Mm, em, cm) & ~infm & np.isfinite(Mm)
-
-    off_p = finp & (np.abs(Mp.real) > axis_tol * (1.0 + np.abs(Mp)))
-    off_m = finm & (np.abs(Mm.real) > axis_tol * (1.0 + np.abs(Mm)))
-    on_p = finp & ~off_p
-    on_m = finm & ~off_m
-    equal_imag = on_p & on_m & (np.abs(Mp - Mm) <= axis_tol * (1.0 + np.abs(Mp)))
-
-    mask2 = off_p & off_m
-    mask1 = equal_imag | (infp & infm) | (on_p & off_m) | (on_m & off_p)
-    return angles_hull(grid[mask2], step), angles_hull(grid[mask1], step)
+    return sweep_multiplicity_sets(_FAMILY, V, grid, n0, axis_tol)
 
 
 # ---------------------------------------------------------------------------
@@ -585,7 +489,6 @@ def matrix_M_and_R(V: VerblunskyCoefficients, n0: int, grid=None, window: int = 
     grid = default_angles() if grid is None else np.asarray(grid, dtype=float)
     if grid.size < 512:
         raise ValueError("angular grid needs at least 512 points")
-    schedule = schedule or geometric_schedule()
     half = window // 2
     T = build_truncation(V, (n0 - half, n0 + half - 1))
     i0, i1 = T.index_of(n0 - 1), T.index_of(n0)
@@ -593,18 +496,16 @@ def matrix_M_and_R(V: VerblunskyCoefficients, n0: int, grid=None, window: int = 
     rhs[i0, 0] = 1.0
     rhs[i1, 1] = 1.0
 
-    zeta = np.exp(1j * grid)
-    herm = []
-    for eps in schedule:
-        H_eps = np.empty((grid.size, 2, 2), dtype=complex)
-        for k, z in enumerate((1.0 - eps) * zeta):
+    def hermitian_part(zs):
+        H = np.empty((zs.size, 2, 2), dtype=complex)
+        for k, z in enumerate(zs):
             x = T.solve(z, rhs)
             M = 2.0 * z * np.array([[x[i0, 0], x[i0, 1]], [x[i1, 0], x[i1, 1]]])
             M[0, 0] += 1.0
             M[1, 1] += 1.0
-            H_eps[k] = (M + M.conj().T) / 2.0
-        herm.append(H_eps)
-    H, _, _ = richardson_sequence(np.array(herm))
+            H[k] = (M + M.conj().T) / 2.0
+        return {"H": H}
+    H = boundary_sweep(hermitian_part, grid, True, schedule)["H"][0]
 
     tr = np.real(H[:, 0, 0] + H[:, 1, 1])
     R = H / tr[:, None, None]
@@ -683,32 +584,21 @@ def support_arcs(angles: np.ndarray, min_cluster: int = 5, gap_factor: float = 2
 def angle_csv(V: VerblunskyCoefficients, thetas, n0: int, R_data: MatrixMeasureData = None,
               out=None) -> str:
     """Per-angle CSV: theta, Re M11, Im M11, Xi, verdict, R00, R11, rank."""
-    import csv as _csv
-    import io as _io
     thetas = np.asarray(thetas, dtype=float)
     bd = boundary_cmv_grid(V, thetas, n0)
     m11, _, c11 = bd["M11"]
-    vals, _, okx = Xi11_grid(V, thetas, n0)
-    buf = _io.StringIO()
-    w = _csv.writer(buf, lineterminator="\n")
-    w.writerow(["theta", "re_m11", "im_m11", "xi", "verdict", "r00", "r11", "rank"])
+    vals, _, okx = sweep_phase(_FAMILY, bd)
+    rows = []
     for k, t in enumerate(thetas):
-        verdict = "undetermined"
-        xi_txt = ""
-        if okx[k]:
-            xi_txt = f"{vals[k]:.12g}"
-            verdict = "interior" if abs(vals[k]) < 0.5 else "edge"
         r00 = r11 = rank_txt = ""
         if R_data is not None and R_data.angles.size == thetas.size:
             r00 = f"{R_data.R[k, 0, 0].real:.6g}"
             r11 = f"{R_data.R[k, 1, 1].real:.6g}"
             rank_txt = str(int(R_data.rank[k]))
-        w.writerow([f"{t:.12g}",
-                    f"{m11[k].real:.12g}" if c11[k] else "",
-                    f"{m11[k].imag:.12g}" if c11[k] else "",
-                    xi_txt, verdict, r00, r11, rank_txt])
-    text = buf.getvalue()
-    if out is not None:
-        with open(out, "w", encoding="utf-8", newline="") as fh:
-            fh.write(text)
-    return text
+        rows.append([f"{t:.12g}",
+                     f"{m11[k].real:.12g}" if c11[k] else "",
+                     f"{m11[k].imag:.12g}" if c11[k] else "",
+                     f"{vals[k]:.12g}" if okx[k] else "",
+                     phase_verdict(_FAMILY, vals[k], okx[k]), r00, r11, rank_txt])
+    return write_csv(["theta", "re_m11", "im_m11", "xi", "verdict", "r00", "r11", "rank"],
+                     rows, out)

@@ -35,20 +35,20 @@ import json
 import math
 import os
 import sys
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
 from . import jacobi as _jacobi
 from . import cmv as _cmv
 from . import schrodinger as _schrodinger
-from .interval_sets import (CircleArcSet, GeneratedFatSet, RealIntervalSet,
-                            canonicalize, circle_set, essential_closure,
-                            fat_density_report, full_circle, lebesgue_measure,
-                            rational_enumeration, set_algebra, set_from_json,
-                            set_to_json)
+from .interval_sets import (CircleArcSet, GeneratedFatSet, canonicalize,
+                            essential_closure, fat_density_report, lebesgue_measure,
+                            longest_component, rational_enumeration, set_algebra,
+                            set_from_json, set_to_json, widen)
 
 SUPPORTED_TYPES = ("jacobi", "cmv", "schrodinger")
+FAMILY_MODULES = {"jacobi": _jacobi, "cmv": _cmv, "schrodinger": _schrodinger}
 SCHEMA = "v1"
 
 IDENTITY_THRESHOLDS = {
@@ -88,34 +88,8 @@ def _resolve_grid(kind: str, op, grid_config):
         points = int(grid_config["points"])
         return np.linspace(start, stop, points), \
             {"start": start, "stop": stop, "points": points}
-    if kind == "jacobi":
-        g = _jacobi.default_grid(op)
-    else:
-        g = _schrodinger.default_grid(op)
+    g = FAMILY_MODULES[kind].default_grid(op)
     return g, {"start": float(g[0]), "stop": float(g[-1]), "points": int(g.size)}
-
-
-def _widen(s, slack: float):
-    """One-slack outward widening of a canonical set (closure margin)."""
-    if isinstance(s, CircleArcSet):
-        if s.is_full() or any(a.length + 2 * slack >= 2 * math.pi for a in s.arcs):
-            return full_circle()
-        arcs = [(a.theta1 - slack, a.theta2 + slack, "cc") for a in s.arcs]
-        arcs += [(p - slack, p + slack, "cc") for p in s.isolated_points]
-        return circle_set(arcs, [])
-    ivs = [(iv.lo - slack, iv.hi + slack, "cc") for iv in s.intervals]
-    ivs += [(p - slack, p + slack, "cc") for p in s.isolated_points]
-    return canonicalize(ivs, [])
-
-
-def _overhang(a, b) -> float:
-    """Largest connected piece of a not covered by b (0 when a subset of b)."""
-    diff = set_algebra(a, b, "difference")
-    if isinstance(diff, CircleArcSet):
-        spans = [arc.length for arc in diff.arcs]
-    else:
-        spans = [iv.length for iv in diff.intervals]
-    return max(spans) if spans else 0.0
 
 
 def _covered_fraction(E, M) -> float:
@@ -181,16 +155,12 @@ def _identity_residuals(kind: str, op, grid, E, refl_verdict: bool, rng,
         out[name] = {"value": float(value), "threshold": thr,
                      "passed": bool(value < thr), "n_draws": int(n)}
 
-    if kind == "jacobi":
+    if kind != "cmv":
         lo, hi = float(grid[0]), float(grid[-1])
         zs = rng.uniform(lo, hi, draws) + 1j * rng.uniform(0.5, 2.0, draws)
-        entry("green_inverse_identity",
-              _jacobi.green_inverse_identity_residual(op, zs), draws)
-    elif kind == "schrodinger":
-        lo, hi = float(grid[0]), float(grid[-1])
-        zs = rng.uniform(lo, hi, draws) + 1j * rng.uniform(0.5, 2.0, draws)
-        entry("green_inverse_identity",
-              _schrodinger.green_identity_residual(op, zs), draws)
+        residual = (_jacobi.green_inverse_identity_residual if kind == "jacobi"
+                    else _schrodinger.green_identity_residual)
+        entry("green_inverse_identity", residual(op, zs), draws)
     else:
         r = np.sqrt(rng.uniform(0.0, 0.81, draws))
         zs = r * np.exp(1j * rng.uniform(0.0, 2.0 * math.pi, draws))
@@ -229,7 +199,7 @@ def verify_inclusion(descriptor: dict, E=None, grid_config=None, tolerances=None
     rng = np.random.default_rng(seed)
     failures = []
 
-    mod = {"jacobi": _jacobi, "cmv": _cmv, "schrodinger": _schrodinger}[kind]
+    mod = FAMILY_MODULES[kind]
     ac = mod.ac_spectrum(op, grid, xi_tol=xi_tol)
 
     if E is None:
@@ -250,8 +220,8 @@ def verify_inclusion(descriptor: dict, E=None, grid_config=None, tolerances=None
 
     E_closure = essential_closure(E_set)
     if refl.verdict:
-        widened = _widen(ac, step)
-        overhang = _overhang(E_closure, widened)
+        # largest piece of the closure of E outside the ac spectrum's one-step widening
+        overhang = longest_component(set_algebra(E_closure, widen(ac, step), "difference"))
         contained = overhang <= 1e-12
         m2_cover = _covered_fraction(E_set, M2)
         covers = (1.0 - m2_cover) <= 0.01 + 1e-12
@@ -523,7 +493,7 @@ def spec_main(argv=None) -> int:
     if ns.emit == "xi":
         text = _csv_for(ns.cmd, op, grid)
     elif ns.emit == "spectrum":
-        mod = {"jacobi": _jacobi, "cmv": _cmv, "schrodinger": _schrodinger}[ns.cmd]
+        mod = FAMILY_MODULES[ns.cmd]
         text = json.dumps(set_to_json(mod.ac_spectrum(op, grid)),
                           sort_keys=True, indent=2) + "\n"
     else:

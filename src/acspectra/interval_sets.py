@@ -128,12 +128,6 @@ class RealIntervalSet:
             return None
         return min(xs), max(ys)
 
-    def translate(self, dx: float) -> "RealIntervalSet":
-        return RealIntervalSet(
-            tuple(Interval(iv.lo + dx, iv.hi + dx, iv.lo_closed, iv.hi_closed)
-                  for iv in self.intervals),
-            tuple(p + dx for p in self.isolated_points))
-
 
 def canonicalize(raw_intervals, points=()) -> RealIntervalSet:
     """Canonical form: disjoint sorted intervals, merged where the union is connected.
@@ -227,6 +221,27 @@ def essential_closure(s):
         return s.essential_closure()
     closed = [Interval(iv.lo, iv.hi, True, True) for iv in s.intervals]
     return canonicalize(closed)
+
+
+def widen(s, slack: float):
+    """Outward widening of a canonical set by slack on each side, isolated
+    points included; on the circle an arc reaching around becomes the full
+    circle."""
+    if isinstance(s, CircleArcSet):
+        if s.is_full() or any(a.length + 2 * slack >= TWO_PI for a in s.arcs):
+            return full_circle()
+        arcs = [(a.theta1 - slack, a.theta2 + slack, "cc") for a in s.arcs]
+        arcs += [(p - slack, p + slack, "cc") for p in s.isolated_points]
+        return circle_set(arcs, [])
+    ivs = [(iv.lo - slack, iv.hi + slack, "cc") for iv in s.intervals]
+    ivs += [(p - slack, p + slack, "cc") for p in s.isolated_points]
+    return canonicalize(ivs, [])
+
+
+def longest_component(s) -> float:
+    """Length of the longest interval or arc of a canonical set (0 if none)."""
+    pieces = s.arcs if isinstance(s, CircleArcSet) else s.intervals
+    return max((p.length for p in pieces), default=0.0)
 
 
 def lebesgue_measure(s):

@@ -22,16 +22,16 @@ xi = 1/2 (equivalently M_+ = conj(M_-)) characterizes reflectionless points.
 
 from __future__ import annotations
 
-import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import MonodromyDegenerate, NonConvergent
-from .boundary_analysis import (geometric_schedule, relaxed_ok, richardson_sequence,
-                                DIVERGENCE_CAP, INFINITE_LIMIT)
-from .interval_sets import (RealIntervalSet, canonicalize, essential_closure,
-                            points_hull, set_algebra)
+from .boundary_analysis import (ReflectionlessReport, SweepFamily, boundary_sweep,
+                                phase_verdict, plus_side, relaxed_ok, require_off_axis,
+                                sweep_ac_spectrum, sweep_multiplicity_sets, sweep_phase,
+                                sweep_reflectionless, write_csv)
+from .interval_sets import RealIntervalSet
 
 NONREAL_TOL = 1e-4
 DEGENERACY_TOL = 1e-10
@@ -168,8 +168,7 @@ def _normalize_pair(x, y):
 def _weyl_grid(J: JacobiCoefficients, zs, n0: int) -> dict:
     """All Weyl quantities over an array of spectral parameters.
 
-    Returns m_plus, m_minus, M_plus, M_minus (formula route), M_plus_direct,
-    M_minus_direct (Weyl-solution route), and g as arrays shaped like zs.
+    Returns m_plus, m_minus, M_plus, M_minus and g as arrays shaped like zs.
     """
     zs = np.asarray(zs, dtype=complex)
     sites = J.patch_sites
@@ -181,14 +180,10 @@ def _weyl_grid(J: JacobiCoefficients, zs, n0: int) -> dict:
     # rightward-decaying solution, stripped down to n0-1
     _, v = _floquet_seed(J, zs, n_r, decaying=True)
     hi, lo = v[..., 0], v[..., 1]          # psi(n_r), psi(n_r - 1)
-    psi_p1 = psi_0 = None
     for n in range(n_r - 1, n0 - 1, -1):
-        if n == n0:
-            psi_p1, psi_0 = hi, lo         # psi(n0+1), psi(n0) on a common scale
         hi, lo = lo, ((zs - J.b(n)) * lo - J.a(n) * hi) / J.a(n - 1)
         hi, lo = _normalize_pair(hi, lo)
     m_plus = -hi / (J.a(n0 - 1) * lo)      # hi = psi(n0), lo = psi(n0-1)
-    M_plus_direct = -J.a(n0) * psi_p1 / psi_0
 
     # leftward-decaying solution, propagated up to n0+1
     _, w = _floquet_seed(J, zs, n_l, decaying=False)
@@ -197,68 +192,42 @@ def _weyl_grid(J: JacobiCoefficients, zs, n0: int) -> dict:
         cur, prev = ((zs - J.b(n)) * cur - J.a(n - 1) * prev) / J.a(n), cur
         cur, prev = _normalize_pair(cur, prev)
     m_minus = -prev / (J.a(n0) * cur)      # cur = psi(n0+1), prev = psi(n0)
-    M_minus_direct = -J.a(n0) * cur / prev
 
     M_plus = -1.0 / m_plus - zs + J.b(n0)
     M_minus = 1.0 / m_minus
     g = 1.0 / (M_minus - M_plus)
     return {"m_plus": m_plus, "m_minus": m_minus,
-            "M_plus": M_plus, "M_minus": M_minus,
-            "M_plus_direct": M_plus_direct, "M_minus_direct": M_minus_direct,
-            "g": g}
-
-
-def _require_off_axis(z):
-    z = complex(z)
-    if z.imag == 0.0:
-        raise ValueError("spectral parameter must lie off the real axis")
-    return z
+            "M_plus": M_plus, "M_minus": M_minus, "g": g}
 
 
 def m_half_line(J: JacobiCoefficients, z: complex, n0: int, side: str) -> complex:
     """Half-lattice resolvent diagonal at n0 for the restriction to the
     right (side '+') or left (side '-') of n0; Herglotz on either side."""
-    z = _require_off_axis(z)
+    z = require_off_axis(z)
     data = _weyl_grid(J, np.array([z]), n0)
-    key = "m_plus" if _plus_side(side) else "m_minus"
+    key = "m_plus" if plus_side(side) else "m_minus"
     return complex(data[key][0])
-
-
-def _plus_side(side) -> bool:
-    if side in ("+", "plus", 1, +1):
-        return True
-    if side in ("-", "minus", -1):
-        return False
-    raise ValueError(f"side must be '+' or '-', got {side!r}")
 
 
 def big_M(J: JacobiCoefficients, z: complex, n0: int, side: str) -> complex:
     """M_+ = -1/m_+ - z + b(n0) (Herglotz), M_- = 1/m_- (anti-Herglotz)."""
-    z = _require_off_axis(z)
+    z = require_off_axis(z)
     m = m_half_line(J, z, n0, side)
     if abs(m) < 1e-14:
         raise ZeroDivisionError(f"half-line m vanished at z={z}, n0={n0}, side={side}")
-    if _plus_side(side):
+    if plus_side(side):
         return -1.0 / m - z + J.b(n0)
     return 1.0 / m
 
 
-def big_M_from_weyl(J: JacobiCoefficients, z: complex, n0: int, side: str) -> complex:
-    """Same quantity from the Weyl solution directly: -a(n0) psi(n0+1)/psi(n0)."""
-    z = _require_off_axis(z)
-    data = _weyl_grid(J, np.array([z]), n0)
-    key = "M_plus_direct" if _plus_side(side) else "M_minus_direct"
-    return complex(data[key][0])
-
-
 def green_diag(J: JacobiCoefficients, z: complex, n0: int) -> complex:
     """Diagonal Green's function g(z, n0) = [M_- - M_+]^-1; Herglotz in z."""
-    z = _require_off_axis(z)
+    z = require_off_axis(z)
     return complex(_weyl_grid(J, np.array([z]), n0)["g"][0])
 
 
 def weyl_data(J: JacobiCoefficients, z: complex, n0: int) -> WeylData:
-    z = _require_off_axis(z)
+    z = require_off_axis(z)
     d = _weyl_grid(J, np.array([z]), n0)
     return WeylData(z, n0, complex(d["m_plus"][0]), complex(d["m_minus"][0]),
                     complex(d["M_plus"][0]), complex(d["M_minus"][0]), complex(d["g"][0]))
@@ -268,23 +237,7 @@ def boundary_weyl_grid(J: JacobiCoefficients, lams, n0: int, schedule=None) -> d
     """Richardson-extrapolated boundary values of the Weyl quantities on a
     real grid.  For each key returns (value, error, converged) arrays, plus
     'inf_<key>' blowup flags (|samples| past 1e6 with monotone growth)."""
-    schedule = schedule or geometric_schedule()
-    lams = np.asarray(lams, dtype=float)
-    stack = {k: [] for k in ("m_plus", "m_minus", "M_plus", "M_minus", "g")}
-    for eps in schedule:
-        d = _weyl_grid(J, lams + 1j * eps, n0)
-        for k in stack:
-            stack[k].append(d[k])
-    out = {}
-    for k, rows in stack.items():
-        arr = np.array(rows)
-        value, err, conv = richardson_sequence(arr)
-        mags = np.abs(arr)
-        grow = np.all(np.diff(mags[-4:], axis=0) > 0, axis=0)
-        out[k] = (value, err, conv)
-        out["inf_" + k] = (mags[-1] > INFINITE_LIMIT) & grow
-        out["div_" + k] = np.any(mags > DIVERGENCE_CAP, axis=0)
-    return out
+    return boundary_sweep(lambda zs: _weyl_grid(J, zs, n0), lams, False, schedule)
 
 
 def xi_grid(J: JacobiCoefficients, lams, n0: int, schedule=None):
@@ -295,20 +248,7 @@ def xi_grid(J: JacobiCoefficients, lams, n0: int, schedule=None):
     extrapolation failed or whose Im g is negative beyond tolerance get
     ok = False and xi = nan.
     """
-    bd = boundary_weyl_grid(J, lams, n0, schedule)
-    g, err, conv = bd["g"]
-    # phase tolerance: a 1e-4-relative amplitude plateau moves Arg g by
-    # < 1e-4/pi, below every xi use tolerance; exact closing band edges
-    # stall there rather than at the default 1e-6 floor
-    ok = relaxed_ok(g, err, conv, rel=1e-4) & ~bd["div_g"] & np.isfinite(g)
-    tol = 10.0 * err + 1e-12 * (1.0 + np.abs(g))
-    im = g.imag
-    bad_neg = im < -tol
-    im = np.where((im < 0.0) & ~bad_neg, 0.0, im)
-    ok = ok & ~bad_neg
-    xi = np.angle(g.real + 1j * im) / math.pi
-    xi = np.clip(xi, 0.0, 1.0)
-    return np.where(ok, xi, np.nan), err, ok
+    return sweep_phase(_FAMILY, boundary_weyl_grid(J, lams, n0, schedule))
 
 
 def xi(J: JacobiCoefficients, lam: float, n0: int, schedule=None) -> float:
@@ -325,9 +265,18 @@ def default_grid(J: JacobiCoefficients, points: int = 4001):
     return np.linspace(-R, R, points)
 
 
-def _sets_agree_within(s1: RealIntervalSet, s2: RealIntervalSet, slack: float) -> bool:
-    diff = set_algebra(s1, s2, "symmetric_difference")
-    return all(iv.hi - iv.lo <= slack + 1e-12 for iv in diff.intervals)
+def _witness(bd: dict, passing) -> float:
+    """Max residual of the identity -1/g = 2i Im M_+ = -2i Im M_-."""
+    Mp, Mm, (g, eg, cg) = bd["M_plus"][0], bd["M_minus"][0], bd["g"]
+    wit = np.maximum(np.abs(-1.0 / g - 2j * Mp.imag), np.abs(-1.0 / g + 2j * Mm.imag))
+    return float(np.max(np.where(passing & relaxed_ok(g, eg, cg), wit, 0.0)))
+
+
+_FAMILY = SweepFamily(
+    sweep=lambda J, lams, n0: boundary_weyl_grid(J, lams, n0),
+    phase=lambda J, lams, n0: xi_grid(J, lams, n0),
+    grid=default_grid, circle=False, pair=("M_plus", "M_minus"), phase_key="g",
+    witness=_witness)
 
 
 def ac_spectrum(J: JacobiCoefficients, grid=None, n0: int = 0, check_site=None,
@@ -336,39 +285,8 @@ def ac_spectrum(J: JacobiCoefficients, grid=None, n0: int = 0, check_site=None,
     margin on each side.  Recomputed at a second reference site; a
     disagreement beyond one grid step raises, since the phase set must not
     depend on the site."""
-    grid = default_grid(J) if grid is None else np.asarray(grid, dtype=float)
-    step = float(grid[1] - grid[0])
     check_site = n0 + 1 if check_site is None else check_site
-
-    def one_site(site):
-        vals, _, ok = xi_grid(J, grid, site)
-        with np.errstate(invalid="ignore"):
-            passing = grid[ok & (vals > xi_tol) & (vals < 1.0 - xi_tol)]
-        hull = points_hull(passing, step)
-        widened = [(iv.lo - step, iv.hi + step, "cc") for iv in hull.intervals]
-        widened += [(x - step, x + step, "cc") for x in hull.isolated_points]
-        return essential_closure(canonicalize(widened, []))
-
-    main = one_site(n0)
-    other = one_site(check_site)
-    if not _sets_agree_within(main, other, 2.0 * step):
-        raise RuntimeError(
-            f"ac spectrum disagrees between reference sites {n0} and {check_site}")
-    return main
-
-
-@dataclass(frozen=True)
-class ReflectionlessReport:
-    verdict: bool
-    fraction: float              # worst passing fraction across reference sites
-    max_residual: float          # max matching residual over tested points
-    tol: float
-    sites: tuple
-    n_points: int
-    defect_points: tuple         # grid points failing the matching condition
-    xi_fraction: float = 0.0     # fraction with the phase within tolerance of 1/2
-    witness_residual: float = math.nan
-    details: str = ""
+    return sweep_ac_spectrum(_FAMILY, J, grid, n0, check_site, xi_tol)
 
 
 def reflectionless_on(J: JacobiCoefficients, E: RealIntervalSet, grid=None,
@@ -378,49 +296,7 @@ def reflectionless_on(J: JacobiCoefficients, E: RealIntervalSet, grid=None,
     or more reference sites.  Verdict true when the matching condition holds
     (residual < tol) on more than 99% of tested points at every site; the
     witness identity -1/g = 2i Im M_+ = -2i Im M_- is recorded where true."""
-    if E.measure() <= 0.0:
-        raise ValueError("reflectionless test needs a set of positive measure")
-    if len(sites) < 2:
-        raise ValueError("need at least 2 reference sites")
-    grid = default_grid(J) if grid is None else np.asarray(grid, dtype=float)
-    inside = np.array([E.contains(x) for x in grid])
-    lams = grid[inside]
-    if lams.size == 0:
-        raise ValueError("grid does not meet E")
-
-    worst_fraction = 1.0
-    max_res = 0.0
-    xi_fraction = 1.0
-    witness = 0.0
-    defects = set()
-    for site in sites:
-        bd = boundary_weyl_grid(J, lams, site)
-        Mp, ep, cp = bd["M_plus"]
-        Mm, em, cm = bd["M_minus"]
-        g, eg, cg = bd["g"]
-        okm = (relaxed_ok(Mp, ep, cp) & relaxed_ok(Mm, em, cm)
-               & np.isfinite(Mp) & np.isfinite(Mm))
-        res = np.abs(Mp - np.conj(Mm))
-        pass_mask = okm & (res < tol)
-        frac = float(np.mean(pass_mask))
-        worst_fraction = min(worst_fraction, frac)
-        max_res = max(max_res, float(np.max(np.where(okm, res, 0.0))))
-        defects.update(lams[~pass_mask].tolist())
-
-        vals, _, okx = xi_grid(J, lams, site)
-        xi_fraction = min(xi_fraction, float(np.mean(okx & (np.abs(vals - 0.5) < 10 * tol))))
-
-        wit = np.maximum(np.abs(-1.0 / g - 2j * Mp.imag), np.abs(-1.0 / g + 2j * Mm.imag))
-        witness = max(witness, float(np.max(
-            np.where(pass_mask & relaxed_ok(g, eg, cg), wit, 0.0))))
-
-    verdict = worst_fraction > 0.99
-    return ReflectionlessReport(
-        verdict=verdict, fraction=worst_fraction, max_residual=max_res, tol=tol,
-        sites=tuple(sites), n_points=int(lams.size), defect_points=tuple(sorted(defects)),
-        xi_fraction=xi_fraction,
-        witness_residual=witness if verdict else math.nan,
-        details=f"{lams.size} grid points in E at sites {tuple(sites)}")
+    return sweep_reflectionless(_FAMILY, J, E, grid, sites, tol)
 
 
 def multiplicity_sets(J: JacobiCoefficients, grid=None, n0: int = 0,
@@ -431,25 +307,7 @@ def multiplicity_sets(J: JacobiCoefficients, grid=None, n0: int = 0,
     one: equal real values, both infinite, or exactly one nonreal.  Returns
     (M2, M1) as interval sets; isolated eigenvalue hits appear as points.
     """
-    grid = default_grid(J) if grid is None else np.asarray(grid, dtype=float)
-    step = float(grid[1] - grid[0])
-    bd = boundary_weyl_grid(J, grid, n0)
-    Mp, ep, cp = bd["M_plus"]
-    Mm, em, cm = bd["M_minus"]
-    infp = bd["inf_M_plus"] | bd["div_M_plus"]
-    infm = bd["inf_M_minus"] | bd["div_M_minus"]
-    finp = relaxed_ok(Mp, ep, cp) & ~infp & np.isfinite(Mp)
-    finm = relaxed_ok(Mm, em, cm) & ~infm & np.isfinite(Mm)
-
-    nonreal_p = finp & (np.abs(Mp.imag) > nonreal_tol)
-    nonreal_m = finm & (np.abs(Mm.imag) > nonreal_tol)
-    real_p = finp & ~nonreal_p
-    real_m = finm & ~nonreal_m
-    equal_real = real_p & real_m & (np.abs(Mp - Mm) <= nonreal_tol * (1.0 + np.abs(Mp)))
-
-    mask2 = nonreal_p & nonreal_m
-    mask1 = equal_real | (infp & infm) | (real_p & nonreal_m) | (real_m & nonreal_p)
-    return points_hull(grid[mask2], step), points_hull(grid[mask1], step)
+    return sweep_multiplicity_sets(_FAMILY, J, grid, n0, nonreal_tol)
 
 
 @dataclass(frozen=True)
@@ -537,20 +395,8 @@ def discriminant(J: JacobiCoefficients, lams):
 
 def xi_csv(J: JacobiCoefficients, lams, n0: int, out=None) -> str:
     """Per-point CSV: lambda, xi, error_estimate, verdict."""
-    import csv as _csv
-    import io as _io
-    vals, errs, ok = xi_grid(J, np.asarray(lams, dtype=float), n0)
-    buf = _io.StringIO()
-    w = _csv.writer(buf, lineterminator="\n")
-    w.writerow(["lambda", "xi", "error_estimate", "verdict"])
-    for lam, v, e, o in zip(np.asarray(lams, dtype=float), vals, errs, ok):
-        if not o:
-            w.writerow([f"{lam:.12g}", "", f"{e:.6g}", "undetermined"])
-            continue
-        verdict = "interior" if 0.0 < v < 1.0 else "exterior"
-        w.writerow([f"{lam:.12g}", f"{v:.12g}", f"{e:.6g}", verdict])
-    text = buf.getvalue()
-    if out is not None:
-        with open(out, "w", encoding="utf-8", newline="") as fh:
-            fh.write(text)
-    return text
+    lams = np.asarray(lams, dtype=float)
+    vals, errs, ok = xi_grid(J, lams, n0)
+    rows = ([f"{lam:.12g}", f"{v:.12g}" if o else "", f"{e:.6g}", phase_verdict(_FAMILY, v, o)]
+            for lam, v, e, o in zip(lams, vals, errs, ok))
+    return write_csv(["lambda", "xi", "error_estimate", "verdict"], rows, out)

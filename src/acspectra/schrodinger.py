@@ -30,11 +30,11 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import MonodromyDegenerate, NonConvergent
-from .boundary_analysis import (geometric_schedule, relaxed_ok, richardson_sequence,
-                                DIVERGENCE_CAP, INFINITE_LIMIT)
-from .interval_sets import (RealIntervalSet, canonicalize, essential_closure,
-                            points_hull, set_algebra)
-from .jacobi import ReflectionlessReport
+from .boundary_analysis import (ReflectionlessReport, SweepFamily, boundary_sweep,
+                                phase_verdict, plus_side, require_off_axis,
+                                sweep_ac_spectrum, sweep_multiplicity_sets, sweep_phase,
+                                sweep_reflectionless, write_csv)
+from .interval_sets import RealIntervalSet
 
 LAMBDA_TOP = 25.0
 NONREAL_TOL = 1e-4
@@ -226,59 +226,48 @@ def _propagate_vec(V: PiecewisePotential, zs, vec, a: float, b: float,
     return vec
 
 
-def _m_grid(V: PiecewisePotential, zs, x0: float, side: str):
-    zs = np.atleast_1d(np.asarray(zs, dtype=complex))
+def _floquet_seed(V: PiecewisePotential, zs, x0: float, plus: bool):
+    """(c, vec): a periodic cell [c, c + L) right (plus) or left of x0 and the
+    patch, and (psi, psi')(c) of the solution decaying toward +inf (plus),
+    resp. -inf."""
     L = V.period
-    P = V.patch_length
-    if _plus_side(side):
-        c = L * math.ceil(max(P, x0) / L + 1.0)
-        M = transfer_interval(V, zs, c, c + L)
-        _, u = _stable_roots(M[..., 0, 0] + M[..., 1, 1])
-        vec = _eigvec(M, u)
-        if c > x0:
-            vec = _propagate_vec(V, zs, vec, x0, c, inverse=True)
+    if plus:
+        c = L * math.ceil(max(V.patch_length, x0) / L + 1.0)
     else:
         c = L * (math.floor(min(0.0, x0) / L) - 1.0)
-        M = transfer_interval(V, zs, c, c + L)
-        u, _ = _stable_roots(M[..., 0, 0] + M[..., 1, 1])
-        vec = _eigvec(M, u)
-        if x0 > c:
-            vec = _propagate_vec(V, zs, vec, c, x0)
+    M = transfer_interval(V, zs, c, c + L)
+    big, small = _stable_roots(M[..., 0, 0] + M[..., 1, 1])
+    return c, _eigvec(M, small if plus else big)
+
+
+def _m_grid(V: PiecewisePotential, zs, x0: float, side: str):
+    zs = np.atleast_1d(np.asarray(zs, dtype=complex))
+    plus = plus_side(side)
+    c, vec = _floquet_seed(V, zs, x0, plus)
+    if plus and c > x0:
+        vec = _propagate_vec(V, zs, vec, x0, c, inverse=True)
+    elif not plus and x0 > c:
+        vec = _propagate_vec(V, zs, vec, c, x0)
     return vec[..., 1] / vec[..., 0]
-
-
-def _plus_side(side) -> bool:
-    if side in ("+", "plus", 1, +1):
-        return True
-    if side in ("-", "minus", -1):
-        return False
-    raise ValueError(f"side must be '+' or '-', got {side!r}")
-
-
-def _require_offaxis(z) -> complex:
-    z = complex(z)
-    if z.imag == 0.0:
-        raise ValueError("spectral parameter must have nonzero imaginary part")
-    return z
 
 
 def m_half_line(V: PiecewisePotential, z: complex, x0: float, side: str) -> complex:
     """Weyl m-function psi'(x0)/psi(x0) of the decaying solution on the given
     half line; Herglotz for side '+', anti-Herglotz for side '-'."""
-    z = _require_offaxis(z)
+    z = require_off_axis(z)
     return complex(_m_grid(V, np.array([z]), float(x0), side)[0])
 
 
 def green_diag(V: PiecewisePotential, z: complex, x0: float) -> complex:
     """Diagonal Green's function 1/(m_- - m_+), Herglotz; free: i/(2 sqrt(z))."""
-    z = _require_offaxis(z)
+    z = require_off_axis(z)
     mp = m_half_line(V, z, x0, "+")
     mm = m_half_line(V, z, x0, "-")
     return 1.0 / (mm - mp)
 
 
 def weyl_data(V: PiecewisePotential, z: complex, x0: float = 0.0) -> SchrodingerWeylData:
-    z = _require_offaxis(z)
+    z = require_off_axis(z)
     zs = np.array([z])
     mp = complex(_m_grid(V, zs, float(x0), "+")[0])
     mm = complex(_m_grid(V, zs, float(x0), "-")[0])
@@ -294,25 +283,15 @@ def green_identity_residual(V: PiecewisePotential, zs, x0: float = 0.0) -> float
     inverse identity through a route independent of the m-quotient algebra.
     """
     zs = np.atleast_1d(np.asarray(zs, dtype=complex))
-    L = V.period
-    P = V.patch_length
     x0 = float(x0)
-
-    c = L * math.ceil(max(P, x0) / L + 1.0)
-    M = transfer_interval(V, zs, c, c + L)
-    _, u = _stable_roots(M[..., 0, 0] + M[..., 1, 1])
-    vp = _eigvec(M, u)
+    c, vp = _floquet_seed(V, zs, x0, True)
     if c > x0:
         vp = (_inv_unimodular(transfer_interval(V, zs, x0, c)) @ vp[..., None])[..., 0]
-
-    c = L * (math.floor(min(0.0, x0) / L) - 1.0)
-    M = transfer_interval(V, zs, c, c + L)
-    u, _ = _stable_roots(M[..., 0, 0] + M[..., 1, 1])
-    vm = _eigvec(M, u)
+    c, vm = _floquet_seed(V, zs, x0, False)
     if x0 > c:
         vm = (transfer_interval(V, zs, c, x0) @ vm[..., None])[..., 0]
 
-    T = transfer_interval(V, zs, x0, x0 + L / 2.0)
+    T = transfer_interval(V, zs, x0, x0 + V.period / 2.0)
     vp1 = (T @ vp[..., None])[..., 0]
     vm1 = (T @ vm[..., None])[..., 0]
     W1 = vp1[..., 0] * vm1[..., 1] - vp1[..., 1] * vm1[..., 0]
@@ -342,46 +321,22 @@ def boundary_schrodinger_grid(V: PiecewisePotential, lams, x0: float,
     """Richardson extrapolation of m_+, m_-, g at lam + i*eps along the pinned
     geometric schedule; returns (value, error, converged) per key plus
     'inf_'/'div_' blowup flags."""
-    schedule = schedule or geometric_schedule()
-    lams = np.asarray(lams, dtype=float)
-    stack = {"m_plus": [], "m_minus": [], "g": []}
-    for eps in schedule:
-        zs = lams + 1j * eps
+    def kernel(zs):
         mp = _m_grid(V, zs, float(x0), "+")
         mm = _m_grid(V, zs, float(x0), "-")
-        stack["m_plus"].append(mp)
-        stack["m_minus"].append(mm)
-        stack["g"].append(1.0 / (mm - mp))
-    out = {}
-    for k, rows in stack.items():
-        arr = np.array(rows)
-        out[k] = richardson_sequence(arr)
-        mags = np.abs(arr)
-        grow = np.all(np.diff(mags[-4:], axis=0) > 0, axis=0)
-        out["inf_" + k] = (mags[-1] > INFINITE_LIMIT) & grow
-        out["div_" + k] = np.any(mags > DIVERGENCE_CAP, axis=0)
-    return out
+        return {"m_plus": mp, "m_minus": mm, "g": 1.0 / (mm - mp)}
+    return boundary_sweep(kernel, lams, False, schedule)
 
 
 def xi_grid(V: PiecewisePotential, lams, x0: float = 0.0, schedule=None):
     """xi(lam) = Arg g(lam + i0)/pi over a grid: (values, errors, ok mask).
 
     Im g slightly below 0 within the extrapolation error is clamped to the
-    real axis; a violation beyond tolerance marks the point not ok.
+    real axis; a violation beyond tolerance marks the point not ok.  Exact
+    closing band edges (lambda = (k pi/L)^2 for the free cell) stall on a
+    noise plateau that the phase tolerance accepts.
     """
-    bd = boundary_schrodinger_grid(V, lams, x0, schedule)
-    g, err, conv = bd["g"]
-    # phase tolerance: a 1e-4-relative amplitude plateau moves Arg g by
-    # < 1e-4/pi, below every xi use tolerance; exact closing band edges
-    # (lambda = (k pi/L)^2 for the free cell) stall there
-    ok = relaxed_ok(g, err, conv, rel=1e-4) & ~bd["div_g"] & np.isfinite(g)
-    tol = 10.0 * err + 1e-12 * (1.0 + np.abs(g))
-    im = g.imag
-    bad = im < -tol
-    im = np.where((im < 0.0) & ~bad, 0.0, im)
-    ok = ok & ~bad
-    vals = np.clip(np.angle(g.real + 1j * im) / math.pi, 0.0, 1.0)
-    return np.where(ok, vals, np.nan), err, ok
+    return sweep_phase(_FAMILY, boundary_schrodinger_grid(V, lams, x0, schedule))
 
 
 def xi(V: PiecewisePotential, lam: float, x0: float = 0.0, schedule=None) -> float:
@@ -397,34 +352,26 @@ def default_grid(V: PiecewisePotential, points: int = 2001) -> np.ndarray:
     return np.linspace(-V.sup_bound() - 1.0, LAMBDA_TOP, points)
 
 
-def _sets_agree_within(s1: RealIntervalSet, s2: RealIntervalSet, slack: float) -> bool:
-    diff = set_algebra(s1, s2, "symmetric_difference")
-    return all(iv.length <= slack + 1e-12 for iv in diff.intervals)
+def _witness(bd: dict, passing) -> float:
+    """Count of passing points where the half-line m's lack the correct
+    nonreal signs 0 < Im m_+ and Im m_- < 0."""
+    mp, mm = bd["m_plus"][0], bd["m_minus"][0]
+    return float(np.count_nonzero(passing & ~((mp.imag > 0.0) & (mm.imag < 0.0))))
+
+
+_FAMILY = SweepFamily(
+    sweep=lambda V, lams, x0: boundary_schrodinger_grid(V, lams, x0),
+    phase=lambda V, lams, x0: xi_grid(V, lams, x0),
+    grid=default_grid, circle=False, pair=("m_plus", "m_minus"), phase_key="g",
+    witness=_witness, site_word="points")
 
 
 def ac_spectrum(V: PiecewisePotential, grid=None, x0: float = 0.0, check_site=None,
                 xi_tol: float = 1e-3) -> RealIntervalSet:
     """Essential closure of the grid hull of {0 < xi < 1}, one grid step of
     margin; recomputed at a second reference point, disagreement raises."""
-    grid = default_grid(V) if grid is None else np.asarray(grid, dtype=float)
-    step = float(grid[1] - grid[0])
     check_site = x0 + 0.5 * V.period if check_site is None else check_site
-
-    def one_site(site):
-        vals, _, ok = xi_grid(V, grid, site)
-        with np.errstate(invalid="ignore"):
-            passing = grid[ok & (vals > xi_tol) & (vals < 1.0 - xi_tol)]
-        hull = points_hull(passing, step)
-        widened = [(iv.lo - step, iv.hi + step, "cc") for iv in hull.intervals]
-        widened += [(x - step, x + step, "cc") for x in hull.isolated_points]
-        return essential_closure(canonicalize(widened, []))
-
-    main = one_site(x0)
-    other = one_site(check_site)
-    if not _sets_agree_within(main, other, 2.0 * step):
-        raise RuntimeError(
-            f"ac spectrum disagrees between reference points {x0} and {check_site}")
-    return main
+    return sweep_ac_spectrum(_FAMILY, V, grid, x0, check_site, xi_tol)
 
 
 def reflectionless_on(V: PiecewisePotential, E: RealIntervalSet, grid=None,
@@ -432,51 +379,10 @@ def reflectionless_on(V: PiecewisePotential, E: RealIntervalSet, grid=None,
     """Reflectionless test on a real set E: boundary matching
     m_+(lam+i0) = conj(m_-(lam+i0)) at two or more reference points, with the
     witness that both half-line m's have finite nonreal limits of the correct
-    sign (0 < Im m_+ and Im m_- < 0) on the passing set."""
-    if E.measure() <= 0.0:
-        raise ValueError("reflectionless test needs a set of positive measure")
+    sign (0 < Im m_+ and Im m_- < 0) on the passing set; witness_residual
+    counts the passing points with a wrong-sign imaginary part."""
     points = (0.0, 0.5 * V.period) if points is None else points
-    if len(points) < 2:
-        raise ValueError("need at least 2 reference points")
-    grid = default_grid(V) if grid is None else np.asarray(grid, dtype=float)
-    inside = np.array([E.contains(x) for x in grid])
-    lams = grid[inside]
-    if lams.size == 0:
-        raise ValueError("grid does not meet E")
-
-    worst_fraction = 1.0
-    max_res = 0.0
-    xi_fraction = 1.0
-    witness = 0.0
-    defects = set()
-    for x0 in points:
-        bd = boundary_schrodinger_grid(V, lams, x0)
-        mp, ep, cp = bd["m_plus"]
-        mm, em, cm = bd["m_minus"]
-        okm = (relaxed_ok(mp, ep, cp) & relaxed_ok(mm, em, cm)
-               & np.isfinite(mp) & np.isfinite(mm))
-        res = np.abs(mp - np.conj(mm))
-        pass_mask = okm & (res < tol)
-        worst_fraction = min(worst_fraction, float(np.mean(pass_mask)))
-        max_res = max(max_res, float(np.max(np.where(okm, res, 0.0))))
-        defects.update(lams[~pass_mask].tolist())
-
-        vals, _, okx = xi_grid(V, lams, x0)
-        xi_fraction = min(xi_fraction,
-                          float(np.mean(okx & (np.abs(vals - 0.5) < 10 * tol))))
-
-        sign_ok = pass_mask & (mp.imag > 0.0) & (mm.imag < 0.0)
-        bad_sign = np.where(pass_mask & ~sign_ok)[0]
-        witness = max(witness, float(bad_sign.size))
-
-    verdict = worst_fraction > 0.99
-    return ReflectionlessReport(
-        verdict=verdict, fraction=worst_fraction, max_residual=max_res, tol=tol,
-        sites=tuple(points), n_points=int(lams.size), defect_points=tuple(sorted(defects)),
-        xi_fraction=xi_fraction,
-        witness_residual=witness if verdict else math.nan,
-        details=f"{lams.size} grid points in E at x0 {tuple(points)}; "
-                "witness counts passing points with a wrong-sign imaginary part")
+    return sweep_reflectionless(_FAMILY, V, E, grid, points, tol)
 
 
 def multiplicity_sets(V: PiecewisePotential, grid=None, x0: float = 0.0,
@@ -484,50 +390,18 @@ def multiplicity_sets(V: PiecewisePotential, grid=None, x0: float = 0.0,
     """Interval hulls of the uniform-multiplicity sets from boundary (m_+, m_-):
     multiplicity two where both are nonreal, multiplicity one on the union of
     the equal-real, both-infinite, and exactly-one-nonreal cases."""
-    grid = default_grid(V) if grid is None else np.asarray(grid, dtype=float)
-    step = float(grid[1] - grid[0])
-    bd = boundary_schrodinger_grid(V, grid, x0)
-    mp, ep, cp = bd["m_plus"]
-    mm, em, cm = bd["m_minus"]
-    infp = bd["inf_m_plus"] | bd["div_m_plus"]
-    infm = bd["inf_m_minus"] | bd["div_m_minus"]
-    finp = relaxed_ok(mp, ep, cp) & ~infp & np.isfinite(mp)
-    finm = relaxed_ok(mm, em, cm) & ~infm & np.isfinite(mm)
-
-    nonreal_p = finp & (np.abs(mp.imag) > nonreal_tol)
-    nonreal_m = finm & (np.abs(mm.imag) > nonreal_tol)
-    real_p = finp & ~nonreal_p
-    real_m = finm & ~nonreal_m
-    equal_real = real_p & real_m & (np.abs(mp - mm) <= nonreal_tol * (1.0 + np.abs(mp)))
-
-    mask2 = nonreal_p & nonreal_m
-    mask1 = equal_real | (infp & infm) | (real_p & nonreal_m) | (real_m & nonreal_p)
-    return points_hull(grid[mask2], step), points_hull(grid[mask1], step)
+    return sweep_multiplicity_sets(_FAMILY, V, grid, x0, nonreal_tol)
 
 
 def xi_csv(V: PiecewisePotential, lams, x0: float = 0.0, out=None) -> str:
     """Per-point CSV: lambda, xi, Re g, Im g, verdict."""
-    import csv as _csv
-    import io as _io
     lams = np.asarray(lams, dtype=float)
     bd = boundary_schrodinger_grid(V, lams, x0)
-    g, err, conv = bd["g"]
-    vals, _, ok = xi_grid(V, lams, x0)
-    buf = _io.StringIO()
-    w = _csv.writer(buf, lineterminator="\n")
-    w.writerow(["lambda", "xi", "re_g", "im_g", "verdict"])
-    for k, lam in enumerate(lams):
-        if ok[k]:
-            verdict = "interior" if 0.0 < vals[k] < 1.0 else "exterior"
-        else:
-            verdict = "undetermined"
-        w.writerow([f"{lam:.12g}",
-                    f"{vals[k]:.12g}" if ok[k] else "",
-                    f"{g[k].real:.12g}" if conv[k] else "",
-                    f"{g[k].imag:.12g}" if conv[k] else "",
-                    verdict])
-    text = buf.getvalue()
-    if out is not None:
-        with open(out, "w", encoding="utf-8", newline="") as fh:
-            fh.write(text)
-    return text
+    g, _, conv = bd["g"]
+    vals, _, ok = sweep_phase(_FAMILY, bd)
+    rows = ([f"{lam:.12g}",
+             f"{vals[k]:.12g}" if ok[k] else "",
+             f"{g[k].real:.12g}" if conv[k] else "",
+             f"{g[k].imag:.12g}" if conv[k] else "",
+             phase_verdict(_FAMILY, vals[k], ok[k])] for k, lam in enumerate(lams))
+    return write_csv(["lambda", "xi", "re_g", "im_g", "verdict"], rows, out)
