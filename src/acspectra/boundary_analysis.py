@@ -32,8 +32,8 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import NonConvergent
-from .interval_sets import (angles_hull, essential_closure, longest_component,
-                            points_hull, set_algebra, widen)
+from .interval_sets import (angles_hull, contains_mask, essential_closure,
+                            longest_component, points_hull, set_algebra, widen)
 
 DIVERGENCE_CAP = 1e8
 INFINITE_LIMIT = 1e6
@@ -519,7 +519,7 @@ def sweep_reflectionless(fam: SweepFamily, op, E, grid, sites, tol: float) -> Re
     if len(sites) < 2:
         raise ValueError(f"need at least 2 reference {fam.site_word}")
     grid = fam.grid(op) if grid is None else np.asarray(grid, dtype=float)
-    inside = np.array([E.contains(x) for x in grid])
+    inside = contains_mask(E, grid)
     lams = grid[inside]
     if lams.size == 0:
         raise ValueError("grid does not meet E")

@@ -42,7 +42,7 @@ import numpy as np
 from . import jacobi as _jacobi
 from . import cmv as _cmv
 from . import schrodinger as _schrodinger
-from .interval_sets import (CircleArcSet, GeneratedFatSet, canonicalize,
+from .interval_sets import (CircleArcSet, GeneratedFatSet, canonicalize, contains_mask,
                             essential_closure, fat_density_report, lebesgue_measure,
                             longest_component, rational_enumeration, set_algebra,
                             set_from_json, set_to_json, widen)
@@ -170,7 +170,7 @@ def _identity_residuals(kind: str, op, grid, E, refl_verdict: bool, rng,
                     for z in zs)
         entry("m11_formula_vs_oracle", worst, draws)
         if refl_verdict:
-            inside = np.array([E.contains(t) for t in grid])
+            inside = contains_mask(E, grid)
             angs = grid[inside]
             if angs.size:
                 angs = angs[:: max(1, angs.size // 64)]

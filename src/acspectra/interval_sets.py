@@ -10,13 +10,21 @@ which for a finite union equals the closure of the union of its nondegenerate
 intervals with all isolated points dropped.  A generated "fat" family (open
 intervals of geometrically shrinking radius around an enumerated sequence of
 centers) is supported with explicit truncation-tail bookkeeping.
+
+Canonicalization and the set operations are sort-based, O(n log n) in the
+number of endpoints: one sort of the breaks, then one sweep that carries the
+covering depth across them (`_cover`).  `contains_mask` tests a whole grid
+with one `searchsorted` over the canonical endpoints.
 """
 
 from __future__ import annotations
 
+import bisect
 import math
 from dataclasses import dataclass, field
 from fractions import Fraction
+
+import numpy as np
 
 TWO_PI = 2.0 * math.pi
 
@@ -151,30 +159,53 @@ def canonicalize(raw_intervals, points=()) -> RealIntervalSet:
     breaks = sorted({iv.lo for iv in prims} | {iv.hi for iv in prims} | set(pts))
     if not breaks:
         return RealIntervalSet()
+    return _assemble_clean(breaks, *_cover(breaks, prims, pts))
 
-    def member_point(x):
-        return any(iv.contains(x) for iv in prims) or x in set(pts)
 
-    def member_gap(u, v):
-        return any(iv.lo <= u and v <= iv.hi for iv in prims)
+def _cover(breaks, prims, pts):
+    """Membership of a union of intervals and points at every break and gap.
 
-    point_on = [member_point(x) for x in breaks]
-    gap_on = [member_gap(breaks[i], breaks[i + 1]) for i in range(len(breaks) - 1)]
-    return _assemble_clean(breaks, point_on, gap_on)
+    breaks: sorted distinct reals holding every endpoint of prims and every
+    point of pts.  One pass over the breaks carries the number of intervals
+    covering the gap just left of the current break; returns (point_on,
+    gap_on) as _assemble_clean takes them.
+    """
+    index = {b: i for i, b in enumerate(breaks)}
+    n = len(breaks)
+    starts = [0] * n
+    ends = [0] * n
+    closed = [False] * n
+    for iv in prims:
+        i, j = index[iv.lo], index[iv.hi]
+        if i == j:
+            # degenerate: only its closed endpoint is a member, no gap is
+            closed[i] = closed[i] or iv.lo_closed or iv.hi_closed
+            continue
+        starts[i] += 1
+        ends[j] += 1
+        closed[i] = closed[i] or iv.lo_closed
+        closed[j] = closed[j] or iv.hi_closed
+    for p in pts:
+        closed[index[p]] = True
+    point_on = []
+    gap_on = []
+    depth = 0
+    for i in range(n):
+        # depth - ends[i] intervals hold breaks[i] strictly inside
+        inside = depth - ends[i]
+        point_on.append(closed[i] or inside > 0)
+        depth = inside + starts[i]
+        gap_on.append(depth > 0)
+    gap_on.pop()
+    return point_on, gap_on
 
 
 def _membership_tables(a: RealIntervalSet, b: RealIntervalSet):
     breaks = sorted({iv.lo for iv in a.intervals} | {iv.hi for iv in a.intervals}
                     | {iv.lo for iv in b.intervals} | {iv.hi for iv in b.intervals}
                     | set(a.isolated_points) | set(b.isolated_points))
-    a_pt = [a.contains(x) for x in breaks]
-    b_pt = [b.contains(x) for x in breaks]
-
-    def gap_member(s, u, v):
-        return any(iv.lo <= u and v <= iv.hi for iv in s.intervals)
-
-    a_gap = [gap_member(a, breaks[i], breaks[i + 1]) for i in range(len(breaks) - 1)]
-    b_gap = [gap_member(b, breaks[i], breaks[i + 1]) for i in range(len(breaks) - 1)]
+    a_pt, a_gap = _cover(breaks, a.intervals, a.isolated_points)
+    b_pt, b_gap = _cover(breaks, b.intervals, b.isolated_points)
     return breaks, a_pt, b_pt, a_gap, b_gap
 
 
@@ -242,6 +273,36 @@ def longest_component(s) -> float:
     """Length of the longest interval or arc of a canonical set (0 if none)."""
     pieces = s.arcs if isinstance(s, CircleArcSet) else s.intervals
     return max((p.length for p in pieces), default=0.0)
+
+
+def contains_mask(s, xs) -> np.ndarray:
+    """Boolean array of s.contains(x) over xs for a canonical line or circle set."""
+    xs = np.asarray(xs, dtype=float)
+    if isinstance(s, CircleArcSet):
+        # the probes of CircleArcSet.contains: the angle reduced into [0, 2pi)
+        # and one turn above it, against the arcs read as line intervals
+        t = np.fmod(xs, TWO_PI)
+        t = np.where(t < 0.0, t + TWO_PI, t)
+        t = np.where(t == TWO_PI, 0.0, t)
+        ends = [(a.theta1, a.theta2, a.lo_closed, a.hi_closed) for a in s.arcs]
+        pts = [_norm_angle(p) for p in s.isolated_points]
+        return (_pieces_mask(ends, t) | _pieces_mask(ends, t + TWO_PI)
+                | np.isin(t, pts))
+    ends = [(iv.lo, iv.hi, iv.lo_closed, iv.hi_closed) for iv in s.intervals]
+    return _pieces_mask(ends, xs) | np.isin(xs, list(s.isolated_points))
+
+
+def _pieces_mask(ends, xs) -> np.ndarray:
+    """Membership of xs in sorted disjoint (lo, hi, lo_closed, hi_closed) pieces."""
+    if not ends:
+        return np.zeros(xs.shape, dtype=bool)
+    lo, hi, lo_c, hi_c = (np.array(col) for col in zip(*ends))
+    # the last piece starting at or left of x is the only one that can hold it
+    k = np.searchsorted(lo, xs, side="right") - 1
+    kk = np.maximum(k, 0)
+    lo, hi, lo_c, hi_c = lo[kk], hi[kk], lo_c[kk], hi_c[kk]
+    inside = ((lo < xs) & (xs < hi)) | ((xs == lo) & lo_c) | ((xs == hi) & hi_c)
+    return (k >= 0) & inside
 
 
 def lebesgue_measure(s):
@@ -340,11 +401,14 @@ class CircleArcSet:
         prims = []
         pts = [_norm_angle(p) for p in self.isolated_points]
         for a in self.arcs:
-            if a.theta2 <= TWO_PI:
+            if a.theta2 < TWO_PI:
                 prims.append((a.theta1, a.theta2, a.lo_closed, a.hi_closed))
             else:
                 prims.append((a.theta1, TWO_PI, a.lo_closed, False))
-                prims.append((0.0, a.theta2 - TWO_PI, True, a.hi_closed))
+                if a.theta2 > TWO_PI:
+                    prims.append((0.0, a.theta2 - TWO_PI, True, a.hi_closed))
+                elif a.hi_closed:
+                    pts.append(0.0)     # a closed end at 2pi is the angle 0
         return canonicalize(prims, pts)
 
     @staticmethod
@@ -372,6 +436,12 @@ class CircleArcSet:
                 return full_circle()
             return CircleArcSet((Arc(0.0, TWO_PI, False, False),),
                                 tuple(sorted(p for p in pts if p != 0.0)))
+        elif right and right[0].hi == TWO_PI and 0.0 in pts:
+            # the point at angle 0 closes the component ending at 2pi
+            r_iv = right[0]
+            arcs.append(Arc(r_iv.lo, TWO_PI, r_iv.lo_closed, True))
+            consumed = {id(r_iv)}
+            pts = [p for p in pts if p != 0.0]
         for iv in ivs:
             if id(iv) in consumed:
                 continue
@@ -394,7 +464,8 @@ class CircleArcSet:
             for iv in nondeg:
                 tiled.append((iv.lo + k * TWO_PI, iv.hi + k * TWO_PI, True, True))
         closed = canonicalize(tiled)
-        window = canonicalize([(0.0, TWO_PI, True, True)])
+        # angle 2pi is the angle 0, which the tile on the left already decides
+        window = canonicalize([(0.0, TWO_PI, True, False)])
         clipped = _line_algebra(closed, window, "intersect")
         return CircleArcSet._from_line(clipped)
 
@@ -507,16 +578,19 @@ def fat_density_report(g: GeneratedFatSet, grid=None, eps_min: float = 1e-6) -> 
     else:
         grid = list(grid)
     step = grid[1] - grid[0] if len(grid) > 1 else eps_min
+    los = [iv.lo for iv in trunc.intervals]
+    his = [iv.hi for iv in trunc.intervals]
     verdicts = []
     passing = []
-    window = None
     for x in grid:
-        window = canonicalize([(x - eps_min, x + eps_min, False, False)])
-        meet = _line_algebra(trunc, window, "intersect")
-        if meet.measure() > 0.0:
+        lo, hi = x - eps_min, x + eps_min
+        # (lo, hi) meets the sorted disjoint intervals with positive measure
+        # iff the first one ending right of lo starts left of hi
+        k = bisect.bisect_right(his, lo)
+        if lo < hi and k < len(his) and los[k] < hi:
             verdicts.append((x, "truncated"))
             passing.append(x)
-        elif x - eps_min < hull_hi and x + eps_min > hull_lo:
+        elif lo < hull_hi and hi > hull_lo:
             verdicts.append((x, "tail"))
             passing.append(x)
         else:
@@ -581,16 +655,47 @@ def set_to_json(s) -> dict:
 
 
 def set_from_json(d: dict):
+    """Set from its JSON descriptor; a descriptor of the wrong shape raises ValueError."""
+    if not isinstance(d, dict):
+        raise ValueError(f"set JSON must be an object, not {type(d).__name__}")
     if "family" in d:
         if d["family"] != "rational_fat":
             raise ValueError(f"unknown generated family {d['family']!r}")
-        return GeneratedFatSet.rational_fat(int(d["truncation"]),
-                                            float(d.get("radius_base", 4)))
+        if "truncation" not in d:
+            raise ValueError("rational_fat set JSON needs a truncation")
+        return GeneratedFatSet.rational_fat(_json_value(int, d["truncation"], "truncation"),
+                                            _json_value(float, d.get("radius_base", 4),
+                                                        "radius_base"))
     carrier = d.get("carrier", "line")
-    ivs = d.get("intervals", [])
-    pts = d.get("points", [])
+    ivs = _json_list(d, "intervals")
+    pts = _json_list(d, "points")
+    for raw in ivs:
+        if not isinstance(raw, (list, tuple)) or len(raw) not in (2, 3, 4):
+            raise ValueError(f"set JSON interval must be [lo, hi] or [lo, hi, flags], "
+                             f"not {raw!r}")
+        for v in raw[:2]:
+            _json_value(float, v, "interval endpoint")
+        if len(raw) == 3 and not (isinstance(raw[2], str) and raw[2] in _FLAG_CODES):
+            raise ValueError(f"set JSON interval flags must be one of "
+                             f"{sorted(_FLAG_CODES)}, not {raw[2]!r}")
+    for p in pts:
+        _json_value(float, p, "point")
     if carrier == "circle":
         return circle_set(ivs, pts)
     if carrier == "line":
         return canonicalize(ivs, pts)
     raise ValueError(f"unknown carrier {carrier!r}")
+
+
+def _json_list(d: dict, key: str) -> list:
+    v = d.get(key, [])
+    if not isinstance(v, (list, tuple)):
+        raise ValueError(f"set JSON {key!r} must be a list, not {type(v).__name__}")
+    return v
+
+
+def _json_value(convert, v, what: str):
+    try:
+        return convert(v)
+    except (TypeError, ValueError):
+        raise ValueError(f"set JSON {what} must be a number, not {v!r}") from None

@@ -203,6 +203,15 @@ class TestClosureCli:
         assert closure_main(["essential", "--input",
                              str(tmp_path / "nope.json")]) == 2
 
+    @pytest.mark.parametrize("doc", [{"intervals": 5}, [1, 2], {"intervals": [[None, 1]]},
+                                     {"points": ["x"]}, {"intervals": [[0, 1, "ox"]]},
+                                     {"family": "rational_fat"}])
+    def test_malformed_set_exits_2(self, tmp_path, capsys, doc):
+        src = tmp_path / "s.json"
+        src.write_text(json.dumps(doc), encoding="utf-8")
+        assert closure_main(["essential", "--input", str(src)]) == 2
+        assert "error: cannot read set JSON" in capsys.readouterr().err
+
 
 class TestSpecCli:
     def test_emit_spectrum(self, tmp_path, capsys):

@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 
 from acspectra.interval_sets import (Arc, CircleArcSet, GeneratedFatSet,
                                      RealIntervalSet, angles_hull, canonicalize,
-                                     circle_set, equivalent_supports,
+                                     circle_set, contains_mask, equivalent_supports,
                                      essential_closure, fat_density_report,
                                      full_circle, lebesgue_measure,
                                      lebesgue_oracle, atomic_oracle,
@@ -95,6 +95,146 @@ class TestSetAlgebra:
         assert set_algebra(a, b, "intersect").measure() == pytest.approx(0.5)
 
 
+# Brute-force reference: membership in the raw primitives, one at a time.
+# Endpoints come from a small integer grid, so coincident endpoints, open
+# ends touching, points on endpoints and degenerate intervals are common.
+
+OPS = {"union": lambda p, q: p or q,
+       "intersect": lambda p, q: p and q,
+       "difference": lambda p, q: p and not q,
+       "symmetric_difference": lambda p, q: p != q}
+
+grid_coords = st.integers(-3, 3).map(float)
+grid_intervals = st.tuples(grid_coords, grid_coords, st.sampled_from(FLAGS)).map(
+    lambda t: (min(t[0], t[1]), max(t[0], t[1]), t[2]))
+grid_raw_sets = st.tuples(st.lists(grid_intervals, max_size=6),
+                          st.lists(grid_coords, max_size=3))
+# arcs (t1, t2, flags) on integer angles; t2 < t1 wraps through angle 0
+grid_angles = st.integers(0, 6).map(float)
+grid_raw_arcs = st.tuples(st.lists(st.tuples(grid_angles, grid_angles,
+                                             st.sampled_from(FLAGS)), max_size=5),
+                          st.lists(grid_angles, max_size=3))
+
+
+def _on_interval(x, lo, hi, flags):
+    return lo < x < hi or (x == lo and flags[0] == "c") or (x == hi and flags[1] == "c")
+
+
+def _on_arc(theta, t1, t2, flags):
+    """theta in [0, 2pi) on the arc from t1 counterclockwise to t2."""
+    if t1 <= t2:
+        return _on_interval(theta, t1, t2, flags)
+    return (theta > t1 or theta < t2 or (theta == t1 and flags[0] == "c")
+            or (theta == t2 and flags[1] == "c"))
+
+
+def _ref_line(x, raw):
+    ivs, pts = raw
+    return any(_on_interval(x, *iv) for iv in ivs) or x in pts
+
+
+def _ref_circle(theta, raw):
+    arcs, pts = raw
+    return any(_on_arc(theta, *a) for a in arcs) or theta in pts
+
+
+def _line_probes(*raws):
+    """Every break of the raw sets, every gap midpoint, and one point beyond each end."""
+    breaks = sorted({x for ivs, pts in raws for iv in ivs for x in iv[:2]}
+                    | {p for _, pts in raws for p in pts} | {0.0})
+    mids = [0.5 * (u + v) for u, v in zip(breaks, breaks[1:])]
+    return breaks + mids + [breaks[0] - 1.0, breaks[-1] + 1.0]
+
+
+def _circle_probes(*raws):
+    breaks = sorted({t for arcs, pts in raws for a in arcs for t in a[:2]}
+                    | {p for _, pts in raws for p in pts} | {0.0})
+    mids = [0.5 * (u + v) for u, v in zip(breaks, breaks[1:])]
+    return breaks + mids + [0.5 * (breaks[-1] + 2 * math.pi)]
+
+
+def _assert_canonical(s):
+    ivs = s.intervals
+    assert all(iv.lo < iv.hi for iv in ivs)
+    for prev, nxt in zip(ivs, ivs[1:]):
+        # disjoint, and touching only where neither holds the shared end
+        assert prev.hi < nxt.lo or (prev.hi == nxt.lo and not prev.hi_closed
+                                    and not nxt.lo_closed)
+    assert list(s.isolated_points) == sorted(set(s.isolated_points))
+    for p in s.isolated_points:
+        assert not any(iv.lo <= p <= iv.hi for iv in ivs)
+
+
+class TestAgainstBruteForce:
+    @given(grid_raw_sets)
+    @settings(max_examples=200, deadline=None)
+    def test_canonicalize_line(self, raw):
+        s = canonicalize(*raw)
+        _assert_canonical(s)
+        for x in _line_probes(raw):
+            assert s.contains(x) == _ref_line(x, raw), x
+
+    @given(grid_raw_sets, grid_raw_sets)
+    @settings(max_examples=200, deadline=None)
+    def test_set_algebra_line(self, raw_a, raw_b):
+        a, b = canonicalize(*raw_a), canonicalize(*raw_b)
+        probes = _line_probes(raw_a, raw_b)
+        for op, f in OPS.items():
+            s = set_algebra(a, b, op)
+            _assert_canonical(s)
+            for x in probes:
+                assert s.contains(x) == f(_ref_line(x, raw_a), _ref_line(x, raw_b)), (op, x)
+
+    @given(grid_raw_arcs)
+    @settings(max_examples=200, deadline=None)
+    def test_circle_set(self, raw):
+        s = circle_set(*raw)
+        for t in _circle_probes(raw):
+            assert s.contains(t) == _ref_circle(t, raw), t
+
+    @given(grid_raw_arcs, grid_raw_arcs)
+    @settings(max_examples=200, deadline=None)
+    def test_set_algebra_circle(self, raw_a, raw_b):
+        a, b = circle_set(*raw_a), circle_set(*raw_b)
+        probes = _circle_probes(raw_a, raw_b)
+        for op, f in OPS.items():
+            s = set_algebra(a, b, op)
+            for t in probes:
+                assert s.contains(t) == f(_ref_circle(t, raw_a), _ref_circle(t, raw_b)), (op, t)
+
+
+circle_sets = st.builds(
+    circle_set,
+    st.lists(st.tuples(_coords(0.0, 6.28), _coords(0.0, 6.28), st.sampled_from(FLAGS)),
+             max_size=5),
+    st.lists(_coords(0.0, 6.28), max_size=3))
+
+
+class TestContainsMask:
+    @given(st.one_of(line_sets, grid_raw_sets.map(lambda r: canonicalize(*r))),
+           st.lists(_coords(), max_size=10))
+    @settings(max_examples=150, deadline=None)
+    def test_line_matches_contains(self, s, extra):
+        ends = [x for iv in s.intervals for x in (iv.lo, iv.hi)]
+        xs = ends + list(s.isolated_points) + [0.5 * (u + v) for u, v in zip(ends, ends[1:])]
+        xs += extra
+        assert list(contains_mask(s, xs)) == [s.contains(x) for x in xs]
+
+    @given(st.one_of(circle_sets, grid_raw_arcs.map(lambda r: circle_set(*r))),
+           st.lists(_coords(-20.0, 20.0), max_size=10))
+    @settings(max_examples=150, deadline=None)
+    def test_circle_matches_contains(self, s, extra):
+        ends = [t for a in s.arcs for t in (a.theta1, a.theta2)]   # theta2 may pass 2pi
+        xs = ends + list(s.isolated_points) + extra
+        xs += [x + k * 2 * math.pi for x in list(xs) for k in (-1, 1, 2)]
+        assert list(contains_mask(s, xs)) == [s.contains(x) for x in xs]
+
+    def test_empty_and_full(self):
+        xs = [-1.0, 0.0, 3.0, 2 * math.pi]
+        assert not contains_mask(canonicalize([]), xs).any()
+        assert contains_mask(full_circle(), xs).all()
+
+
 class TestEssentialClosure:
     def test_interval_plus_isolated_point(self):
         s = canonicalize([(0, 1, "cc")], [2.0])
@@ -137,6 +277,14 @@ class TestEssentialClosure:
 
     def test_full_circle_fixed_point(self):
         assert essential_closure(full_circle()).is_full()
+
+    def test_arc_ending_at_two_pi_holds_angle_zero(self):
+        s = circle_set([(5.0, 0.0, "oc")])      # closed end at 2pi is the angle 0
+        assert s.contains(0.0)
+        assert set_algebra(s, circle_set([], [0.0]), "intersect").isolated_points == (0.0,)
+        assert set_algebra(s, circle_set([], [0.0]), "union") == s
+        assert essential_closure(s).isolated_points == ()
+        assert essential_closure(circle_set([(0.0, 1.0, "oc")])).isolated_points == ()
 
 
 class TestFatSet:
