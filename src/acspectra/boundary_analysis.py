@@ -4,7 +4,9 @@ A Herglotz function maps the upper half-plane into itself; a Caratheodory
 function maps the unit disk into the closed right half-plane.  Almost-everywhere
 boundary values are reached by a geometric schedule (eps_k = 0.1 * 2^-k toward
 the line, radii r_k = 1 - 0.1 * 2^-k toward the circle) with two-stage
-Richardson extrapolation.  Classification at a boundary point:
+Richardson extrapolation, read off one sample stack: a kernel stacked over a
+grid, or f stacked at one point, deepened while |f| keeps growing, for its
+limit, both blowup variants and the scaled point mass.  At a boundary point:
 
     finite limit, positive Im (line) / Re (circle)      -> ac
     infinite limit, scaled limit -> 0                   -> sc
@@ -18,12 +20,12 @@ disagreement is reported, never assumed away.
 
 The grid sweeps at the end serve the Jacobi, CMV and Schrodinger modules:
 one Richardson sweep, phase, ac hull, reflectionless test, multiplicity
-classifier and CSV writer, with each family's conventions passed as data.
+classifier and CSV writer, with each family's conventions passed as data,
+plus the Floquet eigenvector chooser of the Jacobi and Schrodinger kernels.
 """
 
 from __future__ import annotations
 
-import cmath
 import csv
 import io
 import math
@@ -31,7 +33,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import NonConvergent
+from .errors import MonodromyDegenerate, NonConvergent
 from .interval_sets import (angles_hull, contains_mask, essential_closure,
                             longest_component, points_hull, set_algebra, widen)
 
@@ -39,6 +41,7 @@ DIVERGENCE_CAP = 1e8
 INFINITE_LIMIT = 1e6
 AC_IM_TOL = 1e-6
 MASS_TOL = 1e-6
+DEGENERACY_TOL = 1e-10
 
 
 def geometric_schedule(start: float = 0.1, factor: float = 0.5, stages: int = 13):
@@ -118,22 +121,6 @@ class BoundaryFunction:
         return complex(self.evaluate(z))
 
 
-def _approach_points(f: BoundaryFunction, p, schedule):
-    """Interior points marching toward boundary point p along the schedule.
-
-    Returns (points, location, distances); distances are the representable
-    gaps to the boundary (1 - fl(1 - eps) on the circle), which the scaled
-    point-mass weights must use to avoid cancellation noise near r = 1.
-    """
-    if f.kind == "herglotz":
-        lam = float(p)
-        return [complex(lam, eps) for eps in schedule], lam, list(schedule)
-    theta = _as_angle(p)
-    zeta = cmath.exp(1j * theta)
-    radii = [1.0 - eps for eps in schedule]
-    return [r * zeta for r in radii], theta, [1.0 - r for r in radii]
-
-
 def _as_angle(p) -> float:
     if isinstance(p, complex):
         if abs(abs(p) - 1.0) > 1e-9:
@@ -146,18 +133,18 @@ MIN_EPS_LINE = 1e-13
 MIN_EPS_CIRCLE = 3e-9   # keeps 1 - fl(1 - eps) accurate to ~3e-8 relative
 
 
-def _sample_with_extension(f: BoundaryFunction, p, schedule):
-    """Samples along the schedule, deepened while |f| keeps growing geometrically.
-
-    A point mass scales like eps^-1, so the default schedule alone cannot reach
-    the 1e6 blowup threshold; continuing the same ratio toward the depth floor
-    lets a true singularity cross it while bounded tails stop the extension at
-    once.  Returns (samples, schedule_used).
-    """
-    min_eps = MIN_EPS_LINE if f.kind == "herglotz" else MIN_EPS_CIRCLE
-    sched = list(schedule)
+def _point_stack(f: BoundaryFunction, p, schedule):
+    """(location, samples, distances) of f approaching boundary point p; the
+    schedule is deepened at its own ratio while |f| keeps growing geometrically,
+    so a point mass (~ eps^-1) crosses the blowup threshold.  Distances are
+    the representable gaps 1 - fl(1 - eps) on the circle, free of cancellation."""
+    circle = f.kind == "caratheodory"
+    loc = _as_angle(p) if circle else float(p)
+    kernel = lambda zs: {"f": [f(complex(zs[0]))]}
+    sched = list(schedule or geometric_schedule())
     factor = sched[1] / sched[0]
-    samples = [f(z) for z in _approach_points(f, p, sched)[0]]
+    samples = list(_sample_stack(kernel, [loc], circle, sched)["f"][:, 0])
+    min_eps = MIN_EPS_CIRCLE if circle else MIN_EPS_LINE
     while sched[-1] * factor >= min_eps:
         mags = np.abs(samples[-4:])
         if mags[-1] > DIVERGENCE_CAP:
@@ -165,8 +152,15 @@ def _sample_with_extension(f: BoundaryFunction, p, schedule):
         if not (np.all(np.diff(mags) > 0) and mags[-1] > 1.5 * mags[0]):
             break
         sched.append(sched[-1] * factor)
-        samples.append(f(_approach_points(f, p, sched[-1:])[0][0]))
-    return np.array(samples, dtype=complex), tuple(sched)
+        samples.extend(_sample_stack(kernel, [loc], circle, sched[-1:])["f"][:, 0])
+    eps = np.array(sched)
+    return loc, np.array(samples, dtype=complex), 1.0 - (1.0 - eps) if circle else eps
+
+
+def _scaled(f: BoundaryFunction, samples, dists):
+    weights = -1j * dists if f.kind == "herglotz" else dists / 2.0
+    value, err, converged = richardson_sequence(samples * weights)
+    return complex(value), float(err), bool(converged)
 
 
 def boundary_value(f: BoundaryFunction, p, schedule=None) -> BoundaryValue:
@@ -176,31 +170,22 @@ def boundary_value(f: BoundaryFunction, p, schedule=None) -> BoundaryValue:
     extrapolant differences fail to contract by a factor of 2 while the value
     stays finite and not obviously blowing up.
     """
-    schedule = schedule or geometric_schedule()
-    samples, _ = _sample_with_extension(f, p, schedule)
+    _, samples, _ = _point_stack(f, p, schedule)
     infinite, diverged = (bool(flag) for flag in blowup_flags(np.abs(samples)))
     value, err, converged = richardson_sequence(samples)
-    if diverged or infinite:
-        return BoundaryValue(complex(value), float(err), diverged, infinite, tuple(samples))
-    if not bool(converged):
+    if not (diverged or infinite or bool(converged)):
         raise NonConvergent(
             f"boundary extrapolation failed to contract at {p!r} "
             f"(last differences {float(err):.3e})")
-    return BoundaryValue(complex(value), float(err), False, False, tuple(samples))
+    return BoundaryValue(complex(value), float(err), diverged, infinite, tuple(samples))
 
 
 def scaled_limit(f: BoundaryFunction, p, schedule=None):
     """Point-mass functional: lim (-i eps) m(lambda + i eps), resp.
-    lim ((1-r)/2) f(r zeta).  Returns (value, error, converged)."""
-    schedule = schedule or geometric_schedule()
-    pts, _, dists = _approach_points(f, p, schedule)
-    if f.kind == "herglotz":
-        weights = np.array([-1j * d for d in dists])
-    else:
-        weights = np.array([d / 2.0 for d in dists])
-    samples = np.array([f(z) for z in pts], dtype=complex) * weights
-    value, err, converged = richardson_sequence(samples)
-    return complex(value), float(err), bool(converged)
+    lim ((1-r)/2) f(r zeta), along the deepened schedule of classify_point.
+    Returns (value, error, converged)."""
+    _, samples, dists = _point_stack(f, p, schedule)
+    return _scaled(f, samples, dists)
 
 
 @dataclass(frozen=True)
@@ -225,9 +210,7 @@ def classify_point(f: BoundaryFunction, p, schedule=None,
     part (Im on the line, Re on the circle) and blowup of |value|; both are
     reported and a disagreement downgrades nothing silently.
     """
-    schedule = schedule or geometric_schedule()
-    loc = float(p) if f.kind == "herglotz" else _as_angle(p)
-    samples, used = _sample_with_extension(f, p, schedule)
+    loc, samples, dists = _point_stack(f, p, schedule)
     part = samples.imag if f.kind == "herglotz" else samples.real
 
     def blows(seq):
@@ -239,7 +222,7 @@ def classify_point(f: BoundaryFunction, p, schedule=None,
     agree = singular_unprimed == singular_primed
 
     if singular_unprimed or singular_primed:
-        sval, serr, sconv = scaled_limit(f, p, used)
+        sval, _, sconv = _scaled(f, samples, dists)
         if sconv and sval.real > mass_tol:
             verdict, extra = "pp", {"point_mass": float(sval.real)}
         elif sconv and abs(sval) <= mass_tol:
@@ -264,17 +247,6 @@ def classify_point(f: BoundaryFunction, p, schedule=None,
         return PointClassification(loc, "regular", value, err)
     return PointClassification(loc, "undetermined", value, err,
                                diagnostics="negative Herglotz/Caratheodory part at the boundary")
-
-
-def ac_density(f: BoundaryFunction, p, schedule=None) -> float:
-    """pi^-1 Im m(lambda + i0) on the line, pi^-1 Re f(zeta) on the circle."""
-    c = classify_point(f, p, schedule)
-    if c.verdict == "ac":
-        part = c.limit_value.imag if f.kind == "herglotz" else c.limit_value.real
-        return part / math.pi
-    if c.verdict == "regular":
-        return 0.0
-    raise ValueError(f"ac_density needs an ac or regular point, got {c.verdict!r} at {p!r}")
 
 
 def essential_support_ac(f: BoundaryFunction, grid, schedule=None, ac_tol: float = AC_IM_TOL):
@@ -400,6 +372,26 @@ def require_off_axis(z) -> complex:
     return z
 
 
+def floquet_eigvec(M, det, decaying: bool):
+    """Eigenvector of the monodromy stack M (determinant det) for its contracting
+    (decaying, |u| < 1) or expanding Floquet multiplier.  The larger root takes
+    the cancellation-free sign, the other one u' = det/u; multiplier moduli
+    within 1e-10 (only on the real axis) raise MonodromyDegenerate."""
+    tr = M[..., 0, 0] + M[..., 1, 1]
+    sq = np.sqrt(tr * tr - 4.0 * det)
+    big = np.where(np.abs(tr + sq) >= np.abs(tr - sq), (tr + sq) / 2.0, (tr - sq) / 2.0)
+    small = det / big
+    if np.any(np.abs(np.abs(big) - np.abs(small)) < DEGENERACY_TOL):
+        raise MonodromyDegenerate(
+            "Floquet multipliers have equal modulus; move z off the real axis")
+    u = small if decaying else big
+    v1 = np.stack([M[..., 0, 1], u - M[..., 0, 0]], axis=-1)
+    v2 = np.stack([u - M[..., 1, 1], M[..., 1, 0]], axis=-1)
+    use1 = (np.abs(v1[..., 0]) + np.abs(v1[..., 1])
+            >= np.abs(v2[..., 0]) + np.abs(v2[..., 1]))[..., None]
+    return np.where(use1, v1, v2)
+
+
 @dataclass(frozen=True)
 class ReflectionlessReport:
     verdict: bool
@@ -445,16 +437,21 @@ def boundary_sweep(kernel, grid, circle: bool, schedule=None) -> dict:
     over a grid, with zs = lambda + i eps on the line and (1 - eps) e^{i theta}
     on the circle along the schedule.  For each key returns (value, error,
     converged) arrays, plus 'inf_<key>'/'div_<key>' blowup flags."""
-    grid = np.asarray(grid, dtype=float)
-    zeta = np.exp(1j * grid) if circle else None
-    rows = [kernel((1.0 - eps) * zeta if circle else grid + 1j * eps)
-            for eps in schedule or geometric_schedule()]
     out = {}
-    for k in rows[0]:
-        arr = np.array([row[k] for row in rows])
+    for k, arr in _sample_stack(kernel, grid, circle, schedule or geometric_schedule()).items():
         out[k] = richardson_sequence(arr)
         out["inf_" + k], out["div_" + k] = blowup_flags(np.abs(arr))
     return out
+
+
+def _sample_stack(kernel, grid, circle: bool, schedule) -> dict:
+    """{key: (K, N) samples} of kernel(zs) along the schedule, one kernel
+    call per stage: zs = lambda + i eps on the line, (1 - eps) e^{i theta}
+    on the circle."""
+    grid = np.asarray(grid, dtype=float)
+    zeta = np.exp(1j * grid) if circle else None
+    rows = [kernel((1.0 - eps) * zeta if circle else grid + 1j * eps) for eps in schedule]
+    return {k: np.array([row[k] for row in rows]) for k in rows[0]}
 
 
 def sweep_phase(fam: SweepFamily, bd: dict):

@@ -25,7 +25,8 @@ Config runs are deterministic: fixed seed, sorted JSON keys, LF endings, no
 timestamps; reports embed the effective tolerances for auditability.
 
 Exit codes for `spec run`: 0 all reports PASS, 1 failures or IO errors,
-2 malformed config JSON (no partial files), 3 unknown operator type.
+2 malformed config JSON, descriptor, grid or target set E (every entry is
+checked before anything is written), 3 unknown operator type.
 """
 
 from __future__ import annotations
@@ -42,10 +43,10 @@ import numpy as np
 from . import jacobi as _jacobi
 from . import cmv as _cmv
 from . import schrodinger as _schrodinger
-from .interval_sets import (CircleArcSet, GeneratedFatSet, canonicalize, contains_mask,
-                            essential_closure, fat_density_report, lebesgue_measure,
-                            longest_component, rational_enumeration, set_algebra,
-                            set_from_json, set_to_json, widen)
+from .interval_sets import (CircleArcSet, GeneratedFatSet, RealIntervalSet, canonicalize,
+                            contains_mask, essential_closure, fat_density_report,
+                            lebesgue_measure, longest_component, rational_enumeration,
+                            set_algebra, set_from_json, set_to_json, widen)
 
 SUPPORTED_TYPES = ("jacobi", "cmv", "schrodinger")
 FAMILY_MODULES = {"jacobi": _jacobi, "cmv": _cmv, "schrodinger": _schrodinger}
@@ -67,7 +68,7 @@ class UnknownOperatorType(ValueError):
 
 
 def build_operator(descriptor: dict):
-    kind = descriptor.get("type")
+    kind = descriptor.get("type") if isinstance(descriptor, dict) else None
     if kind == "jacobi":
         return _jacobi.JacobiCoefficients.from_descriptor(descriptor)
     if kind == "cmv":
@@ -81,15 +82,36 @@ def _resolve_grid(kind: str, op, grid_config):
     """Grid array plus its JSON echo from a config dict or family default."""
     if kind == "cmv":
         n = int((grid_config or {}).get("angles", 512))
+        if n < 512:
+            raise ValueError(f"a cmv grid needs at least 512 angles, got {n}")
         return _cmv.default_angles(n), {"angles": n}
     if grid_config:
         start = float(grid_config["start"])
         stop = float(grid_config["stop"])
         points = int(grid_config["points"])
+        if points < 2 or not stop > start:
+            raise ValueError("a grid needs start < stop and at least 2 points")
         return np.linspace(start, stop, points), \
             {"start": start, "stop": stop, "points": points}
     g = FAMILY_MODULES[kind].default_grid(op)
     return g, {"start": float(g[0]), "stop": float(g[-1]), "points": int(g.size)}
+
+
+def _load(descriptor: dict, E, grid_config):
+    """(op, grid, grid_echo, E_set) of one operator entry, E_set None when E
+    is; a malformed descriptor, grid or target set raises ValueError."""
+    try:
+        op = build_operator(descriptor)
+        grid, grid_echo = _resolve_grid(descriptor["type"], op, grid_config)
+        E_set = set_from_json(E) if isinstance(E, dict) else E
+    except (KeyError, TypeError, IndexError) as exc:
+        raise ValueError(f"malformed operator entry ({type(exc).__name__}: {exc})") from None
+    carrier = CircleArcSet if descriptor["type"] == "cmv" else RealIntervalSet
+    if E_set is not None and not (isinstance(E_set, carrier) and E_set.measure() > 0.0
+                                  and contains_mask(E_set, grid).any()):
+        raise ValueError(f"E must be an explicit {carrier.__name__} of positive measure "
+                         f"with a grid point inside, not {E_set!r:.80}")
+    return op, grid, grid_echo, E_set
 
 
 def _covered_fraction(E, M) -> float:
@@ -190,9 +212,8 @@ def verify_inclusion(descriptor: dict, E=None, grid_config=None, tolerances=None
     the reflectionless hypothesis fails on E.
     """
     tolerances = dict(tolerances or {})
-    op = build_operator(descriptor)
+    op, grid, grid_echo, E_set = _load(descriptor, E, grid_config)
     kind = descriptor["type"]
-    grid, grid_echo = _resolve_grid(kind, op, grid_config)
     step = 2.0 * math.pi / grid.size if kind == "cmv" else float(grid[1] - grid[0])
     refl_tol = float(tolerances.get("reflectionless_tol", 1e-4))
     xi_tol = float(tolerances.get("xi_tol", 1e-3))
@@ -202,12 +223,8 @@ def verify_inclusion(descriptor: dict, E=None, grid_config=None, tolerances=None
     mod = FAMILY_MODULES[kind]
     ac = mod.ac_spectrum(op, grid, xi_tol=xi_tol)
 
-    if E is None:
+    if E_set is None:
         E_set = ac
-    elif isinstance(E, dict):
-        E_set = set_from_json(E)
-    else:
-        E_set = E
 
     refl = mod.reflectionless_on(op, E_set, grid, tol=refl_tol)
     M2, M1 = mod.multiplicity_sets(op, grid)
@@ -306,16 +323,18 @@ def run_config(path: str, out_dir: str = None) -> int:
         print(f"error: cannot read config {path}: {exc}", file=sys.stderr)
         return 2
 
-    ops = cfg.get("operators")
-    if not isinstance(ops, list) or not ops:
-        print("error: config needs a nonempty 'operators' list", file=sys.stderr)
+    ops = cfg.get("operators") if isinstance(cfg, dict) else None
+    if not isinstance(ops, list) or not ops or not all(isinstance(e, dict) for e in ops):
+        print("error: config needs a nonempty 'operators' list of objects", file=sys.stderr)
         return 2
-    for spec_entry in ops:
-        kind = (spec_entry.get("descriptor") or {}).get("type")
-        if kind not in SUPPORTED_TYPES:
-            print(f"error: unknown operator type {kind!r}; supported types: "
-                  + ", ".join(SUPPORTED_TYPES), file=sys.stderr)
-            return 3
+    try:
+        loaded = [_load(e.get("descriptor"), e.get("E"), e.get("grid")) for e in ops]
+    except UnknownOperatorType as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 3
+    except ValueError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 2
 
     out = out_dir or cfg.get("out_dir")
     if not out:
@@ -326,22 +345,19 @@ def run_config(path: str, out_dir: str = None) -> int:
     any_failed = False
     try:
         os.makedirs(out, exist_ok=True)
-        for k, spec_entry in enumerate(ops):
+        for k, (spec_entry, (op, grid, _, E_set)) in enumerate(zip(ops, loaded)):
             name = spec_entry.get("name", f"operator_{k}")
+            kind = spec_entry["descriptor"]["type"]
             rep = verify_inclusion(
-                spec_entry["descriptor"], spec_entry.get("E"),
-                spec_entry.get("grid"), spec_entry.get("tolerances"),
-                name=name, seed=seed)
+                spec_entry["descriptor"], E_set, spec_entry.get("grid"),
+                spec_entry.get("tolerances"), name=name, seed=seed)
             doc = json.dumps(rep.to_json(), sort_keys=True, indent=2) + "\n"
             with open(os.path.join(out, f"{name}_report.json"), "w",
                       encoding="utf-8", newline="\n") as fh:
                 fh.write(doc)
-            op = build_operator(spec_entry["descriptor"])
-            grid, _ = _resolve_grid(spec_entry["descriptor"]["type"], op,
-                                    spec_entry.get("grid"))
             with open(os.path.join(out, f"{name}.csv"), "w",
                       encoding="utf-8", newline="\n") as fh:
-                fh.write(_csv_for(spec_entry["descriptor"]["type"], op, grid))
+                fh.write(_csv_for(kind, op, grid))
             print(f"{name}: {rep.status}"
                   + (f" ({'; '.join(rep.failures)})" if rep.failures else ""))
             any_failed = any_failed or rep.status == "FAILED"
@@ -472,23 +488,23 @@ def spec_main(argv=None) -> int:
     except (OSError, json.JSONDecodeError) as exc:
         print(f"error: cannot read descriptor {ns.desc}: {exc}", file=sys.stderr)
         return 2
-    if descriptor.get("type") != ns.cmd:
-        print(f"error: descriptor type {descriptor.get('type')!r} does not "
+    kind = descriptor.get("type") if isinstance(descriptor, dict) else None
+    if kind != ns.cmd:
+        print(f"error: descriptor type {kind!r} does not "
               f"match subcommand {ns.cmd!r}", file=sys.stderr)
         return 3
 
-    op = build_operator(descriptor)
     grid_config = None
     if ns.grid:
         a, b, n = _parse_grid_arg(ns.grid)
-        if ns.cmd == "cmv":
-            grid = np.linspace(a, b, n, endpoint=False)
-            grid_config = {"angles": n}
-        else:
-            grid = np.linspace(a, b, n)
-            grid_config = {"start": a, "stop": b, "points": n}
-    else:
-        grid, _ = _resolve_grid(ns.cmd, op, None)
+        grid_config = {"angles": n} if kind == "cmv" else {"start": a, "stop": b, "points": n}
+    try:
+        op, grid, _, _ = _load(descriptor, None, grid_config)
+    except ValueError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 2
+    if ns.grid and kind == "cmv":
+        grid = np.linspace(a, b, n, endpoint=False)
 
     if ns.emit == "xi":
         text = _csv_for(ns.cmd, op, grid)

@@ -60,18 +60,27 @@ class Interval:
         return self.hi - self.lo
 
 
+def _piece(raw) -> tuple:
+    """(lo, hi, lo_closed, hi_closed) of an interval or arc spec: (lo, hi)
+    closed, (lo, hi, flags) with a flag code, or (lo, hi, lo_closed, hi_closed)."""
+    n = len(raw) if isinstance(raw, (list, tuple)) else 0
+    if n == 3 and isinstance(raw[2], str) and raw[2] in _FLAG_CODES:
+        lo_c, hi_c = _FLAG_CODES[raw[2]]
+    elif n == 2:
+        lo_c = hi_c = True
+    elif n == 4:
+        lo_c, hi_c = bool(raw[2]), bool(raw[3])
+    else:
+        raise ValueError(f"interval spec must be (lo, hi), (lo, hi, flags) with flags one of "
+                         f"{sorted(_FLAG_CODES)}, or (lo, hi, lo_closed, hi_closed); got {raw!r}")
+    try:
+        return float(raw[0]), float(raw[1]), lo_c, hi_c
+    except (TypeError, ValueError):
+        raise ValueError(f"interval endpoints must be numbers, got {raw!r}") from None
+
+
 def _as_interval(raw) -> Interval:
-    if isinstance(raw, Interval):
-        return raw
-    parts = list(raw)
-    if len(parts) == 3 and isinstance(parts[2], str):
-        lo_c, hi_c = _FLAG_CODES[parts[2]]
-        return Interval(float(parts[0]), float(parts[1]), lo_c, hi_c)
-    if len(parts) == 2:
-        return Interval(float(parts[0]), float(parts[1]), True, True)
-    if len(parts) == 4:
-        return Interval(float(parts[0]), float(parts[1]), bool(parts[2]), bool(parts[3]))
-    raise ValueError(f"cannot interpret interval spec {raw!r}")
+    return raw if isinstance(raw, Interval) else Interval(*_piece(raw))
 
 
 def _assemble_clean(breaks, point_on, gap_on) -> "RealIntervalSet":
@@ -479,14 +488,7 @@ def circle_set(arcs, points=()) -> CircleArcSet:
     theta1 by up to 2pi; angles are reduced mod 2pi."""
     prims = []
     for raw in arcs:
-        parts = list(raw)
-        t1, t2 = float(parts[0]), float(parts[1])
-        if len(parts) == 3 and isinstance(parts[2], str):
-            lo_c, hi_c = _FLAG_CODES[parts[2]]
-        elif len(parts) == 4:
-            lo_c, hi_c = bool(parts[2]), bool(parts[3])
-        else:
-            lo_c, hi_c = True, True
+        t1, t2, lo_c, hi_c = _piece(raw)
         if t2 < t1:
             t2 += TWO_PI  # (t1, t2) with t2 < t1 read as the wrap-around arc
         if t2 - t1 > TWO_PI + 1e-12:
@@ -669,15 +671,6 @@ def set_from_json(d: dict):
     carrier = d.get("carrier", "line")
     ivs = _json_list(d, "intervals")
     pts = _json_list(d, "points")
-    for raw in ivs:
-        if not isinstance(raw, (list, tuple)) or len(raw) not in (2, 3, 4):
-            raise ValueError(f"set JSON interval must be [lo, hi] or [lo, hi, flags], "
-                             f"not {raw!r}")
-        for v in raw[:2]:
-            _json_value(float, v, "interval endpoint")
-        if len(raw) == 3 and not (isinstance(raw[2], str) and raw[2] in _FLAG_CODES):
-            raise ValueError(f"set JSON interval flags must be one of "
-                             f"{sorted(_FLAG_CODES)}, not {raw[2]!r}")
     for p in pts:
         _json_value(float, p, "point")
     if carrier == "circle":

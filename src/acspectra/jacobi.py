@@ -26,15 +26,14 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import MonodromyDegenerate, NonConvergent
+from .errors import NonConvergent
 from .boundary_analysis import (ReflectionlessReport, SweepFamily, boundary_sweep,
-                                phase_verdict, plus_side, relaxed_ok, require_off_axis,
-                                sweep_ac_spectrum, sweep_multiplicity_sets, sweep_phase,
-                                sweep_reflectionless, write_csv)
+                                floquet_eigvec, phase_verdict, plus_side, relaxed_ok,
+                                require_off_axis, sweep_ac_spectrum, sweep_multiplicity_sets,
+                                sweep_phase, sweep_reflectionless, write_csv)
 from .interval_sets import RealIntervalSet
 
 NONREAL_TOL = 1e-4
-DEGENERACY_TOL = 1e-10
 
 
 @dataclass(frozen=True)
@@ -134,31 +133,6 @@ def monodromy(J: JacobiCoefficients, z, n_start: int):
     return M
 
 
-def _floquet_seed(J, zs, n_start, decaying):
-    """Multiplier and eigenvector [psi(n_start), psi(n_start-1)] of the monodromy.
-
-    decaying selects |u| < 1 (solution square-summable rightward); otherwise
-    |u| > 1.  Raises MonodromyDegenerate when the multiplier moduli coincide
-    within 1e-10, which cannot happen off the real axis.
-    """
-    M = monodromy(J, zs, n_start)
-    tr = M[..., 0, 0] + M[..., 1, 1]
-    det = M[..., 0, 0] * M[..., 1, 1] - M[..., 0, 1] * M[..., 1, 0]
-    sq = np.sqrt(tr * tr - 4.0 * det)
-    # sign chosen to avoid cancellation; the other root comes from the product
-    big = np.where(np.abs(tr + sq) >= np.abs(tr - sq), (tr + sq) / 2.0, (tr - sq) / 2.0)
-    small = det / big
-    if np.any(np.abs(np.abs(big) - np.abs(small)) < DEGENERACY_TOL):
-        raise MonodromyDegenerate(
-            "Floquet multipliers have equal modulus; spectral parameter too close to the real axis")
-    u = small if decaying else big
-    v1 = np.stack([M[..., 0, 1], u - M[..., 0, 0]], axis=-1)
-    v2 = np.stack([u - M[..., 1, 1], M[..., 1, 0]], axis=-1)
-    use1 = (np.abs(v1[..., 0]) + np.abs(v1[..., 1])
-            >= np.abs(v2[..., 0]) + np.abs(v2[..., 1]))[..., None]
-    return u, np.where(use1, v1, v2)
-
-
 def _normalize_pair(x, y):
     s = np.maximum(np.abs(x), np.abs(y))
     s = np.where(s == 0.0, 1.0, s)
@@ -178,7 +152,9 @@ def _weyl_grid(J: JacobiCoefficients, zs, n0: int) -> dict:
     n_l = min(n0 - 2, lo_site - J.period - 2)
 
     # rightward-decaying solution, stripped down to n0-1
-    _, v = _floquet_seed(J, zs, n_r, decaying=True)
+    M = monodromy(J, zs, n_r)
+    det = M[..., 0, 0] * M[..., 1, 1] - M[..., 0, 1] * M[..., 1, 0]
+    v = floquet_eigvec(M, det, decaying=True)
     hi, lo = v[..., 0], v[..., 1]          # psi(n_r), psi(n_r - 1)
     for n in range(n_r - 1, n0 - 1, -1):
         hi, lo = lo, ((zs - J.b(n)) * lo - J.a(n) * hi) / J.a(n - 1)
@@ -186,7 +162,9 @@ def _weyl_grid(J: JacobiCoefficients, zs, n0: int) -> dict:
     m_plus = -hi / (J.a(n0 - 1) * lo)      # hi = psi(n0), lo = psi(n0-1)
 
     # leftward-decaying solution, propagated up to n0+1
-    _, w = _floquet_seed(J, zs, n_l, decaying=False)
+    M = monodromy(J, zs, n_l)
+    det = M[..., 0, 0] * M[..., 1, 1] - M[..., 0, 1] * M[..., 1, 0]
+    w = floquet_eigvec(M, det, decaying=False)
     cur, prev = w[..., 0], w[..., 1]       # psi(n_l), psi(n_l - 1)
     for n in range(n_l, n0 + 1):
         cur, prev = ((zs - J.b(n)) * cur - J.a(n - 1) * prev) / J.a(n), cur
@@ -212,12 +190,8 @@ def m_half_line(J: JacobiCoefficients, z: complex, n0: int, side: str) -> comple
 def big_M(J: JacobiCoefficients, z: complex, n0: int, side: str) -> complex:
     """M_+ = -1/m_+ - z + b(n0) (Herglotz), M_- = 1/m_- (anti-Herglotz)."""
     z = require_off_axis(z)
-    m = m_half_line(J, z, n0, side)
-    if abs(m) < 1e-14:
-        raise ZeroDivisionError(f"half-line m vanished at z={z}, n0={n0}, side={side}")
-    if plus_side(side):
-        return -1.0 / m - z + J.b(n0)
-    return 1.0 / m
+    key = "M_plus" if plus_side(side) else "M_minus"
+    return complex(_weyl_grid(J, np.array([z]), n0)[key][0])
 
 
 def green_diag(J: JacobiCoefficients, z: complex, n0: int) -> complex:

@@ -29,16 +29,15 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import MonodromyDegenerate, NonConvergent
+from .errors import NonConvergent
 from .boundary_analysis import (ReflectionlessReport, SweepFamily, boundary_sweep,
-                                phase_verdict, plus_side, require_off_axis,
+                                floquet_eigvec, phase_verdict, plus_side, require_off_axis,
                                 sweep_ac_spectrum, sweep_multiplicity_sets, sweep_phase,
                                 sweep_reflectionless, write_csv)
 from .interval_sets import RealIntervalSet
 
 LAMBDA_TOP = 25.0
 NONREAL_TOL = 1e-4
-DEGENERACY_TOL = 1e-10
 
 
 @dataclass(frozen=True)
@@ -180,32 +179,6 @@ def _inv_unimodular(T):
     return out
 
 
-def _stable_roots(tr):
-    """Floquet multipliers u_big, u_small with u_big u_small = 1, |u_big| >= 1.
-
-    Raises MonodromyDegenerate when the multipliers collide on the unit circle
-    (band-edge z on the real axis); off-axis z always separates them.
-    """
-    sq = np.sqrt(tr * tr - 4.0)
-    r1 = (tr + sq) / 2.0
-    r2 = (tr - sq) / 2.0
-    big = np.where(np.abs(r1) >= np.abs(r2), r1, r2)
-    small = 1.0 / big
-    if np.any(np.abs(np.abs(big) - np.abs(small)) < DEGENERACY_TOL):
-        raise MonodromyDegenerate(
-            "Floquet multipliers coincide on the unit circle; move z off the real axis")
-    return big, small
-
-
-def _eigvec(M, u):
-    """Eigenvector of the 2x2 stack M for eigenvalue u, larger-norm formula."""
-    v1 = np.stack([M[..., 0, 1], u - M[..., 0, 0]], axis=-1)
-    v2 = np.stack([u - M[..., 1, 1], M[..., 1, 0]], axis=-1)
-    n1 = np.abs(v1).sum(axis=-1)
-    n2 = np.abs(v2).sum(axis=-1)
-    return np.where((n1 >= n2)[..., None], v1, v2)
-
-
 def _propagate_vec(V: PiecewisePotential, zs, vec, a: float, b: float,
                    inverse: bool = False):
     """Carry (psi, psi') across [a, b] piece by piece (inverted: from b back
@@ -226,7 +199,7 @@ def _propagate_vec(V: PiecewisePotential, zs, vec, a: float, b: float,
     return vec
 
 
-def _floquet_seed(V: PiecewisePotential, zs, x0: float, plus: bool):
+def _cell_seed(V: PiecewisePotential, zs, x0: float, plus: bool):
     """(c, vec): a periodic cell [c, c + L) right (plus) or left of x0 and the
     patch, and (psi, psi')(c) of the solution decaying toward +inf (plus),
     resp. -inf."""
@@ -236,14 +209,13 @@ def _floquet_seed(V: PiecewisePotential, zs, x0: float, plus: bool):
     else:
         c = L * (math.floor(min(0.0, x0) / L) - 1.0)
     M = transfer_interval(V, zs, c, c + L)
-    big, small = _stable_roots(M[..., 0, 0] + M[..., 1, 1])
-    return c, _eigvec(M, small if plus else big)
+    return c, floquet_eigvec(M, 1.0, decaying=plus)
 
 
 def _m_grid(V: PiecewisePotential, zs, x0: float, side: str):
     zs = np.atleast_1d(np.asarray(zs, dtype=complex))
     plus = plus_side(side)
-    c, vec = _floquet_seed(V, zs, x0, plus)
+    c, vec = _cell_seed(V, zs, x0, plus)
     if plus and c > x0:
         vec = _propagate_vec(V, zs, vec, x0, c, inverse=True)
     elif not plus and x0 > c:
@@ -260,10 +232,7 @@ def m_half_line(V: PiecewisePotential, z: complex, x0: float, side: str) -> comp
 
 def green_diag(V: PiecewisePotential, z: complex, x0: float) -> complex:
     """Diagonal Green's function 1/(m_- - m_+), Herglotz; free: i/(2 sqrt(z))."""
-    z = require_off_axis(z)
-    mp = m_half_line(V, z, x0, "+")
-    mm = m_half_line(V, z, x0, "-")
-    return 1.0 / (mm - mp)
+    return weyl_data(V, z, x0).g
 
 
 def weyl_data(V: PiecewisePotential, z: complex, x0: float = 0.0) -> SchrodingerWeylData:
@@ -284,10 +253,10 @@ def green_identity_residual(V: PiecewisePotential, zs, x0: float = 0.0) -> float
     """
     zs = np.atleast_1d(np.asarray(zs, dtype=complex))
     x0 = float(x0)
-    c, vp = _floquet_seed(V, zs, x0, True)
+    c, vp = _cell_seed(V, zs, x0, True)
     if c > x0:
         vp = (_inv_unimodular(transfer_interval(V, zs, x0, c)) @ vp[..., None])[..., 0]
-    c, vm = _floquet_seed(V, zs, x0, False)
+    c, vm = _cell_seed(V, zs, x0, False)
     if x0 > c:
         vm = (transfer_interval(V, zs, c, x0) @ vm[..., None])[..., 0]
 

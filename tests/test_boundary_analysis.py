@@ -137,6 +137,12 @@ class TestBoundaryValue:
         val, err, conv = scaled_limit(POLE, 2.0)
         assert conv and val.real == pytest.approx(1.0, rel=1e-6)
 
+    @pytest.mark.parametrize("f, p", [(POLE, 2.0), (DISK_POLE, 0.0), (SQRT_SC, 2.0)],
+                             ids=["pole", "disk_pole", "sqrt_sc"])
+    def test_scaled_limit_reads_the_classifier_stack(self, f, p):
+        # both follow the same deepened schedule, so they agree bit for bit
+        assert scaled_limit(f, p)[0] == classify_point(f, p).scaled_value
+
 
 class TestEssentialSupport:
     def test_uniform_density_support(self):

@@ -156,6 +156,42 @@ class TestRunConfig:
         assert len(cfg["operators"]) == 3
 
 
+BAD_ENTRIES = {
+    "negative_a": {"descriptor": {**FREE_JACOBI, "a": [-1.0]}},
+    "missing_period": {"descriptor": {"type": "jacobi", "a": [1.0], "b": [0.0]}},
+    "alpha_outside_disk": {"descriptor": {**FREE_CMV, "alpha": [[1.0, 0.0]]}},
+    "cmv_grid_below_512": {"descriptor": FREE_CMV, "grid": {"angles": 256}},
+    "generated_E": {"descriptor": FREE_JACOBI,
+                    "E": {"family": "rational_fat", "truncation": 12}},
+}
+
+
+class TestMalformedInput:
+    @pytest.mark.parametrize("case", sorted(BAD_ENTRIES))
+    def test_spec_run_exits_2_without_writes(self, tmp_path, capsys, case):
+        cfg = tmp_path / "c.json"
+        cfg.write_text(json.dumps({"operators": [
+            {"name": "ok", "descriptor": FREE_JACOBI, "grid": SMALL_GRIDS["jacobi"]},
+            {"name": "bad", **BAD_ENTRIES[case]}]}), encoding="utf-8")
+        out = tmp_path / "out"
+        assert spec_main(["run", "--config", str(cfg), "--out", str(out)]) == 2
+        assert not out.exists()
+        assert capsys.readouterr().err.startswith("error: ")
+
+    @pytest.mark.parametrize("case", sorted(c for c, e in BAD_ENTRIES.items() if "E" not in e))
+    def test_spec_family_exits_2_without_writes(self, tmp_path, capsys, case):
+        entry = BAD_ENTRIES[case]
+        desc = tmp_path / "op.json"
+        desc.write_text(json.dumps(entry["descriptor"]), encoding="utf-8")
+        out = tmp_path / "report.json"
+        argv = [entry["descriptor"]["type"], "--desc", str(desc), "--out", str(out)]
+        if "grid" in entry:
+            argv.append(f"--grid=0:{2 * math.pi!r}:{entry['grid']['angles']}")
+        assert spec_main(argv) == 2
+        assert not out.exists()
+        assert capsys.readouterr().err.startswith("error: ")
+
+
 class TestSetsDemo:
     def test_three_lines_with_computed_facts(self):
         lines = emit_sets_demo().split("\n")

@@ -65,6 +65,15 @@ class TestCanonicalize:
         s = canonicalize([(0, 1, "oo"), (5, 7, "cc")], [9.0])
         assert s.measure() == pytest.approx(3.0)
 
+    def test_unknown_flag_code_raises_value_error(self):
+        with pytest.raises(ValueError, match="flags"):
+            canonicalize([(0, 1, "xx")])
+
+    def test_circle_set_rejects_non_string_flag(self):
+        # a third entry that is not a flag code is an error, not "closed"
+        with pytest.raises(ValueError, match="flags"):
+            circle_set([(0, 1, 0)])
+
 
 class TestSetAlgebra:
     @given(line_sets, line_sets, st.lists(_coords(), min_size=5, max_size=25))

@@ -17,10 +17,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.linalg import expm, solve_banded
 
+from acspectra.boundary_analysis import floquet_eigvec
 from acspectra.errors import MonodromyDegenerate
 from acspectra.interval_sets import canonicalize, set_algebra
-from acspectra.schrodinger import (PiecewisePotential, _stable_roots,
-                                   ac_spectrum, discriminant, default_grid,
+from acspectra.schrodinger import (PiecewisePotential, ac_spectrum, discriminant, default_grid,
                                    green_diag, green_identity_residual,
                                    m_half_line, multiplicity_sets,
                                    piece_propagator, reflectionless_on,
@@ -93,7 +93,8 @@ class TestTransfer:
 
     def test_degenerate_multipliers_raise(self):
         with pytest.raises(MonodromyDegenerate):
-            _stable_roots(np.array([2.0 + 0.0j]))
+            # trace 2 and det 1: both multipliers are 1
+            floquet_eigvec(np.array([[[1.0, 1.0], [0.0, 1.0]]], dtype=complex), 1.0, True)
 
 
 class TestWeylData:

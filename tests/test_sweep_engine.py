@@ -1,5 +1,6 @@
-"""The shared boundary-sweep engine: sweeps per report, and ac spectra of
-random periodic operators against independent band oracles."""
+"""The shared boundary-sweep engine: sweeps per report, the Floquet
+eigenvector chooser on random monodromies, and ac spectra of random
+periodic operators against independent band oracles."""
 
 import math
 
@@ -7,6 +8,7 @@ import numpy as np
 import pytest
 
 from acspectra import cmv, jacobi, schrodinger
+from acspectra.boundary_analysis import floquet_eigvec
 from acspectra.harness_cli import _csv_for, _resolve_grid, verify_inclusion
 from acspectra.interval_sets import (canonicalize, circle_set, longest_component,
                                      set_algebra)
@@ -38,6 +40,37 @@ def test_sweeps_per_report(request, monkeypatch, fixture, grid_config, expected)
     grid, _ = _resolve_grid(kind, op, grid_config)
     _csv_for(kind, op, grid)
     assert len(calls) == expected
+
+
+@pytest.mark.parametrize("family", ["jacobi", "schrodinger"])
+def test_floquet_eigvec_on_random_monodromies(family):
+    """At off-axis z the chosen vector is an eigenvector of the monodromy,
+    its multiplier u is contracting exactly when decaying is asked for, and
+    u times the other multiplier tr - u is the determinant."""
+    rng = np.random.default_rng(400 if family == "jacobi" else 500)
+    for period in (1, 2, 3, 4):
+        eta = rng.choice([-1.0, 1.0], 64) * 10.0 ** rng.uniform(-6.0, 0.5, 64)
+        zs = rng.uniform(-4.0, 8.0, 64) + 1j * eta
+        if family == "jacobi":
+            J = jacobi.JacobiCoefficients(period, tuple(rng.uniform(0.5, 1.5, period)),
+                                          tuple(rng.uniform(-1.0, 1.0, period)))
+            M = jacobi.monodromy(J, zs, int(rng.integers(-5, 5)))
+        else:
+            weights = rng.integers(1, 5, period)
+            V = schrodinger.PiecewisePotential(
+                1.0, tuple(zip(weights / weights.sum(), rng.uniform(0.0, 6.0, period))))
+            M = schrodinger.transfer_interval(V, zs, 0.0, 1.0)
+        det = M[:, 0, 0] * M[:, 1, 1] - M[:, 0, 1] * M[:, 1, 0]
+        tr = M[:, 0, 0] + M[:, 1, 1]
+        for decaying in (True, False):
+            v = floquet_eigvec(M, 1.0 if family == "schrodinger" else det, decaying)
+            Mv = np.einsum("kij,kj->ki", M, v)
+            u = np.einsum("ki,ki->k", v.conj(), Mv) / np.einsum("ki,ki->k", v.conj(), v)
+            scale = np.abs(M).max(axis=(1, 2))
+            assert np.all(np.abs(Mv - u[:, None] * v).max(axis=1)
+                          <= 1e-9 * scale * np.abs(v).max(axis=1))
+            assert np.all((np.abs(u) < 1.0) == decaying)
+            assert np.allclose(u * (tr - u), det, rtol=1e-9, atol=1e-9 * scale ** 2)
 
 
 def _bands(disc, xs):
