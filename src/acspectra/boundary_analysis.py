@@ -29,11 +29,12 @@ from __future__ import annotations
 import csv
 import io
 import math
+from contextlib import contextmanager
 from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import MonodromyDegenerate, NonConvergent
+from .errors import MonodromyDegenerate, NonConvergent, SiteDisagreement
 from .interval_sets import (angles_hull, contains_mask, essential_closure,
                             longest_component, points_hull, set_algebra, widen)
 
@@ -64,11 +65,11 @@ def richardson_sequence(values):
     v = np.asarray(values, dtype=complex)
     w = 2.0 * v[1:] - v[:-1]
     u = (4.0 * w[1:] - w[:-1]) / 3.0
-    value = u[-1]
+    value = u[-1].copy()    # copies: views would keep the whole (K-2, ...) stacks alive
     d = np.abs(np.diff(u, axis=0))
     if d.shape[0] == 0:
         return value, np.zeros_like(value, dtype=float), np.ones(value.shape, dtype=bool)
-    err = d[-1]
+    err = d[-1].copy()
     scale = 1.0 + np.abs(value)
     tiny = err <= 1e-13 * scale
     if d.shape[0] >= 2:
@@ -444,6 +445,42 @@ def boundary_sweep(kernel, grid, circle: bool, schedule=None) -> dict:
     return out
 
 
+# the sweep memo of the open report scope; None outside any scope, so
+# library callers keep no hidden state
+_memo = None
+
+
+@contextmanager
+def sweep_scope():
+    """Within the block, each family sweep is computed once per (operator,
+    site, grid bytes, schedule); later reads get that result, its arrays
+    read-only.  A nested scope reuses the outer memo."""
+    global _memo
+    if _memo is not None:
+        yield
+        return
+    _memo = {}
+    try:
+        yield
+    finally:
+        _memo = None
+
+
+def memo_sweep(sweep, op, grid, site, schedule=None) -> dict:
+    """sweep(op, grid, site, schedule), read from the open scope's memo."""
+    if _memo is None:
+        return sweep(op, grid, site, schedule)
+    grid = np.asarray(grid, dtype=float)
+    key = (op, site, grid.tobytes(), None if schedule is None else tuple(schedule))
+    if key not in _memo:
+        bd = sweep(op, grid, site, schedule)
+        for v in bd.values():
+            for arr in v if isinstance(v, tuple) else (v,):
+                arr.flags.writeable = False
+        _memo[key] = bd
+    return _memo[key]
+
+
 def _sample_stack(kernel, grid, circle: bool, schedule) -> dict:
     """{key: (K, N) samples} of kernel(zs) along the schedule, one kernel
     call per stage: zs = lambda + i eps on the line, (1 - eps) e^{i theta}
@@ -488,7 +525,8 @@ def phase_verdict(fam: SweepFamily, value: float, ok: bool) -> str:
 
 def sweep_ac_spectrum(fam: SweepFamily, op, grid, n0, check_site, xi_tol: float):
     """Essential closure of the widened grid hull of the interior-phase
-    points; a disagreement with check_site beyond two grid steps raises."""
+    points; a disagreement with check_site beyond two grid steps raises
+    SiteDisagreement, carrying the n0 set."""
     grid = fam.grid(op) if grid is None else np.asarray(grid, dtype=float)
     step = float(grid[1] - grid[0])
     lo, hi = fam.phase_range
@@ -500,10 +538,11 @@ def sweep_ac_spectrum(fam: SweepFamily, op, grid, n0, check_site, xi_tol: float)
         return essential_closure(widen(fam.hull(passing, step), step))
 
     main = one_site(n0)
-    other = one_site(check_site)
-    if longest_component(set_algebra(main, other, "symmetric_difference")) > 2.0 * step + 1e-12:
-        raise RuntimeError(
-            f"ac spectrum disagrees between reference {fam.site_word} {n0} and {check_site}")
+    width = longest_component(set_algebra(main, one_site(check_site), "symmetric_difference"))
+    if width > 2.0 * step + 1e-12:
+        raise SiteDisagreement(
+            f"ac spectrum disagrees between reference {fam.site_word} {n0} and {check_site}",
+            main, width)
     return main
 
 
@@ -528,7 +567,13 @@ def sweep_reflectionless(fam: SweepFamily, op, E, grid, sites, tol: float) -> Re
     witness = 0.0
     defects = set()
     for site in sites:
-        bd = fam.sweep(op, lams, site)
+        if _memo is None:
+            bd = fam.sweep(op, lams, site)
+        else:
+            # in a report scope, read the whole grid's sweep (the ac spectrum's)
+            # on E; the kernels work point by point, so the bits are the same
+            bd = {k: tuple(a[inside] for a in v) if isinstance(v, tuple) else v[inside]
+                  for k, v in fam.sweep(op, grid, site).items()}
         Mp, ep, cp = bd[fam.pair[0]]
         Mm, em, cm = bd[fam.pair[1]]
         okm = (relaxed_ok(Mp, ep, cp) & relaxed_ok(Mm, em, cm)

@@ -33,9 +33,9 @@ import numpy as np
 
 from .errors import DegenerateDenominator, NonConvergent
 from .boundary_analysis import (ReflectionlessReport, SweepFamily, boundary_sweep,
-                                phase_verdict, plus_side, relaxed_ok, sweep_ac_spectrum,
-                                sweep_multiplicity_sets, sweep_phase, sweep_reflectionless,
-                                write_csv)
+                                memo_sweep, phase_verdict, plus_side, relaxed_ok,
+                                sweep_ac_spectrum, sweep_multiplicity_sets, sweep_phase,
+                                sweep_reflectionless, write_csv)
 from .interval_sets import CircleArcSet, circle_set, full_circle
 
 TWO_PI = 2.0 * math.pi
@@ -279,7 +279,7 @@ def Xi11_grid(V: VerblunskyCoefficients, thetas, n0: int, schedule=None):
     M11 (limit below the extrapolation noise) leave the phase undefined and
     are also marked not ok; they carry zero ac density.
     """
-    return sweep_phase(_FAMILY, boundary_cmv_grid(V, thetas, n0, schedule))
+    return sweep_phase(_FAMILY, memo_sweep(boundary_cmv_grid, V, thetas, n0, schedule))
 
 
 def Xi11(V: VerblunskyCoefficients, theta: float, n0: int, schedule=None) -> float:
@@ -305,7 +305,7 @@ def _witness(bd: dict, passing) -> float:
 
 
 _FAMILY = SweepFamily(
-    sweep=lambda V, thetas, n0: boundary_cmv_grid(V, thetas, n0),
+    sweep=lambda V, thetas, n0: memo_sweep(boundary_cmv_grid, V, thetas, n0),
     phase=lambda V, thetas, n0: Xi11_grid(V, thetas, n0),
     grid=lambda V: default_angles(), circle=True, pair=("M_plus", "M_minus"),
     phase_key="M11", witness=_witness, zero_floor=True)
@@ -534,16 +534,22 @@ def eigenvalue_angles(V: VerblunskyCoefficients, window: int = 4096, blocks: int
 
     Interior alpha = 1 cuts split the window into direct summands, adding O(1)
     spurious angles per cut; downstream support estimation must drop isolated
-    outliers.  Blockwise dense eigensolves keep the cost near-linear.
+    outliers.  Blockwise dense eigensolves keep the cost near-linear, and
+    each distinct block (all of them, for an unpatched operator whose period
+    divides the block size) is solved once.
     """
     if window % blocks != 0:
         raise ValueError("window must split evenly into blocks")
     size = window // blocks
     lo = n0 - window // 2
+    solved = {}
     angles = []
     for b in range(blocks):
         T = build_truncation(V, (lo + b * size, lo + (b + 1) * size - 1))
-        angles.append(np.angle(np.linalg.eigvals(T.dense())) % TWO_PI)
+        key = T.bands.tobytes()
+        if key not in solved:
+            solved[key] = np.angle(np.linalg.eigvals(T.dense())) % TWO_PI
+        angles.append(solved[key])
     return np.sort(np.concatenate(angles))
 
 
@@ -585,7 +591,7 @@ def angle_csv(V: VerblunskyCoefficients, thetas, n0: int, R_data: MatrixMeasureD
               out=None) -> str:
     """Per-angle CSV: theta, Re M11, Im M11, Xi, verdict, R00, R11, rank."""
     thetas = np.asarray(thetas, dtype=float)
-    bd = boundary_cmv_grid(V, thetas, n0)
+    bd = memo_sweep(boundary_cmv_grid, V, thetas, n0)
     m11, _, c11 = bd["M11"]
     vals, _, okx = sweep_phase(_FAMILY, bd)
     rows = []

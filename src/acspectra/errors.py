@@ -15,3 +15,16 @@ class MonodromyDegenerate(RuntimeError):
 
 class DegenerateDenominator(ZeroDivisionError):
     """The Mobius composition denominator vanished (M_+ = M_-), formula indeterminate."""
+
+
+class SiteDisagreement(RuntimeError):
+    """The ac spectrum at two reference sites differs by more than two grid steps.
+
+    Carries the spectrum computed at the first site and the width of the
+    longest piece of the symmetric difference.
+    """
+
+    def __init__(self, message, spectrum, width):
+        super().__init__(message)
+        self.spectrum = spectrum
+        self.width = width

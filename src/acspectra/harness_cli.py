@@ -24,9 +24,15 @@ violated; every failure names the violated inequality and its margin.
 Config runs are deterministic: fixed seed, sorted JSON keys, LF endings, no
 timestamps; reports embed the effective tolerances for auditability.
 
+One report computes each boundary sweep once: verify_inclusion and each
+operator of run_config open a sweep scope (boundary_analysis.sweep_scope)
+that the ac spectrum, the reflectionless test, the multiplicity sets and
+the CSV all read from.
+
 Exit codes for `spec run`: 0 all reports PASS, 1 failures or IO errors,
-2 malformed config JSON, descriptor, grid or target set E (every entry is
-checked before anything is written), 3 unknown operator type.
+2 malformed config JSON, seed, descriptor, grid, tolerances or target set E
+(every entry is checked before anything is written), 3 unknown operator
+type.
 """
 
 from __future__ import annotations
@@ -43,6 +49,8 @@ import numpy as np
 from . import jacobi as _jacobi
 from . import cmv as _cmv
 from . import schrodinger as _schrodinger
+from .boundary_analysis import sweep_scope
+from .errors import SiteDisagreement
 from .interval_sets import (CircleArcSet, GeneratedFatSet, RealIntervalSet, canonicalize,
                             contains_mask, essential_closure, fat_density_report,
                             lebesgue_measure, longest_component, rational_enumeration,
@@ -51,6 +59,9 @@ from .interval_sets import (CircleArcSet, GeneratedFatSet, RealIntervalSet, cano
 SUPPORTED_TYPES = ("jacobi", "cmv", "schrodinger")
 FAMILY_MODULES = {"jacobi": _jacobi, "cmv": _cmv, "schrodinger": _schrodinger}
 SCHEMA = "v1"
+
+# tolerances that count something; every other tolerance is a finite number
+COUNT_TOLERANCES = {"identity_draws": 1, "oracle_window": 6}   # name -> least value
 
 IDENTITY_THRESHOLDS = {
     "green_inverse_identity": 1e-10,
@@ -97,9 +108,28 @@ def _resolve_grid(kind: str, op, grid_config):
     return g, {"start": float(g[0]), "stop": float(g[-1]), "points": int(g.size)}
 
 
-def _load(descriptor: dict, E, grid_config):
+def _check_tolerances(tolerances):
+    """Raise ValueError unless tolerances is None or maps names to finite
+    numbers, with the COUNT_TOLERANCES ints at least their least value."""
+    if tolerances is None:
+        return
+    if not isinstance(tolerances, dict):
+        raise ValueError(f"tolerances must be an object, not {tolerances!r:.80}")
+    for name, value in tolerances.items():
+        number = isinstance(value, (int, float)) and not isinstance(value, bool)
+        if name in COUNT_TOLERANCES:
+            if not (number and isinstance(value, int) and value >= COUNT_TOLERANCES[name]):
+                raise ValueError(f"tolerance {name!r} must be an integer >= "
+                                 f"{COUNT_TOLERANCES[name]}, not {value!r:.80}")
+        elif not (number and math.isfinite(value)):
+            raise ValueError(f"tolerance {name!r} must be a finite number, not {value!r:.80}")
+
+
+def _load(descriptor: dict, E, grid_config, tolerances=None):
     """(op, grid, grid_echo, E_set) of one operator entry, E_set None when E
-    is; a malformed descriptor, grid or target set raises ValueError."""
+    is; a malformed descriptor, grid, target set or tolerances raises
+    ValueError."""
+    _check_tolerances(tolerances)
     try:
         op = build_operator(descriptor)
         grid, grid_echo = _resolve_grid(descriptor["type"], op, grid_config)
@@ -186,9 +216,10 @@ def _identity_residuals(kind: str, op, grid, E, refl_verdict: bool, rng,
     else:
         r = np.sqrt(rng.uniform(0.0, 0.81, draws))
         zs = r * np.exp(1j * rng.uniform(0.0, 2.0 * math.pi, draws))
+        # M11's oracle mode, with the truncation built once for all draws
         window = int(tolerances.get("oracle_window", 1024))
-        worst = max(abs(_cmv.M11(op, complex(z), 0)
-                        - _cmv.M11(op, complex(z), 0, mode="oracle", window=window))
+        T = _cmv.build_truncation(op, (-(window // 2), window // 2 - 1))
+        worst = max(abs(_cmv.M11(op, complex(z), 0) - T.cayley_diag(complex(z), 0))
                     for z in zs)
         entry("m11_formula_vs_oracle", worst, draws)
         if refl_verdict:
@@ -201,6 +232,7 @@ def _identity_residuals(kind: str, op, grid, E, refl_verdict: bool, rng,
     return out
 
 
+@sweep_scope()
 def verify_inclusion(descriptor: dict, E=None, grid_config=None, tolerances=None,
                      name: str = "operator", seed: int = 0) -> SpectralReport:
     """Assemble the full report for one operator descriptor.
@@ -209,10 +241,12 @@ def verify_inclusion(descriptor: dict, E=None, grid_config=None, tolerances=None
     spectrum itself is used as the target set).  The inclusion check asserts
     essential_closure(E) inside the ac spectrum widened by one grid step, and
     multiplicity two on E up to a 1% defect fraction; both are SKIPPED when
-    the reflectionless hypothesis fails on E.
+    the reflectionless hypothesis fails on E.  When the ac spectrum differs
+    between the two reference sites by more than two grid steps, the report
+    keeps the first site's set and is FAILED.
     """
+    op, grid, grid_echo, E_set = _load(descriptor, E, grid_config, tolerances)
     tolerances = dict(tolerances or {})
-    op, grid, grid_echo, E_set = _load(descriptor, E, grid_config)
     kind = descriptor["type"]
     step = 2.0 * math.pi / grid.size if kind == "cmv" else float(grid[1] - grid[0])
     refl_tol = float(tolerances.get("reflectionless_tol", 1e-4))
@@ -221,7 +255,12 @@ def verify_inclusion(descriptor: dict, E=None, grid_config=None, tolerances=None
     failures = []
 
     mod = FAMILY_MODULES[kind]
-    ac = mod.ac_spectrum(op, grid, xi_tol=xi_tol)
+    try:
+        ac = mod.ac_spectrum(op, grid, xi_tol=xi_tol)
+    except SiteDisagreement as exc:
+        ac = exc.spectrum
+        failures.append(f"{exc} by {exc.width:.3e} (> two grid steps "
+                        f"{2.0 * (grid[1] - grid[0]):.3e})")
 
     if E_set is None:
         E_set = ac
@@ -328,7 +367,11 @@ def run_config(path: str, out_dir: str = None) -> int:
         print("error: config needs a nonempty 'operators' list of objects", file=sys.stderr)
         return 2
     try:
-        loaded = [_load(e.get("descriptor"), e.get("E"), e.get("grid")) for e in ops]
+        seed = cfg.get("seed", 0)
+        if not (isinstance(seed, int) and not isinstance(seed, bool) and seed >= 0):
+            raise ValueError(f"seed must be a non-negative integer, not {seed!r:.80}")
+        loaded = [_load(e.get("descriptor"), e.get("E"), e.get("grid"), e.get("tolerances"))
+                  for e in ops]
     except UnknownOperatorType as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 3
@@ -340,7 +383,6 @@ def run_config(path: str, out_dir: str = None) -> int:
     if not out:
         print("error: no output directory (config out_dir or --out)", file=sys.stderr)
         return 2
-    seed = int(cfg.get("seed", 0))
 
     any_failed = False
     try:
@@ -348,16 +390,18 @@ def run_config(path: str, out_dir: str = None) -> int:
         for k, (spec_entry, (op, grid, _, E_set)) in enumerate(zip(ops, loaded)):
             name = spec_entry.get("name", f"operator_{k}")
             kind = spec_entry["descriptor"]["type"]
-            rep = verify_inclusion(
-                spec_entry["descriptor"], E_set, spec_entry.get("grid"),
-                spec_entry.get("tolerances"), name=name, seed=seed)
+            with sweep_scope():     # the report and its CSV share one sweep memo
+                rep = verify_inclusion(
+                    spec_entry["descriptor"], E_set, spec_entry.get("grid"),
+                    spec_entry.get("tolerances"), name=name, seed=seed)
+                csv_text = _csv_for(kind, op, grid)
             doc = json.dumps(rep.to_json(), sort_keys=True, indent=2) + "\n"
             with open(os.path.join(out, f"{name}_report.json"), "w",
                       encoding="utf-8", newline="\n") as fh:
                 fh.write(doc)
             with open(os.path.join(out, f"{name}.csv"), "w",
                       encoding="utf-8", newline="\n") as fh:
-                fh.write(_csv_for(kind, op, grid))
+                fh.write(csv_text)
             print(f"{name}: {rep.status}"
                   + (f" ({'; '.join(rep.failures)})" if rep.failures else ""))
             any_failed = any_failed or rep.status == "FAILED"
@@ -497,6 +541,11 @@ def spec_main(argv=None) -> int:
     grid_config = None
     if ns.grid:
         a, b, n = _parse_grid_arg(ns.grid)
+        if kind == "cmv" and ns.emit == "report" and not (
+                a == 0.0 and math.isclose(b, 2.0 * math.pi, rel_tol=1e-9)):
+            print(f"error: a cmv report covers the whole circle (step 2 pi/n); "
+                  f"--grid must be 0:{2.0 * math.pi!r}:n, not {ns.grid!r}", file=sys.stderr)
+            return 2
         grid_config = {"angles": n} if kind == "cmv" else {"start": a, "stop": b, "points": n}
     try:
         op, grid, _, _ = _load(descriptor, None, grid_config)

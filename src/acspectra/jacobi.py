@@ -28,9 +28,10 @@ import numpy as np
 
 from .errors import NonConvergent
 from .boundary_analysis import (ReflectionlessReport, SweepFamily, boundary_sweep,
-                                floquet_eigvec, phase_verdict, plus_side, relaxed_ok,
-                                require_off_axis, sweep_ac_spectrum, sweep_multiplicity_sets,
-                                sweep_phase, sweep_reflectionless, write_csv)
+                                floquet_eigvec, memo_sweep, phase_verdict, plus_side,
+                                relaxed_ok, require_off_axis, sweep_ac_spectrum,
+                                sweep_multiplicity_sets, sweep_phase, sweep_reflectionless,
+                                write_csv)
 from .interval_sets import RealIntervalSet
 
 NONREAL_TOL = 1e-4
@@ -222,7 +223,7 @@ def xi_grid(J: JacobiCoefficients, lams, n0: int, schedule=None):
     extrapolation failed or whose Im g is negative beyond tolerance get
     ok = False and xi = nan.
     """
-    return sweep_phase(_FAMILY, boundary_weyl_grid(J, lams, n0, schedule))
+    return sweep_phase(_FAMILY, memo_sweep(boundary_weyl_grid, J, lams, n0, schedule))
 
 
 def xi(J: JacobiCoefficients, lam: float, n0: int, schedule=None) -> float:
@@ -247,7 +248,7 @@ def _witness(bd: dict, passing) -> float:
 
 
 _FAMILY = SweepFamily(
-    sweep=lambda J, lams, n0: boundary_weyl_grid(J, lams, n0),
+    sweep=lambda J, lams, n0: memo_sweep(boundary_weyl_grid, J, lams, n0),
     phase=lambda J, lams, n0: xi_grid(J, lams, n0),
     grid=default_grid, circle=False, pair=("M_plus", "M_minus"), phase_key="g",
     witness=_witness)
@@ -257,8 +258,8 @@ def ac_spectrum(J: JacobiCoefficients, grid=None, n0: int = 0, check_site=None,
                 xi_tol: float = 1e-3) -> RealIntervalSet:
     """Essential closure of the grid hull of {0 < xi < 1}, one grid step of
     margin on each side.  Recomputed at a second reference site; a
-    disagreement beyond one grid step raises, since the phase set must not
-    depend on the site."""
+    disagreement beyond two grid steps raises SiteDisagreement, since the
+    phase set must not depend on the site."""
     check_site = n0 + 1 if check_site is None else check_site
     return sweep_ac_spectrum(_FAMILY, J, grid, n0, check_site, xi_tol)
 

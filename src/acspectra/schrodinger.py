@@ -31,9 +31,9 @@ import numpy as np
 
 from .errors import NonConvergent
 from .boundary_analysis import (ReflectionlessReport, SweepFamily, boundary_sweep,
-                                floquet_eigvec, phase_verdict, plus_side, require_off_axis,
-                                sweep_ac_spectrum, sweep_multiplicity_sets, sweep_phase,
-                                sweep_reflectionless, write_csv)
+                                floquet_eigvec, memo_sweep, phase_verdict, plus_side,
+                                require_off_axis, sweep_ac_spectrum, sweep_multiplicity_sets,
+                                sweep_phase, sweep_reflectionless, write_csv)
 from .interval_sets import RealIntervalSet
 
 LAMBDA_TOP = 25.0
@@ -305,7 +305,7 @@ def xi_grid(V: PiecewisePotential, lams, x0: float = 0.0, schedule=None):
     closing band edges (lambda = (k pi/L)^2 for the free cell) stall on a
     noise plateau that the phase tolerance accepts.
     """
-    return sweep_phase(_FAMILY, boundary_schrodinger_grid(V, lams, x0, schedule))
+    return sweep_phase(_FAMILY, memo_sweep(boundary_schrodinger_grid, V, lams, x0, schedule))
 
 
 def xi(V: PiecewisePotential, lam: float, x0: float = 0.0, schedule=None) -> float:
@@ -329,7 +329,7 @@ def _witness(bd: dict, passing) -> float:
 
 
 _FAMILY = SweepFamily(
-    sweep=lambda V, lams, x0: boundary_schrodinger_grid(V, lams, x0),
+    sweep=lambda V, lams, x0: memo_sweep(boundary_schrodinger_grid, V, lams, x0),
     phase=lambda V, lams, x0: xi_grid(V, lams, x0),
     grid=default_grid, circle=False, pair=("m_plus", "m_minus"), phase_key="g",
     witness=_witness, site_word="points")
@@ -365,7 +365,7 @@ def multiplicity_sets(V: PiecewisePotential, grid=None, x0: float = 0.0,
 def xi_csv(V: PiecewisePotential, lams, x0: float = 0.0, out=None) -> str:
     """Per-point CSV: lambda, xi, Re g, Im g, verdict."""
     lams = np.asarray(lams, dtype=float)
-    bd = boundary_schrodinger_grid(V, lams, x0)
+    bd = memo_sweep(boundary_schrodinger_grid, V, lams, x0)
     g, _, conv = bd["g"]
     vals, _, ok = sweep_phase(_FAMILY, bd)
     rows = ([f"{lam:.12g}",

@@ -7,6 +7,8 @@ import os
 import numpy as np
 import pytest
 
+from acspectra import jacobi
+from acspectra.errors import SiteDisagreement
 from acspectra.harness_cli import (SUPPORTED_TYPES, UnknownOperatorType,
                                    build_operator, bundled_config_path,
                                    closure_main, emit_sets_demo, format_set,
@@ -190,6 +192,87 @@ class TestMalformedInput:
         assert spec_main(argv) == 2
         assert not out.exists()
         assert capsys.readouterr().err.startswith("error: ")
+
+
+    @pytest.mark.parametrize("seed", ["x", -1, 1.5, True, None])
+    def test_spec_run_bad_seed_exits_2_without_writes(self, tmp_path, capsys, seed):
+        cfg = tmp_path / "c.json"
+        cfg.write_text(json.dumps({"seed": seed, "operators": [
+            {"name": "ok", "descriptor": FREE_JACOBI, "grid": SMALL_GRIDS["jacobi"]}]}),
+            encoding="utf-8")
+        out = tmp_path / "out"
+        assert spec_main(["run", "--config", str(cfg), "--out", str(out)]) == 2
+        assert not out.exists()
+        assert "seed" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("tolerances", [
+        {"xi_tol": "abc"}, {"reflectionless_tol": math.nan}, {"xi_tol": math.inf},
+        {"green_inverse_identity": None}, {"identity_draws": 2.5}, {"identity_draws": 0},
+        {"oracle_window": 4}, {"oracle_window": True}, [1e-3]])
+    def test_spec_run_bad_tolerances_exit_2_without_writes(self, tmp_path, capsys,
+                                                            tolerances):
+        """A bad tolerance on the second operator stops the run before the
+        first report is written."""
+        cfg = tmp_path / "c.json"
+        cfg.write_text(json.dumps({"operators": [
+            {"name": "ok", "descriptor": FREE_JACOBI, "grid": SMALL_GRIDS["jacobi"]},
+            {"name": "bad", "descriptor": FREE_CMV, "grid": SMALL_GRIDS["cmv"],
+             "tolerances": tolerances}]}), encoding="utf-8")
+        out = tmp_path / "out"
+        assert spec_main(["run", "--config", str(cfg), "--out", str(out)]) == 2
+        assert not out.exists()
+        assert "tolerance" in capsys.readouterr().err
+
+    def test_spec_cmv_report_needs_the_full_circle(self, tmp_path, capsys):
+        """The report's step is 2 pi/n over the whole circle, so a partial
+        angle range is refused; --emit xi still reads it."""
+        desc = tmp_path / "op.json"
+        desc.write_text(json.dumps(FREE_CMV), encoding="utf-8")
+        out = tmp_path / "report.json"
+        assert spec_main(["cmv", "--desc", str(desc), "--grid=0:3:600",
+                          "--emit", "report", "--out", str(out)]) == 2
+        assert not out.exists()
+        assert "whole circle" in capsys.readouterr().err
+        assert spec_main(["cmv", "--desc", str(desc), "--grid=0:3:600",
+                          "--emit", "xi", "--out", str(out)]) == 0
+        assert out.read_text().count("\n") == 601
+
+
+# report_suite seed 9, rotation 17 of the benchmark: the ac spectrum's lower
+# edge is -3.0341 at site 0 and -3.0253 at site 1
+SITE_DISAGREEMENT = {"type": "jacobi", "period": 1, "a": [1.057], "b": [-0.92],
+                     "patch": {"-1": [0.714, 0.441], "1": [0.557, -1.296],
+                               "2": [0.475, 0.911]}}
+
+
+class TestSiteDisagreement:
+    def test_ac_spectrum_raises_with_the_first_site_set(self):
+        J = build_operator(SITE_DISAGREEMENT)
+        grid = jacobi.default_grid(J)
+        with pytest.raises(SiteDisagreement) as exc:
+            jacobi.ac_spectrum(J, grid)
+        assert exc.value.width > 2.0 * (grid[1] - grid[0])
+        assert exc.value.spectrum.intervals[0].lo == pytest.approx(-3.0341, abs=1e-4)
+        assert isinstance(exc.value, RuntimeError)
+
+    def test_report_fails_and_the_run_goes_on(self, tmp_path, capsys):
+        cfg = tmp_path / "c.json"
+        cfg.write_text(json.dumps({"operators": [
+            {"name": "split", "descriptor": SITE_DISAGREEMENT},
+            {"name": "after", "descriptor": FREE_JACOBI, "grid": SMALL_GRIDS["jacobi"]}]}),
+            encoding="utf-8")
+        out = tmp_path / "out"
+        assert spec_main(["run", "--config", str(cfg), "--out", str(out)]) == 1
+        rep = json.loads((out / "split_report.json").read_text())
+        assert rep["status"] == "FAILED"
+        assert len(rep["failures"]) == 1
+        assert rep["failures"][0].startswith(
+            "ac spectrum disagrees between reference sites 0 and 1 by ")
+        assert "> two grid steps" in rep["failures"][0]
+        assert rep["ac_spectrum"]["intervals"][0][0] == pytest.approx(-3.0341, abs=1e-4)
+        assert json.loads((out / "after_report.json").read_text())["status"] == "PASS"
+        assert (out / "split.csv").exists() and (out / "after.csv").exists()
+        assert capsys.readouterr().out.splitlines()[1] == "after: PASS"
 
 
 class TestSetsDemo:

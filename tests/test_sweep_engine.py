@@ -1,31 +1,34 @@
-"""The shared boundary-sweep engine: sweeps per report, the Floquet
-eigenvector chooser on random monodromies, and ac spectra of random
-periodic operators against independent band oracles."""
+"""The shared boundary-sweep engine: sweeps per report and the per-report
+sweep memo, the Floquet eigenvector chooser on random monodromies, and ac
+spectra of random periodic operators against independent band oracles."""
 
+import json
 import math
 
 import numpy as np
 import pytest
 
-from acspectra import cmv, jacobi, schrodinger
-from acspectra.boundary_analysis import floquet_eigvec
-from acspectra.harness_cli import _csv_for, _resolve_grid, verify_inclusion
+from acspectra import boundary_analysis, cmv, jacobi, schrodinger
+from acspectra.boundary_analysis import floquet_eigvec, memo_sweep, sweep_scope
+from acspectra.harness_cli import (FAMILY_MODULES, _csv_for, _json_safe, _load,
+                                   _resolve_grid, run_config, verify_inclusion)
 from acspectra.interval_sets import (canonicalize, circle_set, longest_component,
-                                     set_algebra)
+                                     set_algebra, set_to_json)
 
 SWEEPS = ((jacobi, "boundary_weyl_grid"), (cmv, "boundary_cmv_grid"),
           (schrodinger, "boundary_schrodinger_grid"))
 
 
 @pytest.mark.parametrize("fixture, grid_config, expected", [
-    ("period2_jacobi", None, 6),
-    ("geronimus_cmv", {"angles": 1024}, 7),
-    ("square_well", None, 6),
+    ("period2_jacobi", None, 2),
+    ("geronimus_cmv", {"angles": 1024}, 3),
+    ("square_well", None, 2),
 ])
 def test_sweeps_per_report(request, monkeypatch, fixture, grid_config, expected):
-    """A report plus its CSV sweeps each (site, grid) pair once per derived
-    set: ac spectrum at two sites, reflectionless test at two, multiplicity
-    sets, the CSV, and for CMV the boundary identity residual."""
+    """A report plus its CSV, in one sweep scope, computes each (site, grid)
+    sweep once: the two reference sites of the ac spectrum, which the
+    reflectionless test, the multiplicity sets and the CSV read again, and
+    for CMV the boundary identity residual on angles of E."""
     calls = []
     for mod, name in SWEEPS:
         def counting(*args, _fn=getattr(mod, name), **kwargs):
@@ -35,10 +38,11 @@ def test_sweeps_per_report(request, monkeypatch, fixture, grid_config, expected)
     op = request.getfixturevalue(fixture)
     descriptor = op.to_descriptor()
     kind = descriptor["type"]
-    rep = verify_inclusion(descriptor, grid_config=grid_config)
-    assert rep.status == "PASS"
-    grid, _ = _resolve_grid(kind, op, grid_config)
-    _csv_for(kind, op, grid)
+    with sweep_scope():
+        rep = verify_inclusion(descriptor, grid_config=grid_config)
+        assert rep.status == "PASS"
+        grid, _ = _resolve_grid(kind, op, grid_config)
+        _csv_for(kind, op, grid)
     assert len(calls) == expected
 
 
@@ -140,3 +144,119 @@ def test_random_period1_cmv_ac_spectrum_is_the_arc():
         t = 2.0 * math.asin(abs(alpha))
         arc = circle_set([(t, 2.0 * math.pi - t, "cc")])
         _assert_matches(cmv.ac_spectrum(V, grid), arc, grid[1] - grid[0])
+
+
+def test_memo_lives_only_in_a_scope():
+    """Inside a scope a repeated sweep is the same read-only result; outside
+    any scope, and after it closes, every call computes afresh."""
+    J = jacobi.JacobiCoefficients(2, (1.0, 0.8), (0.3, -0.2))
+    grid = jacobi.default_grid(J, 301)
+    sweep = jacobi.boundary_weyl_grid
+    assert memo_sweep(sweep, J, grid, 0) is not memo_sweep(sweep, J, grid, 0)
+    with sweep_scope():
+        first = memo_sweep(sweep, J, grid, 0)
+        with sweep_scope():
+            assert memo_sweep(sweep, J, grid.copy(), 0) is first
+        assert memo_sweep(sweep, J, grid, 1) is not first
+        assert memo_sweep(sweep, J, grid[:-1], 0) is not first
+        with pytest.raises(ValueError):
+            first["g"][0][0] = 0.0
+        with pytest.raises(ValueError):
+            first["inf_g"][:] = True
+    after = memo_sweep(sweep, J, grid, 0)
+    assert after is not first and after["g"][0].flags.writeable
+    for k, v in first.items():
+        for a, b in zip(v, after[k]) if isinstance(v, tuple) else [(v, after[k])]:
+            assert a.tobytes() == b.tobytes(), k
+
+
+def _patched_operator(kind, rng):
+    """A seeded period-2 operator patched on two sites (CMV: one)."""
+    if kind == "jacobi":
+        return {"type": "jacobi", "period": 2, "a": rng.uniform(0.6, 1.4, 2).tolist(),
+                "b": rng.uniform(-1.0, 1.0, 2).tolist(),
+                "patch": {str(n): [rng.uniform(0.6, 1.4), rng.uniform(-1.0, 1.0)]
+                          for n in (0, 3)}}
+    if kind == "cmv":
+        alpha = rng.uniform(0.1, 0.5, 3) * np.exp(1j * rng.uniform(0.0, 2.0 * math.pi, 3))
+        return {"type": "cmv", "period": 2, "alpha": [[a.real, a.imag] for a in alpha[:2]],
+                "patch": {"1": [alpha[2].real, alpha[2].imag]}}
+    values = rng.uniform(0.0, 5.0, 4)
+    return {"type": "schrodinger", "period": 1.0,
+            "pieces": [[0.5, values[0]], [0.5, values[1]]],
+            "patch": [[0.3, values[2]], [0.4, values[3]]]}
+
+
+GRIDS = {"jacobi": {"start": -4.0, "stop": 4.0, "points": 801}, "cmv": {"angles": 512},
+         "schrodinger": {"start": -1.0, "stop": 25.0, "points": 801}}
+
+
+def _run(tmp_path, label, entries, seed=0):
+    path = tmp_path / f"{label}.json"
+    path.write_text(json.dumps({"seed": seed, "operators": entries}), encoding="utf-8")
+    out = tmp_path / label
+    run_config(str(path), str(out))
+    return {p.name: p.read_bytes() for p in out.iterdir()}
+
+
+@pytest.mark.parametrize("kind", ["jacobi", "cmv", "schrodinger"])
+def test_scoped_report_equals_standalone_calls(tmp_path, kind):
+    """The report and CSV of spec run, whose sweeps come from one memo, hold
+    the bytes of the derived sets and CSV computed by standalone calls, each
+    sweeping on its own outside any scope; there the reflectionless test
+    sweeps only the points of E, in the report it reads the whole grid's
+    sweep on them."""
+    rng = np.random.default_rng({"jacobi": 11, "cmv": 12, "schrodinger": 13}[kind])
+    descriptor = _patched_operator(kind, rng)
+    files = _run(tmp_path, "run", [{"name": "op", "descriptor": descriptor,
+                                    "grid": GRIDS[kind]}])
+    report = json.loads(files["op_report.json"])
+
+    op, grid, _, _ = _load(descriptor, None, GRIDS[kind])
+    mod = FAMILY_MODULES[kind]
+    ac = mod.ac_spectrum(op, grid)
+    refl = mod.reflectionless_on(op, ac, grid)
+    M2, M1 = mod.multiplicity_sets(op, grid)
+    assert boundary_analysis._memo is None
+
+    def same(x):
+        return json.loads(json.dumps(_json_safe(x)))
+    assert report["ac_spectrum"] == same(set_to_json(ac))
+    assert report["reflectionless"]["E"] == same(set_to_json(ac))
+    for field in ("verdict", "fraction", "max_residual", "n_points", "xi_fraction",
+                  "witness_residual"):
+        assert report["reflectionless"][field] == same(getattr(refl, field)), field
+    assert report["reflectionless"]["defect_points"] == same(list(refl.defect_points))
+    assert report["multiplicity"]["M2"] == same(set_to_json(M2))
+    assert report["multiplicity"]["M1"] == same(set_to_json(M1))
+    assert files["op.csv"] == _csv_for(kind, op, grid).encode()
+
+
+def test_repeated_operator_reports_do_not_leak(tmp_path):
+    """One operator listed three times, with different grids or E, gives
+    each entry the bytes of its own single-operator run."""
+    descriptor = _patched_operator("jacobi", np.random.default_rng(11))
+    entries = [
+        {"name": "a", "descriptor": descriptor, "grid": GRIDS["jacobi"]},
+        {"name": "b", "descriptor": descriptor,
+         "grid": {"start": -4.0, "stop": 4.0, "points": 601}},
+        {"name": "c", "descriptor": descriptor, "grid": GRIDS["jacobi"],
+         "E": {"carrier": "line", "intervals": [[-1.0, 1.0, "cc"]], "points": []}},
+    ]
+    together = _run(tmp_path, "together", entries)
+    assert len(together) == 6
+    for entry in entries:
+        alone = _run(tmp_path, entry["name"], [entry])
+        for name, data in alone.items():
+            assert together[name] == data, name
+
+
+def test_eigenvalue_angles_solve_each_block(geronimus_cmv):
+    """Solving each distinct block once returns the blockwise spectrum of a
+    patched operator, whose blocks differ, and of an unpatched one."""
+    patched = cmv.VerblunskyCoefficients(2, (0.3, -0.2j), {5: 0.4})
+    for V in (geronimus_cmv, patched):
+        blocks = [cmv.build_truncation(V, (lo, lo + 127)) for lo in (-256, -128, 0, 128)]
+        direct = np.sort(np.concatenate(
+            [np.angle(np.linalg.eigvals(T.dense())) % (2.0 * math.pi) for T in blocks]))
+        assert np.array_equal(cmv.eigenvalue_angles(V, window=512), direct)
