@@ -567,13 +567,10 @@ def sweep_reflectionless(fam: SweepFamily, op, E, grid, sites, tol: float) -> Re
     witness = 0.0
     defects = set()
     for site in sites:
-        if _memo is None:
-            bd = fam.sweep(op, lams, site)
-        else:
-            # in a report scope, read the whole grid's sweep (the ac spectrum's)
-            # on E; the kernels work point by point, so the bits are the same
-            bd = {k: tuple(a[inside] for a in v) if isinstance(v, tuple) else v[inside]
-                  for k, v in fam.sweep(op, grid, site).items()}
+        # the whole grid's sweep (the ac spectrum's, in a report scope) read
+        # on E; the kernels work point by point, so the bits are the same
+        bd = {k: tuple(a[inside] for a in v) if isinstance(v, tuple) else v[inside]
+              for k, v in fam.sweep(op, grid, site).items()}
         Mp, ep, cp = bd[fam.pair[0]]
         Mm, em, cm = bd[fam.pair[1]]
         okm = (relaxed_ok(Mp, ep, cp) & relaxed_ok(Mm, em, cm)

@@ -40,6 +40,7 @@ from __future__ import annotations
 import argparse
 import json
 import math
+import numbers
 import os
 import sys
 from dataclasses import dataclass
@@ -110,15 +111,17 @@ def _resolve_grid(kind: str, op, grid_config):
 
 def _check_tolerances(tolerances):
     """Raise ValueError unless tolerances is None or maps names to finite
-    numbers, with the COUNT_TOLERANCES ints at least their least value."""
+    numbers (numpy scalars too), with the COUNT_TOLERANCES integers at least
+    their least value."""
     if tolerances is None:
         return
     if not isinstance(tolerances, dict):
         raise ValueError(f"tolerances must be an object, not {tolerances!r:.80}")
     for name, value in tolerances.items():
-        number = isinstance(value, (int, float)) and not isinstance(value, bool)
+        number = isinstance(value, numbers.Real) and not isinstance(value, bool)
         if name in COUNT_TOLERANCES:
-            if not (number and isinstance(value, int) and value >= COUNT_TOLERANCES[name]):
+            if not (number and isinstance(value, numbers.Integral)
+                    and value >= COUNT_TOLERANCES[name]):
                 raise ValueError(f"tolerance {name!r} must be an integer >= "
                                  f"{COUNT_TOLERANCES[name]}, not {value!r:.80}")
         elif not (number and math.isfinite(value)):

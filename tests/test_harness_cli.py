@@ -82,6 +82,17 @@ class TestVerifyInclusion:
         for entry in rep.identity_residuals.values():
             assert entry["passed"]
 
+    def test_numpy_scalar_tolerances_are_accepted(self):
+        """Library callers may pass numpy scalars; the report is the one of
+        the equal Python numbers."""
+        plain = {"oracle_window": 512, "identity_draws": 3, "xi_tol": 1e-3}
+        numpy = {"oracle_window": np.int64(512), "identity_draws": np.int32(3),
+                 "xi_tol": np.float64(1e-3), "reflectionless_tol": np.float32(1e-4)}
+        args = (FREE_CMV, E_CIRCLE, SMALL_GRIDS["cmv"])
+        want = verify_inclusion(*args, tolerances=dict(plain, reflectionless_tol=
+                                                       float(np.float32(1e-4))))
+        assert verify_inclusion(*args, tolerances=numpy).to_json() == want.to_json()
+
     def test_off_spectrum_set_skips_inclusion(self):
         rep = verify_inclusion(
             FREE_JACOBI,

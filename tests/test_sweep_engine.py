@@ -12,8 +12,8 @@ from acspectra import boundary_analysis, cmv, jacobi, schrodinger
 from acspectra.boundary_analysis import floquet_eigvec, memo_sweep, sweep_scope
 from acspectra.harness_cli import (FAMILY_MODULES, _csv_for, _json_safe, _load,
                                    _resolve_grid, run_config, verify_inclusion)
-from acspectra.interval_sets import (canonicalize, circle_set, longest_component,
-                                     set_algebra, set_to_json)
+from acspectra.interval_sets import (canonicalize, circle_set, contains_mask,
+                                     longest_component, set_algebra, set_to_json)
 
 SWEEPS = ((jacobi, "boundary_weyl_grid"), (cmv, "boundary_cmv_grid"),
           (schrodinger, "boundary_schrodinger_grid"))
@@ -203,9 +203,7 @@ def _run(tmp_path, label, entries, seed=0):
 def test_scoped_report_equals_standalone_calls(tmp_path, kind):
     """The report and CSV of spec run, whose sweeps come from one memo, hold
     the bytes of the derived sets and CSV computed by standalone calls, each
-    sweeping on its own outside any scope; there the reflectionless test
-    sweeps only the points of E, in the report it reads the whole grid's
-    sweep on them."""
+    sweeping on its own outside any scope."""
     rng = np.random.default_rng({"jacobi": 11, "cmv": 12, "schrodinger": 13}[kind])
     descriptor = _patched_operator(kind, rng)
     files = _run(tmp_path, "run", [{"name": "op", "descriptor": descriptor,
@@ -230,6 +228,26 @@ def test_scoped_report_equals_standalone_calls(tmp_path, kind):
     assert report["multiplicity"]["M2"] == same(set_to_json(M2))
     assert report["multiplicity"]["M1"] == same(set_to_json(M1))
     assert files["op.csv"] == _csv_for(kind, op, grid).encode()
+
+
+@pytest.mark.parametrize("kind", ["jacobi", "cmv", "schrodinger"])
+def test_whole_grid_sweep_read_on_E_equals_sweep_of_E(kind):
+    """The reflectionless test reads the whole grid's sweep at the points of
+    E; the kernels and Richardson work point by point, so that has the bits
+    of a sweep of E's points alone."""
+    rng = np.random.default_rng({"jacobi": 21, "cmv": 22, "schrodinger": 23}[kind])
+    op, grid, _, _ = _load(_patched_operator(kind, rng), None, GRIDS[kind])
+    mod, name = SWEEPS[("jacobi", "cmv", "schrodinger").index(kind)]
+    sweep = getattr(mod, name)
+    inside = contains_mask(mod.ac_spectrum(op, grid), grid)
+    assert 0 < inside.sum() < grid.size
+    for site in ((0.0, 0.5) if kind == "schrodinger" else (0, 1)):
+        whole, alone = sweep(op, grid, site), sweep(op, grid[inside], site)
+        assert whole.keys() == alone.keys()
+        for k, v in whole.items():
+            for a, b in zip(v if isinstance(v, tuple) else (v,),
+                            alone[k] if isinstance(v, tuple) else (alone[k],)):
+                assert a[inside].tobytes() == b.tobytes(), (site, k)
 
 
 def test_repeated_operator_reports_do_not_leak(tmp_path):
