@@ -43,39 +43,29 @@ INFINITE_LIMIT = 1e6
 AC_IM_TOL = 1e-6
 MASS_TOL = 1e-6
 DEGENERACY_TOL = 1e-10
+OFF_AXIS_TOL = 1e-4     # off-axis threshold of the multiplicity sets
 
-
-def geometric_schedule(start: float = 0.1, factor: float = 0.5, stages: int = 13):
-    """Distances to the boundary: start * factor^k, k = 0..stages-1."""
-    if stages < 4:
-        raise ValueError("schedule needs at least 4 stages")
-    if not (0 < factor < 1) or start <= 0:
-        raise ValueError("schedule must be strictly monotone toward the boundary")
-    return tuple(start * factor ** k for k in range(stages))
+# distances to the boundary, eps_k = 0.1 * 2^-k for k = 0..12
+SCHEDULE = tuple(0.1 * 0.5 ** k for k in range(13))
 
 
 def richardson_sequence(values):
     """Two-stage Richardson extrapolation along axis 0.
 
-    values: array (K, ...) of samples on a ratio-2 geometric schedule, ordered
-    toward the boundary.  Returns (value, error, converged).  Convergence means
-    the final extrapolant differences contract by a factor >= 2 (exact
-    agreement counts as converged).
+    values: array (K, ...) of K >= 4 samples on a ratio-2 geometric schedule,
+    ordered toward the boundary.  Returns (value, error, converged).
+    Convergence means the final extrapolant differences contract by a factor
+    >= 2 (exact agreement counts as converged).
     """
     v = np.asarray(values, dtype=complex)
     w = 2.0 * v[1:] - v[:-1]
     u = (4.0 * w[1:] - w[:-1]) / 3.0
     value = u[-1].copy()    # copies: views would keep the whole (K-2, ...) stacks alive
     d = np.abs(np.diff(u, axis=0))
-    if d.shape[0] == 0:
-        return value, np.zeros_like(value, dtype=float), np.ones(value.shape, dtype=bool)
     err = d[-1].copy()
     scale = 1.0 + np.abs(value)
     tiny = err <= 1e-13 * scale
-    if d.shape[0] >= 2:
-        contracting = d[-1] <= 0.5 * d[-2] + 1e-15 * scale
-    else:
-        contracting = np.ones(value.shape, dtype=bool)
+    contracting = d[-1] <= 0.5 * d[-2] + 1e-15 * scale
     converged = np.logical_or(tiny, contracting)
     return value, err, converged
 
@@ -134,25 +124,24 @@ MIN_EPS_LINE = 1e-13
 MIN_EPS_CIRCLE = 3e-9   # keeps 1 - fl(1 - eps) accurate to ~3e-8 relative
 
 
-def _point_stack(f: BoundaryFunction, p, schedule):
+def _point_stack(f: BoundaryFunction, p):
     """(location, samples, distances) of f approaching boundary point p; the
-    schedule is deepened at its own ratio while |f| keeps growing geometrically,
+    schedule is deepened at its ratio 1/2 while |f| keeps growing geometrically,
     so a point mass (~ eps^-1) crosses the blowup threshold.  Distances are
     the representable gaps 1 - fl(1 - eps) on the circle, free of cancellation."""
     circle = f.kind == "caratheodory"
     loc = _as_angle(p) if circle else float(p)
     kernel = lambda zs: {"f": [f(complex(zs[0]))]}
-    sched = list(schedule or geometric_schedule())
-    factor = sched[1] / sched[0]
+    sched = list(SCHEDULE)
     samples = list(_sample_stack(kernel, [loc], circle, sched)["f"][:, 0])
     min_eps = MIN_EPS_CIRCLE if circle else MIN_EPS_LINE
-    while sched[-1] * factor >= min_eps:
+    while sched[-1] * 0.5 >= min_eps:
         mags = np.abs(samples[-4:])
         if mags[-1] > DIVERGENCE_CAP:
             break
         if not (np.all(np.diff(mags) > 0) and mags[-1] > 1.5 * mags[0]):
             break
-        sched.append(sched[-1] * factor)
+        sched.append(sched[-1] * 0.5)
         samples.extend(_sample_stack(kernel, [loc], circle, sched[-1:])["f"][:, 0])
     eps = np.array(sched)
     return loc, np.array(samples, dtype=complex), 1.0 - (1.0 - eps) if circle else eps
@@ -164,14 +153,14 @@ def _scaled(f: BoundaryFunction, samples, dists):
     return complex(value), float(err), bool(converged)
 
 
-def boundary_value(f: BoundaryFunction, p, schedule=None) -> BoundaryValue:
+def boundary_value(f: BoundaryFunction, p) -> BoundaryValue:
     """Richardson-extrapolated boundary limit with an error estimate.
 
     Flags divergence when |f| exceeds 1e8; raises NonConvergent when the
     extrapolant differences fail to contract by a factor of 2 while the value
     stays finite and not obviously blowing up.
     """
-    _, samples, _ = _point_stack(f, p, schedule)
+    _, samples, _ = _point_stack(f, p)
     infinite, diverged = (bool(flag) for flag in blowup_flags(np.abs(samples)))
     value, err, converged = richardson_sequence(samples)
     if not (diverged or infinite or bool(converged)):
@@ -181,11 +170,11 @@ def boundary_value(f: BoundaryFunction, p, schedule=None) -> BoundaryValue:
     return BoundaryValue(complex(value), float(err), diverged, infinite, tuple(samples))
 
 
-def scaled_limit(f: BoundaryFunction, p, schedule=None):
+def scaled_limit(f: BoundaryFunction, p):
     """Point-mass functional: lim (-i eps) m(lambda + i eps), resp.
     lim ((1-r)/2) f(r zeta), along the deepened schedule of classify_point.
     Returns (value, error, converged)."""
-    _, samples, dists = _point_stack(f, p, schedule)
+    _, samples, dists = _point_stack(f, p)
     return _scaled(f, samples, dists)
 
 
@@ -203,15 +192,14 @@ class PointClassification:
     diagnostics: str = ""
 
 
-def classify_point(f: BoundaryFunction, p, schedule=None,
-                   ac_tol: float = AC_IM_TOL, mass_tol: float = MASS_TOL) -> PointClassification:
+def classify_point(f: BoundaryFunction, p) -> PointClassification:
     """Limit trichotomy at one boundary point.
 
     The singular test is run in two variants: blowup of the Herglotz-positive
     part (Im on the line, Re on the circle) and blowup of |value|; both are
     reported and a disagreement downgrades nothing silently.
     """
-    loc, samples, dists = _point_stack(f, p, schedule)
+    loc, samples, dists = _point_stack(f, p)
     part = samples.imag if f.kind == "herglotz" else samples.real
 
     def blows(seq):
@@ -224,9 +212,9 @@ def classify_point(f: BoundaryFunction, p, schedule=None,
 
     if singular_unprimed or singular_primed:
         sval, _, sconv = _scaled(f, samples, dists)
-        if sconv and sval.real > mass_tol:
+        if sconv and sval.real > MASS_TOL:
             verdict, extra = "pp", {"point_mass": float(sval.real)}
-        elif sconv and abs(sval) <= mass_tol:
+        elif sconv and abs(sval) <= MASS_TOL:
             verdict, extra = "sc", {}
         else:
             verdict, extra = "singular", {"diagnostics": "scaled limit did not settle"}
@@ -242,15 +230,15 @@ def classify_point(f: BoundaryFunction, p, schedule=None,
         return PointClassification(loc, "undetermined", value, err,
                                    diagnostics="extrapolants failed to contract")
     pos_part = value.imag if f.kind == "herglotz" else value.real
-    if pos_part > ac_tol:
+    if pos_part > AC_IM_TOL:
         return PointClassification(loc, "ac", value, err)
-    if abs(pos_part) <= ac_tol:
+    if abs(pos_part) <= AC_IM_TOL:
         return PointClassification(loc, "regular", value, err)
     return PointClassification(loc, "undetermined", value, err,
                                diagnostics="negative Herglotz/Caratheodory part at the boundary")
 
 
-def essential_support_ac(f: BoundaryFunction, grid, schedule=None, ac_tol: float = AC_IM_TOL):
+def essential_support_ac(f: BoundaryFunction, grid):
     """Essential closure of the hull of maximal ac-verdict runs on the grid.
 
     Returns (set, verdicts); undetermined points are excluded from the hull and
@@ -259,7 +247,7 @@ def essential_support_ac(f: BoundaryFunction, grid, schedule=None, ac_tol: float
     grid = list(grid)
     if len(grid) < 2:
         raise ValueError("grid needs at least 2 points")
-    verdicts = [classify_point(f, p, schedule, ac_tol=ac_tol) for p in grid]
+    verdicts = [classify_point(f, p) for p in grid]
     step = abs(grid[1] - grid[0])
     passing = [v.location for v in verdicts if v.verdict == "ac"]
     hull = points_hull if f.kind == "herglotz" else angles_hull
@@ -315,43 +303,36 @@ class HerglotzRepresentation:
     with c = Re m(i) and d = lim m(i eta)/(i eta) >= 0."""
     c: float
     d: float
-    measure_probe: callable = field(compare=False, default=None)
 
 
-def herglotz_representation(f: BoundaryFunction, measure_probe=None,
-                            etas=(8.0, 16.0, 32.0, 64.0, 128.0)) -> HerglotzRepresentation:
+def herglotz_representation(f: BoundaryFunction) -> HerglotzRepresentation:
     if f.kind != "herglotz":
         raise ValueError("representation constants are for the half-plane kind")
     c = f(1j).real
-    ratios = np.array([f(1j * e) / (1j * e) for e in etas])
+    ratios = np.array([f(1j * e) / (1j * e) for e in (8.0, 16.0, 32.0, 64.0, 128.0)])
     d = max(float(ratios[-1].real + 2.0 * (ratios[-1].real - ratios[-2].real)), 0.0)
-    return HerglotzRepresentation(float(c), d, measure_probe)
+    return HerglotzRepresentation(float(c), d)
 
 
-def classification_csv(f: BoundaryFunction, grid, out=None, schedule=None) -> str:
+def classification_csv(f: BoundaryFunction, grid) -> str:
     """Per-grid-point CSV: location, Re, Im, error_estimate, verdict, point_mass."""
     rows = []
     for p in grid:
-        cp = classify_point(f, p, schedule)
+        cp = classify_point(f, p)
         re = cp.limit_value.real if math.isfinite(cp.limit_value.real) else "inf"
         im = cp.limit_value.imag if math.isfinite(cp.limit_value.imag) else "inf"
         err = cp.error if math.isfinite(cp.error) else "inf"
         rows.append([f"{cp.location:.12g}", re, im, err, cp.verdict, f"{cp.point_mass:.12g}"])
-    return write_csv(["location", "re", "im", "error_estimate", "verdict", "point_mass"],
-                     rows, out)
+    return write_csv(["location", "re", "im", "error_estimate", "verdict", "point_mass"], rows)
 
 
-def write_csv(header, rows, out=None) -> str:
-    """CSV text with LF line ends; also written to the path out when given."""
+def write_csv(header, rows) -> str:
+    """CSV text with LF line ends."""
     buf = io.StringIO()
     w = csv.writer(buf, lineterminator="\n")
     w.writerow(header)
     w.writerows(rows)
-    text = buf.getvalue()
-    if out is not None:
-        with open(out, "w", encoding="utf-8", newline="") as fh:
-            fh.write(text)
-    return text
+    return buf.getvalue()
 
 
 # ---------------------------------------------------------------------------
@@ -359,9 +340,9 @@ def write_csv(header, rows, out=None) -> str:
 
 def plus_side(side) -> bool:
     """True for the right half line ('+'), False for the left ('-')."""
-    if side in ("+", "plus", 1, +1):
+    if side == "+":
         return True
-    if side in ("-", "minus", -1):
+    if side == "-":
         return False
     raise ValueError(f"side must be '+' or '-', got {side!r}")
 
@@ -417,6 +398,7 @@ class SweepFamily:
     sweep: callable         # sweep(op, grid, site) -> boundary_sweep dict
     phase: callable         # phase(op, grid, site) -> (values, errors, ok)
     grid: callable          # grid(op) -> default grid
+    sites: callable         # sites(op) -> (first, second) reference sites
     circle: bool            # carrier: the unit circle (angles), else the real line
     pair: tuple             # sweep keys of the boundary pair (M_+, M_-)
     phase_key: str          # sweep key whose boundary argument is the phase
@@ -433,13 +415,13 @@ class SweepFamily:
         return angles_hull if self.circle else points_hull
 
 
-def boundary_sweep(kernel, grid, circle: bool, schedule=None) -> dict:
+def boundary_sweep(kernel, grid, circle: bool) -> dict:
     """Richardson-extrapolated boundary values of kernel(zs) -> {key: array}
     over a grid, with zs = lambda + i eps on the line and (1 - eps) e^{i theta}
-    on the circle along the schedule.  For each key returns (value, error,
+    on the circle along SCHEDULE.  For each key returns (value, error,
     converged) arrays, plus 'inf_<key>'/'div_<key>' blowup flags."""
     out = {}
-    for k, arr in _sample_stack(kernel, grid, circle, schedule or geometric_schedule()).items():
+    for k, arr in _sample_stack(kernel, grid, circle, SCHEDULE).items():
         out[k] = richardson_sequence(arr)
         out["inf_" + k], out["div_" + k] = blowup_flags(np.abs(arr))
     return out
@@ -453,7 +435,7 @@ _memo = None
 @contextmanager
 def sweep_scope():
     """Within the block, each family sweep is computed once per (operator,
-    site, grid bytes, schedule); later reads get that result, its arrays
+    site, grid bytes); later reads get that result, its arrays
     read-only.  A nested scope reuses the outer memo."""
     global _memo
     if _memo is not None:
@@ -466,14 +448,14 @@ def sweep_scope():
         _memo = None
 
 
-def memo_sweep(sweep, op, grid, site, schedule=None) -> dict:
-    """sweep(op, grid, site, schedule), read from the open scope's memo."""
+def memo_sweep(sweep, op, grid, site) -> dict:
+    """sweep(op, grid, site), read from the open scope's memo."""
     if _memo is None:
-        return sweep(op, grid, site, schedule)
+        return sweep(op, grid, site)
     grid = np.asarray(grid, dtype=float)
-    key = (op, site, grid.tobytes(), None if schedule is None else tuple(schedule))
+    key = (op, site, grid.tobytes())
     if key not in _memo:
-        bd = sweep(op, grid, site, schedule)
+        bd = sweep(op, grid, site)
         for v in bd.values():
             for arr in v if isinstance(v, tuple) else (v,):
                 arr.flags.writeable = False
@@ -523,10 +505,10 @@ def phase_verdict(fam: SweepFamily, value: float, ok: bool) -> str:
     return "edge" if fam.circle else "exterior"
 
 
-def sweep_ac_spectrum(fam: SweepFamily, op, grid, n0, check_site, xi_tol: float):
+def sweep_ac_spectrum(fam: SweepFamily, op, grid, xi_tol: float):
     """Essential closure of the widened grid hull of the interior-phase
-    points; a disagreement with check_site beyond two grid steps raises
-    SiteDisagreement, carrying the n0 set."""
+    points at the first reference site; a disagreement with the second site
+    beyond two grid steps raises SiteDisagreement, carrying the first set."""
     grid = fam.grid(op) if grid is None else np.asarray(grid, dtype=float)
     step = float(grid[1] - grid[0])
     lo, hi = fam.phase_range
@@ -537,23 +519,23 @@ def sweep_ac_spectrum(fam: SweepFamily, op, grid, n0, check_site, xi_tol: float)
             passing = grid[ok & (vals > lo + xi_tol) & (vals < hi - xi_tol)]
         return essential_closure(widen(fam.hull(passing, step), step))
 
-    main = one_site(n0)
-    width = longest_component(set_algebra(main, one_site(check_site), "symmetric_difference"))
+    first, second = fam.sites(op)
+    main = one_site(first)
+    width = longest_component(set_algebra(main, one_site(second), "symmetric_difference"))
     if width > 2.0 * step + 1e-12:
         raise SiteDisagreement(
-            f"ac spectrum disagrees between reference {fam.site_word} {n0} and {check_site}",
+            f"ac spectrum disagrees between reference {fam.site_word} {first} and {second}",
             main, width)
     return main
 
 
-def sweep_reflectionless(fam: SweepFamily, op, E, grid, sites, tol: float) -> ReflectionlessReport:
-    """Boundary matching of the pair on the grid points in E at every site:
+def sweep_reflectionless(fam: SweepFamily, op, E, grid, tol: float) -> ReflectionlessReport:
+    """Boundary matching of the pair on the grid points in E at both sites:
     M_+ is the reflection of M_- (conj across the line, -conj across the
     circle) at more than 99% of the points, phase at its center."""
     if E.measure() <= 0.0:
         raise ValueError("reflectionless test needs a set of positive measure")
-    if len(sites) < 2:
-        raise ValueError(f"need at least 2 reference {fam.site_word}")
+    sites = fam.sites(op)
     grid = fam.grid(op) if grid is None else np.asarray(grid, dtype=float)
     inside = contains_mask(E, grid)
     lams = grid[inside]
@@ -588,20 +570,22 @@ def sweep_reflectionless(fam: SweepFamily, op, E, grid, sites, tol: float) -> Re
     verdict = worst_fraction > 0.99
     return ReflectionlessReport(
         verdict=verdict, fraction=worst_fraction, max_residual=max_res, tol=tol,
-        sites=tuple(sites), n_points=int(lams.size), defect_points=tuple(sorted(defects)),
+        sites=sites, n_points=int(lams.size), defect_points=tuple(sorted(defects)),
         xi_fraction=xi_fraction,
         witness_residual=witness if verdict else math.nan,
         details=f"{lams.size} grid {'angles' if fam.circle else 'points'} in E "
-                f"at {fam.site_word} {tuple(sites)}")
+                f"at {fam.site_word} {sites}")
 
 
-def sweep_multiplicity_sets(fam: SweepFamily, op, grid, n0, tol: float):
+def sweep_multiplicity_sets(fam: SweepFamily, op, grid):
     """Grid hulls (M2, M1) of the uniform-multiplicity sets from the
-    boundary pair; a value is off the axis when nonreal on the line
-    (|Im v| > tol), off the imaginary axis on the circle (|Re v| > tol (1 + |v|))."""
+    boundary pair at the first reference site; with tol = OFF_AXIS_TOL, a
+    value is off the axis when nonreal on the line (|Im v| > tol), off the
+    imaginary axis on the circle (|Re v| > tol (1 + |v|))."""
     grid = fam.grid(op) if grid is None else np.asarray(grid, dtype=float)
     step = float(grid[1] - grid[0])
-    bd = fam.sweep(op, grid, n0)
+    bd = fam.sweep(op, grid, fam.sites(op)[0])
+    tol = OFF_AXIS_TOL
 
     def side(key):
         v, e, c = bd[key]

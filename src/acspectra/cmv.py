@@ -39,7 +39,8 @@ from .boundary_analysis import (ReflectionlessReport, SweepFamily, boundary_swee
 from .interval_sets import CircleArcSet, circle_set, full_circle
 
 TWO_PI = 2.0 * math.pi
-IMAG_AXIS_TOL = 1e-4
+RANK_TOL = 1e-2             # eigenvalues of R above it count toward its rank
+EIG_BLOCKS = 4              # direct summands of the eigenvalue-angle window
 
 
 @dataclass(frozen=True)
@@ -258,7 +259,7 @@ def weyl_data(V: VerblunskyCoefficients, z: complex, n0: int) -> CMVWeylData:
 # ---------------------------------------------------------------------------
 # Boundary sweeps
 
-def boundary_cmv_grid(V: VerblunskyCoefficients, thetas, n0: int, schedule=None) -> dict:
+def boundary_cmv_grid(V: VerblunskyCoefficients, thetas, n0: int) -> dict:
     """Radial Richardson extrapolation of M_+, M_-, M11 on an angle grid.
 
     For each key returns (value, error, converged); 'inf_'/'div_' flags mark
@@ -267,10 +268,10 @@ def boundary_cmv_grid(V: VerblunskyCoefficients, thetas, n0: int, schedule=None)
     def kernel(zs):
         m11, Mp, Mm = _M11_grid(V, zs, n0)
         return {"M_plus": Mp, "M_minus": Mm, "M11": m11}
-    return boundary_sweep(kernel, thetas, True, schedule)
+    return boundary_sweep(kernel, thetas, True)
 
 
-def Xi11_grid(V: VerblunskyCoefficients, thetas, n0: int, schedule=None):
+def Xi11_grid(V: VerblunskyCoefficients, thetas, n0: int):
     """Xi11 over an angle grid: (values, errors, ok mask).
 
     Xi11 = Arg(M11(zeta))/pi clipped to [-1/2, 1/2]; a slightly negative
@@ -279,12 +280,12 @@ def Xi11_grid(V: VerblunskyCoefficients, thetas, n0: int, schedule=None):
     M11 (limit below the extrapolation noise) leave the phase undefined and
     are also marked not ok; they carry zero ac density.
     """
-    return sweep_phase(_FAMILY, memo_sweep(boundary_cmv_grid, V, thetas, n0, schedule))
+    return sweep_phase(_FAMILY, _FAMILY.sweep(V, thetas, n0))
 
 
-def Xi11(V: VerblunskyCoefficients, theta: float, n0: int, schedule=None) -> float:
+def Xi11(V: VerblunskyCoefficients, theta: float, n0: int) -> float:
     """Boundary phase of M11 at angle theta, in [-1/2, 1/2]."""
-    vals, _, ok = Xi11_grid(V, np.array([float(theta)]), n0, schedule)
+    vals, _, ok = Xi11_grid(V, np.array([float(theta)]), n0)
     if not bool(ok[0]):
         raise NonConvergent(f"Xi11 extrapolation failed at theta={theta}, n0={n0}")
     return float(vals[0])
@@ -307,28 +308,26 @@ def _witness(bd: dict, passing) -> float:
 _FAMILY = SweepFamily(
     sweep=lambda V, thetas, n0: memo_sweep(boundary_cmv_grid, V, thetas, n0),
     phase=lambda V, thetas, n0: Xi11_grid(V, thetas, n0),
-    grid=lambda V: default_angles(), circle=True, pair=("M_plus", "M_minus"),
-    phase_key="M11", witness=_witness, zero_floor=True)
+    grid=lambda V: default_angles(), sites=lambda V: (0, 1), circle=True,
+    pair=("M_plus", "M_minus"), phase_key="M11", witness=_witness, zero_floor=True)
 
 
-def ac_spectrum(V: VerblunskyCoefficients, grid=None, n0: int = 0, check_site=None,
-                xi_tol: float = 1e-3) -> CircleArcSet:
-    """Circle essential closure of the angle hull of {|Xi11| < 1/2}, one grid
-    step of margin; recomputed at a second site, disagreement raises."""
+def ac_spectrum(V: VerblunskyCoefficients, grid=None, xi_tol: float = 1e-3) -> CircleArcSet:
+    """Circle essential closure of the angle hull of {|Xi11| < 1/2} at site 0,
+    one grid step of margin; recomputed at site 1, disagreement raises."""
     grid = default_angles() if grid is None else np.asarray(grid, dtype=float)
     if grid.size < 512:
         raise ValueError("angular grid needs at least 512 points")
-    check_site = n0 + 1 if check_site is None else check_site
-    return sweep_ac_spectrum(_FAMILY, V, grid, n0, check_site, xi_tol)
+    return sweep_ac_spectrum(_FAMILY, V, grid, xi_tol)
 
 
 def reflectionless_on(V: VerblunskyCoefficients, E: CircleArcSet, grid=None,
-                      sites=(0, 1), tol: float = 1e-4) -> ReflectionlessReport:
+                      tol: float = 1e-4) -> ReflectionlessReport:
     """Reflectionless test on an arc set E: boundary matching M_+ = -conj(M_-)
-    plus the phase criterion Xi11 = 0, at two or more reference sites.  Where
+    plus the phase criterion Xi11 = 0, at the reference sites 0 and 1.  Where
     the verdict holds, the uniform-multiplicity witness
     M11 = (1+|M_+-|^2)/(+-2 Re M_+-) is recorded as a max residual."""
-    return sweep_reflectionless(_FAMILY, V, E, grid, sites, tol)
+    return sweep_reflectionless(_FAMILY, V, E, grid, tol)
 
 
 def m11_boundary_identity_residual(V: VerblunskyCoefficients, thetas, n0: int) -> float:
@@ -346,15 +345,14 @@ def m11_boundary_identity_residual(V: VerblunskyCoefficients, thetas, n0: int) -
     return float(np.max(res))
 
 
-def multiplicity_sets(V: VerblunskyCoefficients, grid=None, n0: int = 0,
-                      axis_tol: float = IMAG_AXIS_TOL):
-    """Angle hulls of the uniform-multiplicity sets from boundary (M_+, M_-).
+def multiplicity_sets(V: VerblunskyCoefficients, grid=None):
+    """Angle hulls of the uniform-multiplicity sets from boundary (M_+, M_-) at site 0.
 
     The purely-imaginary test is |Re v| <= tol*(1+|v|); multiplicity two needs
     both boundary values off the imaginary axis, multiplicity one collects the
     equal-imaginary, both-infinite, and exactly-one-off-axis cases.
     """
-    return sweep_multiplicity_sets(_FAMILY, V, grid, n0, axis_tol)
+    return sweep_multiplicity_sets(_FAMILY, V, grid)
 
 
 # ---------------------------------------------------------------------------
@@ -479,8 +477,8 @@ def matrix_M_entry(T: CMVTruncation, z: complex, row_site: int, col_site: int) -
     return complex(val)
 
 
-def matrix_M_and_R(V: VerblunskyCoefficients, n0: int, grid=None, window: int = 2048,
-                   rank_tol: float = 1e-2, schedule=None) -> MatrixMeasureData:
+def matrix_M_and_R(V: VerblunskyCoefficients, n0: int, grid=None,
+                   window: int = 2048) -> MatrixMeasureData:
     """2x2 matrix measure machinery at n0 from the truncation oracle.
 
     M_{j,k}(z, n0) = (delta_{n0-1+j}, (U+z)(U-z)^-1 delta_{n0-1+k}); R(zeta)
@@ -505,12 +503,12 @@ def matrix_M_and_R(V: VerblunskyCoefficients, n0: int, grid=None, window: int = 
             M[1, 1] += 1.0
             H[k] = (M + M.conj().T) / 2.0
         return {"H": H}
-    H = boundary_sweep(hermitian_part, grid, True, schedule)["H"][0]
+    H = boundary_sweep(hermitian_part, grid, True)["H"][0]
 
     tr = np.real(H[:, 0, 0] + H[:, 1, 1])
     R = H / tr[:, None, None]
     eigs = np.linalg.eigvalsh(R)
-    rank = np.sum(eigs > rank_tol, axis=1)
+    rank = np.sum(eigs > RANK_TOL, axis=1)
 
     # pointwise identity between the two diagonal Caratheodory entries
     probes = [0.3 + 0.2j, -0.4 + 0.1j, 0.05 - 0.55j]
@@ -528,9 +526,8 @@ def matrix_M_and_R(V: VerblunskyCoefficients, n0: int, grid=None, window: int = 
 # ---------------------------------------------------------------------------
 # Eigenvalue-support oracle
 
-def eigenvalue_angles(V: VerblunskyCoefficients, window: int = 4096, blocks: int = 4,
-                      n0: int = 0) -> np.ndarray:
-    """Sorted eigenvalue angles of the window truncation, computed blockwise.
+def eigenvalue_angles(V: VerblunskyCoefficients, window: int = 4096) -> np.ndarray:
+    """Sorted eigenvalue angles of the window centered on site 0, in EIG_BLOCKS blocks.
 
     Interior alpha = 1 cuts split the window into direct summands, adding O(1)
     spurious angles per cut; downstream support estimation must drop isolated
@@ -538,13 +535,13 @@ def eigenvalue_angles(V: VerblunskyCoefficients, window: int = 4096, blocks: int
     each distinct block (all of them, for an unpatched operator whose period
     divides the block size) is solved once.
     """
-    if window % blocks != 0:
+    if window % EIG_BLOCKS != 0:
         raise ValueError("window must split evenly into blocks")
-    size = window // blocks
-    lo = n0 - window // 2
+    size = window // EIG_BLOCKS
+    lo = -(window // 2)
     solved = {}
     angles = []
-    for b in range(blocks):
+    for b in range(EIG_BLOCKS):
         T = build_truncation(V, (lo + b * size, lo + (b + 1) * size - 1))
         key = T.bands.tobytes()
         if key not in solved:
@@ -553,15 +550,15 @@ def eigenvalue_angles(V: VerblunskyCoefficients, window: int = 4096, blocks: int
     return np.sort(np.concatenate(angles))
 
 
-def support_arcs(angles: np.ndarray, min_cluster: int = 5, gap_factor: float = 20.0) -> CircleArcSet:
-    """Arc support of an eigenvalue-angle sample: split at circular gaps well
-    above the mean spacing 2*pi/n (robust to exact degeneracies from repeated
-    blocks), drop clusters too small to be spectral (cut artifacts)."""
+def support_arcs(angles: np.ndarray) -> CircleArcSet:
+    """Arc support of an eigenvalue-angle sample: split at circular gaps
+    above 20 times the mean spacing 2*pi/n (robust to exact degeneracies from
+    repeated blocks), drop clusters of fewer than 5 angles (cut artifacts)."""
     angles = np.sort(np.asarray(angles, dtype=float) % TWO_PI)
     if angles.size == 0:
         raise ValueError("no angles given")
     gaps = np.diff(np.concatenate([angles, [angles[0] + TWO_PI]]))
-    cut = gap_factor * TWO_PI / angles.size
+    cut = 20.0 * TWO_PI / angles.size
     split_at = np.where(gaps > cut)[0]
     if split_at.size == 0:
         return full_circle()
@@ -575,36 +572,29 @@ def support_arcs(angles: np.ndarray, min_cluster: int = 5, gap_factor: float = 2
         t = angles[idx]
         gap = (t - prev) % TWO_PI
         if gap > cut:
-            if len(cluster) >= min_cluster:
+            if len(cluster) >= 5:
                 arcs.append((cluster[0], cluster[-1]))
             cluster = [t]
         else:
             cluster.append(t)
-    if len(cluster) >= min_cluster:
+    if len(cluster) >= 5:
         arcs.append((cluster[0], cluster[-1]))
     if not arcs:
         raise ValueError("every cluster fell below the outlier threshold")
     return circle_set([(a, b if b > a else b + TWO_PI, "cc") for a, b in arcs], [])
 
 
-def angle_csv(V: VerblunskyCoefficients, thetas, n0: int, R_data: MatrixMeasureData = None,
-              out=None) -> str:
-    """Per-angle CSV: theta, Re M11, Im M11, Xi, verdict, R00, R11, rank."""
+def angle_csv(V: VerblunskyCoefficients, thetas, n0: int) -> str:
+    """Per-angle CSV: theta, Re M11, Im M11, Xi, verdict, and the columns
+    r00, r11, rank of the file format, always empty."""
     thetas = np.asarray(thetas, dtype=float)
-    bd = memo_sweep(boundary_cmv_grid, V, thetas, n0)
+    bd = _FAMILY.sweep(V, thetas, n0)
     m11, _, c11 = bd["M11"]
     vals, _, okx = sweep_phase(_FAMILY, bd)
-    rows = []
-    for k, t in enumerate(thetas):
-        r00 = r11 = rank_txt = ""
-        if R_data is not None and R_data.angles.size == thetas.size:
-            r00 = f"{R_data.R[k, 0, 0].real:.6g}"
-            r11 = f"{R_data.R[k, 1, 1].real:.6g}"
-            rank_txt = str(int(R_data.rank[k]))
-        rows.append([f"{t:.12g}",
-                     f"{m11[k].real:.12g}" if c11[k] else "",
-                     f"{m11[k].imag:.12g}" if c11[k] else "",
-                     f"{vals[k]:.12g}" if okx[k] else "",
-                     phase_verdict(_FAMILY, vals[k], okx[k]), r00, r11, rank_txt])
-    return write_csv(["theta", "re_m11", "im_m11", "xi", "verdict", "r00", "r11", "rank"],
-                     rows, out)
+    rows = ([f"{t:.12g}",
+             f"{m11[k].real:.12g}" if c11[k] else "",
+             f"{m11[k].imag:.12g}" if c11[k] else "",
+             f"{vals[k]:.12g}" if okx[k] else "",
+             phase_verdict(_FAMILY, vals[k], okx[k]), "", "", ""]
+            for k, t in enumerate(thetas))
+    return write_csv(["theta", "re_m11", "im_m11", "xi", "verdict", "r00", "r11", "rank"], rows)

@@ -323,14 +323,15 @@ def lebesgue_measure(s):
     return (m, m)
 
 
-def equivalent_supports(s, s_prime, mu, tol: float = 1e-12) -> bool:
-    """True iff both Lebesgue and mu give the symmetric difference zero mass.
+def equivalent_supports(s, s_prime, mu) -> bool:
+    """True iff both Lebesgue and mu give the symmetric difference zero mass
+    (at most 1e-12).
 
     mu is a set-measure oracle: callable on a canonical set of the same carrier.
     """
     sd = set_algebra(s, s_prime, "symmetric_difference")
     lm = lebesgue_measure(sd)[1]
-    return lm <= tol and abs(mu(sd)) <= tol
+    return lm <= 1e-12 and abs(mu(sd)) <= 1e-12
 
 
 def lebesgue_oracle(s) -> float:
@@ -562,9 +563,10 @@ class FatDensityReport:
     grid_step: float
 
 
-def fat_density_report(g: GeneratedFatSet, grid=None, eps_min: float = 1e-6) -> FatDensityReport:
-    """Density test per grid point: does (x - eps, x + eps) meet the family with
-    positive measure for eps down to eps_min?
+def fat_density_report(g: GeneratedFatSet) -> FatDensityReport:
+    """Density test per point of a 1e-3 grid over the hull of the centers: does
+    (x - eps, x + eps) meet the family with positive measure for eps down to
+    eps_min = 1e-6?
 
     "truncated": certified by the truncated union alone.  "tail": the window meets
     the open hull (0, 1) of the enumerated centers, so beyond-truncation members
@@ -573,13 +575,10 @@ def fat_density_report(g: GeneratedFatSet, grid=None, eps_min: float = 1e-6) -> 
     trunc = g.truncated_set()
     hull_lo = min(g.centers)
     hull_hi = max(g.centers)
-    if grid is None:
-        step = 1e-3
-        n = int(round((hull_hi - hull_lo) / step)) + 1
-        grid = [hull_lo + k * step for k in range(n)]
-    else:
-        grid = list(grid)
-    step = grid[1] - grid[0] if len(grid) > 1 else eps_min
+    eps_min = 1e-6
+    n = int(round((hull_hi - hull_lo) / 1e-3)) + 1
+    grid = [hull_lo + k * 1e-3 for k in range(n)]
+    step = grid[1] - grid[0] if n > 1 else eps_min
     los = [iv.lo for iv in trunc.intervals]
     his = [iv.hi for iv in trunc.intervals]
     verdicts = []

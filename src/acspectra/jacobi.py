@@ -34,8 +34,6 @@ from .boundary_analysis import (ReflectionlessReport, SweepFamily, boundary_swee
                                 write_csv)
 from .interval_sets import RealIntervalSet
 
-NONREAL_TOL = 1e-4
-
 
 @dataclass(frozen=True)
 class JacobiCoefficients:
@@ -208,14 +206,14 @@ def weyl_data(J: JacobiCoefficients, z: complex, n0: int) -> WeylData:
                     complex(d["M_plus"][0]), complex(d["M_minus"][0]), complex(d["g"][0]))
 
 
-def boundary_weyl_grid(J: JacobiCoefficients, lams, n0: int, schedule=None) -> dict:
+def boundary_weyl_grid(J: JacobiCoefficients, lams, n0: int) -> dict:
     """Richardson-extrapolated boundary values of the Weyl quantities on a
     real grid.  For each key returns (value, error, converged) arrays, plus
     'inf_<key>' blowup flags (|samples| past 1e6 with monotone growth)."""
-    return boundary_sweep(lambda zs: _weyl_grid(J, zs, n0), lams, False, schedule)
+    return boundary_sweep(lambda zs: _weyl_grid(J, zs, n0), lams, False)
 
 
-def xi_grid(J: JacobiCoefficients, lams, n0: int, schedule=None):
+def xi_grid(J: JacobiCoefficients, lams, n0: int):
     """xi(lambda, n0) over a real grid: (values, errors, ok mask).
 
     xi = Arg(g(lambda+i0, n0))/pi clipped to [0, 1].  Small negative Im g
@@ -223,12 +221,12 @@ def xi_grid(J: JacobiCoefficients, lams, n0: int, schedule=None):
     extrapolation failed or whose Im g is negative beyond tolerance get
     ok = False and xi = nan.
     """
-    return sweep_phase(_FAMILY, memo_sweep(boundary_weyl_grid, J, lams, n0, schedule))
+    return sweep_phase(_FAMILY, _FAMILY.sweep(J, lams, n0))
 
 
-def xi(J: JacobiCoefficients, lam: float, n0: int, schedule=None) -> float:
+def xi(J: JacobiCoefficients, lam: float, n0: int) -> float:
     """Boundary phase of the diagonal Green's function, in [0, 1]."""
-    vals, err, ok = xi_grid(J, np.array([float(lam)]), n0, schedule)
+    vals, err, ok = xi_grid(J, np.array([float(lam)]), n0)
     if not bool(ok[0]):
         raise NonConvergent(f"xi extrapolation failed at lambda={lam}, n0={n0}")
     return float(vals[0])
@@ -250,39 +248,36 @@ def _witness(bd: dict, passing) -> float:
 _FAMILY = SweepFamily(
     sweep=lambda J, lams, n0: memo_sweep(boundary_weyl_grid, J, lams, n0),
     phase=lambda J, lams, n0: xi_grid(J, lams, n0),
-    grid=default_grid, circle=False, pair=("M_plus", "M_minus"), phase_key="g",
-    witness=_witness)
+    grid=default_grid, sites=lambda J: (0, 1), circle=False, pair=("M_plus", "M_minus"),
+    phase_key="g", witness=_witness)
 
 
-def ac_spectrum(J: JacobiCoefficients, grid=None, n0: int = 0, check_site=None,
-                xi_tol: float = 1e-3) -> RealIntervalSet:
-    """Essential closure of the grid hull of {0 < xi < 1}, one grid step of
-    margin on each side.  Recomputed at a second reference site; a
-    disagreement beyond two grid steps raises SiteDisagreement, since the
-    phase set must not depend on the site."""
-    check_site = n0 + 1 if check_site is None else check_site
-    return sweep_ac_spectrum(_FAMILY, J, grid, n0, check_site, xi_tol)
+def ac_spectrum(J: JacobiCoefficients, grid=None, xi_tol: float = 1e-3) -> RealIntervalSet:
+    """Essential closure of the grid hull of {0 < xi < 1} at site 0, one grid
+    step of margin on each side.  Recomputed at site 1; a disagreement beyond
+    two grid steps raises SiteDisagreement, since the phase set must not
+    depend on the site."""
+    return sweep_ac_spectrum(_FAMILY, J, grid, xi_tol)
 
 
 def reflectionless_on(J: JacobiCoefficients, E: RealIntervalSet, grid=None,
-                      sites=(0, 1), tol: float = 1e-4) -> ReflectionlessReport:
+                      tol: float = 1e-4) -> ReflectionlessReport:
     """Reflectionless test on E: boundary matching M_+ = conj(M_-) plus the
-    phase criterion xi = 1/2, evaluated on grid points interior to E at two
-    or more reference sites.  Verdict true when the matching condition holds
+    phase criterion xi = 1/2, evaluated on grid points interior to E at the
+    reference sites 0 and 1.  Verdict true when the matching condition holds
     (residual < tol) on more than 99% of tested points at every site; the
     witness identity -1/g = 2i Im M_+ = -2i Im M_- is recorded where true."""
-    return sweep_reflectionless(_FAMILY, J, E, grid, sites, tol)
+    return sweep_reflectionless(_FAMILY, J, E, grid, tol)
 
 
-def multiplicity_sets(J: JacobiCoefficients, grid=None, n0: int = 0,
-                      nonreal_tol: float = NONREAL_TOL):
-    """Grid hulls of the uniform-multiplicity sets from boundary (M_+, M_-).
+def multiplicity_sets(J: JacobiCoefficients, grid=None):
+    """Grid hulls of the uniform-multiplicity sets from boundary (M_+, M_-) at site 0.
 
     Multiplicity two: both boundary values nonreal (|Im| > tol).  Multiplicity
     one: equal real values, both infinite, or exactly one nonreal.  Returns
     (M2, M1) as interval sets; isolated eigenvalue hits appear as points.
     """
-    return sweep_multiplicity_sets(_FAMILY, J, grid, n0, nonreal_tol)
+    return sweep_multiplicity_sets(_FAMILY, J, grid)
 
 
 @dataclass(frozen=True)
@@ -308,20 +303,11 @@ class TridiagonalMatrix:
         return T
 
 
-def truncated_matrix(J: JacobiCoefficients, N: int, boundary: str = "window",
-                     n0: int = 0) -> TridiagonalMatrix:
-    """Dirichlet truncation onto N sites: 'half_line_plus' starts at n0,
-    'half_line_minus' ends at n0, 'window' is centered on n0."""
+def truncated_matrix(J: JacobiCoefficients, N: int) -> TridiagonalMatrix:
+    """Dirichlet truncation onto the N sites of the window centered on site 0."""
     if N < 4:
         raise ValueError("truncation needs at least 4 sites")
-    if boundary in ("half_line_plus", "half_line"):
-        first = n0
-    elif boundary == "half_line_minus":
-        first = n0 - N + 1
-    elif boundary in ("window", "whole_line_window"):
-        first = n0 - N // 2
-    else:
-        raise ValueError(f"unknown boundary {boundary!r}")
+    first = -(N // 2)
     sites = range(first, first + N)
     diag = np.array([J.b(n) for n in sites])
     off = np.array([J.a(n) for n in list(sites)[:-1]])
@@ -342,17 +328,16 @@ def resolvent_entry(T: TridiagonalMatrix, z: complex, row: int, col: int) -> com
     return complex(x[T.index_of(row)])
 
 
-def green_inverse_identity_residual(J: JacobiCoefficients, zs, n0: int = 0,
-                                    sites: int = 801) -> float:
-    """Max residual of |g(z)*(M_-(z) - M_+(z)) - 1| with g taken from a
-    Dirichlet-truncation resolvent, so the inverse identity is tested against
-    a route independent of the Floquet M-functions.  The truncation error is
-    exponentially small for z away from the real axis."""
-    T = truncated_matrix(J, sites, "window", n0)
+def green_inverse_identity_residual(J: JacobiCoefficients, zs) -> float:
+    """Max residual of |g(z)*(M_-(z) - M_+(z)) - 1| at site 0 with g taken
+    from an 801-site Dirichlet-truncation resolvent, so the inverse identity is
+    tested against a route independent of the Floquet M-functions.  The
+    truncation error is exponentially small for z away from the real axis."""
+    T = truncated_matrix(J, 801)
     worst = 0.0
     for z in np.atleast_1d(np.asarray(zs, dtype=complex)):
-        g_oracle = resolvent_entry(T, complex(z), n0, n0)
-        d = _weyl_grid(J, np.array([complex(z)]), n0)
+        g_oracle = resolvent_entry(T, complex(z), 0, 0)
+        d = _weyl_grid(J, np.array([complex(z)]), 0)
         res = abs(g_oracle * (complex(d["M_minus"][0]) - complex(d["M_plus"][0])) - 1.0)
         worst = max(worst, res)
     return worst
@@ -368,10 +353,10 @@ def discriminant(J: JacobiCoefficients, lams):
     return tr.real if np.all(np.abs(tr.imag) < 1e-9) else tr
 
 
-def xi_csv(J: JacobiCoefficients, lams, n0: int, out=None) -> str:
+def xi_csv(J: JacobiCoefficients, lams, n0: int) -> str:
     """Per-point CSV: lambda, xi, error_estimate, verdict."""
     lams = np.asarray(lams, dtype=float)
     vals, errs, ok = xi_grid(J, lams, n0)
     rows = ([f"{lam:.12g}", f"{v:.12g}" if o else "", f"{e:.6g}", phase_verdict(_FAMILY, v, o)]
             for lam, v, e, o in zip(lams, vals, errs, ok))
-    return write_csv(["lambda", "xi", "error_estimate", "verdict"], rows, out)
+    return write_csv(["lambda", "xi", "error_estimate", "verdict"], rows)

@@ -37,7 +37,6 @@ from .boundary_analysis import (ReflectionlessReport, SweepFamily, boundary_swee
 from .interval_sets import RealIntervalSet
 
 LAMBDA_TOP = 25.0
-NONREAL_TOL = 1e-4
 
 
 @dataclass(frozen=True)
@@ -285,8 +284,7 @@ def discriminant(V: PiecewisePotential, lams) -> np.ndarray:
 # ---------------------------------------------------------------------------
 # Boundary values and the xi phase
 
-def boundary_schrodinger_grid(V: PiecewisePotential, lams, x0: float,
-                              schedule=None) -> dict:
+def boundary_schrodinger_grid(V: PiecewisePotential, lams, x0: float) -> dict:
     """Richardson extrapolation of m_+, m_-, g at lam + i*eps along the pinned
     geometric schedule; returns (value, error, converged) per key plus
     'inf_'/'div_' blowup flags."""
@@ -294,10 +292,10 @@ def boundary_schrodinger_grid(V: PiecewisePotential, lams, x0: float,
         mp = _m_grid(V, zs, float(x0), "+")
         mm = _m_grid(V, zs, float(x0), "-")
         return {"m_plus": mp, "m_minus": mm, "g": 1.0 / (mm - mp)}
-    return boundary_sweep(kernel, lams, False, schedule)
+    return boundary_sweep(kernel, lams, False)
 
 
-def xi_grid(V: PiecewisePotential, lams, x0: float = 0.0, schedule=None):
+def xi_grid(V: PiecewisePotential, lams, x0: float = 0.0):
     """xi(lam) = Arg g(lam + i0)/pi over a grid: (values, errors, ok mask).
 
     Im g slightly below 0 within the extrapolation error is clamped to the
@@ -305,12 +303,12 @@ def xi_grid(V: PiecewisePotential, lams, x0: float = 0.0, schedule=None):
     closing band edges (lambda = (k pi/L)^2 for the free cell) stall on a
     noise plateau that the phase tolerance accepts.
     """
-    return sweep_phase(_FAMILY, memo_sweep(boundary_schrodinger_grid, V, lams, x0, schedule))
+    return sweep_phase(_FAMILY, _FAMILY.sweep(V, lams, x0))
 
 
-def xi(V: PiecewisePotential, lam: float, x0: float = 0.0, schedule=None) -> float:
+def xi(V: PiecewisePotential, lam: float, x0: float = 0.0) -> float:
     """Boundary phase of the diagonal Green's function, in [0, 1]."""
-    vals, _, ok = xi_grid(V, np.array([float(lam)]), x0, schedule)
+    vals, _, ok = xi_grid(V, np.array([float(lam)]), x0)
     if not bool(ok[0]):
         raise NonConvergent(f"xi extrapolation failed at lam={lam}, x0={x0}")
     return float(vals[0])
@@ -331,41 +329,37 @@ def _witness(bd: dict, passing) -> float:
 _FAMILY = SweepFamily(
     sweep=lambda V, lams, x0: memo_sweep(boundary_schrodinger_grid, V, lams, x0),
     phase=lambda V, lams, x0: xi_grid(V, lams, x0),
-    grid=default_grid, circle=False, pair=("m_plus", "m_minus"), phase_key="g",
-    witness=_witness, site_word="points")
+    grid=default_grid, sites=lambda V: (0.0, 0.5 * V.period), circle=False,
+    pair=("m_plus", "m_minus"), phase_key="g", witness=_witness, site_word="points")
 
 
-def ac_spectrum(V: PiecewisePotential, grid=None, x0: float = 0.0, check_site=None,
-                xi_tol: float = 1e-3) -> RealIntervalSet:
-    """Essential closure of the grid hull of {0 < xi < 1}, one grid step of
-    margin; recomputed at a second reference point, disagreement raises."""
-    check_site = x0 + 0.5 * V.period if check_site is None else check_site
-    return sweep_ac_spectrum(_FAMILY, V, grid, x0, check_site, xi_tol)
+def ac_spectrum(V: PiecewisePotential, grid=None, xi_tol: float = 1e-3) -> RealIntervalSet:
+    """Essential closure of the grid hull of {0 < xi < 1} at x = 0, one grid
+    step of margin; recomputed at x = L/2, disagreement raises."""
+    return sweep_ac_spectrum(_FAMILY, V, grid, xi_tol)
 
 
 def reflectionless_on(V: PiecewisePotential, E: RealIntervalSet, grid=None,
-                      points=None, tol: float = 1e-4) -> ReflectionlessReport:
+                      tol: float = 1e-4) -> ReflectionlessReport:
     """Reflectionless test on a real set E: boundary matching
-    m_+(lam+i0) = conj(m_-(lam+i0)) at two or more reference points, with the
+    m_+(lam+i0) = conj(m_-(lam+i0)) at the reference points 0 and L/2, with the
     witness that both half-line m's have finite nonreal limits of the correct
     sign (0 < Im m_+ and Im m_- < 0) on the passing set; witness_residual
     counts the passing points with a wrong-sign imaginary part."""
-    points = (0.0, 0.5 * V.period) if points is None else points
-    return sweep_reflectionless(_FAMILY, V, E, grid, points, tol)
+    return sweep_reflectionless(_FAMILY, V, E, grid, tol)
 
 
-def multiplicity_sets(V: PiecewisePotential, grid=None, x0: float = 0.0,
-                      nonreal_tol: float = NONREAL_TOL):
-    """Interval hulls of the uniform-multiplicity sets from boundary (m_+, m_-):
+def multiplicity_sets(V: PiecewisePotential, grid=None):
+    """Interval hulls of the uniform-multiplicity sets from boundary (m_+, m_-) at x = 0:
     multiplicity two where both are nonreal, multiplicity one on the union of
     the equal-real, both-infinite, and exactly-one-nonreal cases."""
-    return sweep_multiplicity_sets(_FAMILY, V, grid, x0, nonreal_tol)
+    return sweep_multiplicity_sets(_FAMILY, V, grid)
 
 
-def xi_csv(V: PiecewisePotential, lams, x0: float = 0.0, out=None) -> str:
+def xi_csv(V: PiecewisePotential, lams, x0: float = 0.0) -> str:
     """Per-point CSV: lambda, xi, Re g, Im g, verdict."""
     lams = np.asarray(lams, dtype=float)
-    bd = memo_sweep(boundary_schrodinger_grid, V, lams, x0)
+    bd = _FAMILY.sweep(V, lams, x0)
     g, _, conv = bd["g"]
     vals, _, ok = sweep_phase(_FAMILY, bd)
     rows = ([f"{lam:.12g}",
@@ -373,4 +367,4 @@ def xi_csv(V: PiecewisePotential, lams, x0: float = 0.0, out=None) -> str:
              f"{g[k].real:.12g}" if conv[k] else "",
              f"{g[k].imag:.12g}" if conv[k] else "",
              phase_verdict(_FAMILY, vals[k], ok[k])] for k, lam in enumerate(lams))
-    return write_csv(["lambda", "xi", "re_g", "im_g", "verdict"], rows, out)
+    return write_csv(["lambda", "xi", "re_g", "im_g", "verdict"], rows)

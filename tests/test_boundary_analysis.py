@@ -16,7 +16,7 @@ from hypothesis import strategies as st
 from acspectra.boundary_analysis import (BoundaryFunction, boundary_value,
                                          classification_csv, classify_point,
                                          essential_support_ac,
-                                         geometric_schedule,
+                                         SCHEDULE,
                                          herglotz_representation,
                                          reflect, relaxed_ok,
                                          richardson_sequence, scaled_limit,
@@ -41,7 +41,7 @@ DISK_POLE = caratheodory(lambda z: (1.0 + z) / (1.0 - z))  # unit mass at 0
 
 class TestRichardson:
     def test_linear_error_collapses(self):
-        eps = np.asarray(geometric_schedule())
+        eps = np.asarray(SCHEDULE)
         vals = 3.0 + 2.0 * eps + 0.5 * eps ** 2
         value, err, conv = richardson_sequence(vals)
         assert conv and abs(value - 3.0) < 1e-9 and err < 1e-8
@@ -60,7 +60,7 @@ class TestRichardson:
 
 class TestSchedule:
     def test_geometric_schedule(self):
-        s = geometric_schedule()
+        s = SCHEDULE
         assert len(s) == 13
         assert s[0] == pytest.approx(0.1)
         assert s[1] / s[0] == pytest.approx(0.5)

@@ -168,6 +168,15 @@ class TestRunConfig:
         cfg = json.loads(open(path, encoding="utf-8").read())
         assert len(cfg["operators"]) == 3
 
+    def test_bundled_periodic_suite_passes(self, tmp_path):
+        """Period-2 Jacobi, alpha = 1/2 CMV at 1024 angles and the square
+        well, each checked against its own computed ac spectrum, all PASS."""
+        out = tmp_path / "periodic"
+        assert run_config(bundled_config_path("periodic_suite.json"), str(out)) == 0
+        reports = [json.loads(p.read_text(encoding="utf-8"))
+                   for p in sorted(out.glob("*_report.json"))]
+        assert [r["theorem_inclusion"]["status"] for r in reports] == ["PASS"] * 3
+
 
 BAD_ENTRIES = {
     "negative_a": {"descriptor": {**FREE_JACOBI, "a": [-1.0]}},

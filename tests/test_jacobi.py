@@ -78,7 +78,7 @@ class TestWeylData:
                 arcsine_stieltjes(z), abs=1e-9)
 
     def test_green_matches_truncation_resolvent(self, period2_jacobi):
-        T = truncated_matrix(period2_jacobi, 3000, "window", 0)
+        T = truncated_matrix(period2_jacobi, 3000)
         for z in (2j, 0.5 + 1j):
             oracle = resolvent_entry(T, z, 0, 0)
             assert green_diag(period2_jacobi, z, 0) == pytest.approx(oracle, abs=1e-6)
@@ -208,7 +208,7 @@ class TestMultiplicity:
 
     def test_bound_state_appears_in_M1(self):
         patched = JacobiCoefficients(1, (1.0,), (0.0,), patch=((0, 1.0, 10.0),))
-        T = truncated_matrix(patched, 801, "window", 0)
+        T = truncated_matrix(patched, 801)
         diag = np.array([patched.b(n) for n in range(-400, 401)])
         off = np.array([patched.a(n) for n in range(-400, 400)])
         evs = eigh_tridiagonal(diag, off, eigvals_only=True)
