@@ -579,9 +579,9 @@ def sweep_reflectionless(fam: SweepFamily, op, E, grid, tol: float) -> Reflectio
 
 def sweep_multiplicity_sets(fam: SweepFamily, op, grid):
     """Grid hulls (M2, M1) of the uniform-multiplicity sets from the
-    boundary pair at the first reference site; with tol = OFF_AXIS_TOL, a
-    value is off the axis when nonreal on the line (|Im v| > tol), off the
-    imaginary axis on the circle (|Re v| > tol (1 + |v|))."""
+    boundary pair at the first reference site.  A value is off the axis when
+    its part across it (Im v on the line, Re v on the circle) exceeds
+    tol (1 + |v|) plus its extrapolation error, tol = OFF_AXIS_TOL."""
     grid = fam.grid(op) if grid is None else np.asarray(grid, dtype=float)
     step = float(grid[1] - grid[0])
     bd = fam.sweep(op, grid, fam.sites(op)[0])
@@ -591,8 +591,7 @@ def sweep_multiplicity_sets(fam: SweepFamily, op, grid):
         v, e, c = bd[key]
         inf = bd["inf_" + key] | bd["div_" + key]
         fin = relaxed_ok(v, e, c) & ~inf & np.isfinite(v)
-        off = fin & (np.abs(v.real) > tol * (1.0 + np.abs(v)) if fam.circle
-                     else np.abs(v.imag) > tol)
+        off = fin & (np.abs(v.real if fam.circle else v.imag) > tol * (1.0 + np.abs(v)) + e)
         return v, inf, off, fin & ~off
 
     (Mp, infp, off_p, on_p), (Mm, infm, off_m, on_m) = (side(key) for key in fam.pair)

@@ -348,7 +348,7 @@ def m11_boundary_identity_residual(V: VerblunskyCoefficients, thetas, n0: int) -
 def multiplicity_sets(V: VerblunskyCoefficients, grid=None):
     """Angle hulls of the uniform-multiplicity sets from boundary (M_+, M_-) at site 0.
 
-    The purely-imaginary test is |Re v| <= tol*(1+|v|); multiplicity two needs
+    The purely-imaginary test is |Re v| <= tol*(1+|v|) + error; multiplicity two needs
     both boundary values off the imaginary axis, multiplicity one collects the
     equal-imaginary, both-infinite, and exactly-one-off-axis cases.
     """

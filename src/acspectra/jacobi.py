@@ -273,7 +273,7 @@ def reflectionless_on(J: JacobiCoefficients, E: RealIntervalSet, grid=None,
 def multiplicity_sets(J: JacobiCoefficients, grid=None):
     """Grid hulls of the uniform-multiplicity sets from boundary (M_+, M_-) at site 0.
 
-    Multiplicity two: both boundary values nonreal (|Im| > tol).  Multiplicity
+    Multiplicity two: both nonreal (|Im v| > tol (1 + |v|) + error).  Multiplicity
     one: equal real values, both infinite, or exactly one nonreal.  Returns
     (M2, M1) as interval sets; isolated eigenvalue hits appear as points.
     """

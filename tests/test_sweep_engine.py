@@ -134,6 +134,36 @@ def test_random_schrodinger_ac_spectrum_is_the_bands(period):
         _assert_matches(schrodinger.ac_spectrum(V, grid), bands, grid[1] - grid[0])
 
 
+def _unpatched(kind, period, count):
+    """Unpatched operators of one period, seeded and built as in the two
+    ac spectrum tests above (their operators come first)."""
+    rng = np.random.default_rng((100 if kind == "jacobi" else 200) + period)
+    ops = []
+    for _ in range(count):
+        if kind == "jacobi":
+            ops.append(jacobi.JacobiCoefficients(period, tuple(rng.uniform(0.5, 1.5, period)),
+                                                 tuple(rng.uniform(-1.0, 1.0, period))))
+        else:
+            weights = rng.integers(1, 5, period)
+            ops.append(schrodinger.PiecewisePotential(
+                1.0, tuple(zip(weights / weights.sum(), rng.uniform(0.0, 6.0, period)))))
+    return ops
+
+
+@pytest.mark.parametrize("kind", ["jacobi", "schrodinger"])
+def test_unpatched_periodic_m1_has_no_intervals(kind):
+    """An unpatched periodic operator has multiplicity two on its bands and
+    no spectrum in its gaps, so on the default grid M1 holds no interval
+    (isolated points, of measure zero, may remain).  Near a pole of M_+ or
+    M_- in a gap the Richardson residue across the axis grows with |v| and
+    with the extrapolation error; an absolute test read it as a piece."""
+    mod = jacobi if kind == "jacobi" else schrodinger
+    for period in (1, 2, 3, 4):
+        for op in _unpatched(kind, period, 3):
+            _, M1 = mod.multiplicity_sets(op)
+            assert M1.intervals == (), (op, M1)
+
+
 def test_random_period1_cmv_ac_spectrum_is_the_arc():
     """Constant alpha: the spectrum is the arc {|sin(theta/2)| >= |alpha|}."""
     rng = np.random.default_rng(300)
