@@ -21,7 +21,8 @@ disagreement is reported, never assumed away.
 The grid sweeps at the end serve the Jacobi, CMV and Schrodinger modules:
 one Richardson sweep, phase, ac hull, reflectionless test, multiplicity
 classifier and CSV writer, with each family's conventions passed as data,
-plus the Floquet eigenvector chooser of the Jacobi and Schrodinger kernels.
+plus the Floquet eigenvector chooser and 2x2 helpers of the Jacobi and
+Schrodinger kernels.
 """
 
 from __future__ import annotations
@@ -374,6 +375,22 @@ def floquet_eigvec(M, det, decaying: bool):
     return np.where(use1, v1, v2)
 
 
+def stack_2x2(m00, m01, m10, m11, shape):
+    """The shape + (2, 2) matrix stack with the four entries given as arrays
+    or scalars; the kernels multiply 2x2 transfers out entrywise and stack
+    only what takes or returns a stack."""
+    M = np.empty(tuple(shape) + (2, 2), dtype=complex)
+    M[..., 0, 0], M[..., 0, 1], M[..., 1, 0], M[..., 1, 1] = m00, m01, m10, m11
+    return M
+
+
+def normalize_pair(x, y):
+    """(x, y) divided by max(|x|, |y|) pointwise (by 1 where both vanish)."""
+    s = np.maximum(np.abs(x), np.abs(y))
+    s = np.where(s == 0.0, 1.0, s)
+    return x / s, y / s
+
+
 @dataclass(frozen=True)
 class ReflectionlessReport:
     verdict: bool
@@ -461,6 +478,12 @@ def memo_sweep(sweep, op, grid, site) -> dict:
                 arr.flags.writeable = False
         _memo[key] = bd
     return _memo[key]
+
+
+def sweep_at(bd: dict, idx) -> dict:
+    """The boundary sweep bd read at the grid points idx (mask or indices)."""
+    return {k: tuple(a[idx] for a in v) if isinstance(v, tuple) else v[idx]
+            for k, v in bd.items()}
 
 
 def _sample_stack(kernel, grid, circle: bool, schedule) -> dict:
@@ -551,8 +574,7 @@ def sweep_reflectionless(fam: SweepFamily, op, E, grid, tol: float) -> Reflectio
     for site in sites:
         # the whole grid's sweep (the ac spectrum's, in a report scope) read
         # on E; the kernels work point by point, so the bits are the same
-        bd = {k: tuple(a[inside] for a in v) if isinstance(v, tuple) else v[inside]
-              for k, v in fam.sweep(op, grid, site).items()}
+        bd = sweep_at(fam.sweep(op, grid, site), inside)
         Mp, ep, cp = bd[fam.pair[0]]
         Mm, em, cm = bd[fam.pair[1]]
         okm = (relaxed_ok(Mp, ep, cp) & relaxed_ok(Mm, em, cm)

@@ -104,27 +104,16 @@ class CMVWeylData:
 # ---------------------------------------------------------------------------
 # Schur-algorithm evaluation of the half-lattice m-functions
 
-def _moebius_mats(gammas, zs):
-    """Stack of Schur step matrices [[z, g], [conj(g) z, 1]], shape (len, K, 2, 2)."""
-    K = zs.shape[0]
-    out = np.zeros((len(gammas), K, 2, 2), dtype=complex)
-    for j, g in enumerate(gammas):
-        out[j, :, 0, 0] = zs
-        out[j, :, 0, 1] = g
-        out[j, :, 1, 0] = np.conj(g) * zs
-        out[j, :, 1, 1] = 1.0
-    return out
+def _fixed_point(a00, a01, a10, a11):
+    """Contracting (|w| < 1) fixed point of the Moebius map of the matrix
+    [[a00, a01], [a10, a11]], vectorized over the entries.
 
-
-def _fixed_point(A):
-    """Contracting (|w| < 1) fixed point of the Moebius map of A, vectorized.
-
-    w solves A10 w^2 + (A11 - A00) w - A01 = 0; for |z| < 1 the map sends the
+    w solves a10 w^2 + (a11 - a00) w - a01 = 0; for |z| < 1 the map sends the
     closed disk strictly inside itself, so exactly one root is contracting.
     """
-    a = A[..., 1, 0]
-    b = A[..., 1, 1] - A[..., 0, 0]
-    c = -A[..., 0, 1]
+    a = a10
+    b = a11 - a00
+    c = -a01
     disc = np.sqrt(b * b - 4.0 * a * c)
     q = -(b + np.where(np.abs(b + disc) >= np.abs(b - disc), disc, -disc)) / 2.0
     lin = np.abs(a) < 1e-300
@@ -140,13 +129,16 @@ def _fixed_point(A):
 
 def _schur_to_caratheodory(head, period_gammas, zs):
     """Caratheodory value (1 + z f)/(1 - z f) for the Schur function with
-    parameter sequence head + periodic tail, vectorized over zs."""
+    parameter sequence head + periodic tail, vectorized over zs.  The
+    one-period product of the Schur step matrices [[z, g], [conj(g) z, 1]]
+    is multiplied out entrywise."""
     zs = np.asarray(zs, dtype=complex)
-    mats = _moebius_mats(period_gammas, zs)
-    A = mats[0]
-    for j in range(1, len(period_gammas)):
-        A = A @ mats[j]
-    f = _fixed_point(A)
+    g = period_gammas[0]
+    a00, a01, a10, a11 = zs, g, np.conj(g) * zs, 1.0
+    for g in period_gammas[1:]:
+        gz = np.conj(g) * zs
+        a00, a01, a10, a11 = a00 * zs + a01 * gz, a00 * g + a01, a10 * zs + a11 * gz, a10 * g + a11
+    f = _fixed_point(a00, a01, a10, a11)
     for g in reversed(head):
         f = (g + zs * f) / (1.0 + np.conj(g) * zs * f)
     return (1.0 + zs * f) / (1.0 - zs * f)
@@ -332,8 +324,13 @@ def reflectionless_on(V: VerblunskyCoefficients, E: CircleArcSet, grid=None,
 
 def m11_boundary_identity_residual(V: VerblunskyCoefficients, thetas, n0: int) -> float:
     """Max residual of the boundary identity expressing Re M11 through the
-    one-sided data: Re M11 = [Re M_+ (1+|M_-|^2) - Re M_- (1+|M_+|^2)] / |M_+ - M_-|^2."""
-    bd = boundary_cmv_grid(V, np.asarray(thetas, dtype=float), n0)
+    one-sided data on an angle grid (see m11_identity_residual)."""
+    return m11_identity_residual(boundary_cmv_grid(V, np.asarray(thetas, dtype=float), n0))
+
+
+def m11_identity_residual(bd: dict) -> float:
+    """Max residual over a boundary_cmv_grid sweep of the identity
+    Re M11 = [Re M_+ (1+|M_-|^2) - Re M_- (1+|M_+|^2)] / |M_+ - M_-|^2."""
     Mp, ep, cp = bd["M_plus"]
     Mm, em, cm = bd["M_minus"]
     m11, e11, c11 = bd["M11"]
@@ -419,32 +416,33 @@ def build_truncation(V: VerblunskyCoefficients, window) -> CMVTruncation:
     if N < 6 or N % 2 != 0:
         raise ValueError("window must span an even number of sites, at least 6")
 
-    def a(n):
-        if n == n_lo or n == n_hi + 1:
-            return 1.0 + 0.0j   # cut: decouples the window exactly
-        return V.alpha(n)
+    # a(n) and r(n) on sites n_lo - 1 .. n_hi + 2, as indices into the
+    # distinct values: the base, the patch, and the cut alpha = 1 that
+    # decouples the window exactly; r is taken per distinct value
+    sites = np.arange(n_lo - 1, n_hi + 3)
+    values = list(V.alpha_base) + [a for _, a in V.patch] + [1.0 + 0.0j]
+    which = sites % V.period
+    for k, (m, _) in enumerate(V.patch):
+        which[sites == m] = V.period + k
+    which[(sites == n_lo) | (sites == n_hi + 1)] = len(values) - 1
+    a = np.array(values)[which]
+    r = np.array([math.sqrt(max(0.0, 1.0 - abs(v) ** 2)) for v in values])[which]
+    am1, a0, ap1, ap2 = a[:N], a[1:N + 1], a[2:N + 2], a[3:]
+    rm1, r0, rp1, rp2 = r[:N], r[1:N + 1], r[2:N + 2], r[3:]
+    even = (sites[1:N + 1] % 2 == 0)
 
-    def r(n):
-        return math.sqrt(max(0.0, 1.0 - abs(a(n)) ** 2))
-
+    # U[i, j] with i = n - n_lo sits at bands[2 + i - j, j]: row values shift
+    # to their columns, and entries outside the window drop
     bands = np.zeros((5, N), dtype=complex)
-
-    def put(n, m, v):
-        if n_lo <= m <= n_hi:
-            i, j = n - n_lo, m - n_lo
-            bands[2 + i - j, j] = v
-
-    for n in range(n_lo, n_hi + 1):
-        if n % 2 == 0:
-            put(n, n - 2, r(n - 1) * r(n))
-            put(n, n - 1, np.conj(a(n - 1)) * r(n))
-            put(n, n, -np.conj(a(n)) * a(n + 1))
-            put(n, n + 1, np.conj(a(n)) * r(n + 1))
-        else:
-            put(n, n - 1, -a(n + 1) * r(n))
-            put(n, n, -np.conj(a(n)) * a(n + 1))
-            put(n, n + 1, -a(n + 2) * r(n + 1))
-            put(n, n + 2, r(n + 1) * r(n + 2))
+    bands[4, :-2] = np.where(even, rm1 * r0, 0.0)[2:]
+    bands[3, :-1] = np.where(even, np.conj(am1) * r0, -ap1 * r0)[1:]
+    # -conj(a(n)) a(n+1) in real arithmetic: numpy's vectorized complex
+    # product may fuse multiply-adds, its scalar product (the loop's) does not
+    x = -np.conj(a0)
+    bands[2].real = x.real * ap1.real - x.imag * ap1.imag
+    bands[2].imag = x.real * ap1.imag + x.imag * ap1.real
+    bands[1, 1:] = np.where(even, np.conj(a0) * rp1, -ap2 * rp1)[:-1]
+    bands[0, 2:] = np.where(even, 0.0, rp1 * rp2)[:-2]
     return CMVTruncation(n_lo, bands)
 
 

@@ -26,8 +26,8 @@ timestamps; reports embed the effective tolerances for auditability.
 
 One report computes each boundary sweep once: verify_inclusion and each
 operator of run_config open a sweep scope (boundary_analysis.sweep_scope)
-that the ac spectrum, the reflectionless test, the multiplicity sets and
-the CSV all read from.
+that the ac spectrum, the reflectionless test, the multiplicity sets, the
+CMV boundary identity residual and the CSV all read from.
 
 Exit codes for `spec run`: 0 all reports PASS, 1 failures or IO errors,
 2 malformed config JSON, seed, descriptor, grid, tolerances or target set E
@@ -50,7 +50,7 @@ import numpy as np
 from . import jacobi as _jacobi
 from . import cmv as _cmv
 from . import schrodinger as _schrodinger
-from .boundary_analysis import sweep_scope
+from .boundary_analysis import memo_sweep, sweep_at, sweep_scope
 from .errors import SiteDisagreement
 from .interval_sets import (CircleArcSet, GeneratedFatSet, RealIntervalSet, canonicalize,
                             contains_mask, essential_closure, fat_density_report,
@@ -226,12 +226,14 @@ def _identity_residuals(kind: str, op, grid, E, refl_verdict: bool, rng,
                     for z in zs)
         entry("m11_formula_vs_oracle", worst, draws)
         if refl_verdict:
-            inside = contains_mask(E, grid)
-            angs = grid[inside]
-            if angs.size:
-                angs = angs[:: max(1, angs.size // 64)]
-                entry("m11_boundary_real_part",
-                      _cmv.m11_boundary_identity_residual(op, angs, 0), angs.size)
+            idx = np.flatnonzero(contains_mask(E, grid))
+            if idx.size:
+                idx = idx[:: max(1, idx.size // 64)]
+                # the report's site-0 sweep, read at the sampled angles of E;
+                # the kernel works point by point, so a sweep of those angles
+                # alone has the same bits
+                bd = sweep_at(memo_sweep(_cmv.boundary_cmv_grid, op, grid, 0), idx)
+                entry("m11_boundary_real_part", _cmv.m11_identity_residual(bd), idx.size)
     return out
 
 

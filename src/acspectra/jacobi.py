@@ -28,10 +28,10 @@ import numpy as np
 
 from .errors import NonConvergent
 from .boundary_analysis import (ReflectionlessReport, SweepFamily, boundary_sweep,
-                                floquet_eigvec, memo_sweep, phase_verdict, plus_side,
-                                relaxed_ok, require_off_axis, sweep_ac_spectrum,
-                                sweep_multiplicity_sets, sweep_phase, sweep_reflectionless,
-                                write_csv)
+                                floquet_eigvec, memo_sweep, normalize_pair, phase_verdict,
+                                plus_side, relaxed_ok, require_off_axis, stack_2x2,
+                                sweep_ac_spectrum, sweep_multiplicity_sets, sweep_phase,
+                                sweep_reflectionless, write_csv)
 from .interval_sets import RealIntervalSet
 
 
@@ -113,29 +113,24 @@ class WeylData:
     g: complex
 
 
-def transfer_matrix(J: JacobiCoefficients, z, n: int):
-    """T(n) mapping [psi(n), psi(n-1)] to [psi(n+1), psi(n)]; det = a(n-1)/a(n)."""
-    zs = np.asarray(z, dtype=complex)
-    T = np.zeros(zs.shape + (2, 2), dtype=complex)
-    T[..., 0, 0] = (zs - J.b(n)) / J.a(n)
-    T[..., 0, 1] = -J.a(n - 1) / J.a(n)
-    T[..., 1, 0] = 1.0
-    return T
+def _monodromy_entries(J: JacobiCoefficients, zs, n_start: int):
+    """Entries (m00, m01, m10, m11) of monodromy(J, zs, n_start), multiplied
+    out entrywise: T(n) = [[(z - b(n))/a(n), -a(n-1)/a(n)], [1, 0]] maps
+    [psi(n), psi(n-1)] to [psi(n+1), psi(n)], and T(n) M has M's top row as
+    its bottom row."""
+    m00, m01 = (zs - J.b(n_start)) / J.a(n_start), -J.a(n_start - 1) / J.a(n_start)
+    m10, m11 = 1.0, 0.0
+    for n in range(n_start + 1, n_start + J.period):
+        t, s = (zs - J.b(n)) / J.a(n), -J.a(n - 1) / J.a(n)
+        m00, m01, m10, m11 = t * m00 + s * m10, t * m01 + s * m11, m00, m01
+    return m00, m01, m10, m11
 
 
 def monodromy(J: JacobiCoefficients, z, n_start: int):
-    """One-period transfer product T(n_start+p-1) ... T(n_start)."""
+    """One-period transfer product T(n_start+p-1) ... T(n_start), shape
+    z.shape + (2, 2); det = a(n_start-1)/a(n_start+p-1)."""
     zs = np.asarray(z, dtype=complex)
-    M = np.broadcast_to(np.eye(2, dtype=complex), zs.shape + (2, 2)).copy()
-    for j in range(J.period):
-        M = transfer_matrix(J, zs, n_start + j) @ M
-    return M
-
-
-def _normalize_pair(x, y):
-    s = np.maximum(np.abs(x), np.abs(y))
-    s = np.where(s == 0.0, 1.0, s)
-    return x / s, y / s
+    return stack_2x2(*_monodromy_entries(J, zs, n_start), zs.shape)
 
 
 def _weyl_grid(J: JacobiCoefficients, zs, n0: int) -> dict:
@@ -151,23 +146,21 @@ def _weyl_grid(J: JacobiCoefficients, zs, n0: int) -> dict:
     n_l = min(n0 - 2, lo_site - J.period - 2)
 
     # rightward-decaying solution, stripped down to n0-1
-    M = monodromy(J, zs, n_r)
-    det = M[..., 0, 0] * M[..., 1, 1] - M[..., 0, 1] * M[..., 1, 0]
-    v = floquet_eigvec(M, det, decaying=True)
+    m = _monodromy_entries(J, zs, n_r)
+    v = floquet_eigvec(stack_2x2(*m, zs.shape), m[0] * m[3] - m[1] * m[2], decaying=True)
     hi, lo = v[..., 0], v[..., 1]          # psi(n_r), psi(n_r - 1)
     for n in range(n_r - 1, n0 - 1, -1):
         hi, lo = lo, ((zs - J.b(n)) * lo - J.a(n) * hi) / J.a(n - 1)
-        hi, lo = _normalize_pair(hi, lo)
+        hi, lo = normalize_pair(hi, lo)
     m_plus = -hi / (J.a(n0 - 1) * lo)      # hi = psi(n0), lo = psi(n0-1)
 
     # leftward-decaying solution, propagated up to n0+1
-    M = monodromy(J, zs, n_l)
-    det = M[..., 0, 0] * M[..., 1, 1] - M[..., 0, 1] * M[..., 1, 0]
-    w = floquet_eigvec(M, det, decaying=False)
+    m = _monodromy_entries(J, zs, n_l)
+    w = floquet_eigvec(stack_2x2(*m, zs.shape), m[0] * m[3] - m[1] * m[2], decaying=False)
     cur, prev = w[..., 0], w[..., 1]       # psi(n_l), psi(n_l - 1)
     for n in range(n_l, n0 + 1):
         cur, prev = ((zs - J.b(n)) * cur - J.a(n - 1) * prev) / J.a(n), cur
-        cur, prev = _normalize_pair(cur, prev)
+        cur, prev = normalize_pair(cur, prev)
     m_minus = -prev / (J.a(n0) * cur)      # cur = psi(n0+1), prev = psi(n0)
 
     M_plus = -1.0 / m_plus - zs + J.b(n0)

@@ -24,6 +24,8 @@ periodic spectrum is also {|tr monodromy| <= 2}, an independent check.
 
 from __future__ import annotations
 
+import functools
+import itertools
 import math
 from dataclasses import dataclass
 
@@ -31,9 +33,10 @@ import numpy as np
 
 from .errors import NonConvergent
 from .boundary_analysis import (ReflectionlessReport, SweepFamily, boundary_sweep,
-                                floquet_eigvec, memo_sweep, phase_verdict, plus_side,
-                                require_off_axis, sweep_ac_spectrum, sweep_multiplicity_sets,
-                                sweep_phase, sweep_reflectionless, write_csv)
+                                floquet_eigvec, memo_sweep, normalize_pair, phase_verdict,
+                                plus_side, require_off_axis, stack_2x2, sweep_ac_spectrum,
+                                sweep_multiplicity_sets, sweep_phase, sweep_reflectionless,
+                                write_csv)
 from .interval_sets import RealIntervalSet
 
 LAMBDA_TOP = 25.0
@@ -116,57 +119,52 @@ def _sinhc(x):
     return np.where(small, series, direct)
 
 
+def _piece_entries(zs, length: float, value: float):
+    """(cosh(w ell), ell sinhc(w ell), (v - z) ell sinhc(w ell)): the entries
+    T00 = T11, T01 and T10 of the transfer across a constant piece."""
+    w = np.sqrt(value - zs)
+    wl = w * length
+    sc = length * _sinhc(wl)
+    return np.cosh(wl), sc, (value - zs) * sc
+
+
 def piece_propagator(zs, length: float, value: float) -> np.ndarray:
     """(K, 2, 2) transfer of (psi, psi') across a constant piece, det 1."""
     zs = np.atleast_1d(np.asarray(zs, dtype=complex))
-    w = np.sqrt(value - zs)
-    wl = w * length
-    ch = np.cosh(wl)
-    sc = length * _sinhc(wl)
-    T = np.empty(zs.shape + (2, 2), dtype=complex)
-    T[..., 0, 0] = ch
-    T[..., 0, 1] = sc
-    T[..., 1, 0] = (value - zs) * sc
-    T[..., 1, 1] = ch
-    return T
+    ch, sc, lo = _piece_entries(zs, length, value)
+    return stack_2x2(ch, sc, lo, ch, zs.shape)
 
 
-def _boundaries(V: PiecewisePotential, a: float, b: float):
-    """Sorted interior breakpoints of V on (a, b)."""
-    pts = set()
-    if V.patch:
-        acc = 0.0
-        for l, _ in V.patch:
-            if a < acc < b:
-                pts.add(acc)
-            acc += l
-        if a < acc < b:
-            pts.add(acc)
-    cum = [0.0]
-    for l, _ in V.pieces:
-        cum.append(cum[-1] + l)
-    k_lo = math.floor(a / V.period) - 1
-    k_hi = math.ceil(b / V.period) + 1
-    for k in range(k_lo, k_hi + 1):
-        for c in cum[:-1]:
-            x = k * V.period + c
-            if a < x < b:
-                pts.add(x)
-    return sorted(pts)
+def _pieces(V: PiecewisePotential, a: float, b: float):
+    """((length, value), ...) of the constant pieces of V from a to b > a,
+    cut at the breakpoints of the periodic pieces and of the patch."""
+    L = V.period
+    cuts = list(itertools.accumulate([0.0] + [l for l, _ in V.pieces]))[:-1]
+    pts = {k * L + c for k in range(math.floor(a / L) - 1, math.ceil(b / L) + 2) for c in cuts}
+    pts.update(itertools.accumulate([0.0] + [l for l, _ in V.patch]))
+    xs = [a] + sorted(x for x in pts if a < x < b) + [b]
+    return tuple((hi - lo, V.value((lo + hi) / 2.0))
+                 for lo, hi in zip(xs[:-1], xs[1:]) if hi - lo >= 1e-15)
+
+
+def _product(zs, pieces):
+    """Entries (t00, t01, t10, t11) of the transfer across the pieces in
+    order, multiplied out entrywise; the identity for no pieces."""
+    t = None
+    for length, value in pieces:
+        ch, sc, lo = _piece_entries(zs, length, value)
+        t = (ch, sc, lo, ch) if t is None else (
+            ch * t[0] + sc * t[2], ch * t[1] + sc * t[3],
+            lo * t[0] + ch * t[2], lo * t[1] + ch * t[3])
+    return t or (1.0, 0.0, 0.0, 1.0)
 
 
 def transfer_interval(V: PiecewisePotential, zs, a: float, b: float) -> np.ndarray:
     """(K, 2, 2) transfer of (psi, psi') from x = a to x = b > a."""
     if not b > a:
         raise ValueError("need b > a")
-    xs = [a] + _boundaries(V, a, b) + [b]
     zs = np.atleast_1d(np.asarray(zs, dtype=complex))
-    T = np.broadcast_to(np.eye(2, dtype=complex), zs.shape + (2, 2)).copy()
-    for lo, hi in zip(xs[:-1], xs[1:]):
-        if hi - lo < 1e-15:
-            continue
-        T = piece_propagator(zs, hi - lo, V.value((lo + hi) / 2.0)) @ T
-    return T
+    return stack_2x2(*_product(zs, _pieces(V, a, b)), zs.shape)
 
 
 def _inv_unimodular(T):
@@ -178,48 +176,49 @@ def _inv_unimodular(T):
     return out
 
 
-def _propagate_vec(V: PiecewisePotential, zs, vec, a: float, b: float,
-                   inverse: bool = False):
-    """Carry (psi, psi') across [a, b] piece by piece (inverted: from b back
-    to a), renormalizing between pieces; only the direction is preserved."""
-    xs = [a] + _boundaries(V, a, b) + [b]
-    spans = list(zip(xs[:-1], xs[1:]))
-    if inverse:
-        spans = spans[::-1]
-    for lo, hi in spans:
-        if hi - lo < 1e-15:
-            continue
-        T = piece_propagator(zs, hi - lo, V.value((lo + hi) / 2.0))
-        if inverse:
-            T = _inv_unimodular(T)
-        vec = (T @ vec[..., None])[..., 0]
-        scale = np.maximum(np.abs(vec[..., 0]), np.abs(vec[..., 1]))
-        vec = vec / np.where(scale == 0.0, 1.0, scale)[..., None]
-    return vec
+@functools.lru_cache(maxsize=64)
+def _half_line(V: PiecewisePotential, x0: float, plus: bool):
+    """(c, cell, spans) of the half line right (plus) or left of x0: a
+    periodic cell [c, c + L) beyond x0 and the patch, its pieces, and the
+    pieces between x0 and c in the order a seed at c crosses them toward
+    x0.  Computed once per operator and site, not on every kernel call."""
+    L = V.period
+    if plus:
+        c = L * math.ceil(max(V.patch_length, x0) / L + 1.0)
+        spans = _pieces(V, x0, c)[::-1]
+    else:
+        c = L * (math.floor(min(0.0, x0) / L) - 1.0)
+        spans = _pieces(V, c, x0)
+    return c, _pieces(V, c, c + L), spans
+
+
+def _propagate_vec(zs, vec, spans, inverse: bool):
+    """Carry (psi, psi') across the spans in order (inverted: backward
+    through each), renormalizing between pieces; only the direction is
+    preserved.  Returns the pair (psi, psi')."""
+    p, q = vec[..., 0], vec[..., 1]
+    for length, value in spans:
+        ch, sc, lo = _piece_entries(zs, length, value)
+        if inverse:             # the inverse of a det-1 [[ch, sc], [lo, ch]]
+            sc, lo = -sc, -lo
+        p, q = normalize_pair(ch * p + sc * q, lo * p + ch * q)
+    return p, q
 
 
 def _cell_seed(V: PiecewisePotential, zs, x0: float, plus: bool):
     """(c, vec): a periodic cell [c, c + L) right (plus) or left of x0 and the
     patch, and (psi, psi')(c) of the solution decaying toward +inf (plus),
     resp. -inf."""
-    L = V.period
-    if plus:
-        c = L * math.ceil(max(V.patch_length, x0) / L + 1.0)
-    else:
-        c = L * (math.floor(min(0.0, x0) / L) - 1.0)
-    M = transfer_interval(V, zs, c, c + L)
-    return c, floquet_eigvec(M, 1.0, decaying=plus)
+    c, cell, _ = _half_line(V, x0, plus)
+    return c, floquet_eigvec(stack_2x2(*_product(zs, cell), zs.shape), 1.0, decaying=plus)
 
 
 def _m_grid(V: PiecewisePotential, zs, x0: float, side: str):
     zs = np.atleast_1d(np.asarray(zs, dtype=complex))
     plus = plus_side(side)
-    c, vec = _cell_seed(V, zs, x0, plus)
-    if plus and c > x0:
-        vec = _propagate_vec(V, zs, vec, x0, c, inverse=True)
-    elif not plus and x0 > c:
-        vec = _propagate_vec(V, zs, vec, c, x0)
-    return vec[..., 1] / vec[..., 0]
+    _, vec = _cell_seed(V, zs, x0, plus)
+    p, q = _propagate_vec(zs, vec, _half_line(V, x0, plus)[2], inverse=plus)
+    return q / p
 
 
 def m_half_line(V: PiecewisePotential, z: complex, x0: float, side: str) -> complex:

@@ -78,6 +78,37 @@ class TestCoefficients:
             VerblunskyCoefficients(1, (0.0,), patch=((0, 1.0 + 0j),))
 
 
+def site_loop_bands(V, n_lo, n_hi):
+    """Bands of the window [n_lo, n_hi] placed entry by entry, one site at a
+    time, from the row pattern of the build_truncation docstring."""
+    N = n_hi - n_lo + 1
+
+    def a(n):
+        return 1.0 + 0.0j if n in (n_lo, n_hi + 1) else V.alpha(n)
+
+    def r(n):
+        return math.sqrt(max(0.0, 1.0 - abs(a(n)) ** 2))
+
+    bands = np.zeros((5, N), dtype=complex)
+
+    def put(n, m, v):
+        if n_lo <= m <= n_hi:
+            bands[2 + n - m, m - n_lo] = v
+
+    for n in range(n_lo, n_hi + 1):
+        if n % 2 == 0:
+            put(n, n - 2, r(n - 1) * r(n))
+            put(n, n - 1, np.conj(a(n - 1)) * r(n))
+            put(n, n, -np.conj(a(n)) * a(n + 1))
+            put(n, n + 1, np.conj(a(n)) * r(n + 1))
+        else:
+            put(n, n - 1, -a(n + 1) * r(n))
+            put(n, n, -np.conj(a(n)) * a(n + 1))
+            put(n, n + 1, -a(n + 2) * r(n + 1))
+            put(n, n + 2, r(n + 1) * r(n + 2))
+    return bands
+
+
 class TestTruncation:
     @pytest.mark.parametrize("alphas,patch", [
         ((0.0,), ()),
@@ -105,6 +136,24 @@ class TestTruncation:
             col = np.zeros(T.size)
             col[T.index_of(n - 2 if n % 2 == 0 else n + 2)] = 1.0
             assert np.abs(D[i] - col).max() < 1e-15
+
+    @pytest.mark.parametrize("window", [(-6, 5), (-5, 6), (-64, 63), (3, 40)])
+    def test_bands_equal_the_site_loop(self, window, free_cmv, geronimus_cmv):
+        """The vectorized band assembly has the bits of the per-site loop
+        below, on windows whose cuts fall on even and odd sites and on or
+        next to patch sites."""
+        rng = np.random.default_rng(600)
+        ops = [free_cmv, geronimus_cmv,
+               VerblunskyCoefficients(2, (0.3 + 0.4j, -0.2), {0: 0.1 - 0.5j, 5: 0.7j})]
+        for period in (1, 2, 3, 4):
+            alphas = rng.uniform(0.0, 0.8, period) * np.exp(1j * rng.uniform(0, TWO_PI, period))
+            sites = rng.choice(np.arange(window[0] - 2, window[1] + 4), 3, replace=False)
+            patch = {int(n): complex(rng.uniform(-0.6, 0.6), rng.uniform(-0.6, 0.6))
+                     for n in sites}
+            ops.append(VerblunskyCoefficients(period, tuple(alphas), patch))
+        for V in ops:
+            assert np.array_equal(build_truncation(V, window).bands,
+                                  site_loop_bands(V, *window)), V
 
     def test_window_validation(self, free_cmv):
         with pytest.raises(ValueError):

@@ -1,0 +1,144 @@
+"""The Weyl kernels: their entrywise 2x2 transfer products against per-step
+matrices multiplied with np.matmul, the CMV kernel against its truncation
+oracle, and one kernel call per schedule stage of a boundary sweep."""
+
+import math
+
+import numpy as np
+import pytest
+
+from acspectra import cmv, jacobi, schrodinger
+from acspectra.boundary_analysis import SCHEDULE
+
+
+def _patched_jacobi(rng, period):
+    patch = {int(n): (rng.uniform(0.5, 1.5), rng.uniform(-1.0, 1.0))
+             for n in rng.choice(np.arange(-4, 5), 2, replace=False)}
+    return jacobi.JacobiCoefficients(period, tuple(rng.uniform(0.5, 1.5, period)),
+                                     tuple(rng.uniform(-1.0, 1.0, period)), patch)
+
+
+def _patched_schrodinger(rng, period):
+    weights = rng.integers(1, 5, period)
+    return schrodinger.PiecewisePotential(
+        1.0, tuple(zip(weights / weights.sum(), rng.uniform(0.0, 6.0, period))),
+        tuple(zip(rng.uniform(0.1, 0.6, 2), rng.uniform(-2.0, 6.0, 2))))
+
+
+def _patched_cmv(rng, period):
+    alphas = rng.uniform(0.05, 0.7, period) * np.exp(1j * rng.uniform(0.0, 2.0 * math.pi, period))
+    patch = {int(n): complex(rng.uniform(-0.5, 0.5), rng.uniform(-0.5, 0.5))
+             for n in rng.choice(np.arange(-3, 4), 2, replace=False)}
+    return cmv.VerblunskyCoefficients(period, tuple(alphas), patch)
+
+
+def _off_axis(rng, count):
+    return rng.uniform(-4.0, 8.0, count) + 1j * rng.choice([-1.0, 1.0], count) \
+        * 10.0 ** rng.uniform(-4.0, 0.5, count)
+
+
+def _assert_close(got, ref, rtol):
+    scale = np.abs(ref).max(axis=(-2, -1))
+    assert np.all(np.abs(got - ref).max(axis=(-2, -1)) <= rtol * scale)
+
+
+@pytest.mark.parametrize("period", [1, 2, 3, 4])
+def test_jacobi_monodromy_is_the_matmul_product(period):
+    """monodromy(J, z, n) against T(n+p-1) ... T(n) built here step by step;
+    its determinant is the product of a(n-1)/a(n) over the period."""
+    rng = np.random.default_rng(700 + period)
+    for _ in range(4):
+        J = _patched_jacobi(rng, period)
+        zs = _off_axis(rng, 64)
+        n_start = int(rng.integers(-6, 4))
+        ref = np.broadcast_to(np.eye(2, dtype=complex), zs.shape + (2, 2))
+        det = 1.0
+        for n in range(n_start, n_start + period):
+            T = np.zeros(zs.shape + (2, 2), dtype=complex)
+            T[:, 0, 0] = (zs - J.b(n)) / J.a(n)
+            T[:, 0, 1] = -J.a(n - 1) / J.a(n)
+            T[:, 1, 0] = 1.0
+            ref = np.matmul(T, ref)
+            det *= J.a(n - 1) / J.a(n)
+        M = jacobi.monodromy(J, zs, n_start)
+        assert M.shape == zs.shape + (2, 2)
+        _assert_close(M, ref, 1e-12)
+        got_det = M[:, 0, 0] * M[:, 1, 1] - M[:, 0, 1] * M[:, 1, 0]
+        # the determinant's rounding error scales with |M|^2
+        assert np.all(np.abs(got_det - det) <= 1e-14 * np.abs(M).max(axis=(1, 2)) ** 2 + 1e-14)
+
+
+def _pieces_between(V, a, b):
+    """(length, value) pieces of V on [a, b], cut at every breakpoint of the
+    periodic pieces and of the patch on [0, P)."""
+    cuts = np.cumsum([0.0] + [l for l, _ in V.pieces])[:-1]
+    xs = [k * V.period + c for k in range(math.floor(a) - 1, math.ceil(b) + 2) for c in cuts]
+    xs += list(np.cumsum([0.0] + [l for l, _ in V.patch]))
+    xs = sorted({a, b} | {x for x in xs if a < x < b})
+    return [(hi - lo, V.value((lo + hi) / 2.0)) for lo, hi in zip(xs[:-1], xs[1:])]
+
+
+@pytest.mark.parametrize("period", [1, 2, 3, 4])
+def test_schrodinger_transfer_is_the_matmul_product(period):
+    """transfer_interval(V, z, a, b) against the closed-form piece matrices
+    [[cosh(w l), sinh(w l)/w], [w sinh(w l), cosh(w l)]], w = sqrt(v - z),
+    multiplied here in order; every transfer has determinant 1."""
+    rng = np.random.default_rng(800 + period)
+    for _ in range(4):
+        V = _patched_schrodinger(rng, period)
+        zs = _off_axis(rng, 64)
+        a = rng.uniform(-2.5, 0.5)
+        b = a + rng.uniform(0.3, 3.0)
+        ref = np.broadcast_to(np.eye(2, dtype=complex), zs.shape + (2, 2))
+        for length, value in _pieces_between(V, a, b):
+            w = np.sqrt(value - zs)
+            T = np.empty(zs.shape + (2, 2), dtype=complex)
+            T[:, 0, 0] = T[:, 1, 1] = np.cosh(w * length)
+            T[:, 0, 1] = np.sinh(w * length) / w
+            T[:, 1, 0] = w * np.sinh(w * length)
+            ref = np.matmul(T, ref)
+        M = schrodinger.transfer_interval(V, zs, a, b)
+        assert M.shape == zs.shape + (2, 2)
+        _assert_close(M, ref, 1e-12)
+        got_det = M[:, 0, 0] * M[:, 1, 1] - M[:, 0, 1] * M[:, 1, 0]
+        assert np.all(np.abs(got_det - 1.0) <= 1e-14 * np.abs(M).max(axis=(1, 2)) ** 2 + 1e-14)
+
+
+@pytest.mark.parametrize("period", [1, 2, 3, 4])
+def test_cmv_kernel_matches_the_truncation_oracle(period):
+    """The Schur-product kernel _M11_grid against M11's banded-truncation
+    oracle at random interior z of patched operators."""
+    rng = np.random.default_rng(900 + period)
+    for _ in range(2):
+        V = _patched_cmv(rng, period)
+        zs = np.sqrt(rng.uniform(0.0, 0.64, 8)) * np.exp(1j * rng.uniform(0.0, 2.0 * math.pi, 8))
+        n0 = int(rng.integers(-2, 3))
+        m11, _, _ = cmv._M11_grid(V, zs, n0)
+        for z, got in zip(zs, m11):
+            want = cmv.M11(V, complex(z), n0, mode="oracle")
+            assert abs(got - want) <= 1e-10 * (1.0 + abs(want)), (V, z, n0)
+
+
+def test_one_kernel_call_per_schedule_stage(monkeypatch):
+    """A boundary sweep calls its family kernel, the entry point the
+    benchmark's trace times, once per SCHEDULE stage on the whole grid
+    (Schrodinger: once per stage and side), so kernel calls and points per
+    operation keep their meaning."""
+    calls = []
+    for mod, name in ((jacobi, "_weyl_grid"), (cmv, "_M11_grid"), (schrodinger, "_m_grid")):
+        def counting(op, zs, *args, _fn=getattr(mod, name), _name=name, **kwargs):
+            calls.append((_name, np.size(zs)))
+            return _fn(op, zs, *args, **kwargs)
+        monkeypatch.setattr(mod, name, counting)
+    J = jacobi.JacobiCoefficients(2, (1.0, 0.8), (0.3, -0.2), {1: (0.9, 0.1)})
+    V = cmv.VerblunskyCoefficients(2, (0.3, -0.2j), {1: 0.4})
+    S = schrodinger.PiecewisePotential(1.0, ((0.5, 0.0), (0.5, 3.0)), ((0.4, 2.0),))
+    sweeps = [(jacobi.boundary_weyl_grid, J, jacobi.default_grid(J, 201), 0, "_weyl_grid", 1),
+              (cmv.boundary_cmv_grid, V, cmv.default_angles(), 0, "_M11_grid", 1),
+              (schrodinger.boundary_schrodinger_grid, S, schrodinger.default_grid(S, 201), 0.0,
+               "_m_grid", 2)]
+    for sweep, op, grid, site, name, per_stage in sweeps:
+        calls.clear()
+        sweep(op, grid, site)
+        assert calls == [(name, grid.size)] * (per_stage * len(SCHEDULE)), name
+    assert len(SCHEDULE) == 13

@@ -21,14 +21,14 @@ SWEEPS = ((jacobi, "boundary_weyl_grid"), (cmv, "boundary_cmv_grid"),
 
 @pytest.mark.parametrize("fixture, grid_config, expected", [
     ("period2_jacobi", None, 2),
-    ("geronimus_cmv", {"angles": 1024}, 3),
+    ("geronimus_cmv", {"angles": 1024}, 2),
     ("square_well", None, 2),
 ])
 def test_sweeps_per_report(request, monkeypatch, fixture, grid_config, expected):
     """A report plus its CSV, in one sweep scope, computes each (site, grid)
     sweep once: the two reference sites of the ac spectrum, which the
-    reflectionless test, the multiplicity sets and the CSV read again, and
-    for CMV the boundary identity residual on angles of E."""
+    reflectionless test, the multiplicity sets, the CSV and, for CMV, the
+    boundary identity residual on angles of E read again."""
     calls = []
     for mod, name in SWEEPS:
         def counting(*args, _fn=getattr(mod, name), **kwargs):
