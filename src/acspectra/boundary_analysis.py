@@ -1,28 +1,18 @@
-"""Boundary limits and support classification for Herglotz and Caratheodory functions.
+"""Boundary values of Herglotz and Caratheodory functions on grids, and the
+grid sweeps shared by the operator families.
 
 A Herglotz function maps the upper half-plane into itself; a Caratheodory
-function maps the unit disk into the closed right half-plane.  Almost-everywhere
-boundary values are reached by a geometric schedule (eps_k = 0.1 * 2^-k toward
-the line, radii r_k = 1 - 0.1 * 2^-k toward the circle) with two-stage
-Richardson extrapolation, read off one sample stack: a kernel stacked over a
-grid, or f stacked at one point, deepened while |f| keeps growing, for its
-limit, both blowup variants and the scaled point mass.  At a boundary point:
+function maps the unit disk into the closed right half-plane.  Their
+almost-everywhere boundary values are reached along one geometric schedule
+(eps_k = 0.1 * 2^-k toward the line, radii r_k = 1 - eps_k toward the
+circle) with two-stage Richardson extrapolation, one kernel call per stage
+on a whole grid.  The ac spectrum is the essential closure of the set where
+the boundary values are nonreal, read here off the boundary phase.
 
-    finite limit, positive Im (line) / Re (circle)      -> ac
-    infinite limit, scaled limit -> 0                   -> sc
-    infinite limit, scaled limit -> mass > 0            -> pp
-    finite real (line) / purely imaginary (circle) limit -> regular
-
-where the scaled limit is (-i eps) m(lambda + i eps) on the line and
-((1 - r)/2) f(r zeta) on the circle, converging to the point mass.  Singular
-points are flagged by two variants (Im-blowup and |value|-blowup); their
-disagreement is reported, never assumed away.
-
-The grid sweeps at the end serve the Jacobi, CMV and Schrodinger modules:
-one Richardson sweep, phase, ac hull, reflectionless test, multiplicity
-classifier and CSV writer, with each family's conventions passed as data,
-plus the Floquet eigenvector chooser and 2x2 helpers of the Jacobi and
-Schrodinger kernels.
+The sweeps serve the Jacobi, CMV and Schrodinger modules: one Richardson
+sweep, phase, ac hull, reflectionless test, multiplicity classifier and CSV
+writer, with each family's conventions passed as data, plus the Floquet
+eigenvector chooser and 2x2 helpers of the Jacobi and Schrodinger kernels.
 """
 
 from __future__ import annotations
@@ -31,18 +21,16 @@ import csv
 import io
 import math
 from contextlib import contextmanager
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import MonodromyDegenerate, NonConvergent, SiteDisagreement
+from .errors import MonodromyDegenerate, SiteDisagreement
 from .interval_sets import (angles_hull, contains_mask, essential_closure,
                             longest_component, points_hull, set_algebra, widen)
 
 DIVERGENCE_CAP = 1e8
 INFINITE_LIMIT = 1e6
-AC_IM_TOL = 1e-6
-MASS_TOL = 1e-6
 DEGENERACY_TOL = 1e-10
 OFF_AXIS_TOL = 1e-4     # off-axis threshold of the multiplicity sets
 
@@ -87,244 +75,6 @@ def blowup_flags(mags):
     mags = np.asarray(mags)
     grow = np.all(np.diff(mags[-4:], axis=0) > 0, axis=0)
     return (mags[-1] > INFINITE_LIMIT) & grow, np.any(mags > DIVERGENCE_CAP, axis=0)
-
-
-@dataclass(frozen=True)
-class BoundaryValue:
-    value: complex
-    error: float
-    diverged: bool          # some sample exceeded the hard cap
-    infinite: bool          # |samples| > 1e6 and monotone growth over last 4 stages
-    samples: tuple = field(repr=False, default=())
-
-
-@dataclass(frozen=True)
-class BoundaryFunction:
-    """Evaluation contract for an analytic function on C_+ (herglotz) or D (caratheodory)."""
-    kind: str
-    evaluate: callable = field(compare=False)
-    metadata: str = ""
-
-    def __post_init__(self):
-        if self.kind not in ("herglotz", "caratheodory"):
-            raise ValueError("kind must be 'herglotz' or 'caratheodory'")
-
-    def __call__(self, z: complex) -> complex:
-        return complex(self.evaluate(z))
-
-
-def _as_angle(p) -> float:
-    if isinstance(p, complex):
-        if abs(abs(p) - 1.0) > 1e-9:
-            raise ValueError("circle boundary point must be unimodular")
-        return math.atan2(p.imag, p.real) % (2.0 * math.pi)
-    return float(p) % (2.0 * math.pi)
-
-
-MIN_EPS_LINE = 1e-13
-MIN_EPS_CIRCLE = 3e-9   # keeps 1 - fl(1 - eps) accurate to ~3e-8 relative
-
-
-def _point_stack(f: BoundaryFunction, p):
-    """(location, samples, distances) of f approaching boundary point p; the
-    schedule is deepened at its ratio 1/2 while |f| keeps growing geometrically,
-    so a point mass (~ eps^-1) crosses the blowup threshold.  Distances are
-    the representable gaps 1 - fl(1 - eps) on the circle, free of cancellation."""
-    circle = f.kind == "caratheodory"
-    loc = _as_angle(p) if circle else float(p)
-    kernel = lambda zs: {"f": [f(complex(zs[0]))]}
-    sched = list(SCHEDULE)
-    samples = list(_sample_stack(kernel, [loc], circle, sched)["f"][:, 0])
-    min_eps = MIN_EPS_CIRCLE if circle else MIN_EPS_LINE
-    while sched[-1] * 0.5 >= min_eps:
-        mags = np.abs(samples[-4:])
-        if mags[-1] > DIVERGENCE_CAP:
-            break
-        if not (np.all(np.diff(mags) > 0) and mags[-1] > 1.5 * mags[0]):
-            break
-        sched.append(sched[-1] * 0.5)
-        samples.extend(_sample_stack(kernel, [loc], circle, sched[-1:])["f"][:, 0])
-    eps = np.array(sched)
-    return loc, np.array(samples, dtype=complex), 1.0 - (1.0 - eps) if circle else eps
-
-
-def _scaled(f: BoundaryFunction, samples, dists):
-    weights = -1j * dists if f.kind == "herglotz" else dists / 2.0
-    value, err, converged = richardson_sequence(samples * weights)
-    return complex(value), float(err), bool(converged)
-
-
-def boundary_value(f: BoundaryFunction, p) -> BoundaryValue:
-    """Richardson-extrapolated boundary limit with an error estimate.
-
-    Flags divergence when |f| exceeds 1e8; raises NonConvergent when the
-    extrapolant differences fail to contract by a factor of 2 while the value
-    stays finite and not obviously blowing up.
-    """
-    _, samples, _ = _point_stack(f, p)
-    infinite, diverged = (bool(flag) for flag in blowup_flags(np.abs(samples)))
-    value, err, converged = richardson_sequence(samples)
-    if not (diverged or infinite or bool(converged)):
-        raise NonConvergent(
-            f"boundary extrapolation failed to contract at {p!r} "
-            f"(last differences {float(err):.3e})")
-    return BoundaryValue(complex(value), float(err), diverged, infinite, tuple(samples))
-
-
-def scaled_limit(f: BoundaryFunction, p):
-    """Point-mass functional: lim (-i eps) m(lambda + i eps), resp.
-    lim ((1-r)/2) f(r zeta), along the deepened schedule of classify_point.
-    Returns (value, error, converged)."""
-    _, samples, dists = _point_stack(f, p)
-    return _scaled(f, samples, dists)
-
-
-@dataclass(frozen=True)
-class PointClassification:
-    location: float
-    verdict: str                     # ac | singular | sc | pp | regular | undetermined
-    limit_value: complex
-    error: float
-    point_mass: float = 0.0
-    scaled_value: complex = 0.0
-    singular_unprimed: bool = False  # part-based blowup (Im on the line, Re on the circle)
-    singular_primed: bool = False    # |value| blowup
-    variants_agree: bool = True
-    diagnostics: str = ""
-
-
-def classify_point(f: BoundaryFunction, p) -> PointClassification:
-    """Limit trichotomy at one boundary point.
-
-    The singular test is run in two variants: blowup of the Herglotz-positive
-    part (Im on the line, Re on the circle) and blowup of |value|; both are
-    reported and a disagreement downgrades nothing silently.
-    """
-    loc, samples, dists = _point_stack(f, p)
-    part = samples.imag if f.kind == "herglotz" else samples.real
-
-    def blows(seq):
-        infinite, diverged = blowup_flags(np.abs(seq))
-        return bool(infinite | diverged)
-
-    singular_unprimed = blows(part)
-    singular_primed = blows(samples)
-    agree = singular_unprimed == singular_primed
-
-    if singular_unprimed or singular_primed:
-        sval, _, sconv = _scaled(f, samples, dists)
-        if sconv and sval.real > MASS_TOL:
-            verdict, extra = "pp", {"point_mass": float(sval.real)}
-        elif sconv and abs(sval) <= MASS_TOL:
-            verdict, extra = "sc", {}
-        else:
-            verdict, extra = "singular", {"diagnostics": "scaled limit did not settle"}
-        return PointClassification(loc, verdict, complex(np.inf, np.inf), math.inf,
-                                   scaled_value=sval, singular_unprimed=singular_unprimed,
-                                   singular_primed=singular_primed, variants_agree=agree,
-                                   **extra)
-
-    value, err, converged = richardson_sequence(samples)
-    value = complex(value)
-    err = float(err)
-    if not bool(converged):
-        return PointClassification(loc, "undetermined", value, err,
-                                   diagnostics="extrapolants failed to contract")
-    pos_part = value.imag if f.kind == "herglotz" else value.real
-    if pos_part > AC_IM_TOL:
-        return PointClassification(loc, "ac", value, err)
-    if abs(pos_part) <= AC_IM_TOL:
-        return PointClassification(loc, "regular", value, err)
-    return PointClassification(loc, "undetermined", value, err,
-                               diagnostics="negative Herglotz/Caratheodory part at the boundary")
-
-
-def essential_support_ac(f: BoundaryFunction, grid):
-    """Essential closure of the hull of maximal ac-verdict runs on the grid.
-
-    Returns (set, verdicts); undetermined points are excluded from the hull and
-    kept in the verdict list for audit.
-    """
-    grid = list(grid)
-    if len(grid) < 2:
-        raise ValueError("grid needs at least 2 points")
-    verdicts = [classify_point(f, p) for p in grid]
-    step = abs(grid[1] - grid[0])
-    passing = [v.location for v in verdicts if v.verdict == "ac"]
-    hull = points_hull if f.kind == "herglotz" else angles_hull
-    return essential_closure(hull(passing, step)), verdicts
-
-
-def reflect(f: BoundaryFunction, z: complex) -> complex:
-    """Value in the opposite region: m(z) = conj(m(conj z)) across the line,
-    f(z) = -conj(f(1/conj z)) across the circle."""
-    z = complex(z)
-    if f.kind == "herglotz":
-        if z.imag == 0.0:
-            raise ValueError("boundary point rejected: reflection needs Im z != 0")
-        if z.imag > 0.0:
-            raise ValueError("z is in the natural domain; evaluate directly")
-        return complex(np.conj(f(np.conj(z))))
-    r = abs(z)
-    if abs(r - 1.0) < 1e-15:
-        raise ValueError("boundary point rejected: reflection needs |z| != 1")
-    if r < 1.0:
-        raise ValueError("z is in the natural domain; evaluate directly")
-    return complex(-np.conj(f(1.0 / np.conj(z))))
-
-
-@dataclass(frozen=True)
-class ValidationReport:
-    passed: bool
-    worst_violation: float
-    worst_sample: complex
-    details: tuple
-
-
-def validate(f: BoundaryFunction, samples) -> ValidationReport:
-    """Half-plane (Im >= 0) or disk (Re >= 0) positivity at each interior sample."""
-    samples = list(samples)
-    if not samples:
-        raise ValueError("need at least one sample")
-    rows = []
-    worst = math.inf
-    worst_z = None
-    for z in samples:
-        v = f(complex(z))
-        margin = v.imag if f.kind == "herglotz" else v.real
-        rows.append((complex(z), v, margin))
-        if margin < worst:
-            worst, worst_z = margin, complex(z)
-    return ValidationReport(worst >= -1e-12, float(worst), worst_z, tuple(rows))
-
-
-@dataclass(frozen=True)
-class HerglotzRepresentation:
-    """m(z) = c + d z + integral [(x - z)^-1 - x (1 + x^2)^-1] d omega(x),
-    with c = Re m(i) and d = lim m(i eta)/(i eta) >= 0."""
-    c: float
-    d: float
-
-
-def herglotz_representation(f: BoundaryFunction) -> HerglotzRepresentation:
-    if f.kind != "herglotz":
-        raise ValueError("representation constants are for the half-plane kind")
-    c = f(1j).real
-    ratios = np.array([f(1j * e) / (1j * e) for e in (8.0, 16.0, 32.0, 64.0, 128.0)])
-    d = max(float(ratios[-1].real + 2.0 * (ratios[-1].real - ratios[-2].real)), 0.0)
-    return HerglotzRepresentation(float(c), d)
-
-
-def classification_csv(f: BoundaryFunction, grid) -> str:
-    """Per-grid-point CSV: location, Re, Im, error_estimate, verdict, point_mass."""
-    rows = []
-    for p in grid:
-        cp = classify_point(f, p)
-        re = cp.limit_value.real if math.isfinite(cp.limit_value.real) else "inf"
-        im = cp.limit_value.imag if math.isfinite(cp.limit_value.imag) else "inf"
-        err = cp.error if math.isfinite(cp.error) else "inf"
-        rows.append([f"{cp.location:.12g}", re, im, err, cp.verdict, f"{cp.point_mass:.12g}"])
-    return write_csv(["location", "re", "im", "error_estimate", "verdict", "point_mass"], rows)
 
 
 def write_csv(header, rows) -> str:
@@ -420,6 +170,8 @@ class SweepFamily:
     pair: tuple             # sweep keys of the boundary pair (M_+, M_-)
     phase_key: str          # sweep key whose boundary argument is the phase
     witness: callable       # witness(sweep, passing) -> witness residual
+    csv_columns: tuple      # ((header, cell), ...) of sweep_csv; cell is one of
+                            # loc, phase, err, re, im, verdict, empty
     zero_floor: bool = False    # phase undefined where |value| <= 100 err + 1e-12
     site_word: str = "sites"    # what messages call the reference sites
 
@@ -434,11 +186,16 @@ class SweepFamily:
 
 def boundary_sweep(kernel, grid, circle: bool) -> dict:
     """Richardson-extrapolated boundary values of kernel(zs) -> {key: array}
-    over a grid, with zs = lambda + i eps on the line and (1 - eps) e^{i theta}
-    on the circle along SCHEDULE.  For each key returns (value, error,
-    converged) arrays, plus 'inf_<key>'/'div_<key>' blowup flags."""
+    over a grid, one kernel call per SCHEDULE stage, with zs = lambda + i eps
+    on the line and (1 - eps) e^{i theta} on the circle.  For each key
+    returns (value, error, converged) arrays, plus 'inf_<key>'/'div_<key>'
+    blowup flags."""
+    grid = np.asarray(grid, dtype=float)
+    zeta = np.exp(1j * grid) if circle else None
+    rows = [kernel((1.0 - eps) * zeta if circle else grid + 1j * eps) for eps in SCHEDULE]
     out = {}
-    for k, arr in _sample_stack(kernel, grid, circle, SCHEDULE).items():
+    for k in rows[0]:
+        arr = np.array([row[k] for row in rows])
         out[k] = richardson_sequence(arr)
         out["inf_" + k], out["div_" + k] = blowup_flags(np.abs(arr))
     return out
@@ -486,16 +243,6 @@ def sweep_at(bd: dict, idx) -> dict:
             for k, v in bd.items()}
 
 
-def _sample_stack(kernel, grid, circle: bool, schedule) -> dict:
-    """{key: (K, N) samples} of kernel(zs) along the schedule, one kernel
-    call per stage: zs = lambda + i eps on the line, (1 - eps) e^{i theta}
-    on the circle."""
-    grid = np.asarray(grid, dtype=float)
-    zeta = np.exp(1j * grid) if circle else None
-    rows = [kernel((1.0 - eps) * zeta if circle else grid + 1j * eps) for eps in schedule]
-    return {k: np.array([row[k] for row in rows]) for k in rows[0]}
-
-
 def sweep_phase(fam: SweepFamily, bd: dict):
     """Boundary phase Arg(v)/pi of the sweep's phase key, in phase_range:
     (values, errors, ok).  A positive part (Im on the line, Re on the circle)
@@ -518,14 +265,34 @@ def sweep_phase(fam: SweepFamily, bd: dict):
     return np.where(ok, vals, np.nan), err, ok
 
 
-def phase_verdict(fam: SweepFamily, value: float, ok: bool) -> str:
-    """CSV verdict of one phase value: interior, exterior (edge on the circle)."""
-    if not ok:
-        return "undetermined"
-    lo, hi = fam.phase_range
-    if lo < value < hi:
-        return "interior"
-    return "edge" if fam.circle else "exterior"
+def sweep_csv(fam: SweepFamily, op, grid) -> str:
+    """Per-point CSV of the boundary phase at the first reference site, in
+    the columns of fam.csv_columns.  A phase cell is empty where the point
+    is undetermined, a re/im cell where the phase key did not converge."""
+    grid = np.asarray(grid, dtype=float)
+    bd = fam.sweep(op, grid, fam.sites(op)[0])
+    v, _, conv = bd[fam.phase_key]
+    vals, errs, ok = sweep_phase(fam, bd)
+
+    def cells(xs, mask):
+        return [f"{x:.12g}" if m else "" for x, m in zip(xs.tolist(), mask.tolist())]
+
+    def verdicts():
+        lo, hi = fam.phase_range
+        with np.errstate(invalid="ignore"):
+            inside = (vals > lo) & (vals < hi)
+        outside = "edge" if fam.circle else "exterior"
+        return np.where(ok, np.where(inside, "interior", outside), "undetermined").tolist()
+
+    column = {"loc": lambda: [f"{x:.12g}" for x in grid.tolist()],
+              "phase": lambda: cells(vals, ok),
+              "err": lambda: [f"{e:.6g}" for e in errs.tolist()],
+              "re": lambda: cells(v.real, conv),
+              "im": lambda: cells(v.imag, conv),
+              "verdict": verdicts,
+              "empty": lambda: [""] * grid.size}
+    return write_csv([name for name, _ in fam.csv_columns],
+                     zip(*(column[kind]() for _, kind in fam.csv_columns)))
 
 
 def sweep_ac_spectrum(fam: SweepFamily, op, grid, xi_tol: float):

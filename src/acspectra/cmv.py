@@ -33,9 +33,8 @@ import numpy as np
 
 from .errors import DegenerateDenominator, NonConvergent
 from .boundary_analysis import (ReflectionlessReport, SweepFamily, boundary_sweep,
-                                memo_sweep, phase_verdict, plus_side, relaxed_ok,
-                                sweep_ac_spectrum, sweep_multiplicity_sets, sweep_phase,
-                                sweep_reflectionless, write_csv)
+                                memo_sweep, plus_side, relaxed_ok, sweep_ac_spectrum,
+                                sweep_multiplicity_sets, sweep_phase, sweep_reflectionless)
 from .interval_sets import CircleArcSet, circle_set, full_circle
 
 TWO_PI = 2.0 * math.pi
@@ -301,7 +300,10 @@ _FAMILY = SweepFamily(
     sweep=lambda V, thetas, n0: memo_sweep(boundary_cmv_grid, V, thetas, n0),
     phase=lambda V, thetas, n0: Xi11_grid(V, thetas, n0),
     grid=lambda V: default_angles(), sites=lambda V: (0, 1), circle=True,
-    pair=("M_plus", "M_minus"), phase_key="M11", witness=_witness, zero_floor=True)
+    pair=("M_plus", "M_minus"), phase_key="M11", witness=_witness,
+    csv_columns=(("theta", "loc"), ("re_m11", "re"), ("im_m11", "im"), ("xi", "phase"),
+                 ("verdict", "verdict"), ("r00", "empty"), ("r11", "empty"), ("rank", "empty")),
+    zero_floor=True)
 
 
 def ac_spectrum(V: VerblunskyCoefficients, grid=None, xi_tol: float = 1e-3) -> CircleArcSet:
@@ -580,19 +582,3 @@ def support_arcs(angles: np.ndarray) -> CircleArcSet:
     if not arcs:
         raise ValueError("every cluster fell below the outlier threshold")
     return circle_set([(a, b if b > a else b + TWO_PI, "cc") for a, b in arcs], [])
-
-
-def angle_csv(V: VerblunskyCoefficients, thetas, n0: int) -> str:
-    """Per-angle CSV: theta, Re M11, Im M11, Xi, verdict, and the columns
-    r00, r11, rank of the file format, always empty."""
-    thetas = np.asarray(thetas, dtype=float)
-    bd = _FAMILY.sweep(V, thetas, n0)
-    m11, _, c11 = bd["M11"]
-    vals, _, okx = sweep_phase(_FAMILY, bd)
-    rows = ([f"{t:.12g}",
-             f"{m11[k].real:.12g}" if c11[k] else "",
-             f"{m11[k].imag:.12g}" if c11[k] else "",
-             f"{vals[k]:.12g}" if okx[k] else "",
-             phase_verdict(_FAMILY, vals[k], okx[k]), "", "", ""]
-            for k, t in enumerate(thetas))
-    return write_csv(["theta", "re_m11", "im_m11", "xi", "verdict", "r00", "r11", "rank"], rows)

@@ -50,7 +50,7 @@ import numpy as np
 from . import jacobi as _jacobi
 from . import cmv as _cmv
 from . import schrodinger as _schrodinger
-from .boundary_analysis import memo_sweep, sweep_at, sweep_scope
+from .boundary_analysis import memo_sweep, sweep_at, sweep_csv, sweep_scope
 from .errors import SiteDisagreement
 from .interval_sets import (CircleArcSet, GeneratedFatSet, RealIntervalSet, canonicalize,
                             contains_mask, essential_closure, fat_density_report,
@@ -346,11 +346,7 @@ def verify_inclusion(descriptor: dict, E=None, grid_config=None, tolerances=None
 
 
 def _csv_for(kind: str, op, grid) -> str:
-    if kind == "jacobi":
-        return _jacobi.xi_csv(op, grid, 0)
-    if kind == "cmv":
-        return _cmv.angle_csv(op, grid, 0)
-    return _schrodinger.xi_csv(op, grid, 0.0)
+    return sweep_csv(FAMILY_MODULES[kind]._FAMILY, op, grid)
 
 
 def run_config(path: str, out_dir: str = None) -> int:

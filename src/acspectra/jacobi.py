@@ -28,10 +28,9 @@ import numpy as np
 
 from .errors import NonConvergent
 from .boundary_analysis import (ReflectionlessReport, SweepFamily, boundary_sweep,
-                                floquet_eigvec, memo_sweep, normalize_pair, phase_verdict,
-                                plus_side, relaxed_ok, require_off_axis, stack_2x2,
-                                sweep_ac_spectrum, sweep_multiplicity_sets, sweep_phase,
-                                sweep_reflectionless, write_csv)
+                                floquet_eigvec, memo_sweep, normalize_pair, plus_side,
+                                relaxed_ok, require_off_axis, stack_2x2, sweep_ac_spectrum,
+                                sweep_multiplicity_sets, sweep_phase, sweep_reflectionless)
 from .interval_sets import RealIntervalSet
 
 
@@ -242,7 +241,9 @@ _FAMILY = SweepFamily(
     sweep=lambda J, lams, n0: memo_sweep(boundary_weyl_grid, J, lams, n0),
     phase=lambda J, lams, n0: xi_grid(J, lams, n0),
     grid=default_grid, sites=lambda J: (0, 1), circle=False, pair=("M_plus", "M_minus"),
-    phase_key="g", witness=_witness)
+    phase_key="g", witness=_witness,
+    csv_columns=(("lambda", "loc"), ("xi", "phase"), ("error_estimate", "err"),
+                 ("verdict", "verdict")))
 
 
 def ac_spectrum(J: JacobiCoefficients, grid=None, xi_tol: float = 1e-3) -> RealIntervalSet:
@@ -344,12 +345,3 @@ def discriminant(J: JacobiCoefficients, lams):
     M = monodromy(base, zs, 0)
     tr = M[..., 0, 0] + M[..., 1, 1]
     return tr.real if np.all(np.abs(tr.imag) < 1e-9) else tr
-
-
-def xi_csv(J: JacobiCoefficients, lams, n0: int) -> str:
-    """Per-point CSV: lambda, xi, error_estimate, verdict."""
-    lams = np.asarray(lams, dtype=float)
-    vals, errs, ok = xi_grid(J, lams, n0)
-    rows = ([f"{lam:.12g}", f"{v:.12g}" if o else "", f"{e:.6g}", phase_verdict(_FAMILY, v, o)]
-            for lam, v, e, o in zip(lams, vals, errs, ok))
-    return write_csv(["lambda", "xi", "error_estimate", "verdict"], rows)

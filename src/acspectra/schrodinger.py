@@ -33,10 +33,9 @@ import numpy as np
 
 from .errors import NonConvergent
 from .boundary_analysis import (ReflectionlessReport, SweepFamily, boundary_sweep,
-                                floquet_eigvec, memo_sweep, normalize_pair, phase_verdict,
-                                plus_side, require_off_axis, stack_2x2, sweep_ac_spectrum,
-                                sweep_multiplicity_sets, sweep_phase, sweep_reflectionless,
-                                write_csv)
+                                floquet_eigvec, memo_sweep, normalize_pair, plus_side,
+                                require_off_axis, stack_2x2, sweep_ac_spectrum,
+                                sweep_multiplicity_sets, sweep_phase, sweep_reflectionless)
 from .interval_sets import RealIntervalSet
 
 LAMBDA_TOP = 25.0
@@ -126,13 +125,6 @@ def _piece_entries(zs, length: float, value: float):
     wl = w * length
     sc = length * _sinhc(wl)
     return np.cosh(wl), sc, (value - zs) * sc
-
-
-def piece_propagator(zs, length: float, value: float) -> np.ndarray:
-    """(K, 2, 2) transfer of (psi, psi') across a constant piece, det 1."""
-    zs = np.atleast_1d(np.asarray(zs, dtype=complex))
-    ch, sc, lo = _piece_entries(zs, length, value)
-    return stack_2x2(ch, sc, lo, ch, zs.shape)
 
 
 def _pieces(V: PiecewisePotential, a: float, b: float):
@@ -329,7 +321,9 @@ _FAMILY = SweepFamily(
     sweep=lambda V, lams, x0: memo_sweep(boundary_schrodinger_grid, V, lams, x0),
     phase=lambda V, lams, x0: xi_grid(V, lams, x0),
     grid=default_grid, sites=lambda V: (0.0, 0.5 * V.period), circle=False,
-    pair=("m_plus", "m_minus"), phase_key="g", witness=_witness, site_word="points")
+    pair=("m_plus", "m_minus"), phase_key="g", witness=_witness,
+    csv_columns=(("lambda", "loc"), ("xi", "phase"), ("re_g", "re"), ("im_g", "im"),
+                 ("verdict", "verdict")), site_word="points")
 
 
 def ac_spectrum(V: PiecewisePotential, grid=None, xi_tol: float = 1e-3) -> RealIntervalSet:
@@ -353,17 +347,3 @@ def multiplicity_sets(V: PiecewisePotential, grid=None):
     multiplicity two where both are nonreal, multiplicity one on the union of
     the equal-real, both-infinite, and exactly-one-nonreal cases."""
     return sweep_multiplicity_sets(_FAMILY, V, grid)
-
-
-def xi_csv(V: PiecewisePotential, lams, x0: float = 0.0) -> str:
-    """Per-point CSV: lambda, xi, Re g, Im g, verdict."""
-    lams = np.asarray(lams, dtype=float)
-    bd = _FAMILY.sweep(V, lams, x0)
-    g, _, conv = bd["g"]
-    vals, _, ok = sweep_phase(_FAMILY, bd)
-    rows = ([f"{lam:.12g}",
-             f"{vals[k]:.12g}" if ok[k] else "",
-             f"{g[k].real:.12g}" if conv[k] else "",
-             f"{g[k].imag:.12g}" if conv[k] else "",
-             phase_verdict(_FAMILY, vals[k], ok[k])] for k, lam in enumerate(lams))
-    return write_csv(["lambda", "xi", "re_g", "im_g", "verdict"], rows)

@@ -22,7 +22,7 @@ from acspectra.cmv import (M11, VerblunskyCoefficients, Xi11, Xi11_grid,
                            ac_spectrum, big_M, build_truncation,
                            default_angles, eigenvalue_angles,
                            m11_boundary_identity_residual, m_half_lattice,
-                           matrix_M_and_R, multiplicity_sets, angle_csv,
+                           matrix_M_and_R, multiplicity_sets,
                            reflectionless_on, support_arcs, weyl_data)
 
 TWO_PI = 2.0 * math.pi
@@ -292,11 +292,3 @@ class TestMultiplicity:
         M2, M1 = multiplicity_sets(geronimus_cmv, default_angles(512))
         assert not M2.contains(0.05)
         assert M2.contains(math.pi)
-
-
-class TestCsv:
-    def test_header_and_rows(self, free_cmv):
-        text = angle_csv(free_cmv, default_angles(512)[:8], 0)
-        lines = text.strip().split("\n")
-        assert lines[0] == "theta,re_m11,im_m11,xi,verdict,r00,r11,rank"
-        assert len(lines) == 9

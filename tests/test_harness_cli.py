@@ -9,8 +9,8 @@ import pytest
 
 from acspectra import jacobi
 from acspectra.errors import SiteDisagreement
-from acspectra.harness_cli import (SUPPORTED_TYPES, UnknownOperatorType,
-                                   build_operator, bundled_config_path,
+from acspectra.harness_cli import (FAMILY_MODULES, SUPPORTED_TYPES, UnknownOperatorType,
+                                   _csv_for, build_operator, bundled_config_path,
                                    closure_main, emit_sets_demo, format_set,
                                    run_config, spec_main, verify_inclusion)
 from acspectra.interval_sets import (canonicalize, circle_set, full_circle,
@@ -352,6 +352,38 @@ class TestClosureCli:
         assert "error: cannot read set JSON" in capsys.readouterr().err
 
 
+CSV_HEADERS = {"jacobi": "lambda,xi,error_estimate,verdict",
+               "cmv": "theta,re_m11,im_m11,xi,verdict,r00,r11,rank",
+               "schrodinger": "lambda,xi,re_g,im_g,verdict"}
+
+
+@pytest.mark.parametrize("fixture", ["period2_jacobi", "geronimus_cmv", "free_schrodinger"])
+def test_csv_columns_and_cells(request, fixture):
+    """One row per grid point under the family's header; the phase cell is
+    empty exactly at undetermined points, the re/im cells exactly where the
+    phase key did not converge, and no cell reads nan."""
+    op = request.getfixturevalue(fixture)
+    kind = op.to_descriptor()["type"]
+    fam = FAMILY_MODULES[kind]._FAMILY
+    grid = fam.grid(op)
+    lines = _csv_for(kind, op, grid).split("\n")
+    assert lines.pop() == ""
+    assert lines[0] == CSV_HEADERS[kind]
+    header = lines[0].split(",")
+    rows = [line.split(",") for line in lines[1:]]
+    assert len(rows) == grid.size and all(len(r) == len(header) for r in rows)
+    assert not any("nan" in cell for r in rows for cell in r)
+
+    cell = {name: [r[header.index(name)] for r in rows] for name in header}
+    outside = "edge" if kind == "cmv" else "exterior"
+    assert {"interior", outside} <= set(cell["verdict"]) <= {"interior", outside, "undetermined"}
+    assert [v == "undetermined" for v in cell["verdict"]] == [x == "" for x in cell["xi"]]
+    conv = fam.sweep(op, grid, fam.sites(op)[0])[fam.phase_key][2]
+    for name in header:
+        if name.startswith(("re_", "im_")):
+            assert [x == "" for x in cell[name]] == (~conv).tolist()
+
+
 class TestSpecCli:
     def test_emit_spectrum(self, tmp_path, capsys):
         desc = tmp_path / "op.json"
@@ -361,16 +393,25 @@ class TestSpecCli:
         s = set_from_json(json.loads(capsys.readouterr().out))
         assert s.contains(0.0) and not s.contains(2.5)
 
-    def test_emit_xi_csv(self, tmp_path):
+    @pytest.mark.parametrize("descriptor, grid, col, center", [
+        (FREE_JACOBI, "-3:3:41", 1, 0.5),
+        (FREE_CMV, "0:6.283185307179586:512", 3, 0.0),
+        (FREE_SCHRODINGER, "0.5:20:41", 1, 0.5),
+    ], ids=["jacobi", "cmv", "schrodinger"])
+    def test_emit_xi_csv(self, tmp_path, descriptor, grid, col, center):
+        """The xi column sits where the benchmark reads it, and holds 1/2
+        (circle: 0) inside the spectrum of a free operator."""
         desc = tmp_path / "op.json"
-        desc.write_text(json.dumps(FREE_SCHRODINGER), encoding="utf-8")
+        desc.write_text(json.dumps(descriptor), encoding="utf-8")
         out = tmp_path / "xi.csv"
-        assert spec_main(["schrodinger", "--desc", str(desc),
-                          "--grid=0.5:20:41", "--emit", "xi",
+        assert spec_main([descriptor["type"], "--desc", str(desc),
+                          f"--grid={grid}", "--emit", "xi",
                           "--out", str(out)]) == 0
         lines = out.read_text().strip().split("\n")
-        assert lines[0].startswith("lambda,xi")
-        assert len(lines) == 42
+        assert lines[0].split(",")[col] == "xi"
+        assert len(lines) == int(grid.split(":")[2]) + 1
+        xis = [float(line.split(",")[col]) for line in lines[1:] if line.split(",")[col]]
+        assert any(abs(x - center) < 1e-6 for x in xis)
 
     def test_emit_report(self, tmp_path, capsys):
         desc = tmp_path / "op.json"

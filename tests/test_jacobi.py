@@ -20,7 +20,7 @@ from acspectra.jacobi import (JacobiCoefficients, ac_spectrum, big_M,
                               green_diag, green_inverse_identity_residual,
                               m_half_line, monodromy, multiplicity_sets,
                               reflectionless_on, resolvent_entry,
-                              truncated_matrix, weyl_data, xi, xi_csv, xi_grid)
+                              truncated_matrix, weyl_data, xi, xi_grid)
 
 
 def arcsine_stieltjes(z: complex, points: int = 20001) -> complex:
@@ -220,12 +220,3 @@ class TestMultiplicity:
         hits = [x for x in (list(M1.isolated_points)
                             + [0.5 * (iv.lo + iv.hi) for iv in M1.intervals])]
         assert min(abs(x - lam0) for x in hits) < 1e-3
-
-
-class TestCsv:
-    def test_header_and_rows(self, free_jacobi):
-        text = xi_csv(free_jacobi, np.linspace(-3, 3, 11), 0)
-        lines = text.strip().split("\n")
-        assert lines[0] == "lambda,xi,error_estimate,verdict"
-        assert len(lines) == 12
-        assert "interior" in text and "exterior" in text

@@ -22,10 +22,8 @@ from acspectra.errors import MonodromyDegenerate
 from acspectra.interval_sets import canonicalize, set_algebra
 from acspectra.schrodinger import (PiecewisePotential, ac_spectrum, discriminant, default_grid,
                                    green_diag, green_identity_residual,
-                                   m_half_line, multiplicity_sets,
-                                   piece_propagator, reflectionless_on,
-                                   transfer_interval, weyl_data, xi, xi_csv,
-                                   xi_grid)
+                                   m_half_line, multiplicity_sets, reflectionless_on,
+                                   transfer_interval, weyl_data, xi, xi_grid)
 
 
 def fd_green_oracle(v_of_x, z: complex, half_width: float = 200.0,
@@ -75,9 +73,9 @@ class TestTransfer:
     @given(st.floats(0.05, 2.0), st.floats(-5, 5),
            st.floats(-3, 8), st.floats(-2, 2))
     @settings(max_examples=60, deadline=None)
-    def test_piece_propagator_is_matrix_exponential(self, ell, v, x, y):
+    def test_piece_transfer_is_matrix_exponential(self, ell, v, x, y):
         z = complex(x, y)
-        T = piece_propagator(np.array([z]), ell, v)[0]
+        T = transfer_interval(PiecewisePotential(ell, ((ell, v),)), z, 0.0, ell)[0]
         gen = np.array([[0.0, 1.0], [v - z, 0.0]], dtype=complex)
         assert np.abs(T - expm(ell * gen)).max() < 1e-10
         # det is formed from entries whose products reach |T|^2, so its
@@ -248,12 +246,3 @@ class TestMultiplicity:
         M2, M1 = multiplicity_sets(square_well, grid)
         assert not M2.contains(12.0) and not M1.contains(12.0)
         assert M2.contains(5.0)
-
-
-class TestCsv:
-    def test_header_and_rows(self, free_schrodinger):
-        text = xi_csv(free_schrodinger, np.linspace(-1, 24, 11))
-        lines = text.strip().split("\n")
-        assert lines[0] == "lambda,xi,re_g,im_g,verdict"
-        assert len(lines) == 12
-        assert "interior" in text and "exterior" in text
