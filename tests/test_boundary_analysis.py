@@ -10,8 +10,12 @@ import math
 import numpy as np
 import pytest
 
-from acspectra.boundary_analysis import (SCHEDULE, boundary_sweep, relaxed_ok,
-                                         richardson_sequence)
+from acspectra.boundary_analysis import (SCHEDULE, SweepFamily, blowup_flags,
+                                         boundary_sweep, normalize_pair,
+                                         plus_side, relaxed_ok,
+                                         require_off_axis, richardson_sequence,
+                                         stack_2x2, sweep_at, sweep_csv,
+                                         sweep_phase, write_csv)
 from acspectra.interval_sets import essential_closure, points_hull
 
 
@@ -23,6 +27,30 @@ def uniform(zs):
 def disk_pole(zs):
     """Caratheodory function of the unit point mass at angle 0."""
     return {"f": (1.0 + zs) / (1.0 - zs)}
+
+
+def disk_mixed(zs):
+    """Normalized Lebesgue measure plus the unit point mass at angle 0: Re = 1
+    on the circle away from 0."""
+    return {"f": 1.0 + (1.0 + zs) / (1.0 - zs)}
+
+
+def family(circle, zero_floor=False, columns=()):
+    """A SweepFamily over the analytic models: the phase key is 'm' on the
+    line and 'f' on the circle, and the sweep ignores the operator."""
+    kernel, key = (disk_mixed, "f") if circle else (uniform, "m")
+    return SweepFamily(sweep=lambda op, grid, site: boundary_sweep(kernel, grid, circle),
+                       phase=None, grid=None, sites=lambda op: (0, 1), circle=circle,
+                       pair=(key, key), phase_key=key, witness=None,
+                       csv_columns=columns, zero_floor=zero_floor)
+
+
+def sweep_of(key, values, err=0.0, conv=True, div=False):
+    """A one-key boundary sweep dict with the given values."""
+    v = np.asarray(values, dtype=complex)
+    full = lambda x, dtype: np.full(v.shape, x, dtype=dtype)
+    return {key: (v, full(err, float), full(conv, bool)),
+            "inf_" + key: full(False, bool), "div_" + key: full(div, bool)}
 
 
 class TestRichardson:
@@ -79,3 +107,149 @@ class TestAnalyticModels:
         f, err, conv = bd["f"]
         assert conv[0] and abs(f[0]) < 1e-8
         assert not (bd["inf_f"][0] or bd["div_f"][0])
+
+    def test_disk_boundary_value(self):
+        # (1 + e^{i theta}) / (1 - e^{i theta}) = i cot(theta / 2)
+        f, err, conv = boundary_sweep(disk_pole, np.array([1.0, 2.0]), True)["f"]
+        assert conv.all()
+        assert np.abs(f - 1j / np.tan(np.array([0.5, 1.0]))).max() < 1e-8
+
+    def test_disk_point_mass_does_not_converge(self):
+        # the values grow like 2 / eps at the mass, below the infinite limit
+        bd = boundary_sweep(disk_pole, np.array([0.0]), True)
+        assert not bd["f"][2][0]
+        assert not (bd["inf_f"][0] or bd["div_f"][0])
+
+    def test_regular_limits_on_the_line(self):
+        grid = np.array([1.0, 1.5, 2.0, 2.5, 3.0])
+        m, err, conv = boundary_sweep(lambda zs: {"m": zs}, grid, False)["m"]
+        assert conv.all() and np.abs(m - grid).max() < 1e-12
+
+    def test_pole_point_does_not_converge(self):
+        grid = np.array([1.0, 1.5, 2.0, 2.5, 3.0])
+        bd = boundary_sweep(lambda zs: {"m": 1.0 / (2.0 - zs)}, grid, False)
+        m, err, conv = bd["m"]
+        assert conv.tolist() == [True, True, False, True, True]
+        away = grid != 2.0
+        assert np.abs(m[away] - 1.0 / (2.0 - grid[away])).max() < 1e-10
+        assert not (bd["inf_m"].any() or bd["div_m"].any())
+
+    def test_heavy_pole_is_infinite(self):
+        # mass 1e3: |m| passes 1e6 with monotone growth and stays below 1e8
+        grid = np.array([1.5, 2.0, 2.5])
+        bd = boundary_sweep(lambda zs: {"m": 1e3 / (2.0 - zs)}, grid, False)
+        assert bd["inf_m"].tolist() == [False, True, False]
+        assert not bd["div_m"].any()
+
+    def test_hard_cap_flags_divergence(self):
+        grid = np.array([0.0, 1.0])
+        bd = boundary_sweep(lambda zs: {"m": np.full(zs.shape, 1e12j)}, grid, False)
+        assert bd["div_m"].all() and not bd["inf_m"].any()
+
+
+class TestBlowupFlags:
+    @pytest.mark.parametrize("mags, infinite, diverged", [
+        ([1e2, 1e3, 1e4, 1e5, 1e7], True, False),
+        ([1e2, 1e7, 1e4, 1e5, 2e6], False, False),
+        ([1e9, 1e3, 1e2, 1e1, 1.0], False, True),
+    ], ids=["growth_past_limit", "growth_broken", "past_hard_cap"])
+    def test_flags(self, mags, infinite, diverged):
+        inf, div = blowup_flags(np.array(mags))
+        assert bool(inf) is infinite and bool(div) is diverged
+
+
+class TestSweepPhase:
+    @pytest.mark.parametrize("value, phase", [
+        (1.0 + 0.0j, 0.0), (1.0j, 0.5), (-1.0 + 0.0j, 1.0), (1.0 + 1.0j, 0.25),
+    ])
+    def test_line_phase_is_arg_over_pi(self, value, phase):
+        vals, _, ok = sweep_phase(family(False), sweep_of("m", [value]))
+        assert ok[0] and vals[0] == pytest.approx(phase, abs=1e-15)
+
+    @pytest.mark.parametrize("value, phase", [
+        (1.0 + 0.0j, 0.0), (1.0j, 0.5), (-1.0j, -0.5), (1.0 - 1.0j, -0.25),
+    ])
+    def test_circle_phase_is_arg_over_pi(self, value, phase):
+        vals, _, ok = sweep_phase(family(True), sweep_of("f", [value]))
+        assert ok[0] and vals[0] == pytest.approx(phase, abs=1e-15)
+
+    def test_negative_part_within_error_is_clamped(self):
+        bd = sweep_of("m", [-1.0 - 1e-6j, -1.0 - 1e-2j], err=1e-6)
+        vals, _, ok = sweep_phase(family(False), bd)
+        assert ok.tolist() == [True, False]
+        assert vals[0] == 1.0 and np.isnan(vals[1])
+
+    def test_diverged_and_unconverged_points_are_undetermined(self):
+        for bd in (sweep_of("m", [1.0j], div=True), sweep_of("m", [1.0j], err=1.0, conv=False)):
+            vals, _, ok = sweep_phase(family(False), bd)
+            assert not ok[0] and np.isnan(vals[0])
+
+    def test_zero_floor_drops_boundary_zeros(self):
+        bd = sweep_of("m", [1e-11j, 1.0j], err=1e-12)
+        assert sweep_phase(family(False), bd)[2].tolist() == [True, True]
+        assert sweep_phase(family(False, zero_floor=True), bd)[2].tolist() == [False, True]
+
+    def test_uniform_density_phase_at_its_center(self):
+        # Re m = log((1 - x) / x) vanishes at x = 1/2, so Arg m = pi / 2 there
+        vals, _, ok = sweep_phase(family(False), boundary_sweep(uniform, np.array([0.5]), False))
+        assert ok[0] and vals[0] == pytest.approx(0.5, abs=1e-9)
+
+
+class TestSweepCsv:
+    COLUMNS = (("x", "loc"), ("xi", "phase"), ("error_estimate", "err"),
+               ("re", "re"), ("im", "im"), ("verdict", "verdict"), ("pad", "empty"))
+
+    def test_every_cell_kind_on_the_line(self):
+        grid = np.array([-0.5, 0.5, 1.5])
+        lines = sweep_csv(family(False, columns=self.COLUMNS), None, grid).split("\n")
+        assert lines.pop() == ""
+        assert lines[0] == "x,xi,error_estimate,re,im,verdict,pad"
+        rows = [line.split(",") for line in lines[1:]]
+        assert [r[0] for r in rows] == ["-0.5", "0.5", "1.5"]
+        assert [r[5] for r in rows] == ["exterior", "interior", "exterior"]
+        assert [r[6] for r in rows] == ["", "", ""]
+        assert float(rows[1][1]) == pytest.approx(0.5, abs=1e-9)
+        assert float(rows[1][4]) == pytest.approx(math.pi, abs=1e-8)
+        assert float(rows[0][1]) in (0.0, 1.0)
+
+    def test_circle_verdicts(self):
+        grid = np.array([0.0, 1.0, 2.0])
+        lines = sweep_csv(family(True, columns=(("theta", "loc"), ("verdict", "verdict"))),
+                          None, grid).strip().split("\n")
+        # no limit at the point mass; elsewhere Re f = 1, inside the arc
+        assert [line.split(",")[1] for line in lines[1:]] == ["undetermined", "interior", "interior"]
+
+
+class TestHelpers:
+    def test_write_csv_uses_lf_and_quotes(self):
+        assert write_csv(["a", "b"], [[1, "x,y"], [2, ""]]) == 'a,b\n1,"x,y"\n2,\n'
+
+    @pytest.mark.parametrize("side, plus", [("+", True), ("-", False)])
+    def test_plus_side(self, side, plus):
+        assert plus_side(side) is plus
+
+    @pytest.mark.parametrize("side", ["plus", "", None])
+    def test_plus_side_rejects(self, side):
+        with pytest.raises(ValueError):
+            plus_side(side)
+
+    def test_require_off_axis(self):
+        assert require_off_axis(2 + 1j) == 2 + 1j
+        with pytest.raises(ValueError):
+            require_off_axis(2.0)
+
+    def test_normalize_pair(self):
+        x, y = normalize_pair(np.array([3.0, 0.0, 1j]), np.array([-6.0, 0.0, 0.5]))
+        assert x.tolist() == [0.5, 0.0, 1j] and y.tolist() == [-1.0, 0.0, 0.5]
+
+    def test_stack_2x2_layout(self):
+        M = stack_2x2(np.array([1.0, 5.0]), 2.0, 3.0, np.array([4.0, 8.0]), (2,))
+        assert M.shape == (2, 2, 2) and M.dtype == complex
+        assert M[1].tolist() == [[5.0, 2.0], [3.0, 8.0]]
+
+    def test_sweep_at_reads_tuples_and_flags(self):
+        bd = boundary_sweep(uniform, np.array([-0.5, 0.5, 1.5]), False)
+        sub = sweep_at(bd, np.array([False, True, False]))
+        assert set(sub) == set(bd)
+        assert all(a.shape == (1,) for a in sub["m"]) and sub["inf_m"].shape == (1,)
+        assert sub["m"][0][0] == bd["m"][0][1]

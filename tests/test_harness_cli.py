@@ -357,7 +357,8 @@ CSV_HEADERS = {"jacobi": "lambda,xi,error_estimate,verdict",
                "schrodinger": "lambda,xi,re_g,im_g,verdict"}
 
 
-@pytest.mark.parametrize("fixture", ["period2_jacobi", "geronimus_cmv", "free_schrodinger"])
+@pytest.mark.parametrize("fixture", ["free_jacobi", "period2_jacobi", "geronimus_cmv",
+                                     "free_schrodinger", "square_well"])
 def test_csv_columns_and_cells(request, fixture):
     """One row per grid point under the family's header; the phase cell is
     empty exactly at undetermined points, the re/im cells exactly where the
