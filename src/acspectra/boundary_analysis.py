@@ -12,7 +12,10 @@ the boundary values are nonreal, read here off the boundary phase.
 The sweeps serve the Jacobi, CMV and Schrodinger modules: one Richardson
 sweep, phase, ac hull, reflectionless test, multiplicity classifier and CSV
 writer, with each family's conventions passed as data, plus the Floquet
-eigenvector chooser and 2x2 helpers of the Jacobi and Schrodinger kernels.
+chooser and 2x2 helpers of the Jacobi and Schrodinger kernels.  Both Weyl
+solutions of a periodic base are eigenvectors of one period monodromy, so
+floquet_pair returns the decaying and the growing one from a single trace
+and square root, and a kernel seeds both half lines from one matrix.
 """
 
 from __future__ import annotations
@@ -105,11 +108,12 @@ def require_off_axis(z) -> complex:
     return z
 
 
-def floquet_eigvec(M, det, decaying: bool):
-    """Eigenvector of the monodromy stack M (determinant det) for its contracting
-    (decaying, |u| < 1) or expanding Floquet multiplier.  The larger root takes
-    the cancellation-free sign, the other one u' = det/u; multiplier moduli
-    within 1e-10 (only on the real axis) raise MonodromyDegenerate."""
+def floquet_pair(M, det):
+    """(decaying, growing): eigenvectors of the monodromy stack M
+    (determinant det) for its contracting (|u| < 1) and its expanding
+    Floquet multiplier, from one trace and one square root.  The larger root
+    takes the cancellation-free sign, the other one u' = det/u; multiplier
+    moduli within 1e-10 (only on the real axis) raise MonodromyDegenerate."""
     tr = M[..., 0, 0] + M[..., 1, 1]
     sq = np.sqrt(tr * tr - 4.0 * det)
     big = np.where(np.abs(tr + sq) >= np.abs(tr - sq), (tr + sq) / 2.0, (tr - sq) / 2.0)
@@ -117,12 +121,12 @@ def floquet_eigvec(M, det, decaying: bool):
     if np.any(np.abs(np.abs(big) - np.abs(small)) < DEGENERACY_TOL):
         raise MonodromyDegenerate(
             "Floquet multipliers have equal modulus; move z off the real axis")
-    u = small if decaying else big
-    v1 = np.stack([M[..., 0, 1], u - M[..., 0, 0]], axis=-1)
-    v2 = np.stack([u - M[..., 1, 1], M[..., 1, 0]], axis=-1)
-    use1 = (np.abs(v1[..., 0]) + np.abs(v1[..., 1])
-            >= np.abs(v2[..., 0]) + np.abs(v2[..., 1]))[..., None]
-    return np.where(use1, v1, v2)
+
+    def eigvec(u):      # (M01, u - M00) or (u - M11, M10), whichever is larger
+        x1, y1, x2, y2 = M[..., 0, 1], u - M[..., 0, 0], u - M[..., 1, 1], M[..., 1, 0]
+        use1 = np.abs(x1) + np.abs(y1) >= np.abs(x2) + np.abs(y2)
+        return np.stack([np.where(use1, x1, x2), np.where(use1, y1, y2)], axis=-1)
+    return eigvec(small), eigvec(big)
 
 
 def stack_2x2(m00, m01, m10, m11, shape):

@@ -26,6 +26,7 @@ arcs.  Truncations are exactly unitary thanks to the alpha = 1 cuts.
 
 from __future__ import annotations
 
+import cmath
 import math
 from dataclasses import dataclass
 
@@ -50,12 +51,17 @@ class VerblunskyCoefficients:
     patch: tuple = ()   # sorted ((n, alpha), ...)
 
     def __post_init__(self):
-        if self.period < 1 or len(self.alpha_base) != self.period:
+        if not (float(self.period).is_integer() and self.period >= 1):
+            raise ValueError(f"period must be a positive integer, not {self.period!r}")
+        object.__setattr__(self, "period", int(self.period))
+        if len(self.alpha_base) != self.period:
             raise ValueError("alpha_base must have length equal to the period")
         object.__setattr__(self, "alpha_base", tuple(complex(a) for a in self.alpha_base))
         items = self.patch.items() if isinstance(self.patch, dict) else self.patch
         norm = tuple(sorted(((int(n), complex(a)) for n, a in items), key=lambda t: t[0]))
         object.__setattr__(self, "patch", norm)
+        if not all(map(cmath.isfinite, self.alpha_base + tuple(a for _, a in norm))):
+            raise ValueError("Verblunsky coefficients must be finite numbers")
         if any(abs(a) >= 1.0 for a in self.alpha_base) or any(abs(a) >= 1.0 for _, a in self.patch):
             raise ValueError("Verblunsky coefficients must lie in the open unit disk")
         sites = [n for n, _ in self.patch]
@@ -86,7 +92,7 @@ class VerblunskyCoefficients:
             raise ValueError("descriptor type must be 'cmv'")
         base = tuple(complex(re, im) for re, im in d["alpha"])
         patch = {int(n): complex(v[0], v[1]) for n, v in d.get("patch", {}).items()}
-        return cls(int(d["period"]), base, patch)
+        return cls(d["period"], base, patch)
 
 
 @dataclass(frozen=True)

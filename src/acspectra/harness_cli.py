@@ -17,9 +17,11 @@ multiplicity sets, named identity residuals, and the inclusion check
 together with the multiplicity-two coverage of E.  The inclusion is the
 numerical content of the containment theorems for reflectionless operators;
 when the reflectionless hypothesis fails on E the inclusion is SKIPPED with
-the reason recorded rather than reported as a failure.  A report is FAILED
-exactly when some residual exceeds its threshold or an enforced check is
-violated; every failure names the violated inequality and its margin.
+the reason recorded rather than reported as a failure, and so it is when E
+is omitted and the computed ac spectrum has zero measure on the grid.  A
+report is FAILED exactly when some residual exceeds its threshold or an
+enforced check is violated; every failure names the violated inequality and
+its margin.
 
 Config runs are deterministic: fixed seed, sorted JSON keys, LF endings, no
 timestamps; reports embed the effective tolerances for auditability.
@@ -50,7 +52,8 @@ import numpy as np
 from . import jacobi as _jacobi
 from . import cmv as _cmv
 from . import schrodinger as _schrodinger
-from .boundary_analysis import memo_sweep, sweep_at, sweep_csv, sweep_scope
+from .boundary_analysis import (ReflectionlessReport, memo_sweep, sweep_at, sweep_csv,
+                                sweep_scope)
 from .errors import SiteDisagreement
 from .interval_sets import (CircleArcSet, GeneratedFatSet, RealIntervalSet, canonicalize,
                             contains_mask, essential_closure, fat_density_report,
@@ -90,19 +93,26 @@ def build_operator(descriptor: dict):
     raise UnknownOperatorType(kind)
 
 
+def _whole(value, what: str) -> int:
+    """value as an int; a fractional or non-finite number raises ValueError."""
+    if isinstance(value, bool) or not float(value).is_integer():
+        raise ValueError(f"grid {what} must be a whole number, not {value!r:.80}")
+    return int(value)
+
+
 def _resolve_grid(kind: str, op, grid_config):
     """Grid array plus its JSON echo from a config dict or family default."""
     if kind == "cmv":
-        n = int((grid_config or {}).get("angles", 512))
+        n = _whole((grid_config or {}).get("angles", 512), "angles")
         if n < 512:
             raise ValueError(f"a cmv grid needs at least 512 angles, got {n}")
         return _cmv.default_angles(n), {"angles": n}
     if grid_config:
         start = float(grid_config["start"])
         stop = float(grid_config["stop"])
-        points = int(grid_config["points"])
-        if points < 2 or not stop > start:
-            raise ValueError("a grid needs start < stop and at least 2 points")
+        points = _whole(grid_config["points"], "points")
+        if points < 2 or not (math.isfinite(start) and math.isfinite(stop) and stop > start):
+            raise ValueError("a grid needs finite start < stop and at least 2 points")
         return np.linspace(start, stop, points), \
             {"start": start, "stop": stop, "points": points}
     g = FAMILY_MODULES[kind].default_grid(op)
@@ -137,14 +147,19 @@ def _load(descriptor: dict, E, grid_config, tolerances=None):
         op = build_operator(descriptor)
         grid, grid_echo = _resolve_grid(descriptor["type"], op, grid_config)
         E_set = set_from_json(E) if isinstance(E, dict) else E
-    except (KeyError, TypeError, IndexError) as exc:
+    except (KeyError, TypeError, IndexError, OverflowError) as exc:
         raise ValueError(f"malformed operator entry ({type(exc).__name__}: {exc})") from None
     carrier = CircleArcSet if descriptor["type"] == "cmv" else RealIntervalSet
-    if E_set is not None and not (isinstance(E_set, carrier) and E_set.measure() > 0.0
-                                  and contains_mask(E_set, grid).any()):
+    if E_set is not None and not (isinstance(E_set, carrier) and _testable(E_set, grid)):
         raise ValueError(f"E must be an explicit {carrier.__name__} of positive measure "
                          f"with a grid point inside, not {E_set!r:.80}")
     return op, grid, grid_echo, E_set
+
+
+def _testable(E, grid) -> bool:
+    """Whether the reflectionless test can read E on the grid: E has
+    positive measure and a grid point inside."""
+    return E.measure() > 0.0 and bool(contains_mask(E, grid).any())
 
 
 def _covered_fraction(E, M) -> float:
@@ -270,7 +285,13 @@ def verify_inclusion(descriptor: dict, E=None, grid_config=None, tolerances=None
     if E_set is None:
         E_set = ac
 
-    refl = mod.reflectionless_on(op, E_set, grid, tol=refl_tol)
+    testable = _testable(E_set, grid)
+    if testable:
+        refl = mod.reflectionless_on(op, E_set, grid, tol=refl_tol)
+    else:       # only a computed E: a given one is checked on loading
+        refl = ReflectionlessReport(
+            verdict=False, fraction=math.nan, max_residual=math.nan, tol=refl_tol,
+            sites=(), n_points=0, defect_points=(), xi_fraction=math.nan)
     M2, M1 = mod.multiplicity_sets(op, grid)
 
     identities = _identity_residuals(kind, op, grid, E_set, refl.verdict, rng,
@@ -307,9 +328,11 @@ def verify_inclusion(descriptor: dict, E=None, grid_config=None, tolerances=None
     else:
         inclusion = {
             "status": "SKIPPED",
-            "reason": ("reflectionless hypothesis fails on E "
-                       f"(passing fraction {refl.fraction:.4f} <= 0.99); "
-                       "the containment theorem does not apply"),
+            "reason": (("reflectionless hypothesis fails on E "
+                        f"(passing fraction {refl.fraction:.4f} <= 0.99); ") if testable else
+                       "E, the computed ac spectrum, has zero measure on the grid, so the "
+                       "reflectionless test cannot run; ")
+                      + "the containment theorem does not apply",
             "E": set_to_json(E_set),
             "essential_closure_E": set_to_json(E_closure),
             "contained_in_ac": None,

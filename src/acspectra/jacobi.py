@@ -6,7 +6,10 @@ Weyl functions come from the Floquet theory of the one-period transfer
 matrix: the eigenvector of the monodromy with contracting (|u| < 1)
 multiplier seeds the square-summable solution psi_+ rightward, the expanding
 one seeds psi_- leftward, and coefficient stripping carries the seeds
-through the patch to the reference site.  From the Weyl solutions:
+through the patch to the reference site.  Both seeds come from one
+monodromy per kernel call: the left one sits at a site congruent to the
+right one modulo the period, left of the patch and of n0.  From the Weyl
+solutions:
 
     m_+(z, n0) = -psi_+(n0) / [a(n0-1) psi_+(n0-1)]      (resolvent diagonal
     m_-(z, n0) = -psi_-(n0) / [a(n0) psi_-(n0+1)]         of each half line)
@@ -22,13 +25,14 @@ xi = 1/2 (equivalently M_+ = conj(M_-)) characterizes reflectionless points.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import NonConvergent
 from .boundary_analysis import (ReflectionlessReport, SweepFamily, boundary_sweep,
-                                floquet_eigvec, memo_sweep, normalize_pair, plus_side,
+                                floquet_pair, memo_sweep, normalize_pair, plus_side,
                                 relaxed_ok, require_off_axis, stack_2x2, sweep_ac_spectrum,
                                 sweep_multiplicity_sets, sweep_phase, sweep_reflectionless)
 from .interval_sets import RealIntervalSet
@@ -47,7 +51,10 @@ class JacobiCoefficients:
     patch: tuple = ()   # sorted ((n, a, b), ...)
 
     def __post_init__(self):
-        if self.period < 1 or len(self.a_base) != self.period or len(self.b_base) != self.period:
+        if not (float(self.period).is_integer() and self.period >= 1):
+            raise ValueError(f"period must be a positive integer, not {self.period!r}")
+        object.__setattr__(self, "period", int(self.period))
+        if len(self.a_base) != self.period or len(self.b_base) != self.period:
             raise ValueError("base arrays must have length equal to the period")
         object.__setattr__(self, "a_base", tuple(float(a) for a in self.a_base))
         object.__setattr__(self, "b_base", tuple(float(b) for b in self.b_base))
@@ -57,6 +64,9 @@ class JacobiCoefficients:
             items = [(n, a, b) for n, a, b in self.patch]
         norm = tuple(sorted((int(n), float(a), float(b)) for n, a, b in items))
         object.__setattr__(self, "patch", norm)
+        if not all(map(math.isfinite, self.a_base + self.b_base
+                       + tuple(x for _, a, b in norm for x in (a, b)))):
+            raise ValueError("coefficients must be finite numbers")
         if any(a <= 0 for a in self.a_base) or any(a <= 0 for _, a, _ in self.patch):
             raise ValueError("off-diagonal coefficients a(n) must be positive")
         seen = [n for n, _, _ in self.patch]
@@ -97,7 +107,7 @@ class JacobiCoefficients:
         if d.get("type") != "jacobi":
             raise ValueError("descriptor type must be 'jacobi'")
         patch = {int(n): (ab[0], ab[1]) for n, ab in d.get("patch", {}).items()}
-        return cls(int(d["period"]), tuple(d["a"]), tuple(d["b"]), patch)
+        return cls(d["period"], tuple(d["a"]), tuple(d["b"]), patch)
 
 
 @dataclass(frozen=True)
@@ -138,15 +148,16 @@ def _weyl_grid(J: JacobiCoefficients, zs, n0: int) -> dict:
     Returns m_plus, m_minus, M_plus, M_minus and g as arrays shaped like zs.
     """
     zs = np.asarray(zs, dtype=complex)
-    sites = J.patch_sites
-    hi_site = max(sites) if sites else n0
-    lo_site = min(sites) if sites else n0
-    n_r = max(n0 + 2, hi_site + 2)
-    n_l = min(n0 - 2, lo_site - J.period - 2)
+    p, sites = J.period, J.patch_sites
+    n_r = max(n0 + 2, max(sites) + 2) if sites else n0 + 2
+    # the largest site congruent to n_r whose monodromy window, and all left
+    # of it, is unpatched: both seeds are eigenvectors of the same matrix
+    top = min(n0 + 1, min(sites) - p) if sites else n0 + 1
+    n_l = n_r - p * math.ceil((n_r - top) / p)
+    m = _monodromy_entries(J, zs, n_r)
+    v, w = floquet_pair(stack_2x2(*m, zs.shape), m[0] * m[3] - m[1] * m[2])
 
     # rightward-decaying solution, stripped down to n0-1
-    m = _monodromy_entries(J, zs, n_r)
-    v = floquet_eigvec(stack_2x2(*m, zs.shape), m[0] * m[3] - m[1] * m[2], decaying=True)
     hi, lo = v[..., 0], v[..., 1]          # psi(n_r), psi(n_r - 1)
     for n in range(n_r - 1, n0 - 1, -1):
         hi, lo = lo, ((zs - J.b(n)) * lo - J.a(n) * hi) / J.a(n - 1)
@@ -154,8 +165,6 @@ def _weyl_grid(J: JacobiCoefficients, zs, n0: int) -> dict:
     m_plus = -hi / (J.a(n0 - 1) * lo)      # hi = psi(n0), lo = psi(n0-1)
 
     # leftward-decaying solution, propagated up to n0+1
-    m = _monodromy_entries(J, zs, n_l)
-    w = floquet_eigvec(stack_2x2(*m, zs.shape), m[0] * m[3] - m[1] * m[2], decaying=False)
     cur, prev = w[..., 0], w[..., 1]       # psi(n_l), psi(n_l - 1)
     for n in range(n_l, n0 + 1):
         cur, prev = ((zs - J.b(n)) * cur - J.a(n - 1) * prev) / J.a(n), cur

@@ -9,8 +9,12 @@ matrix (w^2 = v - z, even in w, so the branch is immaterial)
          [(v - z) ell sinhc(w ell),  cosh(w ell)]].
 
 Weyl solutions psi_+/- decay at +/-infinity; over a period in the periodic
-region they scale by the Floquet multipliers u, 1/u of the monodromy matrix,
-and the half-line m-functions are logarithmic derivatives
+region they scale by the Floquet multipliers u, 1/u of the monodromy matrix.
+Both are eigenvectors of the one monodromy of the base pieces at every
+period boundary of the unpatched line, so one kernel call seeds psi_+ at
+the nearest such boundary right of x0 and the patch, psi_- at the nearest
+one left of x0 and 0, and carries each to x0 across the pieces in between.
+The half-line m-functions are logarithmic derivatives
 
     m_+(z, x0) = psi_+'(x0)/psi_+(x0)    Herglotz,      free: +i sqrt(z)
     m_-(z, x0) = psi_-'(x0)/psi_-(x0)    anti-Herglotz, free: -i sqrt(z)
@@ -33,7 +37,7 @@ import numpy as np
 
 from .errors import NonConvergent
 from .boundary_analysis import (ReflectionlessReport, SweepFamily, boundary_sweep,
-                                floquet_eigvec, memo_sweep, normalize_pair, plus_side,
+                                floquet_pair, memo_sweep, normalize_pair, plus_side,
                                 require_off_axis, stack_2x2, sweep_ac_spectrum,
                                 sweep_multiplicity_sets, sweep_phase, sweep_reflectionless)
 from .interval_sets import RealIntervalSet
@@ -54,6 +58,8 @@ class PiecewisePotential:
         object.__setattr__(self, "pieces", pieces)
         object.__setattr__(self, "patch", patch)
         object.__setattr__(self, "period", float(self.period))
+        if not all(map(math.isfinite, (self.period,) + sum(pieces + patch, ()))):
+            raise ValueError("period, piece lengths and values must be finite numbers")
         if self.period <= 0.0:
             raise ValueError("period must be positive")
         if any(l <= 0.0 for l, _ in pieces) or any(l <= 0.0 for l, _ in patch):
@@ -110,12 +116,13 @@ class SchrodingerWeylData:
 def _sinhc(x):
     """sinh(x)/x, even entire function; series below the cancellation scale."""
     x = np.asarray(x, dtype=complex)
+    with np.errstate(invalid="ignore", divide="ignore"):
+        out = np.sinh(x) / x
     small = np.abs(x) < 1e-4
-    xs = np.where(small, 0.0, x)
-    with np.errstate(invalid="ignore"):
-        direct = np.where(small, 1.0, np.sinh(xs) / np.where(small, 1.0, xs))
-    series = 1.0 + x * x / 6.0 * (1.0 + x * x / 20.0)
-    return np.where(small, series, direct)
+    if small.any():
+        xs = x[small]
+        out[small] = 1.0 + xs * xs / 6.0 * (1.0 + xs * xs / 20.0)
+    return out
 
 
 def _piece_entries(zs, length: float, value: float):
@@ -169,19 +176,16 @@ def _inv_unimodular(T):
 
 
 @functools.lru_cache(maxsize=64)
-def _half_line(V: PiecewisePotential, x0: float, plus: bool):
-    """(c, cell, spans) of the half line right (plus) or left of x0: a
-    periodic cell [c, c + L) beyond x0 and the patch, its pieces, and the
-    pieces between x0 and c in the order a seed at c crosses them toward
-    x0.  Computed once per operator and site, not on every kernel call."""
+def _layout(V: PiecewisePotential, x0: float):
+    """(cp, cm, plus_spans, minus_spans): the period boundaries nearest to x0
+    beyond which the line is unpatched, cp >= max(P, x0) on the right and
+    cm <= min(0, x0) on the left, and the pieces between each of them and
+    x0 in the order a seed there crosses them toward x0.  Computed once per
+    operator and site, not on every kernel call."""
     L = V.period
-    if plus:
-        c = L * math.ceil(max(V.patch_length, x0) / L + 1.0)
-        spans = _pieces(V, x0, c)[::-1]
-    else:
-        c = L * (math.floor(min(0.0, x0) / L) - 1.0)
-        spans = _pieces(V, c, x0)
-    return c, _pieces(V, c, c + L), spans
+    cp = L * math.ceil(max(V.patch_length, x0) / L)
+    cm = L * math.floor(min(0.0, x0) / L)
+    return cp, cm, _pieces(V, x0, cp)[::-1], _pieces(V, cm, x0)
 
 
 def _propagate_vec(zs, vec, spans, inverse: bool):
@@ -197,27 +201,29 @@ def _propagate_vec(zs, vec, spans, inverse: bool):
     return p, q
 
 
-def _cell_seed(V: PiecewisePotential, zs, x0: float, plus: bool):
-    """(c, vec): a periodic cell [c, c + L) right (plus) or left of x0 and the
-    patch, and (psi, psi')(c) of the solution decaying toward +inf (plus),
-    resp. -inf."""
-    c, cell, _ = _half_line(V, x0, plus)
-    return c, floquet_eigvec(stack_2x2(*_product(zs, cell), zs.shape), 1.0, decaying=plus)
+def _seeds(V: PiecewisePotential, zs):
+    """(decaying, growing): (psi, psi') at any period boundary of the
+    unpatched line of the solutions decaying toward +inf, resp. -inf, from
+    the one monodromy of the base pieces."""
+    return floquet_pair(stack_2x2(*_product(zs, V.pieces), zs.shape), 1.0)
 
 
-def _m_grid(V: PiecewisePotential, zs, x0: float, side: str):
+def _m_grid(V: PiecewisePotential, zs, x0: float):
+    """(m_plus, m_minus) at x0 over an array of spectral parameters, both
+    half lines seeded from one monodromy at the period boundaries cp, cm."""
     zs = np.atleast_1d(np.asarray(zs, dtype=complex))
-    plus = plus_side(side)
-    _, vec = _cell_seed(V, zs, x0, plus)
-    p, q = _propagate_vec(zs, vec, _half_line(V, x0, plus)[2], inverse=plus)
-    return q / p
+    _, _, plus_spans, minus_spans = _layout(V, x0)
+    dec, grow = _seeds(V, zs)
+    p, q = _propagate_vec(zs, dec, plus_spans, inverse=True)
+    pm, qm = _propagate_vec(zs, grow, minus_spans, inverse=False)
+    return q / p, qm / pm
 
 
 def m_half_line(V: PiecewisePotential, z: complex, x0: float, side: str) -> complex:
     """Weyl m-function psi'(x0)/psi(x0) of the decaying solution on the given
     half line; Herglotz for side '+', anti-Herglotz for side '-'."""
     z = require_off_axis(z)
-    return complex(_m_grid(V, np.array([z]), float(x0), side)[0])
+    return complex(_m_grid(V, np.array([z]), float(x0))[0 if plus_side(side) else 1][0])
 
 
 def green_diag(V: PiecewisePotential, z: complex, x0: float) -> complex:
@@ -227,9 +233,7 @@ def green_diag(V: PiecewisePotential, z: complex, x0: float) -> complex:
 
 def weyl_data(V: PiecewisePotential, z: complex, x0: float = 0.0) -> SchrodingerWeylData:
     z = require_off_axis(z)
-    zs = np.array([z])
-    mp = complex(_m_grid(V, zs, float(x0), "+")[0])
-    mm = complex(_m_grid(V, zs, float(x0), "-")[0])
+    mp, mm = (complex(m[0]) for m in _m_grid(V, np.array([z]), float(x0)))
     return SchrodingerWeylData(z, float(x0), mp, mm, 1.0 / (mm - mp))
 
 
@@ -243,12 +247,12 @@ def green_identity_residual(V: PiecewisePotential, zs, x0: float = 0.0) -> float
     """
     zs = np.atleast_1d(np.asarray(zs, dtype=complex))
     x0 = float(x0)
-    c, vp = _cell_seed(V, zs, x0, True)
-    if c > x0:
-        vp = (_inv_unimodular(transfer_interval(V, zs, x0, c)) @ vp[..., None])[..., 0]
-    c, vm = _cell_seed(V, zs, x0, False)
-    if x0 > c:
-        vm = (transfer_interval(V, zs, c, x0) @ vm[..., None])[..., 0]
+    cp, cm, _, _ = _layout(V, x0)
+    vp, vm = _seeds(V, zs)
+    if cp > x0:
+        vp = (_inv_unimodular(transfer_interval(V, zs, x0, cp)) @ vp[..., None])[..., 0]
+    if x0 > cm:
+        vm = (transfer_interval(V, zs, cm, x0) @ vm[..., None])[..., 0]
 
     T = transfer_interval(V, zs, x0, x0 + V.period / 2.0)
     vp1 = (T @ vp[..., None])[..., 0]
@@ -280,8 +284,7 @@ def boundary_schrodinger_grid(V: PiecewisePotential, lams, x0: float) -> dict:
     geometric schedule; returns (value, error, converged) per key plus
     'inf_'/'div_' blowup flags."""
     def kernel(zs):
-        mp = _m_grid(V, zs, float(x0), "+")
-        mm = _m_grid(V, zs, float(x0), "-")
+        mp, mm = _m_grid(V, zs, float(x0))
         return {"m_plus": mp, "m_minus": mm, "g": 1.0 / (mm - mp)}
     return boundary_sweep(kernel, lams, False)
 

@@ -185,6 +185,23 @@ BAD_ENTRIES = {
     "cmv_grid_below_512": {"descriptor": FREE_CMV, "grid": {"angles": 256}},
     "generated_E": {"descriptor": FREE_JACOBI,
                     "E": {"family": "rational_fat", "truncation": 12}},
+    "nan_a": {"descriptor": {**FREE_JACOBI, "a": [math.nan]}},
+    "infinite_b": {"descriptor": {**FREE_JACOBI, "b": [math.inf]}},
+    "nan_jacobi_patch": {"descriptor": {**FREE_JACOBI, "patch": {"1": [1.0, math.nan]}}},
+    "fractional_period": {"descriptor": {**FREE_JACOBI, "period": 1.5}},
+    "nan_alpha": {"descriptor": {**FREE_CMV, "alpha": [[math.nan, 0.0]]}},
+    "infinite_cmv_patch": {"descriptor": {**FREE_CMV, "patch": {"1": [0.0, -math.inf]}}},
+    "nan_piece_length": {"descriptor": {**FREE_SCHRODINGER, "pieces": [[math.nan, 0.0]]}},
+    "infinite_piece_value": {"descriptor": {**FREE_SCHRODINGER, "pieces": [[1.0, math.inf]]}},
+    "nan_schrodinger_patch": {"descriptor": {**FREE_SCHRODINGER, "patch": [[0.5, math.nan]]}},
+}
+
+# grids of `spec run` entries that are refused, not truncated or swept
+BAD_GRIDS = {
+    "fractional_points": {"start": -3.0, "stop": 3.0, "points": 1000.5},
+    "infinite_points": {"start": -3.0, "stop": 3.0, "points": math.inf},
+    "infinite_start": {"start": -math.inf, "stop": 3.0, "points": 1001},
+    "nan_stop": {"start": -3.0, "stop": math.nan, "points": 1001},
 }
 
 
@@ -213,6 +230,20 @@ class TestMalformedInput:
         assert not out.exists()
         assert capsys.readouterr().err.startswith("error: ")
 
+
+    @pytest.mark.parametrize("case", sorted(BAD_GRIDS) + ["fractional_angles"])
+    def test_spec_run_bad_grid_exits_2_without_writes(self, tmp_path, capsys, case):
+        entry = ({"descriptor": FREE_CMV, "grid": {"angles": 600.5}} if case == "fractional_angles"
+                 else {"descriptor": FREE_JACOBI, "grid": BAD_GRIDS[case]})
+        cfg = tmp_path / "c.json"
+        cfg.write_text(json.dumps({"operators": [
+            {"name": "ok", "descriptor": FREE_JACOBI, "grid": SMALL_GRIDS["jacobi"]},
+            {"name": "bad", **entry}]}), encoding="utf-8")
+        out = tmp_path / "out"
+        assert spec_main(["run", "--config", str(cfg), "--out", str(out)]) == 2
+        assert not out.exists()
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and "grid" in err
 
     @pytest.mark.parametrize("seed", ["x", -1, 1.5, True, None])
     def test_spec_run_bad_seed_exits_2_without_writes(self, tmp_path, capsys, seed):
@@ -292,6 +323,40 @@ class TestSiteDisagreement:
         assert rep["ac_spectrum"]["intervals"][0][0] == pytest.approx(-3.0341, abs=1e-4)
         assert json.loads((out / "after_report.json").read_text())["status"] == "PASS"
         assert (out / "split.csv").exists() and (out / "after.csv").exists()
+        assert capsys.readouterr().out.splitlines()[1] == "after: PASS"
+
+
+# operators whose ac spectrum has zero measure on the default grid: bands of
+# width ~1e-9 around -1 and 1, and a potential far above the grid top
+ZERO_MEASURE_AC = {
+    "thin_bands_jacobi": {"type": "jacobi", "period": 2, "a": [1.0, 1e-9], "b": [0.0, 0.0]},
+    "huge_schrodinger": {"type": "schrodinger", "period": 1.0, "pieces": [[1.0, 1e300]]},
+}
+
+
+class TestZeroMeasureSpectrum:
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    @pytest.mark.parametrize("case", sorted(ZERO_MEASURE_AC))
+    def test_inclusion_skipped_and_the_run_goes_on(self, tmp_path, capsys, case):
+        """With E omitted and an ac spectrum of zero measure, the report and
+        its CSV are written with the inclusion SKIPPED, the exit code
+        follows the statuses, and the next operator runs."""
+        cfg = tmp_path / "c.json"
+        cfg.write_text(json.dumps({"operators": [
+            {"name": "empty", "descriptor": ZERO_MEASURE_AC[case]},
+            {"name": "after", "descriptor": FREE_JACOBI, "grid": SMALL_GRIDS["jacobi"]}]}),
+            encoding="utf-8")
+        out = tmp_path / "out"
+        code = spec_main(["run", "--config", str(cfg), "--out", str(out)])
+        rep = json.loads((out / "empty_report.json").read_text())
+        assert rep["ac_spectrum"]["intervals"] == []
+        assert rep["theorem_inclusion"]["status"] == "SKIPPED"
+        assert "zero measure" in rep["theorem_inclusion"]["reason"]
+        assert rep["reflectionless"]["verdict"] is False
+        assert rep["reflectionless"]["n_points"] == 0
+        assert (out / "empty.csv").exists()
+        assert code == (1 if rep["status"] == "FAILED" else 0)
+        assert json.loads((out / "after_report.json").read_text())["status"] == "PASS"
         assert capsys.readouterr().out.splitlines()[1] == "after: PASS"
 
 

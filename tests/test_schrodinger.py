@@ -17,7 +17,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.linalg import expm, solve_banded
 
-from acspectra.boundary_analysis import floquet_eigvec
+from acspectra.boundary_analysis import floquet_pair
 from acspectra.errors import MonodromyDegenerate
 from acspectra.interval_sets import canonicalize, set_algebra
 from acspectra.schrodinger import (PiecewisePotential, ac_spectrum, discriminant, default_grid,
@@ -92,7 +92,7 @@ class TestTransfer:
     def test_degenerate_multipliers_raise(self):
         with pytest.raises(MonodromyDegenerate):
             # trace 2 and det 1: both multipliers are 1
-            floquet_eigvec(np.array([[[1.0, 1.0], [0.0, 1.0]]], dtype=complex), 1.0, True)
+            floquet_pair(np.array([[[1.0, 1.0], [0.0, 1.0]]], dtype=complex), 1.0)
 
 
 class TestWeylData:

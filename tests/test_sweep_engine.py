@@ -1,5 +1,5 @@
 """The shared boundary-sweep engine: sweeps per report and the per-report
-sweep memo, the Floquet eigenvector chooser on random monodromies, and ac
+sweep memo, the Floquet pair chooser on random monodromies, and ac
 spectra of random periodic operators against independent band oracles."""
 
 import json
@@ -9,7 +9,7 @@ import numpy as np
 import pytest
 
 from acspectra import boundary_analysis, cmv, jacobi, schrodinger
-from acspectra.boundary_analysis import floquet_eigvec, memo_sweep, sweep_scope
+from acspectra.boundary_analysis import floquet_pair, memo_sweep, sweep_scope
 from acspectra.harness_cli import (FAMILY_MODULES, _csv_for, _json_safe, _load,
                                    _resolve_grid, run_config, verify_inclusion)
 from acspectra.interval_sets import (canonicalize, circle_set, contains_mask,
@@ -47,10 +47,11 @@ def test_sweeps_per_report(request, monkeypatch, fixture, grid_config, expected)
 
 
 @pytest.mark.parametrize("family", ["jacobi", "schrodinger"])
-def test_floquet_eigvec_on_random_monodromies(family):
-    """At off-axis z the chosen vector is an eigenvector of the monodromy,
-    its multiplier u is contracting exactly when decaying is asked for, and
-    u times the other multiplier tr - u is the determinant."""
+def test_floquet_pair_on_random_monodromies(family):
+    """At off-axis z both returned vectors are eigenvectors of the
+    monodromy, the first one's multiplier u is contracting and the second
+    one's expanding, and u times the other multiplier tr - u is the
+    determinant."""
     rng = np.random.default_rng(400 if family == "jacobi" else 500)
     for period in (1, 2, 3, 4):
         eta = rng.choice([-1.0, 1.0], 64) * 10.0 ** rng.uniform(-6.0, 0.5, 64)
@@ -66,14 +67,14 @@ def test_floquet_eigvec_on_random_monodromies(family):
             M = schrodinger.transfer_interval(V, zs, 0.0, 1.0)
         det = M[:, 0, 0] * M[:, 1, 1] - M[:, 0, 1] * M[:, 1, 0]
         tr = M[:, 0, 0] + M[:, 1, 1]
-        for decaying in (True, False):
-            v = floquet_eigvec(M, 1.0 if family == "schrodinger" else det, decaying)
+        pair = floquet_pair(M, 1.0 if family == "schrodinger" else det)
+        for v, decaying in zip(pair, (True, False)):
             Mv = np.einsum("kij,kj->ki", M, v)
             u = np.einsum("ki,ki->k", v.conj(), Mv) / np.einsum("ki,ki->k", v.conj(), v)
             scale = np.abs(M).max(axis=(1, 2))
             assert np.all(np.abs(Mv - u[:, None] * v).max(axis=1)
                           <= 1e-9 * scale * np.abs(v).max(axis=1))
-            assert np.all((np.abs(u) < 1.0) == decaying)
+            assert np.all(np.abs(u) < 1.0) if decaying else np.all(np.abs(u) > 1.0)
             assert np.allclose(u * (tr - u), det, rtol=1e-9, atol=1e-9 * scale ** 2)
 
 
