@@ -156,7 +156,6 @@ class ReflectionlessReport:
     defect_points: tuple         # grid points failing the matching condition
     xi_fraction: float = 0.0     # fraction with the phase within tolerance of its center
     witness_residual: float = math.nan
-    details: str = ""
 
 
 @dataclass(frozen=True)
@@ -173,7 +172,6 @@ class SweepFamily:
     circle: bool            # carrier: the unit circle (angles), else the real line
     pair: tuple             # sweep keys of the boundary pair (M_+, M_-)
     phase_key: str          # sweep key whose boundary argument is the phase
-    witness: callable       # witness(sweep, passing) -> witness residual
     csv_columns: tuple      # ((header, cell), ...) of sweep_csv; cell is one of
                             # loc, phase, err, re, im, verdict, empty
     zero_floor: bool = False    # phase undefined where |value| <= 100 err + 1e-12
@@ -358,16 +356,30 @@ def sweep_reflectionless(fam: SweepFamily, op, E, grid, tol: float) -> Reflectio
 
         vals, _, okx = sweep_phase(fam, bd)
         xi_fraction = min(xi_fraction, float(np.mean(okx & (np.abs(vals - center) < 10 * tol))))
-        witness = max(witness, fam.witness(bd, pass_mask))
+        witness = max(witness, _witness(fam, bd, pass_mask))
 
     verdict = worst_fraction > 0.99
     return ReflectionlessReport(
         verdict=verdict, fraction=worst_fraction, max_residual=max_res, tol=tol,
         sites=sites, n_points=int(lams.size), defect_points=tuple(sorted(defects)),
         xi_fraction=xi_fraction,
-        witness_residual=witness if verdict else math.nan,
-        details=f"{lams.size} grid {'angles' if fam.circle else 'points'} in E "
-                f"at {fam.site_word} {sites}")
+        witness_residual=witness if verdict else math.nan)
+
+
+def _witness(fam: SweepFamily, bd: dict, passing) -> float:
+    """Max residual, over the passing points where the phase key v
+    converged, of the identity that holds where the pair (P, M) matches:
+    -1/g = 2i Im P = -2i Im M on the line (v = g = 1/(M - P)), and the
+    uniform-multiplicity identity M11 = (1+|P|^2)/(2 Re P) =
+    (1+|M|^2)/(-2 Re M) on the circle (v = M11)."""
+    P, M, (v, e, c) = bd[fam.pair[0]][0], bd[fam.pair[1]][0], bd[fam.phase_key]
+    with np.errstate(divide="ignore", invalid="ignore"):
+        if fam.circle:
+            wp = np.abs(v - (1.0 + np.abs(P) ** 2) / (2.0 * P.real))
+            wm = np.abs(v - (1.0 + np.abs(M) ** 2) / (-2.0 * M.real))
+        else:
+            wp, wm = np.abs(-1.0 / v - 2j * P.imag), np.abs(-1.0 / v + 2j * M.imag)
+    return float(np.max(np.where(passing & relaxed_ok(v, e, c), np.maximum(wp, wm), 0.0)))
 
 
 def sweep_multiplicity_sets(fam: SweepFamily, op, grid):

@@ -58,6 +58,8 @@ class VerblunskyCoefficients:
             raise ValueError("alpha_base must have length equal to the period")
         object.__setattr__(self, "alpha_base", tuple(complex(a) for a in self.alpha_base))
         items = self.patch.items() if isinstance(self.patch, dict) else self.patch
+        if not all(float(n).is_integer() for n, _ in items):
+            raise ValueError("patch sites must be integers")
         norm = tuple(sorted(((int(n), complex(a)) for n, a in items), key=lambda t: t[0]))
         object.__setattr__(self, "patch", norm)
         if not all(map(cmath.isfinite, self.alpha_base + tuple(a for _, a in norm))):
@@ -244,13 +246,9 @@ def M11(V: VerblunskyCoefficients, z: complex, n0: int, mode: str = "formula",
 
 def weyl_data(V: VerblunskyCoefficients, z: complex, n0: int) -> CMVWeylData:
     z = _require_in_disk(z)
-    zs = np.array([z])
-    m_p = complex(_m_grid(V, zs, n0, "+")[0])
-    m_m = complex(_m_grid(V, zs, n0, "-")[0])
-    M_p = complex(_big_M_grid(V, zs, n0, "+")[0])
-    M_m = complex(_big_M_grid(V, zs, n0, "-")[0])
-    m11, _, _ = _M11_grid(V, zs, n0)
-    return CMVWeylData(z, n0, m_p, m_m, M_p, M_m, complex(m11[0]))
+    m11, M_p, M_m = (complex(x[0]) for x in _M11_grid(V, np.array([z]), n0))
+    m_m = complex(_m_grid(V, np.array([z]), n0, "-")[0])
+    return CMVWeylData(z, n0, M_p, m_m, M_p, M_m, m11)     # M_+ = m_+
 
 
 # ---------------------------------------------------------------------------
@@ -292,21 +290,11 @@ def default_angles(points: int = 512):
     return np.linspace(0.0, TWO_PI, points, endpoint=False)
 
 
-def _witness(bd: dict, passing) -> float:
-    """Max residual of the uniform-multiplicity identity
-    M11 = (1+|M_+-|^2)/(+-2 Re M_+-)."""
-    Mp, Mm, (m11, e11, c11) = bd["M_plus"][0], bd["M_minus"][0], bd["M11"]
-    with np.errstate(divide="ignore", invalid="ignore"):
-        wp = np.abs(m11 - (1.0 + np.abs(Mp) ** 2) / (2.0 * Mp.real))
-        wm = np.abs(m11 - (1.0 + np.abs(Mm) ** 2) / (-2.0 * Mm.real))
-    return float(np.max(np.where(passing & relaxed_ok(m11, e11, c11), np.maximum(wp, wm), 0.0)))
-
-
 _FAMILY = SweepFamily(
     sweep=lambda V, thetas, n0: memo_sweep(boundary_cmv_grid, V, thetas, n0),
     phase=lambda V, thetas, n0: Xi11_grid(V, thetas, n0),
     grid=lambda V: default_angles(), sites=lambda V: (0, 1), circle=True,
-    pair=("M_plus", "M_minus"), phase_key="M11", witness=_witness,
+    pair=("M_plus", "M_minus"), phase_key="M11",
     csv_columns=(("theta", "loc"), ("re_m11", "re"), ("im_m11", "im"), ("xi", "phase"),
                  ("verdict", "verdict"), ("r00", "empty"), ("r11", "empty"), ("rank", "empty")),
     zero_floor=True)

@@ -301,14 +301,16 @@ def verify_inclusion(descriptor: dict, E=None, grid_config=None, tolerances=None
             failures.append(f"identity {nm}: {e['value']:.3e} >= {e['threshold']:.1e}")
 
     E_closure = essential_closure(E_set)
+    inclusion = {"status": "SKIPPED", "reason": "", "E": set_to_json(E_set),
+                 "essential_closure_E": set_to_json(E_closure), "contained_in_ac": None,
+                 "overhang": None, "slack": float(step),
+                 "multiplicity_two_covers_E": None, "m2_defect_fraction": None}
     if refl.verdict:
         # largest piece of the closure of E outside the ac spectrum's one-step widening
         overhang = longest_component(set_algebra(E_closure, widen(ac, step), "difference"))
         contained = overhang <= 1e-12
         m2_cover = _covered_fraction(E_set, M2)
         covers = (1.0 - m2_cover) <= 0.01 + 1e-12
-        inc_status = "PASS" if (contained and covers) else "FAILED"
-        reason = ""
         if not contained:
             failures.append(
                 f"inclusion: essential closure of E exceeds the ac spectrum "
@@ -316,33 +318,18 @@ def verify_inclusion(descriptor: dict, E=None, grid_config=None, tolerances=None
         if not covers:
             failures.append(
                 f"multiplicity: M2 misses {1.0 - m2_cover:.2%} of E (> 1%)")
-        inclusion = {
-            "status": inc_status, "reason": reason,
-            "E": set_to_json(E_set),
-            "essential_closure_E": set_to_json(E_closure),
-            "contained_in_ac": bool(contained),
-            "overhang": float(overhang), "slack": float(step),
-            "multiplicity_two_covers_E": bool(covers),
-            "m2_defect_fraction": float(1.0 - m2_cover),
-        }
+        inclusion.update(status="PASS" if (contained and covers) else "FAILED",
+                         contained_in_ac=bool(contained), overhang=float(overhang),
+                         multiplicity_two_covers_E=bool(covers),
+                         m2_defect_fraction=float(1.0 - m2_cover))
     else:
-        inclusion = {
-            "status": "SKIPPED",
-            "reason": (("reflectionless hypothesis fails on E "
-                        f"(passing fraction {refl.fraction:.4f} <= 0.99); ") if testable else
-                       "E, the computed ac spectrum, has zero measure on the grid, so the "
-                       "reflectionless test cannot run; ")
-                      + "the containment theorem does not apply",
-            "E": set_to_json(E_set),
-            "essential_closure_E": set_to_json(E_closure),
-            "contained_in_ac": None,
-            "overhang": None, "slack": float(step),
-            "multiplicity_two_covers_E": None,
-            "m2_defect_fraction": None,
-        }
+        inclusion["reason"] = (
+            (f"reflectionless hypothesis fails on E (passing fraction {refl.fraction:.4f} "
+             "<= 0.99); ") if testable else
+            "E, the computed ac spectrum, has zero measure on the grid, so the "
+            "reflectionless test cannot run; ") + "the containment theorem does not apply"
 
     status = "FAILED" if failures else "PASS"
-    pair = "(m_plus, m_minus)" if kind == "schrodinger" else "(M_plus, M_minus)"
     eff_tol = {"reflectionless_tol": refl_tol, "xi_tol": xi_tol,
                "identity_draws": int(tolerances.get("identity_draws", 20)),
                "slack_steps": 1}
@@ -363,7 +350,7 @@ def verify_inclusion(descriptor: dict, E=None, grid_config=None, tolerances=None
             "witness_residual": float(refl.witness_residual),
         },
         multiplicity={"M2": set_to_json(M2), "M1": set_to_json(M1),
-                      "boundary_pair": pair},
+                      "boundary_pair": f"({', '.join(mod._FAMILY.pair)})"},
         identity_residuals=identities,
         theorem_inclusion=inclusion)
 

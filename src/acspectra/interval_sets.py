@@ -137,14 +137,6 @@ class RealIntervalSet:
     def contains(self, x: float) -> bool:
         return any(iv.contains(x) for iv in self.intervals) or x in self.isolated_points
 
-    def hull(self):
-        """(min, max) of the set, or None if empty."""
-        xs = [iv.lo for iv in self.intervals] + list(self.isolated_points)
-        ys = [iv.hi for iv in self.intervals] + list(self.isolated_points)
-        if not xs:
-            return None
-        return min(xs), max(ys)
-
 
 def canonicalize(raw_intervals, points=()) -> RealIntervalSet:
     """Canonical form: disjoint sorted intervals, merged where the union is connected.
@@ -423,61 +415,33 @@ class CircleArcSet:
 
     @staticmethod
     def _from_line(ris: RealIntervalSet) -> "CircleArcSet":
-        """Rejoin components touching at the 0/2pi cut into a wrap arc."""
-        ivs = list(ris.intervals)
-        pts = [p for p in ris.isolated_points]
-        # covered(0) if some interval starts at 0 closed, ends at 2pi closed,
-        # or an isolated point sits at 0
-        left = [iv for iv in ivs if iv.lo == 0.0]
-        right = [iv for iv in ivs if iv.hi >= TWO_PI - 1e-15 and iv.hi <= TWO_PI]
-        arcs = []
-        consumed = set()
-        if left and right and left[0] is not right[0]:
-            l_iv, r_iv = left[0], right[0]
-            zero_covered = l_iv.lo_closed or r_iv.hi_closed or (0.0 in pts)
-            if zero_covered:
-                arcs.append(Arc(r_iv.lo, l_iv.hi + TWO_PI, r_iv.lo_closed, l_iv.hi_closed))
-                consumed = {id(l_iv), id(r_iv)}
-                pts = [p for p in pts if p != 0.0]
-        elif left and right and left[0] is right[0]:
-            # single component spanning [0, 2pi]
-            iv = left[0]
-            if iv.lo_closed or iv.hi_closed or (0.0 in pts):
+        """Arcs of a line representative on [0, 2pi).  Where angle 0 is
+        covered, the component ending at 2pi (within 1e-15) continues through
+        it into the component starting at 0, or into the point 0 if it ends
+        exactly at 2pi.  A component from 0 to 2pi is the full circle, less
+        angle 0 when it is open at both ends."""
+        arcs = [Arc(iv.lo, iv.hi, iv.lo_closed, iv.hi_closed) for iv in ris.intervals]
+        pts = list(ris.isolated_points)
+        zero = Arc(0.0, 0.0, True, True) if 0.0 in pts else None
+        first = arcs[0] if arcs and arcs[0].theta1 == 0.0 else zero
+        last = next((a for a in arcs if a.theta2 >= TWO_PI - 1e-15), None)
+        if first and last and (first.lo_closed or last.hi_closed) \
+                and (first is not zero or last.theta2 == TWO_PI):
+            if first is last:
                 return full_circle()
-            return CircleArcSet((Arc(0.0, TWO_PI, False, False),),
-                                tuple(sorted(p for p in pts if p != 0.0)))
-        elif right and right[0].hi == TWO_PI and 0.0 in pts:
-            # the point at angle 0 closes the component ending at 2pi
-            r_iv = right[0]
-            arcs.append(Arc(r_iv.lo, TWO_PI, r_iv.lo_closed, True))
-            consumed = {id(r_iv)}
+            arcs = [Arc(last.theta1, first.theta2 + TWO_PI, last.lo_closed, first.hi_closed)] \
+                + [a for a in arcs if a is not first and a is not last]
             pts = [p for p in pts if p != 0.0]
-        for iv in ivs:
-            if id(iv) in consumed:
-                continue
-            hi_c = iv.hi_closed
-            hi = iv.hi
-            if hi > TWO_PI:
-                hi = TWO_PI
-            arcs.append(Arc(iv.lo, hi, iv.lo_closed, hi_c))
+        elif first and first is last:
+            arcs = [Arc(0.0, TWO_PI, False, False)]
         arcs.sort(key=lambda a: a.theta1)
-        return CircleArcSet(tuple(arcs), tuple(sorted(pts)))
+        return CircleArcSet(tuple(arcs), tuple(pts))
 
     def essential_closure(self) -> "CircleArcSet":
-        line = self._to_line()
-        nondeg = [Interval(iv.lo, iv.hi, True, True) for iv in line.intervals]
-        if not nondeg:
-            return CircleArcSet()
-        # tile three periods so closure can merge across the cut
-        tiled = []
-        for k in (-1, 0, 1):
-            for iv in nondeg:
-                tiled.append((iv.lo + k * TWO_PI, iv.hi + k * TWO_PI, True, True))
-        closed = canonicalize(tiled)
-        # angle 2pi is the angle 0, which the tile on the left already decides
-        window = canonicalize([(0.0, TWO_PI, True, False)])
-        clipped = _line_algebra(closed, window, "intersect")
-        return CircleArcSet._from_line(clipped)
+        """The line's rule: close every arc, canonicalize once through the
+        line representative, drop isolated points."""
+        closed = CircleArcSet(tuple(Arc(a.theta1, a.theta2, True, True) for a in self.arcs))
+        return CircleArcSet(CircleArcSet._from_line(closed._to_line()).arcs)
 
 
 def full_circle() -> CircleArcSet:
@@ -601,21 +565,14 @@ def fat_density_report(g: GeneratedFatSet) -> FatDensityReport:
 
 
 def angles_hull(thetas, step: float) -> CircleArcSet:
-    """Closed arc hull of maximal runs of grid angles, fusing runs across 0.
-
-    Angles are tiled by one period before the run scan so a run through
-    theta = 0 becomes a single arc; the result is clipped back to [0, 2*pi).
-    """
-    two_pi = 2.0 * math.pi
-    tiled = [float(t) % two_pi + k * two_pi for t in thetas for k in (-1, 0, 1)]
-    hull = points_hull(tiled, step)
-    arcs = []
-    for iv in hull.intervals:
-        lo, hi = max(iv.lo, 0.0), min(iv.hi, two_pi)
-        if lo < hi:
-            arcs.append((lo, hi, "cc"))
-    pts = [t for t in hull.isolated_points if 0.0 <= t < two_pi]
-    return circle_set(arcs, pts)
+    """Closed arc hull of maximal runs of grid angles, read mod 2pi.  The
+    last angle one turn down and the first one turn up carry a run through
+    angle 0 to 0 and to 2pi; the runs are then cut to [0, 2pi]."""
+    ts = sorted(float(t) % TWO_PI for t in thetas)
+    hull = points_hull(ts + [ts[-1] - TWO_PI, ts[0] + TWO_PI] if ts else [], step)
+    arcs = [(max(iv.lo, 0.0), min(iv.hi, TWO_PI), "cc") for iv in hull.intervals
+            if iv.lo < TWO_PI and iv.hi > 0.0]
+    return circle_set(arcs, [t for t in hull.isolated_points if 0.0 <= t < TWO_PI])
 
 
 def points_hull(xs, step: float) -> RealIntervalSet:

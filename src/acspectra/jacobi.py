@@ -33,7 +33,7 @@ import numpy as np
 from .errors import NonConvergent
 from .boundary_analysis import (ReflectionlessReport, SweepFamily, boundary_sweep,
                                 floquet_pair, memo_sweep, normalize_pair, plus_side,
-                                relaxed_ok, require_off_axis, stack_2x2, sweep_ac_spectrum,
+                                require_off_axis, stack_2x2, sweep_ac_spectrum,
                                 sweep_multiplicity_sets, sweep_phase, sweep_reflectionless)
 from .interval_sets import RealIntervalSet
 
@@ -62,6 +62,8 @@ class JacobiCoefficients:
             items = [(n, a, b) for n, (a, b) in self.patch.items()]
         else:
             items = [(n, a, b) for n, a, b in self.patch]
+        if not all(float(n).is_integer() for n, _, _ in items):
+            raise ValueError("patch sites must be integers")
         norm = tuple(sorted((int(n), float(a), float(b)) for n, a, b in items))
         object.__setattr__(self, "patch", norm)
         if not all(map(math.isfinite, self.a_base + self.b_base
@@ -239,18 +241,11 @@ def default_grid(J: JacobiCoefficients, points: int = 4001):
     return np.linspace(-R, R, points)
 
 
-def _witness(bd: dict, passing) -> float:
-    """Max residual of the identity -1/g = 2i Im M_+ = -2i Im M_-."""
-    Mp, Mm, (g, eg, cg) = bd["M_plus"][0], bd["M_minus"][0], bd["g"]
-    wit = np.maximum(np.abs(-1.0 / g - 2j * Mp.imag), np.abs(-1.0 / g + 2j * Mm.imag))
-    return float(np.max(np.where(passing & relaxed_ok(g, eg, cg), wit, 0.0)))
-
-
 _FAMILY = SweepFamily(
     sweep=lambda J, lams, n0: memo_sweep(boundary_weyl_grid, J, lams, n0),
     phase=lambda J, lams, n0: xi_grid(J, lams, n0),
     grid=default_grid, sites=lambda J: (0, 1), circle=False, pair=("M_plus", "M_minus"),
-    phase_key="g", witness=_witness,
+    phase_key="g",
     csv_columns=(("lambda", "loc"), ("xi", "phase"), ("error_estimate", "err"),
                  ("verdict", "verdict")))
 
@@ -296,14 +291,6 @@ class TridiagonalMatrix:
         if not (0 <= i < self.diag.size):
             raise IndexError(f"site {n} outside the truncation window")
         return i
-
-    def dense(self) -> np.ndarray:
-        N = self.diag.size
-        T = np.zeros((N, N))
-        T[np.arange(N), np.arange(N)] = self.diag
-        T[np.arange(N - 1), np.arange(1, N)] = self.offdiag
-        T[np.arange(1, N), np.arange(N - 1)] = self.offdiag
-        return T
 
 
 def truncated_matrix(J: JacobiCoefficients, N: int) -> TridiagonalMatrix:

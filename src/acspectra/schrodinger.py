@@ -313,18 +313,11 @@ def default_grid(V: PiecewisePotential, points: int = 2001) -> np.ndarray:
     return np.linspace(-V.sup_bound() - 1.0, LAMBDA_TOP, points)
 
 
-def _witness(bd: dict, passing) -> float:
-    """Count of passing points where the half-line m's lack the correct
-    nonreal signs 0 < Im m_+ and Im m_- < 0."""
-    mp, mm = bd["m_plus"][0], bd["m_minus"][0]
-    return float(np.count_nonzero(passing & ~((mp.imag > 0.0) & (mm.imag < 0.0))))
-
-
 _FAMILY = SweepFamily(
     sweep=lambda V, lams, x0: memo_sweep(boundary_schrodinger_grid, V, lams, x0),
     phase=lambda V, lams, x0: xi_grid(V, lams, x0),
     grid=default_grid, sites=lambda V: (0.0, 0.5 * V.period), circle=False,
-    pair=("m_plus", "m_minus"), phase_key="g", witness=_witness,
+    pair=("m_plus", "m_minus"), phase_key="g",
     csv_columns=(("lambda", "loc"), ("xi", "phase"), ("re_g", "re"), ("im_g", "im"),
                  ("verdict", "verdict")), site_word="points")
 
@@ -338,10 +331,10 @@ def ac_spectrum(V: PiecewisePotential, grid=None, xi_tol: float = 1e-3) -> RealI
 def reflectionless_on(V: PiecewisePotential, E: RealIntervalSet, grid=None,
                       tol: float = 1e-4) -> ReflectionlessReport:
     """Reflectionless test on a real set E: boundary matching
-    m_+(lam+i0) = conj(m_-(lam+i0)) at the reference points 0 and L/2, with the
-    witness that both half-line m's have finite nonreal limits of the correct
-    sign (0 < Im m_+ and Im m_- < 0) on the passing set; witness_residual
-    counts the passing points with a wrong-sign imaginary part."""
+    m_+(lam+i0) = conj(m_-(lam+i0)) at the reference points 0 and L/2.  Where
+    the verdict holds, witness_residual is the max residual on the passing
+    points of -1/g = 2i Im m_+ = -2i Im m_- (as for Jacobi, with
+    g = 1/(m_- - m_+))."""
     return sweep_reflectionless(_FAMILY, V, E, grid, tol)
 
 

@@ -41,7 +41,7 @@ def family(circle, zero_floor=False, columns=()):
     kernel, key = (disk_mixed, "f") if circle else (uniform, "m")
     return SweepFamily(sweep=lambda op, grid, site: boundary_sweep(kernel, grid, circle),
                        phase=None, grid=None, sites=lambda op: (0, 1), circle=circle,
-                       pair=(key, key), phase_key=key, witness=None,
+                       pair=(key, key), phase_key=key,
                        csv_columns=columns, zero_floor=zero_floor)
 
 

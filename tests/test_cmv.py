@@ -77,6 +77,16 @@ class TestCoefficients:
         with pytest.raises(ValueError):
             VerblunskyCoefficients(1, (0.0,), patch=((0, 1.0 + 0j),))
 
+    @pytest.mark.parametrize("patch", [((1.5, 0.5),), {1.5: 0.5}])
+    def test_fractional_patch_site_rejected(self, patch):
+        with pytest.raises(ValueError, match="patch sites must be integers"):
+            VerblunskyCoefficients(1, (0.0,), patch=patch)
+
+    @pytest.mark.parametrize("patch", [((2.0, 0.5),), {2.0: 0.5}])
+    def test_whole_float_patch_site_accepted(self, patch):
+        V = VerblunskyCoefficients(1, (0.0,), patch=patch)
+        assert V.patch == ((2, 0.5 + 0j),) and V.alpha(2) == 0.5
+
 
 def site_loop_bands(V, n_lo, n_hi):
     """Bands of the window [n_lo, n_hi] placed entry by entry, one site at a
@@ -190,6 +200,14 @@ class TestWeylData:
         monkeypatch.setattr(cmv, "big_M", lambda V, z, n0, side: 0.5 + 0.0j)
         with pytest.raises(DegenerateDenominator):
             cmv.M11(free_cmv, 0.1 + 0.1j, 0)
+
+    def test_weyl_data_agrees_with_the_pointwise_functions(self, geronimus_cmv):
+        V, z = VerblunskyCoefficients(2, (0.4, -0.2 + 0.3j), patch=((1, 0.5j),)), 0.2 - 0.5j
+        wd = weyl_data(V, z, 1)
+        assert wd.m_plus == wd.M_plus == m_half_lattice(V, z, 1, "+")
+        assert wd.m_minus == m_half_lattice(V, z, 1, "-")
+        assert wd.M_minus == pytest.approx(big_M(V, z, 1, "-"), rel=1e-13)
+        assert wd.M11 == pytest.approx(M11(V, z, 1), rel=1e-13)
 
     def test_site_translation_consistency(self, geronimus_cmv):
         z = 0.2 - 0.5j

@@ -4,7 +4,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from acspectra.interval_sets import (Arc, CircleArcSet, GeneratedFatSet,
@@ -287,6 +287,20 @@ class TestEssentialClosure:
     def test_full_circle_fixed_point(self):
         assert essential_closure(full_circle()).is_full()
 
+    @given(grid_raw_arcs)
+    @settings(max_examples=200, deadline=None)
+    def test_circle_against_closed_arcs(self, raw):
+        """The closure of a finite arc union is the union of its closed
+        nondegenerate arcs: points and degenerate arcs drop, ends join."""
+        s = circle_set(*raw)
+        e = essential_closure(s)
+        closed = ([(t1, t2, "cc") for t1, t2, _ in raw[0] if t1 != t2], [])
+        for t in _circle_probes(raw):
+            assert e.contains(t) == _ref_circle(t, closed), t
+        assert e.isolated_points == ()
+        assert essential_closure(e) == e
+        assert e.measure() == pytest.approx(s.measure(), abs=1e-12)
+
     def test_arc_ending_at_two_pi_holds_angle_zero(self):
         s = circle_set([(5.0, 0.0, "oc")])      # closed end at 2pi is the angle 0
         assert s.contains(0.0)
@@ -327,6 +341,10 @@ class TestMeasureOracles:
         assert not equivalent_supports(a, c, mu)
 
 
+grid_masks = st.integers(3, 40).flatmap(
+    lambda n: st.lists(st.booleans(), min_size=n, max_size=n))
+
+
 class TestHulls:
     def test_points_hull_bridges_runs(self):
         xs = [0.0, 0.1, 0.2, 0.9, 1.0]
@@ -340,6 +358,31 @@ class TestHulls:
         h = angles_hull(thetas, step)
         assert len(h.arcs) == 1
         assert h.contains(0.0) and h.contains(2 * math.pi - 0.15)
+
+    @given(grid_masks)
+    @example([True, False, False, True, True])      # a run through angle 0
+    @example([True, False, False, False, True])     # a run ending at angle 0
+    @example([False, True, False, False])           # a single-angle run
+    @example([True, False, False, False])           # a single angle at 0
+    @example([True, True, True])                    # every angle
+    @settings(max_examples=200, deadline=None)
+    def test_angles_hull_grid_mask_runs(self, mask):
+        """Runs of the mask read cyclically: a grid angle is in the hull iff
+        selected, the midpoint to the next angle iff both are, and a selected
+        angle with no selected neighbour is an isolated point."""
+        n = len(mask)
+        step = 2 * math.pi / n
+        grid = np.linspace(0.0, 2 * math.pi, n, endpoint=False)
+        h = angles_hull(grid[np.array(mask)], step)
+        for k in range(n):
+            # a run's last angle may sit one ulp past its arc, since
+            # circle_set rebuilds theta2 as theta1 + (theta2 - theta1)
+            near = [grid[k] - 1e-12, grid[k], grid[k] + 1e-12]
+            assert contains_mask(h, near).any() == mask[k], k
+            assert h.contains(grid[k] + 0.5 * step) == (mask[k] and mask[(k + 1) % n]), k
+        lone = [grid[k] for k in range(n) if mask[k] and not mask[k - 1] and not mask[(k + 1) % n]]
+        assert list(h.isolated_points) == lone
+        assert h.is_full() == all(mask)
 
 
 class TestJson:

@@ -54,6 +54,16 @@ class TestCoefficients:
         with pytest.raises(ValueError):
             JacobiCoefficients(1, (1.0,), (0.0,), patch=((0, 1, 0), (0, 2, 0)))
 
+    @pytest.mark.parametrize("patch", [((1.5, 1.0, 0.0),), {1.5: (1.0, 0.0)}])
+    def test_fractional_patch_site_rejected(self, patch):
+        with pytest.raises(ValueError, match="patch sites must be integers"):
+            JacobiCoefficients(1, (1.0,), (0.0,), patch=patch)
+
+    @pytest.mark.parametrize("patch", [((2.0, 3.0, 0.5),), {2.0: (3.0, 0.5)}])
+    def test_whole_float_patch_site_accepted(self, patch):
+        J = JacobiCoefficients(1, (1.0,), (0.0,), patch=patch)
+        assert J.patch == ((2, 3.0, 0.5),) and J.a(2) == 3.0
+
 
 class TestWeylData:
     def test_free_monodromy_trace_is_discriminant(self, free_jacobi):

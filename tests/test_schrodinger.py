@@ -201,7 +201,7 @@ class TestReflectionless:
         assert rep.verdict
         assert rep.fraction > 0.99
         assert rep.xi_fraction > 0.99
-        assert rep.witness_residual == 0.0
+        assert np.isfinite(rep.witness_residual) and rep.witness_residual < 1e-3
 
     def test_square_well_on_bands(self, square_well):
         grid = np.linspace(-1.0, 25.0, 1301)
