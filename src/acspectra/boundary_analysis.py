@@ -28,7 +28,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import MonodromyDegenerate, SiteDisagreement
+from .errors import MonodromyDegenerate, NonConvergent, SiteDisagreement
 from .interval_sets import (angles_hull, contains_mask, essential_closure,
                             longest_component, points_hull, set_algebra, widen)
 
@@ -106,6 +106,24 @@ def require_off_axis(z) -> complex:
     if z.imag == 0.0:
         raise ValueError("spectral parameter must lie off the real axis")
     return z
+
+
+def require_in_disk(z) -> complex:
+    z = complex(z)
+    if abs(z) >= 1.0:
+        raise ValueError("spectral parameter must lie in the open unit disk")
+    return z
+
+
+def one_point(kernel, op, z, *args, circle: bool = False):
+    """The grid kernel kernel(op, zs, *args) read at the one point z, after
+    the domain check of the carrier (off the real axis, resp. in the open
+    unit disk): its array, or each array of its dict, as a Python complex."""
+    z = require_in_disk(z) if circle else require_off_axis(z)
+    out = kernel(op, np.array([z]), *args)
+    if isinstance(out, dict):
+        return {k: complex(v[0]) for k, v in out.items()}
+    return complex(out[0])
 
 
 def floquet_pair(M, det):
@@ -265,6 +283,15 @@ def sweep_phase(fam: SweepFamily, bd: dict):
     arg = np.angle(pos + 1j * v.imag) if fam.circle else np.angle(v.real + 1j * pos)
     vals = np.clip(arg / math.pi, *fam.phase_range)
     return np.where(ok, vals, np.nan), err, ok
+
+
+def phase_at(fam: SweepFamily, op, loc: float, site) -> float:
+    """The boundary phase at the one grid point loc, read off a one-point
+    sweep at the given site; NonConvergent where it is undetermined."""
+    vals, _, ok = sweep_phase(fam, fam.sweep(op, np.array([float(loc)]), site))
+    if not bool(ok[0]):
+        raise NonConvergent(f"boundary phase extrapolation failed at {loc}, reference {site}")
+    return float(vals[0])
 
 
 def sweep_csv(fam: SweepFamily, op, grid) -> str:

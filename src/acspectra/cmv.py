@@ -34,8 +34,9 @@ import numpy as np
 
 from .errors import DegenerateDenominator, NonConvergent
 from .boundary_analysis import (ReflectionlessReport, SweepFamily, boundary_sweep,
-                                memo_sweep, plus_side, relaxed_ok, sweep_ac_spectrum,
-                                sweep_multiplicity_sets, sweep_phase, sweep_reflectionless)
+                                memo_sweep, one_point, phase_at, plus_side, relaxed_ok,
+                                require_in_disk, sweep_ac_spectrum, sweep_multiplicity_sets,
+                                sweep_phase, sweep_reflectionless)
 from .interval_sets import CircleArcSet, circle_set, full_circle
 
 TWO_PI = 2.0 * math.pi
@@ -170,13 +171,6 @@ def _gammas_minus(V: VerblunskyCoefficients, m: int):
     return head, tail
 
 
-def _require_in_disk(z):
-    z = complex(z)
-    if abs(z) >= 1.0:
-        raise ValueError("spectral parameter must lie in the open unit disk")
-    return z
-
-
 def _m_grid(V: VerblunskyCoefficients, zs, n0: int, side: str):
     if plus_side(side):
         head, tail = _gammas_plus(V, n0)
@@ -188,8 +182,7 @@ def _m_grid(V: VerblunskyCoefficients, zs, n0: int, side: str):
 def m_half_lattice(V: VerblunskyCoefficients, z: complex, n0: int, side: str) -> complex:
     """Half-lattice Cayley-transform diagonal at n0: Caratheodory for the
     right block (side '+'), anti-Caratheodory (Re <= 0) for the left."""
-    z = _require_in_disk(z)
-    return complex(_m_grid(V, np.array([z]), n0, side)[0])
+    return one_point(_m_grid, V, z, n0, side, circle=True)
 
 
 def _big_M_grid(V: VerblunskyCoefficients, zs, n0: int, side: str):
@@ -202,24 +195,24 @@ def _big_M_grid(V: VerblunskyCoefficients, zs, n0: int, side: str):
     return num / den
 
 
-def big_M(V: VerblunskyCoefficients, z: complex, n0: int, side: str) -> complex:
-    """M_+ = m_+ verbatim; M_- is the alpha(n0) Moebius twist of m_-(z, n0-1).
-    Re M_+ >= 0 >= Re M_- in the disk."""
-    z = _require_in_disk(z)
-    if plus_side(side):
-        return m_half_lattice(V, z, n0, "+")
-    mm = m_half_lattice(V, z, n0 - 1, "-")
-    a0 = V.alpha(n0)
-    den = 1j * (1.0 + a0).imag + (1.0 - a0).real * mm
-    if abs(den) < 1e-14:
+def _finite_M_minus(Mm: complex, z, n0: int) -> complex:
+    """M_- unless the denominator of its twist vanished (M_- not finite)."""
+    if not cmath.isfinite(Mm):
         raise ZeroDivisionError(f"M_- denominator vanished at z={z}, n0={n0}")
-    return ((1.0 + a0).real + 1j * (1.0 - a0).imag * mm) / den
+    return Mm
 
 
-def _M11_grid(V: VerblunskyCoefficients, zs, n0: int):
+def big_M(V: VerblunskyCoefficients, z: complex, n0: int, side: str) -> complex:
+    """M_+ = m_+ verbatim; M_- is the alpha(n0) Moebius twist of m_-(z, n0-1),
+    ZeroDivisionError where its denominator vanishes.  Re M_+ >= 0 >= Re M_-
+    in the disk."""
+    return _finite_M_minus(one_point(_big_M_grid, V, z, n0, side, circle=True), z, n0)
+
+
+def _M11_grid(V: VerblunskyCoefficients, zs, n0: int) -> dict:
     Mp = _big_M_grid(V, zs, n0, "+")
     Mm = _big_M_grid(V, zs, n0, "-")
-    return (1.0 - Mp * Mm) / (Mp - Mm), Mp, Mm
+    return {"M_plus": Mp, "M_minus": Mm, "M11": (1.0 - Mp * Mm) / (Mp - Mm)}
 
 
 def M11(V: VerblunskyCoefficients, z: complex, n0: int, mode: str = "formula",
@@ -227,28 +220,27 @@ def M11(V: VerblunskyCoefficients, z: complex, n0: int, mode: str = "formula",
     """Caratheodory function of the (n0, n0) spectral measure entry.
 
     formula mode: (1 - M_+ M_-)/(M_+ - M_-); raises DegenerateDenominator
-    when |M_+ - M_-| <= 1e-12.  oracle mode: Cayley diagonal of a banded
-    whole-lattice truncation of the stated window size.
+    when |M_+ - M_-| <= 1e-12, ZeroDivisionError as big_M does.  oracle
+    mode: Cayley diagonal of a banded whole-lattice truncation of the stated
+    window size.
     """
-    z = _require_in_disk(z)
     if mode == "oracle":
+        z = require_in_disk(z)
         T = build_truncation(V, (n0 - window // 2, n0 + window // 2 - 1))
         return T.cayley_diag(z, n0)
     if mode != "formula":
         raise ValueError(f"mode must be 'formula' or 'oracle', got {mode!r}")
-    Mp = big_M(V, z, n0, "+")
-    Mm = big_M(V, z, n0, "-")
-    if abs(Mp - Mm) <= 1e-12:
+    d = one_point(_M11_grid, V, z, n0, circle=True)
+    if abs(d["M_plus"] - _finite_M_minus(d["M_minus"], z, n0)) <= 1e-12:
         raise DegenerateDenominator(
             f"M_+ = M_- at z={z}, n0={n0}; use mode='oracle' for this point")
-    return (1.0 - Mp * Mm) / (Mp - Mm)
+    return d["M11"]
 
 
 def weyl_data(V: VerblunskyCoefficients, z: complex, n0: int) -> CMVWeylData:
-    z = _require_in_disk(z)
-    m11, M_p, M_m = (complex(x[0]) for x in _M11_grid(V, np.array([z]), n0))
-    m_m = complex(_m_grid(V, np.array([z]), n0, "-")[0])
-    return CMVWeylData(z, n0, M_p, m_m, M_p, M_m, m11)     # M_+ = m_+
+    d = one_point(_M11_grid, V, z, n0, circle=True)
+    return CMVWeylData(complex(z), n0, d["M_plus"], m_half_lattice(V, z, n0, "-"),
+                       d["M_plus"], d["M_minus"], d["M11"])     # M_+ = m_+
 
 
 # ---------------------------------------------------------------------------
@@ -260,10 +252,7 @@ def boundary_cmv_grid(V: VerblunskyCoefficients, thetas, n0: int) -> dict:
     For each key returns (value, error, converged); 'inf_'/'div_' flags mark
     blowup past 1e6 with monotone growth, resp. past the 1e8 hard cap.
     """
-    def kernel(zs):
-        m11, Mp, Mm = _M11_grid(V, zs, n0)
-        return {"M_plus": Mp, "M_minus": Mm, "M11": m11}
-    return boundary_sweep(kernel, thetas, True)
+    return boundary_sweep(lambda zs: _M11_grid(V, zs, n0), thetas, True)
 
 
 def Xi11_grid(V: VerblunskyCoefficients, thetas, n0: int):
@@ -280,10 +269,7 @@ def Xi11_grid(V: VerblunskyCoefficients, thetas, n0: int):
 
 def Xi11(V: VerblunskyCoefficients, theta: float, n0: int) -> float:
     """Boundary phase of M11 at angle theta, in [-1/2, 1/2]."""
-    vals, _, ok = Xi11_grid(V, np.array([float(theta)]), n0)
-    if not bool(ok[0]):
-        raise NonConvergent(f"Xi11 extrapolation failed at theta={theta}, n0={n0}")
-    return float(vals[0])
+    return phase_at(_FAMILY, V, theta, n0)
 
 
 def default_angles(points: int = 512):
@@ -390,10 +376,7 @@ class CMVTruncation:
 
     def cayley_diag(self, z: complex, site: int) -> complex:
         """((U + z)(U - z)^-1)(site, site) = 1 + 2 z [(U - z)^-1](site, site)."""
-        i = self.index_of(site)
-        e = np.zeros(self.size, dtype=complex)
-        e[i] = 1.0
-        return complex(1.0 + 2.0 * z * self.solve(z, e)[i])
+        return matrix_M_entry(self, z, site, site)
 
 
 def build_truncation(V: VerblunskyCoefficients, window) -> CMVTruncation:

@@ -30,10 +30,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import NonConvergent
 from .boundary_analysis import (ReflectionlessReport, SweepFamily, boundary_sweep,
-                                floquet_pair, memo_sweep, normalize_pair, plus_side,
-                                require_off_axis, stack_2x2, sweep_ac_spectrum,
+                                floquet_pair, memo_sweep, normalize_pair, one_point,
+                                phase_at, plus_side, stack_2x2, sweep_ac_spectrum,
                                 sweep_multiplicity_sets, sweep_phase, sweep_reflectionless)
 from .interval_sets import RealIntervalSet
 
@@ -183,30 +182,21 @@ def _weyl_grid(J: JacobiCoefficients, zs, n0: int) -> dict:
 def m_half_line(J: JacobiCoefficients, z: complex, n0: int, side: str) -> complex:
     """Half-lattice resolvent diagonal at n0 for the restriction to the
     right (side '+') or left (side '-') of n0; Herglotz on either side."""
-    z = require_off_axis(z)
-    data = _weyl_grid(J, np.array([z]), n0)
-    key = "m_plus" if plus_side(side) else "m_minus"
-    return complex(data[key][0])
+    return one_point(_weyl_grid, J, z, n0)["m_plus" if plus_side(side) else "m_minus"]
 
 
 def big_M(J: JacobiCoefficients, z: complex, n0: int, side: str) -> complex:
     """M_+ = -1/m_+ - z + b(n0) (Herglotz), M_- = 1/m_- (anti-Herglotz)."""
-    z = require_off_axis(z)
-    key = "M_plus" if plus_side(side) else "M_minus"
-    return complex(_weyl_grid(J, np.array([z]), n0)[key][0])
+    return one_point(_weyl_grid, J, z, n0)["M_plus" if plus_side(side) else "M_minus"]
 
 
 def green_diag(J: JacobiCoefficients, z: complex, n0: int) -> complex:
     """Diagonal Green's function g(z, n0) = [M_- - M_+]^-1; Herglotz in z."""
-    z = require_off_axis(z)
-    return complex(_weyl_grid(J, np.array([z]), n0)["g"][0])
+    return one_point(_weyl_grid, J, z, n0)["g"]
 
 
 def weyl_data(J: JacobiCoefficients, z: complex, n0: int) -> WeylData:
-    z = require_off_axis(z)
-    d = _weyl_grid(J, np.array([z]), n0)
-    return WeylData(z, n0, complex(d["m_plus"][0]), complex(d["m_minus"][0]),
-                    complex(d["M_plus"][0]), complex(d["M_minus"][0]), complex(d["g"][0]))
+    return WeylData(complex(z), n0, **one_point(_weyl_grid, J, z, n0))
 
 
 def boundary_weyl_grid(J: JacobiCoefficients, lams, n0: int) -> dict:
@@ -229,10 +219,7 @@ def xi_grid(J: JacobiCoefficients, lams, n0: int):
 
 def xi(J: JacobiCoefficients, lam: float, n0: int) -> float:
     """Boundary phase of the diagonal Green's function, in [0, 1]."""
-    vals, err, ok = xi_grid(J, np.array([float(lam)]), n0)
-    if not bool(ok[0]):
-        raise NonConvergent(f"xi extrapolation failed at lambda={lam}, n0={n0}")
-    return float(vals[0])
+    return phase_at(_FAMILY, J, lam, n0)
 
 
 def default_grid(J: JacobiCoefficients, points: int = 4001):
@@ -324,12 +311,11 @@ def green_inverse_identity_residual(J: JacobiCoefficients, zs) -> float:
     tested against a route independent of the Floquet M-functions.  The
     truncation error is exponentially small for z away from the real axis."""
     T = truncated_matrix(J, 801)
+    zs = np.atleast_1d(np.asarray(zs, dtype=complex))
+    d = _weyl_grid(J, zs, 0)
     worst = 0.0
-    for z in np.atleast_1d(np.asarray(zs, dtype=complex)):
-        g_oracle = resolvent_entry(T, complex(z), 0, 0)
-        d = _weyl_grid(J, np.array([complex(z)]), 0)
-        res = abs(g_oracle * (complex(d["M_minus"][0]) - complex(d["M_plus"][0])) - 1.0)
-        worst = max(worst, res)
+    for z, Mm, Mp in zip(zs.tolist(), d["M_minus"].tolist(), d["M_plus"].tolist()):
+        worst = max(worst, abs(resolvent_entry(T, z, 0, 0) * (Mm - Mp) - 1.0))
     return worst
 
 

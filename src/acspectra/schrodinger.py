@@ -35,10 +35,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import NonConvergent
 from .boundary_analysis import (ReflectionlessReport, SweepFamily, boundary_sweep,
-                                floquet_pair, memo_sweep, normalize_pair, plus_side,
-                                require_off_axis, stack_2x2, sweep_ac_spectrum,
+                                floquet_pair, memo_sweep, normalize_pair, one_point,
+                                phase_at, plus_side, stack_2x2, sweep_ac_spectrum,
                                 sweep_multiplicity_sets, sweep_phase, sweep_reflectionless)
 from .interval_sets import RealIntervalSet
 
@@ -219,22 +218,26 @@ def _m_grid(V: PiecewisePotential, zs, x0: float):
     return q / p, qm / pm
 
 
+def _weyl_grid(V: PiecewisePotential, zs, x0: float) -> dict:
+    """m_plus, m_minus and g = 1/(m_- - m_+) at x0 over an array of spectral
+    parameters, from one _m_grid call."""
+    mp, mm = _m_grid(V, zs, float(x0))
+    return {"m_plus": mp, "m_minus": mm, "g": 1.0 / (mm - mp)}
+
+
 def m_half_line(V: PiecewisePotential, z: complex, x0: float, side: str) -> complex:
     """Weyl m-function psi'(x0)/psi(x0) of the decaying solution on the given
     half line; Herglotz for side '+', anti-Herglotz for side '-'."""
-    z = require_off_axis(z)
-    return complex(_m_grid(V, np.array([z]), float(x0))[0 if plus_side(side) else 1][0])
+    return one_point(_weyl_grid, V, z, x0)["m_plus" if plus_side(side) else "m_minus"]
 
 
 def green_diag(V: PiecewisePotential, z: complex, x0: float) -> complex:
     """Diagonal Green's function 1/(m_- - m_+), Herglotz; free: i/(2 sqrt(z))."""
-    return weyl_data(V, z, x0).g
+    return one_point(_weyl_grid, V, z, x0)["g"]
 
 
 def weyl_data(V: PiecewisePotential, z: complex, x0: float = 0.0) -> SchrodingerWeylData:
-    z = require_off_axis(z)
-    mp, mm = (complex(m[0]) for m in _m_grid(V, np.array([z]), float(x0)))
-    return SchrodingerWeylData(z, float(x0), mp, mm, 1.0 / (mm - mp))
+    return SchrodingerWeylData(complex(z), float(x0), **one_point(_weyl_grid, V, z, x0))
 
 
 def green_identity_residual(V: PiecewisePotential, zs, x0: float = 0.0) -> float:
@@ -283,10 +286,7 @@ def boundary_schrodinger_grid(V: PiecewisePotential, lams, x0: float) -> dict:
     """Richardson extrapolation of m_+, m_-, g at lam + i*eps along the pinned
     geometric schedule; returns (value, error, converged) per key plus
     'inf_'/'div_' blowup flags."""
-    def kernel(zs):
-        mp, mm = _m_grid(V, zs, float(x0))
-        return {"m_plus": mp, "m_minus": mm, "g": 1.0 / (mm - mp)}
-    return boundary_sweep(kernel, lams, False)
+    return boundary_sweep(lambda zs: _weyl_grid(V, zs, x0), lams, False)
 
 
 def xi_grid(V: PiecewisePotential, lams, x0: float = 0.0):
@@ -302,10 +302,7 @@ def xi_grid(V: PiecewisePotential, lams, x0: float = 0.0):
 
 def xi(V: PiecewisePotential, lam: float, x0: float = 0.0) -> float:
     """Boundary phase of the diagonal Green's function, in [0, 1]."""
-    vals, _, ok = xi_grid(V, np.array([float(lam)]), x0)
-    if not bool(ok[0]):
-        raise NonConvergent(f"xi extrapolation failed at lam={lam}, x0={x0}")
-    return float(vals[0])
+    return phase_at(_FAMILY, V, lam, x0)
 
 
 def default_grid(V: PiecewisePotential, points: int = 2001) -> np.ndarray:

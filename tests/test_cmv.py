@@ -197,9 +197,24 @@ class TestWeylData:
         assert worst < 1e-6
 
     def test_degenerate_denominator_guard(self, free_cmv, monkeypatch):
-        monkeypatch.setattr(cmv, "big_M", lambda V, z, n0, side: 0.5 + 0.0j)
+        """M11's formula mode refuses a point where its kernel gives M_+ = M_-."""
+        half = np.array([0.5 + 0.0j])
+        monkeypatch.setattr(cmv, "_M11_grid", lambda V, zs, n0: {
+            "M_plus": half, "M_minus": half, "M11": np.array([np.inf + 0.0j])})
         with pytest.raises(DegenerateDenominator):
             cmv.M11(free_cmv, 0.1 + 0.1j, 0)
+
+    def test_vanished_twist_denominator(self, free_cmv, monkeypatch):
+        """With alpha(n0) = 0 the twist of M_- divides by m_-(z, n0-1), so a
+        vanishing m_- leaves M_- undefined: big_M (and M11 through it)
+        raises ZeroDivisionError; M_+ is unaffected."""
+        monkeypatch.setattr(cmv, "_m_grid", lambda V, zs, n0, side: np.zeros_like(zs))
+        with np.errstate(divide="ignore", invalid="ignore"):
+            assert big_M(free_cmv, 0.1 + 0.1j, 0, "+") == 0.0
+            with pytest.raises(ZeroDivisionError):
+                big_M(free_cmv, 0.1 + 0.1j, 0, "-")
+            with pytest.raises(ZeroDivisionError):
+                M11(free_cmv, 0.1 + 0.1j, 0)
 
     def test_weyl_data_agrees_with_the_pointwise_functions(self, geronimus_cmv):
         V, z = VerblunskyCoefficients(2, (0.4, -0.2 + 0.3j), patch=((1, 0.5j),)), 0.2 - 0.5j
