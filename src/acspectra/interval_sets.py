@@ -465,7 +465,7 @@ def circle_set(arcs, points=()) -> CircleArcSet:
                 prims.append(Arc(_norm_angle(t1), _norm_angle(t1), True, True))
             continue
         a1 = _norm_angle(t1)
-        a2 = a1 + (t2 - t1)
+        a2 = t2 if a1 == t1 else a1 + (t2 - t1)
         prims.append(Arc(a1, a2, lo_c, hi_c))
     raw_set = CircleArcSet(tuple(prims), tuple(float(p) for p in points))
     # canonicalize via the line representative

@@ -365,6 +365,7 @@ class TestHulls:
     @example([False, True, False, False])           # a single-angle run
     @example([True, False, False, False])           # a single angle at 0
     @example([True, True, True])                    # every angle
+    @example([3 <= k <= 10 for k in range(18)])     # theta2 - theta1 rounds down
     @settings(max_examples=200, deadline=None)
     def test_angles_hull_grid_mask_runs(self, mask):
         """Runs of the mask read cyclically: a grid angle is in the hull iff
@@ -375,10 +376,7 @@ class TestHulls:
         grid = np.linspace(0.0, 2 * math.pi, n, endpoint=False)
         h = angles_hull(grid[np.array(mask)], step)
         for k in range(n):
-            # a run's last angle may sit one ulp past its arc, since
-            # circle_set rebuilds theta2 as theta1 + (theta2 - theta1)
-            near = [grid[k] - 1e-12, grid[k], grid[k] + 1e-12]
-            assert contains_mask(h, near).any() == mask[k], k
+            assert h.contains(grid[k]) == mask[k], k
             assert h.contains(grid[k] + 0.5 * step) == (mask[k] and mask[(k + 1) % n]), k
         lone = [grid[k] for k in range(n) if mask[k] and not mask[k - 1] and not mask[(k + 1) % n]]
         assert list(h.isolated_points) == lone
