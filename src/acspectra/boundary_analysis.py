@@ -15,7 +15,9 @@ writer, with each family's conventions passed as data, plus the Floquet
 chooser and 2x2 helpers of the Jacobi and Schrodinger kernels.  Both Weyl
 solutions of a periodic base are eigenvectors of one period monodromy, so
 floquet_pair returns the decaying and the growing one from a single trace
-and square root, and a kernel seeds both half lines from one matrix.
+and square root, and a kernel seeds both half lines from one matrix.  Every
+one-point value of a family is its grid kernel (one_point) or its sweep
+(phase_at) read at one point.
 """
 
 from __future__ import annotations

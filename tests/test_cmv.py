@@ -206,8 +206,8 @@ class TestWeylData:
 
     def test_vanished_twist_denominator(self, free_cmv, monkeypatch):
         """With alpha(n0) = 0 the twist of M_- divides by m_-(z, n0-1), so a
-        vanishing m_- leaves M_- undefined: big_M (and M11 through it)
-        raises ZeroDivisionError; M_+ is unaffected."""
+        vanishing m_- leaves M_- undefined: big_M(..., "-") and M11 raise
+        ZeroDivisionError, while M_+ is unaffected."""
         monkeypatch.setattr(cmv, "_m_grid", lambda V, zs, n0, side: np.zeros_like(zs))
         with np.errstate(divide="ignore", invalid="ignore"):
             assert big_M(free_cmv, 0.1 + 0.1j, 0, "+") == 0.0
