@@ -37,7 +37,6 @@ from .interval_sets import (angles_hull, contains_mask, essential_closure,
 DIVERGENCE_CAP = 1e8
 INFINITE_LIMIT = 1e6
 DEGENERACY_TOL = 1e-10
-OFF_AXIS_TOL = 1e-4     # off-axis threshold of the multiplicity sets
 
 # distances to the boundary, eps_k = 0.1 * 2^-k for k = 0..12
 SCHEDULE = tuple(0.1 * 0.5 ** k for k in range(13))
@@ -265,26 +264,50 @@ def sweep_at(bd: dict, idx) -> dict:
             for k, v in bd.items()}
 
 
+def accepted(bd: dict, key: str, rel: float = 1e-6):
+    """Where the sweep bd's value of key is usable: relaxed_ok at the
+    relative noise floor rel, below the divergence cap, and finite."""
+    v, err, conv = bd[key]
+    return relaxed_ok(v, err, conv, rel) & ~bd["div_" + key] & np.isfinite(v)
+
+
+def _axis_margin(v, err):
+    """10 err + 1e-10 (1 + |v|): how far from the axis v may lie and count as on it."""
+    return 10.0 * err + 1e-10 * (1.0 + np.abs(v))
+
+
+def off_axis(fam: SweepFamily, v, err):
+    """Where v is certainly off the axis: its part across it (Im v on the
+    line, Re v on the circle) exceeds _axis_margin."""
+    return np.abs(v.real if fam.circle else v.imag) > _axis_margin(v, err)
+
+
 def sweep_phase(fam: SweepFamily, bd: dict):
     """Boundary phase Arg(v)/pi of the sweep's phase key, in phase_range:
-    (values, errors, ok).  A positive part (Im on the line, Re on the circle)
-    below 0 within the extrapolation error is clamped to the axis."""
-    v, err, conv = bd[fam.phase_key]
+    (values, errors, ok).  A value not off_axis is read on the axis, so the
+    phase is strictly inside phase_range exactly where v is off the axis; a
+    negative part (Im on the line, Re on the circle) off_axis is not ok."""
+    v, err, _ = bd[fam.phase_key]
+    off = off_axis(fam, v, err)
+    pos = v.real if fam.circle else v.imag
     # phase tolerance: a 1e-4-relative amplitude plateau moves Arg v by
     # < 1e-4/pi, below every phase use tolerance; exact closing band edges
     # stall there rather than at the default 1e-6 floor
-    ok = relaxed_ok(v, err, conv, rel=1e-4) & ~bd["div_" + fam.phase_key] & np.isfinite(v)
-    tol = 10.0 * err + 1e-12 * (1.0 + np.abs(v))
-    pos = v.real if fam.circle else v.imag
-    bad = pos < -tol
-    pos = np.where((pos < 0.0) & ~bad, 0.0, pos)
-    ok = ok & ~bad
+    ok = accepted(bd, fam.phase_key, rel=1e-4) & ~(off & (pos < 0.0))
+    pos = np.where(off, pos, 0.0)
     if fam.zero_floor:
         # boundary zeros leave the phase undefined; they carry zero ac density
         ok = ok & (np.abs(v) > 100.0 * err + 1e-12)
     arg = np.angle(pos + 1j * v.imag) if fam.circle else np.angle(v.real + 1j * pos)
     vals = np.clip(arg / math.pi, *fam.phase_range)
     return np.where(ok, vals, np.nan), err, ok
+
+
+def interior(fam: SweepFamily, vals):
+    """Where the sweep_phase values vals are strictly inside phase_range."""
+    lo, hi = fam.phase_range
+    with np.errstate(invalid="ignore"):
+        return (vals > lo) & (vals < hi)
 
 
 def phase_at(fam: SweepFamily, op, loc: float, site) -> float:
@@ -309,11 +332,9 @@ def sweep_csv(fam: SweepFamily, op, grid) -> str:
         return [f"{x:.12g}" if m else "" for x, m in zip(xs.tolist(), mask.tolist())]
 
     def verdicts():
-        lo, hi = fam.phase_range
-        with np.errstate(invalid="ignore"):
-            inside = (vals > lo) & (vals < hi)
         outside = "edge" if fam.circle else "exterior"
-        return np.where(ok, np.where(inside, "interior", outside), "undetermined").tolist()
+        return np.where(ok, np.where(interior(fam, vals), "interior", outside),
+                        "undetermined").tolist()
 
     column = {"loc": lambda: [f"{x:.12g}" for x in grid.tolist()],
               "phase": lambda: cells(vals, ok),
@@ -326,18 +347,15 @@ def sweep_csv(fam: SweepFamily, op, grid) -> str:
                      zip(*(column[kind]() for _, kind in fam.csv_columns)))
 
 
-def sweep_ac_spectrum(fam: SweepFamily, op, grid, xi_tol: float):
+def sweep_ac_spectrum(fam: SweepFamily, op, grid):
     """Essential closure of the widened grid hull of the interior-phase
     points at the first reference site; a disagreement with the second site
     beyond two grid steps raises SiteDisagreement, carrying the first set."""
     grid = fam.grid(op) if grid is None else np.asarray(grid, dtype=float)
     step = float(grid[1] - grid[0])
-    lo, hi = fam.phase_range
 
     def one_site(site):
-        vals, _, ok = fam.phase(op, grid, site)
-        with np.errstate(invalid="ignore"):
-            passing = grid[ok & (vals > lo + xi_tol) & (vals < hi - xi_tol)]
+        passing = grid[interior(fam, fam.phase(op, grid, site)[0])]
         return essential_closure(widen(fam.hull(passing, step), step))
 
     first, second = fam.sites(op)
@@ -373,10 +391,8 @@ def sweep_reflectionless(fam: SweepFamily, op, E, grid, tol: float) -> Reflectio
         # the whole grid's sweep (the ac spectrum's, in a report scope) read
         # on E; the kernels work point by point, so the bits are the same
         bd = sweep_at(fam.sweep(op, grid, site), inside)
-        Mp, ep, cp = bd[fam.pair[0]]
-        Mm, em, cm = bd[fam.pair[1]]
-        okm = (relaxed_ok(Mp, ep, cp) & relaxed_ok(Mm, em, cm)
-               & np.isfinite(Mp) & np.isfinite(Mm))
+        Mp, Mm = bd[fam.pair[0]][0], bd[fam.pair[1]][0]
+        okm = accepted(bd, fam.pair[0]) & accepted(bd, fam.pair[1])
         res = np.abs(Mp + np.conj(Mm)) if fam.circle else np.abs(Mp - np.conj(Mm))
         pass_mask = okm & (res < tol)
         worst_fraction = min(worst_fraction, float(np.mean(pass_mask)))
@@ -401,35 +417,34 @@ def _witness(fam: SweepFamily, bd: dict, passing) -> float:
     -1/g = 2i Im P = -2i Im M on the line (v = g = 1/(M - P)), and the
     uniform-multiplicity identity M11 = (1+|P|^2)/(2 Re P) =
     (1+|M|^2)/(-2 Re M) on the circle (v = M11)."""
-    P, M, (v, e, c) = bd[fam.pair[0]][0], bd[fam.pair[1]][0], bd[fam.phase_key]
+    P, M, v = bd[fam.pair[0]][0], bd[fam.pair[1]][0], bd[fam.phase_key][0]
     with np.errstate(divide="ignore", invalid="ignore"):
         if fam.circle:
             wp = np.abs(v - (1.0 + np.abs(P) ** 2) / (2.0 * P.real))
             wm = np.abs(v - (1.0 + np.abs(M) ** 2) / (-2.0 * M.real))
         else:
             wp, wm = np.abs(-1.0 / v - 2j * P.imag), np.abs(-1.0 / v + 2j * M.imag)
-    return float(np.max(np.where(passing & relaxed_ok(v, e, c), np.maximum(wp, wm), 0.0)))
+    return float(np.max(np.where(passing & accepted(bd, fam.phase_key),
+                                 np.maximum(wp, wm), 0.0)))
 
 
 def sweep_multiplicity_sets(fam: SweepFamily, op, grid):
     """Grid hulls (M2, M1) of the uniform-multiplicity sets from the
-    boundary pair at the first reference site.  A value is off the axis when
-    its part across it (Im v on the line, Re v on the circle) exceeds
-    tol (1 + |v|) plus its extrapolation error, tol = OFF_AXIS_TOL."""
+    boundary pair at the first reference site.  A finite accepted value is
+    off the axis by off_axis; two on the axis are equal when they differ by
+    at most the sum of their axis margins."""
     grid = fam.grid(op) if grid is None else np.asarray(grid, dtype=float)
     step = float(grid[1] - grid[0])
     bd = fam.sweep(op, grid, fam.sites(op)[0])
-    tol = OFF_AXIS_TOL
 
     def side(key):
-        v, e, c = bd[key]
-        inf = bd["inf_" + key] | bd["div_" + key]
-        fin = relaxed_ok(v, e, c) & ~inf & np.isfinite(v)
-        off = fin & (np.abs(v.real if fam.circle else v.imag) > tol * (1.0 + np.abs(v)) + e)
-        return v, inf, off, fin & ~off
+        v, e, _ = bd[key]
+        fin = accepted(bd, key) & ~bd["inf_" + key]
+        off = fin & off_axis(fam, v, e)
+        return v, _axis_margin(v, e), bd["inf_" + key] | bd["div_" + key], off, fin & ~off
 
-    (Mp, infp, off_p, on_p), (Mm, infm, off_m, on_m) = (side(key) for key in fam.pair)
-    equal_on = on_p & on_m & (np.abs(Mp - Mm) <= tol * (1.0 + np.abs(Mp)))
+    (Mp, tp, infp, off_p, on_p), (Mm, tm, infm, off_m, on_m) = (side(key) for key in fam.pair)
+    equal_on = on_p & on_m & (np.abs(Mp - Mm) <= tp + tm)
 
     mask2 = off_p & off_m
     mask1 = equal_on | (infp & infm) | (on_p & off_m) | (on_m & off_p)

@@ -33,10 +33,10 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DegenerateDenominator, NonConvergent
-from .boundary_analysis import (ReflectionlessReport, SweepFamily, boundary_sweep,
-                                memo_sweep, one_point, phase_at, plus_side, relaxed_ok,
-                                require_in_disk, sweep_ac_spectrum, sweep_multiplicity_sets,
-                                sweep_phase, sweep_reflectionless)
+from .boundary_analysis import (ReflectionlessReport, SweepFamily, accepted, boundary_sweep,
+                                memo_sweep, one_point, phase_at, plus_side, require_in_disk,
+                                sweep_ac_spectrum, sweep_multiplicity_sets, sweep_phase,
+                                sweep_reflectionless)
 from .interval_sets import CircleArcSet, circle_set, full_circle
 
 TWO_PI = 2.0 * math.pi
@@ -256,14 +256,10 @@ def boundary_cmv_grid(V: VerblunskyCoefficients, thetas, n0: int) -> dict:
 
 
 def Xi11_grid(V: VerblunskyCoefficients, thetas, n0: int):
-    """Xi11 over an angle grid: (values, errors, ok mask).
-
-    Xi11 = Arg(M11(zeta))/pi clipped to [-1/2, 1/2]; a slightly negative
-    Re M11 within the extrapolation error is clamped to the imaginary axis,
-    a violation beyond tolerance marks the angle not ok.  Boundary zeros of
+    """Xi11 = Arg(M11(zeta))/pi in [-1/2, 1/2] over an angle grid: (values,
+    errors, ok mask), by boundary_analysis.sweep_phase.  Boundary zeros of
     M11 (limit below the extrapolation noise) leave the phase undefined and
-    are also marked not ok; they carry zero ac density.
-    """
+    are marked not ok; they carry zero ac density."""
     return sweep_phase(_FAMILY, _FAMILY.sweep(V, thetas, n0))
 
 
@@ -286,13 +282,13 @@ _FAMILY = SweepFamily(
     zero_floor=True)
 
 
-def ac_spectrum(V: VerblunskyCoefficients, grid=None, xi_tol: float = 1e-3) -> CircleArcSet:
+def ac_spectrum(V: VerblunskyCoefficients, grid=None) -> CircleArcSet:
     """Circle essential closure of the angle hull of {|Xi11| < 1/2} at site 0,
     one grid step of margin; recomputed at site 1, disagreement raises."""
     grid = default_angles() if grid is None else np.asarray(grid, dtype=float)
     if grid.size < 512:
         raise ValueError("angular grid needs at least 512 points")
-    return sweep_ac_spectrum(_FAMILY, V, grid, xi_tol)
+    return sweep_ac_spectrum(_FAMILY, V, grid)
 
 
 def reflectionless_on(V: VerblunskyCoefficients, E: CircleArcSet, grid=None,
@@ -313,11 +309,9 @@ def m11_boundary_identity_residual(V: VerblunskyCoefficients, thetas, n0: int) -
 def m11_identity_residual(bd: dict) -> float:
     """Max residual over a boundary_cmv_grid sweep of the identity
     Re M11 = [Re M_+ (1+|M_-|^2) - Re M_- (1+|M_+|^2)] / |M_+ - M_-|^2."""
-    Mp, ep, cp = bd["M_plus"]
-    Mm, em, cm = bd["M_minus"]
-    m11, e11, c11 = bd["M11"]
-    ok = (relaxed_ok(Mp, ep, cp) & relaxed_ok(Mm, em, cm)
-          & relaxed_ok(m11, e11, c11) & (np.abs(Mp - Mm) > 1e-8))
+    Mp, Mm, m11 = bd["M_plus"][0], bd["M_minus"][0], bd["M11"][0]
+    ok = (accepted(bd, "M_plus") & accepted(bd, "M_minus") & accepted(bd, "M11")
+          & (np.abs(Mp - Mm) > 1e-8))
     quot = (Mp.real * (1.0 + np.abs(Mm) ** 2) - Mm.real * (1.0 + np.abs(Mp) ** 2)) \
         / np.abs(Mp - Mm) ** 2
     res = np.where(ok, np.abs(m11.real - quot), 0.0)
@@ -327,8 +321,8 @@ def m11_identity_residual(bd: dict) -> float:
 def multiplicity_sets(V: VerblunskyCoefficients, grid=None):
     """Angle hulls of the uniform-multiplicity sets from boundary (M_+, M_-) at site 0.
 
-    The purely-imaginary test is |Re v| <= tol*(1+|v|) + error; multiplicity two needs
-    both boundary values off the imaginary axis, multiplicity one collects the
+    Multiplicity two needs both boundary values off the imaginary axis
+    (boundary_analysis.off_axis), multiplicity one collects the
     equal-imaginary, both-infinite, and exactly-one-off-axis cases.
     """
     return sweep_multiplicity_sets(_FAMILY, V, grid)

@@ -64,14 +64,12 @@ SUPPORTED_TYPES = ("jacobi", "cmv", "schrodinger")
 FAMILY_MODULES = {"jacobi": _jacobi, "cmv": _cmv, "schrodinger": _schrodinger}
 SCHEMA = "v1"
 
-# tolerances that count something; every other tolerance is a finite number
-COUNT_TOLERANCES = {"identity_draws": 1, "oracle_window": 6}   # name -> least value
-
-IDENTITY_THRESHOLDS = {
-    "green_inverse_identity": 1e-10,
-    "m11_formula_vs_oracle": 1e-10,
-    "m11_boundary_real_part": 1e-3,
-}
+# the report tolerances, name -> (default, least value): a count has an integer
+# least value, every other tolerance (None) is a finite number; the last three
+# are identity residual thresholds
+TOLERANCES = {"reflectionless_tol": (1e-4, None), "identity_draws": (20, 1),
+              "oracle_window": (1024, 6), "green_inverse_identity": (1e-10, None),
+              "m11_formula_vs_oracle": (1e-10, None), "m11_boundary_real_part": (1e-3, None)}
 
 
 class UnknownOperatorType(ValueError):
@@ -119,23 +117,27 @@ def _resolve_grid(kind: str, op, grid_config):
     return g, {"start": float(g[0]), "stop": float(g[-1]), "points": int(g.size)}
 
 
-def _check_tolerances(tolerances):
-    """Raise ValueError unless tolerances is None or maps names to finite
-    numbers (numpy scalars too), with the COUNT_TOLERANCES integers at least
-    their least value."""
-    if tolerances is None:
-        return
+def _check_tolerances(tolerances) -> dict:
+    """Each TOLERANCES value, given (as a Python number) or default.  Raise
+    ValueError unless tolerances is None or maps known names to finite numbers
+    (numpy scalars too), counts to integers of at least their least value."""
+    tolerances = {} if tolerances is None else tolerances
     if not isinstance(tolerances, dict):
         raise ValueError(f"tolerances must be an object, not {tolerances!r:.80}")
     for name, value in tolerances.items():
+        if name not in TOLERANCES:
+            raise ValueError(f"unknown tolerance {name!r:.80}; the tolerances are "
+                             + ", ".join(TOLERANCES))
+        least = TOLERANCES[name][1]
         number = isinstance(value, numbers.Real) and not isinstance(value, bool)
-        if name in COUNT_TOLERANCES:
-            if not (number and isinstance(value, numbers.Integral)
-                    and value >= COUNT_TOLERANCES[name]):
-                raise ValueError(f"tolerance {name!r} must be an integer >= "
-                                 f"{COUNT_TOLERANCES[name]}, not {value!r:.80}")
+        if least is not None:
+            if not (number and isinstance(value, numbers.Integral) and value >= least):
+                raise ValueError(f"tolerance {name!r} must be an integer >= {least}, "
+                                 f"not {value!r:.80}")
         elif not (number and math.isfinite(value)):
             raise ValueError(f"tolerance {name!r} must be a finite number, not {value!r:.80}")
+    return {name: type(default)(tolerances.get(name, default))
+            for name, (default, _) in TOLERANCES.items()}
 
 
 def _load(descriptor: dict, E, grid_config, tolerances=None):
@@ -217,11 +219,11 @@ class SpectralReport:
 def _identity_residuals(kind: str, op, grid, E, refl_verdict: bool, rng,
                         tolerances: dict) -> dict:
     """Named identity residual maxima for one operator family."""
-    draws = int(tolerances.get("identity_draws", 20))
+    draws = tolerances["identity_draws"]
     out = {}
 
     def entry(name, value, n):
-        thr = float(tolerances.get(name, IDENTITY_THRESHOLDS[name]))
+        thr = tolerances[name]
         out[name] = {"value": float(value), "threshold": thr,
                      "passed": bool(value < thr), "n_draws": int(n)}
 
@@ -237,7 +239,7 @@ def _identity_residuals(kind: str, op, grid, E, refl_verdict: bool, rng,
         # the formula route at all draws from one kernel call, against M11's
         # oracle mode with the truncation built once for all draws
         m11 = _cmv._M11_grid(op, zs, 0)["M11"]
-        window = int(tolerances.get("oracle_window", 1024))
+        window = tolerances["oracle_window"]
         T = _cmv.build_truncation(op, (-(window // 2), window // 2 - 1))
         oracle = np.array([T.cayley_diag(z, 0) for z in zs.tolist()])
         entry("m11_formula_vs_oracle", np.max(np.abs(m11 - oracle)), draws)
@@ -266,18 +268,17 @@ def verify_inclusion(descriptor: dict, E=None, grid_config=None, tolerances=None
     between the two reference sites by more than two grid steps, the report
     keeps the first site's set and is FAILED.
     """
-    op, grid, grid_echo, E_set = _load(descriptor, E, grid_config, tolerances)
-    tolerances = dict(tolerances or {})
+    tolerances = _check_tolerances(tolerances)
+    op, grid, grid_echo, E_set = _load(descriptor, E, grid_config)
     kind = descriptor["type"]
     step = 2.0 * math.pi / grid.size if kind == "cmv" else float(grid[1] - grid[0])
-    refl_tol = float(tolerances.get("reflectionless_tol", 1e-4))
-    xi_tol = float(tolerances.get("xi_tol", 1e-3))
+    refl_tol = tolerances["reflectionless_tol"]
     rng = np.random.default_rng(seed)
     failures = []
 
     mod = FAMILY_MODULES[kind]
     try:
-        ac = mod.ac_spectrum(op, grid, xi_tol=xi_tol)
+        ac = mod.ac_spectrum(op, grid)
     except SiteDisagreement as exc:
         ac = exc.spectrum
         failures.append(f"{exc} by {exc.width:.3e} (> two grid steps "
@@ -331,11 +332,8 @@ def verify_inclusion(descriptor: dict, E=None, grid_config=None, tolerances=None
             "reflectionless test cannot run; ") + "the containment theorem does not apply"
 
     status = "FAILED" if failures else "PASS"
-    eff_tol = {"reflectionless_tol": refl_tol, "xi_tol": xi_tol,
-               "identity_draws": int(tolerances.get("identity_draws", 20)),
-               "slack_steps": 1}
-    if kind == "cmv":
-        eff_tol["oracle_window"] = int(tolerances.get("oracle_window", 1024))
+    echo = ("reflectionless_tol", "identity_draws") + (("oracle_window",) if kind == "cmv" else ())
+    eff_tol = dict({name: tolerances[name] for name in echo}, slack_steps=1)
 
     return SpectralReport(
         name=name, family=kind, descriptor=descriptor, status=status,

@@ -207,13 +207,8 @@ def boundary_weyl_grid(J: JacobiCoefficients, lams, n0: int) -> dict:
 
 
 def xi_grid(J: JacobiCoefficients, lams, n0: int):
-    """xi(lambda, n0) over a real grid: (values, errors, ok mask).
-
-    xi = Arg(g(lambda+i0, n0))/pi clipped to [0, 1].  Small negative Im g
-    within the extrapolation error is clamped to the boundary; points whose
-    extrapolation failed or whose Im g is negative beyond tolerance get
-    ok = False and xi = nan.
-    """
+    """xi = Arg(g(lambda+i0, n0))/pi in [0, 1] over a real grid: (values,
+    errors, ok mask), by boundary_analysis.sweep_phase; xi = nan where not ok."""
     return sweep_phase(_FAMILY, _FAMILY.sweep(J, lams, n0))
 
 
@@ -237,12 +232,12 @@ _FAMILY = SweepFamily(
                  ("verdict", "verdict")))
 
 
-def ac_spectrum(J: JacobiCoefficients, grid=None, xi_tol: float = 1e-3) -> RealIntervalSet:
+def ac_spectrum(J: JacobiCoefficients, grid=None) -> RealIntervalSet:
     """Essential closure of the grid hull of {0 < xi < 1} at site 0, one grid
     step of margin on each side.  Recomputed at site 1; a disagreement beyond
     two grid steps raises SiteDisagreement, since the phase set must not
     depend on the site."""
-    return sweep_ac_spectrum(_FAMILY, J, grid, xi_tol)
+    return sweep_ac_spectrum(_FAMILY, J, grid)
 
 
 def reflectionless_on(J: JacobiCoefficients, E: RealIntervalSet, grid=None,
@@ -258,7 +253,7 @@ def reflectionless_on(J: JacobiCoefficients, E: RealIntervalSet, grid=None,
 def multiplicity_sets(J: JacobiCoefficients, grid=None):
     """Grid hulls of the uniform-multiplicity sets from boundary (M_+, M_-) at site 0.
 
-    Multiplicity two: both nonreal (|Im v| > tol (1 + |v|) + error).  Multiplicity
+    Multiplicity two: both nonreal (boundary_analysis.off_axis).  Multiplicity
     one: equal real values, both infinite, or exactly one nonreal.  Returns
     (M2, M1) as interval sets; isolated eigenvalue hits appear as points.
     """

@@ -290,13 +290,9 @@ def boundary_schrodinger_grid(V: PiecewisePotential, lams, x0: float) -> dict:
 
 
 def xi_grid(V: PiecewisePotential, lams, x0: float = 0.0):
-    """xi(lam) = Arg g(lam + i0)/pi over a grid: (values, errors, ok mask).
-
-    Im g slightly below 0 within the extrapolation error is clamped to the
-    real axis; a violation beyond tolerance marks the point not ok.  Exact
-    closing band edges (lambda = (k pi/L)^2 for the free cell) stall on a
-    noise plateau that the phase tolerance accepts.
-    """
+    """xi(lam) = Arg g(lam + i0)/pi over a grid: (values, errors, ok mask),
+    by boundary_analysis.sweep_phase.  Exact closing band edges (lambda =
+    (k pi/L)^2 for the free cell) stall on a noise plateau that it accepts."""
     return sweep_phase(_FAMILY, _FAMILY.sweep(V, lams, x0))
 
 
@@ -319,10 +315,10 @@ _FAMILY = SweepFamily(
                  ("verdict", "verdict")), site_word="points")
 
 
-def ac_spectrum(V: PiecewisePotential, grid=None, xi_tol: float = 1e-3) -> RealIntervalSet:
+def ac_spectrum(V: PiecewisePotential, grid=None) -> RealIntervalSet:
     """Essential closure of the grid hull of {0 < xi < 1} at x = 0, one grid
     step of margin; recomputed at x = L/2, disagreement raises."""
-    return sweep_ac_spectrum(_FAMILY, V, grid, xi_tol)
+    return sweep_ac_spectrum(_FAMILY, V, grid)
 
 
 def reflectionless_on(V: PiecewisePotential, E: RealIntervalSet, grid=None,
@@ -337,6 +333,7 @@ def reflectionless_on(V: PiecewisePotential, E: RealIntervalSet, grid=None,
 
 def multiplicity_sets(V: PiecewisePotential, grid=None):
     """Interval hulls of the uniform-multiplicity sets from boundary (m_+, m_-) at x = 0:
-    multiplicity two where both are nonreal, multiplicity one on the union of
-    the equal-real, both-infinite, and exactly-one-nonreal cases."""
+    multiplicity two where both are nonreal (boundary_analysis.off_axis),
+    multiplicity one on the union of the equal-real, both-infinite, and
+    exactly-one-nonreal cases."""
     return sweep_multiplicity_sets(_FAMILY, V, grid)

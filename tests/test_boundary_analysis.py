@@ -10,12 +10,12 @@ import math
 import numpy as np
 import pytest
 
-from acspectra.boundary_analysis import (SCHEDULE, SweepFamily, blowup_flags,
-                                         boundary_sweep, normalize_pair,
-                                         plus_side, relaxed_ok,
+from acspectra.boundary_analysis import (SCHEDULE, SweepFamily, accepted, blowup_flags,
+                                         boundary_sweep, interior, normalize_pair,
+                                         off_axis, plus_side, relaxed_ok,
                                          require_off_axis, richardson_sequence,
                                          stack_2x2, sweep_at, sweep_csv,
-                                         sweep_phase, write_csv)
+                                         sweep_multiplicity_sets, sweep_phase, write_csv)
 from acspectra.interval_sets import essential_closure, points_hull
 
 
@@ -193,6 +193,45 @@ class TestSweepPhase:
         # Re m = log((1 - x) / x) vanishes at x = 1/2, so Arg m = pi / 2 there
         vals, _, ok = sweep_phase(family(False), boundary_sweep(uniform, np.array([0.5]), False))
         assert ok[0] and vals[0] == pytest.approx(0.5, abs=1e-9)
+
+
+class TestOffAxisRule:
+    def test_accepted_needs_a_finite_undiverged_relaxed_ok_value(self):
+        v = np.array([1.0, 1.0, np.nan, 1.0, 1.0], dtype=complex)
+        err = np.array([0.0, 0.0, 0.0, 1e-5, 1e-8])
+        conv = np.array([True, True, True, False, False])
+        flags = np.array([False, True, False, False, False])
+        bd = {"m": (v, err, conv), "inf_m": ~flags, "div_m": flags}
+        assert accepted(bd, "m").tolist() == [True, False, False, False, True]
+        assert accepted(bd, "m", rel=1e-4).tolist() == [True, False, False, True, True]
+
+    def test_margin_is_ten_errors_plus_a_relative_floor(self):
+        v = np.array([2.0 + 4e-10j, 2.0 + 2e-10j, 2.0 - 2e-8j, 2.0 - 1e-8j], dtype=complex)
+        err = np.array([0.0, 0.0, 1e-9, 1e-9])
+        assert off_axis(family(False), v, err).tolist() == [True, False, True, False]
+        # on the circle the part across the axis is Re v, which -1j v carries
+        assert off_axis(family(True), v, err).all()
+        assert off_axis(family(True), -1j * v, err).tolist() == [True, False, True, False]
+
+    def test_phase_reads_values_within_the_margin_on_the_axis(self):
+        bd = sweep_of("f", [1e-14 + 1j, -1e-14 - 1j, 1e-6 + 1j], err=1e-15)
+        vals, _, ok = sweep_phase(family(True), bd)
+        assert ok.all() and vals[:2].tolist() == [0.5, -0.5]
+        assert interior(family(True), vals).tolist() == [False, False, True]
+
+    def test_equal_values_within_the_summed_margins_are_multiplicity_one(self):
+        # each margin is 1e-10 (1 + |v|) ~ 2e-10 here, so 3e-10 apart is
+        # equal and 5e-10 apart is not; a nonreal M_- makes the third point
+        # multiplicity one, a nonreal pair the fourth multiplicity two
+        Mp = np.array([1.0, 1.0, 1.0, 1.0 + 1e-3j], dtype=complex)
+        Mm = np.array([1.0 + 3e-10, 1.0 + 5e-10, 1.0 - 1e-3j, 1.0 - 1e-3j], dtype=complex)
+        bd = {**sweep_of("p", Mp), **sweep_of("q", Mm)}
+        fam = SweepFamily(sweep=lambda op, grid, site: bd, phase=None, grid=None,
+                          sites=lambda op: (0, 1), circle=False, pair=("p", "q"),
+                          phase_key="p", csv_columns=())
+        M2, M1 = sweep_multiplicity_sets(fam, None, np.arange(4.0))
+        assert M1.isolated_points == (0.0, 2.0) and M1.intervals == ()
+        assert M2.isolated_points == (3.0,) and M2.intervals == ()
 
 
 class TestSweepCsv:

@@ -13,7 +13,7 @@ from acspectra.harness_cli import (FAMILY_MODULES, SUPPORTED_TYPES, UnknownOpera
                                    _csv_for, build_operator, bundled_config_path,
                                    closure_main, emit_sets_demo, format_set,
                                    run_config, spec_main, verify_inclusion)
-from acspectra.interval_sets import (canonicalize, circle_set, full_circle,
+from acspectra.interval_sets import (canonicalize, circle_set, full_circle, set_algebra,
                                      set_from_json, set_to_json)
 
 FREE_JACOBI = {"type": "jacobi", "period": 1, "a": [1.0], "b": [0.0]}
@@ -85,13 +85,21 @@ class TestVerifyInclusion:
     def test_numpy_scalar_tolerances_are_accepted(self):
         """Library callers may pass numpy scalars; the report is the one of
         the equal Python numbers."""
-        plain = {"oracle_window": 512, "identity_draws": 3, "xi_tol": 1e-3}
+        plain = {"oracle_window": 512, "identity_draws": 3, "m11_formula_vs_oracle": 1e-9}
         numpy = {"oracle_window": np.int64(512), "identity_draws": np.int32(3),
-                 "xi_tol": np.float64(1e-3), "reflectionless_tol": np.float32(1e-4)}
+                 "m11_formula_vs_oracle": np.float64(1e-9),
+                 "reflectionless_tol": np.float32(1e-4)}
         args = (FREE_CMV, E_CIRCLE, SMALL_GRIDS["cmv"])
         want = verify_inclusion(*args, tolerances=dict(plain, reflectionless_tol=
                                                        float(np.float32(1e-4))))
         assert verify_inclusion(*args, tolerances=numpy).to_json() == want.to_json()
+
+    @pytest.mark.parametrize("name", ["xi_tol", "reflectionless_tl"])
+    def test_unknown_tolerance_name_raises(self, name):
+        """A retired or misspelt tolerance is refused, not silently ignored."""
+        with pytest.raises(ValueError, match=f"unknown tolerance '{name}'"):
+            verify_inclusion(FREE_JACOBI, E_JACOBI, SMALL_GRIDS["jacobi"],
+                             tolerances={name: 1e-3})
 
     def test_off_spectrum_set_skips_inclusion(self):
         rep = verify_inclusion(
@@ -257,7 +265,8 @@ class TestMalformedInput:
         assert "seed" in capsys.readouterr().err
 
     @pytest.mark.parametrize("tolerances", [
-        {"xi_tol": "abc"}, {"reflectionless_tol": math.nan}, {"xi_tol": math.inf},
+        {"reflectionless_tol": "abc"}, {"reflectionless_tol": math.nan},
+        {"m11_boundary_real_part": math.inf}, {"xi_tol": 1e-3}, {"oracle_windw": 512},
         {"green_inverse_identity": None}, {"identity_draws": 2.5}, {"identity_draws": 0},
         {"oracle_window": 4}, {"oracle_window": True}, [1e-3]])
     def test_spec_run_bad_tolerances_exit_2_without_writes(self, tmp_path, capsys,
@@ -290,14 +299,49 @@ class TestMalformedInput:
 
 
 # report_suite seed 9, rotation 17 of the benchmark: the ac spectrum's lower
-# edge is -3.0341 at site 0 and -3.0253 at site 1
+# edge is the band edge -3.0341 at both sites.  A fixed phase threshold
+# (xi > 1e-3) once read it as -3.0253 at site 1, where Im g is 1e-3 but xi
+# below 1e-3 at the 4 grid points next to the edge
 SITE_DISAGREEMENT = {"type": "jacobi", "period": 1, "a": [1.057], "b": [-0.92],
                      "patch": {"-1": [0.714, 0.441], "1": [0.557, -1.296],
                                "2": [0.475, 0.911]}}
 
 
+@pytest.fixture
+def site_one_cut(monkeypatch):
+    """Site 1 of every Jacobi operator reads its phase on the axis below
+    -3.0253, so the ac spectra of SITE_DISAGREEMENT's two sites differ by 4
+    grid steps at the lower edge."""
+    xi_grid = jacobi.xi_grid
+
+    def cut(J, lams, n0):
+        vals, errs, ok = xi_grid(J, lams, n0)
+        if n0 == 1:
+            vals = np.where(ok & (np.asarray(lams) < -3.0253), 0.0, vals)
+        return vals, errs, ok
+    monkeypatch.setattr(jacobi, "xi_grid", cut)
+
+
+def test_both_sites_read_one_ac_spectrum_and_no_m1_interval():
+    """The error-driven off-axis rule reads the points next to the band edge
+    as interior at both sites, and no piece of the bands as multiplicity
+    one."""
+    J = build_operator(SITE_DISAGREEMENT)
+    grid = jacobi.default_grid(J)
+    ac = jacobi.ac_spectrum(J, grid)
+    for site in (0, 1):
+        vals = jacobi.xi_grid(J, grid, site)[0]
+        inside = grid[(vals > 0.0) & (vals < 1.0)]
+        assert inside[0] == pytest.approx(-3.0319, abs=1e-4)
+        assert inside[-1] == pytest.approx(1.1929, abs=1e-4)
+    assert ac.intervals[0].lo == pytest.approx(-3.0341, abs=1e-4)
+    M2, M1 = jacobi.multiplicity_sets(J, grid)
+    assert M1.intervals == ()
+    assert set_algebra(M2, ac, "difference").measure() == 0.0
+
+
 class TestSiteDisagreement:
-    def test_ac_spectrum_raises_with_the_first_site_set(self):
+    def test_ac_spectrum_raises_with_the_first_site_set(self, site_one_cut):
         J = build_operator(SITE_DISAGREEMENT)
         grid = jacobi.default_grid(J)
         with pytest.raises(SiteDisagreement) as exc:
@@ -306,7 +350,7 @@ class TestSiteDisagreement:
         assert exc.value.spectrum.intervals[0].lo == pytest.approx(-3.0341, abs=1e-4)
         assert isinstance(exc.value, RuntimeError)
 
-    def test_report_fails_and_the_run_goes_on(self, tmp_path, capsys):
+    def test_report_fails_and_the_run_goes_on(self, tmp_path, capsys, site_one_cut):
         cfg = tmp_path / "c.json"
         cfg.write_text(json.dumps({"operators": [
             {"name": "split", "descriptor": SITE_DISAGREEMENT},

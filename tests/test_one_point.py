@@ -149,6 +149,6 @@ def test_identity_draws_make_one_kernel_call_per_batch(J, V, draws):
         calls.clear()
         out = harness_cli._identity_residuals(
             "cmv", V, cmv.default_angles(), None, False, rng,
-            {"identity_draws": draws, "oracle_window": 64})
+            harness_cli._check_tolerances({"identity_draws": draws, "oracle_window": 64}))
         assert calls == [("_M11_grid", draws)]
         assert out["m11_formula_vs_oracle"]["n_draws"] == draws
