@@ -4,10 +4,12 @@ grid sweeps shared by the operator families.
 A Herglotz function maps the upper half-plane into itself; a Caratheodory
 function maps the unit disk into the closed right half-plane.  Their
 almost-everywhere boundary values are reached along one geometric schedule
-(eps_k = 0.1 * 2^-k toward the line, radii r_k = 1 - eps_k toward the
-circle) with two-stage Richardson extrapolation, one kernel call per stage
-on a whole grid.  The ac spectrum is the essential closure of the set where
-the boundary values are nonreal, read here off the boundary phase.
+(eps_k = 0.1 * 2^-k for k = 8..12 toward the line, radii r_k = 1 - eps_k
+toward the circle) with two-stage Richardson extrapolation, one kernel call
+per stage on a whole grid.  The five stages are exactly the samples the
+extrapolation and the blowup flags read.  The ac spectrum is the essential
+closure of the set where the boundary values are nonreal, read here off the
+boundary phase.
 
 The sweeps serve the Jacobi, CMV and Schrodinger modules: one Richardson
 sweep, phase, ac hull, reflectionless test, multiplicity classifier and CSV
@@ -38,19 +40,25 @@ DIVERGENCE_CAP = 1e8
 INFINITE_LIMIT = 1e6
 DEGENERACY_TOL = 1e-10
 
-# distances to the boundary, eps_k = 0.1 * 2^-k for k = 0..12
-SCHEDULE = tuple(0.1 * 0.5 ** k for k in range(13))
+# distances to the boundary, eps_k = 0.1 * 2^-k for k = 8..12: the five
+# samples richardson_sequence reads (the first eps is 3.9e-4)
+SCHEDULE = tuple(0.1 * 0.5 ** k for k in range(8, 13))
 
 
 def richardson_sequence(values):
     """Two-stage Richardson extrapolation along axis 0.
 
-    values: array (K, ...) of K >= 4 samples on a ratio-2 geometric schedule,
-    ordered toward the boundary.  Returns (value, error, converged).
-    Convergence means the final extrapolant differences contract by a factor
-    >= 2 (exact agreement counts as converged).
+    values: array (K, ...) of K >= 5 samples on a ratio-2 geometric schedule,
+    ordered toward the boundary; fewer raise ValueError.  Returns (value,
+    error, converged), read off the last five samples only: the value off
+    the last three, the error off the last four, and the contraction test
+    off all five.  Convergence means the final extrapolant differences
+    contract by a factor >= 2 (exact agreement counts as converged).
     """
     v = np.asarray(values, dtype=complex)
+    if v.ndim == 0 or v.shape[0] < 5:
+        raise ValueError(f"Richardson extrapolation needs at least 5 samples, got "
+                         f"{v.shape[0] if v.ndim else 0}")
     w = 2.0 * v[1:] - v[:-1]
     u = (4.0 * w[1:] - w[:-1]) / 3.0
     value = u[-1].copy()    # copies: views would keep the whole (K-2, ...) stacks alive
@@ -207,10 +215,11 @@ class SweepFamily:
 
 def boundary_sweep(kernel, grid, circle: bool) -> dict:
     """Richardson-extrapolated boundary values of kernel(zs) -> {key: array}
-    over a grid, one kernel call per SCHEDULE stage, with zs = lambda + i eps
-    on the line and (1 - eps) e^{i theta} on the circle.  For each key
-    returns (value, error, converged) arrays, plus 'inf_<key>'/'div_<key>'
-    blowup flags."""
+    over a grid, one kernel call per SCHEDULE stage (five), with zs = lambda
+    + i eps on the line and (1 - eps) e^{i theta} on the circle.  For each
+    key returns (value, error, converged) arrays, plus 'inf_<key>' (past
+    1e6 at the last stage, growing over the last four) and 'div_<key>'
+    (past DIVERGENCE_CAP at one of the five stages) blowup flags."""
     grid = np.asarray(grid, dtype=float)
     zeta = np.exp(1j * grid) if circle else None
     rows = [kernel((1.0 - eps) * zeta if circle else grid + 1j * eps) for eps in SCHEDULE]

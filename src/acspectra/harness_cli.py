@@ -61,6 +61,12 @@ from .interval_sets import (CircleArcSet, GeneratedFatSet, RealIntervalSet, cano
                             set_algebra, set_from_json, set_to_json, widen)
 
 SUPPORTED_TYPES = ("jacobi", "cmv", "schrodinger")
+# a Schrodinger operator whose transfers may grow like exp(x) on its grid is
+# refused at load for x past this: floquet_pair squares the monodromy trace
+# and the identity residual's Wronskian multiplies two solutions carried
+# across the patch and a period, so products reach exp(3x), and exp
+# overflows past 709.78
+MAX_TRANSFER_EXPONENT = 700.0 / 3.0
 FAMILY_MODULES = {"jacobi": _jacobi, "cmv": _cmv, "schrodinger": _schrodinger}
 SCHEMA = "v1"
 
@@ -143,7 +149,8 @@ def _check_tolerances(tolerances) -> dict:
 def _load(descriptor: dict, E, grid_config, tolerances=None):
     """(op, grid, grid_echo, E_set) of one operator entry, E_set None when E
     is; a malformed descriptor, grid, target set or tolerances raises
-    ValueError."""
+    ValueError, and so does a Schrodinger potential whose transfers would
+    overflow on the grid."""
     _check_tolerances(tolerances)
     try:
         op = build_operator(descriptor)
@@ -151,6 +158,13 @@ def _load(descriptor: dict, E, grid_config, tolerances=None):
         E_set = set_from_json(E) if isinstance(E, dict) else E
     except (KeyError, TypeError, IndexError, OverflowError) as exc:
         raise ValueError(f"malformed operator entry ({type(exc).__name__}: {exc})") from None
+    if descriptor["type"] == "schrodinger":
+        reach = max(abs(float(grid[0])), abs(float(grid[-1])))
+        growth = _schrodinger.transfer_exponent(op, reach)
+        if growth > MAX_TRANSFER_EXPONENT:
+            raise ValueError(f"schrodinger transfers may grow like exp({growth:.4g}) on the "
+                             f"grid, past exp({MAX_TRANSFER_EXPONENT:.4g}), and overflow; "
+                             f"lower the potential or the grid")
     carrier = CircleArcSet if descriptor["type"] == "cmv" else RealIntervalSet
     if E_set is not None and not (isinstance(E_set, carrier) and _testable(E_set, grid)):
         raise ValueError(f"E must be an explicit {carrier.__name__} of positive measure "

@@ -267,6 +267,13 @@ def green_identity_residual(V: PiecewisePotential, zs, x0: float = 0.0) -> float
     return float(np.max(np.abs(g * (mm - mp) - 1.0)))
 
 
+def transfer_exponent(V: PiecewisePotential, reach: float) -> float:
+    """Sum of sqrt(|v| + reach) * ell over the base pieces and the patch.
+    Since |Re sqrt(v - z)| <= sqrt(|v| + |z|), the one-period monodromy and
+    the patch transfers grow at most like exp of it at |z| <= reach."""
+    return math.fsum(math.sqrt(abs(v) + reach) * l for l, v in V.pieces + V.patch)
+
+
 def discriminant(V: PiecewisePotential, lams) -> np.ndarray:
     """Trace of the one-period monodromy of the base pattern (patch ignored);
     the periodic spectrum is {lam : |discriminant| <= 2}."""

@@ -10,8 +10,9 @@ import math
 import numpy as np
 import pytest
 
-from acspectra.boundary_analysis import (SCHEDULE, SweepFamily, accepted, blowup_flags,
-                                         boundary_sweep, interior, normalize_pair,
+from acspectra import cmv, jacobi, schrodinger
+from acspectra.boundary_analysis import (DIVERGENCE_CAP, SCHEDULE, SweepFamily, accepted,
+                                         blowup_flags, boundary_sweep, interior, normalize_pair,
                                          off_axis, plus_side, relaxed_ok,
                                          require_off_axis, richardson_sequence,
                                          stack_2x2, sweep_at, sweep_csv,
@@ -65,6 +66,18 @@ class TestRichardson:
         _, _, conv = richardson_sequence(vals)
         assert not conv
 
+    @pytest.mark.parametrize("values", [np.arange(4.0), np.zeros((4, 3)), np.array(1.0)],
+                             ids=["four_samples", "four_rows", "scalar"])
+    def test_fewer_than_five_samples_are_refused(self, values):
+        with pytest.raises(ValueError, match="at least 5 samples"):
+            richardson_sequence(values)
+
+    def test_five_samples_are_enough(self):
+        # v = 0..4: the extrapolants are 10/3, 13/3, 16/3, a constant step
+        # that does not contract
+        value, err, conv = richardson_sequence(np.arange(5.0))
+        assert value == pytest.approx(16.0 / 3.0) and err == pytest.approx(1.0) and not conv
+
     def test_relaxed_ok_accepts_noise_floor(self):
         conv = np.array([False, False, True])
         err = np.array([1e-9, 0.5, 1e-3])
@@ -75,9 +88,97 @@ class TestRichardson:
 class TestSchedule:
     def test_geometric_schedule(self):
         s = SCHEDULE
-        assert len(s) == 13
-        assert s[0] == pytest.approx(0.1)
-        assert s[1] / s[0] == pytest.approx(0.5)
+        assert len(s) == 5
+        assert s[0] == 0.1 * 0.5 ** 8
+        assert all(b / a == 0.5 for a, b in zip(s, s[1:]))
+        assert s == REFERENCE_SCHEDULE[-5:]
+
+
+# the 13-stage schedule eps_k = 0.1 * 2^-k, k = 0..12, whose last five
+# stages are SCHEDULE: richardson_sequence reads only those, and the first
+# eight fed only the divergence flag
+REFERENCE_SCHEDULE = tuple(0.1 * 0.5 ** k for k in range(13))
+
+
+def reference_sweep(kernel, grid, circle):
+    """boundary_sweep over REFERENCE_SCHEDULE, plus the largest |value| of
+    each key over its first eight stages."""
+    grid = np.asarray(grid, dtype=float)
+    zeta = np.exp(1j * grid) if circle else None
+    rows = [kernel((1.0 - eps) * zeta if circle else grid + 1j * eps)
+            for eps in REFERENCE_SCHEDULE]
+    out, early = {}, {}
+    for k in rows[0]:
+        arr = np.array([row[k] for row in rows])
+        out[k] = richardson_sequence(arr)
+        out["inf_" + k], out["div_" + k] = blowup_flags(np.abs(arr))
+        early[k] = float(np.max(np.abs(arr[:8])))
+    return out, early
+
+
+# family -> (kernel, sweep, grid, reference sites)
+SWEEPS = {
+    "jacobi": (jacobi._weyl_grid, jacobi.boundary_weyl_grid, jacobi.default_grid,
+               lambda op: (0, 1)),
+    "cmv": (cmv._M11_grid, cmv.boundary_cmv_grid, lambda op: cmv.default_angles(1024),
+            lambda op: (0, 1)),
+    "schrodinger": (schrodinger._weyl_grid, schrodinger.boundary_schrodinger_grid,
+                    schrodinger.default_grid, lambda op: (0.0, 0.5 * op.period)),
+}
+FIXTURES = {"free_jacobi": "jacobi", "period2_jacobi": "jacobi", "free_cmv": "cmv",
+            "geronimus_cmv": "cmv", "free_schrodinger": "schrodinger",
+            "square_well": "schrodinger"}
+
+
+def random_operator(family, period, rng):
+    """A periodic operator of the family with a patch on 1-3 sites (pieces)."""
+    patch = rng.choice(np.arange(-3, 4), int(rng.integers(1, 4)), replace=False)
+    if family == "jacobi":
+        return jacobi.JacobiCoefficients(
+            period, tuple(rng.uniform(0.5, 1.5, period)), tuple(rng.uniform(-1.0, 1.0, period)),
+            {int(n): (rng.uniform(0.5, 1.5), rng.uniform(-1.0, 1.0)) for n in patch})
+    if family == "cmv":
+        alphas = rng.uniform(0.05, 0.7, period) * np.exp(1j * rng.uniform(0, 2 * math.pi, period))
+        return cmv.VerblunskyCoefficients(
+            period, tuple(alphas),
+            {int(n): complex(rng.uniform(-0.5, 0.5), rng.uniform(-0.5, 0.5)) for n in patch})
+    weights = rng.integers(1, 5, period)
+    return schrodinger.PiecewisePotential(
+        1.0, tuple(zip(weights / weights.sum(), rng.uniform(0.0, 6.0, period))),
+        tuple(zip(rng.uniform(0.1, 0.6, patch.size), rng.uniform(-2.0, 6.0, patch.size))))
+
+
+def _operators():
+    cases = [pytest.param(fam, name, id=name) for name, fam in FIXTURES.items()]
+    rng = np.random.default_rng(1813)
+    for fam in SWEEPS:
+        for period in range(1, 5):
+            cases.append(pytest.param(fam, random_operator(fam, period, rng),
+                                      id=f"random_{fam}_period{period}"))
+    return cases
+
+
+class TestFiveStageSweep:
+    @pytest.mark.parametrize("fam, op", _operators())
+    def test_matches_the_thirteen_stage_sweep(self, request, fam, op):
+        """boundary_sweep equals the 13-stage reference bit for bit in every
+        value, error, convergence and blowup flag at both reference sites;
+        the eight dropped stages stay three decades below DIVERGENCE_CAP, so
+        they never set a divergence flag."""
+        if isinstance(op, str):
+            op = request.getfixturevalue(op)
+        kernel, sweep, grid_of, sites_of = SWEEPS[fam]
+        grid = grid_of(op)
+        for site in sites_of(op):
+            got = sweep(op, grid, site)
+            want, early = reference_sweep(lambda zs: kernel(op, zs, site), grid, fam == "cmv")
+            assert got.keys() == want.keys()
+            for key, arrays in want.items():
+                pairs = zip(got[key], arrays) if isinstance(arrays, tuple) else [(got[key], arrays)]
+                for a, b in pairs:
+                    assert a.dtype == b.dtype and a.tobytes() == b.tobytes(), (site, key)
+            for key, peak in early.items():
+                assert peak < DIVERGENCE_CAP / 1e3, (site, key, peak)
 
 
 class TestAnalyticModels:

@@ -3,10 +3,13 @@
 import json
 import math
 import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
 
+import acspectra
 from acspectra import jacobi
 from acspectra.errors import SiteDisagreement
 from acspectra.harness_cli import (FAMILY_MODULES, SUPPORTED_TYPES, UnknownOperatorType,
@@ -202,6 +205,9 @@ BAD_ENTRIES = {
     "nan_piece_length": {"descriptor": {**FREE_SCHRODINGER, "pieces": [[math.nan, 0.0]]}},
     "infinite_piece_value": {"descriptor": {**FREE_SCHRODINGER, "pieces": [[1.0, math.inf]]}},
     "nan_schrodinger_patch": {"descriptor": {**FREE_SCHRODINGER, "patch": [[0.5, math.nan]]}},
+    # finite, but cosh and sinh of sqrt(v - z) overflow
+    "overflowing_piece_value": {"descriptor": {**FREE_SCHRODINGER, "pieces": [[1.0, 1e300]]}},
+    "overflowing_patch_value": {"descriptor": {**FREE_SCHRODINGER, "patch": [[0.5, 1e6]]}},
 }
 
 # grids of `spec run` entries that are refused, not truncated or swept
@@ -252,6 +258,24 @@ class TestMalformedInput:
         assert not out.exists()
         err = capsys.readouterr().err
         assert err.startswith("error: ") and "grid" in err
+
+    def test_overflowing_potential_exits_2_without_warnings(self, tmp_path):
+        """spec run refuses a potential whose transfers overflow before it
+        computes anything, so no numpy RuntimeWarning is raised."""
+        cfg = tmp_path / "c.json"
+        cfg.write_text(json.dumps({"operators": [
+            {"name": "huge", **BAD_ENTRIES["overflowing_piece_value"]}]}), encoding="utf-8")
+        out = tmp_path / "out"
+        src = os.path.dirname(os.path.dirname(os.path.abspath(acspectra.__file__)))
+        env = {**os.environ, "PYTHONWARNINGS": "error::RuntimeWarning",
+               "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+        proc = subprocess.run(
+            [sys.executable, "-c", "import sys; from acspectra.harness_cli import spec_main; "
+             "sys.exit(spec_main(sys.argv[1:]))", "run", "--config", str(cfg), "--out", str(out)],
+            capture_output=True, text=True, env=env, timeout=120)
+        assert proc.returncode == 2, proc.stderr
+        assert proc.stderr.startswith("error: ") and "exp(" in proc.stderr
+        assert "Warning" not in proc.stderr and not out.exists()
 
     @pytest.mark.parametrize("seed", ["x", -1, 1.5, True, None])
     def test_spec_run_bad_seed_exits_2_without_writes(self, tmp_path, capsys, seed):
@@ -371,10 +395,11 @@ class TestSiteDisagreement:
 
 
 # operators whose ac spectrum has zero measure on the default grid: bands of
-# width ~1e-9 around -1 and 1, and a potential far above the grid top
+# width ~1e-9 around -1 and 1, and a potential far above the grid top (its
+# transfers grow like exp(141), below the load limit)
 ZERO_MEASURE_AC = {
     "thin_bands_jacobi": {"type": "jacobi", "period": 2, "a": [1.0, 1e-9], "b": [0.0, 0.0]},
-    "huge_schrodinger": {"type": "schrodinger", "period": 1.0, "pieces": [[1.0, 1e300]]},
+    "huge_schrodinger": {"type": "schrodinger", "period": 1.0, "pieces": [[1.0, 1e4]]},
 }
 
 

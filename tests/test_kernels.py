@@ -232,7 +232,7 @@ def test_one_kernel_call_per_schedule_stage(monkeypatch):
         calls.clear()
         sweep(op, grid, site)
         assert calls == [(name, grid.size)] * len(SCHEDULE), name
-    assert len(SCHEDULE) == 13
+    assert len(SCHEDULE) == 5
 
 
 def test_one_monodromy_per_kernel_call(monkeypatch, square_well):

@@ -23,7 +23,8 @@ from acspectra.interval_sets import canonicalize, set_algebra
 from acspectra.schrodinger import (PiecewisePotential, ac_spectrum, discriminant, default_grid,
                                    green_diag, green_identity_residual,
                                    m_half_line, multiplicity_sets, reflectionless_on,
-                                   transfer_interval, weyl_data, xi, xi_grid)
+                                   transfer_exponent, transfer_interval, weyl_data, xi,
+                                   xi_grid)
 
 
 def fd_green_oracle(v_of_x, z: complex, half_width: float = 200.0,
@@ -88,6 +89,20 @@ class TestTransfer:
         half1 = transfer_interval(square_well, z, 0.0, 0.7)[0]
         half2 = transfer_interval(square_well, z, 0.7, 2.0)[0]
         assert np.abs(half2 @ half1 - whole).max() < 1e-12
+
+    @pytest.mark.parametrize("reach", [1.0, 100.0, 1e4])
+    def test_transfer_exponent_bounds_the_monodromy(self, square_well, reach):
+        """At z = -reach the bound is nearly tight for a nonnegative
+        potential; the prefactors |w| of the two pieces are all it leaves
+        out."""
+        growth = transfer_exponent(square_well, reach)
+        assert growth == math.fsum([0.5 * math.sqrt(reach), 0.5 * math.sqrt(5.0 + reach)])
+        T = transfer_interval(square_well, np.array([-reach + 0.0j]), 0.0, 1.0)[0]
+        assert growth - 2.0 <= math.log(np.abs(T).max()) \
+            <= growth + 2.0 * math.log(1.0 + math.sqrt(5.0 + reach))
+        patched = PiecewisePotential(1.0, square_well.pieces, patch=((0.25, 9.0),))
+        assert transfer_exponent(patched, reach) == pytest.approx(
+            growth + 0.25 * math.sqrt(9.0 + reach), rel=1e-15)
 
     def test_degenerate_multipliers_raise(self):
         with pytest.raises(MonodromyDegenerate):
