@@ -2,6 +2,7 @@
 
     python scripts/verdict_census.py            # print the table
     python scripts/verdict_census.py --check    # compare with verdict_census.txt
+    python scripts/verdict_census.py --keep DIR # also keep every report and CSV
 
 Runs `spec run` on every report_suite operator of seeds 0 and 9, rotations
 0-20 (rotation 0, the six fixture operators, does not depend on the seed
@@ -12,6 +13,11 @@ the benchmark's band check ("ok" or its problem) and the failures.  With
 checked-in scripts/verdict_census.txt, so any change of a verdict shows as
 a diff of that file; regenerate it with
 `python scripts/verdict_census.py > scripts/verdict_census.txt`.
+
+With --keep DIR it also keeps the 126 report JSONs and CSVs, as
+DIR/seed<seed>/<name>_report.json and <name>.csv, so that the outputs of
+two checkouts can be compared byte for byte (`diff -r A B`) or by
+`scripts/compare_reports.py`.
 """
 
 import argparse
@@ -19,6 +25,7 @@ import difflib
 import glob
 import json
 import os
+import shutil
 import sys
 import tempfile
 
@@ -32,7 +39,8 @@ ROTATIONS = range(21)
 TABLE = os.path.join(ROOT, "scripts", "verdict_census.txt")
 
 
-def census() -> str:
+def census(keep: str = None) -> str:
+    """The table; with keep, a directory that receives every report and CSV."""
     lines = ["# seed rotation name status inclusion check failures"]
     with tempfile.TemporaryDirectory() as workdir:
         out = os.path.join(workdir, "out")
@@ -45,6 +53,11 @@ def census() -> str:
                     path, = glob.glob(os.path.join(out, "*_report.json"))
                     with open(path, encoding="utf-8") as fh:
                         rep = json.load(fh)
+                    if keep:
+                        dest = os.path.join(keep, f"seed{seed}")
+                        os.makedirs(dest, exist_ok=True)
+                        for kept in (path, path[:-len("_report.json")] + ".csv"):
+                            shutil.copy(kept, dest)
                     problem = op.check(code).problem     # reads and removes the outputs
                     lines.append(" ".join([
                         str(seed), str(k), rep["name"], rep["status"],
@@ -57,8 +70,10 @@ def main(argv=None) -> int:
     p = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     p.add_argument("--check", action="store_true",
                    help=f"exit 1 unless the table equals {os.path.relpath(TABLE, ROOT)}")
+    p.add_argument("--keep", metavar="DIR",
+                   help="keep every report JSON and CSV under DIR/seed<seed>/")
     ns = p.parse_args(argv)
-    table = census()
+    table = census(ns.keep)
     if not ns.check:
         sys.stdout.write(table)
         return 0

@@ -16,16 +16,17 @@ sweep, phase, ac hull, reflectionless test, multiplicity classifier and CSV
 writer, with each family's conventions passed as data, plus the Floquet
 chooser and 2x2 helpers of the Jacobi and Schrodinger kernels.  Both Weyl
 solutions of a periodic base are eigenvectors of one period monodromy, so
-floquet_pair returns the decaying and the growing one from a single trace
-and square root, and a kernel seeds both half lines from one matrix.  Every
-one-point value of a family is its grid kernel (one_point) or its sweep
-(phase_at) read at one point.
+floquet_pair takes its four entries and returns the decaying and the
+growing one, each an (x, y) pair, from a single trace and square root; a
+kernel seeds both half lines from one matrix without stacking it.  The
+Schrodinger seeds do not depend on the reference point either, so in a
+report scope both reference points read one seed pair per schedule stage
+(memo_read_twice).  Every one-point value of a family is its grid kernel
+(one_point) or its sweep (phase_at) read at one point.
 """
 
 from __future__ import annotations
 
-import csv
-import io
 import math
 from contextlib import contextmanager
 from dataclasses import dataclass
@@ -89,15 +90,6 @@ def blowup_flags(mags):
     return (mags[-1] > INFINITE_LIMIT) & grow, np.any(mags > DIVERGENCE_CAP, axis=0)
 
 
-def write_csv(header, rows) -> str:
-    """CSV text with LF line ends."""
-    buf = io.StringIO()
-    w = csv.writer(buf, lineterminator="\n")
-    w.writerow(header)
-    w.writerows(rows)
-    return buf.getvalue()
-
-
 # ---------------------------------------------------------------------------
 # Grid sweeps shared by the operator families
 
@@ -135,24 +127,25 @@ def one_point(kernel, op, z, *args, circle: bool = False):
     return complex(out[0])
 
 
-def floquet_pair(M, det):
-    """(decaying, growing): eigenvectors of the monodromy stack M
-    (determinant det) for its contracting (|u| < 1) and its expanding
-    Floquet multiplier, from one trace and one square root.  The larger root
-    takes the cancellation-free sign, the other one u' = det/u; multiplier
-    moduli within 1e-10 (only on the real axis) raise MonodromyDegenerate."""
-    tr = M[..., 0, 0] + M[..., 1, 1]
+def floquet_pair(m00, m01, m10, m11, det):
+    """(decaying, growing): eigenvectors, each an (x, y) pair of arrays, of
+    the monodromy with entries m00, m01, m10, m11 (determinant det) for its
+    contracting (|u| < 1) and its expanding Floquet multiplier, from one
+    trace and one square root.  The larger root takes the cancellation-free
+    sign, the other one u' = det/u; multiplier moduli within 1e-10 (only on
+    the real axis) raise MonodromyDegenerate."""
+    tr = m00 + m11
     sq = np.sqrt(tr * tr - 4.0 * det)
-    big = np.where(np.abs(tr + sq) >= np.abs(tr - sq), (tr + sq) / 2.0, (tr - sq) / 2.0)
+    big = np.where(np.abs(tr + sq) >= np.abs(tr - sq), tr + sq, tr - sq) / 2.0
     small = det / big
     if np.any(np.abs(np.abs(big) - np.abs(small)) < DEGENERACY_TOL):
         raise MonodromyDegenerate(
             "Floquet multipliers have equal modulus; move z off the real axis")
 
-    def eigvec(u):      # (M01, u - M00) or (u - M11, M10), whichever is larger
-        x1, y1, x2, y2 = M[..., 0, 1], u - M[..., 0, 0], u - M[..., 1, 1], M[..., 1, 0]
+    def eigvec(u):      # (m01, u - m00) or (u - m11, m10), whichever is larger
+        x1, y1, x2, y2 = m01, u - m00, u - m11, m10
         use1 = np.abs(x1) + np.abs(y1) >= np.abs(x2) + np.abs(y2)
-        return np.stack([np.where(use1, x1, x2), np.where(use1, y1, y2)], axis=-1)
+        return np.where(use1, x1, x2), np.where(use1, y1, y2)
     return eigvec(small), eigvec(big)
 
 
@@ -240,7 +233,8 @@ _memo = None
 def sweep_scope():
     """Within the block, each family sweep is computed once per (operator,
     site, grid bytes); later reads get that result, its arrays
-    read-only.  A nested scope reuses the outer memo."""
+    read-only.  memo_read_twice keeps its entries in the same memo.  A
+    nested scope reuses the outer memo."""
     global _memo
     if _memo is not None:
         yield
@@ -265,6 +259,19 @@ def memo_sweep(sweep, op, grid, site) -> dict:
                 arr.flags.writeable = False
         _memo[key] = bd
     return _memo[key]
+
+
+def memo_read_twice(fn, op, zs):
+    """fn(op, zs), shared by the two reference points of the open scope:
+    the first read computes and keeps it, the second takes it out of the
+    memo.  Outside any scope it is computed on every read."""
+    if _memo is None:
+        return fn(op, zs)
+    key = (fn, op, zs.tobytes())
+    out = _memo.pop(key, None)
+    if out is None:
+        _memo[key] = out = fn(op, zs)
+    return out
 
 
 def sweep_at(bd: dict, idx) -> dict:
@@ -329,9 +336,10 @@ def phase_at(fam: SweepFamily, op, loc: float, site) -> float:
 
 
 def sweep_csv(fam: SweepFamily, op, grid) -> str:
-    """Per-point CSV of the boundary phase at the first reference site, in
-    the columns of fam.csv_columns.  A phase cell is empty where the point
-    is undetermined, a re/im cell where the phase key did not converge."""
+    """Per-point CSV, LF line ends, of the boundary phase at the first
+    reference site, in the columns of fam.csv_columns.  A phase cell is
+    empty where the point is undetermined, a re/im cell where the phase key
+    did not converge."""
     grid = np.asarray(grid, dtype=float)
     bd = fam.sweep(op, grid, fam.sites(op)[0])
     v, _, conv = bd[fam.phase_key]
@@ -352,8 +360,10 @@ def sweep_csv(fam: SweepFamily, op, grid) -> str:
               "im": lambda: cells(v.imag, conv),
               "verdict": verdicts,
               "empty": lambda: [""] * grid.size}
-    return write_csv([name for name, _ in fam.csv_columns],
-                     zip(*(column[kind]() for _, kind in fam.csv_columns)))
+    # no cell holds a comma, a quote or a line end, so none needs quoting
+    header = ",".join(name for name, _ in fam.csv_columns)
+    rows = zip(*(column[kind]() for _, kind in fam.csv_columns))
+    return "\n".join([header, *map(",".join, rows)]) + "\n"
 
 
 def sweep_ac_spectrum(fam: SweepFamily, op, grid):

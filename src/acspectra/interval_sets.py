@@ -568,8 +568,8 @@ def angles_hull(thetas, step: float) -> CircleArcSet:
     """Closed arc hull of maximal runs of grid angles, read mod 2pi.  The
     last angle one turn down and the first one turn up carry a run through
     angle 0 to 0 and to 2pi; the runs are then cut to [0, 2pi]."""
-    ts = sorted(float(t) % TWO_PI for t in thetas)
-    hull = points_hull(ts + [ts[-1] - TWO_PI, ts[0] + TWO_PI] if ts else [], step)
+    ts = np.sort(np.remainder(np.asarray(thetas, dtype=float), TWO_PI))
+    hull = points_hull(np.concatenate([ts[-1:] - TWO_PI, ts, ts[:1] + TWO_PI]), step)
     arcs = [(max(iv.lo, 0.0), min(iv.hi, TWO_PI), "cc") for iv in hull.intervals
             if iv.lo < TWO_PI and iv.hi > 0.0]
     return circle_set(arcs, [t for t in hull.isolated_points if 0.0 <= t < TWO_PI])
@@ -577,21 +577,13 @@ def angles_hull(thetas, step: float) -> CircleArcSet:
 
 def points_hull(xs, step: float) -> RealIntervalSet:
     """Closed hull of maximal runs of consecutive grid points (spacing <= 1.5*step)."""
-    xs = sorted(float(x) for x in xs)
-    if not xs:
+    xs = np.sort(np.asarray(xs, dtype=float), kind="stable")
+    if not xs.size:
         return RealIntervalSet()
-    prims = []
-    run_lo = xs[0]
-    prev = xs[0]
-    for x in xs[1:]:
-        if x - prev <= 1.5 * step:
-            prev = x
-            continue
-        prims.append((run_lo, prev, True, True))
-        run_lo = x
-        prev = x
-    prims.append((run_lo, prev, True, True))
-    return canonicalize(prims)
+    cut = np.flatnonzero(~(np.diff(xs) <= 1.5 * step))
+    los = xs[np.concatenate([[0], cut + 1])].tolist()
+    his = xs[np.concatenate([cut, [xs.size - 1]])].tolist()
+    return canonicalize([(lo, hi, True, True) for lo, hi in zip(los, his)])
 
 
 # ---------------------------------------------------------------------------

@@ -156,17 +156,17 @@ def _weyl_grid(J: JacobiCoefficients, zs, n0: int) -> dict:
     top = min(n0 + 1, min(sites) - p) if sites else n0 + 1
     n_l = n_r - p * math.ceil((n_r - top) / p)
     m = _monodromy_entries(J, zs, n_r)
-    v, w = floquet_pair(stack_2x2(*m, zs.shape), m[0] * m[3] - m[1] * m[2])
+    (hi, lo), (cur, prev) = floquet_pair(*m, m[0] * m[3] - m[1] * m[2])
 
-    # rightward-decaying solution, stripped down to n0-1
-    hi, lo = v[..., 0], v[..., 1]          # psi(n_r), psi(n_r - 1)
+    # rightward-decaying solution, stripped down to n0-1; hi = psi(n_r),
+    # lo = psi(n_r - 1)
     for n in range(n_r - 1, n0 - 1, -1):
         hi, lo = lo, ((zs - J.b(n)) * lo - J.a(n) * hi) / J.a(n - 1)
         hi, lo = normalize_pair(hi, lo)
     m_plus = -hi / (J.a(n0 - 1) * lo)      # hi = psi(n0), lo = psi(n0-1)
 
-    # leftward-decaying solution, propagated up to n0+1
-    cur, prev = w[..., 0], w[..., 1]       # psi(n_l), psi(n_l - 1)
+    # leftward-decaying solution, propagated up to n0+1; cur = psi(n_l),
+    # prev = psi(n_l - 1)
     for n in range(n_l, n0 + 1):
         cur, prev = ((zs - J.b(n)) * cur - J.a(n - 1) * prev) / J.a(n), cur
         cur, prev = normalize_pair(cur, prev)

@@ -36,8 +36,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .boundary_analysis import (ReflectionlessReport, SweepFamily, boundary_sweep,
-                                floquet_pair, memo_sweep, normalize_pair, one_point,
-                                phase_at, plus_side, stack_2x2, sweep_ac_spectrum,
+                                floquet_pair, memo_read_twice, memo_sweep, normalize_pair,
+                                one_point, phase_at, plus_side, stack_2x2, sweep_ac_spectrum,
                                 sweep_multiplicity_sets, sweep_phase, sweep_reflectionless)
 from .interval_sets import RealIntervalSet
 
@@ -188,10 +188,10 @@ def _layout(V: PiecewisePotential, x0: float):
 
 
 def _propagate_vec(zs, vec, spans, inverse: bool):
-    """Carry (psi, psi') across the spans in order (inverted: backward
-    through each), renormalizing between pieces; only the direction is
-    preserved.  Returns the pair (psi, psi')."""
-    p, q = vec[..., 0], vec[..., 1]
+    """Carry the pair (psi, psi') across the spans in order (inverted:
+    backward through each), renormalizing between pieces; only the
+    direction is preserved.  Returns the pair (psi, psi')."""
+    p, q = vec
     for length, value in spans:
         ch, sc, lo = _piece_entries(zs, length, value)
         if inverse:             # the inverse of a det-1 [[ch, sc], [lo, ch]]
@@ -204,15 +204,17 @@ def _seeds(V: PiecewisePotential, zs):
     """(decaying, growing): (psi, psi') at any period boundary of the
     unpatched line of the solutions decaying toward +inf, resp. -inf, from
     the one monodromy of the base pieces."""
-    return floquet_pair(stack_2x2(*_product(zs, V.pieces), zs.shape), 1.0)
+    return floquet_pair(*_product(zs, V.pieces), 1.0)
 
 
 def _m_grid(V: PiecewisePotential, zs, x0: float):
     """(m_plus, m_minus) at x0 over an array of spectral parameters, both
-    half lines seeded from one monodromy at the period boundaries cp, cm."""
+    half lines seeded from one monodromy at the period boundaries cp, cm.
+    The seeds do not depend on x0, so in a report scope the two reference
+    points read one _seeds evaluation per zs."""
     zs = np.atleast_1d(np.asarray(zs, dtype=complex))
     _, _, plus_spans, minus_spans = _layout(V, x0)
-    dec, grow = _seeds(V, zs)
+    dec, grow = memo_read_twice(_seeds, V, zs)
     p, q = _propagate_vec(zs, dec, plus_spans, inverse=True)
     pm, qm = _propagate_vec(zs, grow, minus_spans, inverse=False)
     return q / p, qm / pm
@@ -251,7 +253,7 @@ def green_identity_residual(V: PiecewisePotential, zs, x0: float = 0.0) -> float
     zs = np.atleast_1d(np.asarray(zs, dtype=complex))
     x0 = float(x0)
     cp, cm, _, _ = _layout(V, x0)
-    vp, vm = _seeds(V, zs)
+    vp, vm = (np.stack(v, axis=-1) for v in _seeds(V, zs))
     if cp > x0:
         vp = (_inv_unimodular(transfer_interval(V, zs, x0, cp)) @ vp[..., None])[..., 0]
     if x0 > cm:

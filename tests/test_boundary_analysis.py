@@ -5,6 +5,8 @@ limits of boundary_sweep, and the ac hull read off them, can be checked
 against exact values.
 """
 
+import csv
+import io
 import math
 
 import numpy as np
@@ -16,7 +18,7 @@ from acspectra.boundary_analysis import (DIVERGENCE_CAP, SCHEDULE, SweepFamily, 
                                          off_axis, plus_side, relaxed_ok,
                                          require_off_axis, richardson_sequence,
                                          stack_2x2, sweep_at, sweep_csv,
-                                         sweep_multiplicity_sets, sweep_phase, write_csv)
+                                         sweep_multiplicity_sets, sweep_phase)
 from acspectra.interval_sets import essential_closure, points_hull
 
 
@@ -360,10 +362,23 @@ class TestSweepCsv:
         assert [line.split(",")[1] for line in lines[1:]] == ["undetermined", "interior", "interior"]
 
 
-class TestHelpers:
-    def test_write_csv_uses_lf_and_quotes(self):
-        assert write_csv(["a", "b"], [[1, "x,y"], [2, ""]]) == 'a,b\n1,"x,y"\n2,\n'
+    @pytest.mark.parametrize("module, fixture", [
+        (jacobi, "period2_jacobi"), (cmv, "geronimus_cmv"), (schrodinger, "square_well")])
+    def test_family_csv_reads_back(self, request, module, fixture):
+        """A family CSV has LF line ends and the header of csv_columns, and
+        csv.reader reads back the cells it joined: none needed quoting."""
+        op = request.getfixturevalue(fixture)
+        fam = module._FAMILY
+        grid = fam.grid(op)[::40]
+        text = sweep_csv(fam, op, grid)
+        assert "\r" not in text and text.endswith("\n")
+        lines = text[:-1].split("\n")
+        assert list(csv.reader(io.StringIO(text))) == [line.split(",") for line in lines]
+        assert lines[0].split(",") == [name for name, _ in fam.csv_columns]
+        assert len(lines) == grid.size + 1
 
+
+class TestHelpers:
     @pytest.mark.parametrize("side, plus", [("+", True), ("-", False)])
     def test_plus_side(self, side, plus):
         assert plus_side(side) is plus

@@ -359,6 +359,29 @@ class TestHulls:
         assert len(h.arcs) == 1
         assert h.contains(0.0) and h.contains(2 * math.pi - 0.15)
 
+    @given(grid_masks, st.floats(-5.0, 5.0), st.floats(1e-3, 2.0))
+    @example([True, False, True], 0.0, 1.0)         # two single points
+    @example([False, True, True, False], 0.0, 0.5)  # one interior run
+    @example([True, True, True], -1.0, 0.1)         # every point
+    @example([False, False, False], 0.0, 1.0)       # no point
+    @settings(max_examples=200, deadline=None)
+    def test_points_hull_grid_mask_runs(self, mask, start, step):
+        """The hull of the selected grid points, in any order, is the union
+        of the closed runs of the mask, single points isolated."""
+        n = len(mask)
+        grid = start + step * np.arange(n)
+        runs = []
+        for k in range(n):
+            if mask[k] and (k == 0 or not mask[k - 1]):
+                end = k
+                while end + 1 < n and mask[end + 1]:
+                    end += 1
+                runs.append((grid[k], grid[end], "cc"))
+        want = canonicalize(runs)
+        picked = grid[np.array(mask)]
+        assert points_hull(picked, step) == want
+        assert points_hull(picked[::-1].tolist(), step) == want
+
     @given(grid_masks)
     @example([True, False, False, True, True])      # a run through angle 0
     @example([True, False, False, False, True])     # a run ending at angle 0

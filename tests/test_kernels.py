@@ -139,6 +139,12 @@ def _jacobi_steps(J, zs, lo, hi, inverse=False):
     return out
 
 
+def _floquet_stacked(M):
+    """floquet_pair of the (K, 2, 2) stack M with determinant 1, each
+    eigenvector stacked to shape (K, 2)."""
+    return tuple(np.stack(v, axis=-1) for v in floquet_pair(*M.reshape(-1, 4).T, 1.0))
+
+
 def _jacobi_reference(J, zs, n0, extra):
     """(m_plus, m_minus) at n0 from Floquet seeds `extra` periods beyond the
     first sites whose monodromy window, and all beyond it, is unpatched,
@@ -147,8 +153,8 @@ def _jacobi_reference(J, zs, n0, extra):
     right = max((n0,) + sites) + 2 + extra * p
     left = min(n0 + 1, min(sites) - p) - extra * p
     # an unpatched window has determinant a(n-1)/a(n+p-1) = 1
-    dec, _ = floquet_pair(jacobi.monodromy(J, zs, right), 1.0)
-    _, grow = floquet_pair(jacobi.monodromy(J, zs, left), 1.0)
+    dec, _ = _floquet_stacked(jacobi.monodromy(J, zs, right))
+    _, grow = _floquet_stacked(jacobi.monodromy(J, zs, left))
     vp = np.matmul(_jacobi_steps(J, zs, n0, right, inverse=True), dec[..., None])[..., 0]
     vm = np.matmul(_jacobi_steps(J, zs, left, n0 + 1), grow[..., None])[..., 0]
     # vp = (psi(n0), psi(n0 - 1)), vm = (psi(n0 + 1), psi(n0))
@@ -162,8 +168,8 @@ def _schrodinger_reference(V, zs, x0, extra):
     L = V.period
     right = L * (math.ceil(max(V.patch_length, x0) / L) + extra)
     left = L * (math.floor(min(0.0, x0) / L) - extra)
-    dec, _ = floquet_pair(schrodinger.transfer_interval(V, zs, right, right + L), 1.0)
-    _, grow = floquet_pair(schrodinger.transfer_interval(V, zs, left - L, left), 1.0)
+    dec, _ = _floquet_stacked(schrodinger.transfer_interval(V, zs, right, right + L))
+    _, grow = _floquet_stacked(schrodinger.transfer_interval(V, zs, left - L, left))
     T = schrodinger.transfer_interval(V, zs, x0, right)
     T_inv = np.stack([T[:, 1, 1], -T[:, 0, 1], -T[:, 1, 0], T[:, 0, 0]], -1).reshape(T.shape)
     vp = np.matmul(T_inv, dec[..., None])[..., 0]       # det T = 1

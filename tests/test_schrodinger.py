@@ -107,7 +107,7 @@ class TestTransfer:
     def test_degenerate_multipliers_raise(self):
         with pytest.raises(MonodromyDegenerate):
             # trace 2 and det 1: both multipliers are 1
-            floquet_pair(np.array([[[1.0, 1.0], [0.0, 1.0]]], dtype=complex), 1.0)
+            floquet_pair(*np.array([[1.0, 1.0, 0.0, 1.0]], dtype=complex).T, 1.0)
 
 
 class TestWeylData:

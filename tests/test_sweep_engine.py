@@ -10,7 +10,7 @@ import pytest
 
 from acspectra import boundary_analysis, cmv, jacobi, schrodinger
 from acspectra.boundary_analysis import floquet_pair, memo_sweep, sweep_scope
-from acspectra.harness_cli import (FAMILY_MODULES, _csv_for, _json_safe, _load,
+from acspectra.harness_cli import (FAMILY_MODULES, TOLERANCES, _csv_for, _json_safe, _load,
                                    _resolve_grid, run_config, verify_inclusion)
 from acspectra.interval_sets import (canonicalize, circle_set, contains_mask,
                                      longest_component, set_algebra, set_to_json)
@@ -46,6 +46,26 @@ def test_sweeps_per_report(request, monkeypatch, fixture, grid_config, expected)
     assert len(calls) == expected
 
 
+def test_seeds_per_schrodinger_report(monkeypatch, square_well):
+    """The two reference points of a Schrodinger report read one seed pair
+    per schedule stage: five _seeds evaluations on the grid for ten kernel
+    calls, plus one on the identity residual's draws."""
+    sizes, kernel_calls = [], []
+    seeds, m_grid = schrodinger._seeds, schrodinger._m_grid
+    monkeypatch.setattr(schrodinger, "_seeds",
+                        lambda V, zs: sizes.append(zs.size) or seeds(V, zs))
+    monkeypatch.setattr(schrodinger, "_m_grid",
+                        lambda *args: kernel_calls.append(1) or m_grid(*args))
+    descriptor = square_well.to_descriptor()
+    with sweep_scope():
+        assert verify_inclusion(descriptor).status == "PASS"
+        grid, _ = _resolve_grid("schrodinger", square_well, None)
+        _csv_for("schrodinger", square_well, grid)
+    draws = TOLERANCES["identity_draws"][0]
+    assert sorted(sizes) == sorted([grid.size] * 5 + [draws])
+    assert len(kernel_calls) == 10
+
+
 @pytest.mark.parametrize("family", ["jacobi", "schrodinger"])
 def test_floquet_pair_on_random_monodromies(family):
     """At off-axis z both returned vectors are eigenvectors of the
@@ -67,8 +87,9 @@ def test_floquet_pair_on_random_monodromies(family):
             M = schrodinger.transfer_interval(V, zs, 0.0, 1.0)
         det = M[:, 0, 0] * M[:, 1, 1] - M[:, 0, 1] * M[:, 1, 0]
         tr = M[:, 0, 0] + M[:, 1, 1]
-        pair = floquet_pair(M, 1.0 if family == "schrodinger" else det)
-        for v, decaying in zip(pair, (True, False)):
+        pair = floquet_pair(*M.reshape(-1, 4).T, 1.0 if family == "schrodinger" else det)
+        for (x, y), decaying in zip(pair, (True, False)):
+            v = np.stack([x, y], axis=-1)
             Mv = np.einsum("kij,kj->ki", M, v)
             u = np.einsum("ki,ki->k", v.conj(), Mv) / np.einsum("ki,ki->k", v.conj(), v)
             scale = np.abs(M).max(axis=(1, 2))
