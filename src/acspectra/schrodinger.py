@@ -244,24 +244,34 @@ def weyl_data(V: PiecewisePotential, z: complex, x0: float = 0.0) -> Schrodinger
 
 def green_identity_residual(V: PiecewisePotential, zs, x0: float = 0.0) -> float:
     """Max residual of |g*(m_- - m_+) - 1| where g = psi_+ psi_- / W with the
-    Wronskian evaluated half a period away from x0 after an extra transfer.
+    Wronskian W evaluated at x1 = x0 + L/2, half a period away from x0.
 
-    W is conserved by det-1 propagation, so the quotient equals W(x0)/W(x0 +
-    L/2) = 1 only if the propagators preserve it numerically; this tests the
-    inverse identity through a route independent of the m-quotient algebra.
+    Each solution reaches x0 and x1 along its own stable direction: psi_+
+    backward from its seed at the first period boundary cp > max(P, x1),
+    by one transfer to x1 and another one to x0, and psi_- forward from its
+    seed at cm <= min(0, x0) to x0 and on to x1.  The quotient is
+    W(x0)/W(x1), which is 1 only if the transfer from x0 to cp is,
+    numerically, the product of those from x0 to x1 and from x1 to cp; this
+    tests the inverse identity through a route independent of the
+    m-quotient algebra.
     """
     zs = np.atleast_1d(np.asarray(zs, dtype=complex))
-    x0 = float(x0)
-    cp, cm, _, _ = _layout(V, x0)
-    vp, vm = (np.stack(v, axis=-1) for v in _seeds(V, zs))
-    if cp > x0:
-        vp = (_inv_unimodular(transfer_interval(V, zs, x0, cp)) @ vp[..., None])[..., 0]
-    if x0 > cm:
-        vm = (transfer_interval(V, zs, cm, x0) @ vm[..., None])[..., 0]
+    L, x0 = V.period, float(x0)
+    x1 = x0 + L / 2.0
+    cp = L * (math.floor(max(V.patch_length, x1) / L) + 1)
+    cm = L * math.floor(min(0.0, x0) / L)
+    dec, grow = (np.stack(v, axis=-1) for v in _seeds(V, zs))
 
-    T = transfer_interval(V, zs, x0, x0 + V.period / 2.0)
-    vp1 = (T @ vp[..., None])[..., 0]
-    vm1 = (T @ vm[..., None])[..., 0]
+    def carry(v, a, b, backward: bool):
+        """v carried across [a, b], backward from b or forward from a."""
+        if not b > a:
+            return v
+        T = transfer_interval(V, zs, a, b)
+        return ((_inv_unimodular(T) if backward else T) @ v[..., None])[..., 0]
+
+    vp, vp1 = carry(dec, x0, cp, True), carry(dec, x1, cp, True)
+    vm = carry(grow, cm, x0, False)
+    vm1 = carry(vm, x0, x1, False)
     W1 = vp1[..., 0] * vm1[..., 1] - vp1[..., 1] * vm1[..., 0]
     g = vp[..., 0] * vm[..., 0] / W1
     mp = vp[..., 1] / vp[..., 0]

@@ -10,6 +10,7 @@ discontinuous V costs one order of h in accuracy, averaging restores it).
 
 import cmath
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -17,6 +18,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.linalg import expm, solve_banded
 
+from acspectra import schrodinger
 from acspectra.boundary_analysis import floquet_pair
 from acspectra.errors import MonodromyDegenerate
 from acspectra.interval_sets import canonicalize, set_algebra
@@ -245,6 +247,34 @@ class TestIdentity:
         patched = PiecewisePotential(1.0, ((0.5, 0.0), (0.5, 5.0)),
                                      patch=((1.0, -2.0),))
         assert green_identity_residual(patched, zs) < 1e-10
+
+    @pytest.mark.parametrize("pieces, patch, x0", [
+        (((1.0, 1e4),), (), 0.0), (((1.0, 1e4),), (), 0.5),
+        (((1.0, 1.0),), ((0.5, 1e3),), 0.0), (((1.0, 1e2),), (), 0.0)])
+    def test_residual_stable_on_steep_potentials(self, pieces, patch, x0):
+        """Transfers up to exp(100): each solution reaches the Wronskian's
+        point along its own stable direction, with no overflow or 0/0."""
+        V = PiecewisePotential(1.0, pieces, patch)
+        zs = np.array([1 + 1j, 5 + 0.5j, -3 + 2j])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            assert green_identity_residual(V, zs, x0) < 1e-10
+
+    @pytest.mark.parametrize("entry", [(0, 0), (0, 1), (1, 0), (1, 1)])
+    @pytest.mark.parametrize("x0", [0.0, 0.5])
+    def test_residual_trips_on_a_faulty_transfer(self, monkeypatch, square_well, entry, x0):
+        """One transfer entry scaled by 1 + 1e-6 breaks the product of the
+        transfers on the two routes, and the residual shows it."""
+        exact = transfer_interval
+
+        def faulty(*args):
+            T = exact(*args)
+            T[..., entry[0], entry[1]] *= 1.0 + 1e-6
+            return T
+        monkeypatch.setattr(schrodinger, "transfer_interval", faulty)
+        zs = np.array([1 + 1j, 5 + 0.5j, -3 + 2j, 12 + 0.7j])
+        for V in (square_well, PiecewisePotential(1.0, ((1.0, 1e4),))):
+            assert green_identity_residual(V, zs, x0) > 1e-8
 
 
 class TestMultiplicity:
