@@ -577,6 +577,7 @@ def angles_hull(thetas, step: float) -> CircleArcSet:
 
 def points_hull(xs, step: float) -> RealIntervalSet:
     """Closed hull of maximal runs of consecutive grid points (spacing <= 1.5*step)."""
+    # stable, as sorted() is: of equal points (0.0 and -0.0) the first one given starts a run
     xs = np.sort(np.asarray(xs, dtype=float), kind="stable")
     if not xs.size:
         return RealIntervalSet()
