@@ -264,7 +264,11 @@ def memo_sweep(sweep, op, grid, site) -> dict:
 def memo_read_twice(fn, op, zs):
     """fn(op, zs), shared by the two reference points of the open scope:
     the first read computes and keeps it, the second takes it out of the
-    memo.  Outside any scope it is computed on every read."""
+    memo.  Outside any scope it is computed on every read.  The caller
+    must read each key exactly twice in a scope, once per reference site:
+    a key read once stays until the scope closes, and a third read
+    computes and stores it again.  Its one caller, schrodinger._m_grid,
+    is swept at the two sites of that family's SweepFamily.sites."""
     if _memo is None:
         return fn(op, zs)
     key = (fn, op, zs.tobytes())

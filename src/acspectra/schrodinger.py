@@ -174,16 +174,21 @@ def _inv_unimodular(T):
     return out
 
 
+def _seed_bounds(V: PiecewisePotential, x0: float):
+    """(cp, cm): the period boundaries nearest to x0 beyond which the line
+    is unpatched, cp >= max(P, x0) on the right and cm <= min(0, x0) on the
+    left, where the seeds of psi_+ and psi_- are placed."""
+    L = V.period
+    return L * math.ceil(max(V.patch_length, x0) / L), L * math.floor(min(0.0, x0) / L)
+
+
 @functools.lru_cache(maxsize=64)
 def _layout(V: PiecewisePotential, x0: float):
-    """(cp, cm, plus_spans, minus_spans): the period boundaries nearest to x0
-    beyond which the line is unpatched, cp >= max(P, x0) on the right and
-    cm <= min(0, x0) on the left, and the pieces between each of them and
-    x0 in the order a seed there crosses them toward x0.  Computed once per
-    operator and site, not on every kernel call."""
-    L = V.period
-    cp = L * math.ceil(max(V.patch_length, x0) / L)
-    cm = L * math.floor(min(0.0, x0) / L)
+    """(cp, cm, plus_spans, minus_spans): the seed bounds of x0 and the
+    pieces between each of them and x0 in the order a seed there crosses
+    them toward x0.  Computed once per operator and site, not on every
+    kernel call."""
+    cp, cm = _seed_bounds(V, x0)
     return cp, cm, _pieces(V, x0, cp)[::-1], _pieces(V, cm, x0)
 
 
@@ -244,22 +249,27 @@ def weyl_data(V: PiecewisePotential, z: complex, x0: float = 0.0) -> Schrodinger
 
 def green_identity_residual(V: PiecewisePotential, zs, x0: float = 0.0) -> float:
     """Max residual of |g*(m_- - m_+) - 1| where g = psi_+ psi_- / W with the
-    Wronskian W evaluated at x1 = x0 + L/2, half a period away from x0.
+    Wronskian W evaluated at x1, halfway from x0 + L/2 to the next
+    breakpoint of V, so strictly inside one constant piece.
 
     Each solution reaches x0 and x1 along its own stable direction: psi_+
-    backward from its seed at the first period boundary cp > max(P, x1),
-    by one transfer to x1 and another one to x0, and psi_- forward from its
-    seed at cm <= min(0, x0) to x0 and on to x1.  The quotient is
-    W(x0)/W(x1), which is 1 only if the transfer from x0 to cp is,
-    numerically, the product of those from x0 to x1 and from x1 to cp; this
-    tests the inverse identity through a route independent of the
-    m-quotient algebra.
+    backward from its seed at the period boundary cp >= max(P, x1), by one
+    transfer to x1 and another one to x0, and psi_- forward from its seed
+    at cm <= min(0, x0) to x0 and on to x1.  The quotient is W(x0)/W(x1),
+    which is 1 only if the transfer from x0 to cp is, numerically, the
+    product of those from x0 to x1 and from x1 to cp.  The first crosses
+    the piece around x1 whole and the other two cross it in two parts, so
+    this tests the piece transfer's law T(l1 + l2) = T(l2) T(l1), through a
+    route independent of the m-quotient algebra.  (Were x1 a breakpoint,
+    both routes would multiply the same piece transfers, and since
+    W(adj(A) a, b) = W(a, A b) for every 2x2 matrix A, the residual would
+    measure rounding only.)
     """
     zs = np.atleast_1d(np.asarray(zs, dtype=complex))
     L, x0 = V.period, float(x0)
-    x1 = x0 + L / 2.0
-    cp = L * (math.floor(max(V.patch_length, x1) / L) + 1)
-    cm = L * math.floor(min(0.0, x0) / L)
+    mid = x0 + L / 2.0
+    x1 = mid + _pieces(V, mid, x0 + L)[0][0] / 2.0
+    cp, cm = _seed_bounds(V, x1)[0], _seed_bounds(V, x0)[1]
     dec, grow = (np.stack(v, axis=-1) for v in _seeds(V, zs))
 
     def carry(v, a, b, backward: bool):

@@ -276,6 +276,25 @@ class TestIdentity:
         for V in (square_well, PiecewisePotential(1.0, ((1.0, 1e4),))):
             assert green_identity_residual(V, zs, x0) > 1e-8
 
+    @pytest.mark.parametrize("entry", [0, 1, 2])
+    @pytest.mark.parametrize("x0", [0.0, 0.5])
+    def test_residual_trips_on_a_faulty_piece(self, monkeypatch, square_well, entry, x0):
+        """One entry of every piece transfer scaled by 1 + 1e-6, also where
+        x0 + L/2 is a piece boundary (the square well at x0 = 0 and 0.5):
+        the Wronskian's point splits a piece, and the residual shows it."""
+        exact = schrodinger._piece_entries
+
+        def faulty(*args):
+            out = list(exact(*args))
+            out[entry] = out[entry] * (1.0 + 1e-6)
+            return tuple(out)
+        monkeypatch.setattr(schrodinger, "_piece_entries", faulty)
+        zs = np.array([1 + 1j, 5 + 0.5j, -3 + 2j, 12 + 0.7j])
+        for V in (square_well, PiecewisePotential(1.0, ((1.0, 1e4),)),
+                  PiecewisePotential(1.0, ((0.3, 2.0), (0.7, -1.0)),
+                                     ((0.25, 3.0), (0.4, -2.0)))):
+            assert green_identity_residual(V, zs, x0) > 1e-8
+
 
 class TestMultiplicity:
     def test_free_interior_multiplicity_two(self, free_schrodinger):
