@@ -21,7 +21,7 @@ growing one, each an (x, y) pair, from a single trace and square root; a
 kernel seeds both half lines from one matrix without stacking it.  The
 Schrodinger seeds do not depend on the reference point either, so in a
 report scope both reference points read one seed pair per schedule stage
-(memo_read_twice).  Every one-point value of a family is its grid kernel
+(memo).  Every one-point value of a family is its grid kernel
 (one_point) or its sweep (phase_at) read at one point.
 """
 
@@ -224,17 +224,15 @@ def boundary_sweep(kernel, grid, circle: bool) -> dict:
     return out
 
 
-# the sweep memo of the open report scope; None outside any scope, so
-# library callers keep no hidden state
+# the memo of the open report scope; None outside any scope, so library
+# callers keep no hidden state
 _memo = None
 
 
 @contextmanager
 def sweep_scope():
-    """Within the block, each family sweep is computed once per (operator,
-    site, grid bytes); later reads get that result, its arrays
-    read-only.  memo_read_twice keeps its entries in the same memo.  A
-    nested scope reuses the outer memo."""
+    """Within the block, memo computes each (fn, op, args) once.  A nested
+    scope reuses the outer memo."""
     global _memo
     if _memo is not None:
         yield
@@ -246,36 +244,35 @@ def sweep_scope():
         _memo = None
 
 
-def memo_sweep(sweep, op, grid, site) -> dict:
-    """sweep(op, grid, site), read from the open scope's memo."""
+def _freeze(x):
+    """x, with every array in it (through dicts and tuples) made read-only."""
+    if isinstance(x, np.ndarray):
+        x.flags.writeable = False
+    elif isinstance(x, (tuple, dict)):
+        for v in x.values() if isinstance(x, dict) else x:
+            _freeze(v)
+    return x
+
+
+def _key(a):
+    """a, or for an array (or a list, read as one) its dtype, shape and bytes."""
+    if not isinstance(a, (np.ndarray, list)):
+        return a
+    a = np.asarray(a)
+    return a.dtype.str, a.shape, a.tobytes()
+
+
+def memo(fn, op, *args):
+    """fn(op, *args), computed once per (fn, op, args) in the open scope and
+    kept, its arrays read-only, until the scope closes; an array argument
+    is keyed by its dtype, shape and bytes.  Outside any scope it is
+    computed on every call."""
     if _memo is None:
-        return sweep(op, grid, site)
-    grid = np.asarray(grid, dtype=float)
-    key = (op, site, grid.tobytes())
+        return fn(op, *args)
+    key = (fn, op) + tuple(map(_key, args))
     if key not in _memo:
-        bd = sweep(op, grid, site)
-        for v in bd.values():
-            for arr in v if isinstance(v, tuple) else (v,):
-                arr.flags.writeable = False
-        _memo[key] = bd
+        _memo[key] = _freeze(fn(op, *args))
     return _memo[key]
-
-
-def memo_read_twice(fn, op, zs):
-    """fn(op, zs), shared by the two reference points of the open scope:
-    the first read computes and keeps it, the second takes it out of the
-    memo.  Outside any scope it is computed on every read.  The caller
-    must read each key exactly twice in a scope, once per reference site:
-    a key read once stays until the scope closes, and a third read
-    computes and stores it again.  Its one caller, schrodinger._m_grid,
-    is swept at the two sites of that family's SweepFamily.sites."""
-    if _memo is None:
-        return fn(op, zs)
-    key = (fn, op, zs.tobytes())
-    out = _memo.pop(key, None)
-    if out is None:
-        _memo[key] = out = fn(op, zs)
-    return out
 
 
 def sweep_at(bd: dict, idx) -> dict:

@@ -34,7 +34,7 @@ import numpy as np
 
 from .errors import DegenerateDenominator, NonConvergent
 from .boundary_analysis import (ReflectionlessReport, SweepFamily, accepted, boundary_sweep,
-                                memo_sweep, one_point, phase_at, plus_side, require_in_disk,
+                                memo, one_point, phase_at, plus_side, require_in_disk,
                                 sweep_ac_spectrum, sweep_multiplicity_sets, sweep_phase,
                                 sweep_reflectionless)
 from .interval_sets import CircleArcSet, circle_set, full_circle
@@ -94,7 +94,10 @@ class VerblunskyCoefficients:
         if d.get("type") != "cmv":
             raise ValueError("descriptor type must be 'cmv'")
         base = tuple(complex(re, im) for re, im in d["alpha"])
-        patch = {int(n): complex(v[0], v[1]) for n, v in d.get("patch", {}).items()}
+        patch = d.get("patch", {})
+        if not isinstance(patch, dict):
+            raise ValueError(f"patch must be an object of site: [re, im], not {patch!r:.80}")
+        patch = {int(n): complex(v[0], v[1]) for n, v in patch.items()}
         return cls(d["period"], base, patch)
 
 
@@ -273,7 +276,7 @@ def default_angles(points: int = 512):
 
 
 _FAMILY = SweepFamily(
-    sweep=lambda V, thetas, n0: memo_sweep(boundary_cmv_grid, V, thetas, n0),
+    sweep=lambda V, thetas, n0: memo(boundary_cmv_grid, V, thetas, n0),
     phase=lambda V, thetas, n0: Xi11_grid(V, thetas, n0),
     grid=lambda V: default_angles(), sites=lambda V: (0, 1), circle=True,
     pair=("M_plus", "M_minus"), phase_key="M11",

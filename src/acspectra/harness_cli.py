@@ -27,9 +27,10 @@ Config runs are deterministic: fixed seed, sorted JSON keys, LF endings, no
 timestamps; reports embed the effective tolerances for auditability.
 
 One report computes each boundary sweep once: verify_inclusion and each
-operator of run_config open a sweep scope (boundary_analysis.sweep_scope)
-that the ac spectrum, the reflectionless test, the multiplicity sets, the
-CMV boundary identity residual and the CSV all read from.
+operator of run_config open a sweep scope (boundary_analysis.sweep_scope),
+whose memo (boundary_analysis.memo) keeps each family sweep for the ac
+spectrum, the reflectionless test, the multiplicity sets, the CMV boundary
+identity residual and the CSV to read.
 
 Exit codes for `spec run`: 0 all reports PASS, 1 failures or IO errors,
 2 malformed config JSON, seed, descriptor, grid, tolerances or target set E
@@ -52,8 +53,7 @@ import numpy as np
 from . import jacobi as _jacobi
 from . import cmv as _cmv
 from . import schrodinger as _schrodinger
-from .boundary_analysis import (ReflectionlessReport, memo_sweep, sweep_at, sweep_csv,
-                                sweep_scope)
+from .boundary_analysis import ReflectionlessReport, sweep_at, sweep_csv, sweep_scope
 from .errors import SiteDisagreement
 from .interval_sets import (CircleArcSet, GeneratedFatSet, RealIntervalSet, canonicalize,
                             contains_mask, essential_closure, fat_density_report,
@@ -106,6 +106,8 @@ def _whole(value, what: str) -> int:
 
 def _resolve_grid(kind: str, op, grid_config):
     """Grid array plus its JSON echo from a config dict or family default."""
+    if grid_config is not None and not isinstance(grid_config, dict):
+        raise ValueError(f"grid must be an object or null, not {grid_config!r:.80}")
     if kind == "cmv":
         n = _whole((grid_config or {}).get("angles", 512), "angles")
         if n < 512:
@@ -264,7 +266,7 @@ def _identity_residuals(kind: str, op, grid, E, refl_verdict: bool, rng,
                 # the report's site-0 sweep, read at the sampled angles of E;
                 # the kernel works point by point, so a sweep of those angles
                 # alone has the same bits
-                bd = sweep_at(memo_sweep(_cmv.boundary_cmv_grid, op, grid, 0), idx)
+                bd = sweep_at(_cmv._FAMILY.sweep(op, grid, 0), idx)
                 entry("m11_boundary_real_part", _cmv.m11_identity_residual(bd), idx.size)
     return out
 

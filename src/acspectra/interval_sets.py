@@ -46,15 +46,6 @@ class Interval:
         if self.lo > self.hi:
             raise ValueError(f"interval lo > hi: ({self.lo}, {self.hi})")
 
-    def contains(self, x: float) -> bool:
-        if self.lo < x < self.hi:
-            return True
-        if x == self.lo and self.lo_closed:
-            return True
-        if x == self.hi and self.hi_closed:
-            return True
-        return False
-
     @property
     def length(self) -> float:
         return self.hi - self.lo
@@ -135,7 +126,7 @@ class RealIntervalSet:
         return not self.intervals and not self.isolated_points
 
     def contains(self, x: float) -> bool:
-        return any(iv.contains(x) for iv in self.intervals) or x in self.isolated_points
+        return bool(contains_mask(self, [x])[0])
 
 
 def canonicalize(raw_intervals, points=()) -> RealIntervalSet:
@@ -277,11 +268,11 @@ def longest_component(s) -> float:
 
 
 def contains_mask(s, xs) -> np.ndarray:
-    """Boolean array of s.contains(x) over xs for a canonical line or circle set."""
+    """Boolean array of membership in a canonical line or circle set over xs."""
     xs = np.asarray(xs, dtype=float)
     if isinstance(s, CircleArcSet):
-        # the probes of CircleArcSet.contains: the angle reduced into [0, 2pi)
-        # and one turn above it, against the arcs read as line intervals
+        # the angle reduced into [0, 2pi) and one turn above it, against the
+        # arcs read as line intervals
         t = np.fmod(xs, TWO_PI)
         t = np.where(t < 0.0, t + TWO_PI, t)
         t = np.where(t == TWO_PI, 0.0, t)
@@ -387,16 +378,7 @@ class CircleArcSet:
         return self.arcs[0].lo_closed or self.arcs[0].hi_closed
 
     def contains(self, theta: float) -> bool:
-        t = _norm_angle(theta)
-        for a in self.arcs:
-            for tt in (t, t + TWO_PI):
-                if a.theta1 < tt < a.theta2:
-                    return True
-                if tt == a.theta1 and a.lo_closed:
-                    return True
-                if tt == a.theta2 and a.hi_closed:
-                    return True
-        return any(_norm_angle(p) == t for p in self.isolated_points)
+        return bool(contains_mask(self, [theta])[0])
 
     def _to_line(self) -> RealIntervalSet:
         """Split wrap-around arcs at angle 0; line representative on [0, 2pi)."""

@@ -31,7 +31,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .boundary_analysis import (ReflectionlessReport, SweepFamily, boundary_sweep,
-                                floquet_pair, memo_sweep, normalize_pair, one_point,
+                                floquet_pair, memo, normalize_pair, one_point,
                                 phase_at, plus_side, stack_2x2, sweep_ac_spectrum,
                                 sweep_multiplicity_sets, sweep_phase, sweep_reflectionless)
 from .interval_sets import RealIntervalSet
@@ -107,7 +107,10 @@ class JacobiCoefficients:
     def from_descriptor(cls, d: dict) -> "JacobiCoefficients":
         if d.get("type") != "jacobi":
             raise ValueError("descriptor type must be 'jacobi'")
-        patch = {int(n): (ab[0], ab[1]) for n, ab in d.get("patch", {}).items()}
+        patch = d.get("patch", {})
+        if not isinstance(patch, dict):
+            raise ValueError(f"patch must be an object of site: [a, b], not {patch!r:.80}")
+        patch = {int(n): (ab[0], ab[1]) for n, ab in patch.items()}
         return cls(d["period"], tuple(d["a"]), tuple(d["b"]), patch)
 
 
@@ -224,7 +227,7 @@ def default_grid(J: JacobiCoefficients, points: int = 4001):
 
 
 _FAMILY = SweepFamily(
-    sweep=lambda J, lams, n0: memo_sweep(boundary_weyl_grid, J, lams, n0),
+    sweep=lambda J, lams, n0: memo(boundary_weyl_grid, J, lams, n0),
     phase=lambda J, lams, n0: xi_grid(J, lams, n0),
     grid=default_grid, sites=lambda J: (0, 1), circle=False, pair=("M_plus", "M_minus"),
     phase_key="g",

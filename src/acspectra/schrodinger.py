@@ -28,7 +28,6 @@ periodic spectrum is also {|tr monodromy| <= 2}, an independent check.
 
 from __future__ import annotations
 
-import functools
 import itertools
 import math
 from dataclasses import dataclass
@@ -36,7 +35,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .boundary_analysis import (ReflectionlessReport, SweepFamily, boundary_sweep,
-                                floquet_pair, memo_read_twice, memo_sweep, normalize_pair,
+                                floquet_pair, memo, normalize_pair,
                                 one_point, phase_at, plus_side, stack_2x2, sweep_ac_spectrum,
                                 sweep_multiplicity_sets, sweep_phase, sweep_reflectionless)
 from .interval_sets import RealIntervalSet
@@ -165,31 +164,12 @@ def transfer_interval(V: PiecewisePotential, zs, a: float, b: float) -> np.ndarr
     return stack_2x2(*_product(zs, _pieces(V, a, b)), zs.shape)
 
 
-def _inv_unimodular(T):
-    out = np.empty_like(T)
-    out[..., 0, 0] = T[..., 1, 1]
-    out[..., 0, 1] = -T[..., 0, 1]
-    out[..., 1, 0] = -T[..., 1, 0]
-    out[..., 1, 1] = T[..., 0, 0]
-    return out
-
-
 def _seed_bounds(V: PiecewisePotential, x0: float):
     """(cp, cm): the period boundaries nearest to x0 beyond which the line
     is unpatched, cp >= max(P, x0) on the right and cm <= min(0, x0) on the
     left, where the seeds of psi_+ and psi_- are placed."""
     L = V.period
     return L * math.ceil(max(V.patch_length, x0) / L), L * math.floor(min(0.0, x0) / L)
-
-
-@functools.lru_cache(maxsize=64)
-def _layout(V: PiecewisePotential, x0: float):
-    """(cp, cm, plus_spans, minus_spans): the seed bounds of x0 and the
-    pieces between each of them and x0 in the order a seed there crosses
-    them toward x0.  Computed once per operator and site, not on every
-    kernel call."""
-    cp, cm = _seed_bounds(V, x0)
-    return cp, cm, _pieces(V, x0, cp)[::-1], _pieces(V, cm, x0)
 
 
 def _propagate_vec(zs, vec, spans, inverse: bool):
@@ -214,14 +194,15 @@ def _seeds(V: PiecewisePotential, zs):
 
 def _m_grid(V: PiecewisePotential, zs, x0: float):
     """(m_plus, m_minus) at x0 over an array of spectral parameters, both
-    half lines seeded from one monodromy at the period boundaries cp, cm.
-    The seeds do not depend on x0, so in a report scope the two reference
-    points read one _seeds evaluation per zs."""
+    half lines seeded from one monodromy at the period boundaries cp, cm
+    and carried to x0 across the pieces in between.  The seeds do not
+    depend on x0, so in a report scope the two reference points read one
+    _seeds evaluation per zs (boundary_analysis.memo)."""
     zs = np.atleast_1d(np.asarray(zs, dtype=complex))
-    _, _, plus_spans, minus_spans = _layout(V, x0)
-    dec, grow = memo_read_twice(_seeds, V, zs)
-    p, q = _propagate_vec(zs, dec, plus_spans, inverse=True)
-    pm, qm = _propagate_vec(zs, grow, minus_spans, inverse=False)
+    cp, cm = _seed_bounds(V, x0)
+    dec, grow = memo(_seeds, V, zs)
+    p, q = _propagate_vec(zs, dec, _pieces(V, x0, cp)[::-1], inverse=True)
+    pm, qm = _propagate_vec(zs, grow, _pieces(V, cm, x0), inverse=False)
     return q / p, qm / pm
 
 
@@ -270,23 +251,23 @@ def green_identity_residual(V: PiecewisePotential, zs, x0: float = 0.0) -> float
     mid = x0 + L / 2.0
     x1 = mid + _pieces(V, mid, x0 + L)[0][0] / 2.0
     cp, cm = _seed_bounds(V, x1)[0], _seed_bounds(V, x0)[1]
-    dec, grow = (np.stack(v, axis=-1) for v in _seeds(V, zs))
+    dec, grow = _seeds(V, zs)
 
     def carry(v, a, b, backward: bool):
-        """v carried across [a, b], backward from b or forward from a."""
+        """The pair v carried across [a, b], backward from b (by the
+        adjugate, the inverse of a det-1 transfer) or forward from a."""
         if not b > a:
             return v
-        T = transfer_interval(V, zs, a, b)
-        return ((_inv_unimodular(T) if backward else T) @ v[..., None])[..., 0]
+        t00, t01, t10, t11 = _product(zs, _pieces(V, a, b))
+        if backward:
+            t00, t01, t10, t11 = t11, -t01, -t10, t00
+        return t00 * v[0] + t01 * v[1], t10 * v[0] + t11 * v[1]
 
-    vp, vp1 = carry(dec, x0, cp, True), carry(dec, x1, cp, True)
-    vm = carry(grow, cm, x0, False)
-    vm1 = carry(vm, x0, x1, False)
-    W1 = vp1[..., 0] * vm1[..., 1] - vp1[..., 1] * vm1[..., 0]
-    g = vp[..., 0] * vm[..., 0] / W1
-    mp = vp[..., 1] / vp[..., 0]
-    mm = vm[..., 1] / vm[..., 0]
-    return float(np.max(np.abs(g * (mm - mp) - 1.0)))
+    (p, q), (p1, q1) = carry(dec, x0, cp, True), carry(dec, x1, cp, True)
+    pm, qm = carry(grow, cm, x0, False)
+    pm1, qm1 = carry((pm, qm), x0, x1, False)
+    g = p * pm / (p1 * qm1 - q1 * pm1)
+    return float(np.max(np.abs(g * (qm / pm - q / p) - 1.0)))
 
 
 def transfer_exponent(V: PiecewisePotential, reach: float) -> float:
@@ -336,7 +317,7 @@ def default_grid(V: PiecewisePotential, points: int = 2001) -> np.ndarray:
 
 
 _FAMILY = SweepFamily(
-    sweep=lambda V, lams, x0: memo_sweep(boundary_schrodinger_grid, V, lams, x0),
+    sweep=lambda V, lams, x0: memo(boundary_schrodinger_grid, V, lams, x0),
     phase=lambda V, lams, x0: xi_grid(V, lams, x0),
     grid=default_grid, sites=lambda V: (0.0, 0.5 * V.period), circle=False,
     pair=("m_plus", "m_minus"), phase_key="g",

@@ -208,6 +208,9 @@ BAD_ENTRIES = {
     # finite, but cosh and sinh of sqrt(v - z) overflow
     "overflowing_piece_value": {"descriptor": {**FREE_SCHRODINGER, "pieces": [[1.0, 1e300]]}},
     "overflowing_patch_value": {"descriptor": {**FREE_SCHRODINGER, "patch": [[0.5, 1e6]]}},
+    "jacobi_patch_list": {"descriptor": {**FREE_JACOBI, "patch": [[1.0, 0.0]]}},
+    "cmv_patch_list": {"descriptor": {**FREE_CMV, "patch": [[0.1, 0.0]]}},
+    "cmv_grid_list": {"descriptor": FREE_CMV, "grid": [1]},
 }
 
 # grids of `spec run` entries that are refused, not truncated or swept
@@ -231,7 +234,9 @@ class TestMalformedInput:
         assert not out.exists()
         assert capsys.readouterr().err.startswith("error: ")
 
-    @pytest.mark.parametrize("case", sorted(c for c, e in BAD_ENTRIES.items() if "E" not in e))
+    # the command line has no target set, and its grid is always start:stop:points
+    @pytest.mark.parametrize("case", sorted(c for c, e in BAD_ENTRIES.items()
+                                            if "E" not in e and isinstance(e.get("grid", {}), dict)))
     def test_spec_family_exits_2_without_writes(self, tmp_path, capsys, case):
         entry = BAD_ENTRIES[case]
         desc = tmp_path / "op.json"

@@ -219,6 +219,32 @@ circle_sets = st.builds(
     st.lists(_coords(0.0, 6.28), max_size=3))
 
 
+def _in_piece(lo, hi, lo_closed, hi_closed, x) -> bool:
+    return lo < x < hi or (x == lo and lo_closed) or (x == hi and hi_closed)
+
+
+def _probe_line(s, x) -> bool:
+    """Membership of x in s, one interval at a time."""
+    return (any(_in_piece(iv.lo, iv.hi, iv.lo_closed, iv.hi_closed, x) for iv in s.intervals)
+            or x in s.isolated_points)
+
+
+def _turn(t) -> float:
+    """The angle t reduced into [0, 2pi)."""
+    r = math.fmod(t, 2 * math.pi)
+    r = r + 2 * math.pi if r < 0.0 else r
+    return 0.0 if r == 2 * math.pi else r
+
+
+def _probe_circle(s, theta) -> bool:
+    """Membership of theta in s, one arc at a time: the reduced angle and
+    one turn above it against each arc read as a line interval."""
+    t = _turn(theta)
+    return (any(_in_piece(a.theta1, a.theta2, a.lo_closed, a.hi_closed, tt)
+                for a in s.arcs for tt in (t, t + 2 * math.pi))
+            or t in [_turn(p) for p in s.isolated_points])
+
+
 class TestContainsMask:
     @given(st.one_of(line_sets, grid_raw_sets.map(lambda r: canonicalize(*r))),
            st.lists(_coords(), max_size=10))
@@ -227,7 +253,8 @@ class TestContainsMask:
         ends = [x for iv in s.intervals for x in (iv.lo, iv.hi)]
         xs = ends + list(s.isolated_points) + [0.5 * (u + v) for u, v in zip(ends, ends[1:])]
         xs += extra
-        assert list(contains_mask(s, xs)) == [s.contains(x) for x in xs]
+        assert list(contains_mask(s, xs)) == [_probe_line(s, x) for x in xs]
+        assert [s.contains(x) for x in xs] == [_probe_line(s, x) for x in xs]
 
     @given(st.one_of(circle_sets, grid_raw_arcs.map(lambda r: circle_set(*r))),
            st.lists(_coords(-20.0, 20.0), max_size=10))
@@ -236,7 +263,8 @@ class TestContainsMask:
         ends = [t for a in s.arcs for t in (a.theta1, a.theta2)]   # theta2 may pass 2pi
         xs = ends + list(s.isolated_points) + extra
         xs += [x + k * 2 * math.pi for x in list(xs) for k in (-1, 1, 2)]
-        assert list(contains_mask(s, xs)) == [s.contains(x) for x in xs]
+        assert list(contains_mask(s, xs)) == [_probe_circle(s, x) for x in xs]
+        assert [s.contains(x) for x in xs] == [_probe_circle(s, x) for x in xs]
 
     def test_empty_and_full(self):
         xs = [-1.0, 0.0, 3.0, 2 * math.pi]

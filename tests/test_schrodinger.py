@@ -19,7 +19,7 @@ from hypothesis import strategies as st
 from scipy.linalg import expm, solve_banded
 
 from acspectra import schrodinger
-from acspectra.boundary_analysis import floquet_pair
+from acspectra.boundary_analysis import floquet_pair, stack_2x2
 from acspectra.errors import MonodromyDegenerate
 from acspectra.interval_sets import canonicalize, set_algebra
 from acspectra.schrodinger import (PiecewisePotential, ac_spectrum, discriminant, default_grid,
@@ -239,6 +239,32 @@ class TestReflectionless:
         assert not rep.verdict
 
 
+def _stacked_residual(V, zs, x0):
+    """green_identity_residual with each solution carried as a stacked
+    vector: by transfer_interval forward and its adjugate backward, with @."""
+    L = V.period
+    mid = x0 + L / 2.0
+    x1 = mid + schrodinger._pieces(V, mid, x0 + L)[0][0] / 2.0
+    cp, cm = schrodinger._seed_bounds(V, x1)[0], schrodinger._seed_bounds(V, x0)[1]
+    dec, grow = (np.stack(v, axis=-1) for v in schrodinger._seeds(V, zs))
+
+    def carry(v, a, b, backward):
+        if not b > a:
+            return v
+        T = transfer_interval(V, zs, a, b)
+        if backward:
+            T = stack_2x2(T[..., 1, 1], -T[..., 0, 1], -T[..., 1, 0], T[..., 0, 0], zs.shape)
+        return (T @ v[..., None])[..., 0]
+
+    vp, vp1 = carry(dec, x0, cp, True), carry(dec, x1, cp, True)
+    vm = carry(grow, cm, x0, False)
+    vm1 = carry(vm, x0, x1, False)
+    W1 = vp1[..., 0] * vm1[..., 1] - vp1[..., 1] * vm1[..., 0]
+    g = vp[..., 0] * vm[..., 0] / W1
+    mm, mp = vm[..., 1] / vm[..., 0], vp[..., 1] / vp[..., 0]
+    return float(np.max(np.abs(g * (mm - mp) - 1.0)))
+
+
 class TestIdentity:
     def test_residual_free_well_patched(self, free_schrodinger, square_well, rng):
         zs = rng.uniform(-1, 24, 40) + 1j * rng.uniform(0.5, 2.0, 40)
@@ -260,18 +286,35 @@ class TestIdentity:
             warnings.simplefilter("error", RuntimeWarning)
             assert green_identity_residual(V, zs, x0) < 1e-10
 
+    def test_residual_equals_the_stacked_route(self):
+        """The entrywise carry has the bits of the residual computed with
+        stacked transfer_interval matrices, their adjugates and @, on random
+        periodic-plus-patch potentials and reference points."""
+        rng = np.random.default_rng(2020)
+        for _ in range(12):
+            n = int(rng.integers(1, 4))
+            lengths = rng.uniform(0.2, 1.0, n)
+            V = PiecewisePotential(float(lengths.sum()),
+                                   tuple(zip(lengths, rng.uniform(-3.0, 6.0, n))),
+                                   tuple(zip(rng.uniform(0.1, 0.6, 2), rng.uniform(-3.0, 6.0, 2)))
+                                   if rng.random() < 0.7 else ())
+            zs = rng.uniform(-4.0, 25.0, 20) + 1j * rng.uniform(0.5, 2.0, 20)
+            for x0 in (0.0, 0.5 * V.period, float(rng.uniform(-2.0, 2.0))):
+                assert green_identity_residual(V, zs, x0) == _stacked_residual(V, zs, x0)
+
     @pytest.mark.parametrize("entry", [(0, 0), (0, 1), (1, 0), (1, 1)])
     @pytest.mark.parametrize("x0", [0.0, 0.5])
     def test_residual_trips_on_a_faulty_transfer(self, monkeypatch, square_well, entry, x0):
-        """One transfer entry scaled by 1 + 1e-6 breaks the product of the
-        transfers on the two routes, and the residual shows it."""
-        exact = transfer_interval
+        """One entry of every multiplied-out transfer scaled by 1 + 1e-6
+        breaks the product of the transfers on the two routes, and the
+        residual shows it."""
+        exact = schrodinger._product
 
         def faulty(*args):
-            T = exact(*args)
-            T[..., entry[0], entry[1]] *= 1.0 + 1e-6
-            return T
-        monkeypatch.setattr(schrodinger, "transfer_interval", faulty)
+            out = list(exact(*args))
+            out[2 * entry[0] + entry[1]] = out[2 * entry[0] + entry[1]] * (1.0 + 1e-6)
+            return tuple(out)
+        monkeypatch.setattr(schrodinger, "_product", faulty)
         zs = np.array([1 + 1j, 5 + 0.5j, -3 + 2j, 12 + 0.7j])
         for V in (square_well, PiecewisePotential(1.0, ((1.0, 1e4),))):
             assert green_identity_residual(V, zs, x0) > 1e-8

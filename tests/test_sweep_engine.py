@@ -9,7 +9,7 @@ import numpy as np
 import pytest
 
 from acspectra import boundary_analysis, cmv, jacobi, schrodinger
-from acspectra.boundary_analysis import floquet_pair, memo_sweep, sweep_scope
+from acspectra.boundary_analysis import floquet_pair, memo, sweep_scope
 from acspectra.harness_cli import (FAMILY_MODULES, TOLERANCES, _csv_for, _json_safe, _load,
                                    _resolve_grid, run_config, verify_inclusion)
 from acspectra.interval_sets import (canonicalize, circle_set, contains_mask,
@@ -192,27 +192,58 @@ def test_random_period1_cmv_ac_spectrum_is_the_arc():
 
 
 def test_memo_lives_only_in_a_scope():
-    """Inside a scope a repeated sweep is the same read-only result; outside
-    any scope, and after it closes, every call computes afresh."""
+    """Inside a scope a repeated call is the same read-only result, kept per
+    function, operator and argument bytes, so two functions with equal
+    arguments keep one entry each and a nested tuple result (the
+    Schrodinger seed pair) is read-only throughout; outside any scope, and
+    after it closes, every call computes afresh."""
     J = jacobi.JacobiCoefficients(2, (1.0, 0.8), (0.3, -0.2))
     grid = jacobi.default_grid(J, 301)
     sweep = jacobi.boundary_weyl_grid
-    assert memo_sweep(sweep, J, grid, 0) is not memo_sweep(sweep, J, grid, 0)
+    assert memo(sweep, J, grid, 0) is not memo(sweep, J, grid, 0)
     with sweep_scope():
-        first = memo_sweep(sweep, J, grid, 0)
+        first = memo(sweep, J, grid, 0)
         with sweep_scope():
-            assert memo_sweep(sweep, J, grid.copy(), 0) is first
-        assert memo_sweep(sweep, J, grid, 1) is not first
-        assert memo_sweep(sweep, J, grid[:-1], 0) is not first
+            assert memo(sweep, J, grid.copy(), 0) is first
+            assert memo(sweep, J, grid.tolist(), 0) is first
+        assert memo(sweep, J, grid, 1) is not first
+        assert memo(sweep, J, grid[:-1], 0) is not first
         with pytest.raises(ValueError):
             first["g"][0][0] = 0.0
         with pytest.raises(ValueError):
             first["inf_g"][:] = True
-    after = memo_sweep(sweep, J, grid, 0)
+    after = memo(sweep, J, grid, 0)
     assert after is not first and after["g"][0].flags.writeable
     for k, v in first.items():
         for a, b in zip(v, after[k]) if isinstance(v, tuple) else [(v, after[k])]:
             assert a.tobytes() == b.tobytes(), k
+
+    V = schrodinger.PiecewisePotential(1.0, ((0.5, 0.0), (0.5, 5.0)))
+    zs = np.linspace(-1.0, 10.0, 11) + 0.1j
+    calls = []
+
+    def seeds(op, z):
+        calls.append("seeds")
+        return schrodinger._seeds(op, z)
+
+    def zeros(op, z):
+        calls.append("zeros")
+        return np.zeros(z.shape)
+    outside = memo(seeds, V, zs)
+    assert memo(seeds, V, zs) is not outside and outside[0][0].flags.writeable
+    with sweep_scope():
+        pair = memo(seeds, V, zs)
+        assert memo(zeros, V, zs) is not pair
+        assert memo(seeds, V, zs.copy()) is pair and memo(zeros, V, zs) is memo(zeros, V, zs)
+        assert memo(seeds, V, zs.astype(np.complex64)) is not pair
+        for arr in (a for half in pair for a in half):
+            with pytest.raises(ValueError):
+                arr[0] = 0.0
+    assert calls == ["seeds", "seeds", "seeds", "zeros", "seeds"]
+    assert memo(seeds, V, zs) is not pair and len(calls) == 6
+    for half, again in zip(pair, outside):
+        for a, b in zip(half, again):
+            assert a.tobytes() == b.tobytes()
 
 
 def _patched_operator(kind, rng):
