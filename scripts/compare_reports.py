@@ -2,10 +2,12 @@
 
     python scripts/compare_reports.py DIR_A DIR_B
 
-Exits 1 when the directories differ in anything a report decides: the set
-of files, a status, a failure message, a verdict, a set (any JSON object
-with a "carrier"), the defect points, any field that is not a float, or a
-CSV verdict column.  Otherwise exits 0 and prints, for each other float
+Subdirectories are compared by name, file by file, so two trees of
+`scripts/verdict_census.py --keep` (DIR/seed0, DIR/seed9) compare as a
+whole.  Exits 1 when the directories differ in anything a report decides:
+the set of files, a status, a failure message, a verdict, a set (any JSON
+object with a "carrier"), the defect points, any field that is not a
+float, or a CSV verdict column.  Otherwise exits 0 and prints, for each other float
 field (report numbers and CSV number columns, list positions merged), the
 largest relative change |a - b| / max(|a|, |b|) and the file it was seen in.
 """
@@ -65,10 +67,16 @@ def _compare_csv(text_a, text_b, floats, diffs):
                 _walk(float(x), float(y), f"csv.{name}", floats, diffs)
 
 
+def files_under(root: str) -> list:
+    """Paths of the files below root, relative to it, sorted."""
+    return sorted(os.path.relpath(os.path.join(top, name), root)
+                  for top, _, names in os.walk(root) for name in names)
+
+
 def compare(dir_a: str, dir_b: str):
     """(identical files, {field: (largest relative change, file)},
     [difference lines])."""
-    names_a, names_b = sorted(os.listdir(dir_a)), sorted(os.listdir(dir_b))
+    names_a, names_b = files_under(dir_a), files_under(dir_b)
     lines = [f"only in {d}: {n}" for d, names, other in
              ((dir_a, names_a, names_b), (dir_b, names_b, names_a))
              for n in names if n not in other]
@@ -105,7 +113,7 @@ def main(argv=None) -> int:
     if lines:
         print(f"{len(lines)} differences in status, verdicts, sets or files")
         return 1
-    total = len(os.listdir(ns.dir_a))
+    total = len(files_under(ns.dir_a))
     print(f"same verdicts and sets; {same} of {total} files byte-identical")
     for field, (rel, name) in sorted(worst.items()):
         print(f"{field:<40} {rel:.3g}  ({name})")

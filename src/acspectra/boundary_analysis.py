@@ -23,6 +23,11 @@ Schrodinger seeds do not depend on the reference point either, so in a
 report scope both reference points read one seed pair per schedule stage
 (memo).  Every one-point value of a family is its grid kernel
 (one_point) or its sweep (phase_at) read at one point.
+
+The truncation oracles of the Jacobi and CMV identity residuals share one
+solver: tridiagonal_resolvent reads a diagonal entry of the inverse, and
+its neighbor, off a batch of tridiagonal matrices (one per draw) in numpy,
+from products of 2x2 continued-fraction steps.
 """
 
 from __future__ import annotations
@@ -163,6 +168,58 @@ def normalize_pair(x, y):
     s = np.maximum(np.abs(x), np.abs(y))
     s = np.where(s == 0.0, 1.0, s)
     return x / s, y / s
+
+
+def tridiagonal_resolvent(d, up, lo, c: int):
+    """(G[..., c, c], G[..., c, c-1]) of G = A^-1 for a batch of tridiagonal
+    A with diagonal d (..., N), superdiagonal up and subdiagonal lo
+    (..., N-1), broadcast against each other: A[k, k+1] = up[k] and
+    A[k+1, k] = lo[k]; G[c, c-1] is 0 for c = 0.
+
+    With theta_k the leading principal minor of the first k rows and phi_k
+    the trailing one from row k on, Cramer's rule gives G[c, c] =
+    theta_c phi_{c+1} / det A and G[c, c-1] = -lo[c-1] theta_{c-1}
+    phi_{c+1} / det A, det A expanded along row c.  The pairs (theta_{c-1},
+    theta_c) and (phi_{c+2}, phi_{c+1}) are the second columns of the
+    products of the continued-fraction steps [[0, 1], [-up lo, d]] from
+    either end of the window.  Both chains are stacked on one axis and
+    multiplied pairwise in log depth, each product scaled by a power of two
+    (exactly) to its largest entry.  The only division is by det A, never by
+    a partial pivot, so an exact zero pivot (some theta_k = 0) needs no care.
+    """
+    d = np.asarray(d, dtype=complex)
+    n = d.shape[-1]
+    if not 0 <= c < n:
+        raise ValueError(f"row {c} outside a window of {n} rows")
+    lo = np.asarray(lo, dtype=complex)
+    p = np.asarray(up, dtype=complex) * lo
+    batch = np.broadcast_shapes(d.shape[:-1], p.shape[:-1], lo.shape[:-1])
+    d = np.broadcast_to(d, batch + (n,))
+    zero = np.zeros(batch + (1,), dtype=complex)
+    # pe[k + 1] = up[k] lo[k] for k = -1 .. n-1, zero at both ends
+    pe = np.concatenate([zero, np.broadcast_to(p, batch + (n - 1,)), zero], axis=-1)
+    # m[i, j, chain, ..., step] holds entry (i, j) of one step: chain 0 maps
+    # (theta_{k-1}, theta_k) to (theta_k, theta_{k+1}) with d[k], pe[k] for
+    # k = 0 .. c-1, chain 1 maps (phi_{k+2}, phi_{k+1}) to (phi_{k+1}, phi_k)
+    # with d[k], pe[k+1] for k = n-1 .. c+1, each in the order applied;
+    # identities pad both to a power of two
+    m = np.zeros((2, 2, 2) + batch + (1 << (max(c, n - 1 - c, 1) - 1).bit_length(),),
+                 dtype=complex)
+    m[0, 0] = m[1, 1] = 1.0
+    for chain, dk, pk in ((0, d[..., :c], pe[..., :c]), (1, d[..., :c:-1], pe[..., :c + 1:-1])):
+        k = dk.shape[-1]
+        m[0, 0, chain, ..., :k], m[0, 1, chain, ..., :k] = 0.0, 1.0
+        m[1, 0, chain, ..., :k], m[1, 1, chain, ..., :k] = -pk, dk
+    while m.shape[-1] > 1:
+        a, b = m[..., 1::2], m[..., 0::2]       # each later step times the one before
+        m = a[:, 0, None] * b[None, 0] + a[:, 1, None] * b[None, 1]
+        top = np.abs(m.view(float)).max(axis=(0, 1))
+        top = np.maximum(top[..., 0::2], top[..., 1::2])
+        m *= np.ldexp(1.0, -np.frexp(top)[1])
+    (th_prev, ph_next), (th, ph) = m[0, 1, ..., 0], m[1, 1, ..., 0]
+    det = (d[..., c] * th - pe[..., c] * th_prev) * ph - pe[..., c + 1] * th * ph_next
+    lo_prev = lo[..., c - 1] if c > 0 else 0.0
+    return th * ph / det, -lo_prev * th_prev * ph / det
 
 
 @dataclass(frozen=True)

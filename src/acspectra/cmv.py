@@ -36,7 +36,7 @@ from .errors import DegenerateDenominator, NonConvergent
 from .boundary_analysis import (ReflectionlessReport, SweepFamily, accepted, boundary_sweep,
                                 memo, one_point, phase_at, plus_side, require_in_disk,
                                 sweep_ac_spectrum, sweep_multiplicity_sets, sweep_phase,
-                                sweep_reflectionless)
+                                sweep_reflectionless, tridiagonal_resolvent)
 from .interval_sets import CircleArcSet, circle_set, full_circle
 
 TWO_PI = 2.0 * math.pi
@@ -224,13 +224,11 @@ def M11(V: VerblunskyCoefficients, z: complex, n0: int, mode: str = "formula",
 
     formula mode: (1 - M_+ M_-)/(M_+ - M_-); raises DegenerateDenominator
     when |M_+ - M_-| <= 1e-12, ZeroDivisionError as big_M does.  oracle
-    mode: Cayley diagonal of a banded whole-lattice truncation of the stated
-    window size.
+    mode: Cayley diagonal of the unitary truncation of the stated window
+    size around n0 (truncation_cayley_diag).
     """
     if mode == "oracle":
-        z = require_in_disk(z)
-        T = build_truncation(V, (n0 - window // 2, n0 + window // 2 - 1))
-        return T.cayley_diag(z, n0)
+        return complex(truncation_cayley_diag(V, require_in_disk(z), n0, window))
     if mode != "formula":
         raise ValueError(f"mode must be 'formula' or 'oracle', got {mode!r}")
     d = one_point(_M11_grid, V, z, n0, circle=True)
@@ -338,7 +336,8 @@ def multiplicity_sets(V: VerblunskyCoefficients, grid=None):
 class CMVTruncation:
     """Banded storage of a unitary CMV window [first_site, first_site+N-1]
     with alpha = 1 cuts at both ends; bands[u + i - j, j] holds U[i, j] for
-    |i - j| <= 2 (scipy solve_banded layout, u = 2)."""
+    |i - j| <= 2 (scipy solve_banded layout, u = 2).  Its solves import
+    scipy; the report's oracle is truncation_cayley_diag, numpy only."""
     first_site: int
     bands: np.ndarray   # (5, N) complex
 
@@ -376,6 +375,21 @@ class CMVTruncation:
         return matrix_M_entry(self, z, site, site)
 
 
+def _window_alphas(V: VerblunskyCoefficients, n_lo: int, n_hi: int):
+    """a(n) = alpha(n) and r(n) = rho(n) on sites n_lo - 1 .. n_hi + 2, with
+    the cut alpha = 1 at n_lo and n_hi + 1 that decouples the window
+    [n_lo, n_hi] exactly; r is taken per distinct value (the base, the
+    patch and the cut)."""
+    sites = np.arange(n_lo - 1, n_hi + 3)
+    values = list(V.alpha_base) + [a for _, a in V.patch] + [1.0 + 0.0j]
+    which = sites % V.period
+    for k, (m, _) in enumerate(V.patch):
+        which[sites == m] = V.period + k
+    which[(sites == n_lo) | (sites == n_hi + 1)] = len(values) - 1
+    r = np.array([math.sqrt(max(0.0, 1.0 - abs(v) ** 2)) for v in values])[which]
+    return np.array(values)[which], r
+
+
 def build_truncation(V: VerblunskyCoefficients, window) -> CMVTruncation:
     """Unitary truncation onto sites [n_lo, n_hi] (inclusive, even length >= 6)
     by setting alpha = 1 at both cuts.
@@ -391,21 +405,10 @@ def build_truncation(V: VerblunskyCoefficients, window) -> CMVTruncation:
     N = n_hi - n_lo + 1
     if N < 6 or N % 2 != 0:
         raise ValueError("window must span an even number of sites, at least 6")
-
-    # a(n) and r(n) on sites n_lo - 1 .. n_hi + 2, as indices into the
-    # distinct values: the base, the patch, and the cut alpha = 1 that
-    # decouples the window exactly; r is taken per distinct value
-    sites = np.arange(n_lo - 1, n_hi + 3)
-    values = list(V.alpha_base) + [a for _, a in V.patch] + [1.0 + 0.0j]
-    which = sites % V.period
-    for k, (m, _) in enumerate(V.patch):
-        which[sites == m] = V.period + k
-    which[(sites == n_lo) | (sites == n_hi + 1)] = len(values) - 1
-    a = np.array(values)[which]
-    r = np.array([math.sqrt(max(0.0, 1.0 - abs(v) ** 2)) for v in values])[which]
+    a, r = _window_alphas(V, n_lo, n_hi)
     am1, a0, ap1, ap2 = a[:N], a[1:N + 1], a[2:N + 2], a[3:]
     rm1, r0, rp1, rp2 = r[:N], r[1:N + 1], r[2:N + 2], r[3:]
-    even = (sites[1:N + 1] % 2 == 0)
+    even = (np.arange(n_lo, n_hi + 1) % 2 == 0)
 
     # U[i, j] with i = n - n_lo sits at bands[2 + i - j, j]: row values shift
     # to their columns, and entries outside the window drop
@@ -420,6 +423,34 @@ def build_truncation(V: VerblunskyCoefficients, window) -> CMVTruncation:
     bands[1, 1:] = np.where(even, np.conj(a0) * rp1, -ap2 * rp1)[:-1]
     bands[0, 2:] = np.where(even, 0.0, rp1 * rp2)[:-2]
     return CMVTruncation(n_lo, bands)
+
+
+def truncation_cayley_diag(V: VerblunskyCoefficients, zs, n0: int, window: int):
+    """((U + z)(U - z)^-1)(n0, n0) at each z of zs, U the unitary truncation
+    onto the window sites [n0 - window//2, n0 + window//2 - 1] (that of
+    build_truncation), from the alphas in one batched tridiagonal solve.
+
+    With Theta(m) = [[-a(m+1), r(m+1)], [r(m+1), conj(a(m+1))]] on the site
+    pair (m, m+1), U = O E, E the direct sum of Theta(m) over even m and O
+    over odd m, cuts included.  Let P be the factor holding the pair
+    (n0-1, n0) and Q the other one: U = P Q or Q P, both unitary and
+    complex symmetric, so (U - z)^-1 is (Q - z P*)^-1 P* or
+    P* (Q - z P*)^-1 and Q - z P* is tridiagonal.  Either way, with G its
+    inverse, the Cayley diagonal is
+    1 + 2z [G(n0, n0) a(n0) + G(n0, n0-1) r(n0)].
+    """
+    half = window // 2
+    if half < 3:
+        raise ValueError("window must span an even number of sites, at least 6")
+    zs = np.asarray(zs, dtype=complex)[..., None]
+    a, r = _window_alphas(V, n0 - half, n0 + half - 1)
+    a, r = a[1:-1], r[1:-1]            # sites n0 - half .. n0 + half
+    # site n of the window starts a pair of Q when n - n0 is even
+    q_first = np.arange(-half, half) % 2 == 0
+    diag = np.where(q_first, -a[1:] - zs * a[:-1], np.conj(a[:-1]) + zs * np.conj(a[1:]))
+    off = np.where(q_first[:-1], r[1:-1], -zs * r[1:-1])
+    g, g_prev = tridiagonal_resolvent(diag, off, off, half)
+    return 1.0 + 2.0 * zs[..., 0] * (g * a[half] + g_prev * r[half])
 
 
 @dataclass(frozen=True)

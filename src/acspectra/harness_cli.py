@@ -35,7 +35,12 @@ identity residual and the CSV to read.
 Exit codes for `spec run`: 0 all reports PASS, 1 failures or IO errors,
 2 malformed config JSON, seed, descriptor, grid, tolerances or target set E
 (every entry is checked before anything is written), 3 unknown operator
-type.
+type.  `spec jacobi|cmv|schrodinger` exits the same way: 1 when the report
+it writes is FAILED, 2 for an unreadable descriptor or a malformed --grid.
+
+The report path needs numpy alone: both identity oracles (Jacobi's
+Dirichlet-window resolvent, CMV's truncated Cayley diagonal) are batched
+tridiagonal solves (boundary_analysis.tridiagonal_resolvent).
 """
 
 from __future__ import annotations
@@ -252,12 +257,10 @@ def _identity_residuals(kind: str, op, grid, E, refl_verdict: bool, rng,
     else:
         r = np.sqrt(rng.uniform(0.0, 0.81, draws))
         zs = r * np.exp(1j * rng.uniform(0.0, 2.0 * math.pi, draws))
-        # the formula route at all draws from one kernel call, against M11's
-        # oracle mode with the truncation built once for all draws
+        # the formula route and the truncation oracle of M11's oracle mode,
+        # each at all draws in one call
         m11 = _cmv._M11_grid(op, zs, 0)["M11"]
-        window = tolerances["oracle_window"]
-        T = _cmv.build_truncation(op, (-(window // 2), window // 2 - 1))
-        oracle = np.array([T.cayley_diag(z, 0) for z in zs.tolist()])
+        oracle = _cmv.truncation_cayley_diag(op, zs, 0, tolerances["oracle_window"])
         entry("m11_formula_vs_oracle", np.max(np.abs(m11 - oracle)), draws)
         if refl_verdict:
             idx = np.flatnonzero(contains_mask(E, grid))
@@ -523,11 +526,13 @@ def closure_main(argv=None) -> int:
 
 
 def _parse_grid_arg(arg: str):
+    """(start, stop, points) of a --grid argument; ValueError unless it has
+    the form start:stop:points."""
     try:
         a, b, n = arg.split(":")
         return float(a), float(b), int(n)
     except ValueError:
-        raise SystemExit(f"error: --grid expects start:stop:points, got {arg!r}")
+        raise ValueError(f"--grid expects start:stop:points, got {arg!r}") from None
 
 
 def spec_main(argv=None) -> int:
@@ -566,7 +571,11 @@ def spec_main(argv=None) -> int:
 
     grid_config = None
     if ns.grid:
-        a, b, n = _parse_grid_arg(ns.grid)
+        try:
+            a, b, n = _parse_grid_arg(ns.grid)
+        except ValueError as exc:
+            print(f"error: {exc}", file=sys.stderr)
+            return 2
         if kind == "cmv" and ns.emit == "report" and not (
                 a == 0.0 and math.isclose(b, 2.0 * math.pi, rel_tol=1e-9)):
             print(f"error: a cmv report covers the whole circle (step 2 pi/n); "
@@ -581,6 +590,7 @@ def spec_main(argv=None) -> int:
     if ns.grid and kind == "cmv":
         grid = np.linspace(a, b, n, endpoint=False)
 
+    failed = False
     if ns.emit == "xi":
         text = _csv_for(ns.cmd, op, grid)
     elif ns.emit == "spectrum":
@@ -591,13 +601,14 @@ def spec_main(argv=None) -> int:
         rep = verify_inclusion(descriptor, None, grid_config,
                                name=os.path.splitext(os.path.basename(ns.desc))[0])
         text = json.dumps(rep.to_json(), sort_keys=True, indent=2) + "\n"
+        failed = rep.status == "FAILED"
 
     if ns.out:
         with open(ns.out, "w", encoding="utf-8", newline="\n") as fh:
             fh.write(text)
     else:
         sys.stdout.write(text)
-    return 0
+    return 1 if failed else 0
 
 
 if __name__ == "__main__":

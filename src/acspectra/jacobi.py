@@ -33,7 +33,8 @@ import numpy as np
 from .boundary_analysis import (ReflectionlessReport, SweepFamily, boundary_sweep,
                                 floquet_pair, memo, normalize_pair, one_point,
                                 phase_at, plus_side, stack_2x2, sweep_ac_spectrum,
-                                sweep_multiplicity_sets, sweep_phase, sweep_reflectionless)
+                                sweep_multiplicity_sets, sweep_phase, sweep_reflectionless,
+                                tridiagonal_resolvent)
 from .interval_sets import RealIntervalSet
 
 
@@ -289,32 +290,17 @@ def truncated_matrix(J: JacobiCoefficients, N: int) -> TridiagonalMatrix:
     return TridiagonalMatrix(first, diag, off)
 
 
-def resolvent_entry(T: TridiagonalMatrix, z: complex, row: int, col: int) -> complex:
-    """[(T - z)^-1](row, col) by a banded solve; row/col are lattice sites."""
-    from scipy.linalg import solve_banded
-    N = T.diag.size
-    ab = np.zeros((3, N), dtype=complex)
-    ab[0, 1:] = T.offdiag
-    ab[1, :] = T.diag - z
-    ab[2, :-1] = T.offdiag
-    rhs = np.zeros(N, dtype=complex)
-    rhs[T.index_of(col)] = 1.0
-    x = solve_banded((1, 1), ab, rhs)
-    return complex(x[T.index_of(row)])
-
-
 def green_inverse_identity_residual(J: JacobiCoefficients, zs) -> float:
     """Max residual of |g(z)*(M_-(z) - M_+(z)) - 1| at site 0 with g taken
-    from an 801-site Dirichlet-truncation resolvent, so the inverse identity is
-    tested against a route independent of the Floquet M-functions.  The
-    truncation error is exponentially small for z away from the real axis."""
+    from an 801-site Dirichlet-truncation resolvent (one batched tridiagonal
+    solve for all zs), so the inverse identity is tested against a route
+    independent of the Floquet M-functions.  The truncation error is
+    exponentially small for z away from the real axis."""
     T = truncated_matrix(J, 801)
     zs = np.atleast_1d(np.asarray(zs, dtype=complex))
     d = _weyl_grid(J, zs, 0)
-    worst = 0.0
-    for z, Mm, Mp in zip(zs.tolist(), d["M_minus"].tolist(), d["M_plus"].tolist()):
-        worst = max(worst, abs(resolvent_entry(T, z, 0, 0) * (Mm - Mp) - 1.0))
-    return worst
+    g, _ = tridiagonal_resolvent(T.diag - zs[:, None], T.offdiag, T.offdiag, T.index_of(0))
+    return float(np.max(np.abs(g * (d["M_minus"] - d["M_plus"]) - 1.0), initial=0.0))
 
 
 def discriminant(J: JacobiCoefficients, lams):

@@ -1,4 +1,5 @@
-"""Shared operator fixtures.
+"""Shared operator fixtures, and the banded-solve reference of the Jacobi
+truncation oracle.
 
 The same six operators recur across the suite: the three free operators
 (closed-form boundary data, so every numerical route has an exact target),
@@ -8,6 +9,7 @@ whose local defects the reflectionless tests must detect.
 
 import numpy as np
 import pytest
+from scipy.linalg import solve_banded
 
 from acspectra.cmv import VerblunskyCoefficients
 from acspectra.jacobi import JacobiCoefficients
@@ -50,3 +52,17 @@ def square_well():
 @pytest.fixture(scope="session")
 def rng():
     return np.random.default_rng(20260814)
+
+
+def resolvent_entry(T, z: complex, row: int, col: int) -> complex:
+    """[(T - z)^-1](row, col) of a jacobi.TridiagonalMatrix by a banded
+    solve; row and col are lattice sites."""
+    N = T.diag.size
+    ab = np.zeros((3, N), dtype=complex)
+    ab[0, 1:] = T.offdiag
+    ab[1, :] = T.diag - z
+    ab[2, :-1] = T.offdiag
+    rhs = np.zeros(N, dtype=complex)
+    rhs[T.index_of(col)] = 1.0
+    x = solve_banded((1, 1), ab, rhs)
+    return complex(x[T.index_of(row)])

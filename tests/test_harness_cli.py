@@ -326,6 +326,33 @@ class TestMalformedInput:
                           "--emit", "xi", "--out", str(out)]) == 0
         assert out.read_text().count("\n") == 601
 
+    @pytest.mark.parametrize("grid", ["1:2", "0:1:x", "0:1:2:3"])
+    def test_spec_family_malformed_grid_exits_2_without_writes(self, tmp_path, capsys, grid):
+        desc = tmp_path / "op.json"
+        desc.write_text(json.dumps(FREE_JACOBI), encoding="utf-8")
+        out = tmp_path / "report.json"
+        assert spec_main(["jacobi", "--desc", str(desc), f"--grid={grid}",
+                          "--out", str(out)]) == 2
+        assert not out.exists()
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and "--grid" in err
+
+
+def test_spec_family_report_exits_1_when_it_writes_a_failed_report(tmp_path, capsys):
+    """`spec cmv --emit report` exits as `spec run` does on the same entry:
+    1 when the report it writes is FAILED (this operator of the verdict
+    census, seed 0 rotation 2, exceeds the m11_boundary_real_part
+    threshold), 0 when it is PASS."""
+    desc = tmp_path / "op.json"
+    out = tmp_path / "report.json"
+    for descriptor, code in (({"type": "cmv", "period": 1, "alpha": [[0.033, 0.25]]}, 1),
+                             (FREE_CMV, 0)):
+        desc.write_text(json.dumps(descriptor), encoding="utf-8")
+        assert spec_main(["cmv", "--desc", str(desc), f"--grid=0:{2 * math.pi!r}:1024",
+                          "--emit", "report", "--out", str(out)]) == code
+        status = json.loads(out.read_text(encoding="utf-8"))["status"]
+        assert status == ("FAILED" if code else "PASS")
+
 
 # report_suite seed 9, rotation 17 of the benchmark: the ac spectrum's lower
 # edge is the band edge -3.0341 at both sites.  A fixed phase threshold

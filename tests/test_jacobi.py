@@ -19,8 +19,9 @@ from acspectra.jacobi import (JacobiCoefficients, ac_spectrum, big_M,
                               boundary_weyl_grid, discriminant,
                               green_diag, green_inverse_identity_residual,
                               m_half_line, monodromy, multiplicity_sets,
-                              reflectionless_on, resolvent_entry,
-                              truncated_matrix, weyl_data, xi, xi_grid)
+                              reflectionless_on, truncated_matrix, weyl_data,
+                              xi, xi_grid)
+from conftest import resolvent_entry
 
 
 def arcsine_stieltjes(z: complex, points: int = 20001) -> complex:
