@@ -11,6 +11,17 @@ from .interval_sets import (
 from .jacobi import JacobiCoefficients
 from .cmv import VerblunskyCoefficients
 from .schrodinger import PiecewisePotential
-from .harness_cli import SpectralReport, run_config, verify_inclusion
 
 __version__ = "0.1.0"
+
+_HARNESS = ("SpectralReport", "run_config", "verify_inclusion")
+
+
+def __getattr__(name):
+    """The report API, imported from harness_cli on first use, so that
+    `python -m acspectra.harness_cli` runs a module the package has not
+    imported yet."""
+    if name in _HARNESS:
+        from . import harness_cli
+        return getattr(harness_cli, name)
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")

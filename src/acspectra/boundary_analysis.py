@@ -2,27 +2,43 @@
 grid sweeps shared by the operator families.
 
 A Herglotz function maps the upper half-plane into itself; a Caratheodory
-function maps the unit disk into the closed right half-plane.  Their
-almost-everywhere boundary values are reached along one geometric schedule
-(eps_k = 0.1 * 2^-k for k = 8..12 toward the line, radii r_k = 1 - eps_k
-toward the circle) with two-stage Richardson extrapolation, one kernel call
-per stage on a whole grid.  The five stages are exactly the samples the
-extrapolation and the blowup flags read.  The ac spectrum is the essential
-closure of the set where the boundary values are nonreal, read here off the
-boundary phase.
+function maps the unit disk into the closed right half-plane.  The ac
+spectrum is the essential closure of the set where their boundary values
+are nonreal, read here off the boundary phase.
 
-The sweeps serve the Jacobi, CMV and Schrodinger modules: one Richardson
-sweep, phase, ac hull, reflectionless test, multiplicity classifier and CSV
-writer, with each family's conventions passed as data, plus the Floquet
-chooser and 2x2 helpers of the Jacobi and Schrodinger kernels.  Both Weyl
-solutions of a periodic base are eigenvectors of one period monodromy, so
-floquet_pair takes its four entries and returns the decaying and the
-growing one, each an (x, y) pair, from a single trace and square root; a
-kernel seeds both half lines from one matrix without stacking it.  The
+Every operator the families accept is periodic plus a finite patch, and
+its transfer matrices are entire in z, so off the band edges the boundary
+values exist as plain values on the axis (Teschl, Jacobi Operators and
+Completely Integrable Nonlinear Lattices, ch. 7; Simon, OPUC Vol. 2,
+ch. 11).  exact_sweep reads them there with two kernel calls per grid:
+one at a reference point a distance eps_ref off the axis (lambda + i
+eps_ref on the line, (1 - eps_ref) e^{i theta} on the circle), whose
+Floquet branch is the decaying one, and one on the axis, whose branch is
+the root nearest the reference's decaying root.  The declared error of a
+value is its distance to the reference value.  Points where no root is
+clearly nearest (band edges, multipliers of near-equal modulus at the
+reference) are undetermined, and so are non-finite values and poles; at a
+closed gap the monodromy is scalar and the axis takes the reference's
+eigenvectors.
+
+boundary_sweep, the Richardson extrapolation along a geometric schedule
+(eps_k = 0.1 * 2^-k for k = 8..12 toward the line, radii r_k = 1 - eps_k
+toward the circle), serves the truncation route of cmv.matrix_M_and_R and
+the tests, as the independent oracle of the exact route.
+
+The sweeps serve the Jacobi, CMV and Schrodinger modules: one exact
+sweep, phase, ac hull, reflectionless test, multiplicity classifier and
+CSV writer, with each family's conventions passed as data, plus the
+Floquet chooser and 2x2 helpers of the kernels.  Both Weyl solutions of a
+periodic base are eigenvectors of one period monodromy, so floquet_pair
+takes its four entries and returns the decaying and the growing one, each
+an (x, y) pair, from a single square root; a kernel seeds both
+half lines from one matrix without stacking it, and the CMV Schur
+function is the fixed point its growing eigenvector gives.  The
 Schrodinger seeds do not depend on the reference point either, so in a
-report scope both reference points read one seed pair per schedule stage
-(memo).  Every one-point value of a family is its grid kernel
-(one_point) or its sweep (phase_at) read at one point.
+report scope both reference points read one seed pair per kernel call
+(memo).  Every one-point value of a family is its grid kernel (one_point)
+or its sweep (phase_at) read at one point.
 
 The truncation oracles of the Jacobi and CMV identity residuals share one
 solver: tridiagonal_resolvent reads a diagonal entry of the inverse, and
@@ -45,11 +61,17 @@ from .interval_sets import (angles_hull, contains_mask, essential_closure,
 DIVERGENCE_CAP = 1e8
 INFINITE_LIMIT = 1e6
 DEGENERACY_TOL = 1e-10
+# the Floquet branch of an exact sweep: the reference points lie
+# REFERENCE_EPS times the operator's scale off the axis; a monodromy is
+# scalar, or its roots coincide, within EDGE_TOL, and neither root is the
+# nearer one within BRANCH_TOL of their distances (see floquet_pair)
+REFERENCE_EPS = 1e-8
+EDGE_TOL = 1e-6
+BRANCH_TOL = 1e-10
 
 # distances to the boundary, eps_k = 0.1 * 2^-k for k = 8..12: the five
 # samples richardson_sequence reads (the first eps is 3.9e-4)
 SCHEDULE = tuple(0.1 * 0.5 ** k for k in range(8, 13))
-
 
 def richardson_sequence(values):
     """Two-stage Richardson extrapolation along axis 0.
@@ -78,10 +100,10 @@ def richardson_sequence(values):
 
 
 def relaxed_ok(value, err, converged, rel: float = 1e-6):
-    """Acceptance mask for boundary sweeps: converged, or stalled at a noise
-    floor far below the use tolerance (near closing spectral gaps the Floquet
-    eigenvector loses digits and the extrapolant plateaus around 1e-10
-    relative instead of contracting)."""
+    """Acceptance mask for Richardson sweeps (boundary_sweep): converged, or
+    stalled at a noise floor far below the use tolerance (near closing
+    spectral gaps the Floquet eigenvector loses digits and the extrapolant
+    plateaus around 1e-10 relative instead of contracting)."""
     value = np.asarray(value)
     return converged | (np.isfinite(value) & (err <= rel * (1.0 + np.abs(value))))
 
@@ -132,26 +154,61 @@ def one_point(kernel, op, z, *args, circle: bool = False):
     return complex(out[0])
 
 
-def floquet_pair(m00, m01, m10, m11, det):
+def floquet_pair(m00, m01, m10, m11, det, near=None):
     """(decaying, growing): eigenvectors, each an (x, y) pair of arrays, of
-    the monodromy with entries m00, m01, m10, m11 (determinant det) for its
-    contracting (|u| < 1) and its expanding Floquet multiplier, from one
-    trace and one square root.  The larger root takes the cancellation-free
-    sign, the other one u' = det/u; multiplier moduli within 1e-10 (only on
-    the real axis) raise MonodromyDegenerate."""
-    tr = m00 + m11
-    sq = np.sqrt(tr * tr - 4.0 * det)
-    big = np.where(np.abs(tr + sq) >= np.abs(tr - sq), tr + sq, tr - sq) / 2.0
-    small = det / big
-    if np.any(np.abs(np.abs(big) - np.abs(small)) < DEGENERACY_TOL):
-        raise MonodromyDegenerate(
-            "Floquet multipliers have equal modulus; move z off the real axis")
+    the monodromy with entries m00, m01, m10, m11 (determinant det).  With
+    h = (m00 - m11)/2 and s = sqrt(h^2 + m01 m10), the multipliers are
+    tr/2 +- s: the larger one takes the cancellation-free sign, the other
+    one u' = det/u, and the eigenvector of tr/2 + sigma s is (m01, sigma s -
+    h) or (sigma s + h, m10), whichever is larger.  h and s come from
+    differences of the entries, so both eigenvectors keep their digits
+    where the monodromy is nearly scalar (a closed gap).
 
-    def eigvec(u):      # (m01, u - m00) or (u - m11, m10), whichever is larger
-        x1, y1, x2, y2 = m01, u - m00, u - m11, m10
+    Without near, the decaying multiplier is the contracting (|u| < 1) one,
+    and multiplier moduli within DEGENERACY_TOL (only on the real axis)
+    raise MonodromyDegenerate.  In a sweep, near is 0 for the reference
+    call (the contracting root) or the branch a reference call returned;
+    the decaying multiplier is the root nearest near, and the return is
+    (decaying, growing, branch, ambiguous), never raising.  branch stacks
+    the decaying root and both eigenvectors, shape (5,) + shape.  Where the
+    monodromy is scalar within EDGE_TOL (a closed gap) every vector is an
+    eigenvector, and an axis call takes the reference's.  ambiguous marks
+    the entries whose roots coincide within EDGE_TOL relative to the
+    traceless part of the monodromy (band edges), or whose distances to near
+    differ by at most BRANCH_TOL of their sum (for near = 0, near-equal
+    moduli)."""
+    half, h = (m00 + m11) / 2.0, (m00 - m11) / 2.0
+    s = np.sqrt(h * h + m01 * m10)
+    sign = np.where(np.abs(half + s) >= np.abs(half - s), 1.0, -1.0)
+    big = half + sign * s
+    small = det / big
+    if near is None:
+        if np.any(np.abs(np.abs(big) - np.abs(small)) < DEGENERACY_TOL):
+            raise MonodromyDegenerate(
+                "Floquet multipliers have equal modulus; move z off the real axis")
+        first = True
+    else:
+        ref = np.ndim(near) == 0
+        root = near if ref else near[0]
+        d_small, d_big = np.abs(small - root), np.abs(big - root)
+        first = d_small <= d_big
+        traceless = np.abs(h) + np.abs(m01) + np.abs(m10)
+        scalar = (not ref) & (traceless <= EDGE_TOL * np.abs(half))
+        ambiguous = ~scalar & ((np.abs(s) <= EDGE_TOL * traceless)
+                               | (np.abs(d_big - d_small) <= BRANCH_TOL * (d_big + d_small)))
+
+    def eigvec(sigma):      # eigenvector of half + sigma s
+        x1, y1, x2, y2 = m01, sigma * s - h, sigma * s + h, m10
         use1 = np.abs(x1) + np.abs(y1) >= np.abs(x2) + np.abs(y2)
         return np.where(use1, x1, x2), np.where(use1, y1, y2)
-    return eigvec(small), eigvec(big)
+    dec, grow = eigvec(np.where(first, -sign, sign)), eigvec(np.where(first, sign, -sign))
+    if near is None:
+        return dec, grow
+    u = np.where(first, small, big)
+    if not ref:
+        dec = tuple(np.where(scalar, near[k], c) for k, c in zip((1, 2), dec))
+        grow = tuple(np.where(scalar, near[k], c) for k, c in zip((3, 4), grow))
+    return dec, grow, np.stack(np.broadcast_arrays(u, *dec, *grow)), ambiguous
 
 
 def stack_2x2(m00, m01, m10, m11, shape):
@@ -242,7 +299,7 @@ class SweepFamily:
     Family modules pass lambdas for sweep and phase so that their
     boundary_*_grid and phase-grid functions are looked up at call time.
     """
-    sweep: callable         # sweep(op, grid, site) -> boundary_sweep dict
+    sweep: callable         # sweep(op, grid, site) -> exact_sweep dict
     phase: callable         # phase(op, grid, site) -> (values, errors, ok)
     grid: callable          # grid(op) -> default grid
     sites: callable         # sites(op) -> (first, second) reference sites
@@ -263,13 +320,53 @@ class SweepFamily:
         return angles_hull if self.circle else points_hull
 
 
+def exact_sweep(kernel, grid, circle: bool, eps_ref: float) -> dict:
+    """Boundary values of kernel(zs, near) -> {key: array} on the axis
+    points of a grid (lambda on the line, e^{i theta} on the circle), from
+    two kernel calls.  The first, at the reference points lambda + i eps_ref
+    (resp. (1 - eps_ref) e^{i theta}), takes near = 0, so its decaying
+    Floquet roots are the contracting ones; the second, on the axis, takes
+    the first one's branch as near, so its decaying roots are the roots
+    nearest those.  A kernel called with near returns the entry 'floquet':
+    (its branch, its ambiguous mask), by floquet_pair.
+
+    For each key returns (value, error, ok), the error being |value -
+    reference value| (inf where that is not a number), plus the flags
+    'inf_<key>' (a pole: past INFINITE_LIMIT on the axis and not smaller
+    than at the reference) and 'div_<key>' (a value that is not finite).
+    A point whose branch is ambiguous in either call is not ok and carries
+    neither flag, so it enters no set; a flagged point is not ok either.
+    eps_ref is the operator's, never the grid's, so every point's bits are
+    independent of the other points."""
+    grid = np.asarray(grid, dtype=float)
+    axis = np.exp(1j * grid) if circle else grid.astype(complex)
+    # exact pole hits and band-edge eigenvectors divide by zero; the flags
+    # and the ambiguous mask account for every such value, so numpy's
+    # warnings would only report what the result already says
+    with np.errstate(all="ignore"):
+        ref = kernel((1.0 - eps_ref) * axis if circle else grid + 1j * eps_ref, 0.0)
+        near, edge = ref.pop("floquet")
+        vals = kernel(axis, near)
+        edge = edge | vals.pop("floquet")[1]
+        out = {}
+        for k, v in vals.items():
+            mag, r = np.abs(v), ref[k]
+            div = ~edge & ~np.isfinite(v)
+            inf = ~edge & np.isfinite(v) & (mag > INFINITE_LIMIT) & (mag >= np.abs(r))
+            err = np.abs(v - r)
+            out[k] = (v, np.where(np.isnan(err), np.inf, err), ~(edge | div | inf))
+            out["inf_" + k], out["div_" + k] = inf, div
+    return out
+
+
 def boundary_sweep(kernel, grid, circle: bool) -> dict:
     """Richardson-extrapolated boundary values of kernel(zs) -> {key: array}
     over a grid, one kernel call per SCHEDULE stage (five), with zs = lambda
     + i eps on the line and (1 - eps) e^{i theta} on the circle.  For each
     key returns (value, error, converged) arrays, plus 'inf_<key>' (past
     1e6 at the last stage, growing over the last four) and 'div_<key>'
-    (past DIVERGENCE_CAP at one of the five stages) blowup flags."""
+    (past DIVERGENCE_CAP at one of the five stages) blowup flags.  The
+    oracle of exact_sweep, and the route of cmv.matrix_M_and_R."""
     grid = np.asarray(grid, dtype=float)
     zeta = np.exp(1j * grid) if circle else None
     rows = [kernel((1.0 - eps) * zeta if circle else grid + 1j * eps) for eps in SCHEDULE]
@@ -338,11 +435,11 @@ def sweep_at(bd: dict, idx) -> dict:
             for k, v in bd.items()}
 
 
-def accepted(bd: dict, key: str, rel: float = 1e-6):
-    """Where the sweep bd's value of key is usable: relaxed_ok at the
-    relative noise floor rel, below the divergence cap, and finite."""
-    v, err, conv = bd[key]
-    return relaxed_ok(v, err, conv, rel) & ~bd["div_" + key] & np.isfinite(v)
+def accepted(bd: dict, key: str):
+    """Where the sweep bd's value of key is usable: ok, not flagged as
+    diverged, and finite."""
+    v, _, ok = bd[key]
+    return ok & ~bd["div_" + key] & np.isfinite(v)
 
 
 def _axis_margin(v, err):
@@ -364,10 +461,7 @@ def sweep_phase(fam: SweepFamily, bd: dict):
     v, err, _ = bd[fam.phase_key]
     off = off_axis(fam, v, err)
     pos = v.real if fam.circle else v.imag
-    # phase tolerance: a 1e-4-relative amplitude plateau moves Arg v by
-    # < 1e-4/pi, below every phase use tolerance; exact closing band edges
-    # stall there rather than at the default 1e-6 floor
-    ok = accepted(bd, fam.phase_key, rel=1e-4) & ~(off & (pos < 0.0))
+    ok = accepted(bd, fam.phase_key) & ~(off & (pos < 0.0))
     pos = np.where(off, pos, 0.0)
     if fam.zero_floor:
         # boundary zeros leave the phase undefined; they carry zero ac density
@@ -389,15 +483,15 @@ def phase_at(fam: SweepFamily, op, loc: float, site) -> float:
     sweep at the given site; NonConvergent where it is undetermined."""
     vals, _, ok = sweep_phase(fam, fam.sweep(op, np.array([float(loc)]), site))
     if not bool(ok[0]):
-        raise NonConvergent(f"boundary phase extrapolation failed at {loc}, reference {site}")
+        raise NonConvergent(f"boundary phase undetermined at {loc}, reference {site}")
     return float(vals[0])
 
 
 def sweep_csv(fam: SweepFamily, op, grid) -> str:
     """Per-point CSV, LF line ends, of the boundary phase at the first
     reference site, in the columns of fam.csv_columns.  A phase cell is
-    empty where the point is undetermined, a re/im cell where the phase key
-    did not converge."""
+    empty where the point is undetermined, a re/im cell where the phase
+    key's value is not ok."""
     grid = np.asarray(grid, dtype=float)
     bd = fam.sweep(op, grid, fam.sites(op)[0])
     v, _, conv = bd[fam.phase_key]
@@ -489,8 +583,8 @@ def sweep_reflectionless(fam: SweepFamily, op, E, grid, tol: float) -> Reflectio
 
 
 def _witness(fam: SweepFamily, bd: dict, passing) -> float:
-    """Max residual, over the passing points where the phase key v
-    converged, of the identity that holds where the pair (P, M) matches:
+    """Max residual, over the passing points where the phase key v is
+    accepted, of the identity that holds where the pair (P, M) matches:
     -1/g = 2i Im P = -2i Im M on the line (v = g = 1/(M - P)), and the
     uniform-multiplicity identity M11 = (1+|P|^2)/(2 Re P) =
     (1+|M|^2)/(-2 Re M) on the circle (v = M11)."""

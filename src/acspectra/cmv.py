@@ -10,7 +10,8 @@ half-lattice m-functions are Cayley-transform diagonals,
 computed through the Schur algorithm: the spectral measure of U_{+,n0} has
 Schur parameters gamma_j = -conj(alpha(n0+1+j)), the left Cayley diagonal at
 site m has gamma_j = -alpha(m-j), and for a periodic tail the Schur function
-is the contracting fixed point of the one-period Moebius monodromy.  Then
+is the contracting fixed point of the one-period Moebius monodromy, read
+off its growing Floquet eigenvector.  Then
 
     M_+(z, n0) = m_+(z, n0)
     M_-(z, n0) = [Re(1+a0) + i Im(1-a0) m_-(z, n0-1)]
@@ -32,9 +33,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DegenerateDenominator, NonConvergent
-from .boundary_analysis import (ReflectionlessReport, SweepFamily, accepted, boundary_sweep,
-                                memo, one_point, phase_at, plus_side, require_in_disk,
+from .errors import DegenerateDenominator
+from .boundary_analysis import (REFERENCE_EPS, ReflectionlessReport, SweepFamily, accepted,
+                                boundary_sweep, exact_sweep, floquet_pair, memo, one_point,
+                                phase_at, plus_side, require_in_disk,
                                 sweep_ac_spectrum, sweep_multiplicity_sets, sweep_phase,
                                 sweep_reflectionless, tridiagonal_resolvent)
 from .interval_sets import CircleArcSet, circle_set, full_circle
@@ -115,44 +117,28 @@ class CMVWeylData:
 # ---------------------------------------------------------------------------
 # Schur-algorithm evaluation of the half-lattice m-functions
 
-def _fixed_point(a00, a01, a10, a11):
-    """Contracting (|w| < 1) fixed point of the Moebius map of the matrix
-    [[a00, a01], [a10, a11]], vectorized over the entries.
-
-    w solves a10 w^2 + (a11 - a00) w - a01 = 0; for |z| < 1 the map sends the
-    closed disk strictly inside itself, so exactly one root is contracting.
-    """
-    a = a10
-    b = a11 - a00
-    c = -a01
-    disc = np.sqrt(b * b - 4.0 * a * c)
-    q = -(b + np.where(np.abs(b + disc) >= np.abs(b - disc), disc, -disc)) / 2.0
-    lin = np.abs(a) < 1e-300
-    with np.errstate(divide="ignore", invalid="ignore"):
-        r1 = np.where(lin, 0.0, q / np.where(lin, 1.0, a))
-        r2 = np.where(np.abs(q) < 1e-300, 0.0, c / np.where(np.abs(q) < 1e-300, 1.0, q))
-        w_lin = np.where(np.abs(b) < 1e-300, 0.0, -c / np.where(np.abs(b) < 1e-300, 1.0, b))
-    w = np.where(lin, w_lin, np.where(np.abs(r1) <= np.abs(r2), r1, r2))
-    if np.any(np.abs(w) > 1.0 - 1e-12):
-        raise NonConvergent("Schur monodromy fixed point is not contracting")
-    return w
-
-
-def _schur_to_caratheodory(head, period_gammas, zs):
+def _schur_to_caratheodory(head, period_gammas, zs, near=None):
     """Caratheodory value (1 + z f)/(1 - z f) for the Schur function with
     parameter sequence head + periodic tail, vectorized over zs.  The
-    one-period product of the Schur step matrices [[z, g], [conj(g) z, 1]]
-    is multiplied out entrywise."""
+    one-period product A of the Schur step matrices [[z, g], [conj(g) z, 1]]
+    is multiplied out entrywise; det A = z^p prod(1 - |g|^2).  The tail's
+    Schur function is the contracting fixed point of A's Moebius map, x/y
+    of its growing eigenvector (x, y) by floquet_pair: the map's derivative
+    there is the ratio of the other multiplier to this one.  With near (a
+    sweep's branch) the return is (value, branch, ambiguous)."""
     zs = np.asarray(zs, dtype=complex)
     g = period_gammas[0]
     a00, a01, a10, a11 = zs, g, np.conj(g) * zs, 1.0
     for g in period_gammas[1:]:
         gz = np.conj(g) * zs
         a00, a01, a10, a11 = a00 * zs + a01 * gz, a00 * g + a01, a10 * zs + a11 * gz, a10 * g + a11
-    f = _fixed_point(a00, a01, a10, a11)
+    det = zs ** len(period_gammas) * math.prod(1.0 - abs(g) ** 2 for g in period_gammas)
+    _, (x, y), *branch = floquet_pair(a00, a01, a10, a11, det, near)
+    f = x / y
     for g in reversed(head):
         f = (g + zs * f) / (1.0 + np.conj(g) * zs * f)
-    return (1.0 + zs * f) / (1.0 - zs * f)
+    value = (1.0 + zs * f) / (1.0 - zs * f)
+    return (value, *branch) if branch else value
 
 
 def _gammas_plus(V: VerblunskyCoefficients, n0: int):
@@ -174,12 +160,13 @@ def _gammas_minus(V: VerblunskyCoefficients, m: int):
     return head, tail
 
 
-def _m_grid(V: VerblunskyCoefficients, zs, n0: int, side: str):
+def _m_grid(V: VerblunskyCoefficients, zs, n0: int, side: str, near=None):
+    """m_+(z, n0) or m_-(z, n0) over zs; with near, (value, branch,
+    ambiguous) as _schur_to_caratheodory."""
     if plus_side(side):
-        head, tail = _gammas_plus(V, n0)
-        return _schur_to_caratheodory(head, tail, zs)
-    head, tail = _gammas_minus(V, n0)
-    return -_schur_to_caratheodory(head, tail, zs)
+        return _schur_to_caratheodory(*_gammas_plus(V, n0), zs, near)
+    out = _schur_to_caratheodory(*_gammas_minus(V, n0), zs, near)
+    return (-out[0], *out[1:]) if near is not None else -out
 
 
 def m_half_lattice(V: VerblunskyCoefficients, z: complex, n0: int, side: str) -> complex:
@@ -188,14 +175,17 @@ def m_half_lattice(V: VerblunskyCoefficients, z: complex, n0: int, side: str) ->
     return one_point(_m_grid, V, z, n0, side, circle=True)
 
 
-def _big_M_grid(V: VerblunskyCoefficients, zs, n0: int, side: str):
-    if plus_side(side):
-        return _m_grid(V, zs, n0, "+")
-    mm = _m_grid(V, zs, n0 - 1, "-")
-    a0 = V.alpha(n0)
+def _twist(a0: complex, mm):
+    """M_- from m_-(z, n0-1): the Moebius twist by a0 = alpha(n0)."""
     num = (1.0 + a0).real + 1j * (1.0 - a0).imag * mm
     den = 1j * (1.0 + a0).imag + (1.0 - a0).real * mm
     return num / den
+
+
+def _big_M_grid(V: VerblunskyCoefficients, zs, n0: int, side: str):
+    if plus_side(side):
+        return _m_grid(V, zs, n0, "+")
+    return _twist(V.alpha(n0), _m_grid(V, zs, n0 - 1, "-"))
 
 
 def _finite_M_minus(Mm: complex, z, n0: int) -> complex:
@@ -212,10 +202,21 @@ def big_M(V: VerblunskyCoefficients, z: complex, n0: int, side: str) -> complex:
     return _finite_M_minus(one_point(_big_M_grid, V, z, n0, side, circle=True), z, n0)
 
 
-def _M11_grid(V: VerblunskyCoefficients, zs, n0: int) -> dict:
-    Mp = _big_M_grid(V, zs, n0, "+")
-    Mm = _big_M_grid(V, zs, n0, "-")
-    return {"M_plus": Mp, "M_minus": Mm, "M11": (1.0 - Mp * Mm) / (Mp - Mm)}
+def _M11_grid(V: VerblunskyCoefficients, zs, n0: int, near=None) -> dict:
+    """M_plus, M_minus and M11 over zs; with near (a sweep's branch: 0, or
+    the stacked branches of both half lattices) also 'floquet', the stacked
+    branches and their joint ambiguous mask (floquet_pair)."""
+    if near is None:
+        Mp, Mm = _big_M_grid(V, zs, n0, "+"), _big_M_grid(V, zs, n0, "-")
+    else:
+        near_p, near_m = (near, near) if np.ndim(near) == 0 else near
+        Mp, up, ap = _m_grid(V, zs, n0, "+", near_p)
+        mm, um, am = _m_grid(V, zs, n0 - 1, "-", near_m)
+        Mm = _twist(V.alpha(n0), mm)
+    out = {"M_plus": Mp, "M_minus": Mm, "M11": (1.0 - Mp * Mm) / (Mp - Mm)}
+    if near is not None:
+        out["floquet"] = (np.stack([up, um]), ap | am)
+    return out
 
 
 def M11(V: VerblunskyCoefficients, z: complex, n0: int, mode: str = "formula",
@@ -248,19 +249,19 @@ def weyl_data(V: VerblunskyCoefficients, z: complex, n0: int) -> CMVWeylData:
 # Boundary sweeps
 
 def boundary_cmv_grid(V: VerblunskyCoefficients, thetas, n0: int) -> dict:
-    """Radial Richardson extrapolation of M_+, M_-, M11 on an angle grid.
-
-    For each key returns (value, error, converged); 'inf_'/'div_' flags mark
-    blowup past 1e6 with monotone growth, resp. past the 1e8 hard cap.
-    """
-    return boundary_sweep(lambda zs: _M11_grid(V, zs, n0), thetas, True)
+    """Boundary values of M_+, M_-, M11 on an angle grid, read on the circle
+    by boundary_analysis.exact_sweep with the reference points at radius
+    1 - REFERENCE_EPS: (value, error, ok) per key plus the 'inf_'/'div_'
+    flags."""
+    return exact_sweep(lambda zs, near: _M11_grid(V, zs, n0, near), thetas, True,
+                       REFERENCE_EPS)
 
 
 def Xi11_grid(V: VerblunskyCoefficients, thetas, n0: int):
     """Xi11 = Arg(M11(zeta))/pi in [-1/2, 1/2] over an angle grid: (values,
     errors, ok mask), by boundary_analysis.sweep_phase.  Boundary zeros of
-    M11 (limit below the extrapolation noise) leave the phase undefined and
-    are marked not ok; they carry zero ac density."""
+    M11 (|M11| within 100 errors of 0) leave the phase undefined and are
+    marked not ok; they carry zero ac density."""
     return sweep_phase(_FAMILY, _FAMILY.sweep(V, thetas, n0))
 
 

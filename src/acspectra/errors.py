@@ -1,15 +1,16 @@
-"""Shared exception types for boundary extrapolation and transfer-matrix kernels."""
+"""Shared exception types for boundary sweeps and transfer-matrix kernels."""
 
 
 class NonConvergent(RuntimeError):
-    """Boundary extrapolants failed to contract (or no admissible fixed point exists)."""
+    """A boundary value is undetermined at the requested point (a one-point phase read)."""
 
 
 class MonodromyDegenerate(RuntimeError):
-    """Both Floquet multipliers have (numerically) equal modulus at Im z != 0.
+    """Both Floquet multipliers have (numerically) equal modulus at a one-point z.
 
-    Cannot happen off the real axis for positive off-diagonal coefficients; raised
-    to signal an internal error rather than silently picking a branch.
+    Cannot happen off the real axis for positive off-diagonal coefficients in
+    exact arithmetic; raised by the one-point functions rather than silently
+    picking a branch.  Sweeps never raise it: they mark such points undetermined.
     """
 
 

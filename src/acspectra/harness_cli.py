@@ -36,7 +36,8 @@ Exit codes for `spec run`: 0 all reports PASS, 1 failures or IO errors,
 2 malformed config JSON, seed, descriptor, grid, tolerances or target set E
 (every entry is checked before anything is written), 3 unknown operator
 type.  `spec jacobi|cmv|schrodinger` exits the same way: 1 when the report
-it writes is FAILED, 2 for an unreadable descriptor or a malformed --grid.
+it writes is FAILED or its --out file cannot be written, 2 for an
+unreadable descriptor or a malformed --grid.
 
 The report path needs numpy alone: both identity oracles (Jacobi's
 Dirichlet-window resolvent, CMV's truncated Cayley diagonal) are batched
@@ -604,8 +605,12 @@ def spec_main(argv=None) -> int:
         failed = rep.status == "FAILED"
 
     if ns.out:
-        with open(ns.out, "w", encoding="utf-8", newline="\n") as fh:
-            fh.write(text)
+        try:
+            with open(ns.out, "w", encoding="utf-8", newline="\n") as fh:
+                fh.write(text)
+        except OSError as exc:
+            print(f"error: {exc}", file=sys.stderr)
+            return 1
     else:
         sys.stdout.write(text)
     return 1 if failed else 0

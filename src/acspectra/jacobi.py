@@ -30,8 +30,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .boundary_analysis import (ReflectionlessReport, SweepFamily, boundary_sweep,
-                                floquet_pair, memo, normalize_pair, one_point,
+from .boundary_analysis import (REFERENCE_EPS, ReflectionlessReport, SweepFamily,
+                                exact_sweep, floquet_pair, memo, normalize_pair, one_point,
                                 phase_at, plus_side, stack_2x2, sweep_ac_spectrum,
                                 sweep_multiplicity_sets, sweep_phase, sweep_reflectionless,
                                 tridiagonal_resolvent)
@@ -147,10 +147,12 @@ def monodromy(J: JacobiCoefficients, z, n_start: int):
     return stack_2x2(*_monodromy_entries(J, zs, n_start), zs.shape)
 
 
-def _weyl_grid(J: JacobiCoefficients, zs, n0: int) -> dict:
+def _weyl_grid(J: JacobiCoefficients, zs, n0: int, near=None) -> dict:
     """All Weyl quantities over an array of spectral parameters.
 
-    Returns m_plus, m_minus, M_plus, M_minus and g as arrays shaped like zs.
+    Returns m_plus, m_minus, M_plus, M_minus and g as arrays shaped like zs;
+    with near (a sweep's branch) also 'floquet', the branch and the
+    ambiguous mask (floquet_pair).
     """
     zs = np.asarray(zs, dtype=complex)
     p, sites = J.period, J.patch_sites
@@ -160,7 +162,7 @@ def _weyl_grid(J: JacobiCoefficients, zs, n0: int) -> dict:
     top = min(n0 + 1, min(sites) - p) if sites else n0 + 1
     n_l = n_r - p * math.ceil((n_r - top) / p)
     m = _monodromy_entries(J, zs, n_r)
-    (hi, lo), (cur, prev) = floquet_pair(*m, m[0] * m[3] - m[1] * m[2])
+    (hi, lo), (cur, prev), *branch = floquet_pair(*m, m[0] * m[3] - m[1] * m[2], near)
 
     # rightward-decaying solution, stripped down to n0-1; hi = psi(n_r),
     # lo = psi(n_r - 1)
@@ -179,8 +181,10 @@ def _weyl_grid(J: JacobiCoefficients, zs, n0: int) -> dict:
     M_plus = -1.0 / m_plus - zs + J.b(n0)
     M_minus = 1.0 / m_minus
     g = 1.0 / (M_minus - M_plus)
-    return {"m_plus": m_plus, "m_minus": m_minus,
-            "M_plus": M_plus, "M_minus": M_minus, "g": g}
+    out = {"m_plus": m_plus, "m_minus": m_minus, "M_plus": M_plus, "M_minus": M_minus, "g": g}
+    if branch:
+        out["floquet"] = tuple(branch)
+    return out
 
 
 def m_half_line(J: JacobiCoefficients, z: complex, n0: int, side: str) -> complex:
@@ -204,10 +208,12 @@ def weyl_data(J: JacobiCoefficients, z: complex, n0: int) -> WeylData:
 
 
 def boundary_weyl_grid(J: JacobiCoefficients, lams, n0: int) -> dict:
-    """Richardson-extrapolated boundary values of the Weyl quantities on a
-    real grid.  For each key returns (value, error, converged) arrays, plus
-    'inf_<key>' blowup flags (|samples| past 1e6 with monotone growth)."""
-    return boundary_sweep(lambda zs: _weyl_grid(J, zs, n0), lams, False)
+    """Boundary values of the Weyl quantities on a real grid, read on the
+    axis by boundary_analysis.exact_sweep with the reference points
+    REFERENCE_EPS (1 + sup|b| + 2 sup|a|) above it: (value, error, ok) per
+    key plus the 'inf_'/'div_' flags."""
+    return exact_sweep(lambda zs, near: _weyl_grid(J, zs, n0, near), lams, False,
+                       REFERENCE_EPS * (1.0 + J.sup_bound()))
 
 
 def xi_grid(J: JacobiCoefficients, lams, n0: int):
@@ -295,10 +301,13 @@ def green_inverse_identity_residual(J: JacobiCoefficients, zs) -> float:
     from an 801-site Dirichlet-truncation resolvent (one batched tridiagonal
     solve for all zs), so the inverse identity is tested against a route
     independent of the Floquet M-functions.  The truncation error is
-    exponentially small for z away from the real axis."""
+    exponentially small for z away from the real axis.  The kernel takes
+    the contracting root without the degeneracy test (near = 0), so
+    multipliers of near-equal modulus (a large scale) show as a residual,
+    not an exception."""
     T = truncated_matrix(J, 801)
     zs = np.atleast_1d(np.asarray(zs, dtype=complex))
-    d = _weyl_grid(J, zs, 0)
+    d = _weyl_grid(J, zs, 0, 0.0)
     g, _ = tridiagonal_resolvent(T.diag - zs[:, None], T.offdiag, T.offdiag, T.index_of(0))
     return float(np.max(np.abs(g * (d["M_minus"] - d["M_plus"]) - 1.0), initial=0.0))
 

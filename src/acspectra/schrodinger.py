@@ -34,8 +34,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .boundary_analysis import (ReflectionlessReport, SweepFamily, boundary_sweep,
-                                floquet_pair, memo, normalize_pair,
+from .boundary_analysis import (REFERENCE_EPS, ReflectionlessReport, SweepFamily,
+                                exact_sweep, floquet_pair, memo, normalize_pair,
                                 one_point, phase_at, plus_side, stack_2x2, sweep_ac_spectrum,
                                 sweep_multiplicity_sets, sweep_phase, sweep_reflectionless)
 from .interval_sets import RealIntervalSet
@@ -185,32 +185,38 @@ def _propagate_vec(zs, vec, spans, inverse: bool):
     return p, q
 
 
-def _seeds(V: PiecewisePotential, zs):
+def _seeds(V: PiecewisePotential, zs, near=None):
     """(decaying, growing): (psi, psi') at any period boundary of the
     unpatched line of the solutions decaying toward +inf, resp. -inf, from
-    the one monodromy of the base pieces."""
-    return floquet_pair(*_product(zs, V.pieces), 1.0)
+    the one monodromy of the base pieces; with near (a sweep's branch)
+    also the branch and the ambiguous mask (floquet_pair)."""
+    return floquet_pair(*_product(zs, V.pieces), 1.0, near)
 
 
-def _m_grid(V: PiecewisePotential, zs, x0: float):
+def _m_grid(V: PiecewisePotential, zs, x0: float, near=None):
     """(m_plus, m_minus) at x0 over an array of spectral parameters, both
     half lines seeded from one monodromy at the period boundaries cp, cm
-    and carried to x0 across the pieces in between.  The seeds do not
-    depend on x0, so in a report scope the two reference points read one
-    _seeds evaluation per zs (boundary_analysis.memo)."""
+    and carried to x0 across the pieces in between; with near, followed by
+    the branch of _seeds.  The seeds do not depend on x0, so in a report
+    scope the two reference points read one _seeds evaluation per zs and
+    near (boundary_analysis.memo)."""
     zs = np.atleast_1d(np.asarray(zs, dtype=complex))
     cp, cm = _seed_bounds(V, x0)
-    dec, grow = memo(_seeds, V, zs)
+    dec, grow, *branch = memo(_seeds, V, zs, near)
     p, q = _propagate_vec(zs, dec, _pieces(V, x0, cp)[::-1], inverse=True)
     pm, qm = _propagate_vec(zs, grow, _pieces(V, cm, x0), inverse=False)
-    return q / p, qm / pm
+    return (q / p, qm / pm, *branch)
 
 
-def _weyl_grid(V: PiecewisePotential, zs, x0: float) -> dict:
+def _weyl_grid(V: PiecewisePotential, zs, x0: float, near=None) -> dict:
     """m_plus, m_minus and g = 1/(m_- - m_+) at x0 over an array of spectral
-    parameters, from one _m_grid call."""
-    mp, mm = _m_grid(V, zs, float(x0))
-    return {"m_plus": mp, "m_minus": mm, "g": 1.0 / (mm - mp)}
+    parameters, from one _m_grid call; with near also 'floquet', the
+    branch and the ambiguous mask (floquet_pair)."""
+    mp, mm, *branch = _m_grid(V, zs, float(x0), near)
+    out = {"m_plus": mp, "m_minus": mm, "g": 1.0 / (mm - mp)}
+    if branch:
+        out["floquet"] = tuple(branch)
+    return out
 
 
 def m_half_line(V: PiecewisePotential, z: complex, x0: float, side: str) -> complex:
@@ -293,16 +299,19 @@ def discriminant(V: PiecewisePotential, lams) -> np.ndarray:
 # Boundary values and the xi phase
 
 def boundary_schrodinger_grid(V: PiecewisePotential, lams, x0: float) -> dict:
-    """Richardson extrapolation of m_+, m_-, g at lam + i*eps along the pinned
-    geometric schedule; returns (value, error, converged) per key plus
-    'inf_'/'div_' blowup flags."""
-    return boundary_sweep(lambda zs: _weyl_grid(V, zs, x0), lams, False)
+    """Boundary values of m_+, m_-, g on a real grid, read on the axis by
+    boundary_analysis.exact_sweep with the reference points REFERENCE_EPS
+    (1 + sup|V|) above it: (value, error, ok) per key plus the
+    'inf_'/'div_' flags."""
+    return exact_sweep(lambda zs, near: _weyl_grid(V, zs, x0, near), lams, False,
+                       REFERENCE_EPS * (1.0 + V.sup_bound()))
 
 
 def xi_grid(V: PiecewisePotential, lams, x0: float = 0.0):
     """xi(lam) = Arg g(lam + i0)/pi over a grid: (values, errors, ok mask),
-    by boundary_analysis.sweep_phase.  Exact closing band edges (lambda =
-    (k pi/L)^2 for the free cell) stall on a noise plateau that it accepts."""
+    by boundary_analysis.sweep_phase.  At a closed gap (lambda = (k pi/L)^2
+    for the free cell) the monodromy is +-I, and the axis value takes the
+    reference's eigenvectors (floquet_pair)."""
     return sweep_phase(_FAMILY, _FAMILY.sweep(V, lams, x0))
 
 

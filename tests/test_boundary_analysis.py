@@ -1,21 +1,25 @@
-"""Boundary sweeps on analytic models.
+"""Boundary sweeps on analytic models, and the exact route against its
+Richardson oracle.
 
 Every model here has a closed-form boundary behavior, so the extrapolated
 limits of boundary_sweep, and the ac hull read off them, can be checked
-against exact values.
+against exact values.  The reports' exact_sweep is checked against a
+13-stage Richardson sweep on the family kernels.
 """
 
 import csv
 import io
 import math
+import os
+import sys
 
 import numpy as np
 import pytest
 
 from acspectra import cmv, jacobi, schrodinger
 from acspectra.boundary_analysis import (DIVERGENCE_CAP, SCHEDULE, SweepFamily, accepted,
-                                         blowup_flags, boundary_sweep, interior, normalize_pair,
-                                         off_axis, plus_side, relaxed_ok,
+                                         blowup_flags, boundary_sweep, exact_sweep, interior,
+                                         normalize_pair, off_axis, plus_side, relaxed_ok,
                                          require_off_axis, richardson_sequence,
                                          stack_2x2, sweep_at, sweep_csv,
                                          sweep_multiplicity_sets, sweep_phase)
@@ -169,10 +173,10 @@ class TestFiveStageSweep:
         they never set a divergence flag."""
         if isinstance(op, str):
             op = request.getfixturevalue(op)
-        kernel, sweep, grid_of, sites_of = SWEEPS[fam]
+        kernel, _, grid_of, sites_of = SWEEPS[fam]
         grid = grid_of(op)
         for site in sites_of(op):
-            got = sweep(op, grid, site)
+            got = boundary_sweep(lambda zs: kernel(op, zs, site), grid, fam == "cmv")
             want, early = reference_sweep(lambda zs: kernel(op, zs, site), grid, fam == "cmv")
             assert got.keys() == want.keys()
             for key, arrays in want.items():
@@ -181,6 +185,97 @@ class TestFiveStageSweep:
                     assert a.dtype == b.dtype and a.tobytes() == b.tobytes(), (site, key)
             for key, peak in early.items():
                 assert peak < DIVERGENCE_CAP / 1e3, (site, key, peak)
+
+
+def richardson_accepted(bd, key):
+    """Where a Richardson sweep's value of key is usable: relaxed_ok, below
+    the divergence cap, and finite."""
+    v, err, conv = bd[key]
+    return relaxed_ok(v, err, conv) & ~bd["div_" + key] & np.isfinite(v)
+
+
+def report_suite_operators(seed, rotation, workdir):
+    """The (name, descriptor) pairs of one rotation of the benchmark's
+    report_suite workload, drawn by its own generator."""
+    bench = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "perfbench")
+    sys.path.insert(0, bench)
+    try:
+        import workloads
+    finally:
+        sys.path.remove(bench)
+    suite = workloads.ReportSuite(seed, str(workdir))
+    suite._op = lambda name, descriptor: (name, descriptor)
+    return suite.rotation(rotation)
+
+
+def assert_exact_matches_richardson(fam, op, grid):
+    """At both reference sites, wherever the exact sweep and the 13-stage
+    Richardson reference both accept a value, they agree within
+    3 err_R + 1e-9 (1 + |v|), so the Richardson error estimate err_R does
+    not under-report; and the exact sweep leaves at most 1% of the points
+    the reference accepts undetermined."""
+    kernel, sweep, _, sites_of = SWEEPS[fam]
+    for site in sites_of(op):
+        exact = sweep(op, grid, site)
+        want, _ = reference_sweep(lambda zs: kernel(op, zs, site), grid, fam == "cmv")
+        for key in want:
+            if key.startswith(("inf_", "div_")):
+                continue
+            v, _, ok = exact[key]
+            w, err, _ = want[key]
+            both = ok & richardson_accepted(want, key)
+            gap = np.abs(v - w) - (3.0 * err + 1e-9 * (1.0 + np.abs(w)))
+            assert not np.any(both & (gap > 0.0)), (site, key, grid[both & (gap > 0.0)])
+            lost = richardson_accepted(want, key) & ~ok
+            assert lost.sum() <= 0.01 * grid.size, (site, key, grid[lost])
+
+
+class TestExactRoute:
+    """The exact sweep of the reports against the 13-stage Richardson
+    reference, its independent oracle, on the six fixtures and on the
+    report_suite operators of seeds 0, 1 and 9 (every fourth point of the
+    default grids: both routes work point by point)."""
+
+    @pytest.mark.parametrize("name", FIXTURES)
+    def test_fixtures(self, request, name):
+        fam = FIXTURES[name]
+        op = request.getfixturevalue(name)
+        assert_exact_matches_richardson(fam, op, SWEEPS[fam][2](op)[::4])
+
+    @pytest.mark.parametrize("seed", [0, 1, 9])
+    def test_report_suite_operators(self, tmp_path, seed):
+        from acspectra.harness_cli import _load
+        for rotation in range(1, 21):
+            for name, descriptor in report_suite_operators(seed, rotation, tmp_path):
+                grid_config = {"angles": 1024} if descriptor["type"] == "cmv" else None
+                op, grid, _, _ = _load(descriptor, None, grid_config)
+                assert_exact_matches_richardson(descriptor["type"], op, grid[::4])
+
+    def test_two_kernel_calls_on_the_axis_and_off_it(self):
+        """exact_sweep calls the kernel at the reference points with near =
+        0, then on the axis with the branch the first call returned; a
+        point ambiguous in either call is not ok and carries no flag, a
+        pole is flagged inf, a value that is not finite div."""
+        grid = np.array([0.0, 1.0, 2.0, 3.0, 4.0])
+        calls = []
+
+        def kernel(zs, near):
+            calls.append((zs.copy(), near))
+            branch = np.full(zs.shape, 7.0)
+            v = np.array([1.0, 2e7, np.inf, 2e7, np.inf])[:zs.size] * (1.0 - zs.imag) + 1j * zs.imag
+            # point 3 is ambiguous at the reference only, point 4 on the axis only
+            return {"m": v, "floquet": (branch, zs.real == (3.0 if zs.imag.any() else 4.0))}
+        bd = exact_sweep(kernel, grid, False, 1e-3)
+        assert np.array_equal(calls[0][0], grid + 1e-3j) and calls[0][1] == 0.0
+        assert np.array_equal(calls[1][0], grid) and np.array_equal(calls[1][1], np.full(5, 7.0))
+        v, err, ok = bd["m"]
+        assert ok.tolist() == [True, False, False, False, False]
+        assert bd["inf_m"].tolist() == [False, True, False, False, False]
+        assert bd["div_m"].tolist() == [False, False, True, False, False]
+        assert err[0] == abs(1.0 - (1.0 - 1e-3 + 1e-3j)) and err[2] == np.inf
+        circle = exact_sweep(kernel, np.array([0.5]), True, 1e-3)
+        assert calls[2][0][0] == (1.0 - 1e-3) * np.exp(0.5j) and calls[3][0][0] == np.exp(0.5j)
+        assert set(circle) == {"m", "inf_m", "div_m"}
 
 
 class TestAnalyticModels:
@@ -299,14 +394,16 @@ class TestSweepPhase:
 
 
 class TestOffAxisRule:
-    def test_accepted_needs_a_finite_undiverged_relaxed_ok_value(self):
+    def test_accepted_needs_a_finite_undiverged_ok_value(self):
+        # the exact route declares each value ok or not: a small error
+        # accepts no point that is not ok (the Richardson noise plateau of
+        # relaxed_ok is the oracle's alone)
         v = np.array([1.0, 1.0, np.nan, 1.0, 1.0], dtype=complex)
         err = np.array([0.0, 0.0, 0.0, 1e-5, 1e-8])
-        conv = np.array([True, True, True, False, False])
+        ok = np.array([True, True, True, False, False])
         flags = np.array([False, True, False, False, False])
-        bd = {"m": (v, err, conv), "inf_m": ~flags, "div_m": flags}
-        assert accepted(bd, "m").tolist() == [True, False, False, False, True]
-        assert accepted(bd, "m", rel=1e-4).tolist() == [True, False, False, True, True]
+        bd = {"m": (v, err, ok), "inf_m": ~flags, "div_m": flags}
+        assert accepted(bd, "m").tolist() == [True, False, False, False, False]
 
     def test_margin_is_ten_errors_plus_a_relative_floor(self):
         v = np.array([2.0 + 4e-10j, 2.0 + 2e-10j, 2.0 - 2e-8j, 2.0 - 1e-8j], dtype=complex)

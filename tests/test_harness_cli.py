@@ -341,12 +341,13 @@ class TestMalformedInput:
 def test_spec_family_report_exits_1_when_it_writes_a_failed_report(tmp_path, capsys):
     """`spec cmv --emit report` exits as `spec run` does on the same entry:
     1 when the report it writes is FAILED (this operator of the verdict
-    census, seed 0 rotation 2, exceeds the m11_boundary_real_part
-    threshold), 0 when it is PASS."""
+    census, seed 0 rotation 6, has M2 miss 1.16% of E, past the 1% gate:
+    the one-step margin of E reads gap points), 0 when it is PASS."""
     desc = tmp_path / "op.json"
     out = tmp_path / "report.json"
-    for descriptor, code in (({"type": "cmv", "period": 1, "alpha": [[0.033, 0.25]]}, 1),
-                             (FREE_CMV, 0)):
+    failing = {"type": "cmv", "period": 3,
+               "alpha": [[-0.11, 0.485], [0.376, -0.073], [0.475, 0.242]]}
+    for descriptor, code in ((failing, 1), (FREE_CMV, 0)):
         desc.write_text(json.dumps(descriptor), encoding="utf-8")
         assert spec_main(["cmv", "--desc", str(desc), f"--grid=0:{2 * math.pi!r}:1024",
                           "--emit", "report", "--out", str(out)]) == code
@@ -601,3 +602,68 @@ class TestSpecCli:
                           "--out", str(tmp_path / "o")]) == 0
         out = capsys.readouterr().out
         assert out.count("PASS") == 3
+
+
+def test_spec_family_unwritable_out_exits_1(tmp_path, capsys):
+    """`spec <family> --out` into a directory that does not exist prints
+    one error line and exits 1, as `spec run` does for an IO error."""
+    desc = tmp_path / "op.json"
+    desc.write_text(json.dumps(FREE_JACOBI), encoding="utf-8")
+    out = tmp_path / "missing" / "x.json"
+    assert spec_main(["jacobi", "--desc", str(desc), "--grid=-3:3:201",
+                      "--emit", "spectrum", "--out", str(out)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1 and not out.exists()
+
+
+def test_python_m_harness_cli_with_runtime_warnings_as_errors(tmp_path):
+    """`python -m acspectra.harness_cli run` passes under
+    PYTHONWARNINGS=error::RuntimeWarning: the package imports harness_cli
+    lazily, so runpy finds it unimported and does not warn."""
+    src = os.path.dirname(os.path.dirname(os.path.abspath(acspectra.__file__)))
+    env = {**os.environ, "PYTHONWARNINGS": "error::RuntimeWarning",
+           "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    proc = subprocess.run(
+        [sys.executable, "-m", "acspectra.harness_cli", "run", "--config",
+         bundled_config_path("free_suite.json"), "--out", str(tmp_path / "out")],
+        capture_output=True, text=True, env=env, timeout=300)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stderr == "" and len(list((tmp_path / "out").iterdir())) == 6
+
+
+def test_report_api_is_imported_on_first_use():
+    """The package's report names resolve to harness_cli's, and an unknown
+    name raises AttributeError."""
+    from acspectra import harness_cli
+    for name in ("SpectralReport", "run_config", "verify_inclusion"):
+        assert getattr(acspectra, name) is getattr(harness_cli, name)
+    with pytest.raises(AttributeError):
+        acspectra.no_such_name
+
+
+@pytest.mark.parametrize("a", [1e6, 1e8, 1e10])
+def test_spec_run_on_a_large_scale_jacobi_writes_its_report(tmp_path, a):
+    """A free Jacobi operator of scale a >= 1e6 has multipliers of modulus
+    within 1e-10 of each other at the old Richardson stages; the exact
+    route's reference sits at a scale-relative distance, so spec run writes
+    the report and exits by its status, without an exception."""
+    cfg = tmp_path / "c.json"
+    cfg.write_text(json.dumps({"operators": [
+        {"name": "big", "descriptor": {"type": "jacobi", "period": 1, "a": [a], "b": [0]}}]}),
+        encoding="utf-8")
+    code = spec_main(["run", "--config", str(cfg), "--out", str(tmp_path / "out")])
+    report = json.loads((tmp_path / "out" / "big_report.json").read_text(encoding="utf-8"))
+    assert code == (1 if report["status"] == "FAILED" else 0)
+    assert (tmp_path / "out" / "big.csv").exists()
+
+
+@pytest.mark.parametrize("c", [1, 3, 10, 30, 100, 1e3])
+def test_period2_jacobi_verdicts_across_scales(c):
+    """a = c [1, 0.7], b = c [0.5, -0.5]: the inclusion PASSes at every
+    scale and the report PASSes for c <= 10; beyond, the 801-site window
+    of the green_inverse_identity oracle is too short for the scale."""
+    rep = verify_inclusion({"type": "jacobi", "period": 2, "a": [c, 0.7 * c],
+                            "b": [0.5 * c, -0.5 * c]})
+    assert rep.theorem_inclusion["status"] == "PASS"
+    if c <= 10:
+        assert rep.status == "PASS", rep.failures

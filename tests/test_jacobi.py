@@ -16,7 +16,7 @@ from scipy.linalg import eigh_tridiagonal
 
 from acspectra.interval_sets import canonicalize, set_algebra
 from acspectra.jacobi import (JacobiCoefficients, ac_spectrum, big_M,
-                              boundary_weyl_grid, discriminant,
+                              boundary_weyl_grid, default_grid, discriminant,
                               green_diag, green_inverse_identity_residual,
                               m_half_line, monodromy, multiplicity_sets,
                               reflectionless_on, truncated_matrix, weyl_data,
@@ -216,6 +216,19 @@ class TestMultiplicity:
         assert set_algebra(target, M2, "difference").measure() <= 2 * step
         # the gaps carry neither multiplicity
         assert not M2.contains(2.5) and not M1.contains(2.5)
+
+    def test_band_edge_points_enter_no_set(self, period2_jacobi):
+        """The band edges -1 and 1 of period2_jacobi are grid points of its
+        default grid.  On the axis the Floquet roots coincide there, so the
+        points are undetermined: not ok and unflagged, in no set (a flagged
+        edge point would read as 'both infinite', multiplicity one)."""
+        grid = default_grid(period2_jacobi)
+        assert {-1.0, 1.0} <= set(grid.tolist())
+        bd = boundary_weyl_grid(period2_jacobi, np.array([-1.0, 1.0]), 0)
+        for key in ("M_plus", "M_minus", "g"):
+            assert not bd[key][2].any() and not (bd["inf_" + key] | bd["div_" + key]).any()
+        M2, M1 = multiplicity_sets(period2_jacobi)
+        assert M1.is_empty() and not M2.contains(1.0) and not M2.contains(-1.0)
 
     def test_bound_state_appears_in_M1(self):
         patched = JacobiCoefficients(1, (1.0,), (0.0,), patch=((0, 1.0, 10.0),))

@@ -1,8 +1,8 @@
 """The Weyl kernels: their entrywise 2x2 transfer products against per-step
 matrices multiplied with np.matmul, their Floquet seeds at the nearest
 period boundary against seeds further out, the CMV kernel against its
-truncation oracle, one kernel call per schedule stage of a boundary sweep
-and one monodromy per kernel call."""
+truncation oracle, two kernel calls per boundary sweep and one monodromy
+per kernel call."""
 
 import math
 
@@ -10,7 +10,7 @@ import numpy as np
 import pytest
 
 from acspectra import cmv, jacobi, schrodinger
-from acspectra.boundary_analysis import SCHEDULE, floquet_pair
+from acspectra.boundary_analysis import floquet_pair
 
 
 def _patched_jacobi(rng, period):
@@ -218,9 +218,9 @@ def test_cmv_kernel_matches_the_truncation_oracle(period):
 
 def test_one_kernel_call_per_schedule_stage(monkeypatch):
     """A boundary sweep calls its family kernel, the entry point the
-    benchmark's trace times, once per SCHEDULE stage on the whole grid
-    (Schrodinger: both sides in one call), so kernel calls and points per
-    operation keep their meaning."""
+    benchmark's trace times, twice on the whole grid, at the reference
+    points and on the axis (Schrodinger: both sides in one call), so
+    kernel calls and points per operation keep their meaning."""
     calls = []
     for mod, name in ((jacobi, "_weyl_grid"), (cmv, "_M11_grid"), (schrodinger, "_m_grid")):
         def counting(op, zs, *args, _fn=getattr(mod, name), _name=name, **kwargs):
@@ -237,8 +237,7 @@ def test_one_kernel_call_per_schedule_stage(monkeypatch):
     for sweep, op, grid, site, name in sweeps:
         calls.clear()
         sweep(op, grid, site)
-        assert calls == [(name, grid.size)] * len(SCHEDULE), name
-    assert len(SCHEDULE) == 5
+        assert calls == [(name, grid.size)] * 2, name
 
 
 def test_one_monodromy_per_kernel_call(monkeypatch, square_well):

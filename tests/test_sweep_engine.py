@@ -10,6 +10,7 @@ import pytest
 
 from acspectra import boundary_analysis, cmv, jacobi, schrodinger
 from acspectra.boundary_analysis import floquet_pair, memo, sweep_scope
+from acspectra.errors import MonodromyDegenerate
 from acspectra.harness_cli import (FAMILY_MODULES, TOLERANCES, _csv_for, _json_safe, _load,
                                    _resolve_grid, run_config, verify_inclusion)
 from acspectra.interval_sets import (canonicalize, circle_set, contains_mask,
@@ -48,12 +49,13 @@ def test_sweeps_per_report(request, monkeypatch, fixture, grid_config, expected)
 
 def test_seeds_per_schrodinger_report(monkeypatch, square_well):
     """The two reference points of a Schrodinger report read one seed pair
-    per schedule stage: five _seeds evaluations on the grid for ten kernel
-    calls, plus one on the identity residual's draws."""
+    per kernel call of a sweep: two _seeds evaluations on the grid (off the
+    axis and on it) for four kernel calls, plus one on the identity
+    residual's draws."""
     sizes, kernel_calls = [], []
     seeds, m_grid = schrodinger._seeds, schrodinger._m_grid
     monkeypatch.setattr(schrodinger, "_seeds",
-                        lambda V, zs: sizes.append(zs.size) or seeds(V, zs))
+                        lambda V, zs, *near: sizes.append(zs.size) or seeds(V, zs, *near))
     monkeypatch.setattr(schrodinger, "_m_grid",
                         lambda *args: kernel_calls.append(1) or m_grid(*args))
     descriptor = square_well.to_descriptor()
@@ -62,8 +64,8 @@ def test_seeds_per_schrodinger_report(monkeypatch, square_well):
         grid, _ = _resolve_grid("schrodinger", square_well, None)
         _csv_for("schrodinger", square_well, grid)
     draws = TOLERANCES["identity_draws"][0]
-    assert sorted(sizes) == sorted([grid.size] * 5 + [draws])
-    assert len(kernel_calls) == 10
+    assert sorted(sizes) == sorted([grid.size] * 2 + [draws])
+    assert len(kernel_calls) == 4
 
 
 @pytest.mark.parametrize("family", ["jacobi", "schrodinger"])
@@ -97,6 +99,33 @@ def test_floquet_pair_on_random_monodromies(family):
                           <= 1e-9 * scale * np.abs(v).max(axis=1))
             assert np.all(np.abs(u) < 1.0) if decaying else np.all(np.abs(u) > 1.0)
             assert np.allclose(u * (tr - u), det, rtol=1e-9, atol=1e-9 * scale ** 2)
+
+
+def test_floquet_pair_branch_rule():
+    """In a sweep floquet_pair never raises.  At the reference (near = 0)
+    it takes the contracting root and marks moduli within BRANCH_TOL and
+    coinciding roots; on the axis it takes the root nearest the reference
+    root, marks a coinciding (Jordan) pair as a band edge, and where the
+    monodromy is scalar within EDGE_TOL keeps the reference's
+    eigenvectors unmarked."""
+    def entries(*ms):
+        return tuple(np.array(col, dtype=complex) for col in zip(*ms))
+    # diag(0.5, 2), diag(1, 1 + 1e-12), a Jordan block with its roots
+    # split by 2e-8, as rounding splits them at a band edge, and I
+    m = entries((0.5, 0, 0, 2), (1, 0, 0, 1 + 1e-12), (1, 1, 1e-16, 1), (1, 0, 0, 1))
+    det = m[0] * m[3] - m[1] * m[2]
+    dec, grow, branch, ambiguous = floquet_pair(*m, det, 0.0)
+    assert branch.shape == (5, 4)
+    assert branch[0, 0] == 0.5 and ambiguous.tolist() == [False, True, True, True]
+    near = np.array([[2.1, 0.9, 0.9, 0.9], [0, 0, 0, 0.6], [1, 1, 1, 0.8],
+                     [1, 1, 1, 0.8], [0, 0, 0, -0.6]], dtype=complex)
+    dec, grow, branch, ambiguous = floquet_pair(*m, det, near)
+    assert branch[0, 0] == 2.0 and dec[0][0] == 0.0     # the eigenvector (0, y) of 2
+    assert ambiguous.tolist() == [False, False, True, False]
+    assert (dec[0][3], dec[1][3], grow[0][3], grow[1][3]) == (0.6, 0.8, 0.8, -0.6)
+    assert (dec[0][1], dec[1][1]) == (0.0, 1.0)
+    with pytest.raises(MonodromyDegenerate):
+        floquet_pair(*m, det)
 
 
 def _bands(disc, xs):
