@@ -491,31 +491,37 @@ def sweep_csv(fam: SweepFamily, op, grid) -> str:
     """Per-point CSV, LF line ends, of the boundary phase at the first
     reference site, in the columns of fam.csv_columns.  A phase cell is
     empty where the point is undetermined, a re/im cell where the phase
-    key's value is not ok."""
+    key's value is not ok.  Each row takes the template of its verdict word
+    and present cells; one % formats the whole table."""
     grid = np.asarray(grid, dtype=float)
     bd = fam.sweep(op, grid, fam.sites(op)[0])
     v, _, conv = bd[fam.phase_key]
     vals, errs, ok = sweep_phase(fam, bd)
+    words = ("undetermined", "interior", "edge" if fam.circle else "exterior")
+    word = np.where(ok, np.where(interior(fam, vals), 1, 2), 0)
+    # numeric cell kinds: (values, format, present given ok and conv)
+    numeric = {"loc": (grid, "%.12g", lambda ok, c: True),
+               "phase": (vals, "%.12g", lambda ok, c: ok),
+               "err": (errs, "%.6g", lambda ok, c: True),
+               "re": (v.real, "%.12g", lambda ok, c: c),
+               "im": (v.imag, "%.12g", lambda ok, c: c)}
 
-    def cells(xs, mask):
-        return [f"{x:.12g}" if m else "" for x, m in zip(xs.tolist(), mask.tolist())]
+    def template(w, c):
+        cells = [words[w] if kind == "verdict" else
+                 numeric[kind][1] if kind in numeric and numeric[kind][2](w > 0, c) else ""
+                 for _, kind in fam.csv_columns]
+        return ",".join(cells) + "\n"
 
-    def verdicts():
-        outside = "edge" if fam.circle else "exterior"
-        return np.where(ok, np.where(interior(fam, vals), "interior", outside),
-                        "undetermined").tolist()
-
-    column = {"loc": lambda: [f"{x:.12g}" for x in grid.tolist()],
-              "phase": lambda: cells(vals, ok),
-              "err": lambda: [f"{e:.6g}" for e in errs.tolist()],
-              "re": lambda: cells(v.real, conv),
-              "im": lambda: cells(v.imag, conv),
-              "verdict": verdicts,
-              "empty": lambda: [""] * grid.size}
+    # the template of verdict word w and conv c sits at 2 w + c
+    templates = np.array([template(w, c) for w in range(3) for c in (False, True)])
+    kinds = [kind for _, kind in fam.csv_columns if kind in numeric]
+    values = np.column_stack([numeric[kind][0] for kind in kinds])
+    present = np.column_stack([np.broadcast_to(numeric[kind][2](ok, conv), grid.shape)
+                               for kind in kinds])
     # no cell holds a comma, a quote or a line end, so none needs quoting
     header = ",".join(name for name, _ in fam.csv_columns)
-    rows = zip(*(column[kind]() for _, kind in fam.csv_columns))
-    return "\n".join([header, *map(",".join, rows)]) + "\n"
+    body = "".join(templates[2 * word + conv].tolist())
+    return f"{header}\n" + body % tuple(values[present].tolist())
 
 
 def sweep_ac_spectrum(fam: SweepFamily, op, grid):

@@ -16,9 +16,13 @@ sweep (`_sweep`), O(n log n) in the number of endpoints: a stable argsort of
 all endpoints, per-break counts from `np.add.reduceat` and the covering depth
 from `cumsum`.  Inputs are read as endpoint arrays; the first malformed piece
 in input order raises its own error.  Of equal breaks (0.0 and -0.0) the first
-stands: left ends, then right ends, then points, each in input order.  Only
-outputs are Interval and Arc objects, holding Python floats and bools.
-`contains_mask` tests a whole grid with one `searchsorted` over the endpoints.
+stands: left ends, then right ends, then points, each in input order.  The
+sweep returns its output as columns of Python floats and bools, and each
+output Interval or Arc is built once from them as pickle builds an object
+(`_built`: object.__new__, then the instance dict), without __init__'s
+checks, which the strictly increasing breaks of finite input ends cannot
+fail; an Interval a caller constructs is still validated.  `contains_mask`
+tests a whole grid with one `searchsorted` over the endpoints.
 """
 
 from __future__ import annotations
@@ -28,6 +32,7 @@ import math
 import operator
 from dataclasses import dataclass, field
 from fractions import Fraction
+from itertools import chain
 
 import numpy as np
 
@@ -102,8 +107,10 @@ _KINDS = np.array([[1, 1, -1, -1, 0], [1, 1, 0, 0, 0], [0, 1, 0, 1, 1]])
 _KIND_TABLES = {k: np.kron(np.eye(k, dtype=int), _KINDS) for k in (1, 2)}
 
 
-def _sweep(operands, combine=lambda member: member) -> "RealIntervalSet":
-    """Canonical set where combine(membership in each operand) holds.
+def _sweep(operands, combine=lambda member: member) -> tuple:
+    """Columns (lo, hi, lo_closed, hi_closed, points) of the canonical set
+    where combine(membership in each operand) holds, as lists of Python
+    floats and bools.
 
     operands: k (rows, pts) pairs, rows an (n, 4) array of (lo, hi,
     lo_closed, hi_closed) with lo < hi, pts an array of points.  One stable
@@ -114,7 +121,7 @@ def _sweep(operands, combine=lambda member: member) -> "RealIntervalSet":
     values = np.concatenate([r[:, c] for r, _ in operands for c in (0, 1)]
                             + [p for _, p in operands])
     if not values.size:
-        return RealIntervalSet()
+        return [], [], [], [], []
     kinds = np.concatenate(
         [r[:, 2 + c] + (5 * j + 2 * c) for j, (r, _) in enumerate(operands) for c in (0, 1)]
         + [np.full(p.size, 5 * j + 4.0) for j, (_, p) in enumerate(operands)]).astype(np.intp)
@@ -132,13 +139,39 @@ def _sweep(operands, combine=lambda member: member) -> "RealIntervalSet":
     lo = gap_on & ~(gap_left & point_on)
     hi = gap_left & ~(gap_on & point_on)
     lone = point_on & ~(gap_left | gap_on)
-    intervals = map(Interval, breaks[lo].tolist(), breaks[hi].tolist(),
-                    point_on[lo].tolist(), point_on[hi].tolist())
-    return RealIntervalSet(tuple(intervals), tuple(breaks[lone].tolist()))
+    return (breaks[lo].tolist(), breaks[hi].tolist(), point_on[lo].tolist(),
+            point_on[hi].tolist(), breaks[lone].tolist())
 
 
-def _line_set(rows, pts) -> "RealIntervalSet":
-    """Canonical union of rows and points; a row lo == hi is the point lo if closed."""
+def _built(cls, lo, hi, lo_closed, hi_closed) -> tuple:
+    """Interval or Arc pieces from field columns, made as pickle makes an
+    object: object.__new__, then the instance dict.  __init__ and its checks
+    are skipped: the sweep's breaks strictly increase and each is an end of
+    a finite input piece, and a hull's runs are sorted finite points, so
+    every piece has finite lo < hi."""
+    k_lo, k_hi, k_lo_closed, k_hi_closed = cls.__dataclass_fields__
+    new = object.__new__
+    pieces = []
+    for a, b, c, d in zip(lo, hi, lo_closed, hi_closed):
+        piece = new(cls)
+        state = piece.__dict__
+        state[k_lo] = a
+        state[k_hi] = b
+        state[k_lo_closed] = c
+        state[k_hi_closed] = d
+        pieces.append(piece)
+    return tuple(pieces)
+
+
+def _line_from(cols) -> "RealIntervalSet":
+    """The line set of sweep columns (lo, hi, lo_closed, hi_closed, points)."""
+    *ends, pts = cols
+    return RealIntervalSet(_built(Interval, *ends), tuple(pts))
+
+
+def _line_set(rows, pts) -> tuple:
+    """Sweep columns of the union of rows and points; a row lo == hi is the
+    point lo if closed."""
     deg = rows[:, 0] == rows[:, 1]
     if deg.any():
         pts = np.concatenate([rows[deg & (rows[:, 2] + rows[:, 3] > 0), 0], pts])
@@ -152,7 +185,8 @@ _ARC_ENDS = operator.attrgetter("theta1", "theta2", "lo_closed", "hi_closed")
 
 def _rows(pieces, ends) -> np.ndarray:
     """(n, 4) float rows of Interval or Arc objects."""
-    return np.array(list(map(ends, pieces)), dtype=float).reshape(-1, 4)
+    return np.fromiter(chain.from_iterable(map(ends, pieces)), float,
+                       4 * len(pieces)).reshape(-1, 4)
 
 
 @dataclass(frozen=True)
@@ -182,7 +216,7 @@ def canonicalize(raw_intervals, points=()) -> RealIntervalSet:
     _check_rows(rows)
     if err is not None:
         raise err
-    return _line_set(rows, _points(points))
+    return _line_from(_line_set(rows, _points(points)))
 
 
 def _check_rows(rows):
@@ -212,8 +246,9 @@ def set_algebra(a, b, op: str):
 
 
 def _line_algebra(a: RealIntervalSet, b: RealIntervalSet, op: str) -> RealIntervalSet:
-    return _sweep([(_rows(s.intervals, _ENDS), np.array(s.isolated_points, dtype=float))
-                   for s in (a, b)], _OPS[op])
+    operands = [(_rows(s.intervals, _ENDS), np.array(s.isolated_points, dtype=float))
+                for s in (a, b)]
+    return _line_from(_sweep(operands, _OPS[op]))
 
 
 def essential_closure(s):
@@ -231,7 +266,7 @@ def essential_closure(s):
         return s    # closed intervals alone are their own closure
     rows = _rows(s.intervals, _ENDS)
     rows[:, 2:] = 1.0
-    return _sweep([(rows, np.empty(0))])
+    return _line_from(_sweep([(rows, np.empty(0))]))
 
 
 def widen(s, slack: float):
@@ -241,12 +276,19 @@ def widen(s, slack: float):
     if isinstance(s, CircleArcSet):
         if s.is_full() or any(a.length + 2 * slack >= TWO_PI for a in s.arcs):
             return full_circle()
-        arcs = [(a.theta1 - slack, a.theta2 + slack, "cc") for a in s.arcs]
-        arcs += [(p - slack, p + slack, "cc") for p in s.isolated_points]
-        return circle_set(arcs, [])
-    ivs = [(iv.lo - slack, iv.hi + slack, "cc") for iv in s.intervals]
-    ivs += [(p - slack, p + slack, "cc") for p in s.isolated_points]
-    return canonicalize(ivs, [])
+        return _arc_set(_widened(_rows(s.arcs, _ARC_ENDS), s.isolated_points, slack), ())
+    rows = _widened(_rows(s.intervals, _ENDS), s.isolated_points, slack)
+    _check_rows(rows)
+    return _line_from(_line_set(rows, np.empty(0)))
+
+
+def _widened(rows, points, slack) -> np.ndarray:
+    """The rows, then a row per point, closed and widened by slack on each side."""
+    rows = np.concatenate([rows, np.repeat(np.array(points, dtype=float), 4).reshape(-1, 4)])
+    rows[:, 0] -= slack
+    rows[:, 1] += slack
+    rows[:, 2:] = 1.0
+    return rows
 
 
 def longest_component(s) -> float:
@@ -387,28 +429,29 @@ class CircleArcSet:
                            _norm_angles(np.array(self.isolated_points, dtype=float)))
 
     @staticmethod
-    def _from_line(ris: RealIntervalSet) -> "CircleArcSet":
-        """Arcs of a line representative on [0, 2pi).  Where angle 0 is
-        covered, the component ending at 2pi (within 1e-15) continues through
-        it into the component starting at 0, or into the point 0 if it ends
-        exactly at 2pi.  A component from 0 to 2pi is the full circle, less
-        angle 0 when it is open at both ends."""
-        arcs = [Arc(iv.lo, iv.hi, iv.lo_closed, iv.hi_closed) for iv in ris.intervals]
-        pts = list(ris.isolated_points)
-        zero = Arc(0.0, 0.0, True, True) if 0.0 in pts else None
-        first = arcs[0] if arcs and arcs[0].theta1 == 0.0 else zero
-        last = next((a for a in arcs if a.theta2 >= TWO_PI - 1e-15), None)
-        if first and last and (first.lo_closed or last.hi_closed) \
-                and (first is not zero or last.theta2 == TWO_PI):
-            if first is last:
+    def _from_line(cols) -> "CircleArcSet":
+        """Arcs of the sweep columns of a line representative on [0, 2pi).
+        Where angle 0 is covered, the component ending at 2pi (within 1e-15)
+        continues through it into the component starting at 0, or into the
+        point 0 if it ends exactly at 2pi.  A component from 0 to 2pi is the
+        full circle, less angle 0 when it is open at both ends."""
+        lo, hi, lo_c, hi_c, pts = cols
+        last = bisect.bisect_left(hi, TWO_PI - 1e-15)   # the first component reaching 2pi
+        reach = last < len(hi)
+        at_zero = reach and lo[0] == 0.0
+        if at_zero and (lo_c[0] or hi_c[last]):
+            if last == 0:
                 return full_circle()
-            arcs = [Arc(last.theta1, first.theta2 + TWO_PI, last.lo_closed, first.hi_closed)] \
-                + [a for a in arcs if a is not first and a is not last]
+            # the last component goes on past 2pi as far as the first one
+            hi[last], hi_c[last] = hi[0] + TWO_PI, hi_c[0]
+            lo, hi, lo_c, hi_c = lo[1:], hi[1:], lo_c[1:], hi_c[1:]
             pts = [p for p in pts if p != 0.0]
-        elif first and first is last:
-            arcs = [Arc(0.0, TWO_PI, False, False)]
-        arcs.sort(key=lambda a: a.theta1)
-        return CircleArcSet(tuple(arcs), tuple(pts))
+        elif at_zero and last == 0:
+            lo[0], hi[0] = 0.0, TWO_PI
+        elif reach and hi[last] == TWO_PI and 0.0 in pts:
+            hi_c[last] = True
+            pts = [p for p in pts if p != 0.0]
+        return CircleArcSet(_built(Arc, lo, hi, lo_c, hi_c), tuple(pts))
 
     def essential_closure(self) -> "CircleArcSet":
         """The line's rule: close every arc, canonicalize once through the line
@@ -428,6 +471,11 @@ def circle_set(arcs, points=()) -> CircleArcSet:
     """Canonical circle set from (theta1, theta2[, flags]) pairs; theta2 may exceed
     theta1 by up to 2pi; angles are reduced mod 2pi."""
     rows, err = _pieces(arcs)
+    return _arc_set(rows, points, err)
+
+
+def _arc_set(rows, points, err=None) -> CircleArcSet:
+    """circle_set of (n, 4) arc rows, err the error of a malformed spec after them."""
     t1, t2 = rows[:, 0], rows[:, 1]
     t2 = np.where(t2 < t1, t2 + TWO_PI, t2)  # (t1, t2) with t2 < t1 read as the wrap-around arc
     with np.errstate(invalid="ignore"):     # inf - inf: a non-finite arc, refused below
@@ -547,28 +595,36 @@ def angles_hull(thetas, step: float) -> CircleArcSet:
     last angle one turn down and the first one turn up carry a run through
     angle 0 to 0 and to 2pi; the runs are then cut to [0, 2pi]."""
     ts = np.sort(np.remainder(np.asarray(thetas, dtype=float), TWO_PI))
-    hull = points_hull(np.concatenate([ts[-1:] - TWO_PI, ts, ts[:1] + TWO_PI]), step)
-    arcs = [(max(iv.lo, 0.0), min(iv.hi, TWO_PI), "cc") for iv in hull.intervals
-            if iv.lo < TWO_PI and iv.hi > 0.0]
-    return circle_set(arcs, [t for t in hull.isolated_points if 0.0 <= t < TWO_PI])
+    lo, hi = _runs(np.concatenate([ts[-1:] - TWO_PI, ts, ts[:1] + TWO_PI]), step)
+    arc = (lo < hi) & (lo < TWO_PI) & (hi > 0.0)
+    lone = (lo == hi) & (0.0 <= lo) & (lo < TWO_PI)
+    rows = np.ones((np.count_nonzero(arc), 4))
+    rows[:, 0] = np.where(lo < 0.0, 0.0, lo)[arc]
+    rows[:, 1] = np.where(hi > TWO_PI, TWO_PI, hi)[arc]
+    return _arc_set(rows, lo[lone])
 
 
 def points_hull(xs, step: float) -> RealIntervalSet:
     """Closed hull of maximal runs of consecutive grid points (spacing <=
     1.5*step).  The runs are sorted and apart, so they are the canonical set:
     a one-point run is an isolated point, any other a closed interval."""
+    lo, hi = _runs(xs, step)
+    iv = lo < hi
+    closed = [True] * np.count_nonzero(iv)
+    return _line_from((lo[iv].tolist(), hi[iv].tolist(), closed, closed, lo[~iv].tolist()))
+
+
+def _runs(xs, step: float):
+    """(first, last) point arrays of the maximal runs of sorted xs."""
     # stable, as sorted() is: of equal points (0.0 and -0.0) the first one given starts a run
     xs = np.sort(np.asarray(xs, dtype=float), kind="stable")
     if not np.isfinite(xs).all():
         raise ValueError("interval endpoints must be finite")
     if not xs.size:
-        return RealIntervalSet()
+        return xs, xs
     # equal points share a run whatever the step
     cut = (~(np.diff(xs) <= max(0.0, 1.5 * step))).nonzero()[0]
-    runs = list(zip(xs[np.concatenate(([0], cut + 1))].tolist(),
-                    xs[np.append(cut, xs.size - 1)].tolist()))
-    return RealIntervalSet(tuple(Interval(lo, hi, True, True) for lo, hi in runs if lo < hi),
-                           tuple(lo for lo, hi in runs if lo == hi))
+    return xs[np.concatenate(([0], cut + 1))], xs[np.append(cut, xs.size - 1)]
 
 
 # ---------------------------------------------------------------------------

@@ -290,9 +290,14 @@ def truncated_matrix(J: JacobiCoefficients, N: int) -> TridiagonalMatrix:
     if N < 4:
         raise ValueError("truncation needs at least 4 sites")
     first = -(N // 2)
-    sites = range(first, first + N)
-    diag = np.array([J.b(n) for n in sites])
-    off = np.array([J.a(n) for n in list(sites)[:-1]])
+    base = np.arange(first, first + N) % J.period
+    diag = np.array(J.b_base)[base]
+    off = np.array(J.a_base)[base[:-1]]
+    for n, a, b in J.patch:
+        if 0 <= n - first < N:
+            diag[n - first] = b
+        if 0 <= n - first < N - 1:
+            off[n - first] = a
     return TridiagonalMatrix(first, diag, off)
 
 

@@ -474,6 +474,62 @@ class TestSweepCsv:
         assert lines[0].split(",") == [name for name, _ in fam.csv_columns]
         assert len(lines) == grid.size + 1
 
+    @staticmethod
+    def per_cell_csv(fam, op, grid) -> str:
+        """The CSV written one f-string per cell: the reference of sweep_csv."""
+        grid = np.asarray(grid, dtype=float)
+        bd = fam.sweep(op, grid, fam.sites(op)[0])
+        v, _, conv = bd[fam.phase_key]
+        vals, errs, ok = sweep_phase(fam, bd)
+        inside = interior(fam, vals)
+        outside = "edge" if fam.circle else "exterior"
+        lines = [",".join(name for name, _ in fam.csv_columns)]
+        for k, x in enumerate(grid.tolist()):
+            cells = {"loc": f"{x:.12g}",
+                     "phase": f"{float(vals[k]):.12g}" if ok[k] else "",
+                     "err": f"{float(errs[k]):.6g}",
+                     "re": f"{float(v[k].real):.12g}" if conv[k] else "",
+                     "im": f"{float(v[k].imag):.12g}" if conv[k] else "",
+                     "verdict": (("interior" if inside[k] else outside) if ok[k]
+                                 else "undetermined"),
+                     "empty": ""}
+            lines.append(",".join(cells[kind] for _, kind in fam.csv_columns))
+        return "\n".join(lines) + "\n"
+
+    @pytest.mark.parametrize("module, fixture", [
+        (jacobi, "free_jacobi"), (jacobi, "period2_jacobi"), (cmv, "free_cmv"),
+        (cmv, "geronimus_cmv"), (schrodinger, "free_schrodinger"), (schrodinger, "square_well")])
+    def test_fixture_csv_equals_the_per_cell_writer(self, request, module, fixture):
+        op = request.getfixturevalue(fixture)
+        fam = module._FAMILY
+        grid = fam.grid(op)
+        assert sweep_csv(fam, op, grid) == self.per_cell_csv(fam, op, grid)
+
+    @pytest.mark.parametrize("circle", [False, True])
+    def test_odd_cells_equal_the_per_cell_writer(self, circle):
+        """Undetermined points, non-finite values and errors, signed zeros,
+        and values not ok beside ok ones, in every cell kind."""
+        v = np.array([-0.0 + 0.5j, 0.5 - 0.0j, math.inf + 1j, math.nan + 0j, 1e-300 + 1e300j,
+                      -2.5 - 0.0j, 0.25 + 0.75j, 1j, -0.0 - 0.0j], dtype=complex)
+        err = np.array([0.0, 1e-3, math.inf, math.nan, 1e-17, 0.0, -0.0, 1e10, 0.0])
+        conv = np.array([True, True, True, False, True, True, False, True, True])
+        bd = {"p": (v, err, conv), "inf_p": np.zeros(v.shape, bool),
+              "div_p": np.arange(v.size) == 5}
+        fam = SweepFamily(sweep=lambda op, grid, site: bd, phase=None, grid=None,
+                          sites=lambda op: (0, 1), circle=circle, pair=("p", "p"),
+                          phase_key="p", csv_columns=self.COLUMNS)
+        grid = np.array([-0.0, 0.0, 1e-300, -1e300, 2.0 / 3.0, 1.0, 5e-324, math.pi, 123456789.0])
+        text = sweep_csv(fam, None, grid)
+        assert text == self.per_cell_csv(fam, None, grid)
+        rows = [line.split(",") for line in text.splitlines()[1:]]
+        assert rows[0][0] == "-0" and "-0" in rows[1] + rows[8]
+        assert {"inf", "nan"} <= {cell for row in rows for cell in row}
+        assert {row[5] for row in rows} >= {"undetermined", "interior"}
+
+    def test_no_grid_points_is_the_header(self):
+        fam = family(False, columns=self.COLUMNS)
+        assert sweep_csv(fam, None, np.empty(0)) == "x,xi,error_estimate,re,im,verdict,pad\n"
+
 
 class TestHelpers:
     @pytest.mark.parametrize("side, plus", [("+", True), ("-", False)])

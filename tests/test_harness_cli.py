@@ -601,6 +601,18 @@ class TestSpecCli:
         xis = [float(line.split(",")[col]) for line in lines[1:] if line.split(",")[col]]
         assert any(abs(x - center) < 1e-6 for x in xis)
 
+    @pytest.mark.parametrize("family, grid", [
+        ("jacobi", "-3:3:61"), ("cmv", "0:6.283185307179586:512"), ("schrodinger", "-1:30:63"),
+    ])
+    def test_emit_xi_bytes(self, tmp_path, family, grid):
+        """The bytes CI compares `spec <family> --emit xi` with."""
+        data = os.path.join(os.path.dirname(os.path.abspath(__file__)), "data", "xi")
+        out = tmp_path / "xi.csv"
+        assert spec_main([family, "--desc", os.path.join(data, f"{family}.json"),
+                          f"--grid={grid}", "--emit", "xi", "--out", str(out)]) == 0
+        with open(os.path.join(data, f"{family}.csv"), "rb") as fh:
+            assert out.read_bytes() == fh.read()
+
     def test_emit_report(self, tmp_path, capsys):
         desc = tmp_path / "op.json"
         desc.write_text(json.dumps(FREE_CMV), encoding="utf-8")

@@ -3,7 +3,7 @@
 import json
 import math
 import warnings
-from dataclasses import replace
+from dataclasses import FrozenInstanceError, astuple, replace
 
 import numpy as np
 import pytest
@@ -11,7 +11,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from acspectra.interval_sets import (Arc, CircleArcSet, GeneratedFatSet, Interval,
-                                     RealIntervalSet, angles_hull, canonicalize,
+                                     RealIntervalSet, _built, angles_hull, canonicalize,
                                      circle_set, contains_mask, equivalent_supports,
                                      essential_closure, fat_density_report,
                                      full_circle, lebesgue_measure,
@@ -548,6 +548,21 @@ class TestEdgeBehaviour:
             with pytest.raises(ValueError, match="isolated points must be finite"):
                 circle_set([(0.5, 1.0)], [x for x in arc if not math.isfinite(x)])
 
+    def test_circle_less_angle_zero_starts_at_plus_zero(self):
+        """A component open at both ends from 0 to 2pi is the arc (0.0, 2pi),
+        whichever zero its break was."""
+        a = CircleArcSet((Arc(-0.0, 2 * math.pi, True, False),))
+        s = set_algebra(a, circle_set([], [0.0]), "difference")
+        assert s == CircleArcSet((Arc(0.0, 2 * math.pi, False, False),))
+        assert _sign(s.arcs[0].theta1) == 1.0
+
+    def test_closed_end_within_1e_15_of_two_pi_joins_the_component_at_zero(self):
+        """_from_line's rule, as its docstring states it: the component at 0
+        continues one ending within 1e-15 of 2pi, though the points between
+        them are not in the set; kept so that outputs stay the same."""
+        s = circle_set([(0.0, 1.0, "oc"), (5.0, math.nextafter(2 * math.pi, 0.0), "cc")])
+        assert s == CircleArcSet((Arc(5.0, 1.0 + 2 * math.pi, True, True),))
+
     def test_outputs_hold_python_floats_and_bools(self):
         a = canonicalize([(0.0, 1.0, "co"), (2.0, 3.0, "oc")], [5.0])
         b = canonicalize([(0.5, 2.5, "cc")], [7.0])
@@ -590,3 +605,75 @@ class TestEdgeBehaviour:
         assert points_hull([1.0, 0.0, 0.0], -1.0) == canonicalize([], [0.0, 1.0])
         assert points_hull([1.0, 0.0, 0.0], math.nan) == canonicalize([], [0.0, 1.0])
         assert angles_hull([], 0.1) == CircleArcSet()
+
+
+def _rebuilt(s):
+    """s with every piece built again through __init__, which validates it."""
+    if isinstance(s, CircleArcSet):
+        return CircleArcSet(tuple(Arc(*astuple(a)) for a in s.arcs), s.isolated_points)
+    return RealIntervalSet(tuple(Interval(*astuple(iv)) for iv in s.intervals),
+                           s.isolated_points)
+
+
+def _random_specs(rng, n, span):
+    """n interval or arc specs: quarter-grid and continuous ends, signed
+    zeros, degenerate pieces, every flag code."""
+    lo = np.where(rng.random(n) < 0.5, np.round(rng.uniform(-1.0, span, n) * 4) / 4,
+                  rng.uniform(-1.0, span, n))
+    lo = np.where(rng.random(n) < 0.1, rng.choice([0.0, -0.0]), lo)
+    length = np.where(rng.random(n) < 0.1, 0.0, rng.exponential(0.4, n))
+    flags = rng.choice(FLAGS, n)
+    return [(a, a + b, f) for a, b, f in zip(lo.tolist(), length.tolist(), flags.tolist())]
+
+
+class TestBuiltPieces:
+    """Output pieces are built from the sweep's columns without __init__;
+    they are the objects __init__ builds, and callers' objects still validate."""
+
+    COLUMNS = ([-1.5, -0.0, 2.0, 7.25], [-0.5, 1.0, 3.0, 9.0],
+               [True, False, True, False], [False, True, True, False])
+
+    @pytest.mark.parametrize("cls", [Interval, Arc])
+    def test_built_pieces_are_constructed_ones(self, cls):
+        built, made = _built(cls, *self.COLUMNS), tuple(map(cls, *self.COLUMNS))
+        assert built == made and hash(built) == hash(made) and repr(built) == repr(made)
+        for b, m in zip(built, made):
+            assert type(b) is cls and b == m and not b != m and hash(b) == hash(m)
+            assert list(vars(b).items()) == list(vars(m).items())
+            assert [type(v) for v in vars(b).values()] == [float, float, bool, bool]
+            with pytest.raises(FrozenInstanceError):
+                b.hi_closed = True
+        if cls is Interval:
+            assert sorted(reversed(built)) == list(made)
+            assert [x < y for x in built for y in made] == [x < y for x in made for y in made]
+            assert [x <= y for x in made for y in built] == [x <= y for x in made for y in made]
+
+    def test_callers_still_validate(self):
+        with pytest.raises(ValueError, match="must be finite"):
+            Interval(math.nan, 1.0, True, True)
+        with pytest.raises(ValueError, match="lo > hi"):
+            Interval(2.0, 1.0, True, True)
+
+    def test_every_output_piece_rebuilds_through_init(self):
+        rng = np.random.default_rng(24)
+        for _ in range(100):
+            n = int(rng.integers(0, 25))
+            a = canonicalize(_random_specs(rng, n, 8.0), rng.uniform(-1.0, 8.0, 2).tolist())
+            b = canonicalize(_random_specs(rng, n, 8.0), [0.0, -0.0][:int(rng.integers(0, 3))])
+            c = circle_set(_random_specs(rng, n, 7.0), rng.uniform(-1.0, 7.0, 2).tolist())
+            d = circle_set(_random_specs(rng, n, 7.0) + [(6.0, 2 * math.pi, "oc")], [0.0])
+            step = float(rng.choice([0.05, 0.25, 0.5]))
+            xs = np.round(rng.uniform(-1.0, 7.0, n) / step) * step
+            outputs = [a, b, c, d, essential_closure(a), essential_closure(c),
+                       widen(a, step), widen(c, step), points_hull(xs, step),
+                       angles_hull(xs, step), set_from_json(set_to_json(a)),
+                       set_from_json(set_to_json(c))]
+            outputs += [set_algebra(x, y, op) for op in ("union", "intersect", "difference",
+                                                         "symmetric_difference")
+                        for x, y in ((a, b), (b, a), (c, d), (d, c))]
+            for s in outputs:
+                assert _rebuilt(s) == s and repr(_rebuilt(s)) == repr(s)
+        fat = fat_density_report(GeneratedFatSet.rational_fat(25))
+        assert _rebuilt(fat.closure) == fat.closure
+        trunc = GeneratedFatSet.rational_fat(25).truncated_set()
+        assert _rebuilt(trunc) == trunc

@@ -14,7 +14,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.linalg import eigh_tridiagonal
 
-from acspectra.interval_sets import canonicalize, set_algebra
+from acspectra.interval_sets import canonicalize, longest_component, set_algebra
 from acspectra.jacobi import (JacobiCoefficients, ac_spectrum, big_M,
                               boundary_weyl_grid, default_grid, discriminant,
                               green_diag, green_inverse_identity_residual,
@@ -165,6 +165,18 @@ class TestAcSpectrum:
                   for iv in s.intervals]
         assert all(c >= 0.45 * N for c in counts)
 
+    @pytest.mark.xfail(strict=True, reason="boundary_analysis._axis_margin has an absolute "
+                       "floor of 1e-10, so |g| ~ 5e-11 in the middle of the band reads on the "
+                       "axis and the band splits at +-1.732e10")
+    def test_free_band_at_scale_1e10(self):
+        """The free operator scaled by a = 1e10 has the ac spectrum [-2e10, 2e10]."""
+        J = JacobiCoefficients(1, (1e10,), (0.0,))
+        grid = default_grid(J)
+        step = grid[1] - grid[0]
+        s = ac_spectrum(J, grid)
+        band = canonicalize([(-2e10, 2e10)])
+        assert longest_component(set_algebra(s, band, "symmetric_difference")) <= 2 * step
+
 
 class TestReflectionless:
     def test_free_on_spectrum(self, free_jacobi):
@@ -205,6 +217,21 @@ class TestIdentity:
         assert green_inverse_identity_residual(free_jacobi, zs) < 1e-10
         patched = JacobiCoefficients(1, (1.0,), (0.0,), patch=((1, 0.8, 0.3),))
         assert green_inverse_identity_residual(patched, zs) < 1e-10
+
+    def test_truncation_holds_the_coefficients_of_its_sites(self, rng):
+        """Patch sites inside the window, on its first and last sites (the
+        last has no coupling right of it) and outside it, over bases of
+        several periods."""
+        for period in (1, 2, 3):
+            patch = {int(n): (float(rng.uniform(0.5, 2.0)), float(rng.uniform(-1.0, 1.0)))
+                     for n in (-5, -4, -2, 0, 1, 2, 4, 9)}
+            J = JacobiCoefficients(period, tuple(rng.uniform(0.5, 2.0, period)),
+                                   tuple(rng.uniform(-1.0, 1.0, period)), patch)
+            for N in (4, 5, 8, 9):
+                T = truncated_matrix(J, N)
+                sites = range(T.first_site, T.first_site + N)
+                assert T.diag.tolist() == [J.b(n) for n in sites]
+                assert T.offdiag.tolist() == [J.a(n) for n in sites[:-1]]
 
 
 class TestMultiplicity:
