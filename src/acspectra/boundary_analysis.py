@@ -19,7 +19,8 @@ value is its distance to the reference value.  Points where no root is
 clearly nearest (band edges, multipliers of near-equal modulus at the
 reference) are undetermined, and so are non-finite values and poles; at a
 closed gap the monodromy is scalar and the axis takes the reference's
-eigenvectors.
+eigenvectors.  A one-point read follows the same rule: one_point raises
+MonodromyDegenerate exactly where the kernel marks its branch ambiguous.
 
 boundary_sweep, the Richardson extrapolation along a geometric schedule
 (eps_k = 0.1 * 2^-k for k = 8..12 toward the line, radii r_k = 1 - eps_k
@@ -32,9 +33,12 @@ CSV writer, with each family's conventions passed as data, plus the
 Floquet chooser and 2x2 helpers of the kernels.  Both Weyl solutions of a
 periodic base are eigenvectors of one period monodromy, so floquet_pair
 takes its four entries and returns the decaying and the growing one, each
-an (x, y) pair, from a single square root; a kernel seeds both
-half lines from one matrix without stacking it, and the CMV Schur
-function is the fixed point its growing eigenvector gives.  The
+an (x, y) pair, from a single square root, with one branch rule for every
+call: the decaying root is the one nearest near (0, the contracting root,
+unless a sweep's axis call passes its reference's branch).  A kernel
+seeds both half lines from one matrix without stacking it, and returns
+its branch and ambiguous mask as the entry 'floquet'; the CMV Schur
+function is the fixed point the growing eigenvector gives.  The
 Schrodinger seeds do not depend on the reference point either, so in a
 report scope both reference points read one seed pair per kernel call
 (memo).  Every one-point value of a family is its grid kernel (one_point)
@@ -60,7 +64,6 @@ from .interval_sets import (angles_hull, contains_mask, essential_closure,
 
 DIVERGENCE_CAP = 1e8
 INFINITE_LIMIT = 1e6
-DEGENERACY_TOL = 1e-10
 # the Floquet branch of an exact sweep: the reference points lie
 # REFERENCE_EPS times the operator's scale off the axis; a monodromy is
 # scalar, or its roots coincide, within EDGE_TOL, and neither root is the
@@ -143,67 +146,61 @@ def require_in_disk(z) -> complex:
     return z
 
 
-def one_point(kernel, op, z, *args, circle: bool = False):
+def one_point(kernel, op, z, *args, circle: bool = False) -> dict:
     """The grid kernel kernel(op, zs, *args) read at the one point z, after
     the domain check of the carrier (off the real axis, resp. in the open
-    unit disk): its array, or each array of its dict, as a Python complex."""
+    unit disk): each array of its dict but 'floquet' as a Python complex.
+    Where the kernel's branch is ambiguous (floquet_pair), exactly where a
+    sweep leaves the point undetermined, it raises MonodromyDegenerate."""
     z = require_in_disk(z) if circle else require_off_axis(z)
     out = kernel(op, np.array([z]), *args)
-    if isinstance(out, dict):
-        return {k: complex(v[0]) for k, v in out.items()}
-    return complex(out[0])
+    if out.pop("floquet")[1][0]:
+        raise MonodromyDegenerate(f"Floquet branch ambiguous at z = {z}: the multipliers "
+                                  "coincide or have equal modulus; move z off the axis")
+    return {k: complex(v[0]) for k, v in out.items()}
 
 
-def floquet_pair(m00, m01, m10, m11, det, near=None):
-    """(decaying, growing): eigenvectors, each an (x, y) pair of arrays, of
-    the monodromy with entries m00, m01, m10, m11 (determinant det).  With
-    h = (m00 - m11)/2 and s = sqrt(h^2 + m01 m10), the multipliers are
-    tr/2 +- s: the larger one takes the cancellation-free sign, the other
-    one u' = det/u, and the eigenvector of tr/2 + sigma s is (m01, sigma s -
-    h) or (sigma s + h, m10), whichever is larger.  h and s come from
-    differences of the entries, so both eigenvectors keep their digits
-    where the monodromy is nearly scalar (a closed gap).
+def floquet_pair(m00, m01, m10, m11, det, near=0.0):
+    """(decaying, growing, branch, ambiguous) of the monodromy with entries
+    m00, m01, m10, m11 (determinant det): decaying and growing are
+    eigenvectors, each an (x, y) pair of arrays.  With h = (m00 - m11)/2
+    and s = sqrt(h^2 + m01 m10), the multipliers are tr/2 +- s: the larger
+    one takes the cancellation-free sign, the other one u' = det/u, and the
+    eigenvector of tr/2 + sigma s is (m01, sigma s - h) or (sigma s + h,
+    m10), whichever is larger.  h and s come from differences of the
+    entries, so both eigenvectors keep their digits where the monodromy is
+    nearly scalar (a closed gap).
 
-    Without near, the decaying multiplier is the contracting (|u| < 1) one,
-    and multiplier moduli within DEGENERACY_TOL (only on the real axis)
-    raise MonodromyDegenerate.  In a sweep, near is 0 for the reference
-    call (the contracting root) or the branch a reference call returned;
-    the decaying multiplier is the root nearest near, and the return is
-    (decaying, growing, branch, ambiguous), never raising.  branch stacks
-    the decaying root and both eigenvectors, shape (5,) + shape.  Where the
-    monodromy is scalar within EDGE_TOL (a closed gap) every vector is an
-    eigenvector, and an axis call takes the reference's.  ambiguous marks
-    the entries whose roots coincide within EDGE_TOL relative to the
-    traceless part of the monodromy (band edges), or whose distances to near
-    differ by at most BRANCH_TOL of their sum (for near = 0, near-equal
-    moduli)."""
+    The decaying multiplier is the root nearest near: near = 0 (a one-point
+    read, an oracle, a sweep's reference call) takes the contracting root,
+    and a sweep's axis call passes the branch its reference call returned.
+    branch stacks the decaying root and both eigenvectors, shape (5,) +
+    shape.  Where the monodromy is scalar within EDGE_TOL (a closed gap)
+    every vector is an eigenvector, and an axis call takes the reference's.
+    ambiguous marks the entries whose roots coincide within EDGE_TOL
+    relative to the traceless part of the monodromy (band edges), or whose
+    distances to near differ by at most BRANCH_TOL of their sum (for near =
+    0, near-equal moduli).  It never raises: a sweep leaves the ambiguous
+    points undetermined, and one_point raises MonodromyDegenerate there."""
     half, h = (m00 + m11) / 2.0, (m00 - m11) / 2.0
     s = np.sqrt(h * h + m01 * m10)
     sign = np.where(np.abs(half + s) >= np.abs(half - s), 1.0, -1.0)
     big = half + sign * s
     small = det / big
-    if near is None:
-        if np.any(np.abs(np.abs(big) - np.abs(small)) < DEGENERACY_TOL):
-            raise MonodromyDegenerate(
-                "Floquet multipliers have equal modulus; move z off the real axis")
-        first = True
-    else:
-        ref = np.ndim(near) == 0
-        root = near if ref else near[0]
-        d_small, d_big = np.abs(small - root), np.abs(big - root)
-        first = d_small <= d_big
-        traceless = np.abs(h) + np.abs(m01) + np.abs(m10)
-        scalar = (not ref) & (traceless <= EDGE_TOL * np.abs(half))
-        ambiguous = ~scalar & ((np.abs(s) <= EDGE_TOL * traceless)
-                               | (np.abs(d_big - d_small) <= BRANCH_TOL * (d_big + d_small)))
+    ref = np.ndim(near) == 0
+    root = near if ref else near[0]
+    d_small, d_big = np.abs(small - root), np.abs(big - root)
+    first = d_small <= d_big
+    traceless = np.abs(h) + np.abs(m01) + np.abs(m10)
+    scalar = (not ref) & (traceless <= EDGE_TOL * np.abs(half))
+    ambiguous = ~scalar & ((np.abs(s) <= EDGE_TOL * traceless)
+                           | (np.abs(d_big - d_small) <= BRANCH_TOL * (d_big + d_small)))
 
     def eigvec(sigma):      # eigenvector of half + sigma s
         x1, y1, x2, y2 = m01, sigma * s - h, sigma * s + h, m10
         use1 = np.abs(x1) + np.abs(y1) >= np.abs(x2) + np.abs(y2)
         return np.where(use1, x1, x2), np.where(use1, y1, y2)
     dec, grow = eigvec(np.where(first, -sign, sign)), eigvec(np.where(first, sign, -sign))
-    if near is None:
-        return dec, grow
     u = np.where(first, small, big)
     if not ref:
         dec = tuple(np.where(scalar, near[k], c) for k, c in zip((1, 2), dec))
@@ -327,8 +324,8 @@ def exact_sweep(kernel, grid, circle: bool, eps_ref: float) -> dict:
     (resp. (1 - eps_ref) e^{i theta}), takes near = 0, so its decaying
     Floquet roots are the contracting ones; the second, on the axis, takes
     the first one's branch as near, so its decaying roots are the roots
-    nearest those.  A kernel called with near returns the entry 'floquet':
-    (its branch, its ambiguous mask), by floquet_pair.
+    nearest those.  The kernel returns the entry 'floquet': (its branch,
+    its ambiguous mask), by floquet_pair.
 
     For each key returns (value, error, ok), the error being |value -
     reference value| (inf where that is not a number), plus the flags
@@ -365,13 +362,14 @@ def boundary_sweep(kernel, grid, circle: bool) -> dict:
     + i eps on the line and (1 - eps) e^{i theta} on the circle.  For each
     key returns (value, error, converged) arrays, plus 'inf_<key>' (past
     1e6 at the last stage, growing over the last four) and 'div_<key>'
-    (past DIVERGENCE_CAP at one of the five stages) blowup flags.  The
-    oracle of exact_sweep, and the route of cmv.matrix_M_and_R."""
+    (past DIVERGENCE_CAP at one of the five stages) blowup flags; a
+    kernel's 'floquet' entry is ignored.  The oracle of exact_sweep, and the
+    route of cmv.matrix_M_and_R."""
     grid = np.asarray(grid, dtype=float)
     zeta = np.exp(1j * grid) if circle else None
     rows = [kernel((1.0 - eps) * zeta if circle else grid + 1j * eps) for eps in SCHEDULE]
     out = {}
-    for k in rows[0]:
+    for k in [k for k in rows[0] if k != "floquet"]:
         arr = np.array([row[k] for row in rows])
         out[k] = richardson_sequence(arr)
         out["inf_" + k], out["div_" + k] = blowup_flags(np.abs(arr))

@@ -117,15 +117,15 @@ class CMVWeylData:
 # ---------------------------------------------------------------------------
 # Schur-algorithm evaluation of the half-lattice m-functions
 
-def _schur_to_caratheodory(head, period_gammas, zs, near=None):
+def _schur_to_caratheodory(head, period_gammas, zs, near=0.0):
     """Caratheodory value (1 + z f)/(1 - z f) for the Schur function with
     parameter sequence head + periodic tail, vectorized over zs.  The
     one-period product A of the Schur step matrices [[z, g], [conj(g) z, 1]]
     is multiplied out entrywise; det A = z^p prod(1 - |g|^2).  The tail's
     Schur function is the contracting fixed point of A's Moebius map, x/y
     of its growing eigenvector (x, y) by floquet_pair: the map's derivative
-    there is the ratio of the other multiplier to this one.  With near (a
-    sweep's branch) the return is (value, branch, ambiguous)."""
+    there is the ratio of the other multiplier to this one.  Returns
+    (value, branch, ambiguous), the branch nearest near."""
     zs = np.asarray(zs, dtype=complex)
     g = period_gammas[0]
     a00, a01, a10, a11 = zs, g, np.conj(g) * zs, 1.0
@@ -137,8 +137,7 @@ def _schur_to_caratheodory(head, period_gammas, zs, near=None):
     f = x / y
     for g in reversed(head):
         f = (g + zs * f) / (1.0 + np.conj(g) * zs * f)
-    value = (1.0 + zs * f) / (1.0 - zs * f)
-    return (value, *branch) if branch else value
+    return ((1.0 + zs * f) / (1.0 - zs * f), *branch)
 
 
 def _gammas_plus(V: VerblunskyCoefficients, n0: int):
@@ -160,19 +159,19 @@ def _gammas_minus(V: VerblunskyCoefficients, m: int):
     return head, tail
 
 
-def _m_grid(V: VerblunskyCoefficients, zs, n0: int, side: str, near=None):
-    """m_+(z, n0) or m_-(z, n0) over zs; with near, (value, branch,
-    ambiguous) as _schur_to_caratheodory."""
-    if plus_side(side):
-        return _schur_to_caratheodory(*_gammas_plus(V, n0), zs, near)
-    out = _schur_to_caratheodory(*_gammas_minus(V, n0), zs, near)
-    return (-out[0], *out[1:]) if near is not None else -out
+def _m_grid(V: VerblunskyCoefficients, zs, n0: int, side: str, near=0.0) -> dict:
+    """'m', m_+(z, n0) or m_-(z, n0) over zs, and 'floquet', the branch
+    nearest near and its ambiguous mask (_schur_to_caratheodory)."""
+    plus = plus_side(side)
+    value, *branch = _schur_to_caratheodory(*(_gammas_plus if plus else _gammas_minus)(V, n0),
+                                            zs, near)
+    return {"m": value if plus else -value, "floquet": tuple(branch)}
 
 
 def m_half_lattice(V: VerblunskyCoefficients, z: complex, n0: int, side: str) -> complex:
     """Half-lattice Cayley-transform diagonal at n0: Caratheodory for the
     right block (side '+'), anti-Caratheodory (Re <= 0) for the left."""
-    return one_point(_m_grid, V, z, n0, side, circle=True)
+    return one_point(_m_grid, V, z, n0, side, circle=True)["m"]
 
 
 def _twist(a0: complex, mm):
@@ -180,12 +179,6 @@ def _twist(a0: complex, mm):
     num = (1.0 + a0).real + 1j * (1.0 - a0).imag * mm
     den = 1j * (1.0 + a0).imag + (1.0 - a0).real * mm
     return num / den
-
-
-def _big_M_grid(V: VerblunskyCoefficients, zs, n0: int, side: str):
-    if plus_side(side):
-        return _m_grid(V, zs, n0, "+")
-    return _twist(V.alpha(n0), _m_grid(V, zs, n0 - 1, "-"))
 
 
 def _finite_M_minus(Mm: complex, z, n0: int) -> complex:
@@ -197,26 +190,23 @@ def _finite_M_minus(Mm: complex, z, n0: int) -> complex:
 
 def big_M(V: VerblunskyCoefficients, z: complex, n0: int, side: str) -> complex:
     """M_+ = m_+ verbatim; M_- is the alpha(n0) Moebius twist of m_-(z, n0-1),
-    ZeroDivisionError where its denominator vanishes.  Re M_+ >= 0 >= Re M_-
-    in the disk."""
-    return _finite_M_minus(one_point(_big_M_grid, V, z, n0, side, circle=True), z, n0)
+    ZeroDivisionError where its denominator vanishes; both are read off
+    _M11_grid.  Re M_+ >= 0 >= Re M_- in the disk."""
+    plus = plus_side(side)
+    d = one_point(_M11_grid, V, z, n0, circle=True)
+    return d["M_plus"] if plus else _finite_M_minus(d["M_minus"], z, n0)
 
 
-def _M11_grid(V: VerblunskyCoefficients, zs, n0: int, near=None) -> dict:
-    """M_plus, M_minus and M11 over zs; with near (a sweep's branch: 0, or
-    the stacked branches of both half lattices) also 'floquet', the stacked
-    branches and their joint ambiguous mask (floquet_pair)."""
-    if near is None:
-        Mp, Mm = _big_M_grid(V, zs, n0, "+"), _big_M_grid(V, zs, n0, "-")
-    else:
-        near_p, near_m = (near, near) if np.ndim(near) == 0 else near
-        Mp, up, ap = _m_grid(V, zs, n0, "+", near_p)
-        mm, um, am = _m_grid(V, zs, n0 - 1, "-", near_m)
-        Mm = _twist(V.alpha(n0), mm)
-    out = {"M_plus": Mp, "M_minus": Mm, "M11": (1.0 - Mp * Mm) / (Mp - Mm)}
-    if near is not None:
-        out["floquet"] = (np.stack([up, um]), ap | am)
-    return out
+def _M11_grid(V: VerblunskyCoefficients, zs, n0: int, near=0.0) -> dict:
+    """M_plus, M_minus and M11 over zs, and 'floquet': the stacked branches
+    of both half lattices nearest near (0, or such a stack) and their joint
+    ambiguous mask (floquet_pair)."""
+    near_p, near_m = (near, near) if np.ndim(near) == 0 else near
+    plus, minus = _m_grid(V, zs, n0, "+", near_p), _m_grid(V, zs, n0 - 1, "-", near_m)
+    Mp, Mm = plus["m"], _twist(V.alpha(n0), minus["m"])
+    (up, ap), (um, am) = plus["floquet"], minus["floquet"]
+    return {"M_plus": Mp, "M_minus": Mm, "M11": (1.0 - Mp * Mm) / (Mp - Mm),
+            "floquet": (np.stack([up, um]), ap | am)}
 
 
 def M11(V: VerblunskyCoefficients, z: complex, n0: int, mode: str = "formula",

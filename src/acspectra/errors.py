@@ -6,11 +6,12 @@ class NonConvergent(RuntimeError):
 
 
 class MonodromyDegenerate(RuntimeError):
-    """Both Floquet multipliers have (numerically) equal modulus at a one-point z.
+    """The Floquet branch is ambiguous at a one-point z: the multipliers
+    coincide (a band edge) or have (numerically) equal modulus.
 
-    Cannot happen off the real axis for positive off-diagonal coefficients in
-    exact arithmetic; raised by the one-point functions rather than silently
-    picking a branch.  Sweeps never raise it: they mark such points undetermined.
+    Cannot happen off the real axis in exact arithmetic; one_point raises it
+    exactly where floquet_pair marks the branch ambiguous, the points a sweep
+    leaves undetermined, rather than silently picking a branch.
     """
 
 

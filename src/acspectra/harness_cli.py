@@ -517,16 +517,21 @@ def closure_main(argv=None) -> int:
         print(f"error: cannot read set JSON {ns.input}: {exc}", file=sys.stderr)
         return 2
     result = set_to_json(essential_closure(s))
-    doc = json.dumps(result, sort_keys=True, indent=2) + "\n"
-    if ns.output:
-        try:
-            with open(ns.output, "w", encoding="utf-8", newline="\n") as fh:
-                fh.write(doc)
-        except OSError as exc:
-            print(f"error: {exc}", file=sys.stderr)
-            return 1
-    else:
-        sys.stdout.write(doc)
+    return _write_out(ns.output, json.dumps(result, sort_keys=True, indent=2) + "\n")
+
+
+def _write_out(path, text: str) -> int:
+    """Write text to the file path (LF line ends), or to stdout when path is
+    None: 0, or 1 with an error line when the file cannot be written."""
+    if not path:
+        sys.stdout.write(text)
+        return 0
+    try:
+        with open(path, "w", encoding="utf-8", newline="\n") as fh:
+            fh.write(text)
+    except OSError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 1
     return 0
 
 
@@ -608,16 +613,7 @@ def spec_main(argv=None) -> int:
         text = json.dumps(rep.to_json(), sort_keys=True, indent=2) + "\n"
         failed = rep.status == "FAILED"
 
-    if ns.out:
-        try:
-            with open(ns.out, "w", encoding="utf-8", newline="\n") as fh:
-                fh.write(text)
-        except OSError as exc:
-            print(f"error: {exc}", file=sys.stderr)
-            return 1
-    else:
-        sys.stdout.write(text)
-    return 1 if failed else 0
+    return _write_out(ns.out, text) or int(failed)
 
 
 if __name__ == "__main__":

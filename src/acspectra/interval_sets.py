@@ -594,7 +594,10 @@ def angles_hull(thetas, step: float) -> CircleArcSet:
     """Closed arc hull of maximal runs of grid angles, read mod 2pi.  The
     last angle one turn down and the first one turn up carry a run through
     angle 0 to 0 and to 2pi; the runs are then cut to [0, 2pi]."""
-    ts = np.sort(np.remainder(np.asarray(thetas, dtype=float), TWO_PI))
+    thetas = np.asarray(thetas, dtype=float)
+    if not np.isfinite(thetas).all():
+        raise ValueError("angles must be finite")
+    ts = np.sort(np.remainder(thetas, TWO_PI))
     lo, hi = _runs(np.concatenate([ts[-1:] - TWO_PI, ts, ts[:1] + TWO_PI]), step)
     arc = (lo < hi) & (lo < TWO_PI) & (hi > 0.0)
     lone = (lo == hi) & (0.0 <= lo) & (lo < TWO_PI)

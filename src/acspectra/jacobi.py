@@ -147,12 +147,12 @@ def monodromy(J: JacobiCoefficients, z, n_start: int):
     return stack_2x2(*_monodromy_entries(J, zs, n_start), zs.shape)
 
 
-def _weyl_grid(J: JacobiCoefficients, zs, n0: int, near=None) -> dict:
+def _weyl_grid(J: JacobiCoefficients, zs, n0: int, near=0.0) -> dict:
     """All Weyl quantities over an array of spectral parameters.
 
-    Returns m_plus, m_minus, M_plus, M_minus and g as arrays shaped like zs;
-    with near (a sweep's branch) also 'floquet', the branch and the
-    ambiguous mask (floquet_pair).
+    Returns m_plus, m_minus, M_plus, M_minus and g as arrays shaped like zs,
+    and 'floquet', the branch nearest near and its ambiguous mask
+    (floquet_pair).
     """
     zs = np.asarray(zs, dtype=complex)
     p, sites = J.period, J.patch_sites
@@ -181,10 +181,8 @@ def _weyl_grid(J: JacobiCoefficients, zs, n0: int, near=None) -> dict:
     M_plus = -1.0 / m_plus - zs + J.b(n0)
     M_minus = 1.0 / m_minus
     g = 1.0 / (M_minus - M_plus)
-    out = {"m_plus": m_plus, "m_minus": m_minus, "M_plus": M_plus, "M_minus": M_minus, "g": g}
-    if branch:
-        out["floquet"] = tuple(branch)
-    return out
+    return {"m_plus": m_plus, "m_minus": m_minus, "M_plus": M_plus, "M_minus": M_minus, "g": g,
+            "floquet": tuple(branch)}
 
 
 def m_half_line(J: JacobiCoefficients, z: complex, n0: int, side: str) -> complex:
@@ -303,16 +301,20 @@ def truncated_matrix(J: JacobiCoefficients, N: int) -> TridiagonalMatrix:
 
 def green_inverse_identity_residual(J: JacobiCoefficients, zs) -> float:
     """Max residual of |g(z)*(M_-(z) - M_+(z)) - 1| at site 0 with g taken
-    from an 801-site Dirichlet-truncation resolvent (one batched tridiagonal
-    solve for all zs), so the inverse identity is tested against a route
-    independent of the Floquet M-functions.  The truncation error is
-    exponentially small for z away from the real axis.  The kernel takes
-    the contracting root without the degeneracy test (near = 0), so
-    multipliers of near-equal modulus (a large scale) show as a residual,
-    not an exception."""
-    T = truncated_matrix(J, 801)
+    from a Dirichlet-truncation resolvent (one batched tridiagonal solve for
+    all zs), so the inverse identity is tested against a route independent
+    of the Floquet M-functions.  The resolvent decays like
+    exp(-|n| Im z / (2 max a)), so the window is sized from the operator's
+    scale: N = max(801, 2 ceil(80 max a / min |Im z|) + 1) sites, where
+    that decay reaches exp(-40), capped at 2^15 + 1 to bound memory (past
+    max a / min |Im z| of about 200 the window stops growing).  The kernel
+    takes the contracting root and never raises, so multipliers of
+    near-equal modulus (a large scale) show as a residual too."""
     zs = np.atleast_1d(np.asarray(zs, dtype=complex))
-    d = _weyl_grid(J, zs, 0, 0.0)
+    im = float(np.abs(zs.imag).min(initial=np.inf))
+    reach = 80.0 * max(J.a_base + tuple(a for _, a, _ in J.patch)) / im if im else math.inf
+    T = truncated_matrix(J, 2 * math.ceil(min(2.0 ** 14, max(400.0, reach))) + 1)
+    d = _weyl_grid(J, zs, 0)
     g, _ = tridiagonal_resolvent(T.diag - zs[:, None], T.offdiag, T.offdiag, T.index_of(0))
     return float(np.max(np.abs(g * (d["M_minus"] - d["M_plus"]) - 1.0), initial=0.0))
 

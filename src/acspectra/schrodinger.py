@@ -185,21 +185,21 @@ def _propagate_vec(zs, vec, spans, inverse: bool):
     return p, q
 
 
-def _seeds(V: PiecewisePotential, zs, near=None):
-    """(decaying, growing): (psi, psi') at any period boundary of the
-    unpatched line of the solutions decaying toward +inf, resp. -inf, from
-    the one monodromy of the base pieces; with near (a sweep's branch)
-    also the branch and the ambiguous mask (floquet_pair)."""
+def _seeds(V: PiecewisePotential, zs, near=0.0):
+    """(decaying, growing, branch, ambiguous): (psi, psi') at any period
+    boundary of the unpatched line of the solutions decaying toward +inf,
+    resp. -inf, from the one monodromy of the base pieces, then the branch
+    nearest near and its ambiguous mask (floquet_pair)."""
     return floquet_pair(*_product(zs, V.pieces), 1.0, near)
 
 
-def _m_grid(V: PiecewisePotential, zs, x0: float, near=None):
-    """(m_plus, m_minus) at x0 over an array of spectral parameters, both
-    half lines seeded from one monodromy at the period boundaries cp, cm
-    and carried to x0 across the pieces in between; with near, followed by
-    the branch of _seeds.  The seeds do not depend on x0, so in a report
-    scope the two reference points read one _seeds evaluation per zs and
-    near (boundary_analysis.memo)."""
+def _m_grid(V: PiecewisePotential, zs, x0: float, near=0.0):
+    """(m_plus, m_minus, branch, ambiguous) at x0 over an array of spectral
+    parameters, both half lines seeded from one monodromy at the period
+    boundaries cp, cm and carried to x0 across the pieces in between; the
+    branch and its mask are those of _seeds.  The seeds do not depend on
+    x0, so in a report scope the two reference points read one _seeds
+    evaluation per zs and near (boundary_analysis.memo)."""
     zs = np.atleast_1d(np.asarray(zs, dtype=complex))
     cp, cm = _seed_bounds(V, x0)
     dec, grow, *branch = memo(_seeds, V, zs, near)
@@ -208,15 +208,12 @@ def _m_grid(V: PiecewisePotential, zs, x0: float, near=None):
     return (q / p, qm / pm, *branch)
 
 
-def _weyl_grid(V: PiecewisePotential, zs, x0: float, near=None) -> dict:
+def _weyl_grid(V: PiecewisePotential, zs, x0: float, near=0.0) -> dict:
     """m_plus, m_minus and g = 1/(m_- - m_+) at x0 over an array of spectral
-    parameters, from one _m_grid call; with near also 'floquet', the
-    branch and the ambiguous mask (floquet_pair)."""
+    parameters, from one _m_grid call, and 'floquet', the branch and the
+    ambiguous mask (floquet_pair)."""
     mp, mm, *branch = _m_grid(V, zs, float(x0), near)
-    out = {"m_plus": mp, "m_minus": mm, "g": 1.0 / (mm - mp)}
-    if branch:
-        out["floquet"] = tuple(branch)
-    return out
+    return {"m_plus": mp, "m_minus": mm, "g": 1.0 / (mm - mp), "floquet": tuple(branch)}
 
 
 def m_half_line(V: PiecewisePotential, z: complex, x0: float, side: str) -> complex:
@@ -257,7 +254,7 @@ def green_identity_residual(V: PiecewisePotential, zs, x0: float = 0.0) -> float
     mid = x0 + L / 2.0
     x1 = mid + _pieces(V, mid, x0 + L)[0][0] / 2.0
     cp, cm = _seed_bounds(V, x1)[0], _seed_bounds(V, x0)[1]
-    dec, grow = _seeds(V, zs)
+    dec, grow, _, _ = _seeds(V, zs)
 
     def carry(v, a, b, backward: bool):
         """The pair v carried across [a, b], backward from b (by the

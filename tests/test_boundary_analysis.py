@@ -108,13 +108,14 @@ REFERENCE_SCHEDULE = tuple(0.1 * 0.5 ** k for k in range(13))
 
 def reference_sweep(kernel, grid, circle):
     """boundary_sweep over REFERENCE_SCHEDULE, plus the largest |value| of
-    each key over its first eight stages."""
+    each key over its first eight stages; the kernel's 'floquet' entry is
+    skipped, as boundary_sweep skips it."""
     grid = np.asarray(grid, dtype=float)
     zeta = np.exp(1j * grid) if circle else None
     rows = [kernel((1.0 - eps) * zeta if circle else grid + 1j * eps)
             for eps in REFERENCE_SCHEDULE]
     out, early = {}, {}
-    for k in rows[0]:
+    for k in [k for k in rows[0] if k != "floquet"]:
         arr = np.array([row[k] for row in rows])
         out[k] = richardson_sequence(arr)
         out["inf_" + k], out["div_" + k] = blowup_flags(np.abs(arr))

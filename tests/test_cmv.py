@@ -200,7 +200,8 @@ class TestWeylData:
         """M11's formula mode refuses a point where its kernel gives M_+ = M_-."""
         half = np.array([0.5 + 0.0j])
         monkeypatch.setattr(cmv, "_M11_grid", lambda V, zs, n0: {
-            "M_plus": half, "M_minus": half, "M11": np.array([np.inf + 0.0j])})
+            "M_plus": half, "M_minus": half, "M11": np.array([np.inf + 0.0j]),
+            "floquet": (np.zeros((2, 5, 1), dtype=complex), np.array([False]))})
         with pytest.raises(DegenerateDenominator):
             cmv.M11(free_cmv, 0.1 + 0.1j, 0)
 
@@ -208,7 +209,9 @@ class TestWeylData:
         """With alpha(n0) = 0 the twist of M_- divides by m_-(z, n0-1), so a
         vanishing m_- leaves M_- undefined: big_M(..., "-") and M11 raise
         ZeroDivisionError, while M_+ is unaffected."""
-        monkeypatch.setattr(cmv, "_m_grid", lambda V, zs, n0, side: np.zeros_like(zs))
+        monkeypatch.setattr(cmv, "_m_grid", lambda V, zs, n0, side, near=0.0: {
+            "m": np.zeros_like(zs),
+            "floquet": (np.zeros((5,) + zs.shape, dtype=complex), np.zeros(zs.shape, bool))})
         with np.errstate(divide="ignore", invalid="ignore"):
             assert big_M(free_cmv, 0.1 + 0.1j, 0, "+") == 0.0
             with pytest.raises(ZeroDivisionError):

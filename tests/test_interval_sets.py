@@ -607,6 +607,16 @@ class TestEdgeBehaviour:
         assert angles_hull([], 0.1) == CircleArcSet()
 
 
+@pytest.mark.parametrize("bad", [math.inf, -math.inf, math.nan])
+def test_angles_hull_refuses_a_non_finite_angle_before_numpy_warns(bad):
+    """A non-finite angle raises the documented ValueError, not numpy's
+    RuntimeWarning from reducing it mod 2pi, with warnings as errors."""
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        with pytest.raises(ValueError, match="finite"):
+            angles_hull([0.5, bad], 0.25)
+
+
 def _rebuilt(s):
     """s with every piece built again through __init__, which validates it."""
     if isinstance(s, CircleArcSet):

@@ -142,7 +142,7 @@ def _jacobi_steps(J, zs, lo, hi, inverse=False):
 def _floquet_stacked(M):
     """floquet_pair of the (K, 2, 2) stack M with determinant 1, each
     eigenvector stacked to shape (K, 2)."""
-    return tuple(np.stack(v, axis=-1) for v in floquet_pair(*M.reshape(-1, 4).T, 1.0))
+    return tuple(np.stack(v, axis=-1) for v in floquet_pair(*M.reshape(-1, 4).T, 1.0)[:2])
 
 
 def _jacobi_reference(J, zs, n0, extra):

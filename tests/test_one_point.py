@@ -1,8 +1,9 @@
 """One-point values as reads of the grid kernels: on random periodic-plus-
 patch operators of every family, each one-point function equals its
 family's kernel at that point bit for bit, xi and Xi11 equal a one-point
-phase-grid read, and the identity draws of a report make one kernel call
-per batch."""
+phase-grid read, one-point reads raise MonodromyDegenerate exactly where
+the kernel marks its Floquet branch ambiguous, and the identity draws of a
+report make one kernel call per batch."""
 
 import math
 
@@ -12,7 +13,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from acspectra import cmv, harness_cli, jacobi, schrodinger
-from acspectra.errors import NonConvergent
+from acspectra.errors import MonodromyDegenerate, NonConvergent
 
 periods = st.integers(1, 4)
 patch_sites = st.lists(st.integers(-4, 4), max_size=3, unique=True)
@@ -59,9 +60,7 @@ off_axis = st.builds(lambda x, y, s: complex(x, s * y), st.floats(-4.0, 8.0),
 
 def _read(kernel, op, z, *args):
     out = kernel(op, np.array([z]), *args)
-    if isinstance(out, dict):
-        return {k: complex(v[0]) for k, v in out.items()}
-    return complex(out[0])
+    return {k: complex(v[0]) for k, v in out.items() if k != "floquet"}
 
 
 def _same_bits(got, want):
@@ -85,7 +84,7 @@ def test_jacobi_one_point_values_are_kernel_reads(J, z, n0):
 @settings(max_examples=60, deadline=None)
 def test_schrodinger_one_point_values_are_kernel_reads(V, z, x0):
     want = _read(schrodinger._weyl_grid, V, z, x0)
-    mp, mm = (complex(m[0]) for m in schrodinger._m_grid(V, np.array([z]), x0))
+    mp, mm = (complex(m[0]) for m in schrodinger._m_grid(V, np.array([z]), x0)[:2])
     _same_bits(want["m_plus"], mp)
     _same_bits(want["m_minus"], mm)
     _same_bits(schrodinger.m_half_line(V, z, x0, "+"), mp)
@@ -101,14 +100,61 @@ def test_schrodinger_one_point_values_are_kernel_reads(V, z, x0):
 def test_cmv_one_point_values_are_kernel_reads(V, z, n0):
     want = _read(cmv._M11_grid, V, z, n0)
     for side in "+-":
-        _same_bits(cmv.m_half_lattice(V, z, n0, side), _read(cmv._m_grid, V, z, n0, side))
-        _same_bits(cmv.big_M(V, z, n0, side), _read(cmv._big_M_grid, V, z, n0, side))
+        _same_bits(cmv.m_half_lattice(V, z, n0, side), _read(cmv._m_grid, V, z, n0, side)["m"])
+    _same_bits(cmv.big_M(V, z, n0, "+"), want["M_plus"])
+    _same_bits(cmv.big_M(V, z, n0, "-"), want["M_minus"])
     _same_bits(cmv.M11(V, z, n0), want["M11"])
     wd = cmv.weyl_data(V, z, n0)
     _same_bits(wd.m_plus, want["M_plus"])
-    _same_bits(wd.m_minus, _read(cmv._m_grid, V, z, n0, "-"))
+    _same_bits(wd.m_minus, _read(cmv._m_grid, V, z, n0, "-")["m"])
     for key, value in want.items():
         _same_bits(getattr(wd, key), value)
+
+
+J0 = jacobi.JacobiCoefficients(1, (1.0,), (0.0,))
+C0 = cmv.VerblunskyCoefficients(1, (0.0,))
+S0 = schrodinger.PiecewisePotential(1.0, ((1.0, 0.0),))
+# family -> ((its kernel at zs, the one-point reads at z it serves), ...)
+ONE_POINT = {
+    "jacobi": [(lambda zs: jacobi._weyl_grid(J0, zs, 0),
+                [lambda z: jacobi.m_half_line(J0, z, 0, "+"),
+                 lambda z: jacobi.m_half_line(J0, z, 0, "-"),
+                 lambda z: jacobi.big_M(J0, z, 0, "+"), lambda z: jacobi.big_M(J0, z, 0, "-"),
+                 lambda z: jacobi.green_diag(J0, z, 0), lambda z: jacobi.weyl_data(J0, z, 0)])],
+    "schrodinger": [(lambda zs: schrodinger._weyl_grid(S0, zs, 0.0),
+                     [lambda z: schrodinger.m_half_line(S0, z, 0.0, "+"),
+                      lambda z: schrodinger.m_half_line(S0, z, 0.0, "-"),
+                      lambda z: schrodinger.green_diag(S0, z, 0.0),
+                      lambda z: schrodinger.weyl_data(S0, z, 0.0)])],
+    "cmv": [(lambda zs: cmv._m_grid(C0, zs, 0, "+"), [lambda z: cmv.m_half_lattice(C0, z, 0, "+")]),
+            (lambda zs: cmv._m_grid(C0, zs, 0, "-"), [lambda z: cmv.m_half_lattice(C0, z, 0, "-")]),
+            (lambda zs: cmv._M11_grid(C0, zs, 0),
+             [lambda z: cmv.big_M(C0, z, 0, "+"), lambda z: cmv.big_M(C0, z, 0, "-"),
+              lambda z: cmv.M11(C0, z, 0), lambda z: cmv.weyl_data(C0, z, 0)])],
+}
+# (family, point off the axis, its distance): free band edges (Jacobi 2,
+# Schrodinger 0) and band interiors (Jacobi 0.5, Schrodinger 4, CMV angle 1)
+PROBES = [(fam, z(d), d) for d in (1e-13, 1e-9) for fam, z in (
+    ("jacobi", lambda d: 2.0 + 1j * d), ("jacobi", lambda d: 0.5 + 1j * d),
+    ("schrodinger", lambda d: 1j * d), ("schrodinger", lambda d: 4.0 + 1j * d),
+    ("cmv", lambda d: (1.0 - d) * complex(math.cos(1.0), math.sin(1.0))))]
+
+
+@pytest.mark.parametrize("fam, z, d", PROBES)
+def test_one_point_reads_raise_exactly_where_the_branch_is_ambiguous(fam, z, d):
+    """Every one-point read of a free operator raises MonodromyDegenerate
+    exactly where its kernel's 'floquet' mask is set, the points a sweep
+    leaves undetermined: at 1e-13 from the axis, on the band edges as in
+    the interiors, and at none of the points 1e-9 from it."""
+    for kernel, reads in ONE_POINT[fam]:
+        ambiguous = bool(kernel(np.array([z]))["floquet"][1][0])
+        assert ambiguous == (d < 1e-12), (fam, z)
+        for read in reads:
+            if ambiguous:
+                with pytest.raises(MonodromyDegenerate):
+                    read(z)
+            else:
+                read(z)
 
 
 def _phase_matches_grid(phase, phase_grid, op, loc, site):

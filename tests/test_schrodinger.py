@@ -20,7 +20,6 @@ from scipy.linalg import expm, solve_banded
 
 from acspectra import schrodinger
 from acspectra.boundary_analysis import floquet_pair, stack_2x2
-from acspectra.errors import MonodromyDegenerate
 from acspectra.interval_sets import canonicalize, set_algebra
 from acspectra.schrodinger import (PiecewisePotential, ac_spectrum, discriminant, default_grid,
                                    green_diag, green_identity_residual,
@@ -106,10 +105,10 @@ class TestTransfer:
         assert transfer_exponent(patched, reach) == pytest.approx(
             growth + 0.25 * math.sqrt(9.0 + reach), rel=1e-15)
 
-    def test_degenerate_multipliers_raise(self):
-        with pytest.raises(MonodromyDegenerate):
-            # trace 2 and det 1: both multipliers are 1
-            floquet_pair(*np.array([[1.0, 1.0, 0.0, 1.0]], dtype=complex).T, 1.0)
+    def test_degenerate_multipliers_are_ambiguous(self):
+        # trace 2 and det 1: both multipliers are 1, a Jordan block
+        *_, ambiguous = floquet_pair(*np.array([[1.0, 1.0, 0.0, 1.0]], dtype=complex).T, 1.0)
+        assert ambiguous.tolist() == [True]
 
 
 class TestWeylData:
@@ -246,7 +245,7 @@ def _stacked_residual(V, zs, x0):
     mid = x0 + L / 2.0
     x1 = mid + schrodinger._pieces(V, mid, x0 + L)[0][0] / 2.0
     cp, cm = schrodinger._seed_bounds(V, x1)[0], schrodinger._seed_bounds(V, x0)[1]
-    dec, grow = (np.stack(v, axis=-1) for v in schrodinger._seeds(V, zs))
+    dec, grow = (np.stack(v, axis=-1) for v in schrodinger._seeds(V, zs)[:2])
 
     def carry(v, a, b, backward):
         if not b > a:

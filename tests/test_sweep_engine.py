@@ -10,7 +10,6 @@ import pytest
 
 from acspectra import boundary_analysis, cmv, jacobi, schrodinger
 from acspectra.boundary_analysis import floquet_pair, memo, sweep_scope
-from acspectra.errors import MonodromyDegenerate
 from acspectra.harness_cli import (FAMILY_MODULES, TOLERANCES, _csv_for, _json_safe, _load,
                                    _resolve_grid, run_config, verify_inclusion)
 from acspectra.interval_sets import (canonicalize, circle_set, contains_mask,
@@ -124,8 +123,8 @@ def test_floquet_pair_branch_rule():
     assert ambiguous.tolist() == [False, False, True, False]
     assert (dec[0][3], dec[1][3], grow[0][3], grow[1][3]) == (0.6, 0.8, 0.8, -0.6)
     assert (dec[0][1], dec[1][1]) == (0.0, 1.0)
-    with pytest.raises(MonodromyDegenerate):
-        floquet_pair(*m, det)
+    # the default near = 0 is the reference's rule: the same entries marked
+    assert floquet_pair(*m, det)[3].tolist() == [False, True, True, True]
 
 
 def _bands(disc, xs):
@@ -265,7 +264,8 @@ def test_memo_lives_only_in_a_scope():
         assert memo(zeros, V, zs) is not pair
         assert memo(seeds, V, zs.copy()) is pair and memo(zeros, V, zs) is memo(zeros, V, zs)
         assert memo(seeds, V, zs.astype(np.complex64)) is not pair
-        for arr in (a for half in pair for a in half):
+        # the two eigenvector pairs, then the branch and the ambiguous mask
+        for arr in [a for half in pair[:2] for a in half] + list(pair[2:]):
             with pytest.raises(ValueError):
                 arr[0] = 0.0
     assert calls == ["seeds", "seeds", "seeds", "zeros", "seeds"]
