@@ -22,10 +22,8 @@ closed gap the monodromy is scalar and the axis takes the reference's
 eigenvectors.  A one-point read follows the same rule: one_point raises
 MonodromyDegenerate exactly where the kernel marks its branch ambiguous.
 
-boundary_sweep, the Richardson extrapolation along a geometric schedule
-(eps_k = 0.1 * 2^-k for k = 8..12 toward the line, radii r_k = 1 - eps_k
-toward the circle), serves the truncation route of cmv.matrix_M_and_R and
-the tests, as the independent oracle of the exact route.
+exact_sweep is the package's one boundary route; the tests keep a
+Richardson extrapolation toward the axis as its independent oracle.
 
 The sweeps serve the Jacobi, CMV and Schrodinger modules: one exact
 sweep, phase, ac hull, reflectionless test, multiplicity classifier and
@@ -60,9 +58,8 @@ import numpy as np
 
 from .errors import MonodromyDegenerate, NonConvergent, SiteDisagreement
 from .interval_sets import (angles_hull, contains_mask, essential_closure,
-                            longest_component, points_hull, set_algebra, widen)
+                            longest_component, points_hull, set_algebra)
 
-DIVERGENCE_CAP = 1e8
 INFINITE_LIMIT = 1e6
 # the Floquet branch of an exact sweep: the reference points lie
 # REFERENCE_EPS times the operator's scale off the axis; a monodromy is
@@ -71,54 +68,6 @@ INFINITE_LIMIT = 1e6
 REFERENCE_EPS = 1e-8
 EDGE_TOL = 1e-6
 BRANCH_TOL = 1e-10
-
-# distances to the boundary, eps_k = 0.1 * 2^-k for k = 8..12: the five
-# samples richardson_sequence reads (the first eps is 3.9e-4)
-SCHEDULE = tuple(0.1 * 0.5 ** k for k in range(8, 13))
-
-def richardson_sequence(values):
-    """Two-stage Richardson extrapolation along axis 0.
-
-    values: array (K, ...) of K >= 5 samples on a ratio-2 geometric schedule,
-    ordered toward the boundary; fewer raise ValueError.  Returns (value,
-    error, converged), read off the last five samples only: the value off
-    the last three, the error off the last four, and the contraction test
-    off all five.  Convergence means the final extrapolant differences
-    contract by a factor >= 2 (exact agreement counts as converged).
-    """
-    v = np.asarray(values, dtype=complex)
-    if v.ndim == 0 or v.shape[0] < 5:
-        raise ValueError(f"Richardson extrapolation needs at least 5 samples, got "
-                         f"{v.shape[0] if v.ndim else 0}")
-    w = 2.0 * v[1:] - v[:-1]
-    u = (4.0 * w[1:] - w[:-1]) / 3.0
-    value = u[-1].copy()    # copies: views would keep the whole (K-2, ...) stacks alive
-    d = np.abs(np.diff(u, axis=0))
-    err = d[-1].copy()
-    scale = 1.0 + np.abs(value)
-    tiny = err <= 1e-13 * scale
-    contracting = d[-1] <= 0.5 * d[-2] + 1e-15 * scale
-    converged = np.logical_or(tiny, contracting)
-    return value, err, converged
-
-
-def relaxed_ok(value, err, converged, rel: float = 1e-6):
-    """Acceptance mask for Richardson sweeps (boundary_sweep): converged, or
-    stalled at a noise floor far below the use tolerance (near closing
-    spectral gaps the Floquet eigenvector loses digits and the extrapolant
-    plateaus around 1e-10 relative instead of contracting)."""
-    value = np.asarray(value)
-    return converged | (np.isfinite(value) & (err <= rel * (1.0 + np.abs(value))))
-
-
-def blowup_flags(mags):
-    """(infinite, diverged) along axis 0 of magnitudes ordered toward the
-    boundary: the last one past 1e6 with monotone growth over the last 4
-    samples, resp. any one past the 1e8 hard cap."""
-    mags = np.asarray(mags)
-    grow = np.all(np.diff(mags[-4:], axis=0) > 0, axis=0)
-    return (mags[-1] > INFINITE_LIMIT) & grow, np.any(mags > DIVERGENCE_CAP, axis=0)
-
 
 # ---------------------------------------------------------------------------
 # Grid sweeps shared by the operator families
@@ -356,26 +305,6 @@ def exact_sweep(kernel, grid, circle: bool, eps_ref: float) -> dict:
     return out
 
 
-def boundary_sweep(kernel, grid, circle: bool) -> dict:
-    """Richardson-extrapolated boundary values of kernel(zs) -> {key: array}
-    over a grid, one kernel call per SCHEDULE stage (five), with zs = lambda
-    + i eps on the line and (1 - eps) e^{i theta} on the circle.  For each
-    key returns (value, error, converged) arrays, plus 'inf_<key>' (past
-    1e6 at the last stage, growing over the last four) and 'div_<key>'
-    (past DIVERGENCE_CAP at one of the five stages) blowup flags; a
-    kernel's 'floquet' entry is ignored.  The oracle of exact_sweep, and the
-    route of cmv.matrix_M_and_R."""
-    grid = np.asarray(grid, dtype=float)
-    zeta = np.exp(1j * grid) if circle else None
-    rows = [kernel((1.0 - eps) * zeta if circle else grid + 1j * eps) for eps in SCHEDULE]
-    out = {}
-    for k in [k for k in rows[0] if k != "floquet"]:
-        arr = np.array([row[k] for row in rows])
-        out[k] = richardson_sequence(arr)
-        out["inf_" + k], out["div_" + k] = blowup_flags(np.abs(arr))
-    return out
-
-
 # the memo of the open report scope; None outside any scope, so library
 # callers keep no hidden state
 _memo = None
@@ -523,15 +452,15 @@ def sweep_csv(fam: SweepFamily, op, grid) -> str:
 
 
 def sweep_ac_spectrum(fam: SweepFamily, op, grid):
-    """Essential closure of the widened grid hull of the interior-phase
-    points at the first reference site; a disagreement with the second site
+    """Essential closure of the grid hull of the interior-phase points at
+    the first reference site; a disagreement with the second site
     beyond two grid steps raises SiteDisagreement, carrying the first set."""
     grid = fam.grid(op) if grid is None else np.asarray(grid, dtype=float)
     step = float(grid[1] - grid[0])
 
     def one_site(site):
         passing = grid[interior(fam, fam.phase(op, grid, site)[0])]
-        return essential_closure(widen(fam.hull(passing, step), step))
+        return essential_closure(fam.hull(passing, step))
 
     first, second = fam.sites(op)
     main = one_site(first)

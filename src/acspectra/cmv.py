@@ -22,7 +22,15 @@ with M11 the Caratheodory function of the (n0, n0) spectral measure entry.
 The phase Xi11 = Arg(M11)/pi on the boundary lies in [-1/2, 1/2]; the set
 {|Xi11| < 1/2} recovers the ac spectrum through its circle essential closure,
 and Xi11 = 0 (equivalently M_+ = -conj(M_-)) characterizes reflectionless
-arcs.  Truncations are exactly unitary thanks to the alpha = 1 cuts.
+arcs.  The 2x2 matrix Caratheodory function on the site pair (n0-1, n0),
+whose boundary density has rank two on the ac spectrum, is closed form in
+the same m_+ and m_- (matrix_M_and_R).  Every value is read on the circle
+by boundary_analysis.exact_sweep.
+
+The oracles are numpy only: truncations, exactly unitary thanks to the
+alpha = 1 cuts, give the Cayley diagonal (truncation_cayley_diag) and the
+eigenvalue angles, and the discriminant of the Szego transfer matrices
+gives the bands.
 """
 
 from __future__ import annotations
@@ -34,9 +42,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DegenerateDenominator
-from .boundary_analysis import (REFERENCE_EPS, ReflectionlessReport, SweepFamily, accepted,
-                                boundary_sweep, exact_sweep, floquet_pair, memo, one_point,
-                                phase_at, plus_side, require_in_disk,
+from .boundary_analysis import (REFERENCE_EPS, ReflectionlessReport, SweepFamily, _axis_margin,
+                                accepted, exact_sweep, floquet_pair, memo, one_point,
+                                phase_at, plus_side, require_in_disk, stack_2x2,
                                 sweep_ac_spectrum, sweep_multiplicity_sets, sweep_phase,
                                 sweep_reflectionless, tridiagonal_resolvent)
 from .interval_sets import CircleArcSet, circle_set, full_circle
@@ -197,16 +205,50 @@ def big_M(V: VerblunskyCoefficients, z: complex, n0: int, side: str) -> complex:
     return d["M_plus"] if plus else _finite_M_minus(d["M_minus"], z, n0)
 
 
-def _M11_grid(V: VerblunskyCoefficients, zs, n0: int, near=0.0) -> dict:
-    """M_plus, M_minus and M11 over zs, and 'floquet': the stacked branches
-    of both half lattices nearest near (0, or such a stack) and their joint
-    ambiguous mask (floquet_pair)."""
+def _half_lattices(V: VerblunskyCoefficients, zs, n0: int, near):
+    """(m_+(z, n0), m_-(z, n0-1), floquet) over zs: floquet stacks the
+    branches of both half lattices nearest near (0, or such a stack) and
+    joins their ambiguous masks (floquet_pair)."""
     near_p, near_m = (near, near) if np.ndim(near) == 0 else near
     plus, minus = _m_grid(V, zs, n0, "+", near_p), _m_grid(V, zs, n0 - 1, "-", near_m)
-    Mp, Mm = plus["m"], _twist(V.alpha(n0), minus["m"])
     (up, ap), (um, am) = plus["floquet"], minus["floquet"]
+    return plus["m"], minus["m"], (np.stack([up, um]), ap | am)
+
+
+def _M11_grid(V: VerblunskyCoefficients, zs, n0: int, near=0.0) -> dict:
+    """M_plus, M_minus and M11 over zs, and 'floquet' (_half_lattices)."""
+    Mp, mm, floquet = _half_lattices(V, zs, n0, near)
+    Mm = _twist(V.alpha(n0), mm)
     return {"M_plus": Mp, "M_minus": Mm, "M11": (1.0 - Mp * Mm) / (Mp - Mm),
-            "floquet": (np.stack([up, um]), ap | am)}
+            "floquet": floquet}
+
+
+def _M_matrix_grid(V: VerblunskyCoefficients, zs, n0: int, near=0.0) -> dict:
+    """M00, M01, M10, M11 of the 2x2 matrix Caratheodory function
+    M_jk(z, n0) = (delta_{n0-1+j}, (U+z)(U-z)^-1 delta_{n0-1+k}) over zs,
+    and 'floquet' (_half_lattices).
+
+    The cut operator U_c (alpha(n0) = 1) splits into the half lattices, so
+    its resolvent block on the pair (n0-1, n0) is g = diag(-m_-(z, n0-1) -
+    1, m_+(z, n0) - 1) / 2z.  The pair's block of U = O E is Theta =
+    [[-a, r], [r, conj a]] (a = alpha(n0)), in E for n0-1 even, where U =
+    U_c D with D = diag(-1, 1) Theta, and in O for n0-1 odd, where U = D U_c
+    with D = Theta diag(-1, 1).  Then M = I + 2z D* X, resp. I + 2z X D*,
+    with (I - z g (D* - I)) X = g; Cramer's rule gives 2z X from 2z g, so g
+    is never inverted (m_+ = 1 makes it singular for the free operator)."""
+    mp, mm, floquet = _half_lattices(V, zs, n0, near)
+    a, r = V.alpha(n0), V.rho(n0)
+    even = (n0 - 1) % 2 == 0
+    theta, cut = np.array([[-a, r], [r, np.conj(a)]]), np.diag([-1.0, 1.0])
+    D_inv = (cut @ theta if even else theta @ cut).conj().T
+    (k00, k01), (k10, k11) = (D_inv - np.eye(2)) / 2.0
+    u0, u1 = -mm - 1.0, mp - 1.0            # 2z g
+    p, q, s, t = 1.0 - u0 * k00, -u0 * k01, -u1 * k10, 1.0 - u1 * k11
+    det = p * t - q * s
+    X2z = stack_2x2(t * u0 / det, -q * u1 / det, -s * u0 / det, p * u1 / det, np.shape(det))
+    M = np.eye(2) + (D_inv @ X2z if even else X2z @ D_inv)
+    return {"M00": M[..., 0, 0], "M01": M[..., 0, 1], "M10": M[..., 1, 0],
+            "M11": M[..., 1, 1], "floquet": floquet}
 
 
 def M11(V: VerblunskyCoefficients, z: complex, n0: int, mode: str = "formula",
@@ -275,8 +317,8 @@ _FAMILY = SweepFamily(
 
 
 def ac_spectrum(V: VerblunskyCoefficients, grid=None) -> CircleArcSet:
-    """Circle essential closure of the angle hull of {|Xi11| < 1/2} at site 0,
-    one grid step of margin; recomputed at site 1, disagreement raises."""
+    """Circle essential closure of the angle hull of {|Xi11| < 1/2} at site 0;
+    recomputed at site 1, disagreement raises."""
     grid = default_angles() if grid is None else np.asarray(grid, dtype=float)
     if grid.size < 512:
         raise ValueError("angular grid needs at least 512 points")
@@ -326,9 +368,9 @@ def multiplicity_sets(V: VerblunskyCoefficients, grid=None):
 @dataclass(frozen=True)
 class CMVTruncation:
     """Banded storage of a unitary CMV window [first_site, first_site+N-1]
-    with alpha = 1 cuts at both ends; bands[u + i - j, j] holds U[i, j] for
-    |i - j| <= 2 (scipy solve_banded layout, u = 2).  Its solves import
-    scipy; the report's oracle is truncation_cayley_diag, numpy only."""
+    with alpha = 1 cuts at both ends; bands[2 + i - j, j] holds U[i, j] for
+    |i - j| <= 2.  The eigenvalue oracle reads its dense form; the
+    resolvent oracle is truncation_cayley_diag, from the same alphas."""
     first_site: int
     bands: np.ndarray   # (5, N) complex
 
@@ -353,17 +395,6 @@ class CMVTruncation:
     def unitarity_residual(self) -> float:
         U = self.dense()
         return float(np.abs(U.conj().T @ U - np.eye(self.size)).max())
-
-    def solve(self, z: complex, rhs: np.ndarray) -> np.ndarray:
-        """x with (U - z) x = rhs."""
-        from scipy.linalg import solve_banded
-        ab = self.bands.copy()
-        ab[2, :] = ab[2, :] - z
-        return solve_banded((2, 2), ab, rhs)
-
-    def cayley_diag(self, z: complex, site: int) -> complex:
-        """((U + z)(U - z)^-1)(site, site) = 1 + 2 z [(U - z)^-1](site, site)."""
-        return matrix_M_entry(self, z, site, site)
 
 
 def _window_alphas(V: VerblunskyCoefficients, n_lo: int, n_hi: int):
@@ -446,81 +477,84 @@ def truncation_cayley_diag(V: VerblunskyCoefficients, zs, n0: int, window: int):
 
 @dataclass(frozen=True)
 class MatrixMeasureData:
-    """Boundary samples of the 2x2 matrix Caratheodory field at n0.
+    """Boundary samples of the 2x2 matrix Caratheodory function at n0.
 
-    R[k] is the density matrix at angles[k] (Hermitian part of M normalized
-    to unit trace), rank[k] its numerical rank; the identity and trace checks
-    certify M00(z, n0) = M11(z, n0-1) and Re M^tr(0) = 2.
+    R[k] is the density matrix at angles[k] where it is defined, else 0,
+    and rank[k] its numerical rank; min_eigenvalue and trace_error are
+    taken over the defined angles (nan if there is none).
     """
     n0: int
     angles: np.ndarray
     R: np.ndarray            # (K, 2, 2) complex Hermitian
     rank: np.ndarray         # (K,) int
     min_eigenvalue: float
-    trace_error: float       # |sum R_jj - 1| max over angles
-    trace_at_zero: float     # Re M^tr(0)
+    trace_error: float       # |sum R_jj - 1| max over the defined angles
+    trace_at_zero: float     # Re tr M(0) of the truncation
     identity_residual: float # max |M00(z,n0) - M11(z,n0-1)| at probe z
 
 
-def matrix_M_entry(T: CMVTruncation, z: complex, row_site: int, col_site: int) -> complex:
-    """(delta_row, (U+z)(U-z)^-1 delta_col) from the banded truncation."""
-    e = np.zeros(T.size, dtype=complex)
-    e[T.index_of(col_site)] = 1.0
-    x = T.solve(z, e)
-    val = 2.0 * z * x[T.index_of(row_site)]
-    if row_site == col_site:
-        val += 1.0
-    return complex(val)
+_MATRIX_KEYS = ("M00", "M01", "M10", "M11")
 
 
 def matrix_M_and_R(V: VerblunskyCoefficients, n0: int, grid=None,
                    window: int = 2048) -> MatrixMeasureData:
-    """2x2 matrix measure machinery at n0 from the truncation oracle.
-
-    M_{j,k}(z, n0) = (delta_{n0-1+j}, (U+z)(U-z)^-1 delta_{n0-1+k}); R(zeta)
-    is the radial limit of the Hermitian part of M normalized to trace one.
+    """2x2 matrix measure at n0: M_jk(z, n0) = (delta_{n0-1+j},
+    (U+z)(U-z)^-1 delta_{n0-1+k}) in closed form (_M_matrix_grid), read on
+    the circle by exact_sweep.  R = H / tr H, H the Hermitian part of M,
+    where all four entries are ok and tr H exceeds the sum of the axis
+    margins of M00 and M11.  window sizes the truncation oracle of the
+    identity and trace checks only.
     """
     grid = default_angles() if grid is None else np.asarray(grid, dtype=float)
     if grid.size < 512:
         raise ValueError("angular grid needs at least 512 points")
-    half = window // 2
-    T = build_truncation(V, (n0 - half, n0 + half - 1))
-    i0, i1 = T.index_of(n0 - 1), T.index_of(n0)
-    rhs = np.zeros((T.size, 2), dtype=complex)
-    rhs[i0, 0] = 1.0
-    rhs[i1, 1] = 1.0
-
-    def hermitian_part(zs):
-        H = np.empty((zs.size, 2, 2), dtype=complex)
-        for k, z in enumerate(zs):
-            x = T.solve(z, rhs)
-            M = 2.0 * z * np.array([[x[i0, 0], x[i0, 1]], [x[i1, 0], x[i1, 1]]])
-            M[0, 0] += 1.0
-            M[1, 1] += 1.0
-            H[k] = (M + M.conj().T) / 2.0
-        return {"H": H}
-    H = boundary_sweep(hermitian_part, grid, True)["H"][0]
-
-    tr = np.real(H[:, 0, 0] + H[:, 1, 1])
-    R = H / tr[:, None, None]
+    bd = exact_sweep(lambda zs, near: _M_matrix_grid(V, zs, n0, near), grid, True,
+                     REFERENCE_EPS)
+    ok = np.logical_and.reduce([bd[k][2] for k in _MATRIX_KEYS])
+    m00, m01, m10, m11 = (np.where(ok, bd[k][0], 0.0) for k in _MATRIX_KEYS)
+    tr = m00.real + m11.real
+    defined = ok & (tr > _axis_margin(m00, bd["M00"][1]) + _axis_margin(m11, bd["M11"][1]))
+    H = stack_2x2(m00.real, (m01 + np.conj(m10)) / 2.0, (m10 + np.conj(m01)) / 2.0, m11.real,
+                  grid.shape)
+    R = np.where(defined[:, None, None], H / np.where(defined, tr, 1.0)[:, None, None], 0.0)
     eigs = np.linalg.eigvalsh(R)
     rank = np.sum(eigs > RANK_TOL, axis=1)
 
+    def over_defined(values):
+        return float(values[defined].max()) if defined.any() else math.nan
+
     # pointwise identity between the two diagonal Caratheodory entries
-    probes = [0.3 + 0.2j, -0.4 + 0.1j, 0.05 - 0.55j]
-    ident = max(abs(matrix_M_entry(T, z, n0 - 1, n0 - 1)
-                    - M11(V, z, n0 - 1, mode="oracle", window=window)) for z in probes)
-    tr0 = matrix_M_entry(T, 0.0, n0 - 1, n0 - 1).real + matrix_M_entry(T, 0.0, n0, n0).real
+    probes = np.array([0.3 + 0.2j, -0.4 + 0.1j, 0.05 - 0.55j])
+    ident = np.abs(_M_matrix_grid(V, probes, n0)["M00"]
+                   - truncation_cayley_diag(V, probes, n0 - 1, window)).max()
+    tr0 = sum(truncation_cayley_diag(V, 0.0, n, window).real for n in (n0 - 1, n0))
     return MatrixMeasureData(
         n0=n0, angles=grid, R=R, rank=rank,
-        min_eigenvalue=float(eigs.min()),
-        trace_error=float(np.abs(np.real(R[:, 0, 0] + R[:, 1, 1]) - 1.0).max()),
+        min_eigenvalue=-over_defined(-eigs[:, 0]),
+        trace_error=over_defined(np.abs(np.real(R[:, 0, 0] + R[:, 1, 1]) - 1.0)),
         trace_at_zero=float(tr0),
         identity_residual=float(ident))
 
 
 # ---------------------------------------------------------------------------
-# Eigenvalue-support oracle
+# Band oracles: the discriminant and the eigenvalue support
+
+def discriminant(V: VerblunskyCoefficients, thetas):
+    """Delta(e^{i theta}) = e^{-i p theta/2} tr(A_{p-1} ... A_0) over the
+    periodic base (patch ignored), with the Szego transfer matrices A_n =
+    rho_n^-1 [[z, -alpha_n], [-conj(alpha_n) z, 1]] at z = e^{i theta}; real
+    on the circle, where the bands of the periodic operator are
+    {|Delta| <= 2}."""
+    thetas = np.asarray(thetas, dtype=float)
+    zs = np.exp(1j * thetas)
+    a00, a01, a10, a11 = 1.0, 0.0, 0.0, 1.0
+    for a in V.alpha_base:
+        r, ca = math.sqrt(1.0 - abs(a) ** 2), np.conj(a)
+        a00, a01, a10, a11 = ((zs * a00 - a * a10) / r, (zs * a01 - a * a11) / r,
+                              (a10 - ca * zs * a00) / r, (a11 - ca * zs * a01) / r)
+    tr = (a00 + a11) * np.exp(-0.5j * V.period * thetas)
+    return tr.real if np.all(np.abs(tr.imag) < 1e-9) else tr
+
 
 def eigenvalue_angles(V: VerblunskyCoefficients, window: int = 4096) -> np.ndarray:
     """Sorted eigenvalue angles of the window centered on site 0, in EIG_BLOCKS blocks.
@@ -553,28 +587,12 @@ def support_arcs(angles: np.ndarray) -> CircleArcSet:
     angles = np.sort(np.asarray(angles, dtype=float) % TWO_PI)
     if angles.size == 0:
         raise ValueError("no angles given")
+    # gaps[k] follows angles[k]; a cluster runs from one split to the next
     gaps = np.diff(np.concatenate([angles, [angles[0] + TWO_PI]]))
-    cut = 20.0 * TWO_PI / angles.size
-    split_at = np.where(gaps > cut)[0]
-    if split_at.size == 0:
+    ends = np.flatnonzero(gaps > 20.0 * TWO_PI / angles.size)
+    if ends.size == 0:
         return full_circle()
-    arcs = []
-    start = (split_at[-1] + 1) % angles.size
-    order = list(range(angles.size))
-    order = order[start:] + order[:start]
-    cluster = [angles[order[0]]]
-    for idx in order[1:]:
-        prev = cluster[-1]
-        t = angles[idx]
-        gap = (t - prev) % TWO_PI
-        if gap > cut:
-            if len(cluster) >= 5:
-                arcs.append((cluster[0], cluster[-1]))
-            cluster = [t]
-        else:
-            cluster.append(t)
-    if len(cluster) >= 5:
-        arcs.append((cluster[0], cluster[-1]))
-    if not arcs:
-        raise ValueError("every cluster fell below the outlier threshold")
+    starts = (np.roll(ends, 1) + 1) % angles.size
+    keep = (ends - starts) % angles.size + 1 >= 5
+    arcs = zip(angles[starts[keep]], angles[ends[keep]])
     return circle_set([(a, b if b > a else b + TWO_PI, "cc") for a, b in arcs], [])

@@ -241,8 +241,8 @@ _FAMILY = SweepFamily(
 
 
 def ac_spectrum(J: JacobiCoefficients, grid=None) -> RealIntervalSet:
-    """Essential closure of the grid hull of {0 < xi < 1} at site 0, one grid
-    step of margin on each side.  Recomputed at site 1; a disagreement beyond
+    """Essential closure of the grid hull of {0 < xi < 1} at site 0.
+    Recomputed at site 1; a disagreement beyond
     two grid steps raises SiteDisagreement, since the phase set must not
     depend on the site."""
     return sweep_ac_spectrum(_FAMILY, J, grid)

@@ -332,8 +332,8 @@ _FAMILY = SweepFamily(
 
 
 def ac_spectrum(V: PiecewisePotential, grid=None) -> RealIntervalSet:
-    """Essential closure of the grid hull of {0 < xi < 1} at x = 0, one grid
-    step of margin; recomputed at x = L/2, disagreement raises."""
+    """Essential closure of the grid hull of {0 < xi < 1} at x = 0;
+    recomputed at x = L/2, disagreement raises."""
     return sweep_ac_spectrum(_FAMILY, V, grid)
 
 

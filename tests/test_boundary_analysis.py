@@ -17,13 +17,13 @@ import numpy as np
 import pytest
 
 from acspectra import cmv, jacobi, schrodinger
-from acspectra.boundary_analysis import (DIVERGENCE_CAP, SCHEDULE, SweepFamily, accepted,
-                                         blowup_flags, boundary_sweep, exact_sweep, interior,
-                                         normalize_pair, off_axis, plus_side, relaxed_ok,
-                                         require_off_axis, richardson_sequence,
-                                         stack_2x2, sweep_at, sweep_csv,
+from acspectra.boundary_analysis import (SweepFamily, accepted, exact_sweep, interior,
+                                         normalize_pair, off_axis, plus_side,
+                                         require_off_axis, stack_2x2, sweep_at, sweep_csv,
                                          sweep_multiplicity_sets, sweep_phase)
 from acspectra.interval_sets import essential_closure, points_hull
+from conftest import (DIVERGENCE_CAP, SCHEDULE, blowup_flags, boundary_sweep, relaxed_ok,
+                      richardson_sequence)
 
 
 def uniform(zs):

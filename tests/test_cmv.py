@@ -17,10 +17,10 @@ from hypothesis import strategies as st
 
 import acspectra.cmv as cmv
 from acspectra.errors import DegenerateDenominator
-from acspectra.interval_sets import circle_set, full_circle, set_algebra
+from acspectra.interval_sets import circle_set, contains_mask, full_circle, set_algebra
 from acspectra.cmv import (M11, VerblunskyCoefficients, Xi11, Xi11_grid,
                            ac_spectrum, big_M, build_truncation,
-                           default_angles, eigenvalue_angles,
+                           default_angles, discriminant, eigenvalue_angles,
                            m11_boundary_identity_residual, m_half_lattice,
                            matrix_M_and_R, multiplicity_sets,
                            reflectionless_on, support_arcs, weyl_data)
@@ -275,6 +275,83 @@ class TestAcSpectrum:
         diff2 = set_algebra(supp, s, "difference")
         assert all(a.length <= 3 * step for a in diff.arcs)
         assert all(a.length <= 3 * step for a in diff2.arcs)
+
+
+def _support_arcs_loop(angles):
+    """support_arcs as a loop over the sorted angles: the reference of its
+    array form."""
+    angles = np.sort(np.asarray(angles, dtype=float) % TWO_PI)
+    gaps = np.diff(np.concatenate([angles, [angles[0] + TWO_PI]]))
+    cut = 20.0 * TWO_PI / angles.size
+    split_at = np.where(gaps > cut)[0]
+    if split_at.size == 0:
+        return full_circle()
+    start = (split_at[-1] + 1) % angles.size
+    order = list(range(start, angles.size)) + list(range(start))
+    arcs, cluster = [], [angles[order[0]]]
+    for t in angles[order[1:]]:
+        if (t - cluster[-1]) % TWO_PI > cut:
+            if len(cluster) >= 5:
+                arcs.append((cluster[0], cluster[-1]))
+            cluster = [t]
+        else:
+            cluster.append(t)
+    if len(cluster) >= 5:
+        arcs.append((cluster[0], cluster[-1]))
+    return circle_set([(a, b if b > a else b + TWO_PI, "cc") for a, b in arcs], [])
+
+
+def test_support_arcs_matches_the_loop(rng):
+    """Uniform samples, clusters, clusters across angle 0, exact repeats
+    and eigenvalue angles, each against the loop reference."""
+    samples = [cmv.eigenvalue_angles(VerblunskyCoefficients(2, (0.3 + 0.2j, -0.6)), 1024),
+               cmv.eigenvalue_angles(VerblunskyCoefficients(3, (0.3, 0.5j, -0.2), {0: 0.9}),
+                                     1024)]
+    for k in range(200):
+        n = int(rng.integers(1, 300))
+        centers = rng.uniform(0.0, TWO_PI, int(rng.integers(1, 5)))
+        samples.append([rng.uniform(0.0, TWO_PI, n),
+                        np.concatenate([c + rng.uniform(0.0, 0.3, n) for c in centers]),
+                        np.concatenate([rng.uniform(0.0, 0.5, n), rng.uniform(6.0, 6.3, n),
+                                        rng.uniform(2.0, 2.01, 3)]),
+                        np.repeat(centers, n % 10 + 1)][k % 4])
+    for angles in samples:
+        got, want = support_arcs(angles), _support_arcs_loop(angles)
+        assert [(a.theta1, a.theta2) for a in got.arcs] == \
+            [(a.theta1, a.theta2) for a in want.arcs]
+
+
+class TestDiscriminant:
+    def test_geronimus_bands_are_the_arc(self, geronimus_cmv):
+        """Delta = 2 cos(theta/2) / rho for alpha = 1/2: |Delta| <= 2
+        exactly on [pi/3, 5pi/3]."""
+        thetas = default_angles(2048)
+        d = discriminant(geronimus_cmv, thetas)
+        assert np.isrealobj(d)
+        assert np.abs(d - 2.0 * np.cos(thetas / 2.0) / math.sqrt(0.75)).max() < 1e-13
+        inside = (thetas > math.pi / 3 + 1e-9) & (thetas < 5 * math.pi / 3 - 1e-9)
+        assert np.array_equal(np.abs(d) <= 2.0, inside)
+
+    def test_patch_is_ignored(self, geronimus_cmv):
+        thetas = default_angles(512)
+        patched = VerblunskyCoefficients(1, (0.5,), patch=((0, 0.2), (3, -0.4j)))
+        assert np.array_equal(discriminant(patched, thetas), discriminant(geronimus_cmv, thetas))
+
+    @pytest.mark.parametrize("period", [1, 2, 3, 4])
+    def test_bands_are_the_ac_spectrum(self, period):
+        """{|Delta| <= 2} is the ac spectrum on the grid, away from one grid
+        step of each band edge, on seeded periodic coefficients."""
+        rng = np.random.default_rng(period)
+        thetas = default_angles(2048)
+        for _ in range(3):
+            radii, phases = rng.uniform(0.05, 0.8, period), rng.uniform(size=period)
+            V = VerblunskyCoefficients(period, tuple(radii * np.exp(2j * math.pi * phases)))
+            d = discriminant(V, thetas)
+            assert np.isrealobj(d)
+            band = np.abs(d) <= 2.0
+            away = (band == np.roll(band, 1)) & (band == np.roll(band, -1))
+            ac = contains_mask(ac_spectrum(V, thetas), thetas)
+            assert np.array_equal(ac[away], band[away])
 
 
 class TestReflectionless:

@@ -339,26 +339,25 @@ class TestMalformedInput:
 
 
 def test_spec_family_report_exits_1_when_it_writes_a_failed_report(tmp_path, capsys):
-    """`spec cmv --emit report` exits as `spec run` does on the same entry:
-    1 when the report it writes is FAILED (this operator of the verdict
-    census, seed 0 rotation 6, has M2 miss 1.16% of E, past the 1% gate:
-    the one-step margin of E reads gap points), 0 when it is PASS."""
+    """`spec jacobi --emit report` exits as `spec run` does on the same
+    entry: 1 when the report it writes is FAILED (period-2 Jacobi scaled by
+    1e3, whose Green-inverse identity residual, 1.8e-8 on its default grid,
+    is past the 1e-10 gate), 0 when it is PASS."""
     desc = tmp_path / "op.json"
     out = tmp_path / "report.json"
-    failing = {"type": "cmv", "period": 3,
-               "alpha": [[-0.11, 0.485], [0.376, -0.073], [0.475, 0.242]]}
-    for descriptor, code in ((failing, 1), (FREE_CMV, 0)):
+    failing = {"type": "jacobi", "period": 2, "a": [1e3, 1e3], "b": [1e3, -1e3]}
+    for descriptor, code in ((failing, 1), (FREE_JACOBI, 0)):
         desc.write_text(json.dumps(descriptor), encoding="utf-8")
-        assert spec_main(["cmv", "--desc", str(desc), f"--grid=0:{2 * math.pi!r}:1024",
-                          "--emit", "report", "--out", str(out)]) == code
+        assert spec_main(["jacobi", "--desc", str(desc), "--emit", "report",
+                          "--out", str(out)]) == code
         status = json.loads(out.read_text(encoding="utf-8"))["status"]
         assert status == ("FAILED" if code else "PASS")
 
 
 # report_suite seed 9, rotation 17 of the benchmark: the ac spectrum's lower
-# edge is the band edge -3.0341 at both sites.  A fixed phase threshold
-# (xi > 1e-3) once read it as -3.0253 at site 1, where Im g is 1e-3 but xi
-# below 1e-3 at the 4 grid points next to the edge
+# edge is the first interior grid point -3.0319 at both sites.  A fixed
+# phase threshold (xi > 1e-3) once read it as -3.0253 at site 1, where Im g
+# is 1e-3 but xi below 1e-3 at the 4 grid points next to the edge
 SITE_DISAGREEMENT = {"type": "jacobi", "period": 1, "a": [1.057], "b": [-0.92],
                      "patch": {"-1": [0.714, 0.441], "1": [0.557, -1.296],
                                "2": [0.475, 0.911]}}
@@ -391,7 +390,7 @@ def test_both_sites_read_one_ac_spectrum_and_no_m1_interval():
         inside = grid[(vals > 0.0) & (vals < 1.0)]
         assert inside[0] == pytest.approx(-3.0319, abs=1e-4)
         assert inside[-1] == pytest.approx(1.1929, abs=1e-4)
-    assert ac.intervals[0].lo == pytest.approx(-3.0341, abs=1e-4)
+    assert ac.intervals[0].lo == pytest.approx(-3.0319, abs=1e-4)
     M2, M1 = jacobi.multiplicity_sets(J, grid)
     assert M1.intervals == ()
     assert set_algebra(M2, ac, "difference").measure() == 0.0
@@ -404,7 +403,7 @@ class TestSiteDisagreement:
         with pytest.raises(SiteDisagreement) as exc:
             jacobi.ac_spectrum(J, grid)
         assert exc.value.width > 2.0 * (grid[1] - grid[0])
-        assert exc.value.spectrum.intervals[0].lo == pytest.approx(-3.0341, abs=1e-4)
+        assert exc.value.spectrum.intervals[0].lo == pytest.approx(-3.0319, abs=1e-4)
         assert isinstance(exc.value, RuntimeError)
 
     def test_report_fails_and_the_run_goes_on(self, tmp_path, capsys, site_one_cut):
@@ -421,7 +420,7 @@ class TestSiteDisagreement:
         assert rep["failures"][0].startswith(
             "ac spectrum disagrees between reference sites 0 and 1 by ")
         assert "> two grid steps" in rep["failures"][0]
-        assert rep["ac_spectrum"]["intervals"][0][0] == pytest.approx(-3.0341, abs=1e-4)
+        assert rep["ac_spectrum"]["intervals"][0][0] == pytest.approx(-3.0319, abs=1e-4)
         assert json.loads((out / "after_report.json").read_text())["status"] == "PASS"
         assert (out / "split.csv").exists() and (out / "after.csv").exists()
         assert capsys.readouterr().out.splitlines()[1] == "after: PASS"

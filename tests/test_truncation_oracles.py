@@ -1,12 +1,16 @@
-"""The batched tridiagonal resolvent behind both truncation oracles.
+"""The batched tridiagonal resolvent behind both truncation oracles, and
+the closed-form CMV matrix measure.
 
 boundary_analysis.tridiagonal_resolvent serves Jacobi's
 green_inverse_identity_residual (T - z on the Dirichlet window) and CMV's
 truncation_cayley_diag (the tridiagonal Q - z P* of the factorization
 U = O E).  Both are checked against banded solves of the same truncations
-(conftest.resolvent_entry, CMVTruncation.cayley_diag), the helper against
+(conftest.resolvent_entry, conftest.cayley_diag), the helper against
 dense inverses, the factorization against build_truncation, and the
-report path against importing scipy at all.
+report path and the CMV oracles against importing scipy at all.  The
+closed-form 2x2 M of cmv.matrix_M_and_R is checked against the banded
+solve (conftest.matrix_M_entry), and its boundary density against the
+discriminant's bands.
 """
 
 import importlib
@@ -22,7 +26,7 @@ import acspectra
 from acspectra import cmv, jacobi
 from acspectra.boundary_analysis import tridiagonal_resolvent
 from acspectra.harness_cli import bundled_config_path, build_operator
-from conftest import resolvent_entry
+from conftest import cayley_diag, matrix_M_entry, resolvent_entry
 
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 
@@ -118,10 +122,63 @@ def test_cmv_oracle_matches_the_banded_solve(name, n0, window, rng):
     V = CMV_OPERATORS[name]
     zs = np.sqrt(rng.uniform(0.0, 0.81, 8)) * np.exp(1j * rng.uniform(0.0, 2.0 * np.pi, 8))
     T = cmv.build_truncation(V, (n0 - window // 2, n0 + window // 2 - 1))
-    want = np.array([T.cayley_diag(z, n0) for z in zs])
+    want = np.array([cayley_diag(T, z, n0) for z in zs])
     assert np.abs(cmv.truncation_cayley_diag(V, zs, n0, window) - want).max() < 1e-13
     assert cmv.M11(V, zs[0], n0, mode="oracle", window=window) == pytest.approx(
         want[0], abs=1e-13)
+
+
+@pytest.mark.parametrize("name", sorted(CMV_OPERATORS))
+@pytest.mark.parametrize("n0", [0, 1, -3, 2])
+def test_closed_form_matrix_M_matches_the_banded_solve(name, n0, rng):
+    """All four entries of M on the pair (n0-1, n0), at both parities of
+    n0-1 (the pair's block in E, resp. O), at interior z, against the
+    banded solve of a 512-site truncation."""
+    V = CMV_OPERATORS[name]
+    zs = np.sqrt(rng.uniform(0.0, 0.81, 6)) * np.exp(1j * rng.uniform(0.0, 2.0 * np.pi, 6))
+    T = cmv.build_truncation(V, (n0 - 256, n0 + 255))
+    got = cmv._M_matrix_grid(V, zs, n0)
+    for j in (0, 1):
+        for k in (0, 1):
+            want = np.array([matrix_M_entry(T, z, n0 - 1 + j, n0 - 1 + k) for z in zs])
+            assert np.all(np.abs(got[f"M{j}{k}"] - want) <= 1e-12 * (1.0 + np.abs(want))), \
+                (j, k)
+
+
+class TestBoundaryDensity:
+    @pytest.mark.parametrize("name", sorted(CMV_OPERATORS))
+    @pytest.mark.parametrize("n0", [0, 1])
+    def test_psd_with_unit_trace_where_defined(self, name, n0):
+        """R is a density matrix at every angle where it is defined (rank
+        above 0), and 0 elsewhere."""
+        data = cmv.matrix_M_and_R(CMV_OPERATORS[name], n0, grid=cmv.default_angles(1024),
+                                  window=512)
+        defined = data.rank > 0
+        assert defined.any()
+        R = data.R[defined]
+        assert np.linalg.eigvalsh(R).min() >= -1e-12
+        assert data.min_eigenvalue >= -1e-12
+        assert np.abs(np.trace(R, axis1=1, axis2=2) - 1.0).max() <= 1e-12
+        assert data.trace_error <= 1e-12
+        assert not data.R[~defined].any()
+
+    def test_free_is_half_the_identity_with_rank_two(self):
+        data = cmv.matrix_M_and_R(CMV_OPERATORS["free"], 0, window=512)
+        assert np.abs(data.R - 0.5 * np.eye(2)).max() <= 1e-15
+        assert (data.rank == 2).all()
+
+    @pytest.mark.parametrize("name", ["geronimus", "patched"])
+    @pytest.mark.parametrize("n0", [0, 1])
+    def test_defined_on_the_band_interior(self, name, n0):
+        """R is defined exactly where |Delta| < 2, at every angle more than
+        one grid step from a band edge."""
+        V = CMV_OPERATORS[name]
+        grid = cmv.default_angles(1024)
+        defined = cmv.matrix_M_and_R(V, n0, grid=grid, window=512).rank > 0
+        band = np.abs(cmv.discriminant(V, grid)) < 2.0
+        away = (band == np.roll(band, 1)) & (band == np.roll(band, -1))
+        assert band[away].any() and not band[away].all()
+        assert np.array_equal(defined[away], band[away])
 
 
 def _report_suite_operators(tmp_path):
@@ -163,25 +220,46 @@ def test_both_oracles_match_the_banded_solve_on_report_operators(tmp_path):
         else:
             zs = np.sqrt(rng.uniform(0.0, 0.81, 20)) * np.exp(2j * np.pi * rng.uniform(size=20))
             T = cmv.build_truncation(op, (-512, 511))
-            want = np.array([T.cayley_diag(z, 0) for z in zs])
+            want = np.array([cayley_diag(T, z, 0) for z in zs])
             assert np.abs(cmv.truncation_cayley_diag(op, zs, 0, 1024) - want).max() < 1e-13, d
     assert kinds == {"jacobi": 62, "cmv": 62}
+
+
+def _python(code, *args):
+    """The last stdout line of a fresh interpreter running code with args,
+    the package on its path."""
+    src = os.path.dirname(os.path.dirname(os.path.abspath(acspectra.__file__)))
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+        filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    proc = subprocess.run([sys.executable, "-c", code, *args], capture_output=True,
+                          text=True, env=env, timeout=300)
+    assert proc.returncode == 0, proc.stderr
+    return proc.stdout.splitlines()[-1]
+
+
+SCIPY_MODULES = "sorted(m for m in sys.modules if m.split('.')[0] == 'scipy')"
 
 
 def test_spec_run_does_not_import_scipy(tmp_path):
     """The report path is numpy only: spec run on both bundled suites
     leaves scipy out of sys.modules."""
-    src = os.path.dirname(os.path.dirname(os.path.abspath(acspectra.__file__)))
-    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
-        filter(None, [src, os.environ.get("PYTHONPATH")]))}
     code = ("import sys; from acspectra.harness_cli import spec_main; "
             "codes = [spec_main(['run', '--config', c, '--out', o]) "
             "for c, o in zip(sys.argv[1::2], sys.argv[2::2])]; "
-            "print(codes, sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))")
+            f"print(codes, {SCIPY_MODULES})")
     args = []
     for name in ("free_suite.json", "periodic_suite.json"):
         args += [bundled_config_path(name), str(tmp_path / name)]
-    proc = subprocess.run([sys.executable, "-c", code] + args, capture_output=True,
-                          text=True, env=env, timeout=300)
-    assert proc.returncode == 0, proc.stderr
-    assert proc.stdout.splitlines()[-1] == "[0, 0] []"
+    assert _python(code, *args) == "[0, 0] []"
+
+
+def test_cmv_oracles_do_not_import_scipy():
+    """matrix_M_and_R, M11 in oracle mode and eigenvalue_angles are numpy
+    only."""
+    code = ("import sys; from acspectra import cmv; "
+            "V = cmv.VerblunskyCoefficients(2, (0.2 - 0.3j, 0.6), {2: -0.5 + 0.5j}); "
+            "cmv.matrix_M_and_R(V, 0, window=512); "
+            "cmv.M11(V, 0.3 + 0.2j, 0, mode='oracle', window=512); "
+            "cmv.eigenvalue_angles(V, window=512); "
+            f"print({SCIPY_MODULES})")
+    assert _python(code) == "[]"
