@@ -243,7 +243,8 @@ class SweepFamily:
     """An operator family's conventions, as data for the shared grid sweeps.
 
     Family modules pass lambdas for sweep and phase so that their
-    boundary_*_grid and phase-grid functions are looked up at call time.
+    boundary_*_grid and phase-grid functions are looked up at call time;
+    both are memo reads, so a report scope computes each once per site.
     """
     sweep: callable         # sweep(op, grid, site) -> exact_sweep dict
     phase: callable         # phase(op, grid, site) -> (values, errors, ok)
@@ -281,9 +282,9 @@ def exact_sweep(kernel, grid, circle: bool, eps_ref: float) -> dict:
     'inf_<key>' (a pole: past INFINITE_LIMIT on the axis and not smaller
     than at the reference) and 'div_<key>' (a value that is not finite).
     A point whose branch is ambiguous in either call is not ok and carries
-    neither flag, so it enters no set; a flagged point is not ok either.
-    eps_ref is the operator's, never the grid's, so every point's bits are
-    independent of the other points."""
+    neither flag, so it enters no set; an ok value is finite and unflagged,
+    so ok is the one acceptance mask.  eps_ref is the operator's, never the
+    grid's, so every point's bits are independent of the other points."""
     grid = np.asarray(grid, dtype=float)
     axis = np.exp(1j * grid) if circle else grid.astype(complex)
     # exact pole hits and band-edge eigenvectors divide by zero; the flags
@@ -362,13 +363,6 @@ def sweep_at(bd: dict, idx) -> dict:
             for k, v in bd.items()}
 
 
-def accepted(bd: dict, key: str):
-    """Where the sweep bd's value of key is usable: ok, not flagged as
-    diverged, and finite."""
-    v, _, ok = bd[key]
-    return ok & ~bd["div_" + key] & np.isfinite(v)
-
-
 def _axis_margin(v, err):
     """10 err + 1e-10 (1 + |v|): how far from the axis v may lie and count as on it."""
     return 10.0 * err + 1e-10 * (1.0 + np.abs(v))
@@ -385,10 +379,10 @@ def sweep_phase(fam: SweepFamily, bd: dict):
     (values, errors, ok).  A value not off_axis is read on the axis, so the
     phase is strictly inside phase_range exactly where v is off the axis; a
     negative part (Im on the line, Re on the circle) off_axis is not ok."""
-    v, err, _ = bd[fam.phase_key]
+    v, err, ok = bd[fam.phase_key]
     off = off_axis(fam, v, err)
     pos = v.real if fam.circle else v.imag
-    ok = accepted(bd, fam.phase_key) & ~(off & (pos < 0.0))
+    ok = ok & ~(off & (pos < 0.0))
     pos = np.where(off, pos, 0.0)
     if fam.zero_floor:
         # boundary zeros leave the phase undefined; they carry zero ac density
@@ -496,7 +490,7 @@ def sweep_reflectionless(fam: SweepFamily, op, E, grid, tol: float) -> Reflectio
         # on E; the kernels work point by point, so the bits are the same
         bd = sweep_at(fam.sweep(op, grid, site), inside)
         Mp, Mm = bd[fam.pair[0]][0], bd[fam.pair[1]][0]
-        okm = accepted(bd, fam.pair[0]) & accepted(bd, fam.pair[1])
+        okm = bd[fam.pair[0]][2] & bd[fam.pair[1]][2]
         res = np.abs(Mp + np.conj(Mm)) if fam.circle else np.abs(Mp - np.conj(Mm))
         pass_mask = okm & (res < tol)
         worst_fraction = min(worst_fraction, float(np.mean(pass_mask)))
@@ -516,36 +510,35 @@ def sweep_reflectionless(fam: SweepFamily, op, E, grid, tol: float) -> Reflectio
 
 
 def _witness(fam: SweepFamily, bd: dict, passing) -> float:
-    """Max residual, over the passing points where the phase key v is
-    accepted, of the identity that holds where the pair (P, M) matches:
+    """Max residual, over the passing points where the phase key v is ok,
+    of the identity that holds where the pair (P, M) matches:
     -1/g = 2i Im P = -2i Im M on the line (v = g = 1/(M - P)), and the
     uniform-multiplicity identity M11 = (1+|P|^2)/(2 Re P) =
     (1+|M|^2)/(-2 Re M) on the circle (v = M11)."""
-    P, M, v = bd[fam.pair[0]][0], bd[fam.pair[1]][0], bd[fam.phase_key][0]
+    P, M = bd[fam.pair[0]][0], bd[fam.pair[1]][0]
+    v, _, ok = bd[fam.phase_key]
     with np.errstate(divide="ignore", invalid="ignore"):
         if fam.circle:
             wp = np.abs(v - (1.0 + np.abs(P) ** 2) / (2.0 * P.real))
             wm = np.abs(v - (1.0 + np.abs(M) ** 2) / (-2.0 * M.real))
         else:
             wp, wm = np.abs(-1.0 / v - 2j * P.imag), np.abs(-1.0 / v + 2j * M.imag)
-    return float(np.max(np.where(passing & accepted(bd, fam.phase_key),
-                                 np.maximum(wp, wm), 0.0)))
+    return float(np.max(np.where(passing & ok, np.maximum(wp, wm), 0.0)))
 
 
 def sweep_multiplicity_sets(fam: SweepFamily, op, grid):
     """Grid hulls (M2, M1) of the uniform-multiplicity sets from the
-    boundary pair at the first reference site.  A finite accepted value is
-    off the axis by off_axis; two on the axis are equal when they differ by
+    boundary pair at the first reference site.  An ok value is off the
+    axis by off_axis; two on the axis are equal when they differ by
     at most the sum of their axis margins."""
     grid = fam.grid(op) if grid is None else np.asarray(grid, dtype=float)
     step = float(grid[1] - grid[0])
     bd = fam.sweep(op, grid, fam.sites(op)[0])
 
     def side(key):
-        v, e, _ = bd[key]
-        fin = accepted(bd, key) & ~bd["inf_" + key]
-        off = fin & off_axis(fam, v, e)
-        return v, _axis_margin(v, e), bd["inf_" + key] | bd["div_" + key], off, fin & ~off
+        v, e, ok = bd[key]
+        off = ok & off_axis(fam, v, e)
+        return v, _axis_margin(v, e), bd["inf_" + key] | bd["div_" + key], off, ok & ~off
 
     (Mp, tp, infp, off_p, on_p), (Mm, tm, infm, off_m, on_m) = (side(key) for key in fam.pair)
     equal_on = on_p & on_m & (np.abs(Mp - Mm) <= tp + tm)

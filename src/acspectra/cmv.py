@@ -43,14 +43,14 @@ import numpy as np
 
 from .errors import DegenerateDenominator
 from .boundary_analysis import (REFERENCE_EPS, ReflectionlessReport, SweepFamily, _axis_margin,
-                                accepted, exact_sweep, floquet_pair, memo, one_point,
-                                phase_at, plus_side, require_in_disk, stack_2x2,
-                                sweep_ac_spectrum, sweep_multiplicity_sets, sweep_phase,
-                                sweep_reflectionless, tridiagonal_resolvent)
+                                exact_sweep, floquet_pair, memo, one_point, phase_at,
+                                plus_side, require_in_disk, stack_2x2, sweep_ac_spectrum,
+                                sweep_multiplicity_sets, sweep_phase, sweep_reflectionless,
+                                tridiagonal_resolvent)
 from .interval_sets import CircleArcSet, circle_set, full_circle
 
 TWO_PI = 2.0 * math.pi
-RANK_TOL = 1e-2             # eigenvalues of R above it count toward its rank
+MIN_ANGLES = 512            # the fewest angles of a grid on the whole circle
 EIG_BLOCKS = 4              # direct summands of the eigenvalue-angle window
 
 
@@ -302,13 +302,21 @@ def Xi11(V: VerblunskyCoefficients, theta: float, n0: int) -> float:
     return phase_at(_FAMILY, V, theta, n0)
 
 
-def default_angles(points: int = 512):
+def default_angles(points: int = MIN_ANGLES):
     return np.linspace(0.0, TWO_PI, points, endpoint=False)
+
+
+def _angle_grid(grid):
+    """grid as a float array, default_angles() for None; at least MIN_ANGLES."""
+    grid = default_angles() if grid is None else np.asarray(grid, dtype=float)
+    if grid.size < MIN_ANGLES:
+        raise ValueError(f"angular grid needs at least {MIN_ANGLES} points")
+    return grid
 
 
 _FAMILY = SweepFamily(
     sweep=lambda V, thetas, n0: memo(boundary_cmv_grid, V, thetas, n0),
-    phase=lambda V, thetas, n0: Xi11_grid(V, thetas, n0),
+    phase=lambda V, thetas, n0: memo(Xi11_grid, V, thetas, n0),
     grid=lambda V: default_angles(), sites=lambda V: (0, 1), circle=True,
     pair=("M_plus", "M_minus"), phase_key="M11",
     csv_columns=(("theta", "loc"), ("re_m11", "re"), ("im_m11", "im"), ("xi", "phase"),
@@ -319,10 +327,7 @@ _FAMILY = SweepFamily(
 def ac_spectrum(V: VerblunskyCoefficients, grid=None) -> CircleArcSet:
     """Circle essential closure of the angle hull of {|Xi11| < 1/2} at site 0;
     recomputed at site 1, disagreement raises."""
-    grid = default_angles() if grid is None else np.asarray(grid, dtype=float)
-    if grid.size < 512:
-        raise ValueError("angular grid needs at least 512 points")
-    return sweep_ac_spectrum(_FAMILY, V, grid)
+    return sweep_ac_spectrum(_FAMILY, V, _angle_grid(grid))
 
 
 def reflectionless_on(V: VerblunskyCoefficients, E: CircleArcSet, grid=None,
@@ -344,8 +349,7 @@ def m11_identity_residual(bd: dict) -> float:
     """Max residual over a boundary_cmv_grid sweep of the identity
     Re M11 = [Re M_+ (1+|M_-|^2) - Re M_- (1+|M_+|^2)] / |M_+ - M_-|^2."""
     Mp, Mm, m11 = bd["M_plus"][0], bd["M_minus"][0], bd["M11"][0]
-    ok = (accepted(bd, "M_plus") & accepted(bd, "M_minus") & accepted(bd, "M11")
-          & (np.abs(Mp - Mm) > 1e-8))
+    ok = bd["M_plus"][2] & bd["M_minus"][2] & bd["M11"][2] & (np.abs(Mp - Mm) > 1e-8)
     quot = (Mp.real * (1.0 + np.abs(Mm) ** 2) - Mm.real * (1.0 + np.abs(Mp) ** 2)) \
         / np.abs(Mp - Mm) ** 2
     res = np.where(ok, np.abs(m11.real - quot), 0.0)
@@ -479,9 +483,11 @@ def truncation_cayley_diag(V: VerblunskyCoefficients, zs, n0: int, window: int):
 class MatrixMeasureData:
     """Boundary samples of the 2x2 matrix Caratheodory function at n0.
 
-    R[k] is the density matrix at angles[k] where it is defined, else 0,
-    and rank[k] its numerical rank; min_eigenvalue and trace_error are
-    taken over the defined angles (nan if there is none).
+    R[k] is the density matrix at angles[k] where it is defined, else 0.
+    rank[k] is 0 where R is not, else 1, plus 1 where its smaller eigenvalue
+    exceeds 10 e_R (the factor of _axis_margin), e_R the declared errors of
+    the four entries over tr H.  min_eigenvalue and trace_error are taken
+    over the defined angles (nan if there is none).
     """
     n0: int
     angles: np.ndarray
@@ -505,9 +511,7 @@ def matrix_M_and_R(V: VerblunskyCoefficients, n0: int, grid=None,
     margins of M00 and M11.  window sizes the truncation oracle of the
     identity and trace checks only.
     """
-    grid = default_angles() if grid is None else np.asarray(grid, dtype=float)
-    if grid.size < 512:
-        raise ValueError("angular grid needs at least 512 points")
+    grid = _angle_grid(grid)
     bd = exact_sweep(lambda zs, near: _M_matrix_grid(V, zs, n0, near), grid, True,
                      REFERENCE_EPS)
     ok = np.logical_and.reduce([bd[k][2] for k in _MATRIX_KEYS])
@@ -516,9 +520,11 @@ def matrix_M_and_R(V: VerblunskyCoefficients, n0: int, grid=None,
     defined = ok & (tr > _axis_margin(m00, bd["M00"][1]) + _axis_margin(m11, bd["M11"][1]))
     H = stack_2x2(m00.real, (m01 + np.conj(m10)) / 2.0, (m10 + np.conj(m01)) / 2.0, m11.real,
                   grid.shape)
-    R = np.where(defined[:, None, None], H / np.where(defined, tr, 1.0)[:, None, None], 0.0)
+    scale = np.where(defined, tr, 1.0)
+    R = np.where(defined[:, None, None], H / scale[:, None, None], 0.0)
     eigs = np.linalg.eigvalsh(R)
-    rank = np.sum(eigs > RANK_TOL, axis=1)
+    e_R = sum(bd[k][1] for k in _MATRIX_KEYS) / scale
+    rank = np.where(defined, 1 + (eigs[:, 0] > 10.0 * e_R), 0)
 
     def over_defined(values):
         return float(values[defined].max()) if defined.any() else math.nan

@@ -19,18 +19,24 @@ numerical content of the containment theorems for reflectionless operators;
 when the reflectionless hypothesis fails on E the inclusion is SKIPPED with
 the reason recorded rather than reported as a failure, and so it is when E
 is omitted and the computed ac spectrum has zero measure on the grid.  A
-report is FAILED exactly when some residual exceeds its threshold or an
-enforced check is violated; every failure names the violated inequality and
+report is FAILED exactly when the ac spectra of the two reference sites
+differ by more than two grid steps, the phase is undetermined at more than
+MAX_UNDETERMINED (1%) of the grid points at either site, an identity
+residual reaches its threshold, or the inclusion check runs and fails (the
+closure of E leaves the ac spectrum by more than one grid step, or M2
+misses more than 1% of E); every failure names the violated inequality and
 its margin.
 
 Config runs are deterministic: fixed seed, sorted JSON keys, LF endings, no
 timestamps; reports embed the effective tolerances for auditability.
 
-One report computes each boundary sweep once: verify_inclusion and each
-operator of run_config open a sweep scope (boundary_analysis.sweep_scope),
-whose memo (boundary_analysis.memo) keeps each family sweep for the ac
+Each entry is loaded and checked once (_load), and spec run, `spec
+<family> --emit report` and verify_inclusion assemble its report from that
+load (_report).  A report opens a sweep scope (boundary_analysis's
+sweep_scope and memo), which computes each family sweep once for the ac
 spectrum, the reflectionless test, the multiplicity sets, the CMV boundary
-identity residual and the CSV to read.
+identity residual and the CSV, and each site's phase once for the ac
+spectrum and the undetermined count.
 
 Exit codes for `spec run`: 0 all reports PASS, 1 failures or IO errors,
 2 malformed config JSON, seed, descriptor, grid, tolerances or target set E
@@ -66,14 +72,19 @@ from .interval_sets import (CircleArcSet, GeneratedFatSet, RealIntervalSet, cano
                             lebesgue_measure, longest_component, rational_enumeration,
                             set_algebra, set_from_json, set_to_json, widen)
 
-SUPPORTED_TYPES = ("jacobi", "cmv", "schrodinger")
+# the family table: each family's operator type; its module has the rest
+OPERATOR_TYPES = {"jacobi": _jacobi.JacobiCoefficients, "cmv": _cmv.VerblunskyCoefficients,
+                  "schrodinger": _schrodinger.PiecewisePotential}
+FAMILY_MODULES = {kind: sys.modules[t.__module__] for kind, t in OPERATOR_TYPES.items()}
+SUPPORTED_TYPES = tuple(OPERATOR_TYPES)
+# a report is FAILED past this fraction of undetermined grid points at a site
+MAX_UNDETERMINED = 0.01
 # a Schrodinger operator whose transfers may grow like exp(x) on its grid is
 # refused at load for x past this: floquet_pair squares the monodromy trace
 # and the identity residual's Wronskian multiplies two solutions carried
 # across the patch and a period, so products reach exp(3x), and exp
 # overflows past 709.78
 MAX_TRANSFER_EXPONENT = 700.0 / 3.0
-FAMILY_MODULES = {"jacobi": _jacobi, "cmv": _cmv, "schrodinger": _schrodinger}
 SCHEMA = "v1"
 
 # the report tolerances, name -> (default, least value): a count has an integer
@@ -94,13 +105,10 @@ class UnknownOperatorType(ValueError):
 
 def build_operator(descriptor: dict):
     kind = descriptor.get("type") if isinstance(descriptor, dict) else None
-    if kind == "jacobi":
-        return _jacobi.JacobiCoefficients.from_descriptor(descriptor)
-    if kind == "cmv":
-        return _cmv.VerblunskyCoefficients.from_descriptor(descriptor)
-    if kind == "schrodinger":
-        return _schrodinger.PiecewisePotential.from_descriptor(descriptor)
-    raise UnknownOperatorType(kind)
+    operator_type = OPERATOR_TYPES.get(kind) if isinstance(kind, str) else None
+    if operator_type is None:
+        raise UnknownOperatorType(kind)
+    return operator_type.from_descriptor(descriptor)
 
 
 def _whole(value, what: str) -> int:
@@ -114,10 +122,10 @@ def _resolve_grid(kind: str, op, grid_config):
     """Grid array plus its JSON echo from a config dict or family default."""
     if grid_config is not None and not isinstance(grid_config, dict):
         raise ValueError(f"grid must be an object or null, not {grid_config!r:.80}")
-    if kind == "cmv":
-        n = _whole((grid_config or {}).get("angles", 512), "angles")
-        if n < 512:
-            raise ValueError(f"a cmv grid needs at least 512 angles, got {n}")
+    if FAMILY_MODULES[kind]._FAMILY.circle:
+        n = _whole((grid_config or {}).get("angles", _cmv.MIN_ANGLES), "angles")
+        if n < _cmv.MIN_ANGLES:
+            raise ValueError(f"a {kind} grid needs at least {_cmv.MIN_ANGLES} angles, got {n}")
         return _cmv.default_angles(n), {"angles": n}
     if grid_config:
         start = float(grid_config["start"])
@@ -155,41 +163,36 @@ def _check_tolerances(tolerances) -> dict:
 
 
 def _load(descriptor: dict, E, grid_config, tolerances=None):
-    """(op, grid, grid_echo, E_set) of one operator entry, E_set None when E
-    is; a malformed descriptor, grid, target set or tolerances raises
-    ValueError, and so does a Schrodinger potential whose transfers would
-    overflow on the grid."""
-    _check_tolerances(tolerances)
+    """(op, grid, grid_echo, E_set, tolerances) of one operator entry, E_set
+    None when E is; a malformed descriptor, grid, target set or tolerances
+    raises ValueError, and so does a Schrodinger potential whose transfers
+    would overflow on the grid."""
+    tolerances = _check_tolerances(tolerances)
     try:
         op = build_operator(descriptor)
-        grid, grid_echo = _resolve_grid(descriptor["type"], op, grid_config)
+        kind = descriptor["type"]
+        grid, grid_echo = _resolve_grid(kind, op, grid_config)
         E_set = set_from_json(E) if isinstance(E, dict) else E
     except (KeyError, TypeError, IndexError, OverflowError) as exc:
         raise ValueError(f"malformed operator entry ({type(exc).__name__}: {exc})") from None
-    if descriptor["type"] == "schrodinger":
+    if kind == "schrodinger":
         reach = max(abs(float(grid[0])), abs(float(grid[-1])))
         growth = _schrodinger.transfer_exponent(op, reach)
         if growth > MAX_TRANSFER_EXPONENT:
             raise ValueError(f"schrodinger transfers may grow like exp({growth:.4g}) on the "
                              f"grid, past exp({MAX_TRANSFER_EXPONENT:.4g}), and overflow; "
                              f"lower the potential or the grid")
-    carrier = CircleArcSet if descriptor["type"] == "cmv" else RealIntervalSet
+    carrier = CircleArcSet if FAMILY_MODULES[kind]._FAMILY.circle else RealIntervalSet
     if E_set is not None and not (isinstance(E_set, carrier) and _testable(E_set, grid)):
         raise ValueError(f"E must be an explicit {carrier.__name__} of positive measure "
                          f"with a grid point inside, not {E_set!r:.80}")
-    return op, grid, grid_echo, E_set
+    return op, grid, grid_echo, E_set, tolerances
 
 
 def _testable(E, grid) -> bool:
     """Whether the reflectionless test can read E on the grid: E has
     positive measure and a grid point inside."""
     return E.measure() > 0.0 and bool(contains_mask(E, grid).any())
-
-
-def _covered_fraction(E, M) -> float:
-    meet = set_algebra(E, M, "intersect")
-    total = E.measure()
-    return meet.measure() / total if total > 0 else 1.0
 
 
 def _json_safe(x):
@@ -263,19 +266,17 @@ def _identity_residuals(kind: str, op, grid, E, refl_verdict: bool, rng,
         m11 = _cmv._M11_grid(op, zs, 0)["M11"]
         oracle = _cmv.truncation_cayley_diag(op, zs, 0, tolerances["oracle_window"])
         entry("m11_formula_vs_oracle", np.max(np.abs(m11 - oracle)), draws)
-        if refl_verdict:
+        if refl_verdict:    # so E has a grid point inside
             idx = np.flatnonzero(contains_mask(E, grid))
-            if idx.size:
-                idx = idx[:: max(1, idx.size // 64)]
-                # the report's site-0 sweep, read at the sampled angles of E;
-                # the kernel works point by point, so a sweep of those angles
-                # alone has the same bits
-                bd = sweep_at(_cmv._FAMILY.sweep(op, grid, 0), idx)
-                entry("m11_boundary_real_part", _cmv.m11_identity_residual(bd), idx.size)
+            idx = idx[:: max(1, idx.size // 64)]
+            # the report's site-0 sweep, read at the sampled angles of E; the
+            # kernel works point by point, so a sweep of those angles alone
+            # has the same bits
+            bd = sweep_at(_cmv._FAMILY.sweep(op, grid, 0), idx)
+            entry("m11_boundary_real_part", _cmv.m11_identity_residual(bd), idx.size)
     return out
 
 
-@sweep_scope()
 def verify_inclusion(descriptor: dict, E=None, grid_config=None, tolerances=None,
                      name: str = "operator", seed: int = 0) -> SpectralReport:
     """Assemble the full report for one operator descriptor.
@@ -286,12 +287,18 @@ def verify_inclusion(descriptor: dict, E=None, grid_config=None, tolerances=None
     multiplicity two on E up to a 1% defect fraction; both are SKIPPED when
     the reflectionless hypothesis fails on E.  When the ac spectrum differs
     between the two reference sites by more than two grid steps, the report
-    keeps the first site's set and is FAILED.
+    keeps the first site's set and is FAILED; so it is when the phase is
+    undetermined at more than MAX_UNDETERMINED of the grid at either site.
     """
-    tolerances = _check_tolerances(tolerances)
-    op, grid, grid_echo, E_set = _load(descriptor, E, grid_config)
+    return _report(descriptor, _load(descriptor, E, grid_config, tolerances), name, seed)
+
+
+@sweep_scope()
+def _report(descriptor: dict, loaded: tuple, name: str, seed: int) -> SpectralReport:
+    """The report of one operator entry from its _load result."""
+    op, grid, grid_echo, E_set, tolerances = loaded
     kind = descriptor["type"]
-    step = 2.0 * math.pi / grid.size if kind == "cmv" else float(grid[1] - grid[0])
+    step = float(grid[1] - grid[0])
     refl_tol = tolerances["reflectionless_tol"]
     rng = np.random.default_rng(seed)
     failures = []
@@ -301,13 +308,16 @@ def verify_inclusion(descriptor: dict, E=None, grid_config=None, tolerances=None
         ac = mod.ac_spectrum(op, grid)
     except SiteDisagreement as exc:
         ac = exc.spectrum
-        failures.append(f"{exc} by {exc.width:.3e} (> two grid steps "
-                        f"{2.0 * (grid[1] - grid[0]):.3e})")
+        failures.append(f"{exc} by {exc.width:.3e} (> two grid steps {2.0 * step:.3e})")
+    fam = mod._FAMILY
+    for site in fam.sites(op):      # the phases the ac spectrum read, from the memo
+        undetermined = int(np.count_nonzero(~fam.phase(op, grid, site)[2]))
+        if undetermined > MAX_UNDETERMINED * grid.size:
+            failures.append(f"undetermined: {undetermined} of {grid.size} grid points at "
+                            f"reference {site} (> {MAX_UNDETERMINED:.0%})")
 
-    if E_set is None:
-        E_set = ac
-
-    testable = _testable(E_set, grid)
+    testable = E_set is not None or _testable(ac, grid)     # _load tests a given E
+    E_set = ac if E_set is None else E_set
     if testable:
         refl = mod.reflectionless_on(op, E_set, grid, tol=refl_tol)
     else:       # only a computed E: a given one is checked on loading
@@ -331,19 +341,20 @@ def verify_inclusion(descriptor: dict, E=None, grid_config=None, tolerances=None
         # largest piece of the closure of E outside the ac spectrum's one-step widening
         overhang = longest_component(set_algebra(E_closure, widen(ac, step), "difference"))
         contained = overhang <= 1e-12
-        m2_cover = _covered_fraction(E_set, M2)
-        covers = (1.0 - m2_cover) <= 0.01 + 1e-12
+        # E has positive measure, as the reflectionless test needs
+        m2_defect = 1.0 - set_algebra(E_set, M2, "intersect").measure() / E_set.measure()
+        covers = m2_defect <= 0.01 + 1e-12
         if not contained:
             failures.append(
                 f"inclusion: essential closure of E exceeds the ac spectrum "
                 f"by {overhang:.3e} (> one grid step {step:.3e})")
         if not covers:
             failures.append(
-                f"multiplicity: M2 misses {1.0 - m2_cover:.2%} of E (> 1%)")
+                f"multiplicity: M2 misses {m2_defect:.2%} of E (> 1%)")
         inclusion.update(status="PASS" if (contained and covers) else "FAILED",
                          contained_in_ac=bool(contained), overhang=float(overhang),
                          multiplicity_two_covers_E=bool(covers),
-                         m2_defect_fraction=float(1.0 - m2_cover))
+                         m2_defect_fraction=float(m2_defect))
     else:
         inclusion["reason"] = (
             (f"reflectionless hypothesis fails on E (passing fraction {refl.fraction:.4f} "
@@ -369,7 +380,7 @@ def verify_inclusion(descriptor: dict, E=None, grid_config=None, tolerances=None
             "witness_residual": float(refl.witness_residual),
         },
         multiplicity={"M2": set_to_json(M2), "M1": set_to_json(M1),
-                      "boundary_pair": f"({', '.join(mod._FAMILY.pair)})"},
+                      "boundary_pair": f"({', '.join(fam.pair)})"},
         identity_residuals=identities,
         theorem_inclusion=inclusion)
 
@@ -417,14 +428,11 @@ def run_config(path: str, out_dir: str = None) -> int:
     any_failed = False
     try:
         os.makedirs(out, exist_ok=True)
-        for k, (spec_entry, (op, grid, _, E_set)) in enumerate(zip(ops, loaded)):
-            name = spec_entry.get("name", f"operator_{k}")
-            kind = spec_entry["descriptor"]["type"]
+        for k, (entry, load) in enumerate(zip(ops, loaded)):
+            name = entry.get("name", f"operator_{k}")
             with sweep_scope():     # the report and its CSV share one sweep memo
-                rep = verify_inclusion(
-                    spec_entry["descriptor"], E_set, spec_entry.get("grid"),
-                    spec_entry.get("tolerances"), name=name, seed=seed)
-                csv_text = _csv_for(kind, op, grid)
+                rep = _report(entry["descriptor"], load, name, seed)
+                csv_text = _csv_for(rep.family, load[0], load[1])
             doc = json.dumps(rep.to_json(), sort_keys=True, indent=2) + "\n"
             with open(os.path.join(out, f"{name}_report.json"), "w",
                       encoding="utf-8", newline="\n") as fh:
@@ -579,6 +587,7 @@ def spec_main(argv=None) -> int:
               f"match subcommand {ns.cmd!r}", file=sys.stderr)
         return 3
 
+    circle = FAMILY_MODULES[kind]._FAMILY.circle
     grid_config = None
     if ns.grid:
         try:
@@ -586,18 +595,19 @@ def spec_main(argv=None) -> int:
         except ValueError as exc:
             print(f"error: {exc}", file=sys.stderr)
             return 2
-        if kind == "cmv" and ns.emit == "report" and not (
+        if circle and ns.emit == "report" and not (
                 a == 0.0 and math.isclose(b, 2.0 * math.pi, rel_tol=1e-9)):
-            print(f"error: a cmv report covers the whole circle (step 2 pi/n); "
+            print(f"error: a {kind} report covers the whole circle (step 2 pi/n); "
                   f"--grid must be 0:{2.0 * math.pi!r}:n, not {ns.grid!r}", file=sys.stderr)
             return 2
-        grid_config = {"angles": n} if kind == "cmv" else {"start": a, "stop": b, "points": n}
+        grid_config = {"angles": n} if circle else {"start": a, "stop": b, "points": n}
     try:
-        op, grid, _, _ = _load(descriptor, None, grid_config)
+        loaded = _load(descriptor, None, grid_config)
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    if ns.grid and kind == "cmv":
+    op, grid = loaded[:2]
+    if ns.grid and circle:
         grid = np.linspace(a, b, n, endpoint=False)
 
     failed = False
@@ -607,9 +617,8 @@ def spec_main(argv=None) -> int:
         mod = FAMILY_MODULES[ns.cmd]
         text = json.dumps(set_to_json(mod.ac_spectrum(op, grid)),
                           sort_keys=True, indent=2) + "\n"
-    else:
-        rep = verify_inclusion(descriptor, None, grid_config,
-                               name=os.path.splitext(os.path.basename(ns.desc))[0])
+    else:       # on the loaded grid: the whole circle at step 2 pi/n for cmv
+        rep = _report(descriptor, loaded, os.path.splitext(os.path.basename(ns.desc))[0], 0)
         text = json.dumps(rep.to_json(), sort_keys=True, indent=2) + "\n"
         failed = rep.status == "FAILED"
 

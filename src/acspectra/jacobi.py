@@ -233,7 +233,7 @@ def default_grid(J: JacobiCoefficients, points: int = 4001):
 
 _FAMILY = SweepFamily(
     sweep=lambda J, lams, n0: memo(boundary_weyl_grid, J, lams, n0),
-    phase=lambda J, lams, n0: xi_grid(J, lams, n0),
+    phase=lambda J, lams, n0: memo(xi_grid, J, lams, n0),
     grid=default_grid, sites=lambda J: (0, 1), circle=False, pair=("M_plus", "M_minus"),
     phase_key="g",
     csv_columns=(("lambda", "loc"), ("xi", "phase"), ("error_estimate", "err"),

@@ -324,7 +324,7 @@ def default_grid(V: PiecewisePotential, points: int = 2001) -> np.ndarray:
 
 _FAMILY = SweepFamily(
     sweep=lambda V, lams, x0: memo(boundary_schrodinger_grid, V, lams, x0),
-    phase=lambda V, lams, x0: xi_grid(V, lams, x0),
+    phase=lambda V, lams, x0: memo(xi_grid, V, lams, x0),
     grid=default_grid, sites=lambda V: (0.0, 0.5 * V.period), circle=False,
     pair=("m_plus", "m_minus"), phase_key="g",
     csv_columns=(("lambda", "loc"), ("xi", "phase"), ("re_g", "re"), ("im_g", "im"),

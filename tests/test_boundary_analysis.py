@@ -17,7 +17,7 @@ import numpy as np
 import pytest
 
 from acspectra import cmv, jacobi, schrodinger
-from acspectra.boundary_analysis import (SweepFamily, accepted, exact_sweep, interior,
+from acspectra.boundary_analysis import (SweepFamily, exact_sweep, interior,
                                          normalize_pair, off_axis, plus_side,
                                          require_off_axis, stack_2x2, sweep_at, sweep_csv,
                                          sweep_multiplicity_sets, sweep_phase)
@@ -42,21 +42,38 @@ def disk_mixed(zs):
     return {"f": 1.0 + (1.0 + zs) / (1.0 - zs)}
 
 
+def richardson_accepted(bd, key):
+    """Where a Richardson sweep's value of key is usable: relaxed_ok, below
+    the divergence cap, and finite."""
+    v, err, conv = bd[key]
+    return relaxed_ok(v, err, conv) & ~bd["div_" + key] & np.isfinite(v)
+
+
+def accepted_sweep(bd):
+    """A Richardson sweep whose ok is richardson_accepted, the oracle's own
+    acceptance, as the shared functions read an exact sweep's ok."""
+    return {k: (v[0], v[1], richardson_accepted(bd, k)) if isinstance(v, tuple) else v
+            for k, v in bd.items()}
+
+
 def family(circle, zero_floor=False, columns=()):
     """A SweepFamily over the analytic models: the phase key is 'm' on the
-    line and 'f' on the circle, and the sweep ignores the operator."""
+    line and 'f' on the circle, and the sweep, a Richardson sweep through
+    its own acceptance, ignores the operator."""
     kernel, key = (disk_mixed, "f") if circle else (uniform, "m")
-    return SweepFamily(sweep=lambda op, grid, site: boundary_sweep(kernel, grid, circle),
+    return SweepFamily(sweep=lambda op, grid, site: accepted_sweep(
+                           boundary_sweep(kernel, grid, circle)),
                        phase=None, grid=None, sites=lambda op: (0, 1), circle=circle,
                        pair=(key, key), phase_key=key,
                        csv_columns=columns, zero_floor=zero_floor)
 
 
 def sweep_of(key, values, err=0.0, conv=True, div=False):
-    """A one-key boundary sweep dict with the given values."""
+    """A one-key boundary sweep dict with the given values; as in an exact
+    sweep, a diverged value is not ok."""
     v = np.asarray(values, dtype=complex)
     full = lambda x, dtype: np.full(v.shape, x, dtype=dtype)
-    return {key: (v, full(err, float), full(conv, bool)),
+    return {key: (v, full(err, float), full(conv and not div, bool)),
             "inf_" + key: full(False, bool), "div_" + key: full(div, bool)}
 
 
@@ -188,13 +205,6 @@ class TestFiveStageSweep:
                 assert peak < DIVERGENCE_CAP / 1e3, (site, key, peak)
 
 
-def richardson_accepted(bd, key):
-    """Where a Richardson sweep's value of key is usable: relaxed_ok, below
-    the divergence cap, and finite."""
-    v, err, conv = bd[key]
-    return relaxed_ok(v, err, conv) & ~bd["div_" + key] & np.isfinite(v)
-
-
 def report_suite_operators(seed, rotation, workdir):
     """The (name, descriptor) pairs of one rotation of the benchmark's
     report_suite workload, drawn by its own generator."""
@@ -249,7 +259,7 @@ class TestExactRoute:
         for rotation in range(1, 21):
             for name, descriptor in report_suite_operators(seed, rotation, tmp_path):
                 grid_config = {"angles": 1024} if descriptor["type"] == "cmv" else None
-                op, grid, _, _ = _load(descriptor, None, grid_config)
+                op, grid, *_ = _load(descriptor, None, grid_config)
                 assert_exact_matches_richardson(descriptor["type"], op, grid[::4])
 
     def test_two_kernel_calls_on_the_axis_and_off_it(self):
@@ -390,22 +400,12 @@ class TestSweepPhase:
 
     def test_uniform_density_phase_at_its_center(self):
         # Re m = log((1 - x) / x) vanishes at x = 1/2, so Arg m = pi / 2 there
-        vals, _, ok = sweep_phase(family(False), boundary_sweep(uniform, np.array([0.5]), False))
+        bd = accepted_sweep(boundary_sweep(uniform, np.array([0.5]), False))
+        vals, _, ok = sweep_phase(family(False), bd)
         assert ok[0] and vals[0] == pytest.approx(0.5, abs=1e-9)
 
 
 class TestOffAxisRule:
-    def test_accepted_needs_a_finite_undiverged_ok_value(self):
-        # the exact route declares each value ok or not: a small error
-        # accepts no point that is not ok (the Richardson noise plateau of
-        # relaxed_ok is the oracle's alone)
-        v = np.array([1.0, 1.0, np.nan, 1.0, 1.0], dtype=complex)
-        err = np.array([0.0, 0.0, 0.0, 1e-5, 1e-8])
-        ok = np.array([True, True, True, False, False])
-        flags = np.array([False, True, False, False, False])
-        bd = {"m": (v, err, ok), "inf_m": ~flags, "div_m": flags}
-        assert accepted(bd, "m").tolist() == [True, False, False, False, False]
-
     def test_margin_is_ten_errors_plus_a_relative_floor(self):
         v = np.array([2.0 + 4e-10j, 2.0 + 2e-10j, 2.0 - 2e-8j, 2.0 - 1e-8j], dtype=complex)
         err = np.array([0.0, 0.0, 1e-9, 1e-9])

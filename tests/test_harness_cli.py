@@ -10,7 +10,7 @@ import numpy as np
 import pytest
 
 import acspectra
-from acspectra import jacobi
+from acspectra import harness_cli, jacobi
 from acspectra.errors import SiteDisagreement
 from acspectra.harness_cli import (FAMILY_MODULES, SUPPORTED_TYPES, UnknownOperatorType,
                                    _csv_for, build_operator, bundled_config_path,
@@ -124,6 +124,95 @@ class TestVerifyInclusion:
         parsed = json.loads(doc)
         assert parsed["schema"] == "v1"
         assert parsed["family"] == "jacobi"
+
+
+class TestFailureLines:
+    def test_inclusion_overhang(self):
+        """E past the band edge of free Jacobi by 3.5e-3, on its default grid
+        (step 1.5e-3): the reflectionless test passes on 99.89% of E, and
+        the inclusion fails by the overhang."""
+        E = {"carrier": "line", "intervals": [[-2.0, 2.0045, "cc"]], "points": []}
+        rep = verify_inclusion(FREE_JACOBI, E)
+        assert rep.reflectionless["fraction"] == pytest.approx(0.9989, abs=1e-4)
+        assert rep.theorem_inclusion["status"] == "FAILED"
+        assert rep.failures == ["inclusion: essential closure of E exceeds the ac spectrum "
+                                "by 3.500e-03 (> one grid step 1.500e-03)"]
+
+    def test_multiplicity_two_misses_E(self, monkeypatch):
+        empty = canonicalize([])
+        monkeypatch.setattr(jacobi, "multiplicity_sets", lambda J, grid: (empty, empty))
+        rep = verify_inclusion(FREE_JACOBI, E_JACOBI, SMALL_GRIDS["jacobi"])
+        assert rep.failures == ["multiplicity: M2 misses 100.00% of E (> 1%)"]
+
+    @pytest.mark.parametrize("count, status", [(10, "PASS"), (11, "FAILED")])
+    def test_undetermined_bound(self, monkeypatch, count, status):
+        """The phase of site 1 undetermined at the first count of 1000 grid
+        points, below the band: at 1% the report PASSes, past it it FAILs."""
+        xi_grid = jacobi.xi_grid
+
+        def stub(J, lams, n0):
+            vals, errs, ok = xi_grid(J, lams, n0)
+            if n0 == 1:
+                ok = ok.copy()
+                ok[:count] = False
+            return np.where(ok, vals, np.nan), errs, ok
+        monkeypatch.setattr(jacobi, "xi_grid", stub)
+        rep = verify_inclusion(FREE_JACOBI, E_JACOBI, {"start": -3.0, "stop": 3.0, "points": 1000})
+        assert rep.status == status
+        assert rep.failures == ([] if status == "PASS" else
+                                ["undetermined: 11 of 1000 grid points at reference 1 (> 1%)"])
+
+    def test_short_period_schrodinger_fails_by_its_undetermined_points(self, tmp_path):
+        """Free Schrodinger of period 1e-4 leaves 1924 of the 2001 points of
+        its default grid undetermined at both reference points."""
+        cfg = tmp_path / "c.json"
+        cfg.write_text(json.dumps({"operators": [{"name": "short", "descriptor": {
+            "type": "schrodinger", "period": 1e-4, "pieces": [[1e-4, 0.0]]}}]}),
+            encoding="utf-8")
+        assert spec_main(["run", "--config", str(cfg), "--out", str(tmp_path / "out")]) == 1
+        rep = json.loads((tmp_path / "out" / "short_report.json").read_text(encoding="utf-8"))
+        assert rep["failures"] == [
+            f"undetermined: 1924 of 2001 grid points at reference {site} (> 1%)"
+            for site in (0.0, 5e-05)]
+
+
+class TestOneLoad:
+    @pytest.mark.parametrize("family", SUPPORTED_TYPES)
+    def test_spec_family_report_is_the_spec_run_report(self, tmp_path, family):
+        """`spec <family> --emit report` writes the bytes of `spec run` on
+        the one-entry config of the same name, seed 0 and grid."""
+        desc = os.path.join(os.path.dirname(os.path.abspath(__file__)), "data", "xi",
+                            f"{family}.json")
+        circle = FAMILY_MODULES[family]._FAMILY.circle
+        out = tmp_path / "single.json"
+        assert spec_main([family, "--desc", desc, "--emit", "report", "--out", str(out)]
+                         + (["--grid=0:6.283185307179586:512"] if circle else [])) == 0
+        cfg = tmp_path / "c.json"
+        with open(desc, encoding="utf-8") as fh:
+            entry = {"name": family, "descriptor": json.load(fh),
+                     "grid": {"angles": 512} if circle else None}
+        cfg.write_text(json.dumps({"seed": 0, "operators": [entry]}), encoding="utf-8")
+        assert spec_main(["run", "--config", str(cfg), "--out", str(tmp_path / "run")]) == 0
+        assert out.read_bytes() == (tmp_path / "run" / f"{family}_report.json").read_bytes()
+
+    def test_each_entry_is_loaded_once(self, tmp_path, monkeypatch):
+        """spec run and `spec <family> --emit report` build each operator,
+        resolve its grid, check its tolerances and test its E once."""
+        names = ("_load", "build_operator", "_resolve_grid", "_check_tolerances", "_testable")
+        calls = dict.fromkeys(names, 0)
+        for name in names:
+            def counted(*args, _fn=getattr(harness_cli, name), _name=name):
+                calls[_name] += 1
+                return _fn(*args)
+            monkeypatch.setattr(harness_cli, name, counted)
+        assert run_config(small_config(tmp_path), str(tmp_path / "run")) == 0
+        assert calls == dict.fromkeys(names, 3)
+        calls.update(dict.fromkeys(names, 0))
+        desc = tmp_path / "op.json"
+        desc.write_text(json.dumps(FREE_JACOBI), encoding="utf-8")
+        assert spec_main(["jacobi", "--desc", str(desc), "--grid=-3:3:1001", "--emit", "report",
+                          "--out", str(tmp_path / "report.json")]) == 0
+        assert calls == dict.fromkeys(names, 1)
 
 
 class TestRunConfig:

@@ -1,0 +1,63 @@
+"""Every documented input check of the families, the sets and the sweeps
+raises ValueError with its own message."""
+
+import numpy as np
+import pytest
+
+from acspectra import cmv, jacobi, schrodinger
+from acspectra.boundary_analysis import require_in_disk
+from acspectra.interval_sets import canonicalize, full_circle, set_algebra
+
+V = cmv.VerblunskyCoefficients(2, (0.2 - 0.3j, 0.6))
+J = jacobi.JacobiCoefficients(1, (1.0,), (0.0,))
+W = schrodinger.PiecewisePotential(1.0, ((1.0, 0.0),))
+LINE = canonicalize([(0.0, 1.0, "cc")])
+
+CHECKS = {
+    "cmv_period": (lambda: cmv.VerblunskyCoefficients(0, ()), "period must be a positive"),
+    "cmv_alpha_base_length": (lambda: cmv.VerblunskyCoefficients(2, (0.1,)),
+                              "alpha_base must have length"),
+    "cmv_repeated_patch_site": (
+        lambda: cmv.VerblunskyCoefficients(1, (0.1,), ((1, 0.2), (1, 0.3))),
+        "patch sites must be distinct"),
+    "cmv_descriptor_type": (
+        lambda: cmv.VerblunskyCoefficients.from_descriptor({"type": "jacobi"}),
+        "descriptor type must be 'cmv'"),
+    "cmv_M11_mode": (lambda: cmv.M11(V, 0.3j, 0, mode="banded"), "mode must be"),
+    "cmv_ac_spectrum_angles": (
+        lambda: cmv.ac_spectrum(V, cmv.default_angles(cmv.MIN_ANGLES - 1)),
+        f"at least {cmv.MIN_ANGLES} points"),
+    "cmv_matrix_M_and_R_angles": (
+        lambda: cmv.matrix_M_and_R(V, 0, grid=cmv.default_angles(cmv.MIN_ANGLES - 1)),
+        f"at least {cmv.MIN_ANGLES} points"),
+    "cmv_eigenvalue_blocks": (lambda: cmv.eigenvalue_angles(V, window=cmv.EIG_BLOCKS * 8 + 2),
+                              "split evenly into blocks"),
+    "cmv_empty_support_arcs": (lambda: cmv.support_arcs(np.array([])), "no angles given"),
+    "cmv_cayley_window": (lambda: cmv.truncation_cayley_diag(V, 0.1, 0, 4),
+                          "even number of sites, at least 6"),
+    "jacobi_descriptor_type": (
+        lambda: jacobi.JacobiCoefficients.from_descriptor({"type": "cmv"}),
+        "descriptor type must be 'jacobi'"),
+    "jacobi_truncation_size": (lambda: jacobi.truncated_matrix(J, 3), "at least 4 sites"),
+    "schrodinger_period": (lambda: schrodinger.PiecewisePotential(0.0, ((1.0, 0.0),)),
+                           "period must be positive"),
+    "schrodinger_piece_length": (
+        lambda: schrodinger.PiecewisePotential(1.0, ((1.5, 0.0), (-0.5, 1.0))),
+        "piece lengths must be positive"),
+    "schrodinger_descriptor_type": (
+        lambda: schrodinger.PiecewisePotential.from_descriptor({"type": "jacobi"}),
+        "descriptor type must be 'schrodinger'"),
+    "schrodinger_transfer_interval": (
+        lambda: schrodinger.transfer_interval(W, [1.0j], 0.5, 0.5), "need b > a"),
+    "set_algebra_op": (lambda: set_algebra(LINE, LINE, "xor"), "unknown op 'xor'"),
+    "set_algebra_carriers": (lambda: set_algebra(LINE, full_circle(), "union"),
+                             "mixed carriers"),
+    "require_in_disk": (lambda: require_in_disk(1.0), "open unit disk"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(CHECKS))
+def test_input_check_raises(case):
+    call, message = CHECKS[case]
+    with pytest.raises(ValueError, match=message):
+        call()

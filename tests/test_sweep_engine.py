@@ -26,15 +26,17 @@ SWEEPS = ((jacobi, "boundary_weyl_grid"), (cmv, "boundary_cmv_grid"),
 ])
 def test_sweeps_per_report(request, monkeypatch, fixture, grid_config, expected):
     """A report plus its CSV, in one sweep scope, computes each (site, grid)
-    sweep once: the two reference sites of the ac spectrum, which the
-    reflectionless test, the multiplicity sets, the CSV and, for CMV, the
-    boundary identity residual on angles of E read again."""
-    calls = []
-    for mod, name in SWEEPS:
-        def counting(*args, _fn=getattr(mod, name), **kwargs):
-            calls.append(name)
-            return _fn(*args, **kwargs)
-        monkeypatch.setattr(mod, name, counting)
+    sweep and phase once: the two reference sites of the ac spectrum, whose
+    phases the undetermined count and whose sweeps the reflectionless test,
+    the multiplicity sets, the CSV and, for CMV, the boundary identity
+    residual on angles of E read again."""
+    calls, phases = [], []
+    for (mod, name), phase in zip(SWEEPS, ("xi_grid", "Xi11_grid", "xi_grid")):
+        for fn, log in ((name, calls), (phase, phases)):
+            def counting(*args, _fn=getattr(mod, fn), _log=log, **kwargs):
+                _log.append(_fn)
+                return _fn(*args, **kwargs)
+            monkeypatch.setattr(mod, fn, counting)
     op = request.getfixturevalue(fixture)
     descriptor = op.to_descriptor()
     kind = descriptor["type"]
@@ -43,7 +45,7 @@ def test_sweeps_per_report(request, monkeypatch, fixture, grid_config, expected)
         assert rep.status == "PASS"
         grid, _ = _resolve_grid(kind, op, grid_config)
         _csv_for(kind, op, grid)
-    assert len(calls) == expected
+    assert len(calls) == expected and len(phases) == 2
 
 
 def test_seeds_per_schrodinger_report(monkeypatch, square_well):
@@ -315,7 +317,7 @@ def test_scoped_report_equals_standalone_calls(tmp_path, kind):
                                     "grid": GRIDS[kind]}])
     report = json.loads(files["op_report.json"])
 
-    op, grid, _, _ = _load(descriptor, None, GRIDS[kind])
+    op, grid, *_ = _load(descriptor, None, GRIDS[kind])
     mod = FAMILY_MODULES[kind]
     ac = mod.ac_spectrum(op, grid)
     refl = mod.reflectionless_on(op, ac, grid)
@@ -341,7 +343,7 @@ def test_whole_grid_sweep_read_on_E_equals_sweep_of_E(kind):
     E; the kernels and Richardson work point by point, so that has the bits
     of a sweep of E's points alone."""
     rng = np.random.default_rng({"jacobi": 21, "cmv": 22, "schrodinger": 23}[kind])
-    op, grid, _, _ = _load(_patched_operator(kind, rng), None, GRIDS[kind])
+    op, grid, *_ = _load(_patched_operator(kind, rng), None, GRIDS[kind])
     mod, name = SWEEPS[("jacobi", "cmv", "schrodinger").index(kind)]
     sweep = getattr(mod, name)
     inside = contains_mask(mod.ac_spectrum(op, grid), grid)

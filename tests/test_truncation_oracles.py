@@ -167,6 +167,19 @@ class TestBoundaryDensity:
         assert np.abs(data.R - 0.5 * np.eye(2)).max() <= 1e-15
         assert (data.rank == 2).all()
 
+    @pytest.mark.parametrize("name", sorted(CMV_OPERATORS))
+    @pytest.mark.parametrize("n0", [0, 1])
+    def test_rank_two_away_from_undefined_angles(self, name, n0):
+        """The multiplicity is two on the whole ac spectrum: R has rank two
+        at every defined angle more than three grid steps from an
+        undefined one, its smaller eigenvalue read against the declared
+        errors of the entries."""
+        rank = cmv.matrix_M_and_R(CMV_OPERATORS[name], n0, grid=cmv.default_angles(1024),
+                                  window=512).rank
+        steps = np.arange(1024)[:, None] - np.flatnonzero(rank == 0)[None, :]
+        near = (np.abs((steps + 512) % 1024 - 512) <= 3).any(axis=1)
+        assert (rank[~near] == 2).all(), np.flatnonzero(~near & (rank != 2))
+
     @pytest.mark.parametrize("name", ["geronimus", "patched"])
     @pytest.mark.parametrize("n0", [0, 1])
     def test_defined_on_the_band_interior(self, name, n0):
