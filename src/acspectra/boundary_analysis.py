@@ -28,19 +28,28 @@ Richardson extrapolation toward the axis as its independent oracle.
 The sweeps serve the Jacobi, CMV and Schrodinger modules: one exact
 sweep, phase, ac hull, reflectionless test, multiplicity classifier and
 CSV writer, with each family's conventions passed as data, plus the
-Floquet chooser and 2x2 helpers of the kernels.  Both Weyl solutions of a
-periodic base are eigenvectors of one period monodromy, so floquet_pair
-takes its four entries and returns the decaying and the growing one, each
-an (x, y) pair, from a single square root, with one branch rule for every
+Floquet chooser and 2x2 helpers of the kernels.  The reflectionless test
+reads E in its intervals only (tested_mask): it is an almost-everywhere
+property, and isolated points are a null set.
+
+Every one-period transfer product of the families, in the kernels and
+the discriminants alike, is transfer_product's: 2x2 steps multiplied out
+entrywise in the order applied, and rescaled by an exact power of two
+once an entry passes RESCALE_AT, so that it stays finite at any period
+and keeps the unscaled bits; transfer_trace is the discriminants' one
+trace rule.  Both Weyl solutions of a periodic base are eigenvectors of
+one period monodromy, so floquet_pair takes its four scaled entries and
+their exponent and returns the decaying and the growing one, each an
+(x, y) pair, from a single square root, with one branch rule for every
 call: the decaying root is the one nearest near (0, the contracting root,
-unless a sweep's axis call passes its reference's branch).  A kernel
-seeds both half lines from one matrix without stacking it, and returns
-its branch and ambiguous mask as the entry 'floquet'; the CMV Schur
-function is the fixed point the growing eigenvector gives.  The
-Schrodinger seeds do not depend on the reference point either, so in a
-report scope both reference points read one seed pair per kernel call
-(memo).  Every one-point value of a family is its grid kernel (one_point)
-or its sweep (phase_at) read at one point.
+unless a sweep's axis call passes its reference's branch, whose root it
+rescales to its own exponent).  A kernel seeds both half lines from one
+matrix without stacking it, and returns its branch and ambiguous mask as
+the entry 'floquet'; the CMV Schur function is the fixed point the
+growing eigenvector gives.  The Schrodinger seeds do not depend on the
+reference point either, so in a report scope both reference points read
+one seed pair per kernel call (memo).  Every one-point value of a family
+is its grid kernel (one_point) or its sweep (phase_at) read at one point.
 
 The truncation oracles of the Jacobi and CMV identity residuals share one
 solver: tridiagonal_resolvent reads a diagonal entry of the inverse, and
@@ -52,7 +61,7 @@ from __future__ import annotations
 
 import math
 from contextlib import contextmanager
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -61,6 +70,8 @@ from .interval_sets import (angles_hull, contains_mask, essential_closure,
                             longest_component, points_hull, set_algebra)
 
 INFINITE_LIMIT = 1e6
+# transfer_product rescales by a power of two once an entry's part passes this
+RESCALE_AT = 2.0 ** 256
 # the Floquet branch of an exact sweep: the reference points lie
 # REFERENCE_EPS times the operator's scale off the axis; a monodromy is
 # scalar, or its roots coincide, within EDGE_TOL, and neither root is the
@@ -109,23 +120,55 @@ def one_point(kernel, op, z, *args, circle: bool = False) -> dict:
     return {k: complex(v[0]) for k, v in out.items()}
 
 
-def floquet_pair(m00, m01, m10, m11, det, near=0.0):
-    """(decaying, growing, branch, ambiguous) of the monodromy with entries
-    m00, m01, m10, m11 (determinant det): decaying and growing are
-    eigenvectors, each an (x, y) pair of arrays.  With h = (m00 - m11)/2
-    and s = sqrt(h^2 + m01 m10), the multipliers are tr/2 +- s: the larger
-    one takes the cancellation-free sign, the other one u' = det/u, and the
-    eigenvector of tr/2 + sigma s is (m01, sigma s - h) or (sigma s + h,
-    m10), whichever is larger.  h and s come from differences of the
-    entries, so both eigenvectors keep their digits where the monodromy is
-    nearly scalar (a closed gap).
+def transfer_product(steps):
+    """(m00, m01, m10, m11, exponent) of the product S_k ... S_1 of 2x2 steps
+    (s00, s01, s10, s11) given in the order applied, multiplied out
+    entrywise as step x product from the first one (the identity for none):
+    the product is 2^exponent times the entries.  Once a real or imaginary
+    part passes RESCALE_AT, each point's entries are divided by 2^frexp of
+    their largest modulus, which is exact, so they keep the unscaled bits
+    and stay finite; exponent is 0 until then, an int array after."""
+    m, e = None, 0
+    for s00, s01, s10, s11 in steps:
+        m = (s00, s01, s10, s11) if m is None else (
+            s00 * m[0] + s01 * m[2], s00 * m[1] + s01 * m[3],
+            s10 * m[0] + s11 * m[2], s10 * m[1] + s11 * m[3])
+        # the largest real or imaginary part, read off float views
+        if max(np.abs(np.ascontiguousarray(x).view(float)).max() for x in m) > RESCALE_AT:
+            k = np.frexp(np.abs(np.broadcast_arrays(*m)).max(axis=0))[1]
+            m, e = tuple(x * np.ldexp(1.0, -k) for x in m), e + k
+    return (1.0, 0.0, 0.0, 1.0, 0) if m is None else (*m, e)
+
+
+def transfer_trace(product, phase=1.0):
+    """2^exponent (m00 + m11) times phase for a transfer_product result, inf
+    past the float range; real where every imaginary part is below 1e-9."""
+    tr, e = (product[0] + product[3]) * phase, product[4]
+    with np.errstate(over="ignore"):
+        re, im = np.ldexp(tr.real, e), np.ldexp(tr.imag, e)
+    # re + i im, assembled without 1j * im (which reads 0 * inf as nan)
+    return re if np.all(np.abs(im) < 1e-9) else np.stack([re, im], axis=-1).view(complex)[..., 0]
+
+
+def floquet_pair(m00, m01, m10, m11, det, near=0.0, exponent=0):
+    """(decaying, growing, branch, ambiguous) of the monodromy 2^exponent
+    [[m00, m01], [m10, m11]], det the determinant of the entries: decaying
+    and growing are eigenvectors, each an (x, y) pair of arrays.  With h =
+    (m00 - m11)/2 and s = sqrt(h^2 + m01 m10), the entries' multipliers are
+    tr/2 +- s: the larger one takes the cancellation-free sign, the other
+    one u' = det/u, and the eigenvector of tr/2 + sigma s is (m01, sigma s -
+    h) or (sigma s + h, m10), whichever is larger.  h and s come from
+    differences of the entries, so both eigenvectors keep their digits
+    where the monodromy is nearly scalar (a closed gap).
 
     The decaying multiplier is the root nearest near: near = 0 (a one-point
     read, an oracle, a sweep's reference call) takes the contracting root,
     and a sweep's axis call passes the branch its reference call returned.
-    branch stacks the decaying root and both eigenvectors, shape (5,) +
-    shape.  Where the monodromy is scalar within EDGE_TOL (a closed gap)
-    every vector is an eigenvector, and an axis call takes the reference's.
+    branch stacks the decaying root, both eigenvectors and exponent, shape
+    (6,) + shape; an axis call scales its reference's root by 2^(reference
+    exponent - exponent), and nothing else depends on scale.  Where the
+    monodromy is scalar within EDGE_TOL (a closed gap) every vector is an
+    eigenvector, and an axis call takes the reference's.
     ambiguous marks the entries whose roots coincide within EDGE_TOL
     relative to the traceless part of the monodromy (band edges), or whose
     distances to near differ by at most BRANCH_TOL of their sum (for near =
@@ -137,7 +180,7 @@ def floquet_pair(m00, m01, m10, m11, det, near=0.0):
     big = half + sign * s
     small = det / big
     ref = np.ndim(near) == 0
-    root = near if ref else near[0]
+    root = near if ref else near[0] * np.ldexp(1.0, near[5].real.astype(int) - exponent)
     d_small, d_big = np.abs(small - root), np.abs(big - root)
     first = d_small <= d_big
     traceless = np.abs(h) + np.abs(m01) + np.abs(m10)
@@ -154,7 +197,7 @@ def floquet_pair(m00, m01, m10, m11, det, near=0.0):
     if not ref:
         dec = tuple(np.where(scalar, near[k], c) for k, c in zip((1, 2), dec))
         grow = tuple(np.where(scalar, near[k], c) for k, c in zip((3, 4), grow))
-    return dec, grow, np.stack(np.broadcast_arrays(u, *dec, *grow)), ambiguous
+    return dec, grow, np.stack(np.broadcast_arrays(u, *dec, *grow, exponent)), ambiguous
 
 
 def stack_2x2(m00, m01, m10, m11, shape):
@@ -408,16 +451,18 @@ def phase_at(fam: SweepFamily, op, loc: float, site) -> float:
     return float(vals[0])
 
 
+@sweep_scope()
 def sweep_csv(fam: SweepFamily, op, grid) -> str:
     """Per-point CSV, LF line ends, of the boundary phase at the first
     reference site, in the columns of fam.csv_columns.  A phase cell is
     empty where the point is undetermined, a re/im cell where the phase
     key's value is not ok.  Each row takes the template of its verdict word
-    and present cells; one % formats the whole table."""
+    and present cells; one % formats the whole table.  The sweep and the
+    phase are the family's memo reads, in a report's scope or its own."""
     grid = np.asarray(grid, dtype=float)
-    bd = fam.sweep(op, grid, fam.sites(op)[0])
-    v, _, conv = bd[fam.phase_key]
-    vals, errs, ok = sweep_phase(fam, bd)
+    site = fam.sites(op)[0]
+    v, _, conv = fam.sweep(op, grid, site)[fam.phase_key]
+    vals, errs, ok = fam.phase(op, grid, site)
     words = ("undetermined", "interior", "edge" if fam.circle else "exterior")
     word = np.where(ok, np.where(interior(fam, vals), 1, 2), 0)
     # numeric cell kinds: (values, format, present given ok and conv)
@@ -466,15 +511,23 @@ def sweep_ac_spectrum(fam: SweepFamily, op, grid):
     return main
 
 
+def tested_mask(E, grid):
+    """Where the grid points lie in E's intervals (arcs on the circle).
+    Reflectionless is an almost-everywhere property, so the test reads E
+    with its isolated points dropped, a null set."""
+    return contains_mask(replace(E, isolated_points=()), grid)
+
+
 def sweep_reflectionless(fam: SweepFamily, op, E, grid, tol: float) -> ReflectionlessReport:
-    """Boundary matching of the pair on the grid points in E at both sites:
-    M_+ is the reflection of M_- (conj across the line, -conj across the
-    circle) at more than 99% of the points, phase at its center."""
+    """Boundary matching of the pair on the grid points of tested_mask(E)
+    at both sites: M_+ is the reflection of M_- (conj across the line,
+    -conj across the circle) at more than 99% of the points, phase at its
+    center."""
     if E.measure() <= 0.0:
         raise ValueError("reflectionless test needs a set of positive measure")
     sites = fam.sites(op)
     grid = fam.grid(op) if grid is None else np.asarray(grid, dtype=float)
-    inside = contains_mask(E, grid)
+    inside = tested_mask(E, grid)
     lams = grid[inside]
     if lams.size == 0:
         raise ValueError("grid does not meet E")

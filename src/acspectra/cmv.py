@@ -46,7 +46,7 @@ from .boundary_analysis import (REFERENCE_EPS, ReflectionlessReport, SweepFamily
                                 exact_sweep, floquet_pair, memo, one_point, phase_at,
                                 plus_side, require_in_disk, stack_2x2, sweep_ac_spectrum,
                                 sweep_multiplicity_sets, sweep_phase, sweep_reflectionless,
-                                tridiagonal_resolvent)
+                                transfer_product, transfer_trace, tridiagonal_resolvent)
 from .interval_sets import CircleArcSet, circle_set, full_circle
 
 TWO_PI = 2.0 * math.pi
@@ -129,19 +129,15 @@ def _schur_to_caratheodory(head, period_gammas, zs, near=0.0):
     """Caratheodory value (1 + z f)/(1 - z f) for the Schur function with
     parameter sequence head + periodic tail, vectorized over zs.  The
     one-period product A of the Schur step matrices [[z, g], [conj(g) z, 1]]
-    is multiplied out entrywise; det A = z^p prod(1 - |g|^2).  The tail's
-    Schur function is the contracting fixed point of A's Moebius map, x/y
-    of its growing eigenvector (x, y) by floquet_pair: the map's derivative
-    there is the ratio of the other multiplier to this one.  Returns
-    (value, branch, ambiguous), the branch nearest near."""
+    is transfer_product's, the last step applied first; det A = z^p
+    prod(1 - |g|^2).  The tail's Schur function is the contracting fixed
+    point of A's Moebius map, x/y of its growing eigenvector (x, y) by
+    floquet_pair: the map's derivative there is the ratio of the other
+    multiplier to this one.  Returns (value, branch, ambiguous)."""
     zs = np.asarray(zs, dtype=complex)
-    g = period_gammas[0]
-    a00, a01, a10, a11 = zs, g, np.conj(g) * zs, 1.0
-    for g in period_gammas[1:]:
-        gz = np.conj(g) * zs
-        a00, a01, a10, a11 = a00 * zs + a01 * gz, a00 * g + a01, a10 * zs + a11 * gz, a10 * g + a11
+    *a, e = transfer_product((zs, g, np.conj(g) * zs, 1.0) for g in reversed(period_gammas))
     det = zs ** len(period_gammas) * math.prod(1.0 - abs(g) ** 2 for g in period_gammas)
-    _, (x, y), *branch = floquet_pair(a00, a01, a10, a11, det, near)
+    _, (x, y), *branch = floquet_pair(*a, det * np.ldexp(1.0, -2 * e), near, e)
     f = x / y
     for g in reversed(head):
         f = (g + zs * f) / (1.0 + np.conj(g) * zs * f)
@@ -548,18 +544,14 @@ def matrix_M_and_R(V: VerblunskyCoefficients, n0: int, grid=None,
 def discriminant(V: VerblunskyCoefficients, thetas):
     """Delta(e^{i theta}) = e^{-i p theta/2} tr(A_{p-1} ... A_0) over the
     periodic base (patch ignored), with the Szego transfer matrices A_n =
-    rho_n^-1 [[z, -alpha_n], [-conj(alpha_n) z, 1]] at z = e^{i theta}; real
-    on the circle, where the bands of the periodic operator are
-    {|Delta| <= 2}."""
+    rho_n^-1 [[z, -alpha_n], [-conj(alpha_n) z, 1]] at z = e^{i theta}
+    (transfer_trace); real on the circle, where the bands of the periodic
+    operator are {|Delta| <= 2}."""
     thetas = np.asarray(thetas, dtype=float)
     zs = np.exp(1j * thetas)
-    a00, a01, a10, a11 = 1.0, 0.0, 0.0, 1.0
-    for a in V.alpha_base:
-        r, ca = math.sqrt(1.0 - abs(a) ** 2), np.conj(a)
-        a00, a01, a10, a11 = ((zs * a00 - a * a10) / r, (zs * a01 - a * a11) / r,
-                              (a10 - ca * zs * a00) / r, (a11 - ca * zs * a01) / r)
-    tr = (a00 + a11) * np.exp(-0.5j * V.period * thetas)
-    return tr.real if np.all(np.abs(tr.imag) < 1e-9) else tr
+    steps = ((zs / r, -a / r, -np.conj(a) * zs / r, 1.0 / r)
+             for a, r in ((a, math.sqrt(1.0 - abs(a) ** 2)) for a in V.alpha_base))
+    return transfer_trace(transfer_product(steps), np.exp(-0.5j * V.period * thetas))
 
 
 def eigenvalue_angles(V: VerblunskyCoefficients, window: int = 4096) -> np.ndarray:

@@ -65,10 +65,11 @@ import numpy as np
 from . import jacobi as _jacobi
 from . import cmv as _cmv
 from . import schrodinger as _schrodinger
-from .boundary_analysis import ReflectionlessReport, sweep_at, sweep_csv, sweep_scope
+from .boundary_analysis import (ReflectionlessReport, sweep_at, sweep_csv, sweep_scope,
+                                tested_mask)
 from .errors import SiteDisagreement
 from .interval_sets import (CircleArcSet, GeneratedFatSet, RealIntervalSet, canonicalize,
-                            contains_mask, essential_closure, fat_density_report,
+                            essential_closure, fat_density_report,
                             lebesgue_measure, longest_component, rational_enumeration,
                             set_algebra, set_from_json, set_to_json, widen)
 
@@ -80,10 +81,10 @@ SUPPORTED_TYPES = tuple(OPERATOR_TYPES)
 # a report is FAILED past this fraction of undetermined grid points at a site
 MAX_UNDETERMINED = 0.01
 # a Schrodinger operator whose transfers may grow like exp(x) on its grid is
-# refused at load for x past this: floquet_pair squares the monodromy trace
-# and the identity residual's Wronskian multiplies two solutions carried
-# across the patch and a period, so products reach exp(3x), and exp
-# overflows past 709.78
+# refused at load for x past this: transfer_product keeps the monodromy's
+# entries finite, but a piece's cosh overflows past exp(709.78), and the
+# identity residual's Wronskian multiplies two solutions carried across the
+# patch and a period at their true scale, so products reach exp(3x)
 MAX_TRANSFER_EXPONENT = 700.0 / 3.0
 SCHEMA = "v1"
 
@@ -185,14 +186,14 @@ def _load(descriptor: dict, E, grid_config, tolerances=None):
     carrier = CircleArcSet if FAMILY_MODULES[kind]._FAMILY.circle else RealIntervalSet
     if E_set is not None and not (isinstance(E_set, carrier) and _testable(E_set, grid)):
         raise ValueError(f"E must be an explicit {carrier.__name__} of positive measure "
-                         f"with a grid point inside, not {E_set!r:.80}")
+                         f"with a grid point in its intervals, not {E_set!r:.80}")
     return op, grid, grid_echo, E_set, tolerances
 
 
 def _testable(E, grid) -> bool:
     """Whether the reflectionless test can read E on the grid: E has
-    positive measure and a grid point inside."""
-    return E.measure() > 0.0 and bool(contains_mask(E, grid).any())
+    positive measure and a grid point in its intervals (tested_mask)."""
+    return E.measure() > 0.0 and bool(tested_mask(E, grid).any())
 
 
 def _json_safe(x):
@@ -266,8 +267,8 @@ def _identity_residuals(kind: str, op, grid, E, refl_verdict: bool, rng,
         m11 = _cmv._M11_grid(op, zs, 0)["M11"]
         oracle = _cmv.truncation_cayley_diag(op, zs, 0, tolerances["oracle_window"])
         entry("m11_formula_vs_oracle", np.max(np.abs(m11 - oracle)), draws)
-        if refl_verdict:    # so E has a grid point inside
-            idx = np.flatnonzero(contains_mask(E, grid))
+        if refl_verdict:    # so E has a grid point in its arcs
+            idx = np.flatnonzero(tested_mask(E, grid))
             idx = idx[:: max(1, idx.size // 64)]
             # the report's site-0 sweep, read at the sampled angles of E; the
             # kernel works point by point, so a sweep of those angles alone

@@ -34,7 +34,7 @@ from .boundary_analysis import (REFERENCE_EPS, ReflectionlessReport, SweepFamily
                                 exact_sweep, floquet_pair, memo, normalize_pair, one_point,
                                 phase_at, plus_side, stack_2x2, sweep_ac_spectrum,
                                 sweep_multiplicity_sets, sweep_phase, sweep_reflectionless,
-                                tridiagonal_resolvent)
+                                transfer_product, transfer_trace, tridiagonal_resolvent)
 from .interval_sets import RealIntervalSet
 
 
@@ -128,23 +128,19 @@ class WeylData:
 
 
 def _monodromy_entries(J: JacobiCoefficients, zs, n_start: int):
-    """Entries (m00, m01, m10, m11) of monodromy(J, zs, n_start), multiplied
-    out entrywise: T(n) = [[(z - b(n))/a(n), -a(n-1)/a(n)], [1, 0]] maps
-    [psi(n), psi(n-1)] to [psi(n+1), psi(n)], and T(n) M has M's top row as
-    its bottom row."""
-    m00, m01 = (zs - J.b(n_start)) / J.a(n_start), -J.a(n_start - 1) / J.a(n_start)
-    m10, m11 = 1.0, 0.0
-    for n in range(n_start + 1, n_start + J.period):
-        t, s = (zs - J.b(n)) / J.a(n), -J.a(n - 1) / J.a(n)
-        m00, m01, m10, m11 = t * m00 + s * m10, t * m01 + s * m11, m00, m01
-    return m00, m01, m10, m11
+    """(m00, m01, m10, m11, exponent) of monodromy(J, zs, n_start) by
+    transfer_product: T(n) = [[(z - b(n))/a(n), -a(n-1)/a(n)], [1, 0]] maps
+    [psi(n), psi(n-1)] to [psi(n+1), psi(n)]."""
+    return transfer_product(((zs - J.b(n)) / J.a(n), -J.a(n - 1) / J.a(n), 1.0, 0.0)
+                            for n in range(n_start, n_start + J.period))
 
 
 def monodromy(J: JacobiCoefficients, z, n_start: int):
     """One-period transfer product T(n_start+p-1) ... T(n_start), shape
     z.shape + (2, 2); det = a(n_start-1)/a(n_start+p-1)."""
     zs = np.asarray(z, dtype=complex)
-    return stack_2x2(*_monodromy_entries(J, zs, n_start), zs.shape)
+    *m, e = _monodromy_entries(J, zs, n_start)
+    return stack_2x2(*(x * np.ldexp(1.0, e) for x in m), zs.shape)
 
 
 def _weyl_grid(J: JacobiCoefficients, zs, n0: int, near=0.0) -> dict:
@@ -161,8 +157,8 @@ def _weyl_grid(J: JacobiCoefficients, zs, n0: int, near=0.0) -> dict:
     # of it, is unpatched: both seeds are eigenvectors of the same matrix
     top = min(n0 + 1, min(sites) - p) if sites else n0 + 1
     n_l = n_r - p * math.ceil((n_r - top) / p)
-    m = _monodromy_entries(J, zs, n_r)
-    (hi, lo), (cur, prev), *branch = floquet_pair(*m, m[0] * m[3] - m[1] * m[2], near)
+    *m, e = _monodromy_entries(J, zs, n_r)
+    (hi, lo), (cur, prev), *branch = floquet_pair(*m, m[0] * m[3] - m[1] * m[2], near, e)
 
     # rightward-decaying solution, stripped down to n0-1; hi = psi(n_r),
     # lo = psi(n_r - 1)
@@ -321,9 +317,6 @@ def green_inverse_identity_residual(J: JacobiCoefficients, zs) -> float:
 
 def discriminant(J: JacobiCoefficients, lams):
     """Trace of the one-period monodromy over the periodic base (patch
-    ignored); the bands of the periodic operator are {|discriminant| <= 2}."""
+    ignored, transfer_trace); the bands are {|discriminant| <= 2}."""
     base = JacobiCoefficients(J.period, J.a_base, J.b_base)
-    zs = np.asarray(lams, dtype=complex)
-    M = monodromy(base, zs, 0)
-    tr = M[..., 0, 0] + M[..., 1, 1]
-    return tr.real if np.all(np.abs(tr.imag) < 1e-9) else tr
+    return transfer_trace(_monodromy_entries(base, np.asarray(lams, dtype=complex), 0))

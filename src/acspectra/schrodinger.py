@@ -28,16 +28,19 @@ periodic spectrum is also {|tr monodromy| <= 2}, an independent check.
 
 from __future__ import annotations
 
+import bisect
 import itertools
 import math
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
 from .boundary_analysis import (REFERENCE_EPS, ReflectionlessReport, SweepFamily,
                                 exact_sweep, floquet_pair, memo, normalize_pair,
                                 one_point, phase_at, plus_side, stack_2x2, sweep_ac_spectrum,
-                                sweep_multiplicity_sets, sweep_phase, sweep_reflectionless)
+                                sweep_multiplicity_sets, sweep_phase, sweep_reflectionless,
+                                transfer_product, transfer_trace)
 from .interval_sets import RealIntervalSet
 
 LAMBDA_TOP = 25.0
@@ -65,24 +68,27 @@ class PiecewisePotential:
         if abs(math.fsum(l for l, _ in pieces) - self.period) > 1e-12:
             raise ValueError("piece lengths must sum to the period")
 
-    @property
+    @cached_property
     def patch_length(self) -> float:
         return math.fsum(l for l, _ in self.patch)
 
+    @cached_property
+    def _ends(self):
+        """The running sums of the patch's and the pieces' lengths."""
+        return tuple(list(itertools.accumulate(l for l, _ in p))
+                     for p in (self.patch, self.pieces))
+
     def value(self, x: float) -> float:
+        """V(x): the first patch piece whose running end passes x on [0, P),
+        else the first base piece whose end passes x mod L or equals L; both
+        found by bisection of the running ends."""
+        patch_ends, ends = self._ends
         if self.patch and 0.0 <= x < self.patch_length:
-            acc = 0.0
-            for l, v in self.patch:
-                acc += l
-                if x < acc:
-                    return v
-        y = x % self.period
-        acc = 0.0
-        for l, v in self.pieces:
-            acc += l
-            if y < acc or acc == self.period:
-                return v
-        return self.pieces[-1][1]
+            k = bisect.bisect_right(patch_ends, x)
+            if k < len(self.patch):
+                return self.patch[k][1]
+        k = min(bisect.bisect_right(ends, x % self.period), bisect.bisect_left(ends, self.period))
+        return self.pieces[min(k, len(self.pieces) - 1)][1]
 
     def sup_bound(self) -> float:
         vals = [abs(v) for _, v in self.pieces] + [abs(v) for _, v in self.patch]
@@ -145,15 +151,10 @@ def _pieces(V: PiecewisePotential, a: float, b: float):
 
 
 def _product(zs, pieces):
-    """Entries (t00, t01, t10, t11) of the transfer across the pieces in
-    order, multiplied out entrywise; the identity for no pieces."""
-    t = None
-    for length, value in pieces:
-        ch, sc, lo = _piece_entries(zs, length, value)
-        t = (ch, sc, lo, ch) if t is None else (
-            ch * t[0] + sc * t[2], ch * t[1] + sc * t[3],
-            lo * t[0] + ch * t[2], lo * t[1] + ch * t[3])
-    return t or (1.0, 0.0, 0.0, 1.0)
+    """(t00, t01, t10, t11, exponent) of the transfer across the pieces in
+    order, by transfer_product: 2^exponent times the entries."""
+    return transfer_product((ch, sc, lo, ch) for ch, sc, lo in
+                            (_piece_entries(zs, length, value) for length, value in pieces))
 
 
 def transfer_interval(V: PiecewisePotential, zs, a: float, b: float) -> np.ndarray:
@@ -161,7 +162,8 @@ def transfer_interval(V: PiecewisePotential, zs, a: float, b: float) -> np.ndarr
     if not b > a:
         raise ValueError("need b > a")
     zs = np.atleast_1d(np.asarray(zs, dtype=complex))
-    return stack_2x2(*_product(zs, _pieces(V, a, b)), zs.shape)
+    *t, e = _product(zs, _pieces(V, a, b))
+    return stack_2x2(*(x * np.ldexp(1.0, e) for x in t), zs.shape)
 
 
 def _seed_bounds(V: PiecewisePotential, x0: float):
@@ -190,7 +192,8 @@ def _seeds(V: PiecewisePotential, zs, near=0.0):
     boundary of the unpatched line of the solutions decaying toward +inf,
     resp. -inf, from the one monodromy of the base pieces, then the branch
     nearest near and its ambiguous mask (floquet_pair)."""
-    return floquet_pair(*_product(zs, V.pieces), 1.0, near)
+    *t, e = _product(zs, V.pieces)
+    return floquet_pair(*t, np.ldexp(1.0, -2 * e), near, e)
 
 
 def _m_grid(V: PiecewisePotential, zs, x0: float, near=0.0):
@@ -261,7 +264,8 @@ def green_identity_residual(V: PiecewisePotential, zs, x0: float = 0.0) -> float
         adjugate, the inverse of a det-1 transfer) or forward from a."""
         if not b > a:
             return v
-        t00, t01, t10, t11 = _product(zs, _pieces(V, a, b))
+        *t, e = _product(zs, _pieces(V, a, b))
+        t00, t01, t10, t11 = (x * np.ldexp(1.0, e) for x in t)
         if backward:
             t00, t01, t10, t11 = t11, -t01, -t10, t00
         return t00 * v[0] + t01 * v[1], t10 * v[0] + t11 * v[1]
@@ -281,15 +285,11 @@ def transfer_exponent(V: PiecewisePotential, reach: float) -> float:
 
 
 def discriminant(V: PiecewisePotential, lams) -> np.ndarray:
-    """Trace of the one-period monodromy of the base pattern (patch ignored);
-    the periodic spectrum is {lam : |discriminant| <= 2}."""
-    base = PiecewisePotential(V.period, V.pieces)
+    """Trace of the one-period monodromy of the base pattern (patch ignored,
+    transfer_trace); the periodic spectrum is {lam : |discriminant| <= 2}."""
     zs = np.atleast_1d(np.asarray(lams, dtype=complex))
-    M = transfer_interval(base, zs, 0.0, V.period)
-    tr = M[..., 0, 0] + M[..., 1, 1]
-    if np.all(np.abs(tr.imag) < 1e-9):
-        return tr.real
-    return tr
+    return transfer_trace(_product(zs, _pieces(PiecewisePotential(V.period, V.pieces), 0.0,
+                                               V.period)))
 
 
 # ---------------------------------------------------------------------------

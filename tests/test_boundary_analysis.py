@@ -12,15 +12,17 @@ import io
 import math
 import os
 import sys
+import warnings
 
 import numpy as np
 import pytest
 
-from acspectra import cmv, jacobi, schrodinger
+from acspectra import boundary_analysis, cmv, jacobi, schrodinger
 from acspectra.boundary_analysis import (SweepFamily, exact_sweep, interior,
                                          normalize_pair, off_axis, plus_side,
                                          require_off_axis, stack_2x2, sweep_at, sweep_csv,
-                                         sweep_multiplicity_sets, sweep_phase)
+                                         sweep_multiplicity_sets, sweep_phase,
+                                         transfer_product, transfer_trace)
 from acspectra.interval_sets import essential_closure, points_hull
 from conftest import (DIVERGENCE_CAP, SCHEDULE, blowup_flags, boundary_sweep, relaxed_ok,
                       richardson_sequence)
@@ -58,14 +60,18 @@ def accepted_sweep(bd):
 
 def family(circle, zero_floor=False, columns=()):
     """A SweepFamily over the analytic models: the phase key is 'm' on the
-    line and 'f' on the circle, and the sweep, a Richardson sweep through
-    its own acceptance, ignores the operator."""
+    line and 'f' on the circle, the sweep, a Richardson sweep through its
+    own acceptance, ignores the operator, and the phase is its sweep_phase."""
     kernel, key = (disk_mixed, "f") if circle else (uniform, "m")
-    return SweepFamily(sweep=lambda op, grid, site: accepted_sweep(
-                           boundary_sweep(kernel, grid, circle)),
-                       phase=None, grid=None, sites=lambda op: (0, 1), circle=circle,
-                       pair=(key, key), phase_key=key,
-                       csv_columns=columns, zero_floor=zero_floor)
+
+    def sweep(op, grid, site):
+        return accepted_sweep(boundary_sweep(kernel, grid, circle))
+    fam = SweepFamily(sweep=sweep,
+                      phase=lambda op, grid, site: sweep_phase(fam, sweep(op, grid, site)),
+                      grid=None, sites=lambda op: (0, 1), circle=circle,
+                      pair=(key, key), phase_key=key,
+                      csv_columns=columns, zero_floor=zero_floor)
+    return fam
 
 
 def sweep_of(key, values, err=0.0, conv=True, div=False):
@@ -516,7 +522,8 @@ class TestSweepCsv:
         conv = np.array([True, True, True, False, True, True, False, True, True])
         bd = {"p": (v, err, conv), "inf_p": np.zeros(v.shape, bool),
               "div_p": np.arange(v.size) == 5}
-        fam = SweepFamily(sweep=lambda op, grid, site: bd, phase=None, grid=None,
+        fam = SweepFamily(sweep=lambda op, grid, site: bd,
+                          phase=lambda op, grid, site: sweep_phase(fam, bd), grid=None,
                           sites=lambda op: (0, 1), circle=circle, pair=("p", "p"),
                           phase_key="p", csv_columns=self.COLUMNS)
         grid = np.array([-0.0, 0.0, 1e-300, -1e300, 2.0 / 3.0, 1.0, 5e-324, math.pi, 123456789.0])
@@ -562,3 +569,70 @@ class TestHelpers:
         assert set(sub) == set(bd)
         assert all(a.shape == (1,) for a in sub["m"]) and sub["inf_m"].shape == (1,)
         assert sub["m"][0][0] == bd["m"][0][1]
+
+
+def _random_steps(rng, count, points):
+    """count random complex 2x2 steps over points, each entry of modulus
+    up to about 3, so that long products grow past the float range."""
+    return [tuple(rng.normal(0.0, 1.5, points) + 1j * rng.normal(0.0, 1.5, points)
+                  for _ in range(4)) for _ in range(count)]
+
+
+def _reference_product(steps):
+    """S_k ... S_1 multiplied out here, one step at a time, as step x
+    product in the order applied, with no rescaling."""
+    m = steps[0]
+    for s00, s01, s10, s11 in steps[1:]:
+        m = (s00 * m[0] + s01 * m[2], s00 * m[1] + s01 * m[3],
+             s10 * m[0] + s11 * m[2], s10 * m[1] + s11 * m[3])
+    return m
+
+
+class TestTransferProduct:
+    def test_bit_for_bit_below_the_bound(self):
+        """Below RESCALE_AT the helper keeps the reference loop's operand
+        order, so its entries are the reference's bits and its exponent 0;
+        no steps give the identity."""
+        rng = np.random.default_rng(3100)
+        for count in (1, 2, 5, 40):
+            steps = _random_steps(rng, count, 257)
+            *m, e = transfer_product(iter(steps))
+            assert e == 0
+            assert all(np.array_equal(x, y) for x, y in zip(m, _reference_product(steps)))
+        assert transfer_product(()) == (1.0, 0.0, 0.0, 1.0, 0)
+
+    @pytest.mark.parametrize("bound", [2.0 ** 4, 2.0 ** 40])
+    def test_rescaled_product_is_exact(self, monkeypatch, bound):
+        """With a small RESCALE_AT the entries stay within the bound times
+        a step, and 2^exponent times them is the unscaled product: powers
+        of two are exact, so to rounding (1e-15 relative) or better."""
+        monkeypatch.setattr(boundary_analysis, "RESCALE_AT", bound)
+        rng = np.random.default_rng(3102)
+        steps = _random_steps(rng, 60, 129)
+        *m, e = transfer_product(steps)
+        ref = _reference_product(steps)
+        assert np.all(e > 0) and e.dtype.kind == "i"
+        top = np.max([np.abs(x) for x in m], axis=0)
+        assert np.all(top <= bound * 4.0 * max(np.abs(x).max() for st in steps for x in st))
+        scale = np.max([np.abs(x) for x in ref], axis=0)
+        for x, y in zip(m, ref):
+            assert np.all(np.abs(x * np.ldexp(1.0, e) - y) <= 1e-15 * scale)
+
+    def test_long_products_stay_finite(self):
+        """3000 steps of modulus about 3 pass 2^1024 many times over; the
+        entries stay finite and the exponent carries the growth."""
+        rng = np.random.default_rng(3103)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            *m, e = transfer_product(_random_steps(rng, 3000, 33))
+        assert all(np.all(np.isfinite(x)) for x in m)
+        assert np.all(e > 1024)
+
+    def test_trace_rule(self):
+        """2^exponent (m00 + m11) times the phase, real when every imaginary
+        part is below 1e-9, inf past the float range."""
+        e = np.array([0, 2, 2000])
+        product = (np.array([1.0, 1.0, 1.0]) + 0j, 0.0, 0.0, np.array([0.5, 1 + 1e-10j, 1.0]), e)
+        assert transfer_trace(product).tolist() == [1.5, 8.0, math.inf]
+        tr = transfer_trace(product, 1j)
+        assert tr.dtype == complex and tr[0] == 1.5j

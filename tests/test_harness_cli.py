@@ -10,7 +10,7 @@ import numpy as np
 import pytest
 
 import acspectra
-from acspectra import harness_cli, jacobi
+from acspectra import cmv, harness_cli, jacobi
 from acspectra.errors import SiteDisagreement
 from acspectra.harness_cli import (FAMILY_MODULES, SUPPORTED_TYPES, UnknownOperatorType,
                                    _csv_for, build_operator, bundled_config_path,
@@ -548,6 +548,59 @@ class TestZeroMeasureSpectrum:
         assert code == (1 if rep["status"] == "FAILED" else 0)
         assert json.loads((out / "after_report.json").read_text())["status"] == "PASS"
         assert capsys.readouterr().out.splitlines()[1] == "after: PASS"
+
+
+PERIOD2_JACOBI = {"type": "jacobi", "period": 2, "a": [1.0, 1.0], "b": [1.0, -1.0]}
+GERONIMUS_CMV = {"type": "cmv", "period": 1, "alpha": [[0.5, 0.0]]}
+
+
+class TestNullPartsOfE:
+    """Reflectionless is an almost-everywhere property, so the test reads E
+    in its intervals (arcs) only: isolated points, a null set, change
+    neither the verdict nor the essential closure of E."""
+
+    @pytest.mark.parametrize("k", [6, 55])
+    def test_isolated_gap_points_keep_the_band_verdict(self, k):
+        """E = the band [1, sqrt 5] of period-2 Jacobi plus k grid points in
+        its gap (-1, 1): PASS with the inclusion PASS, as for the band."""
+        grid = jacobi.default_grid(jacobi.JacobiCoefficients.from_descriptor(PERIOD2_JACOBI))
+        gap = grid[(grid > -1.0) & (grid < 1.0)]
+        points = gap[np.linspace(0, gap.size - 1, k).astype(int)].tolist()
+        band = verify_inclusion(PERIOD2_JACOBI, canonicalize([(1.0, math.sqrt(5.0), "cc")]))
+        rep = verify_inclusion(PERIOD2_JACOBI,
+                               canonicalize([(1.0, math.sqrt(5.0), "cc")], points))
+        assert rep.status == "PASS" and rep.theorem_inclusion["status"] == "PASS"
+        assert rep.reflectionless["fraction"] == band.reflectionless["fraction"]
+        assert rep.theorem_inclusion["essential_closure_E"] == \
+            band.theorem_inclusion["essential_closure_E"]
+
+    def test_cmv_residual_samples_the_arcs_of_E(self):
+        """On the circle the boundary identity residual samples E's arcs
+        only: an arc of the geronimus spectrum plus grid angles in its gap
+        reads as the arc alone."""
+        grid = cmv.default_angles()
+        arc = circle_set([(math.pi / 2.0, 3.0 * math.pi / 2.0, "cc")])
+        points = grid[(grid < math.pi / 4.0)][::4].tolist()
+        reps = [verify_inclusion(GERONIMUS_CMV, E, {"angles": 512})
+                for E in (arc, circle_set([(math.pi / 2.0, 3.0 * math.pi / 2.0, "cc")], points))]
+        assert [(r.status, r.theorem_inclusion["status"]) for r in reps] == [("PASS", "PASS")] * 2
+        assert reps[1].identity_residuals == reps[0].identity_residuals
+        assert reps[1].reflectionless["n_points"] == reps[0].reflectionless["n_points"]
+
+    def test_E_with_only_isolated_grid_points_exits_2(self, tmp_path, capsys):
+        """An E of positive measure whose only grid points are isolated
+        ones gives the reflectionless test nothing to read: spec run exits 2
+        at load and writes nothing."""
+        grid = jacobi.default_grid(jacobi.JacobiCoefficients.from_descriptor(PERIOD2_JACOBI))
+        E = canonicalize([(1.0005, 1.0006, "cc")], grid[[1900, 2100]].tolist())
+        cfg = tmp_path / "c.json"
+        cfg.write_text(json.dumps({"operators": [
+            {"name": "null", "descriptor": PERIOD2_JACOBI, "E": set_to_json(E)}]}),
+            encoding="utf-8")
+        out = tmp_path / "out"
+        assert spec_main(["run", "--config", str(cfg), "--out", str(out)]) == 2
+        assert not out.exists()
+        assert "grid point in its intervals" in capsys.readouterr().err
 
 
 class TestSetsDemo:

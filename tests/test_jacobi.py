@@ -7,6 +7,8 @@ independent resolvent and eigenvalue oracles.
 """
 
 import math
+import random
+import warnings
 
 import numpy as np
 import pytest
@@ -14,6 +16,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.linalg import eigh_tridiagonal
 
+from acspectra.harness_cli import verify_inclusion
 from acspectra.interval_sets import canonicalize, longest_component, set_algebra
 from acspectra.jacobi import (JacobiCoefficients, ac_spectrum, big_M,
                               boundary_weyl_grid, default_grid, discriminant,
@@ -271,3 +274,23 @@ class TestMultiplicity:
         hits = [x for x in (list(M1.isolated_points)
                             + [0.5 * (iv.lo + iv.hi) for iv in M1.intervals])]
         assert min(abs(x - lam0) for x in hits) < 1e-3
+
+
+@pytest.mark.parametrize("period", [224, 256])
+def test_random_large_period_report_raises_no_warning(period):
+    """Random Jacobi coefficients (a in [0.5, 1.5], b in [-1, 1]) at periods
+    past 200: the one-period monodromy passes the float range off the bands,
+    its entries are rescaled by powers of two, and the report raises no
+    RuntimeWarning, leaves no point undetermined and keeps the Green
+    inverse identity."""
+    r = random.Random(period)
+    descriptor = {"type": "jacobi", "period": period,
+                  "a": [r.uniform(0.5, 1.5) for _ in range(period)],
+                  "b": [r.uniform(-1.0, 1.0) for _ in range(period)]}
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        rep = verify_inclusion(descriptor)
+        J = JacobiCoefficients.from_descriptor(descriptor)
+        assert not any((~xi_grid(J, default_grid(J), n0)[2]).any() for n0 in (0, 1))
+    assert rep.status == "PASS", rep.failures
+    assert rep.identity_residuals["green_inverse_identity"]["passed"]

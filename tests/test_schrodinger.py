@@ -62,6 +62,54 @@ class TestPotential:
         assert V.value(1.2) == 0.0 and V.value(1.7) == 5.0
         assert V.value(-0.4) == 5.0
 
+    def test_value_bisects_like_the_linear_scan(self):
+        """value bisects the running ends of the patch and the pieces; it
+        agrees with the linear scan kept here as its reference, on random
+        potentials (some with pieces too short to move a running sum, some
+        whose lengths sum to the period only within 1e-12), at every
+        breakpoint, its shifts by multiples of the period and their
+        neighbors, at the patch end, and at negative and random x."""
+        def scan(V, x):
+            if V.patch and 0.0 <= x < V.patch_length:
+                acc = 0.0
+                for l, v in V.patch:
+                    acc += l
+                    if x < acc:
+                        return v
+            y = x % V.period
+            acc = 0.0
+            for l, v in V.pieces:
+                acc += l
+                if y < acc or acc == V.period:
+                    return v
+            return V.pieces[-1][1]
+
+        # x % L rounds up to L for x = -1e-300, where the first piece whose
+        # running end equals L answers, not the short piece after it
+        V = PiecewisePotential(1.0, ((0.5, 1.0), (0.5, 2.0), (1e-17, 3.0)))
+        assert V.value(-1e-300) == scan(V, -1e-300) == 2.0
+        rng = np.random.default_rng(3300)
+        for trial in range(40):
+            n = int(rng.integers(1, 12))
+            period = float(rng.choice([1.0, 0.3, 2.5, rng.uniform(0.1, 5.0)]))
+            lengths = rng.uniform(0.1, 1.0, n)
+            lengths = lengths / lengths.sum() * period
+            if trial % 4 == 1:
+                lengths = np.insert(lengths, int(rng.integers(n + 1)), 1e-17)
+            if trial % 4 == 2:
+                lengths[-1] += rng.uniform(-5e-13, 5e-13)
+            patch = tuple(zip(rng.uniform(0.05, 1.5, int(rng.integers(0, 4))),
+                              rng.uniform(-5.0, 5.0, 4)))
+            V = PiecewisePotential(period, tuple(zip(lengths, rng.uniform(-5.0, 5.0, n + 1))),
+                                   patch)
+            ends = [0.0, V.patch_length] + list(np.cumsum([l for l, _ in V.pieces]))
+            ends += list(np.cumsum([l for l, _ in V.patch]))
+            xs = [k * period + c for k in range(-3, 4) for c in ends]
+            xs += list(rng.uniform(-3.0 * period, 3.0 * period, 50)) + [-1e-300, -0.0]
+            xs += [np.nextafter(x, d) for x in xs[:40] for d in (-np.inf, np.inf)]
+            for x in map(float, xs):
+                assert V.value(x) == scan(V, x), (V, x)
+
     def test_descriptor_round_trip(self):
         V = PiecewisePotential(1.0, ((0.5, 0.0), (0.5, 5.0)), patch=((1.0, 9.0),))
         assert PiecewisePotential.from_descriptor(V.to_descriptor()) == V

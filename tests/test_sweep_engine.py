@@ -4,6 +4,8 @@ spectra of random periodic operators against independent band oracles."""
 
 import json
 import math
+import sys
+import warnings
 
 import numpy as np
 import pytest
@@ -17,6 +19,8 @@ from acspectra.interval_sets import (canonicalize, circle_set, contains_mask,
 
 SWEEPS = ((jacobi, "boundary_weyl_grid"), (cmv, "boundary_cmv_grid"),
           (schrodinger, "boundary_schrodinger_grid"))
+FAMILY_KERNELS = {"period2_jacobi": jacobi._weyl_grid, "geronimus_cmv": cmv._M11_grid,
+                  "square_well": schrodinger._weyl_grid}
 
 
 @pytest.mark.parametrize("fixture, grid_config, expected", [
@@ -46,6 +50,35 @@ def test_sweeps_per_report(request, monkeypatch, fixture, grid_config, expected)
         grid, _ = _resolve_grid(kind, op, grid_config)
         _csv_for(kind, op, grid)
     assert len(calls) == expected and len(phases) == 2
+
+
+@pytest.mark.parametrize("fixture", ["period2_jacobi", "geronimus_cmv", "square_well"])
+def test_sweep_phase_calls_per_entry(tmp_path, monkeypatch, request, fixture):
+    """A spec run entry computes the whole-grid phase once per reference
+    site, and its CSV reads the first site's from the memo: 4 sweep_phase
+    calls, 2 on the whole grid and 2 on E for the reflectionless test.  The
+    CSV of `spec <family> --emit xi`, which opens no scope, computes its
+    sweep once and its phase once."""
+    sizes, kernels = [], []
+    phase, kernel = boundary_analysis.sweep_phase, FAMILY_KERNELS[fixture]
+    mod = sys.modules[kernel.__module__]
+
+    def counting(fam, bd):
+        sizes.append(bd[fam.phase_key][0].size)
+        return phase(fam, bd)
+    for m in (boundary_analysis, mod):
+        monkeypatch.setattr(m, "sweep_phase", counting)
+    monkeypatch.setattr(mod, kernel.__name__, lambda *a, **k: kernels.append(1) or kernel(*a, **k))
+    op = request.getfixturevalue(fixture)
+    kind = op.to_descriptor()["type"]
+    files = _run(tmp_path, "run", [{"name": "op", "descriptor": op.to_descriptor(),
+                                    "grid": GRIDS[kind]}])
+    grid, _ = _resolve_grid(kind, op, GRIDS[kind])
+    assert len(sizes) == 4 and sizes[:2] == [grid.size] * 2, sizes
+    sizes.clear()
+    kernels.clear()
+    assert _csv_for(kind, op, grid).encode() == files["op.csv"]
+    assert sizes == [grid.size] and len(kernels) == 2
 
 
 def test_seeds_per_schrodinger_report(monkeypatch, square_well):
@@ -116,10 +149,10 @@ def test_floquet_pair_branch_rule():
     m = entries((0.5, 0, 0, 2), (1, 0, 0, 1 + 1e-12), (1, 1, 1e-16, 1), (1, 0, 0, 1))
     det = m[0] * m[3] - m[1] * m[2]
     dec, grow, branch, ambiguous = floquet_pair(*m, det, 0.0)
-    assert branch.shape == (5, 4)
+    assert branch.shape == (6, 4)
     assert branch[0, 0] == 0.5 and ambiguous.tolist() == [False, True, True, True]
     near = np.array([[2.1, 0.9, 0.9, 0.9], [0, 0, 0, 0.6], [1, 1, 1, 0.8],
-                     [1, 1, 1, 0.8], [0, 0, 0, -0.6]], dtype=complex)
+                     [1, 1, 1, 0.8], [0, 0, 0, -0.6], [0, 0, 0, 0]], dtype=complex)
     dec, grow, branch, ambiguous = floquet_pair(*m, det, near)
     assert branch[0, 0] == 2.0 and dec[0][0] == 0.0     # the eigenvector (0, y) of 2
     assert ambiguous.tolist() == [False, False, True, False]
@@ -385,3 +418,46 @@ def test_eigenvalue_angles_solve_each_block(geronimus_cmv):
         direct = np.sort(np.concatenate(
             [np.angle(np.linalg.eigvals(T.dense())) % (2.0 * math.pi) for T in blocks]))
         assert np.array_equal(cmv.eigenvalue_angles(V, window=512), direct)
+
+
+def _periodic_descriptor(kind, rng, period, patched):
+    """A seeded period-p Jacobi or CMV descriptor, patched on two sites or not."""
+    if kind == "jacobi":
+        patch = {str(n): [rng.uniform(0.5, 1.5), rng.uniform(-1.0, 1.0)] for n in (-1, 2)}
+        d = {"type": "jacobi", "period": period, "a": rng.uniform(0.5, 1.5, period).tolist(),
+             "b": rng.uniform(-1.0, 1.0, period).tolist()}
+    else:
+        alpha = rng.uniform(0.1, 0.6, period + 2) \
+            * np.exp(2j * math.pi * rng.uniform(size=period + 2))
+        patch = {str(n): [a.real, a.imag] for n, a in zip((-1, 2), alpha[period:])}
+        d = {"type": "cmv", "period": period, "alpha": [[a.real, a.imag] for a in alpha[:period]]}
+    return dict(d, patch=patch if patched else {})
+
+
+def _written_with_period(d, m):
+    """The same operator, its base written out m times as period m p."""
+    keys = ("a", "b") if d["type"] == "jacobi" else ("alpha",)
+    return dict(d, period=m * d["period"], **{k: d[k] * m for k in keys})
+
+
+@pytest.mark.parametrize("kind", ["jacobi", "cmv"])
+@pytest.mark.parametrize("period, m, patched", [(1, 1024, False), (2, 128, True),
+                                                (3, 86, False), (4, 64, True)])
+def test_period_multiples_read_the_same_operator(kind, period, m, patched):
+    """An operator of period p written as period m p, its coefficients
+    repeated, is the same operator: its monodromy is the m-th power, so the
+    report gives the same status, inclusion status and ac, M2 and M1 sets.
+    Past m p of about 200 the one-period products of random Jacobi
+    operators pass the float range off the bands, which transfer_product's
+    rescaling keeps finite."""
+    rng = np.random.default_rng(3200 + 10 * period + (kind == "cmv"))
+    d = _periodic_descriptor(kind, rng, period, patched)
+    grid = {"angles": 512} if kind == "cmv" else None
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        one, many = (verify_inclusion(x, grid_config=grid).to_json()
+                     for x in (d, _written_with_period(d, m)))
+    assert one["status"] == many["status"] == "PASS", many["failures"]
+    assert one["theorem_inclusion"]["status"] == many["theorem_inclusion"]["status"]
+    assert one["ac_spectrum"] == many["ac_spectrum"]
+    assert one["multiplicity"] == many["multiplicity"]
