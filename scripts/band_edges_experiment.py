@@ -5,7 +5,8 @@ For a periodic operator the ac spectrum is the set where the discriminant
 e^{-i p theta/2}) satisfies |D| <= 2.  The boundary-phase route knows
 nothing about the discriminant: it detects the bands from the phase of the
 Green's function (of M11 on the circle).  Both routes should name the same
-band edges to within one grid step.
+band edges to within one grid step, and the script exits 1 where they do
+not: an edge count that differs, or an edge mismatch past one grid step.
 
 Runs a period-2 Jacobi matrix (b alternating +1/-1, bands
 [-sqrt5, -1] u [1, sqrt5]), a square-well Schrodinger operator (V = 5 on
@@ -41,7 +42,9 @@ def edges_of_set(s):
     return np.asarray([x for piece in pieces for x in piece])
 
 
-def report(name, grid, phase_set, disc_edges):
+def report(name, grid, phase_set, disc_edges) -> bool:
+    """Print the comparison; True when the edge counts agree and no edge
+    is more than one grid step off."""
     step = grid[1] - grid[0]
     phase_edges = edges_of_set(phase_set)
     # A band running past the grid top contributes a phase edge at the window
@@ -51,12 +54,13 @@ def report(name, grid, phase_set, disc_edges):
     print(f"\n{name}  (grid step {step:.4g})")
     print(f"  phase-route bands : {format_set(phase_set)}")
     print(f"  discriminant edges: {np.array2string(disc_edges, precision=4)}")
-    if phase_edges.size == disc_edges.size:
-        gap = np.max(np.abs(phase_edges - disc_edges))
-        print(f"  max edge mismatch : {gap:.3e} "
-              f"({gap / step:.2f} grid steps)")
-    else:
+    if phase_edges.size != disc_edges.size:
         print(f"  edge count differs: {phase_edges.size} vs {disc_edges.size}")
+        return False
+    gap = np.max(np.abs(phase_edges - disc_edges), initial=0.0)
+    print(f"  max edge mismatch : {gap:.3e} "
+          f"({gap / step:.2f} grid steps)")
+    return gap <= step
 
 
 def main() -> int:
@@ -77,10 +81,12 @@ def main() -> int:
          cmv.VerblunskyCoefficients(period=2, alpha_base=(0.3, 0.6)),
          cmv.default_angles(ns.points)),
     ]
-    for name, family, op, grid in cases:
-        disc = family.discriminant(op, grid)
-        report(name, grid, family.ac_spectrum(op, grid), band_edges_from_discriminant(grid, disc))
-    return 0
+    failed = [name for name, family, op, grid in cases
+              if not report(name, grid, family.ac_spectrum(op, grid),
+                            band_edges_from_discriminant(grid, family.discriminant(op, grid)))]
+    if failed:
+        print(f"\nFAIL: the phase route and the discriminant disagree on {', '.join(failed)}")
+    return 1 if failed else 0
 
 
 if __name__ == "__main__":

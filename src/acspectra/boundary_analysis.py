@@ -26,24 +26,25 @@ exact_sweep is the package's one boundary route; the tests keep a
 Richardson extrapolation toward the axis as its independent oracle.
 
 The sweeps serve the Jacobi, CMV and Schrodinger modules: one exact
-sweep, phase, ac hull, reflectionless test, multiplicity classifier and
-CSV writer, with each family's conventions passed as data, plus the
-Floquet chooser and 2x2 helpers of the kernels.  The reflectionless test
-reads E in its intervals only (tested_mask): it is an almost-everywhere
-property, and isolated points are a null set.
+sweep, grid rule, phase, ac hull, reflectionless test, multiplicity
+classifier and CSV writer, with each family's conventions passed as
+data, plus the Floquet chooser and 2x2 helpers of the kernels.  The
+reflectionless test reads E in its intervals only (tested_mask): it is an
+almost-everywhere property, and isolated points are a null set.
 
 Every one-period transfer product of the families, in the kernels and
 the discriminants alike, is transfer_product's: 2x2 steps multiplied out
 entrywise in the order applied, and rescaled by an exact power of two
 once an entry passes RESCALE_AT, so that it stays finite at any period
 and keeps the unscaled bits; transfer_trace is the discriminants' one
-trace rule.  Both Weyl solutions of a periodic base are eigenvectors of
-one period monodromy, so floquet_pair takes its four scaled entries and
-their exponent and returns the decaying and the growing one, each an
-(x, y) pair, from a single square root, with one branch rule for every
-call: the decaying root is the one nearest near (0, the contracting root,
-unless a sweep's axis call passes its reference's branch, whose root it
-rescales to its own exponent).  A kernel seeds both half lines from one
+trace rule, and transfer_matrix the true product's stack, OverflowError
+past the float range.  Both Weyl solutions of a periodic base are
+eigenvectors of one period monodromy, so floquet_pair takes its four
+scaled entries and their exponent and returns the decaying and the
+growing one, each an (x, y) pair, from a single square root, with one
+branch rule for every call: the decaying root is the one nearest near (0,
+the contracting root, unless a sweep's axis call passes its reference's
+branch, whose root it rescales to its own exponent).  A kernel seeds both half lines from one
 matrix without stacking it, and returns its branch and ambiguous mask as
 the entry 'floquet'; the CMV Schur function is the fixed point the
 growing eigenvector gives.  The Schrodinger seeds do not depend on the
@@ -79,18 +80,10 @@ RESCALE_AT = 2.0 ** 256
 REFERENCE_EPS = 1e-8
 EDGE_TOL = 1e-6
 BRANCH_TOL = 1e-10
+MIN_ANGLES = 512            # the fewest angles of a grid on the whole circle
 
 # ---------------------------------------------------------------------------
 # Grid sweeps shared by the operator families
-
-def plus_side(side) -> bool:
-    """True for the right half line ('+'), False for the left ('-')."""
-    if side == "+":
-        return True
-    if side == "-":
-        return False
-    raise ValueError(f"side must be '+' or '-', got {side!r}")
-
 
 def require_off_axis(z) -> complex:
     z = complex(z)
@@ -148,6 +141,21 @@ def transfer_trace(product, phase=1.0):
         re, im = np.ldexp(tr.real, e), np.ldexp(tr.imag, e)
     # re + i im, assembled without 1j * im (which reads 0 * inf as nan)
     return re if np.all(np.abs(im) < 1e-9) else np.stack([re, im], axis=-1).view(complex)[..., 0]
+
+
+def transfer_matrix(product, shape):
+    """The shape + (2, 2) stack of the true product of a transfer_product
+    result: each real and imaginary part of its entries times 2^exponent by
+    ldexp, which is exact; OverflowError where the product leaves the float
+    range."""
+    *m, e = product
+    parts = stack_2x2(*m, shape).view(float)
+    with np.errstate(over="ignore"):
+        out = np.ldexp(parts, np.reshape(e, np.shape(e) + (1, 1)))
+    if np.any(np.isinf(out) & np.isfinite(parts)):
+        raise OverflowError(f"transfer product past the float range: 2^{np.max(e)} "
+                            "times its rescaled entries")
+    return out.view(complex)
 
 
 def floquet_pair(m00, m01, m10, m11, det, near=0.0, exponent=0):
@@ -308,6 +316,18 @@ class SweepFamily:
     @property
     def hull(self):
         return angles_hull if self.circle else points_hull
+
+
+def sweep_grid(fam: SweepFamily, op, grid):
+    """(grid, step): fam.grid(op) for None, else grid as a float array, and
+    its first step.  ValueError unless it holds at least 2 points, all
+    finite, with a positive first step, and on the circle MIN_ANGLES."""
+    grid = fam.grid(op) if grid is None else np.asarray(grid, dtype=float)
+    if fam.circle and grid.size < MIN_ANGLES:
+        raise ValueError(f"angular grid needs at least {MIN_ANGLES} points")
+    if not (grid.ndim == 1 and grid.size >= 2 and np.isfinite(grid).all() and grid[1] > grid[0]):
+        raise ValueError("a grid needs at least 2 finite points and a positive first step")
+    return grid, float(grid[1] - grid[0])
 
 
 def exact_sweep(kernel, grid, circle: bool, eps_ref: float) -> dict:
@@ -494,8 +514,7 @@ def sweep_ac_spectrum(fam: SweepFamily, op, grid):
     """Essential closure of the grid hull of the interior-phase points at
     the first reference site; a disagreement with the second site
     beyond two grid steps raises SiteDisagreement, carrying the first set."""
-    grid = fam.grid(op) if grid is None else np.asarray(grid, dtype=float)
-    step = float(grid[1] - grid[0])
+    grid, step = sweep_grid(fam, op, grid)
 
     def one_site(site):
         passing = grid[interior(fam, fam.phase(op, grid, site)[0])]
@@ -526,7 +545,7 @@ def sweep_reflectionless(fam: SweepFamily, op, E, grid, tol: float) -> Reflectio
     if E.measure() <= 0.0:
         raise ValueError("reflectionless test needs a set of positive measure")
     sites = fam.sites(op)
-    grid = fam.grid(op) if grid is None else np.asarray(grid, dtype=float)
+    grid, _ = sweep_grid(fam, op, grid)
     inside = tested_mask(E, grid)
     lams = grid[inside]
     if lams.size == 0:
@@ -584,8 +603,7 @@ def sweep_multiplicity_sets(fam: SweepFamily, op, grid):
     boundary pair at the first reference site.  An ok value is off the
     axis by off_axis; two on the axis are equal when they differ by
     at most the sum of their axis margins."""
-    grid = fam.grid(op) if grid is None else np.asarray(grid, dtype=float)
-    step = float(grid[1] - grid[0])
+    grid, step = sweep_grid(fam, op, grid)
     bd = fam.sweep(op, grid, fam.sites(op)[0])
 
     def side(key):

@@ -42,15 +42,15 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DegenerateDenominator, check_keys
-from .boundary_analysis import (REFERENCE_EPS, ReflectionlessReport, SweepFamily, _axis_margin,
-                                exact_sweep, floquet_pair, memo, one_point, phase_at,
-                                plus_side, require_in_disk, stack_2x2, sweep_ac_spectrum,
-                                sweep_multiplicity_sets, sweep_phase, sweep_reflectionless,
-                                transfer_product, transfer_trace, tridiagonal_resolvent)
+from .boundary_analysis import (MIN_ANGLES, REFERENCE_EPS, ReflectionlessReport, SweepFamily,
+                                _axis_margin, exact_sweep, floquet_pair, memo, one_point,
+                                phase_at, require_in_disk, stack_2x2, sweep_ac_spectrum,
+                                sweep_grid, sweep_multiplicity_sets, sweep_phase,
+                                sweep_reflectionless, transfer_product, transfer_trace,
+                                tridiagonal_resolvent)
 from .interval_sets import CircleArcSet, circle_set, full_circle
 
 TWO_PI = 2.0 * math.pi
-MIN_ANGLES = 512            # the fewest angles of a grid on the whole circle
 EIG_BLOCKS = 4              # direct summands of the eigenvalue-angle window
 
 
@@ -112,17 +112,6 @@ class VerblunskyCoefficients:
         return cls(d["period"], base, patch)
 
 
-@dataclass(frozen=True)
-class CMVWeylData:
-    z: complex
-    n0: int
-    m_plus: complex
-    m_minus: complex
-    M_plus: complex
-    M_minus: complex
-    M11: complex
-
-
 # ---------------------------------------------------------------------------
 # Schur-algorithm evaluation of the half-lattice m-functions
 
@@ -165,18 +154,13 @@ def _gammas_minus(V: VerblunskyCoefficients, m: int):
 
 
 def _m_grid(V: VerblunskyCoefficients, zs, n0: int, side: str, near=0.0) -> dict:
-    """'m', m_+(z, n0) or m_-(z, n0) over zs, and 'floquet', the branch
-    nearest near and its ambiguous mask (_schur_to_caratheodory)."""
-    plus = plus_side(side)
+    """'m', m_+(z, n0) for side '+', else m_-(z, n0), over zs, and
+    'floquet', the branch nearest near and its ambiguous mask
+    (_schur_to_caratheodory)."""
+    plus = side == "+"
     value, *branch = _schur_to_caratheodory(*(_gammas_plus if plus else _gammas_minus)(V, n0),
                                             zs, near)
     return {"m": value if plus else -value, "floquet": tuple(branch)}
-
-
-def m_half_lattice(V: VerblunskyCoefficients, z: complex, n0: int, side: str) -> complex:
-    """Half-lattice Cayley-transform diagonal at n0: Caratheodory for the
-    right block (side '+'), anti-Caratheodory (Re <= 0) for the left."""
-    return one_point(_m_grid, V, z, n0, side, circle=True)["m"]
 
 
 def _twist(a0: complex, mm):
@@ -184,22 +168,6 @@ def _twist(a0: complex, mm):
     num = (1.0 + a0).real + 1j * (1.0 - a0).imag * mm
     den = 1j * (1.0 + a0).imag + (1.0 - a0).real * mm
     return num / den
-
-
-def _finite_M_minus(Mm: complex, z, n0: int) -> complex:
-    """M_- unless the denominator of its twist vanished (M_- not finite)."""
-    if not cmath.isfinite(Mm):
-        raise ZeroDivisionError(f"M_- denominator vanished at z={z}, n0={n0}")
-    return Mm
-
-
-def big_M(V: VerblunskyCoefficients, z: complex, n0: int, side: str) -> complex:
-    """M_+ = m_+ verbatim; M_- is the alpha(n0) Moebius twist of m_-(z, n0-1),
-    ZeroDivisionError where its denominator vanishes; both are read off
-    _M11_grid.  Re M_+ >= 0 >= Re M_- in the disk."""
-    plus = plus_side(side)
-    d = one_point(_M11_grid, V, z, n0, circle=True)
-    return d["M_plus"] if plus else _finite_M_minus(d["M_minus"], z, n0)
 
 
 def _half_lattices(V: VerblunskyCoefficients, zs, n0: int, near):
@@ -252,8 +220,9 @@ def M11(V: VerblunskyCoefficients, z: complex, n0: int, mode: str = "formula",
         window: int = 2048) -> complex:
     """Caratheodory function of the (n0, n0) spectral measure entry.
 
-    formula mode: (1 - M_+ M_-)/(M_+ - M_-); raises DegenerateDenominator
-    when |M_+ - M_-| <= 1e-12, ZeroDivisionError as big_M does.  oracle
+    formula mode: (1 - M_+ M_-)/(M_+ - M_-); raises ZeroDivisionError where
+    the denominator of M_-'s twist vanishes (M_- not finite), and
+    DegenerateDenominator when |M_+ - M_-| <= 1e-12.  oracle
     mode: Cayley diagonal of the unitary truncation of the stated window
     size around n0 (truncation_cayley_diag).
     """
@@ -262,16 +231,20 @@ def M11(V: VerblunskyCoefficients, z: complex, n0: int, mode: str = "formula",
     if mode != "formula":
         raise ValueError(f"mode must be 'formula' or 'oracle', got {mode!r}")
     d = one_point(_M11_grid, V, z, n0, circle=True)
-    if abs(d["M_plus"] - _finite_M_minus(d["M_minus"], z, n0)) <= 1e-12:
+    if not cmath.isfinite(d["M_minus"]):
+        raise ZeroDivisionError(f"M_- denominator vanished at z={z}, n0={n0}")
+    if abs(d["M_plus"] - d["M_minus"]) <= 1e-12:
         raise DegenerateDenominator(
             f"M_+ = M_- at z={z}, n0={n0}; use mode='oracle' for this point")
     return d["M11"]
 
 
-def weyl_data(V: VerblunskyCoefficients, z: complex, n0: int) -> CMVWeylData:
+def weyl_data(V: VerblunskyCoefficients, z: complex, n0: int) -> dict:
+    """M_plus, M_minus and M11 at (z, n0), z in the open unit disk, plus
+    m_plus = M_plus and m_minus = m_-(z, n0): _M11_grid and _m_grid read at
+    one point (boundary_analysis.one_point)."""
     d = one_point(_M11_grid, V, z, n0, circle=True)
-    return CMVWeylData(complex(z), n0, d["M_plus"], m_half_lattice(V, z, n0, "-"),
-                       d["M_plus"], d["M_minus"], d["M11"])     # M_+ = m_+
+    return dict(d, m_plus=d["M_plus"], m_minus=one_point(_m_grid, V, z, n0, "-", circle=True)["m"])
 
 
 # ---------------------------------------------------------------------------
@@ -303,14 +276,6 @@ def default_angles(points: int = MIN_ANGLES):
     return np.linspace(0.0, TWO_PI, points, endpoint=False)
 
 
-def _angle_grid(grid):
-    """grid as a float array, default_angles() for None; at least MIN_ANGLES."""
-    grid = default_angles() if grid is None else np.asarray(grid, dtype=float)
-    if grid.size < MIN_ANGLES:
-        raise ValueError(f"angular grid needs at least {MIN_ANGLES} points")
-    return grid
-
-
 _FAMILY = SweepFamily(
     sweep=lambda V, thetas, n0: memo(boundary_cmv_grid, V, thetas, n0),
     phase=lambda V, thetas, n0: memo(Xi11_grid, V, thetas, n0),
@@ -324,7 +289,7 @@ _FAMILY = SweepFamily(
 def ac_spectrum(V: VerblunskyCoefficients, grid=None) -> CircleArcSet:
     """Circle essential closure of the angle hull of {|Xi11| < 1/2} at site 0;
     recomputed at site 1, disagreement raises."""
-    return sweep_ac_spectrum(_FAMILY, V, _angle_grid(grid))
+    return sweep_ac_spectrum(_FAMILY, V, grid)
 
 
 def reflectionless_on(V: VerblunskyCoefficients, E: CircleArcSet, grid=None,
@@ -394,8 +359,14 @@ class CMVTruncation:
         return U
 
     def unitarity_residual(self) -> float:
-        U = self.dense()
-        return float(np.abs(U.conj().T @ U - np.eye(self.size)).max())
+        """max |U*U - I| from the bands: column j of U is bands[:, j] on rows
+        j-2 .. j+2 (zero outside the window), so (U*U)[i, i+d] is the sum
+        over r = d-2 .. 2 of conj(bands[2+r, i]) bands[2+r-d, i+d] for
+        0 <= d <= 4, its conjugate for -4 <= d < 0, and zero beyond."""
+        b, N = self.bands, self.size
+        return max(float(np.abs(sum(np.conj(b[2 + r, :N - d]) * b[2 + r - d, d:]
+                                    for r in range(d - 2, 3)) - (d == 0)).max(initial=0.0))
+                   for d in range(5))
 
 
 def _window_alphas(V: VerblunskyCoefficients, n_lo: int, n_hi: int):
@@ -508,7 +479,7 @@ def matrix_M_and_R(V: VerblunskyCoefficients, n0: int, grid=None,
     margins of M00 and M11.  window sizes the truncation oracle of the
     identity and trace checks only.
     """
-    grid = _angle_grid(grid)
+    grid, _ = sweep_grid(_FAMILY, V, grid)
     bd = exact_sweep(lambda zs, near: _M_matrix_grid(V, zs, n0, near), grid, True,
                      REFERENCE_EPS)
     ok = np.logical_and.reduce([bd[k][2] for k in _MATRIX_KEYS])

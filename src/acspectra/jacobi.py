@@ -32,8 +32,8 @@ import numpy as np
 
 from .boundary_analysis import (REFERENCE_EPS, ReflectionlessReport, SweepFamily,
                                 exact_sweep, floquet_pair, memo, normalize_pair, one_point,
-                                phase_at, plus_side, stack_2x2, sweep_ac_spectrum,
-                                sweep_multiplicity_sets, sweep_phase, sweep_reflectionless,
+                                phase_at, sweep_ac_spectrum, sweep_multiplicity_sets,
+                                sweep_phase, sweep_reflectionless, transfer_matrix,
                                 transfer_product, transfer_trace, tridiagonal_resolvent)
 from .errors import check_keys
 from .interval_sets import RealIntervalSet
@@ -117,18 +117,6 @@ class JacobiCoefficients:
         return cls(d["period"], tuple(d["a"]), tuple(d["b"]), patch)
 
 
-@dataclass(frozen=True)
-class WeylData:
-    """Pointwise Weyl quantities at (z, n0)."""
-    z: complex
-    n0: int
-    m_plus: complex
-    m_minus: complex
-    M_plus: complex
-    M_minus: complex
-    g: complex
-
-
 def _monodromy_entries(J: JacobiCoefficients, zs, n_start: int):
     """(m00, m01, m10, m11, exponent) of monodromy(J, zs, n_start) by
     transfer_product: T(n) = [[(z - b(n))/a(n), -a(n-1)/a(n)], [1, 0]] maps
@@ -139,10 +127,10 @@ def _monodromy_entries(J: JacobiCoefficients, zs, n_start: int):
 
 def monodromy(J: JacobiCoefficients, z, n_start: int):
     """One-period transfer product T(n_start+p-1) ... T(n_start), shape
-    z.shape + (2, 2); det = a(n_start-1)/a(n_start+p-1)."""
+    z.shape + (2, 2); det = a(n_start-1)/a(n_start+p-1).  OverflowError
+    where it leaves the float range (transfer_matrix)."""
     zs = np.asarray(z, dtype=complex)
-    *m, e = _monodromy_entries(J, zs, n_start)
-    return stack_2x2(*(x * np.ldexp(1.0, e) for x in m), zs.shape)
+    return transfer_matrix(_monodromy_entries(J, zs, n_start), zs.shape)
 
 
 def _weyl_grid(J: JacobiCoefficients, zs, n0: int, near=0.0) -> dict:
@@ -183,24 +171,10 @@ def _weyl_grid(J: JacobiCoefficients, zs, n0: int, near=0.0) -> dict:
             "floquet": tuple(branch)}
 
 
-def m_half_line(J: JacobiCoefficients, z: complex, n0: int, side: str) -> complex:
-    """Half-lattice resolvent diagonal at n0 for the restriction to the
-    right (side '+') or left (side '-') of n0; Herglotz on either side."""
-    return one_point(_weyl_grid, J, z, n0)["m_plus" if plus_side(side) else "m_minus"]
-
-
-def big_M(J: JacobiCoefficients, z: complex, n0: int, side: str) -> complex:
-    """M_+ = -1/m_+ - z + b(n0) (Herglotz), M_- = 1/m_- (anti-Herglotz)."""
-    return one_point(_weyl_grid, J, z, n0)["M_plus" if plus_side(side) else "M_minus"]
-
-
-def green_diag(J: JacobiCoefficients, z: complex, n0: int) -> complex:
-    """Diagonal Green's function g(z, n0) = [M_- - M_+]^-1; Herglotz in z."""
-    return one_point(_weyl_grid, J, z, n0)["g"]
-
-
-def weyl_data(J: JacobiCoefficients, z: complex, n0: int) -> WeylData:
-    return WeylData(complex(z), n0, **one_point(_weyl_grid, J, z, n0))
+def weyl_data(J: JacobiCoefficients, z: complex, n0: int) -> dict:
+    """m_plus, m_minus, M_plus, M_minus and g at (z, n0), z off the real
+    axis: _weyl_grid read at one point (boundary_analysis.one_point)."""
+    return one_point(_weyl_grid, J, z, n0)
 
 
 def boundary_weyl_grid(J: JacobiCoefficients, lams, n0: int) -> dict:

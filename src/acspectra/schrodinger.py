@@ -38,8 +38,8 @@ import numpy as np
 
 from .boundary_analysis import (REFERENCE_EPS, ReflectionlessReport, SweepFamily,
                                 exact_sweep, floquet_pair, memo, normalize_pair,
-                                one_point, phase_at, plus_side, stack_2x2, sweep_ac_spectrum,
-                                sweep_multiplicity_sets, sweep_phase, sweep_reflectionless,
+                                one_point, phase_at, sweep_ac_spectrum, sweep_multiplicity_sets,
+                                sweep_phase, sweep_reflectionless, transfer_matrix,
                                 transfer_product, transfer_trace)
 from .errors import check_keys
 from .interval_sets import RealIntervalSet
@@ -110,15 +110,6 @@ class PiecewisePotential:
                    tuple((l, v) for l, v in d.get("patch", [])))
 
 
-@dataclass(frozen=True)
-class SchrodingerWeylData:
-    z: complex
-    x0: float
-    m_plus: complex
-    m_minus: complex
-    g: complex
-
-
 def _sinhc(x):
     """sinh(x)/x, even entire function; series below the cancellation scale."""
     x = np.asarray(x, dtype=complex)
@@ -160,12 +151,12 @@ def _product(zs, pieces):
 
 
 def transfer_interval(V: PiecewisePotential, zs, a: float, b: float) -> np.ndarray:
-    """(K, 2, 2) transfer of (psi, psi') from x = a to x = b > a."""
+    """(K, 2, 2) transfer of (psi, psi') from x = a to x = b > a;
+    OverflowError where it leaves the float range (transfer_matrix)."""
     if not b > a:
         raise ValueError("need b > a")
     zs = np.atleast_1d(np.asarray(zs, dtype=complex))
-    *t, e = _product(zs, _pieces(V, a, b))
-    return stack_2x2(*(x * np.ldexp(1.0, e) for x in t), zs.shape)
+    return transfer_matrix(_product(zs, _pieces(V, a, b)), zs.shape)
 
 
 def _seed_bounds(V: PiecewisePotential, x0: float):
@@ -221,19 +212,10 @@ def _weyl_grid(V: PiecewisePotential, zs, x0: float, near=0.0) -> dict:
     return {"m_plus": mp, "m_minus": mm, "g": 1.0 / (mm - mp), "floquet": tuple(branch)}
 
 
-def m_half_line(V: PiecewisePotential, z: complex, x0: float, side: str) -> complex:
-    """Weyl m-function psi'(x0)/psi(x0) of the decaying solution on the given
-    half line; Herglotz for side '+', anti-Herglotz for side '-'."""
-    return one_point(_weyl_grid, V, z, x0)["m_plus" if plus_side(side) else "m_minus"]
-
-
-def green_diag(V: PiecewisePotential, z: complex, x0: float) -> complex:
-    """Diagonal Green's function 1/(m_- - m_+), Herglotz; free: i/(2 sqrt(z))."""
-    return one_point(_weyl_grid, V, z, x0)["g"]
-
-
-def weyl_data(V: PiecewisePotential, z: complex, x0: float = 0.0) -> SchrodingerWeylData:
-    return SchrodingerWeylData(complex(z), float(x0), **one_point(_weyl_grid, V, z, x0))
+def weyl_data(V: PiecewisePotential, z: complex, x0: float = 0.0) -> dict:
+    """m_plus, m_minus and g at (z, x0), z off the real axis: _weyl_grid
+    read at one point (boundary_analysis.one_point)."""
+    return one_point(_weyl_grid, V, z, x0)
 
 
 def green_identity_residual(V: PiecewisePotential, zs, x0: float = 0.0) -> float:

@@ -19,7 +19,7 @@ import pytest
 
 from acspectra import boundary_analysis, cmv, jacobi, schrodinger
 from acspectra.boundary_analysis import (SweepFamily, exact_sweep, interior,
-                                         normalize_pair, off_axis, plus_side,
+                                         normalize_pair, off_axis,
                                          require_off_axis, stack_2x2, sweep_at, sweep_csv,
                                          sweep_multiplicity_sets, sweep_phase,
                                          transfer_product, transfer_trace)
@@ -540,15 +540,6 @@ class TestSweepCsv:
 
 
 class TestHelpers:
-    @pytest.mark.parametrize("side, plus", [("+", True), ("-", False)])
-    def test_plus_side(self, side, plus):
-        assert plus_side(side) is plus
-
-    @pytest.mark.parametrize("side", ["plus", "", None])
-    def test_plus_side_rejects(self, side):
-        with pytest.raises(ValueError):
-            plus_side(side)
-
     def test_require_off_axis(self):
         assert require_off_axis(2 + 1j) == 2 + 1j
         with pytest.raises(ValueError):

@@ -19,11 +19,10 @@ import acspectra.cmv as cmv
 from acspectra.errors import DegenerateDenominator
 from acspectra.interval_sets import circle_set, contains_mask, full_circle, set_algebra
 from acspectra.cmv import (M11, VerblunskyCoefficients, Xi11, Xi11_grid,
-                           ac_spectrum, big_M, build_truncation,
+                           ac_spectrum, build_truncation,
                            default_angles, discriminant, eigenvalue_angles,
-                           m11_boundary_identity_residual, m_half_lattice,
-                           matrix_M_and_R, multiplicity_sets,
-                           reflectionless_on, support_arcs, weyl_data)
+                           m11_boundary_identity_residual, matrix_M_and_R,
+                           multiplicity_sets, reflectionless_on, support_arcs, weyl_data)
 
 TWO_PI = 2.0 * math.pi
 
@@ -175,8 +174,9 @@ class TestTruncation:
 class TestWeylData:
     def test_free_closed_forms(self, free_cmv):
         z = 0.3 + 0.4j
-        assert m_half_lattice(free_cmv, z, 0, "+") == pytest.approx(1.0)
-        assert m_half_lattice(free_cmv, z, 0, "-") == pytest.approx(-1.0)
+        wd = weyl_data(free_cmv, z, 0)
+        assert wd["m_plus"] == pytest.approx(1.0)
+        assert wd["m_minus"] == pytest.approx(-1.0)
         assert M11(free_cmv, z, 0) == pytest.approx(1.0)
 
     @given(st.floats(0.02, 0.93), st.floats(0, TWO_PI))
@@ -185,9 +185,9 @@ class TestWeylData:
         V = VerblunskyCoefficients(2, (0.4, -0.2 + 0.3j))
         z = r * complex(math.cos(phi), math.sin(phi))
         wd = weyl_data(V, z, 0)
-        assert wd.m_plus.real > 0 and wd.m_minus.real < 0
-        assert wd.M_plus.real > 0 and wd.M_minus.real < 0
-        assert wd.M11.real > 0
+        assert wd["m_plus"].real > 0 and wd["m_minus"].real < 0
+        assert wd["M_plus"].real > 0 and wd["M_minus"].real < 0
+        assert wd["M11"].real > 0
 
     def test_formula_matches_truncation_oracle(self, geronimus_cmv, rng):
         zs = np.sqrt(rng.uniform(0, 0.81, 40)) * np.exp(1j * rng.uniform(0, TWO_PI, 40))
@@ -207,30 +207,29 @@ class TestWeylData:
 
     def test_vanished_twist_denominator(self, free_cmv, monkeypatch):
         """With alpha(n0) = 0 the twist of M_- divides by m_-(z, n0-1), so a
-        vanishing m_- leaves M_- undefined: big_M(..., "-") and M11 raise
-        ZeroDivisionError, while M_+ is unaffected."""
+        vanishing m_- leaves M_- undefined: M11 raises ZeroDivisionError,
+        while M_+ is unaffected."""
         monkeypatch.setattr(cmv, "_m_grid", lambda V, zs, n0, side, near=0.0: {
             "m": np.zeros_like(zs),
             "floquet": (np.zeros((5,) + zs.shape, dtype=complex), np.zeros(zs.shape, bool))})
         with np.errstate(divide="ignore", invalid="ignore"):
-            assert big_M(free_cmv, 0.1 + 0.1j, 0, "+") == 0.0
-            with pytest.raises(ZeroDivisionError):
-                big_M(free_cmv, 0.1 + 0.1j, 0, "-")
+            assert weyl_data(free_cmv, 0.1 + 0.1j, 0)["M_plus"] == 0.0
             with pytest.raises(ZeroDivisionError):
                 M11(free_cmv, 0.1 + 0.1j, 0)
 
     def test_weyl_data_agrees_with_the_pointwise_functions(self, geronimus_cmv):
         V, z = VerblunskyCoefficients(2, (0.4, -0.2 + 0.3j), patch=((1, 0.5j),)), 0.2 - 0.5j
         wd = weyl_data(V, z, 1)
-        assert wd.m_plus == wd.M_plus == m_half_lattice(V, z, 1, "+")
-        assert wd.m_minus == m_half_lattice(V, z, 1, "-")
-        assert wd.M_minus == pytest.approx(big_M(V, z, 1, "-"), rel=1e-13)
-        assert wd.M11 == pytest.approx(M11(V, z, 1), rel=1e-13)
+        one = np.array([z])
+        assert wd["m_plus"] == wd["M_plus"] == cmv._m_grid(V, one, 1, "+")["m"][0]
+        assert wd["m_minus"] == cmv._m_grid(V, one, 1, "-")["m"][0]
+        assert wd["M_minus"] == pytest.approx(cmv._M11_grid(V, one, 1)["M_minus"][0], rel=1e-13)
+        assert wd["M11"] == pytest.approx(M11(V, z, 1), rel=1e-13)
 
     def test_site_translation_consistency(self, geronimus_cmv):
         z = 0.2 - 0.5j
-        assert big_M(geronimus_cmv, z, 0, "+") == pytest.approx(
-            big_M(geronimus_cmv, z, 3, "+"))
+        assert weyl_data(geronimus_cmv, z, 0)["M_plus"] == pytest.approx(
+            weyl_data(geronimus_cmv, z, 3)["M_plus"])
 
 
 class TestXi:

@@ -12,6 +12,7 @@ V = cmv.VerblunskyCoefficients(2, (0.2 - 0.3j, 0.6))
 J = jacobi.JacobiCoefficients(1, (1.0,), (0.0,))
 W = schrodinger.PiecewisePotential(1.0, ((1.0, 0.0),))
 LINE = canonicalize([(0.0, 1.0, "cc")])
+GRID_RULE = "at least 2 finite points and a positive first step"
 
 CHECKS = {
     "cmv_period": (lambda: cmv.VerblunskyCoefficients(0, ()), "period must be a positive"),
@@ -30,6 +31,12 @@ CHECKS = {
     "cmv_matrix_M_and_R_angles": (
         lambda: cmv.matrix_M_and_R(V, 0, grid=cmv.default_angles(cmv.MIN_ANGLES - 1)),
         f"at least {cmv.MIN_ANGLES} points"),
+    "cmv_multiplicity_sets_angles": (
+        lambda: cmv.multiplicity_sets(V, cmv.default_angles(100)),
+        f"at least {cmv.MIN_ANGLES} points"),
+    "cmv_reflectionless_on_angles": (
+        lambda: cmv.reflectionless_on(V, full_circle(), cmv.default_angles(100)),
+        f"at least {cmv.MIN_ANGLES} points"),
     "cmv_eigenvalue_blocks": (lambda: cmv.eigenvalue_angles(V, window=cmv.EIG_BLOCKS * 8 + 2),
                               "split evenly into blocks"),
     "cmv_empty_support_arcs": (lambda: cmv.support_arcs(np.array([])), "no angles given"),
@@ -38,6 +45,13 @@ CHECKS = {
     "jacobi_descriptor_type": (
         lambda: jacobi.JacobiCoefficients.from_descriptor({"type": "cmv"}),
         "descriptor type must be 'jacobi'"),
+    "jacobi_ac_spectrum_one_point": (lambda: jacobi.ac_spectrum(J, [0.5]), GRID_RULE),
+    "jacobi_multiplicity_sets_one_point": (lambda: jacobi.multiplicity_sets(J, [0.5]), GRID_RULE),
+    "jacobi_ac_spectrum_decreasing": (lambda: jacobi.ac_spectrum(J, [1.0, 0.0, -1.0]), GRID_RULE),
+    "jacobi_multiplicity_sets_decreasing": (
+        lambda: jacobi.multiplicity_sets(J, [1.0, 0.0, -1.0]), GRID_RULE),
+    "jacobi_reflectionless_on_nan": (
+        lambda: jacobi.reflectionless_on(J, LINE, [0.0, np.nan, 1.0]), GRID_RULE),
     "jacobi_truncation_size": (lambda: jacobi.truncated_matrix(J, 3), "at least 4 sites"),
     "schrodinger_period": (lambda: schrodinger.PiecewisePotential(0.0, ((1.0, 0.0),)),
                            "period must be positive"),
@@ -47,6 +61,8 @@ CHECKS = {
     "schrodinger_descriptor_type": (
         lambda: schrodinger.PiecewisePotential.from_descriptor({"type": "jacobi"}),
         "descriptor type must be 'schrodinger'"),
+    "schrodinger_ac_spectrum_inf": (
+        lambda: schrodinger.ac_spectrum(W, [0.0, 1.0, np.inf]), GRID_RULE),
     "schrodinger_transfer_interval": (
         lambda: schrodinger.transfer_interval(W, [1.0j], 0.5, 0.5), "need b > a"),
     "set_algebra_op": (lambda: set_algebra(LINE, LINE, "xor"), "unknown op 'xor'"),

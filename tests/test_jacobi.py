@@ -18,12 +18,10 @@ from scipy.linalg import eigh_tridiagonal
 
 from acspectra.harness_cli import verify_inclusion
 from acspectra.interval_sets import canonicalize, longest_component, set_algebra
-from acspectra.jacobi import (JacobiCoefficients, ac_spectrum, big_M,
-                              boundary_weyl_grid, default_grid, discriminant,
-                              green_diag, green_inverse_identity_residual,
-                              m_half_line, monodromy, multiplicity_sets,
-                              reflectionless_on, truncated_matrix, weyl_data,
-                              xi, xi_grid)
+from acspectra.jacobi import (JacobiCoefficients, ac_spectrum, boundary_weyl_grid,
+                              default_grid, discriminant, green_inverse_identity_residual,
+                              monodromy, multiplicity_sets, reflectionless_on,
+                              truncated_matrix, weyl_data, xi, xi_grid)
 from conftest import resolvent_entry
 
 
@@ -82,34 +80,35 @@ class TestWeylData:
         J = JacobiCoefficients(2, (1.0, 1.5), (0.5, -0.5))
         z = complex(x, y)
         wd = weyl_data(J, z, 0)
-        assert wd.m_plus.imag > 0 and wd.m_minus.imag > 0
-        assert wd.M_plus.imag > 0 and wd.M_minus.imag < 0
-        assert wd.g.imag > 0
+        assert wd["m_plus"].imag > 0 and wd["m_minus"].imag > 0
+        assert wd["M_plus"].imag > 0 and wd["M_minus"].imag < 0
+        assert wd["g"].imag > 0
 
     def test_free_green_matches_quadrature_oracle(self, free_jacobi):
         for z in (2j, 1.0 + 0.5j, -1.5 + 0.25j):
-            assert green_diag(free_jacobi, z, 0) == pytest.approx(
+            assert weyl_data(free_jacobi, z, 0)["g"] == pytest.approx(
                 arcsine_stieltjes(z), abs=1e-9)
 
     def test_green_matches_truncation_resolvent(self, period2_jacobi):
         T = truncated_matrix(period2_jacobi, 3000)
         for z in (2j, 0.5 + 1j):
             oracle = resolvent_entry(T, z, 0, 0)
-            assert green_diag(period2_jacobi, z, 0) == pytest.approx(oracle, abs=1e-6)
+            assert weyl_data(period2_jacobi, z, 0)["g"] == pytest.approx(oracle, abs=1e-6)
 
     def test_site_translation_consistency(self, free_jacobi):
         z = 0.3 + 0.8j
-        assert m_half_line(free_jacobi, z, 0, "+") == pytest.approx(
-            m_half_line(free_jacobi, z, 5, "+"))
+        assert weyl_data(free_jacobi, z, 0)["m_plus"] == pytest.approx(
+            weyl_data(free_jacobi, z, 5)["m_plus"])
 
     def test_real_z_rejected(self, free_jacobi):
         with pytest.raises(ValueError):
-            m_half_line(free_jacobi, 1.0 + 0j, 0, "+")
+            weyl_data(free_jacobi, 1.0 + 0j, 0)
 
     def test_anti_herglotz_minus_M(self, period2_jacobi):
         z = 0.7 + 0.9j
-        assert big_M(period2_jacobi, z, 0, "+").imag > 0
-        assert big_M(period2_jacobi, z, 0, "-").imag < 0
+        wd = weyl_data(period2_jacobi, z, 0)
+        assert wd["M_plus"].imag > 0
+        assert wd["M_minus"].imag < 0
 
 
 class TestXi:

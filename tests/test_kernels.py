@@ -120,6 +120,26 @@ def test_schrodinger_transfer_is_the_matmul_product(period):
         assert np.all(np.abs(got_det - 1.0) <= 1e-14 * np.abs(M).max(axis=(1, 2)) ** 2 + 1e-14)
 
 
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+def test_true_products_past_the_float_range_raise_overflow():
+    """monodromy and transfer_interval raise OverflowError, naming the
+    exponent, where the true product leaves the float range, where they
+    returned inf with an overflow warning; a product just inside the range
+    keeps its bits, each part scaled by an exact power of two."""
+    rng = np.random.default_rng(1024)
+    J = jacobi.JacobiCoefficients(1024, rng.uniform(0.5, 1.5, 1024), rng.uniform(-1.0, 1.0, 1024))
+    with pytest.raises(OverflowError, match=r"2\^\d+"):
+        jacobi.monodromy(J, np.array([3.0 + 0.0j]), 0)
+    V = schrodinger.PiecewisePotential(1.0, ((1.0, 100.0),))
+    with pytest.raises(OverflowError, match=r"2\^\d+"):
+        schrodinger.transfer_interval(V, [0.0j], 0.0, 100.0)
+    # cosh(700) is about 5e303, within range after 2^256 rescalings
+    T = schrodinger.transfer_interval(V, [0.0j], 0.0, 70.0)[0]
+    assert np.isfinite(T).all()
+    assert T[0, 0] == pytest.approx(math.cosh(700.0), rel=1e-12)
+    assert T[1, 0] == pytest.approx(10.0 * math.sinh(700.0), rel=1e-12)
+
+
 def _jacobi_steps(J, zs, lo, hi, inverse=False):
     """T(hi-1) ... T(lo), or with inverse its inverse T(lo)^-1 ... T(hi-1)^-1,
     multiplied with np.matmul; the identity for hi = lo."""

@@ -1,5 +1,5 @@
 """One-point values as reads of the grid kernels: on random periodic-plus-
-patch operators of every family, each one-point function equals its
+patch operators of every family, weyl_data (and CMV's M11) equals its
 family's kernel at that point bit for bit, xi and Xi11 equal a one-point
 phase-grid read, one-point reads raise MonodromyDegenerate exactly where
 the kernel marks its Floquet branch ambiguous, and the identity draws of a
@@ -71,13 +71,10 @@ def _same_bits(got, want):
 @settings(max_examples=60, deadline=None)
 def test_jacobi_one_point_values_are_kernel_reads(J, z, n0):
     want = _read(jacobi._weyl_grid, J, z, n0)
-    for side, m, M in (("+", "m_plus", "M_plus"), ("-", "m_minus", "M_minus")):
-        _same_bits(jacobi.m_half_line(J, z, n0, side), want[m])
-        _same_bits(jacobi.big_M(J, z, n0, side), want[M])
-    _same_bits(jacobi.green_diag(J, z, n0), want["g"])
     wd = jacobi.weyl_data(J, z, n0)
+    assert wd.keys() == want.keys() == {"m_plus", "m_minus", "M_plus", "M_minus", "g"}
     for key, value in want.items():
-        _same_bits(getattr(wd, key), value)
+        _same_bits(wd[key], value)
 
 
 @given(schrodinger_ops(), off_axis, st.floats(-1.5, 2.5))
@@ -87,28 +84,24 @@ def test_schrodinger_one_point_values_are_kernel_reads(V, z, x0):
     mp, mm = (complex(m[0]) for m in schrodinger._m_grid(V, np.array([z]), x0)[:2])
     _same_bits(want["m_plus"], mp)
     _same_bits(want["m_minus"], mm)
-    _same_bits(schrodinger.m_half_line(V, z, x0, "+"), mp)
-    _same_bits(schrodinger.m_half_line(V, z, x0, "-"), mm)
-    _same_bits(schrodinger.green_diag(V, z, x0), want["g"])
     wd = schrodinger.weyl_data(V, z, x0)
+    assert wd.keys() == want.keys() == {"m_plus", "m_minus", "g"}
     for key, value in want.items():
-        _same_bits(getattr(wd, key), value)
+        _same_bits(wd[key], value)
 
 
 @given(cmv_ops(), disk_points(0.95), st.integers(-3, 3))
 @settings(max_examples=60, deadline=None)
 def test_cmv_one_point_values_are_kernel_reads(V, z, n0):
     want = _read(cmv._M11_grid, V, z, n0)
-    for side in "+-":
-        _same_bits(cmv.m_half_lattice(V, z, n0, side), _read(cmv._m_grid, V, z, n0, side)["m"])
-    _same_bits(cmv.big_M(V, z, n0, "+"), want["M_plus"])
-    _same_bits(cmv.big_M(V, z, n0, "-"), want["M_minus"])
     _same_bits(cmv.M11(V, z, n0), want["M11"])
     wd = cmv.weyl_data(V, z, n0)
-    _same_bits(wd.m_plus, want["M_plus"])
-    _same_bits(wd.m_minus, _read(cmv._m_grid, V, z, n0, "-")["m"])
+    assert wd.keys() == {"m_plus", "m_minus"} | want.keys()
+    _same_bits(wd["m_plus"], want["M_plus"])
+    _same_bits(wd["m_plus"], _read(cmv._m_grid, V, z, n0, "+")["m"])
+    _same_bits(wd["m_minus"], _read(cmv._m_grid, V, z, n0, "-")["m"])
     for key, value in want.items():
-        _same_bits(getattr(wd, key), value)
+        _same_bits(wd[key], value)
 
 
 J0 = jacobi.JacobiCoefficients(1, (1.0,), (0.0,))
@@ -116,21 +109,13 @@ C0 = cmv.VerblunskyCoefficients(1, (0.0,))
 S0 = schrodinger.PiecewisePotential(1.0, ((1.0, 0.0),))
 # family -> ((its kernel at zs, the one-point reads at z it serves), ...)
 ONE_POINT = {
-    "jacobi": [(lambda zs: jacobi._weyl_grid(J0, zs, 0),
-                [lambda z: jacobi.m_half_line(J0, z, 0, "+"),
-                 lambda z: jacobi.m_half_line(J0, z, 0, "-"),
-                 lambda z: jacobi.big_M(J0, z, 0, "+"), lambda z: jacobi.big_M(J0, z, 0, "-"),
-                 lambda z: jacobi.green_diag(J0, z, 0), lambda z: jacobi.weyl_data(J0, z, 0)])],
+    "jacobi": [(lambda zs: jacobi._weyl_grid(J0, zs, 0), [lambda z: jacobi.weyl_data(J0, z, 0)])],
     "schrodinger": [(lambda zs: schrodinger._weyl_grid(S0, zs, 0.0),
-                     [lambda z: schrodinger.m_half_line(S0, z, 0.0, "+"),
-                      lambda z: schrodinger.m_half_line(S0, z, 0.0, "-"),
-                      lambda z: schrodinger.green_diag(S0, z, 0.0),
-                      lambda z: schrodinger.weyl_data(S0, z, 0.0)])],
-    "cmv": [(lambda zs: cmv._m_grid(C0, zs, 0, "+"), [lambda z: cmv.m_half_lattice(C0, z, 0, "+")]),
-            (lambda zs: cmv._m_grid(C0, zs, 0, "-"), [lambda z: cmv.m_half_lattice(C0, z, 0, "-")]),
+                     [lambda z: schrodinger.weyl_data(S0, z, 0.0)])],
+    "cmv": [(lambda zs: cmv._m_grid(C0, zs, 0, "+"), [lambda z: cmv.weyl_data(C0, z, 0)]),
+            (lambda zs: cmv._m_grid(C0, zs, 0, "-"), [lambda z: cmv.weyl_data(C0, z, 0)]),
             (lambda zs: cmv._M11_grid(C0, zs, 0),
-             [lambda z: cmv.big_M(C0, z, 0, "+"), lambda z: cmv.big_M(C0, z, 0, "-"),
-              lambda z: cmv.M11(C0, z, 0), lambda z: cmv.weyl_data(C0, z, 0)])],
+             [lambda z: cmv.M11(C0, z, 0), lambda z: cmv.weyl_data(C0, z, 0)])],
 }
 # (family, point off the axis, its distance): free band edges (Jacobi 2,
 # Schrodinger 0) and band interiors (Jacobi 0.5, Schrodinger 4, CMV angle 1)

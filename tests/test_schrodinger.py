@@ -22,10 +22,9 @@ from acspectra import schrodinger
 from acspectra.boundary_analysis import floquet_pair, stack_2x2
 from acspectra.interval_sets import canonicalize, set_algebra
 from acspectra.schrodinger import (PiecewisePotential, ac_spectrum, discriminant, default_grid,
-                                   green_diag, green_identity_residual,
-                                   m_half_line, multiplicity_sets, reflectionless_on,
-                                   transfer_exponent, transfer_interval, weyl_data, xi,
-                                   xi_grid)
+                                   green_identity_residual, multiplicity_sets,
+                                   reflectionless_on, transfer_exponent, transfer_interval,
+                                   weyl_data, xi, xi_grid)
 
 
 def fd_green_oracle(v_of_x, z: complex, half_width: float = 200.0,
@@ -168,30 +167,31 @@ class TestWeylData:
         root = cmath.sqrt(z)
         if root.imag < 0:
             root = -root
-        assert m_half_line(V, z, 0.0, "+") == pytest.approx(1j * root, rel=1e-9)
-        assert m_half_line(V, z, 0.0, "-") == pytest.approx(-1j * root, rel=1e-9)
-        assert green_diag(V, z, 0.0) == pytest.approx(1j / (2 * root), rel=1e-9)
+        wd = weyl_data(V, z, 0.0)
+        assert wd["m_plus"] == pytest.approx(1j * root, rel=1e-9)
+        assert wd["m_minus"] == pytest.approx(-1j * root, rel=1e-9)
+        assert wd["g"] == pytest.approx(1j / (2 * root), rel=1e-9)
 
     def test_herglotz_signs(self, square_well):
         z = 3.0 + 0.7j
         wd = weyl_data(square_well, z, 0.3)
-        assert wd.m_plus.imag > 0 and wd.m_minus.imag < 0
-        assert wd.g.imag > 0
+        assert wd["m_plus"].imag > 0 and wd["m_minus"].imag < 0
+        assert wd["g"].imag > 0
 
     def test_square_well_green_matches_fd_oracle(self, square_well):
         z = 2.0j
-        got = green_diag(square_well, z, 0.0)
+        got = weyl_data(square_well, z, 0.0)["g"]
         oracle = fd_green_oracle(square_well_v, z)
         assert abs(got - oracle) < 1e-4
 
     def test_period_translation_invariance(self, square_well):
         z = 1.5 + 1.0j
-        assert m_half_line(square_well, z, 0.3, "+") == pytest.approx(
-            m_half_line(square_well, z, 1.3, "+"))
+        assert weyl_data(square_well, z, 0.3)["m_plus"] == pytest.approx(
+            weyl_data(square_well, z, 1.3)["m_plus"])
 
     def test_real_z_rejected(self, free_schrodinger):
         with pytest.raises(ValueError):
-            m_half_line(free_schrodinger, 4.0 + 0j, 0.0, "+")
+            weyl_data(free_schrodinger, 4.0 + 0j, 0.0)
 
 
 class TestXi:

@@ -421,8 +421,15 @@ def test_eigenvalue_angles_solve_each_block(geronimus_cmv):
 
 
 def _periodic_descriptor(kind, rng, period, patched):
-    """A seeded period-p Jacobi or CMV descriptor, patched on two sites or not."""
-    if kind == "jacobi":
+    """A seeded period-p Jacobi or CMV descriptor, patched on two sites or
+    not, or a period-1 Schrodinger one of p pieces, patched on [0, P) by two
+    pieces or not."""
+    if kind == "schrodinger":
+        weights = rng.integers(1, 5, period)
+        patch = [[rng.uniform(0.1, 0.6), rng.uniform(-2.0, 6.0)] for _ in range(2)]
+        d = {"type": "schrodinger", "period": 1.0,
+             "pieces": [[w / weights.sum(), rng.uniform(0.0, 6.0)] for w in weights.tolist()]}
+    elif kind == "jacobi":
         patch = {str(n): [rng.uniform(0.5, 1.5), rng.uniform(-1.0, 1.0)] for n in (-1, 2)}
         d = {"type": "jacobi", "period": period, "a": rng.uniform(0.5, 1.5, period).tolist(),
              "b": rng.uniform(-1.0, 1.0, period).tolist()}
@@ -431,26 +438,31 @@ def _periodic_descriptor(kind, rng, period, patched):
             * np.exp(2j * math.pi * rng.uniform(size=period + 2))
         patch = {str(n): [a.real, a.imag] for n, a in zip((-1, 2), alpha[period:])}
         d = {"type": "cmv", "period": period, "alpha": [[a.real, a.imag] for a in alpha[:period]]}
-    return dict(d, patch=patch if patched else {})
+    return dict(d, patch=patch if patched else type(patch)())
 
 
 def _written_with_period(d, m):
     """The same operator, its base written out m times as period m p."""
-    keys = ("a", "b") if d["type"] == "jacobi" else ("alpha",)
+    keys = {"jacobi": ("a", "b"), "cmv": ("alpha",), "schrodinger": ("pieces",)}[d["type"]]
     return dict(d, period=m * d["period"], **{k: d[k] * m for k in keys})
 
 
-@pytest.mark.parametrize("kind", ["jacobi", "cmv"])
-@pytest.mark.parametrize("period, m, patched", [(1, 1024, False), (2, 128, True),
-                                                (3, 86, False), (4, 64, True)])
+@pytest.mark.parametrize("period, m, patched, kind", [
+    (period, m, patched, kind) for kind in ("jacobi", "cmv")
+    for period, m, patched in ((1, 1024, False), (2, 128, True), (3, 86, False), (4, 64, True))
+] + [(pieces, m, patched, "schrodinger") for pieces, m, patched in (
+    (1, 2, False), (2, 3, True), (3, 4, False), (1, 8, True), (2, 16, False), (3, 16, True))])
 def test_period_multiples_read_the_same_operator(kind, period, m, patched):
     """An operator of period p written as period m p, its coefficients
     repeated, is the same operator: its monodromy is the m-th power, so the
     report gives the same status, inclusion status and ac, M2 and M1 sets.
     Past m p of about 200 the one-period products of random Jacobi
     operators pass the float range off the bands, which transfer_product's
-    rescaling keeps finite."""
-    rng = np.random.default_rng(3200 + 10 * period + (kind == "cmv"))
+    rescaling keeps finite.  A Schrodinger period of p pieces repeated m
+    times stays at m <= 16: its transfer_exponent grows m-fold, about 5.6
+    per unit period at the grid top, and must stay below the report's
+    MAX_TRANSFER_EXPONENT."""
+    rng = np.random.default_rng(3200 + 10 * period + ("jacobi", "cmv", "schrodinger").index(kind))
     d = _periodic_descriptor(kind, rng, period, patched)
     grid = {"angles": 512} if kind == "cmv" else None
     with warnings.catch_warnings():
