@@ -8,7 +8,9 @@
 # the outputs.  Every command runs with RuntimeWarnings as errors.  Checks:
 # - for one small descriptor per family, `spec run` on the one-entry config
 #   of the same name, seed 0 and grid writes the bytes of
-#   `spec <family> --emit report`;
+#   `spec <family> --emit report`, and `spec <family> --emit spectrum`
+#   writes the report's ac_spectrum field as the CLIs write JSON (sorted
+#   keys, indent 2, a final LF);
 # - a period-1024 Jacobi report is written;
 # - a config with a misspelled descriptor key and one with two entries of
 #   one name each exit 2 with an `error:` line and write nothing.
@@ -26,6 +28,10 @@ for fam in jacobi cmv schrodinger; do
   $spec run --config "$out/$fam.config.json" --out "$out/one_$fam"
   $spec "$fam" --desc "tests/data/xi/$fam.json" $arg --emit report --out "$out/$fam.report.json"
   cmp "$out/one_$fam/${fam}_report.json" "$out/$fam.report.json"
+  $spec "$fam" --desc "tests/data/xi/$fam.json" $arg --emit spectrum --out "$out/$fam.spectrum.json"
+  python -c 'import json, sys; print(json.dumps(json.load(open(sys.argv[1]))["ac_spectrum"],
+             sort_keys=True, indent=2))' "$out/$fam.report.json" > "$out/$fam.report_ac.json"
+  cmp "$out/$fam.spectrum.json" "$out/$fam.report_ac.json"
 done
 
 # its one-period transfer products pass the float range off the bands unless rescaled

@@ -28,9 +28,10 @@ Richardson extrapolation toward the axis as its independent oracle.
 The sweeps serve the Jacobi, CMV and Schrodinger modules: one exact
 sweep, grid rule, phase, ac hull, reflectionless test, multiplicity
 classifier and CSV writer, with each family's conventions passed as
-data, plus the Floquet chooser and 2x2 helpers of the kernels.  The
-reflectionless test reads E in its intervals only (tested_mask): it is an
-almost-everywhere property, and isolated points are a null set.
+data, plus the Floquet chooser and 2x2 helpers of the kernels.  Each
+phase is its family's phase grid (SweepFamily.phase), sweep_phase's one
+caller.  The reflectionless test reads E in its intervals only
+(tested_mask): it is almost-everywhere, and isolated points are null.
 
 Every one-period transfer product of the families, in the kernels and
 the discriminants alike, is transfer_product's: 2x2 steps multiplied out
@@ -50,7 +51,7 @@ the entry 'floquet'; the CMV Schur function is the fixed point the
 growing eigenvector gives.  The Schrodinger seeds do not depend on the
 reference point either, so in a report scope both reference points read
 one seed pair per kernel call (memo).  Every one-point value of a family
-is its grid kernel (one_point) or its sweep (phase_at) read at one point.
+is its grid kernel or its phase grid read at one point (one_point, phase_at).
 
 The truncation oracles of the Jacobi and CMV identity residuals share one
 solver: tridiagonal_resolvent reads a diagonal entry of the inverse, and
@@ -282,7 +283,6 @@ class ReflectionlessReport:
     fraction: float              # worst passing fraction across reference sites
     max_residual: float          # max matching residual over tested points
     tol: float
-    sites: tuple
     n_points: int
     defect_points: tuple         # grid points failing the matching condition
     xi_fraction: float = 0.0     # fraction with the phase within tolerance of its center
@@ -463,9 +463,9 @@ def interior(fam: SweepFamily, vals):
 
 
 def phase_at(fam: SweepFamily, op, loc: float, site) -> float:
-    """The boundary phase at the one grid point loc, read off a one-point
-    sweep at the given site; NonConvergent where it is undetermined."""
-    vals, _, ok = sweep_phase(fam, fam.sweep(op, np.array([float(loc)]), site))
+    """The boundary phase at the one grid point loc, the family's phase grid
+    read there at the given site; NonConvergent where it is undetermined."""
+    vals, _, ok = fam.phase(op, np.array([float(loc)]), site)
     if not bool(ok[0]):
         raise NonConvergent(f"boundary phase undetermined at {loc}, reference {site}")
     return float(vals[0])
@@ -525,8 +525,8 @@ def sweep_ac_spectrum(fam: SweepFamily, op, grid):
     width = longest_component(set_algebra(main, one_site(second), "symmetric_difference"))
     if width > 2.0 * step + 1e-12:
         raise SiteDisagreement(
-            f"ac spectrum disagrees between reference {fam.site_word} {first} and {second}",
-            main, width)
+            f"ac spectrum disagrees between reference {fam.site_word} {first} and {second} "
+            f"by {width:.3e} (> two grid steps {2.0 * step:.3e})", main, width)
     return main
 
 
@@ -537,14 +537,14 @@ def tested_mask(E, grid):
     return contains_mask(replace(E, isolated_points=()), grid)
 
 
+@sweep_scope()
 def sweep_reflectionless(fam: SweepFamily, op, E, grid, tol: float) -> ReflectionlessReport:
     """Boundary matching of the pair on the grid points of tested_mask(E)
     at both sites: M_+ is the reflection of M_- (conj across the line,
     -conj across the circle) at more than 99% of the points, phase at its
-    center."""
+    center; in its own sweep scope, as sweep_csv, where no report opened one."""
     if E.measure() <= 0.0:
         raise ValueError("reflectionless test needs a set of positive measure")
-    sites = fam.sites(op)
     grid, _ = sweep_grid(fam, op, grid)
     inside = tested_mask(E, grid)
     lams = grid[inside]
@@ -552,14 +552,12 @@ def sweep_reflectionless(fam: SweepFamily, op, E, grid, tol: float) -> Reflectio
         raise ValueError("grid does not meet E")
 
     center = sum(fam.phase_range) / 2.0
-    worst_fraction = 1.0
-    max_res = 0.0
-    xi_fraction = 1.0
-    witness = 0.0
+    worst_fraction = xi_fraction = 1.0
+    max_res = witness = 0.0
     defects = set()
-    for site in sites:
-        # the whole grid's sweep (the ac spectrum's, in a report scope) read
-        # on E; the kernels work point by point, so the bits are the same
+    for site in fam.sites(op):
+        # the whole grid's sweep and phase (the ac spectrum's, in a report
+        # scope) read on E; the kernels work point by point, so bits agree
         bd = sweep_at(fam.sweep(op, grid, site), inside)
         Mp, Mm = bd[fam.pair[0]][0], bd[fam.pair[1]][0]
         okm = bd[fam.pair[0]][2] & bd[fam.pair[1]][2]
@@ -569,14 +567,14 @@ def sweep_reflectionless(fam: SweepFamily, op, E, grid, tol: float) -> Reflectio
         max_res = max(max_res, float(np.max(np.where(okm, res, 0.0))))
         defects.update(lams[~pass_mask].tolist())
 
-        vals, _, okx = sweep_phase(fam, bd)
+        vals, _, okx = (a[inside] for a in fam.phase(op, grid, site))
         xi_fraction = min(xi_fraction, float(np.mean(okx & (np.abs(vals - center) < 10 * tol))))
         witness = max(witness, _witness(fam, bd, pass_mask))
 
     verdict = worst_fraction > 0.99
     return ReflectionlessReport(
         verdict=verdict, fraction=worst_fraction, max_residual=max_res, tol=tol,
-        sites=sites, n_points=int(lams.size), defect_points=tuple(sorted(defects)),
+        n_points=int(lams.size), defect_points=tuple(sorted(defects)),
         xi_fraction=xi_fraction,
         witness_residual=witness if verdict else math.nan)
 

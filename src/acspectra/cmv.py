@@ -451,14 +451,12 @@ def truncation_cayley_diag(V: VerblunskyCoefficients, zs, n0: int, window: int):
 class MatrixMeasureData:
     """Boundary samples of the 2x2 matrix Caratheodory function at n0.
 
-    R[k] is the density matrix at angles[k] where it is defined, else 0.
+    R[k] is the density matrix at the k-th angle where it is defined, else 0.
     rank[k] is 0 where R is not, else 1, plus 1 where its smaller eigenvalue
     exceeds 10 e_R (the factor of _axis_margin), e_R the declared errors of
     the four entries over tr H.  min_eigenvalue and trace_error are taken
     over the defined angles (nan if there is none).
     """
-    n0: int
-    angles: np.ndarray
     R: np.ndarray            # (K, 2, 2) complex Hermitian
     rank: np.ndarray         # (K,) int
     min_eigenvalue: float
@@ -503,7 +501,7 @@ def matrix_M_and_R(V: VerblunskyCoefficients, n0: int, grid=None,
                    - truncation_cayley_diag(V, probes, n0 - 1, window)).max()
     tr0 = sum(truncation_cayley_diag(V, 0.0, n, window).real for n in (n0 - 1, n0))
     return MatrixMeasureData(
-        n0=n0, angles=grid, R=R, rank=rank,
+        R=R, rank=rank,
         min_eigenvalue=-over_defined(-eigs[:, 0]),
         trace_error=over_defined(np.abs(np.real(R[:, 0, 0] + R[:, 1, 1]) - 1.0)),
         trace_at_zero=float(tr0),

@@ -43,9 +43,11 @@ Exit codes for `spec run`: 0 all reports PASS, 1 failures or IO errors,
 JSON, operators list, seed, entry name, descriptor, grid, tolerances,
 target set E, a Schrodinger potential whose transfers would overflow, no
 output directory), 3 unknown operator type.  `spec jacobi|cmv|schrodinger`
-exits the same way: 1 when the report it writes is FAILED or its --out
-file cannot be written, 2 for an unreadable descriptor, a malformed --grid
-or a cmv report grid short of the whole circle.  A JSON object read takes
+exits the same way: 1 when the report it writes is FAILED, the sites of
+the ac spectrum it writes (the first site's) disagree, or its --out file
+cannot be written, 2 for an unreadable descriptor, a malformed --grid or a
+cmv report grid short of the whole circle.  Grid limits are
+boundary_analysis.sweep_grid's alone.  A JSON object read takes
 only its documented keys, and another key exits 2 naming it: config
 out_dir, seed, operators; entry name, descriptor, E, grid, tolerances; line
 grid start, stop, points; circle grid angles; descriptors type, period and
@@ -75,8 +77,8 @@ import numpy as np
 from . import jacobi as _jacobi
 from . import cmv as _cmv
 from . import schrodinger as _schrodinger
-from .boundary_analysis import (ReflectionlessReport, sweep_at, sweep_csv, sweep_scope,
-                                tested_mask)
+from .boundary_analysis import (ReflectionlessReport, sweep_at, sweep_csv, sweep_grid,
+                                sweep_scope, tested_mask)
 from .errors import SiteDisagreement, check_keys
 from .interval_sets import (CircleArcSet, GeneratedFatSet, RealIntervalSet, canonicalize,
                             essential_closure, fat_density_report,
@@ -128,26 +130,28 @@ def _whole(value, what: str) -> int:
 
 
 def _resolve_grid(kind: str, op, grid_config):
-    """Grid array plus its JSON echo from a config dict or family default."""
+    """Grid array plus its JSON echo from a config dict or the family
+    default, refused by sweep_grid alone (a negative count reads as none)."""
     if grid_config is not None and not isinstance(grid_config, dict):
         raise ValueError(f"grid must be an object or null, not {grid_config!r:.80}")
-    circle = FAMILY_MODULES[kind]._FAMILY.circle
+    fam = FAMILY_MODULES[kind]._FAMILY
     grid_config = grid_config or {}
-    check_keys(grid_config, ("angles",) if circle else ("start", "stop", "points"),
+    check_keys(grid_config, ("angles",) if fam.circle else ("start", "stop", "points"),
                f"{kind} grid key")
-    if circle:
-        n = _whole(grid_config.get("angles", _cmv.MIN_ANGLES), "angles")
-        if n < _cmv.MIN_ANGLES:
-            raise ValueError(f"a {kind} grid needs at least {_cmv.MIN_ANGLES} angles, got {n}")
-        return _cmv.default_angles(n), {"angles": n}
-    if grid_config:
-        start, stop = float(grid_config["start"]), float(grid_config["stop"])
-        points = _whole(grid_config["points"], "points")
-        if points < 2 or not (math.isfinite(start) and math.isfinite(stop) and stop > start):
-            raise ValueError("a grid needs finite start < stop and at least 2 points")
-        return np.linspace(start, stop, points), {"start": start, "stop": stop, "points": points}
-    g = FAMILY_MODULES[kind].default_grid(op)
-    return g, {"start": float(g[0]), "stop": float(g[-1]), "points": int(g.size)}
+    if not grid_config:
+        grid = fam.grid(op)
+        echo = ({"angles": grid.size} if fam.circle else
+                {"start": float(grid[0]), "stop": float(grid[-1]), "points": int(grid.size)})
+    elif fam.circle:
+        echo = {"angles": _whole(grid_config["angles"], "angles")}
+        grid = _cmv.default_angles(max(echo["angles"], 0))
+    else:
+        echo = {"start": float(grid_config["start"]), "stop": float(grid_config["stop"]),
+                "points": _whole(grid_config["points"], "points")}
+        if not math.isfinite(echo["stop"] - echo["start"]):     # np.linspace would warn
+            raise ValueError(f"grid start, stop and their difference must be finite: {echo!r}")
+        grid = np.linspace(echo["start"], echo["stop"], max(echo["points"], 0))
+    return sweep_grid(fam, op, grid)[0], echo
 
 
 def _check_tolerances(tolerances) -> dict:
@@ -305,7 +309,7 @@ def _report(entry: Entry, name: str, seed: int) -> SpectralReport:
         ac = mod.ac_spectrum(op, grid)
     except SiteDisagreement as exc:
         ac = exc.spectrum
-        failures.append(f"{exc} by {exc.width:.3e} (> two grid steps {2.0 * step:.3e})")
+        failures.append(str(exc))
     fam = mod._FAMILY
     for site in fam.sites(op):      # the phases the ac spectrum read, from the memo
         undetermined = int(np.count_nonzero(~fam.phase(op, grid, site)[2]))
@@ -320,7 +324,7 @@ def _report(entry: Entry, name: str, seed: int) -> SpectralReport:
     else:       # only a computed E: a given one is checked on loading
         refl = ReflectionlessReport(
             verdict=False, fraction=math.nan, max_residual=math.nan, tol=refl_tol,
-            sites=(), n_points=0, defect_points=(), xi_fraction=math.nan)
+            n_points=0, defect_points=(), xi_fraction=math.nan)
     M2, M1 = mod.multiplicity_sets(op, grid)
 
     identities = _identity_residuals(kind, op, grid, E_set, refl.verdict, rng, tolerances)
@@ -360,7 +364,7 @@ def _report(entry: Entry, name: str, seed: int) -> SpectralReport:
     echo = ("reflectionless_tol", "identity_draws") + (("oracle_window",) if kind == "cmv" else ())
     eff_tol = dict({name: tolerances[name] for name in echo}, slack_steps=1)
     # a shallow read of the test's fields: asdict would deep-copy every defect point
-    reflectionless = {f.name: getattr(refl, f.name) for f in fields(refl) if f.name != "sites"}
+    reflectionless = vars(refl)
 
     return SpectralReport(
         name=name, family=kind, descriptor=entry.descriptor, failures=failures,
@@ -579,28 +583,33 @@ def spec_main(argv=None) -> int:
     if kind != ns.cmd:
         return _fail(3, f"descriptor type {kind!r} does not match subcommand {ns.cmd!r}")
 
-    circle = FAMILY_MODULES[kind]._FAMILY.circle
+    fam = FAMILY_MODULES[kind]._FAMILY
     grid_config = None
     try:
         if ns.grid:
             a, b, n = _parse_grid_arg(ns.grid)
-            if circle and ns.emit == "report" and not (
+            if fam.circle and ns.emit == "report" and not (
                     a == 0.0 and math.isclose(b, 2.0 * math.pi, rel_tol=1e-9)):
                 raise ValueError(f"a {kind} report covers the whole circle (step 2 pi/n); "
                                  f"--grid must be 0:{2.0 * math.pi!r}:n, not {ns.grid!r}")
-            grid_config = {"angles": n} if circle else {"start": a, "stop": b, "points": n}
+            grid_config = {"angles": n} if fam.circle else {"start": a, "stop": b, "points": n}
         entry = _load(descriptor, None, grid_config)
+        op, grid = entry.op, entry.grid
+        if ns.grid and fam.circle:      # the angle range of --grid, endpoint excluded
+            grid = sweep_grid(fam, op, np.linspace(a, b, n, endpoint=False))[0]
     except ValueError as exc:
         return _fail(2, str(exc))
-    op, grid = entry.op, entry.grid
-    if ns.grid and circle:
-        grid = np.linspace(a, b, n, endpoint=False)
 
     failed = False
     if ns.emit == "xi":
         text = _csv_for(kind, op, grid)
     elif ns.emit == "spectrum":
-        text = _json_text(set_to_json(FAMILY_MODULES[kind].ac_spectrum(op, grid)))
+        try:
+            ac = FAMILY_MODULES[kind].ac_spectrum(op, grid)
+        except SiteDisagreement as exc:     # the first site's set, as a report keeps it
+            ac, failed = exc.spectrum, True
+            _fail(1, str(exc))
+        text = _json_text(set_to_json(ac))
     else:       # on the loaded grid: the whole circle at step 2 pi/n for cmv
         rep = _report(entry, os.path.splitext(os.path.basename(ns.desc))[0], 0)
         text = _json_text(rep.to_json())

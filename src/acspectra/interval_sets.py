@@ -30,7 +30,7 @@ from __future__ import annotations
 import bisect
 import math
 import operator
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 from itertools import chain
 
@@ -197,7 +197,6 @@ class RealIntervalSet:
 
     intervals: tuple = ()
     isolated_points: tuple = ()
-    carrier: str = field(default="line", compare=False)
 
     def measure(self) -> float:
         return math.fsum(iv.length for iv in self.intervals)
@@ -409,7 +408,6 @@ class Arc:
 class CircleArcSet:
     arcs: tuple = ()
     isolated_points: tuple = ()
-    carrier: str = field(default="circle", compare=False)
 
     def measure(self) -> float:
         return math.fsum(a.length for a in self.arcs)
@@ -528,7 +526,6 @@ class GeneratedFatSet:
     radius_base: float = 4.0
     truncation: int = 20
     tail_measure_bound: float = 0.0
-    carrier: str = field(default="line", compare=False)
 
     @staticmethod
     def rational_fat(truncation: int = 20, radius_base: float = 4.0) -> "GeneratedFatSet":
@@ -550,8 +547,6 @@ class GeneratedFatSet:
 class FatDensityReport:
     closure: RealIntervalSet
     verdicts: tuple          # (x, status) with status in {"truncated", "tail", "fail"}
-    eps_min: float
-    tail_measure_bound: float
     grid_step: float
 
 
@@ -589,7 +584,7 @@ def fat_density_report(g: GeneratedFatSet) -> FatDensityReport:
         else:
             verdicts.append((x, "fail"))
     closure = points_hull(passing, step)
-    return FatDensityReport(closure, tuple(verdicts), eps_min, g.tail_measure_bound, step)
+    return FatDensityReport(closure, tuple(verdicts), step)
 
 
 def angles_hull(thetas, step: float) -> CircleArcSet:

@@ -11,10 +11,10 @@ matrix (w^2 = v - z, even in w, so the branch is immaterial)
 Weyl solutions psi_+/- decay at +/-infinity; over a period in the periodic
 region they scale by the Floquet multipliers u, 1/u of the monodromy matrix.
 Both are eigenvectors of the one monodromy of the base pieces at every
-period boundary of the unpatched line, so one kernel call seeds psi_+ at
-the nearest such boundary right of x0 and the patch, psi_- at the nearest
-one left of x0 and 0, and carries each to x0 across the pieces in between.
-The half-line m-functions are logarithmic derivatives
+period boundary of the unpatched line, so one call of the kernel, _m_grid,
+seeds psi_+ at the nearest such boundary right of x0 and the patch, psi_-
+at the nearest one left of x0 and 0, and carries each to x0 across the
+pieces in between.  The half-line m-functions are logarithmic derivatives
 
     m_+(z, x0) = psi_+'(x0)/psi_+(x0)    Herglotz,      free: +i sqrt(z)
     m_-(z, x0) = psi_-'(x0)/psi_-(x0)    anti-Herglotz, free: -i sqrt(z)
@@ -23,7 +23,7 @@ with Im sqrt(z) > 0.  The diagonal Green's function g(z, x0) = 1/(m_- - m_+)
 is Herglotz (free: i/(2 sqrt(z))); its boundary phase xi = Arg g(lam+i0)/pi
 lies in [0, 1], equals 1/2 exactly where the operator is reflectionless, and
 {0 < xi < 1} recovers the ac spectrum through its essential closure.  The
-periodic spectrum is also {|tr monodromy| <= 2}, an independent check.
+periodic spectrum is also {|tr monodromy| <= 2} (discriminant), a check.
 """
 
 from __future__ import annotations
@@ -189,33 +189,26 @@ def _seeds(V: PiecewisePotential, zs, near=0.0):
     return floquet_pair(*t, np.ldexp(1.0, -2 * e), near, e)
 
 
-def _m_grid(V: PiecewisePotential, zs, x0: float, near=0.0):
-    """(m_plus, m_minus, branch, ambiguous) at x0 over an array of spectral
+def _m_grid(V: PiecewisePotential, zs, x0: float, near=0.0) -> dict:
+    """m_plus, m_minus and g = 1/(m_- - m_+) at x0 over an array of spectral
     parameters, both half lines seeded from one monodromy at the period
-    boundaries cp, cm and carried to x0 across the pieces in between; the
-    branch and its mask are those of _seeds.  The seeds do not depend on
-    x0, so in a report scope the two reference points read one _seeds
-    evaluation per zs and near (boundary_analysis.memo)."""
-    zs = np.atleast_1d(np.asarray(zs, dtype=complex))
+    boundaries cp, cm and carried to x0 across the pieces in between, and
+    'floquet', the branch and the ambiguous mask of _seeds.  The seeds do
+    not depend on x0, so in a report scope the two reference points read
+    one _seeds evaluation per zs and near (boundary_analysis.memo)."""
+    zs, x0 = np.atleast_1d(np.asarray(zs, dtype=complex)), float(x0)
     cp, cm = _seed_bounds(V, x0)
     dec, grow, *branch = memo(_seeds, V, zs, near)
     p, q = _propagate_vec(zs, dec, _pieces(V, x0, cp)[::-1], inverse=True)
     pm, qm = _propagate_vec(zs, grow, _pieces(V, cm, x0), inverse=False)
-    return (q / p, qm / pm, *branch)
-
-
-def _weyl_grid(V: PiecewisePotential, zs, x0: float, near=0.0) -> dict:
-    """m_plus, m_minus and g = 1/(m_- - m_+) at x0 over an array of spectral
-    parameters, from one _m_grid call, and 'floquet', the branch and the
-    ambiguous mask (floquet_pair)."""
-    mp, mm, *branch = _m_grid(V, zs, float(x0), near)
+    mp, mm = q / p, qm / pm
     return {"m_plus": mp, "m_minus": mm, "g": 1.0 / (mm - mp), "floquet": tuple(branch)}
 
 
 def weyl_data(V: PiecewisePotential, z: complex, x0: float = 0.0) -> dict:
-    """m_plus, m_minus and g at (z, x0), z off the real axis: _weyl_grid
-    read at one point (boundary_analysis.one_point)."""
-    return one_point(_weyl_grid, V, z, x0)
+    """m_plus, m_minus and g at (z, x0), z off the real axis: _m_grid read
+    at one point (boundary_analysis.one_point)."""
+    return one_point(_m_grid, V, z, x0)
 
 
 def green_identity_residual(V: PiecewisePotential, zs, x0: float = 0.0) -> float:
@@ -268,11 +261,9 @@ def transfer_exponent(V: PiecewisePotential, reach: float) -> float:
 
 
 def discriminant(V: PiecewisePotential, lams) -> np.ndarray:
-    """Trace of the one-period monodromy of the base pattern (patch ignored,
-    transfer_trace); the periodic spectrum is {lam : |discriminant| <= 2}."""
-    zs = np.atleast_1d(np.asarray(lams, dtype=complex))
-    return transfer_trace(_product(zs, _pieces(PiecewisePotential(V.period, V.pieces), 0.0,
-                                               V.period)))
+    """Trace of the one-period product of V.pieces, the monodromy _seeds takes
+    (patch ignored, transfer_trace); the bands are {lam : |discriminant| <= 2}."""
+    return transfer_trace(_product(np.atleast_1d(np.asarray(lams, dtype=complex)), V.pieces))
 
 
 # ---------------------------------------------------------------------------
@@ -283,7 +274,7 @@ def boundary_schrodinger_grid(V: PiecewisePotential, lams, x0: float) -> dict:
     boundary_analysis.exact_sweep with the reference points REFERENCE_EPS
     (1 + sup|V|) above it: (value, error, ok) per key plus the
     'inf_'/'div_' flags."""
-    return exact_sweep(lambda zs, near: _weyl_grid(V, zs, x0, near), lams, False,
+    return exact_sweep(lambda zs, near: _m_grid(V, zs, x0, near), lams, False,
                        REFERENCE_EPS * (1.0 + V.sup_bound()))
 
 

@@ -10,15 +10,20 @@ The references need scipy: banded solves of the Jacobi and CMV truncations
 (resolvent_entry, cmv_solve, matrix_M_entry, cayley_diag), and
 boundary_sweep, the Richardson extrapolation toward the axis that is the
 oracle of the package's exact boundary route (exact_sweep).
+
+STEPLIKE is a test SweepFamily over steplike Jacobi operators, periodic
+with one base on the left half line and another on the right: the oracle
+of the multiplicity classifier's multiplicity-one branch.
 """
 
 import numpy as np
 import pytest
 from scipy.linalg import solve_banded
 
-from acspectra.boundary_analysis import INFINITE_LIMIT
+from acspectra.boundary_analysis import (INFINITE_LIMIT, REFERENCE_EPS, SweepFamily,
+                                         exact_sweep, memo, sweep_phase)
 from acspectra.cmv import VerblunskyCoefficients
-from acspectra.jacobi import JacobiCoefficients
+from acspectra.jacobi import JacobiCoefficients, _weyl_grid
 from acspectra.schrodinger import PiecewisePotential
 
 
@@ -169,3 +174,51 @@ def boundary_sweep(kernel, grid, circle: bool) -> dict:
         out[k] = richardson_sequence(arr)
         out["inf_" + k], out["div_" + k] = blowup_flags(np.abs(arr))
     return out
+
+
+# ---------------------------------------------------------------------------
+# Steplike Jacobi operators: the oracle of multiplicity one
+
+def steplike_halves(L, R, n0: int):
+    """(left, right): Jacobi operators whose M_- resp. M_+ at the site
+    n0 >= 0 are those of the steplike operator with L's b(n), n <= 0, and
+    a(n), n < 0, and R's coefficients beyond.  M_-(z, n0) reads b(n), n <=
+    n0, and a(n), n < n0, so left is L patched with R's coefficients on
+    sites 1 .. n0 (and a(0)); M_+(z, n0) reads a(n), n >= n0, and b(n), n >
+    n0, so right is R."""
+    patch = {n: (R.a(n), R.b(n) if n > 0 else L.b(0)) for n in range(n0 + 1)}
+    return JacobiCoefficients(L.period, L.a_base, L.b_base, patch), R
+
+
+def steplike_kernel(L, R, zs, n0: int, near=0.0) -> dict:
+    """M_plus from the right half's jacobi._weyl_grid at n0, M_minus from
+    the left half's (steplike_halves), g = 1/(M_- - M_+), and 'floquet':
+    both branches stacked (12 rows) and their ambiguous masks ORed, so that
+    exact_sweep runs it unchanged."""
+    left, right = steplike_halves(L, R, n0)
+    near_r, near_l = (near, near) if np.ndim(near) == 0 else (near[:6], near[6:])
+    r, l = _weyl_grid(right, zs, n0, near_r), _weyl_grid(left, zs, n0, near_l)
+    (ur, ar), (ul, al) = r["floquet"], l["floquet"]
+    Mp, Mm = r["M_plus"], l["M_minus"]
+    return {"M_plus": Mp, "M_minus": Mm, "g": 1.0 / (Mm - Mp),
+            "floquet": (np.concatenate([ur, ul]), ar | al)}
+
+
+def steplike_sweep(op, grid, n0: int) -> dict:
+    """The exact sweep of the steplike operator op = (L, R) at the site n0."""
+    L, R = op
+    eps = REFERENCE_EPS * (1.0 + max(L.sup_bound(), R.sup_bound()))
+    return exact_sweep(lambda zs, near: steplike_kernel(L, R, zs, n0, near), grid, False, eps)
+
+
+def steplike_grid(op):
+    """2001 points on [-R, R], R = 1 + the larger sup_bound of L and R."""
+    r = max(J.sup_bound() for J in op) + 1.0
+    return np.linspace(-r, r, 2001)
+
+
+STEPLIKE = SweepFamily(
+    sweep=lambda op, grid, n0: memo(steplike_sweep, op, grid, n0),
+    phase=lambda op, grid, n0: sweep_phase(STEPLIKE, STEPLIKE.sweep(op, grid, n0)),
+    grid=steplike_grid, sites=lambda op: (0, 1), circle=False, pair=("M_plus", "M_minus"),
+    phase_key="g", csv_columns=())

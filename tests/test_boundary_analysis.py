@@ -152,7 +152,7 @@ SWEEPS = {
                lambda op: (0, 1)),
     "cmv": (cmv._M11_grid, cmv.boundary_cmv_grid, lambda op: cmv.default_angles(1024),
             lambda op: (0, 1)),
-    "schrodinger": (schrodinger._weyl_grid, schrodinger.boundary_schrodinger_grid,
+    "schrodinger": (schrodinger._m_grid, schrodinger.boundary_schrodinger_grid,
                     schrodinger.default_grid, lambda op: (0.0, 0.5 * op.period)),
 }
 FIXTURES = {"free_jacobi": "jacobi", "period2_jacobi": "jacobi", "free_cmv": "cmv",

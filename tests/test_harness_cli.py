@@ -5,6 +5,7 @@ import math
 import os
 import subprocess
 import sys
+import warnings
 
 import numpy as np
 import pytest
@@ -308,6 +309,11 @@ BAD_GRIDS = {
     "infinite_points": {"start": -3.0, "stop": 3.0, "points": math.inf},
     "infinite_start": {"start": -math.inf, "stop": 3.0, "points": 1001},
     "nan_stop": {"start": -3.0, "stop": math.nan, "points": 1001},
+    # stop - start overflows, and np.linspace once warned and swept nan
+    "overflowing_span": {"start": -1e308, "stop": 1e308, "points": 1001},
+    "one_point": {"start": -3.0, "stop": 3.0, "points": 1},
+    "negative_points": {"start": -3.0, "stop": 3.0, "points": -5},
+    "decreasing": {"start": 3.0, "stop": -3.0, "points": 1001},
 }
 
 
@@ -339,16 +345,19 @@ class TestMalformedInput:
         assert capsys.readouterr().err.startswith("error: ")
 
 
-    @pytest.mark.parametrize("case", sorted(BAD_GRIDS) + ["fractional_angles"])
+    @pytest.mark.parametrize("case", sorted(BAD_GRIDS) + ["fractional_angles", "few_angles"])
     def test_spec_run_bad_grid_exits_2_without_writes(self, tmp_path, capsys, case):
         entry = ({"descriptor": FREE_CMV, "grid": {"angles": 600.5}} if case == "fractional_angles"
+                 else {"descriptor": FREE_CMV, "grid": {"angles": 511}} if case == "few_angles"
                  else {"descriptor": FREE_JACOBI, "grid": BAD_GRIDS[case]})
         cfg = tmp_path / "c.json"
         cfg.write_text(json.dumps({"operators": [
             {"name": "ok", "descriptor": FREE_JACOBI, "grid": SMALL_GRIDS["jacobi"]},
             {"name": "bad", **entry}]}), encoding="utf-8")
         out = tmp_path / "out"
-        assert spec_main(["run", "--config", str(cfg), "--out", str(out)]) == 2
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            assert spec_main(["run", "--config", str(cfg), "--out", str(out)]) == 2
         assert not out.exists()
         err = capsys.readouterr().err
         assert err.startswith("error: ") and "grid" in err
@@ -414,6 +423,23 @@ class TestMalformedInput:
         assert spec_main(["cmv", "--desc", str(desc), "--grid=0:3:600",
                           "--emit", "xi", "--out", str(out)]) == 0
         assert out.read_text().count("\n") == 601
+
+    @pytest.mark.parametrize("emit", ["xi", "spectrum"])
+    @pytest.mark.parametrize("grid", ["1:0:600", "0:nan:600"])
+    def test_spec_cmv_angle_range_takes_the_grid_rule(self, tmp_path, capsys, grid, emit):
+        """The angle range of `spec cmv --grid` passes sweep_grid, as a
+        config grid does: a decreasing one once ended in a traceback under
+        --emit spectrum and wrote a CSV under --emit xi."""
+        desc = tmp_path / "op.json"
+        desc.write_text(json.dumps(FREE_CMV), encoding="utf-8")
+        out = tmp_path / "out.txt"
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            assert spec_main(["cmv", "--desc", str(desc), f"--grid={grid}", "--emit", emit,
+                              "--out", str(out)]) == 2
+        assert not out.exists()
+        assert capsys.readouterr().err == (
+            "error: a grid needs at least 2 finite points and a positive first step\n")
 
     @pytest.mark.parametrize("grid", ["1:2", "0:1:x", "0:1:2:3"])
     def test_spec_family_malformed_grid_exits_2_without_writes(self, tmp_path, capsys, grid):
@@ -513,6 +539,30 @@ class TestSiteDisagreement:
         assert json.loads((out / "after_report.json").read_text())["status"] == "PASS"
         assert (out / "split.csv").exists() and (out / "after.csv").exists()
         assert capsys.readouterr().out.splitlines()[1] == "after: PASS"
+
+    @pytest.mark.parametrize("kind", SUPPORTED_TYPES)
+    def test_spec_spectrum_writes_the_first_site_set(self, tmp_path, capsys, monkeypatch, kind):
+        """`spec <family> --emit spectrum` once ended in a traceback where
+        the sites disagree; like a report it keeps the first site's set,
+        prints one error line with the width and two grid steps, and exits
+        1."""
+        first = (circle_set([(1.0, 2.0, "cc")]) if kind == "cmv"
+                 else canonicalize([(0.0, 1.0, "cc")]))
+
+        message = "ac spectrum disagrees between reference sites 0 and 1 by 7.500e-01"
+
+        def disagree(op, grid=None):
+            raise SiteDisagreement(message, first, 0.75)
+        monkeypatch.setattr(FAMILY_MODULES[kind], "ac_spectrum", disagree)
+        desc = tmp_path / "op.json"
+        desc.write_text(json.dumps({"jacobi": FREE_JACOBI, "cmv": FREE_CMV,
+                                    "schrodinger": FREE_SCHRODINGER}[kind]), encoding="utf-8")
+        out = tmp_path / "ac.json"
+        grid = "0:6.283185307179586:512" if kind == "cmv" else "-3:3:61"
+        assert spec_main([kind, "--desc", str(desc), f"--grid={grid}", "--emit", "spectrum",
+                          "--out", str(out)]) == 1
+        assert json.loads(out.read_text()) == set_to_json(first)
+        assert capsys.readouterr().err == f"error: {message}\n"
 
 
 # operators whose ac spectrum has zero measure on the default grid: bands of

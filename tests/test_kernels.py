@@ -215,9 +215,10 @@ def test_floquet_seeds_at_the_nearest_period_boundary(period):
                     assert np.all(np.abs(got - ref) <= 1e-10 * np.abs(ref)), (J, n0, extra)
         V = _patched_schrodinger(rng, period)
         for x0 in (-1.7, -0.3, 0.0, 0.5 * V.patch_length, V.patch_length, 2.6):
-            got_pair = schrodinger._m_grid(V, zs, x0)
+            d = schrodinger._m_grid(V, zs, x0)
             for extra in (1, 2):
-                for got, ref in zip(got_pair, _schrodinger_reference(V, zs, x0, extra)):
+                for got, ref in zip((d["m_plus"], d["m_minus"]),
+                                    _schrodinger_reference(V, zs, x0, extra)):
                     assert np.all(np.abs(got - ref) <= 1e-10 * np.abs(ref)), (V, x0, extra)
 
 

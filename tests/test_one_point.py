@@ -80,8 +80,9 @@ def test_jacobi_one_point_values_are_kernel_reads(J, z, n0):
 @given(schrodinger_ops(), off_axis, st.floats(-1.5, 2.5))
 @settings(max_examples=60, deadline=None)
 def test_schrodinger_one_point_values_are_kernel_reads(V, z, x0):
-    want = _read(schrodinger._weyl_grid, V, z, x0)
-    mp, mm = (complex(m[0]) for m in schrodinger._m_grid(V, np.array([z]), x0)[:2])
+    want = _read(schrodinger._m_grid, V, z, x0)
+    d = schrodinger._m_grid(V, np.array([z]), x0)
+    mp, mm = (complex(d[k][0]) for k in ("m_plus", "m_minus"))
     _same_bits(want["m_plus"], mp)
     _same_bits(want["m_minus"], mm)
     wd = schrodinger.weyl_data(V, z, x0)
@@ -110,7 +111,7 @@ S0 = schrodinger.PiecewisePotential(1.0, ((1.0, 0.0),))
 # family -> ((its kernel at zs, the one-point reads at z it serves), ...)
 ONE_POINT = {
     "jacobi": [(lambda zs: jacobi._weyl_grid(J0, zs, 0), [lambda z: jacobi.weyl_data(J0, z, 0)])],
-    "schrodinger": [(lambda zs: schrodinger._weyl_grid(S0, zs, 0.0),
+    "schrodinger": [(lambda zs: schrodinger._m_grid(S0, zs, 0.0),
                      [lambda z: schrodinger.weyl_data(S0, z, 0.0)])],
     "cmv": [(lambda zs: cmv._m_grid(C0, zs, 0, "+"), [lambda z: cmv.weyl_data(C0, z, 0)]),
             (lambda zs: cmv._m_grid(C0, zs, 0, "-"), [lambda z: cmv.weyl_data(C0, z, 0)]),

@@ -19,7 +19,7 @@ from hypothesis import strategies as st
 from scipy.linalg import expm, solve_banded
 
 from acspectra import schrodinger
-from acspectra.boundary_analysis import floquet_pair, stack_2x2
+from acspectra.boundary_analysis import floquet_pair, stack_2x2, transfer_trace
 from acspectra.interval_sets import canonicalize, set_algebra
 from acspectra.schrodinger import (PiecewisePotential, ac_spectrum, discriminant, default_grid,
                                    green_identity_residual, multiplicity_sets,
@@ -255,6 +255,19 @@ class TestAcSpectrum:
         sym = set_algebra(a, b, "difference").measure() + \
             set_algebra(b, a, "difference").measure()
         assert sym <= 4 * step
+
+    def test_discriminant_is_the_kernels_base_monodromy(self):
+        """discriminant is the trace of the one-period product of V.pieces,
+        the monodromy _seeds takes, bit for bit: no piece is re-cut."""
+        rng = np.random.default_rng(4100)
+        for _ in range(40):
+            lengths = rng.uniform(0.05, 1.0, int(rng.integers(1, 5)))
+            V = PiecewisePotential(math.fsum(lengths),
+                                   tuple(zip(lengths, rng.uniform(-2.0, 6.0, lengths.size))),
+                                   ((0.3, rng.uniform(-2.0, 6.0)),))
+            x = np.linspace(-3.0, 30.0, 67)
+            want = transfer_trace(schrodinger._product(x.astype(complex), V.pieces))
+            assert np.array_equal(discriminant(V, x), want), V
 
 
 class TestReflectionless:

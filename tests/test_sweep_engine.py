@@ -1,6 +1,7 @@
 """The shared boundary-sweep engine: sweeps per report and the per-report
-sweep memo, the Floquet pair chooser on random monodromies, and ac
-spectra of random periodic operators against independent band oracles."""
+sweep memo, the Floquet pair chooser on random monodromies, ac spectra of
+random periodic operators against independent band oracles, and the
+multiplicity sets of random steplike operators against their bands."""
 
 import json
 import math
@@ -11,16 +12,19 @@ import numpy as np
 import pytest
 
 from acspectra import boundary_analysis, cmv, jacobi, schrodinger
-from acspectra.boundary_analysis import floquet_pair, memo, sweep_scope
+from acspectra.boundary_analysis import (floquet_pair, memo, sweep_ac_spectrum,
+                                         sweep_multiplicity_sets, sweep_reflectionless,
+                                         sweep_scope)
 from acspectra.harness_cli import (FAMILY_MODULES, TOLERANCES, _csv_for, _json_safe, _load,
                                    _resolve_grid, run_config, verify_inclusion)
 from acspectra.interval_sets import (canonicalize, circle_set, contains_mask,
                                      longest_component, set_algebra, set_to_json)
+from conftest import STEPLIKE, resolvent_entry, steplike_kernel
 
 SWEEPS = ((jacobi, "boundary_weyl_grid"), (cmv, "boundary_cmv_grid"),
           (schrodinger, "boundary_schrodinger_grid"))
 FAMILY_KERNELS = {"period2_jacobi": jacobi._weyl_grid, "geronimus_cmv": cmv._M11_grid,
-                  "square_well": schrodinger._weyl_grid}
+                  "square_well": schrodinger._m_grid}
 
 
 @pytest.mark.parametrize("fixture, grid_config, expected", [
@@ -55,10 +59,10 @@ def test_sweeps_per_report(request, monkeypatch, fixture, grid_config, expected)
 @pytest.mark.parametrize("fixture", ["period2_jacobi", "geronimus_cmv", "square_well"])
 def test_sweep_phase_calls_per_entry(tmp_path, monkeypatch, request, fixture):
     """A spec run entry computes the whole-grid phase once per reference
-    site, and its CSV reads the first site's from the memo: 4 sweep_phase
-    calls, 2 on the whole grid and 2 on E for the reflectionless test.  The
-    CSV of `spec <family> --emit xi`, which opens no scope, computes its
-    sweep once and its phase once."""
+    site, and the reflectionless test and its CSV read them from the memo:
+    2 sweep_phase calls, both on the whole grid.  The CSV of `spec <family>
+    --emit xi`, which opens no scope, computes its sweep once and its phase
+    once."""
     sizes, kernels = [], []
     phase, kernel = boundary_analysis.sweep_phase, FAMILY_KERNELS[fixture]
     mod = sys.modules[kernel.__module__]
@@ -74,7 +78,7 @@ def test_sweep_phase_calls_per_entry(tmp_path, monkeypatch, request, fixture):
     files = _run(tmp_path, "run", [{"name": "op", "descriptor": op.to_descriptor(),
                                     "grid": GRIDS[kind]}])
     grid, _ = _resolve_grid(kind, op, GRIDS[kind])
-    assert len(sizes) == 4 and sizes[:2] == [grid.size] * 2, sizes
+    assert sizes == [grid.size] * 2, sizes
     sizes.clear()
     kernels.clear()
     assert _csv_for(kind, op, grid).encode() == files["op.csv"]
@@ -240,6 +244,55 @@ def test_unpatched_periodic_m1_has_no_intervals(kind):
         for op in _unpatched(kind, period, 3):
             _, M1 = mod.multiplicity_sets(op)
             assert M1.intervals == (), (op, M1)
+
+
+def _steplike(seed):
+    """A seeded steplike operator (L, R): two unpatched bases of period 1-4."""
+    rng = np.random.default_rng(3600 + seed)
+    return tuple(jacobi.JacobiCoefficients(p, tuple(rng.uniform(0.5, 1.5, p)),
+                                           tuple(rng.uniform(-1.0, 1.0, p)))
+                 for p in rng.integers(1, 5, 2))
+
+
+@pytest.mark.parametrize("seed", range(3))
+def test_steplike_kernel_is_the_glued_operator(seed):
+    """The steplike g at sites 0 and 1 is the diagonal resolvent of one
+    operator, L's b(n), n <= 0, and a(n), n < 0, and R's beyond, read off
+    its 801-site Dirichlet truncation by a banded solve."""
+    L, R = _steplike(seed)
+    sites = np.arange(-400, 401)
+    T = jacobi.TridiagonalMatrix(-400, np.array([(L if n <= 0 else R).b(n) for n in sites]),
+                                 np.array([(L if n < 0 else R).a(n) for n in sites[:-1]]))
+    zs = np.array([0.3 + 0.5j, -1.2 + 0.7j, 2.0 + 0.4j])
+    for n0 in (0, 1):
+        g = steplike_kernel(L, R, zs, n0)["g"]
+        want = [resolvent_entry(T, z, n0, n0) for z in zs]
+        assert np.allclose(g, want, rtol=1e-12, atol=0.0), (n0, g, want)
+
+
+@pytest.mark.parametrize("seed", range(10))
+def test_steplike_multiplicity_sets_are_the_band_algebra(seed):
+    """A steplike Jacobi operator, base L on the left half line and R on the
+    right (conftest.STEPLIKE), has multiplicity two exactly on bands_L ∩
+    bands_R and one on their symmetric difference (Teschl 2000, ch. 2-3),
+    and ac spectrum bands_L ∪ bands_R; each within 2 grid steps.  By the
+    paper's theorem it is reflectionless on no M1 piece of positive measure,
+    so reflectionless_on fails on each one longer than 4 steps."""
+    op = _steplike(seed)
+    grid = STEPLIKE.grid(op)
+    step = grid[1] - grid[0]
+    band_l, band_r = (_bands(lambda x, J=J: jacobi.discriminant(J, x), grid) for J in op)
+    with sweep_scope():
+        _assert_matches(sweep_ac_spectrum(STEPLIKE, op, grid),
+                        set_algebra(band_l, band_r, "union"), step)
+        M2, M1 = sweep_multiplicity_sets(STEPLIKE, op, grid)
+        _assert_matches(M2, set_algebra(band_l, band_r, "intersect"), step)
+        _assert_matches(M1, set_algebra(band_l, band_r, "symmetric_difference"), step)
+        long = [iv for iv in M1.intervals if iv.hi - iv.lo > 4.0 * step]
+        assert long, M1
+        for iv in long:
+            piece = canonicalize([(iv.lo, iv.hi, "cc")])
+            assert not sweep_reflectionless(STEPLIKE, op, piece, grid, 1e-4).verdict, iv
 
 
 def test_random_period1_cmv_ac_spectrum_is_the_arc():
