@@ -12,8 +12,9 @@
 #   writes the report's ac_spectrum field as the CLIs write JSON (sorted
 #   keys, indent 2, a final LF);
 # - a period-1024 Jacobi report is written;
-# - a config with a misspelled descriptor key and one with two entries of
-#   one name each exit 2 with an `error:` line and write nothing.
+# - a config with a misspelled descriptor key, one with two entries of one
+#   name, and a cmv angle range whose stop - start overflows each exit 2
+#   with one `error:` line and write nothing.
 set -eu
 spec=$1
 out=$2
@@ -44,12 +45,19 @@ printf '{"operators": [{"name": "x", "descriptor": %s}]}' \
   > "$out/misspelled.config.json"
 printf '{"operators": [{"name": "x", "descriptor": %s}, {"name": "x", "descriptor": %s}]}' \
   "$free" "$free" > "$out/duplicate.config.json"
-for bad in misspelled duplicate; do
+# refused NAME COMMAND...: COMMAND --out OUT/NAME exits 2, prints one
+# `error:` line and writes nothing
+refused() {
+  name=$1; shift
   code=0
-  $spec run --config "$out/$bad.config.json" --out "$out/$bad" 2> "$out/$bad.err" || code=$?
-  if [ "$code" -ne 2 ] || ! grep -q '^error: ' "$out/$bad.err" || [ -e "$out/$bad" ]; then
-    echo "the $bad config: exit $code, stderr: $(cat "$out/$bad.err")" >&2
+  "$@" --out "$out/$name" 2> "$out/$name.err" || code=$?
+  if [ "$code" -ne 2 ] || [ "$(wc -l < "$out/$name.err")" -ne 1 ] \
+      || ! grep -q '^error: ' "$out/$name.err" || [ -e "$out/$name" ]; then
+    echo "$name: exit $code, stderr: $(cat "$out/$name.err")" >&2
     exit 1
   fi
-done
+}
+refused misspelled $spec run --config "$out/misspelled.config.json"
+refused duplicate $spec run --config "$out/duplicate.config.json"
+refused cmv_overflow $spec cmv --desc tests/data/xi/cmv.json --grid=-1e308:1e308:600 --emit xi
 echo "cli checks passed"

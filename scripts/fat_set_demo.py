@@ -35,8 +35,7 @@ def main() -> int:
     print(f"\nfat set detail (truncation {ns.truncation}, radius base {ns.radius_base}):")
     print(f"  measure in [{lo:.6f}, {hi:.6f}], tail bound {g.tail_measure_bound:.3e}")
     print(f"  density verdicts over {len(rep.verdicts)} grid points: "
-          f"{counts['truncated']} truncated, {counts['tail']} tail, "
-          f"{counts['fail']} fail")
+          f"{counts['truncated']} truncated, {counts['tail']} tail")
     print(f"  essential closure: {format_set(rep.closure)}")
     return 0
 

@@ -596,7 +596,9 @@ def spec_main(argv=None) -> int:
         entry = _load(descriptor, None, grid_config)
         op, grid = entry.op, entry.grid
         if ns.grid and fam.circle:      # the angle range of --grid, endpoint excluded
-            grid = sweep_grid(fam, op, np.linspace(a, b, n, endpoint=False))[0]
+            with np.errstate(over="ignore", invalid="ignore"):  # sweep_grid refuses inf, nan
+                angles = np.linspace(a, b, n, endpoint=False)
+            grid = sweep_grid(fam, op, angles)[0]
     except ValueError as exc:
         return _fail(2, str(exc))
 

@@ -8,8 +8,8 @@ flags plus isolated points.  The essential closure of a set A is
 
 which for a finite union equals the closure of the union of its nondegenerate
 intervals with all isolated points dropped.  A generated "fat" family (open
-intervals of geometrically shrinking radius around an enumerated sequence of
-centers) is supported with explicit truncation-tail bookkeeping.
+intervals of radius radius_base^-n around the first `truncation` rationals of
+[0, 1]) is supported with explicit truncation-tail bookkeeping.
 
 Canonicalization, the set operations and the essential closure are one array
 sweep (`_sweep`), O(n log n) in the number of endpoints: a stable argsort of
@@ -22,7 +22,8 @@ output Interval or Arc is built once from them as pickle builds an object
 (`_built`: object.__new__, then the instance dict), without __init__'s
 checks, which the strictly increasing breaks of finite input ends cannot
 fail; an Interval a caller constructs is still validated.  `contains_mask`
-tests a whole grid with one `searchsorted` over the endpoints.
+tests a whole grid with one `searchsorted` over the endpoints.  A grid hull's
+runs are sorted and apart, so the hulls build their sets with no sweep.
 """
 
 from __future__ import annotations
@@ -518,20 +519,23 @@ def rational_enumeration(count: int):
 
 @dataclass(frozen=True)
 class GeneratedFatSet:
-    """Union over n >= 1 of open intervals (c_n - r^-n, c_n + r^-n), truncated at N.
-
-    tail_measure_bound = 2 * sum_{n > N} r^-n = 2 r^-N / (r - 1), in closed form.
-    """
-    centers: tuple
-    radius_base: float = 4.0
+    """Union over n >= 1 of open intervals (c_n - r^-n, c_n + r^-n), c_n the
+    rational enumeration and r = radius_base, truncated at N = truncation; the
+    tail beyond N has measure at most 2 sum_{n > N} r^-n = 2 r^-N / (r - 1)."""
     truncation: int = 20
-    tail_measure_bound: float = 0.0
+    radius_base: float = 4.0
 
     @staticmethod
     def rational_fat(truncation: int = 20, radius_base: float = 4.0) -> "GeneratedFatSet":
-        centers = tuple(rational_enumeration(truncation))
-        tail = 2.0 * radius_base ** (-truncation) / (radius_base - 1.0)
-        return GeneratedFatSet(centers, radius_base, truncation, tail)
+        return GeneratedFatSet(truncation, radius_base)
+
+    @property
+    def centers(self) -> tuple:
+        return tuple(rational_enumeration(self.truncation))
+
+    @property
+    def tail_measure_bound(self) -> float:
+        return 2.0 * self.radius_base ** (-self.truncation) / (self.radius_base - 1.0)
 
     def radius(self, n: int) -> float:
         """Radius of the n-th interval, n = 1..truncation."""
@@ -546,7 +550,7 @@ class GeneratedFatSet:
 @dataclass(frozen=True)
 class FatDensityReport:
     closure: RealIntervalSet
-    verdicts: tuple          # (x, status) with status in {"truncated", "tail", "fail"}
+    verdicts: tuple          # (x, status) with status "truncated" or "tail"
     grid_step: float
 
 
@@ -555,36 +559,24 @@ def fat_density_report(g: GeneratedFatSet) -> FatDensityReport:
     (x - eps, x + eps) meet the family with positive measure for eps down to
     eps_min = 1e-6?
 
-    "truncated": certified by the truncated union alone.  "tail": the window meets
-    the open hull (0, 1) of the enumerated centers, so beyond-truncation members
-    contribute positive (but < tail_measure_bound) mass; reported, never absorbed.
+    "truncated": certified by the truncated union alone.  "tail": every grid
+    point's window meets the open hull (0, 1) of the enumerated centers, so
+    beyond-truncation members contribute positive (but < tail_measure_bound)
+    mass; reported, never absorbed.  Every grid point passes, so the closure
+    is the hull of the whole grid.
     """
-    trunc = g.truncated_set()
-    hull_lo = min(g.centers)
-    hull_hi = max(g.centers)
+    centers = g.centers
     eps_min = 1e-6
-    n = int(round((hull_hi - hull_lo) / 1e-3)) + 1
-    grid = [hull_lo + k * 1e-3 for k in range(n)]
-    step = grid[1] - grid[0] if n > 1 else eps_min
-    los = [iv.lo for iv in trunc.intervals]
-    his = [iv.hi for iv in trunc.intervals]
-    verdicts = []
-    passing = []
-    for x in grid:
-        lo, hi = x - eps_min, x + eps_min
-        # (lo, hi) meets the sorted disjoint intervals with positive measure
-        # iff the first one ending right of lo starts left of hi
-        k = bisect.bisect_right(his, lo)
-        if lo < hi and k < len(his) and los[k] < hi:
-            verdicts.append((x, "truncated"))
-            passing.append(x)
-        elif lo < hull_hi and hi > hull_lo:
-            verdicts.append((x, "tail"))
-            passing.append(x)
-        else:
-            verdicts.append((x, "fail"))
-    closure = points_hull(passing, step)
-    return FatDensityReport(closure, tuple(verdicts), step)
+    n = int(round((max(centers) - min(centers)) / 1e-3)) + 1
+    grid = min(centers) + np.arange(n) * 1e-3
+    step = float(grid[1] - grid[0]) if n > 1 else eps_min
+    lo, hi = _rows(g.truncated_set().intervals, _ENDS)[:, :2].T
+    # (x - eps, x + eps) meets the sorted disjoint intervals with positive
+    # measure iff the first one ending right of x - eps starts left of x + eps
+    k = np.searchsorted(hi, grid - eps_min, side="right")
+    truncated = np.append(lo, np.inf)[k] < grid + eps_min
+    verdicts = tuple(zip(grid.tolist(), np.where(truncated, "truncated", "tail").tolist()))
+    return FatDensityReport(points_hull(grid, step), verdicts, step)
 
 
 def angles_hull(thetas, step: float) -> CircleArcSet:
@@ -598,10 +590,10 @@ def angles_hull(thetas, step: float) -> CircleArcSet:
     lo, hi = _runs(np.concatenate([ts[-1:] - TWO_PI, ts, ts[:1] + TWO_PI]), step)
     arc = (lo < hi) & (lo < TWO_PI) & (hi > 0.0)
     lone = (lo == hi) & (0.0 <= lo) & (lo < TWO_PI)
-    rows = np.ones((np.count_nonzero(arc), 4))
-    rows[:, 0] = np.where(lo < 0.0, 0.0, lo)[arc]
-    rows[:, 1] = np.where(hi > TWO_PI, TWO_PI, hi)[arc]
-    return _arc_set(rows, lo[lone])
+    closed = [True] * np.count_nonzero(arc)
+    return CircleArcSet._from_line((np.where(lo < 0.0, 0.0, lo)[arc].tolist(),
+                                    np.where(hi > TWO_PI, TWO_PI, hi)[arc].tolist(),
+                                    closed, closed, lo[lone].tolist()))
 
 
 def points_hull(xs, step: float) -> RealIntervalSet:

@@ -238,18 +238,21 @@ def green_identity_residual(V: PiecewisePotential, zs, x0: float = 0.0) -> float
 
     def carry(v, a, b, backward: bool):
         """The pair v carried across [a, b], backward from b (by the
-        adjugate, the inverse of a det-1 transfer) or forward from a."""
+        adjugate, the inverse of a det-1 transfer) or forward from a, at
+        _product's scale: the pair and the exponent of its factor 2^e."""
         if not b > a:
-            return v
-        (t00, t01), (t10, t11) = np.moveaxis(transfer_interval(V, zs, a, b), 0, -1)
+            return v, 0
+        t00, t01, t10, t11, e = _product(zs, _pieces(V, a, b))
         if backward:
             t00, t01, t10, t11 = t11, -t01, -t10, t00
-        return t00 * v[0] + t01 * v[1], t10 * v[0] + t11 * v[1]
+        return (t00 * v[0] + t01 * v[1], t10 * v[0] + t11 * v[1]), e
 
-    (p, q), (p1, q1) = carry(dec, x0, cp, True), carry(dec, x1, cp, True)
-    pm, qm = carry(grow, cm, x0, False)
-    pm1, qm1 = carry((pm, qm), x0, x1, False)
-    g = p * pm / (p1 * qm1 - q1 * pm1)
+    ((p, q), e0), ((p1, q1), e1) = carry(dec, x0, cp, True), carry(dec, x1, cp, True)
+    (pm, qm), _ = carry(grow, cm, x0, False)
+    (pm1, qm1), e2 = carry((pm, qm), x0, x1, False)
+    # the scale of psi_- cancels; powers of two are exact, so g keeps the
+    # bits of the true-scale quotient wherever that is finite
+    g = p * pm / (p1 * qm1 - q1 * pm1) * np.ldexp(1.0, e0 - e1 - e2)
     return float(np.max(np.abs(g * (qm / pm - q / p) - 1.0)))
 
 

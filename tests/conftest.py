@@ -11,15 +11,17 @@ The references need scipy: banded solves of the Jacobi and CMV truncations
 boundary_sweep, the Richardson extrapolation toward the axis that is the
 oracle of the package's exact boundary route (exact_sweep).
 
-STEPLIKE is a test SweepFamily over steplike Jacobi operators, periodic
-with one base on the left half line and another on the right: the oracle
-of the multiplicity classifier's multiplicity-one branch.
+STEPLIKE and SCHRODINGER_STEPLIKE are test SweepFamilies over steplike
+Jacobi and Schrodinger operators, periodic with one base on the left half
+line and another on the right: the oracle of the multiplicity classifier's
+multiplicity-one branch.
 """
 
 import numpy as np
 import pytest
 from scipy.linalg import solve_banded
 
+from acspectra import schrodinger
 from acspectra.boundary_analysis import (INFINITE_LIMIT, REFERENCE_EPS, SweepFamily,
                                          exact_sweep, memo, sweep_phase)
 from acspectra.cmv import VerblunskyCoefficients
@@ -190,25 +192,48 @@ def steplike_halves(L, R, n0: int):
     return JacobiCoefficients(L.period, L.a_base, L.b_base, patch), R
 
 
-def steplike_kernel(L, R, zs, n0: int, near=0.0) -> dict:
-    """M_plus from the right half's jacobi._weyl_grid at n0, M_minus from
-    the left half's (steplike_halves), g = 1/(M_- - M_+), and 'floquet':
-    both branches stacked (12 rows) and their ambiguous masks ORed, so that
+def _glued(kernel, left, right, zs, site, near, pair) -> dict:
+    """The plus key of pair from the right half's kernel at site, the minus
+    key from the left half's, g = 1/(minus - plus), and 'floquet': both
+    branches stacked (12 rows) and their ambiguous masks ORed, so that
     exact_sweep runs it unchanged."""
-    left, right = steplike_halves(L, R, n0)
+    plus, minus = pair
     near_r, near_l = (near, near) if np.ndim(near) == 0 else (near[:6], near[6:])
-    r, l = _weyl_grid(right, zs, n0, near_r), _weyl_grid(left, zs, n0, near_l)
+    r, l = kernel(right, zs, site, near_r), kernel(left, zs, site, near_l)
     (ur, ar), (ul, al) = r["floquet"], l["floquet"]
-    Mp, Mm = r["M_plus"], l["M_minus"]
-    return {"M_plus": Mp, "M_minus": Mm, "g": 1.0 / (Mm - Mp),
+    return {plus: r[plus], minus: l[minus], "g": 1.0 / (l[minus] - r[plus]),
             "floquet": (np.concatenate([ur, ul]), ar | al)}
 
 
-def steplike_sweep(op, grid, n0: int) -> dict:
-    """The exact sweep of the steplike operator op = (L, R) at the site n0."""
-    L, R = op
-    eps = REFERENCE_EPS * (1.0 + max(L.sup_bound(), R.sup_bound()))
-    return exact_sweep(lambda zs, near: steplike_kernel(L, R, zs, n0, near), grid, False, eps)
+def steplike_kernel(L, R, zs, n0: int, near=0.0) -> dict:
+    """M_plus from the right half's jacobi._weyl_grid at n0 and M_minus from
+    the left half's (steplike_halves), glued (_glued)."""
+    return _glued(_weyl_grid, *steplike_halves(L, R, n0), zs, n0, near, ("M_plus", "M_minus"))
+
+
+def schrodinger_steplike_kernel(L, R, zs, x0: float, near=0.0) -> dict:
+    """m_plus from R's schrodinger._m_grid at x0 and m_minus from that of L
+    patched by R's first period on [0, R.period), glued (_glued).  m_+(x0)
+    reads V on [x0, inf) and m_-(x0) on (-inf, x0], so for x0 in [0,
+    R.period] they are those of the steplike potential, L's left of 0 and
+    R's right of it."""
+    left = PiecewisePotential(L.period, L.pieces, R.pieces)
+    return _glued(schrodinger._m_grid, left, R, zs, x0, near, ("m_plus", "m_minus"))
+
+
+def _steplike_family(kernel, grid, sites, pair) -> SweepFamily:
+    """A SweepFamily over steplike operators op = (L, R), swept at a site
+    by exact_sweep of kernel(L, R, zs, site, near)."""
+    def sweep(op, grid, site):
+        L, R = op
+        eps = REFERENCE_EPS * (1.0 + max(L.sup_bound(), R.sup_bound()))
+        return exact_sweep(lambda zs, near: kernel(L, R, zs, site, near), grid, False, eps)
+
+    fam = SweepFamily(
+        sweep=lambda op, grid, site: memo(sweep, op, grid, site),
+        phase=lambda op, grid, site: sweep_phase(fam, fam.sweep(op, grid, site)),
+        grid=grid, sites=sites, circle=False, pair=pair, phase_key="g", csv_columns=())
+    return fam
 
 
 def steplike_grid(op):
@@ -217,8 +242,14 @@ def steplike_grid(op):
     return np.linspace(-r, r, 2001)
 
 
-STEPLIKE = SweepFamily(
-    sweep=lambda op, grid, n0: memo(steplike_sweep, op, grid, n0),
-    phase=lambda op, grid, n0: sweep_phase(STEPLIKE, STEPLIKE.sweep(op, grid, n0)),
-    grid=steplike_grid, sites=lambda op: (0, 1), circle=False, pair=("M_plus", "M_minus"),
-    phase_key="g", csv_columns=())
+def schrodinger_steplike_grid(op):
+    """2001 points on [-1 - the larger sup_bound of L and R, LAMBDA_TOP], as
+    schrodinger.default_grid."""
+    return np.linspace(-1.0 - max(V.sup_bound() for V in op), schrodinger.LAMBDA_TOP, 2001)
+
+
+STEPLIKE = _steplike_family(steplike_kernel, steplike_grid, lambda op: (0, 1),
+                            ("M_plus", "M_minus"))
+# the second site is R.period, where L's patch ends
+SCHRODINGER_STEPLIKE = _steplike_family(schrodinger_steplike_kernel, schrodinger_steplike_grid,
+                                        lambda op: (0.0, op[1].period), ("m_plus", "m_minus"))

@@ -425,11 +425,13 @@ class TestMalformedInput:
         assert out.read_text().count("\n") == 601
 
     @pytest.mark.parametrize("emit", ["xi", "spectrum"])
-    @pytest.mark.parametrize("grid", ["1:0:600", "0:nan:600"])
+    @pytest.mark.parametrize("grid", ["1:0:600", "0:nan:600", "-1e308:1e308:600"])
     def test_spec_cmv_angle_range_takes_the_grid_rule(self, tmp_path, capsys, grid, emit):
         """The angle range of `spec cmv --grid` passes sweep_grid, as a
         config grid does: a decreasing one once ended in a traceback under
-        --emit spectrum and wrote a CSV under --emit xi."""
+        --emit spectrum and wrote a CSV under --emit xi, and one whose
+        stop - start overflows warned (a traceback under RuntimeWarning as
+        an error) before sweep_grid saw it."""
         desc = tmp_path / "op.json"
         desc.write_text(json.dumps(FREE_CMV), encoding="utf-8")
         out = tmp_path / "out.txt"

@@ -1,17 +1,19 @@
 """Canonical interval/arc sets, set algebra, and the essential closure."""
 
+import bisect
 import json
 import math
 import warnings
-from dataclasses import FrozenInstanceError, astuple, replace
+from dataclasses import FrozenInstanceError, astuple, fields, replace
 
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from acspectra import interval_sets
 from acspectra.interval_sets import (Arc, CircleArcSet, GeneratedFatSet, Interval,
-                                     RealIntervalSet, _built, angles_hull, canonicalize,
+                                     RealIntervalSet, _built, _runs, angles_hull, canonicalize,
                                      circle_set, contains_mask, equivalent_supports,
                                      essential_closure, fat_density_report,
                                      full_circle, lebesgue_measure,
@@ -449,6 +451,99 @@ class TestHulls:
         lone = [grid[k] for k in range(n) if mask[k] and not mask[k - 1] and not mask[(k + 1) % n]]
         assert list(h.isolated_points) == lone
         assert h.is_full() == all(mask)
+
+
+def _arc_route_hull(thetas, step):
+    """angles_hull's clipped runs through circle_set, which normalizes,
+    checks and sweeps them: the route angles_hull skips."""
+    ts = np.sort(np.remainder(np.asarray(thetas, dtype=float), 2 * math.pi))
+    lo, hi = _runs(np.concatenate([ts[-1:] - 2 * math.pi, ts, ts[:1] + 2 * math.pi]), step)
+    arc = (lo < hi) & (lo < 2 * math.pi) & (hi > 0.0)
+    lone = (lo == hi) & (0.0 <= lo) & (lo < 2 * math.pi)
+    rows = zip(np.where(lo < 0.0, 0.0, lo)[arc], np.where(hi > 2 * math.pi, 2 * math.pi, hi)[arc])
+    return circle_set([(a, b, "cc") for a, b in rows], lo[lone])
+
+
+def test_angles_hull_is_the_arc_route():
+    """angles_hull builds from its runs the set circle_set makes of them, on
+    seeded random subsets of grids, of the whole grid, and with runs through
+    angle 0, reaching 2pi, or a lone angle at 0."""
+    rng = np.random.default_rng(38)
+    cases = []
+    for n in (3, 4, 7, 64, 600, 1024):
+        grid = np.linspace(0.0, 2 * math.pi, n, endpoint=False)
+        step = 2 * math.pi / n
+        cases += [(grid, step), (grid[:1], step), (grid[[0, n // 2]], step),
+                  (grid[1:], step), (grid[:-1], step), (grid[np.r_[0:2, n - 2:n]], step)]
+        for density in (0.1, 0.5, 0.9):
+            for _ in range(5):
+                cases.append((grid[rng.random(n) < density], step))
+        cases.append((rng.uniform(-10.0, 10.0, n), step))
+    for thetas, step in cases:
+        h, want = angles_hull(thetas, step), _arc_route_hull(thetas, step)
+        assert h == want and repr(h) == repr(want), (thetas, step)
+
+
+def _scalar_fat_report(g):
+    """fat_density_report as a loop over its grid: one bisection per point,
+    and a "fail" status for a point whose window misses the hull of the
+    centers."""
+    trunc = g.truncated_set()
+    hull_lo, hull_hi = min(g.centers), max(g.centers)
+    eps_min = 1e-6
+    n = int(round((hull_hi - hull_lo) / 1e-3)) + 1
+    grid = [hull_lo + k * 1e-3 for k in range(n)]
+    step = grid[1] - grid[0] if n > 1 else eps_min
+    los = [iv.lo for iv in trunc.intervals]
+    his = [iv.hi for iv in trunc.intervals]
+    verdicts, passing = [], []
+    for x in grid:
+        lo, hi = x - eps_min, x + eps_min
+        k = bisect.bisect_right(his, lo)
+        if lo < hi and k < len(his) and los[k] < hi:
+            verdicts.append((x, "truncated"))
+            passing.append(x)
+        elif lo < hull_hi and hi > hull_lo:
+            verdicts.append((x, "tail"))
+            passing.append(x)
+        else:
+            verdicts.append((x, "fail"))
+    return points_hull(passing, step), tuple(verdicts), step
+
+
+@pytest.mark.parametrize("radius_base", [2.0, 4.0, 10.0])
+def test_fat_density_report_is_the_scalar_loop(radius_base):
+    for truncation in range(1, 81):
+        rep = fat_density_report(GeneratedFatSet(truncation, radius_base))
+        closure, verdicts, step = _scalar_fat_report(GeneratedFatSet(truncation, radius_base))
+        assert repr(rep.closure) == repr(closure), truncation
+        assert rep.verdicts == verdicts and rep.grid_step == step, truncation
+
+
+def test_set_sweeps_of_the_hulls_and_the_fat_report(monkeypatch):
+    """The grid hulls build their sets from their runs with no sweep; the
+    fat report sweeps once, for its truncated union."""
+    calls = []
+    sweep = interval_sets._sweep
+    monkeypatch.setattr(interval_sets, "_sweep", lambda *args: calls.append(1) or sweep(*args))
+    grid = np.linspace(0.0, 2 * math.pi, 64, endpoint=False)
+    angles_hull(grid[np.r_[0:5, 9, 20:40, 60:64]], grid[1])
+    angles_hull(grid, grid[1])
+    points_hull([0.0, 0.1, 0.2, 0.9, 1.5, 1.6], 0.1)
+    assert calls == []
+    fat_density_report(GeneratedFatSet(30))
+    assert len(calls) == 1
+
+
+def test_fat_family_is_its_two_parameters():
+    """A fat set is (truncation, radius_base); its centers and tail bound
+    follow from them, so a directly built one round-trips through JSON."""
+    assert [f.name for f in fields(GeneratedFatSet)] == ["truncation", "radius_base"]
+    g = GeneratedFatSet(7, 3.0)
+    assert set_from_json(set_to_json(g)) == g == GeneratedFatSet.rational_fat(7, 3.0)
+    assert g.centers == tuple(rational_enumeration(7))
+    assert g.tail_measure_bound == 2.0 * 3.0 ** -7 / 2.0
+    assert lebesgue_measure(g)[1] - lebesgue_measure(g)[0] == pytest.approx(3.0 ** -7)
 
 
 class TestJson:

@@ -346,6 +346,20 @@ class TestIdentity:
             warnings.simplefilter("error", RuntimeWarning)
             assert green_identity_residual(V, zs, x0) < 1e-10
 
+    def test_residual_past_the_float_range(self):
+        """The carry stays at transfer_product's scale and takes the net
+        power of two once, so the well 1e6 on half of each cell, whose
+        one-cell transfer leaves the float range (2^1688 at z = -9e5 + i),
+        has its residual, with no warning, where a true-scale carry raised
+        OverflowError."""
+        V = PiecewisePotential(1.0, ((0.5, 0.0), (0.5, 1e6)))
+        zs = np.array([-9e5 + 1j, -5e5 + 0.5j, -2e5 + 2j, 1 + 1j])
+        with pytest.raises(OverflowError, match=r"2\^\d+"):
+            transfer_interval(V, zs, 0.0, 1.0)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            assert green_identity_residual(V, zs) < 1e-10
+
     def test_residual_equals_the_stacked_route(self):
         """The entrywise carry has the bits of the residual computed with
         stacked transfer_interval matrices, their adjugates and @, on random

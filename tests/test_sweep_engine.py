@@ -11,7 +11,7 @@ import warnings
 import numpy as np
 import pytest
 
-from acspectra import boundary_analysis, cmv, jacobi, schrodinger
+from acspectra import boundary_analysis, cmv, interval_sets, jacobi, schrodinger
 from acspectra.boundary_analysis import (floquet_pair, memo, sweep_ac_spectrum,
                                          sweep_multiplicity_sets, sweep_reflectionless,
                                          sweep_scope)
@@ -19,7 +19,8 @@ from acspectra.harness_cli import (FAMILY_MODULES, TOLERANCES, _csv_for, _json_s
                                    _resolve_grid, run_config, verify_inclusion)
 from acspectra.interval_sets import (canonicalize, circle_set, contains_mask,
                                      longest_component, set_algebra, set_to_json)
-from conftest import STEPLIKE, resolvent_entry, steplike_kernel
+from conftest import (SCHRODINGER_STEPLIKE, STEPLIKE, resolvent_entry,
+                      schrodinger_steplike_kernel, steplike_kernel)
 
 SWEEPS = ((jacobi, "boundary_weyl_grid"), (cmv, "boundary_cmv_grid"),
           (schrodinger, "boundary_schrodinger_grid"))
@@ -54,6 +55,20 @@ def test_sweeps_per_report(request, monkeypatch, fixture, grid_config, expected)
         grid, _ = _resolve_grid(kind, op, grid_config)
         _csv_for(kind, op, grid)
     assert len(calls) == expected and len(phases) == 2
+
+
+@pytest.mark.parametrize("fixture, grid_config", [
+    ("period2_jacobi", None), ("geronimus_cmv", {"angles": 1024}), ("square_well", None)])
+def test_set_sweeps_per_report(request, monkeypatch, fixture, grid_config):
+    """A report makes 4 set-layer sweeps in every family; the grid hulls
+    make none, so a circle report makes no more than a line report."""
+    calls = []
+    sweep = interval_sets._sweep
+    monkeypatch.setattr(interval_sets, "_sweep", lambda *args: calls.append(1) or sweep(*args))
+    descriptor = request.getfixturevalue(fixture).to_descriptor()
+    with sweep_scope():
+        assert verify_inclusion(descriptor, grid_config=grid_config).status == "PASS"
+    assert len(calls) == 4
 
 
 @pytest.mark.parametrize("fixture", ["period2_jacobi", "geronimus_cmv", "square_well"])
@@ -278,21 +293,60 @@ def test_steplike_multiplicity_sets_are_the_band_algebra(seed):
     and ac spectrum bands_L ∪ bands_R; each within 2 grid steps.  By the
     paper's theorem it is reflectionless on no M1 piece of positive measure,
     so reflectionless_on fails on each one longer than 4 steps."""
-    op = _steplike(seed)
-    grid = STEPLIKE.grid(op)
+    _assert_band_algebra(STEPLIKE, jacobi.discriminant, _steplike(seed))
+
+
+def _schrodinger_steplike(seed):
+    """A seeded steplike Schrodinger operator (L, R): two unpatched bases of
+    1-3 pieces of length 0.2-0.6 and value in [0, 5]."""
+    rng = np.random.default_rng(3700 + seed)
+    return tuple(schrodinger.PiecewisePotential(lengths.sum(), tuple(zip(lengths, values)))
+                 for lengths, values in ((rng.uniform(0.2, 0.6, n), rng.uniform(0.0, 5.0, n))
+                                         for n in rng.integers(1, 4, 2)))
+
+
+@pytest.mark.parametrize("seed", range(3))
+def test_schrodinger_steplike_kernel_carries_across_the_step(seed):
+    """Both steplike m-functions at the second site x0 = R.period are those
+    at 0 carried across R's first period by transfer_interval: psi_- and
+    psi_+ solve one equation, whose potential right of 0 is R's."""
+    L, R = _schrodinger_steplike(seed)
+    zs = np.array([0.3 + 0.5j, -1.2 + 0.7j, 7.0 + 0.4j])
+    at0, atP = (schrodinger_steplike_kernel(L, R, zs, x0) for x0 in (0.0, R.period))
+    (t00, t01), (t10, t11) = np.moveaxis(schrodinger.transfer_interval(R, zs, 0.0, R.period),
+                                         0, -1)
+    m = at0["m_minus"]
+    assert np.allclose(atP["m_minus"], (t10 + t11 * m) / (t00 + t01 * m), rtol=1e-10)
+    m = atP["m_plus"]       # back across the period by the adjugate
+    assert np.allclose(at0["m_plus"], (-t10 + t00 * m) / (t11 - t01 * m), rtol=1e-10)
+
+
+@pytest.mark.parametrize("seed", range(10))
+def test_schrodinger_steplike_multiplicity_sets_are_the_band_algebra(seed):
+    """The same for a steplike Schrodinger operator, L's potential left of 0
+    and R's right of it (conftest.SCHRODINGER_STEPLIKE)."""
+    _assert_band_algebra(SCHRODINGER_STEPLIKE, schrodinger.discriminant,
+                         _schrodinger_steplike(seed))
+
+
+def _assert_band_algebra(fam, discriminant, op):
+    """fam's ac spectrum, M2 and M1 of the steplike op = (L, R) against
+    the union, intersection and symmetric difference of the bands of L and
+    R, and reflectionless_on False on each M1 piece longer than 4 steps."""
+    grid = fam.grid(op)
     step = grid[1] - grid[0]
-    band_l, band_r = (_bands(lambda x, J=J: jacobi.discriminant(J, x), grid) for J in op)
+    band_l, band_r = (_bands(lambda x, base=base: discriminant(base, x), grid) for base in op)
     with sweep_scope():
-        _assert_matches(sweep_ac_spectrum(STEPLIKE, op, grid),
+        _assert_matches(sweep_ac_spectrum(fam, op, grid),
                         set_algebra(band_l, band_r, "union"), step)
-        M2, M1 = sweep_multiplicity_sets(STEPLIKE, op, grid)
+        M2, M1 = sweep_multiplicity_sets(fam, op, grid)
         _assert_matches(M2, set_algebra(band_l, band_r, "intersect"), step)
         _assert_matches(M1, set_algebra(band_l, band_r, "symmetric_difference"), step)
         long = [iv for iv in M1.intervals if iv.hi - iv.lo > 4.0 * step]
         assert long, M1
         for iv in long:
             piece = canonicalize([(iv.lo, iv.hi, "cc")])
-            assert not sweep_reflectionless(STEPLIKE, op, piece, grid, 1e-4).verdict, iv
+            assert not sweep_reflectionless(fam, op, piece, grid, 1e-4).verdict, iv
 
 
 def test_random_period1_cmv_ac_spectrum_is_the_arc():
