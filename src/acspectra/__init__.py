@@ -11,6 +11,7 @@ from .interval_sets import (
 from .jacobi import JacobiCoefficients
 from .cmv import VerblunskyCoefficients
 from .schrodinger import PiecewisePotential
+from .boundary_analysis import ac_spectrum, reflectionless_on, multiplicity_sets
 
 __version__ = "0.1.0"
 

@@ -30,8 +30,11 @@ sweep, grid rule, phase, ac hull, reflectionless test, multiplicity
 classifier and CSV writer, with each family's conventions passed as
 data, plus the Floquet chooser and 2x2 helpers of the kernels.  Each
 phase is its family's phase grid (SweepFamily.phase), sweep_phase's one
-caller.  The reflectionless test reads E in its intervals only
-(tested_mask): it is almost-everywhere, and isolated points are null.
+caller.  ac_spectrum, reflectionless_on and multiplicity_sets run the
+sweeps with family(op), the operator's SweepFamily, for every family, and
+each family module imports them under its own name.  The reflectionless
+test reads E in its intervals only (tested_mask): it is almost-everywhere,
+and isolated points are null.
 
 Every one-period transfer product of the families, in the kernels and
 the discriminants alike, is transfer_product's: 2x2 steps multiplied out
@@ -62,6 +65,7 @@ from products of 2x2 continued-fraction steps.
 from __future__ import annotations
 
 import math
+import sys
 from contextlib import contextmanager
 from dataclasses import dataclass, replace
 
@@ -293,7 +297,8 @@ class ReflectionlessReport:
 class SweepFamily:
     """An operator family's conventions, as data for the shared grid sweeps.
 
-    Family modules pass lambdas for sweep and phase so that their
+    Each family module holds its record as _FAMILY, where family(op) finds
+    it.  Family modules pass lambdas for sweep and phase so that their
     boundary_*_grid and phase-grid functions are looked up at call time;
     both are memo reads, so a report scope computes each once per site.
     """
@@ -316,6 +321,11 @@ class SweepFamily:
     @property
     def hull(self):
         return angles_hull if self.circle else points_hull
+
+
+def family(op) -> SweepFamily:
+    """The SweepFamily of an operator or its type: its module's _FAMILY."""
+    return sys.modules[op.__module__]._FAMILY
 
 
 def sweep_grid(fam: SweepFamily, op, grid):
@@ -615,3 +625,18 @@ def sweep_multiplicity_sets(fam: SweepFamily, op, grid):
     mask2 = off_p & off_m
     mask1 = equal_on | (infp & infm) | (on_p & off_m) | (on_m & off_p)
     return fam.hull(grid[mask2], step), fam.hull(grid[mask1], step)
+
+
+def ac_spectrum(op, grid=None):
+    """sweep_ac_spectrum of op's family, on its default grid for None."""
+    return sweep_ac_spectrum(family(op), op, grid)
+
+
+def reflectionless_on(op, E, grid=None, tol: float = 1e-4) -> ReflectionlessReport:
+    """sweep_reflectionless of op's family on E, grid as for ac_spectrum."""
+    return sweep_reflectionless(family(op), op, E, grid, tol)
+
+
+def multiplicity_sets(op, grid=None):
+    """sweep_multiplicity_sets of op's family, (M2, M1), grid as for ac_spectrum."""
+    return sweep_multiplicity_sets(family(op), op, grid)

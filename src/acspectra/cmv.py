@@ -42,12 +42,11 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DegenerateDenominator, check_keys
-from .boundary_analysis import (MIN_ANGLES, REFERENCE_EPS, ReflectionlessReport, SweepFamily,
-                                _axis_margin, exact_sweep, floquet_pair, memo, one_point,
-                                phase_at, require_in_disk, stack_2x2, sweep_ac_spectrum,
-                                sweep_grid, sweep_multiplicity_sets, sweep_phase,
-                                sweep_reflectionless, transfer_product, transfer_trace,
-                                tridiagonal_resolvent)
+from .boundary_analysis import (MIN_ANGLES, REFERENCE_EPS, SweepFamily, _axis_margin,
+                                exact_sweep, floquet_pair, memo, one_point, phase_at,
+                                require_in_disk, stack_2x2, sweep_grid, sweep_phase,
+                                transfer_product, transfer_trace, tridiagonal_resolvent)
+from .boundary_analysis import ac_spectrum, multiplicity_sets, reflectionless_on  # re-exported
 from .interval_sets import CircleArcSet, circle_set, full_circle
 
 TWO_PI = 2.0 * math.pi
@@ -286,21 +285,6 @@ _FAMILY = SweepFamily(
     zero_floor=True)
 
 
-def ac_spectrum(V: VerblunskyCoefficients, grid=None) -> CircleArcSet:
-    """Circle essential closure of the angle hull of {|Xi11| < 1/2} at site 0;
-    recomputed at site 1, disagreement raises."""
-    return sweep_ac_spectrum(_FAMILY, V, grid)
-
-
-def reflectionless_on(V: VerblunskyCoefficients, E: CircleArcSet, grid=None,
-                      tol: float = 1e-4) -> ReflectionlessReport:
-    """Reflectionless test on an arc set E: boundary matching M_+ = -conj(M_-)
-    plus the phase criterion Xi11 = 0, at the reference sites 0 and 1.  Where
-    the verdict holds, the uniform-multiplicity witness
-    M11 = (1+|M_+-|^2)/(+-2 Re M_+-) is recorded as a max residual."""
-    return sweep_reflectionless(_FAMILY, V, E, grid, tol)
-
-
 def m11_boundary_identity_residual(V: VerblunskyCoefficients, thetas, n0: int) -> float:
     """Max residual of the boundary identity expressing Re M11 through the
     one-sided data on an angle grid (see m11_identity_residual)."""
@@ -316,16 +300,6 @@ def m11_identity_residual(bd: dict) -> float:
         / np.abs(Mp - Mm) ** 2
     res = np.where(ok, np.abs(m11.real - quot), 0.0)
     return float(np.max(res))
-
-
-def multiplicity_sets(V: VerblunskyCoefficients, grid=None):
-    """Angle hulls of the uniform-multiplicity sets from boundary (M_+, M_-) at site 0.
-
-    Multiplicity two needs both boundary values off the imaginary axis
-    (boundary_analysis.off_axis), multiplicity one collects the
-    equal-imaginary, both-infinite, and exactly-one-off-axis cases.
-    """
-    return sweep_multiplicity_sets(_FAMILY, V, grid)
 
 
 # ---------------------------------------------------------------------------

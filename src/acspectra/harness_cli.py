@@ -32,11 +32,13 @@ timestamps; reports embed the effective tolerances for auditability.
 
 Each entry is loaded and checked once (_load), and spec run, `spec
 <family> --emit report` and verify_inclusion assemble its report from that
-load (_report).  A report opens a sweep scope (boundary_analysis's
-sweep_scope and memo), which computes each family sweep once for the ac
-spectrum, the reflectionless test, the multiplicity sets, the CMV boundary
-identity residual and the CSV, and each site's phase once for the ac
-spectrum and the undetermined count.
+load (_report), with the shared ac_spectrum, reflectionless_on and
+multiplicity_sets and the family record boundary_analysis.family(op).  A
+report opens a sweep scope (boundary_analysis's sweep_scope and memo),
+which computes each family sweep once for the ac spectrum, the
+reflectionless test, the multiplicity sets, the CMV boundary identity
+residual and the CSV, and each site's phase once for the ac spectrum and
+the undetermined count.
 
 Exit codes for `spec run`: 0 all reports PASS, 1 failures or IO errors,
 2 malformed input, every entry checked before anything is written (config
@@ -77,7 +79,8 @@ import numpy as np
 from . import jacobi as _jacobi
 from . import cmv as _cmv
 from . import schrodinger as _schrodinger
-from .boundary_analysis import (ReflectionlessReport, sweep_at, sweep_csv, sweep_grid,
+from .boundary_analysis import (ReflectionlessReport, ac_spectrum, family, multiplicity_sets,
+                                reflectionless_on, sweep_at, sweep_csv, sweep_grid,
                                 sweep_scope, tested_mask)
 from .errors import SiteDisagreement, check_keys
 from .interval_sets import (CircleArcSet, GeneratedFatSet, RealIntervalSet, canonicalize,
@@ -85,11 +88,9 @@ from .interval_sets import (CircleArcSet, GeneratedFatSet, RealIntervalSet, cano
                             lebesgue_measure, longest_component, rational_enumeration,
                             set_algebra, set_from_json, set_to_json, widen)
 
-# the family table: each family's operator type; its module has the rest
+# the family table: each descriptor type's operator type (its record: family(op))
 OPERATOR_TYPES = {"jacobi": _jacobi.JacobiCoefficients, "cmv": _cmv.VerblunskyCoefficients,
                   "schrodinger": _schrodinger.PiecewisePotential}
-FAMILY_MODULES = {kind: sys.modules[t.__module__] for kind, t in OPERATOR_TYPES.items()}
-SUPPORTED_TYPES = tuple(OPERATOR_TYPES)
 # a report is FAILED past this fraction of undetermined grid points at a site
 MAX_UNDETERMINED = 0.01
 # a Schrodinger operator whose transfers may grow like exp(x) on its grid is
@@ -111,7 +112,7 @@ TOLERANCES = {"reflectionless_tol": (1e-4, None), "identity_draws": (20, 1),
 class UnknownOperatorType(ValueError):
     def __init__(self, given):
         super().__init__(f"unknown operator type {given!r}; supported types: "
-                         + ", ".join(SUPPORTED_TYPES))
+                         + ", ".join(OPERATOR_TYPES))
 
 
 def build_operator(descriptor: dict):
@@ -134,7 +135,7 @@ def _resolve_grid(kind: str, op, grid_config):
     default, refused by sweep_grid alone (a negative count reads as none)."""
     if grid_config is not None and not isinstance(grid_config, dict):
         raise ValueError(f"grid must be an object or null, not {grid_config!r:.80}")
-    fam = FAMILY_MODULES[kind]._FAMILY
+    fam = family(op)
     grid_config = grid_config or {}
     check_keys(grid_config, ("angles",) if fam.circle else ("start", "stop", "points"),
                f"{kind} grid key")
@@ -198,7 +199,7 @@ def _load(descriptor: dict, E, grid_config, tolerances=None) -> Entry:
             raise ValueError(f"schrodinger transfers may grow like exp({growth:.4g}) on the "
                              f"grid, past exp({MAX_TRANSFER_EXPONENT:.4g}), and overflow; "
                              f"lower the potential or the grid")
-    carrier = CircleArcSet if FAMILY_MODULES[kind]._FAMILY.circle else RealIntervalSet
+    carrier = CircleArcSet if family(op).circle else RealIntervalSet
     if E_set is not None and not (isinstance(E_set, carrier) and _testable(E_set, grid)):
         raise ValueError(f"E must be an explicit {carrier.__name__} of positive measure "
                          f"with a grid point in its intervals, not {E_set!r:.80}")
@@ -274,7 +275,7 @@ def _identity_residuals(kind: str, op, grid, E, refl_verdict: bool, rng, toleran
             # the report's site-0 sweep, read at the sampled angles of E; the
             # kernel works point by point, so a sweep of those angles alone
             # has the same bits
-            bd = sweep_at(_cmv._FAMILY.sweep(op, grid, 0), idx)
+            bd = sweep_at(family(op).sweep(op, grid, 0), idx)
             entry("m11_boundary_real_part", _cmv.m11_identity_residual(bd), idx.size)
     return out
 
@@ -304,13 +305,12 @@ def _report(entry: Entry, name: str, seed: int) -> SpectralReport:
     rng = np.random.default_rng(seed)
     failures = []
 
-    mod = FAMILY_MODULES[kind]
     try:
-        ac = mod.ac_spectrum(op, grid)
+        ac = ac_spectrum(op, grid)
     except SiteDisagreement as exc:
         ac = exc.spectrum
         failures.append(str(exc))
-    fam = mod._FAMILY
+    fam = family(op)
     for site in fam.sites(op):      # the phases the ac spectrum read, from the memo
         undetermined = int(np.count_nonzero(~fam.phase(op, grid, site)[2]))
         if undetermined > MAX_UNDETERMINED * grid.size:
@@ -320,12 +320,12 @@ def _report(entry: Entry, name: str, seed: int) -> SpectralReport:
     testable = entry.E is not None or _testable(ac, grid)   # _load tests a given E
     E_set = ac if entry.E is None else entry.E
     if testable:
-        refl = mod.reflectionless_on(op, E_set, grid, tol=refl_tol)
+        refl = reflectionless_on(op, E_set, grid, tol=refl_tol)
     else:       # only a computed E: a given one is checked on loading
         refl = ReflectionlessReport(
             verdict=False, fraction=math.nan, max_residual=math.nan, tol=refl_tol,
             n_points=0, defect_points=(), xi_fraction=math.nan)
-    M2, M1 = mod.multiplicity_sets(op, grid)
+    M2, M1 = multiplicity_sets(op, grid)
 
     identities = _identity_residuals(kind, op, grid, E_set, refl.verdict, rng, tolerances)
     for nm, e in identities.items():
@@ -376,7 +376,7 @@ def _report(entry: Entry, name: str, seed: int) -> SpectralReport:
 
 
 def _csv_for(kind: str, op, grid) -> str:
-    return sweep_csv(FAMILY_MODULES[kind]._FAMILY, op, grid)
+    return sweep_csv(family(op), op, grid)
 
 
 def _fail(code: int, message: str) -> int:
@@ -561,8 +561,8 @@ def spec_main(argv=None) -> int:
     p_run.add_argument("--config", required=True)
     p_run.add_argument("--out", help="output directory (overrides config)")
 
-    for fam in SUPPORTED_TYPES:
-        q = sub.add_parser(fam, help=f"single {fam} descriptor")
+    for kind in OPERATOR_TYPES:
+        q = sub.add_parser(kind, help=f"single {kind} descriptor")
         q.add_argument("--desc", required=True, help="descriptor JSON file")
         q.add_argument("--grid", help="start:stop:points "
                        "(cmv: angle grid, endpoint excluded)")
@@ -583,7 +583,7 @@ def spec_main(argv=None) -> int:
     if kind != ns.cmd:
         return _fail(3, f"descriptor type {kind!r} does not match subcommand {ns.cmd!r}")
 
-    fam = FAMILY_MODULES[kind]._FAMILY
+    fam = family(OPERATOR_TYPES[kind])
     grid_config = None
     try:
         if ns.grid:
@@ -607,7 +607,7 @@ def spec_main(argv=None) -> int:
         text = _csv_for(kind, op, grid)
     elif ns.emit == "spectrum":
         try:
-            ac = FAMILY_MODULES[kind].ac_spectrum(op, grid)
+            ac = ac_spectrum(op, grid)
         except SiteDisagreement as exc:     # the first site's set, as a report keeps it
             ac, failed = exc.spectrum, True
             _fail(1, str(exc))

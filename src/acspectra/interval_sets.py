@@ -30,6 +30,7 @@ from __future__ import annotations
 
 import bisect
 import math
+import numbers
 import operator
 from dataclasses import dataclass
 from fractions import Fraction
@@ -521,9 +522,19 @@ def rational_enumeration(count: int):
 class GeneratedFatSet:
     """Union over n >= 1 of open intervals (c_n - r^-n, c_n + r^-n), c_n the
     rational enumeration and r = radius_base, truncated at N = truncation; the
-    tail beyond N has measure at most 2 sum_{n > N} r^-n = 2 r^-N / (r - 1)."""
+    tail beyond N has measure at most 2 sum_{n > N} r^-n = 2 r^-N / (r - 1).
+    ValueError unless N is a whole number >= 1 and r a finite number > 1."""
     truncation: int = 20
     radius_base: float = 4.0
+
+    def __post_init__(self):
+        t, r = self.truncation, self.radius_base
+        whole = isinstance(t, numbers.Integral) or isinstance(t, float) and t.is_integer()
+        if isinstance(t, bool) or not (whole and t >= 1):
+            raise ValueError(f"truncation must be a whole number >= 1, not {t!r:.80}")
+        if not (isinstance(r, numbers.Real) and math.isfinite(r) and r > 1.0):
+            raise ValueError(f"radius_base must be a finite number > 1, not {r!r:.80}")
+        object.__setattr__(self, "truncation", int(t))
 
     @staticmethod
     def rational_fat(truncation: int = 20, radius_base: float = 4.0) -> "GeneratedFatSet":
@@ -647,9 +658,8 @@ def set_from_json(d: dict):
             raise ValueError(f"unknown generated family {d['family']!r}")
         if "truncation" not in d:
             raise ValueError("rational_fat set JSON needs a truncation")
-        return GeneratedFatSet.rational_fat(_json_value(int, d["truncation"], "truncation"),
-                                            _json_value(float, d.get("radius_base", 4),
-                                                        "radius_base"))
+        return GeneratedFatSet.rational_fat(d["truncation"], _json_value(
+            float, d.get("radius_base", 4), "radius_base"))
     check_keys(d, ("carrier", "intervals", "points"), "set JSON key")
     carrier = d.get("carrier", "line")
     ivs = _json_list(d, "intervals")
@@ -671,5 +681,5 @@ def _json_list(d: dict, key: str) -> list:
 def _json_value(convert, v, what: str):
     try:
         return convert(v)
-    except (TypeError, ValueError):
-        raise ValueError(f"set JSON {what} must be a number, not {v!r}") from None
+    except (TypeError, ValueError, OverflowError):
+        raise ValueError(f"set JSON {what} must be a number, not {v!r:.80}") from None

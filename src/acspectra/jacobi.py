@@ -30,13 +30,11 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .boundary_analysis import (REFERENCE_EPS, ReflectionlessReport, SweepFamily,
-                                exact_sweep, floquet_pair, memo, normalize_pair, one_point,
-                                phase_at, sweep_ac_spectrum, sweep_multiplicity_sets,
-                                sweep_phase, sweep_reflectionless, transfer_matrix,
+from .boundary_analysis import (REFERENCE_EPS, SweepFamily, exact_sweep, floquet_pair, memo,
+                                normalize_pair, one_point, phase_at, sweep_phase, transfer_matrix,
                                 transfer_product, transfer_trace, tridiagonal_resolvent)
+from .boundary_analysis import ac_spectrum, multiplicity_sets, reflectionless_on  # re-exported
 from .errors import check_keys
-from .interval_sets import RealIntervalSet
 
 
 @dataclass(frozen=True)
@@ -210,34 +208,6 @@ _FAMILY = SweepFamily(
     phase_key="g",
     csv_columns=(("lambda", "loc"), ("xi", "phase"), ("error_estimate", "err"),
                  ("verdict", "verdict")))
-
-
-def ac_spectrum(J: JacobiCoefficients, grid=None) -> RealIntervalSet:
-    """Essential closure of the grid hull of {0 < xi < 1} at site 0.
-    Recomputed at site 1; a disagreement beyond
-    two grid steps raises SiteDisagreement, since the phase set must not
-    depend on the site."""
-    return sweep_ac_spectrum(_FAMILY, J, grid)
-
-
-def reflectionless_on(J: JacobiCoefficients, E: RealIntervalSet, grid=None,
-                      tol: float = 1e-4) -> ReflectionlessReport:
-    """Reflectionless test on E: boundary matching M_+ = conj(M_-) plus the
-    phase criterion xi = 1/2, evaluated on grid points interior to E at the
-    reference sites 0 and 1.  Verdict true when the matching condition holds
-    (residual < tol) on more than 99% of tested points at every site; the
-    witness identity -1/g = 2i Im M_+ = -2i Im M_- is recorded where true."""
-    return sweep_reflectionless(_FAMILY, J, E, grid, tol)
-
-
-def multiplicity_sets(J: JacobiCoefficients, grid=None):
-    """Grid hulls of the uniform-multiplicity sets from boundary (M_+, M_-) at site 0.
-
-    Multiplicity two: both nonreal (boundary_analysis.off_axis).  Multiplicity
-    one: equal real values, both infinite, or exactly one nonreal.  Returns
-    (M2, M1) as interval sets; isolated eigenvalue hits appear as points.
-    """
-    return sweep_multiplicity_sets(_FAMILY, J, grid)
 
 
 @dataclass(frozen=True)

@@ -36,13 +36,11 @@ from functools import cached_property
 
 import numpy as np
 
-from .boundary_analysis import (REFERENCE_EPS, ReflectionlessReport, SweepFamily,
-                                exact_sweep, floquet_pair, memo, normalize_pair,
-                                one_point, phase_at, sweep_ac_spectrum, sweep_multiplicity_sets,
-                                sweep_phase, sweep_reflectionless, transfer_matrix,
+from .boundary_analysis import (REFERENCE_EPS, SweepFamily, exact_sweep, floquet_pair, memo,
+                                normalize_pair, one_point, phase_at, sweep_phase, transfer_matrix,
                                 transfer_product, transfer_trace)
+from .boundary_analysis import ac_spectrum, multiplicity_sets, reflectionless_on  # re-exported
 from .errors import check_keys
-from .interval_sets import RealIntervalSet
 
 LAMBDA_TOP = 25.0
 
@@ -306,27 +304,3 @@ _FAMILY = SweepFamily(
     pair=("m_plus", "m_minus"), phase_key="g",
     csv_columns=(("lambda", "loc"), ("xi", "phase"), ("re_g", "re"), ("im_g", "im"),
                  ("verdict", "verdict")), site_word="points")
-
-
-def ac_spectrum(V: PiecewisePotential, grid=None) -> RealIntervalSet:
-    """Essential closure of the grid hull of {0 < xi < 1} at x = 0;
-    recomputed at x = L/2, disagreement raises."""
-    return sweep_ac_spectrum(_FAMILY, V, grid)
-
-
-def reflectionless_on(V: PiecewisePotential, E: RealIntervalSet, grid=None,
-                      tol: float = 1e-4) -> ReflectionlessReport:
-    """Reflectionless test on a real set E: boundary matching
-    m_+(lam+i0) = conj(m_-(lam+i0)) at the reference points 0 and L/2.  Where
-    the verdict holds, witness_residual is the max residual on the passing
-    points of -1/g = 2i Im m_+ = -2i Im m_- (as for Jacobi, with
-    g = 1/(m_- - m_+))."""
-    return sweep_reflectionless(_FAMILY, V, E, grid, tol)
-
-
-def multiplicity_sets(V: PiecewisePotential, grid=None):
-    """Interval hulls of the uniform-multiplicity sets from boundary (m_+, m_-) at x = 0:
-    multiplicity two where both are nonreal (boundary_analysis.off_axis),
-    multiplicity one on the union of the equal-real, both-infinite, and
-    exactly-one-nonreal cases."""
-    return sweep_multiplicity_sets(_FAMILY, V, grid)

@@ -11,17 +11,17 @@ The references need scipy: banded solves of the Jacobi and CMV truncations
 boundary_sweep, the Richardson extrapolation toward the axis that is the
 oracle of the package's exact boundary route (exact_sweep).
 
-STEPLIKE and SCHRODINGER_STEPLIKE are test SweepFamilies over steplike
-Jacobi and Schrodinger operators, periodic with one base on the left half
-line and another on the right: the oracle of the multiplicity classifier's
-multiplicity-one branch.
+STEPLIKE, SCHRODINGER_STEPLIKE and CMV_STEPLIKE are test SweepFamilies
+over steplike Jacobi, Schrodinger and CMV operators, periodic with one base
+on the left half line and another on the right: the oracle of the
+multiplicity classifier's multiplicity-one branch.
 """
 
 import numpy as np
 import pytest
 from scipy.linalg import solve_banded
 
-from acspectra import schrodinger
+from acspectra import cmv, schrodinger
 from acspectra.boundary_analysis import (INFINITE_LIMIT, REFERENCE_EPS, SweepFamily,
                                          exact_sweep, memo, sweep_phase)
 from acspectra.cmv import VerblunskyCoefficients
@@ -179,7 +179,7 @@ def boundary_sweep(kernel, grid, circle: bool) -> dict:
 
 
 # ---------------------------------------------------------------------------
-# Steplike Jacobi operators: the oracle of multiplicity one
+# Steplike operators: the oracle of multiplicity one
 
 def steplike_halves(L, R, n0: int):
     """(left, right): Jacobi operators whose M_- resp. M_+ at the site
@@ -192,17 +192,24 @@ def steplike_halves(L, R, n0: int):
     return JacobiCoefficients(L.period, L.a_base, L.b_base, patch), R
 
 
+def _halves(plus, minus, near):
+    """(r, l, floquet): the kernel dicts plus(near) of the right half line
+    and minus(near) of the left one, each at its rows of near, and their
+    'floquet': both branches stacked (12 rows) and their ambiguous masks
+    ORed, so that exact_sweep runs the glued kernel unchanged."""
+    near_r, near_l = (near, near) if np.ndim(near) == 0 else (near[:6], near[6:])
+    r, l = plus(near_r), minus(near_l)
+    (ur, ar), (ul, al) = r["floquet"], l["floquet"]
+    return r, l, (np.concatenate([ur, ul]), ar | al)
+
+
 def _glued(kernel, left, right, zs, site, near, pair) -> dict:
     """The plus key of pair from the right half's kernel at site, the minus
-    key from the left half's, g = 1/(minus - plus), and 'floquet': both
-    branches stacked (12 rows) and their ambiguous masks ORed, so that
-    exact_sweep runs it unchanged."""
+    key from the left half's, g = 1/(minus - plus), and 'floquet' (_halves)."""
     plus, minus = pair
-    near_r, near_l = (near, near) if np.ndim(near) == 0 else (near[:6], near[6:])
-    r, l = kernel(right, zs, site, near_r), kernel(left, zs, site, near_l)
-    (ur, ar), (ul, al) = r["floquet"], l["floquet"]
-    return {plus: r[plus], minus: l[minus], "g": 1.0 / (l[minus] - r[plus]),
-            "floquet": (np.concatenate([ur, ul]), ar | al)}
+    r, l, floquet = _halves(lambda near: kernel(right, zs, site, near),
+                            lambda near: kernel(left, zs, site, near), near)
+    return {plus: r[plus], minus: l[minus], "g": 1.0 / (l[minus] - r[plus]), "floquet": floquet}
 
 
 def steplike_kernel(L, R, zs, n0: int, near=0.0) -> dict:
@@ -221,18 +228,34 @@ def schrodinger_steplike_kernel(L, R, zs, x0: float, near=0.0) -> dict:
     return _glued(schrodinger._m_grid, left, R, zs, x0, near, ("m_plus", "m_minus"))
 
 
-def _steplike_family(kernel, grid, sites, pair) -> SweepFamily:
+def cmv_steplike_kernel(L, R, zs, n0: int, near=0.0) -> dict:
+    """M_plus, R's m_+(z, n0) by cmv._m_grid; M_minus, the twist (cmv._twist)
+    of L's m_-(z, n0 - 1) by the steplike alpha(n0), L's at 0 and R's at 1;
+    M11 = (1 - M_+ M_-)/(M_+ - M_-); and 'floquet' (_halves).  m_+(z, n0)
+    reads alpha(n), n > n0, and m_-(z, n0 - 1) alpha(n), n < n0, so for n0
+    in {0, 1} they are those of the steplike operator, L's alphas at n <= 0
+    and R's beyond."""
+    r, l, floquet = _halves(lambda near: cmv._m_grid(R, zs, n0, "+", near),
+                            lambda near: cmv._m_grid(L, zs, n0 - 1, "-", near), near)
+    Mp, Mm = r["m"], cmv._twist((L if n0 <= 0 else R).alpha(n0), l["m"])
+    return {"M_plus": Mp, "M_minus": Mm, "M11": (1.0 - Mp * Mm) / (Mp - Mm), "floquet": floquet}
+
+
+def _steplike_family(kernel, grid, sites, pair, circle=False) -> SweepFamily:
     """A SweepFamily over steplike operators op = (L, R), swept at a site
-    by exact_sweep of kernel(L, R, zs, site, near)."""
+    by exact_sweep of kernel(L, R, zs, site, near), with the phase of g on
+    the line and of M11 on the circle (its boundary zeros undefined, as
+    CMV's), the reference points as the family's."""
     def sweep(op, grid, site):
         L, R = op
-        eps = REFERENCE_EPS * (1.0 + max(L.sup_bound(), R.sup_bound()))
-        return exact_sweep(lambda zs, near: kernel(L, R, zs, site, near), grid, False, eps)
+        eps = REFERENCE_EPS * (1.0 if circle else 1.0 + max(L.sup_bound(), R.sup_bound()))
+        return exact_sweep(lambda zs, near: kernel(L, R, zs, site, near), grid, circle, eps)
 
     fam = SweepFamily(
         sweep=lambda op, grid, site: memo(sweep, op, grid, site),
         phase=lambda op, grid, site: sweep_phase(fam, fam.sweep(op, grid, site)),
-        grid=grid, sites=sites, circle=False, pair=pair, phase_key="g", csv_columns=())
+        grid=grid, sites=sites, circle=circle, pair=pair,
+        phase_key="M11" if circle else "g", csv_columns=(), zero_floor=circle)
     return fam
 
 
@@ -253,3 +276,5 @@ STEPLIKE = _steplike_family(steplike_kernel, steplike_grid, lambda op: (0, 1),
 # the second site is R.period, where L's patch ends
 SCHRODINGER_STEPLIKE = _steplike_family(schrodinger_steplike_kernel, schrodinger_steplike_grid,
                                         lambda op: (0.0, op[1].period), ("m_plus", "m_minus"))
+CMV_STEPLIKE = _steplike_family(cmv_steplike_kernel, lambda op: cmv.default_angles(1024),
+                                lambda op: (0, 1), ("M_plus", "M_minus"), circle=True)

@@ -13,10 +13,10 @@ import pytest
 import acspectra
 from acspectra import cmv, harness_cli, jacobi
 from acspectra.errors import SiteDisagreement
-from acspectra.harness_cli import (FAMILY_MODULES, SUPPORTED_TYPES, UnknownOperatorType,
-                                   _csv_for, build_operator, bundled_config_path,
-                                   closure_main, emit_sets_demo, format_set,
-                                   run_config, spec_main, verify_inclusion)
+from acspectra.harness_cli import (OPERATOR_TYPES, UnknownOperatorType, _csv_for,
+                                   build_operator, bundled_config_path, closure_main,
+                                   emit_sets_demo, format_set, run_config, spec_main,
+                                   verify_inclusion)
 from acspectra.interval_sets import (canonicalize, circle_set, full_circle, set_algebra,
                                      set_from_json, set_to_json)
 
@@ -63,7 +63,7 @@ class TestBuildOperator:
     def test_unknown_type(self):
         with pytest.raises(UnknownOperatorType) as exc:
             build_operator({"type": "dirac"})
-        for t in SUPPORTED_TYPES:
+        for t in OPERATOR_TYPES:
             assert t in str(exc.value)
 
 
@@ -141,7 +141,7 @@ class TestFailureLines:
 
     def test_multiplicity_two_misses_E(self, monkeypatch):
         empty = canonicalize([])
-        monkeypatch.setattr(jacobi, "multiplicity_sets", lambda J, grid: (empty, empty))
+        monkeypatch.setattr(harness_cli, "multiplicity_sets", lambda J, grid: (empty, empty))
         rep = verify_inclusion(FREE_JACOBI, E_JACOBI, SMALL_GRIDS["jacobi"])
         assert rep.failures == ["multiplicity: M2 misses 100.00% of E (> 1%)"]
 
@@ -178,13 +178,13 @@ class TestFailureLines:
 
 
 class TestOneLoad:
-    @pytest.mark.parametrize("family", SUPPORTED_TYPES)
+    @pytest.mark.parametrize("family", OPERATOR_TYPES)
     def test_spec_family_report_is_the_spec_run_report(self, tmp_path, family):
         """`spec <family> --emit report` writes the bytes of `spec run` on
         the one-entry config of the same name, seed 0 and grid."""
         desc = os.path.join(os.path.dirname(os.path.abspath(__file__)), "data", "xi",
                             f"{family}.json")
-        circle = FAMILY_MODULES[family]._FAMILY.circle
+        circle = harness_cli.family(OPERATOR_TYPES[family]).circle
         out = tmp_path / "single.json"
         assert spec_main([family, "--desc", desc, "--emit", "report", "--out", str(out)]
                          + (["--grid=0:6.283185307179586:512"] if circle else [])) == 0
@@ -542,7 +542,7 @@ class TestSiteDisagreement:
         assert (out / "split.csv").exists() and (out / "after.csv").exists()
         assert capsys.readouterr().out.splitlines()[1] == "after: PASS"
 
-    @pytest.mark.parametrize("kind", SUPPORTED_TYPES)
+    @pytest.mark.parametrize("kind", OPERATOR_TYPES)
     def test_spec_spectrum_writes_the_first_site_set(self, tmp_path, capsys, monkeypatch, kind):
         """`spec <family> --emit spectrum` once ended in a traceback where
         the sites disagree; like a report it keeps the first site's set,
@@ -555,7 +555,7 @@ class TestSiteDisagreement:
 
         def disagree(op, grid=None):
             raise SiteDisagreement(message, first, 0.75)
-        monkeypatch.setattr(FAMILY_MODULES[kind], "ac_spectrum", disagree)
+        monkeypatch.setattr(harness_cli, "ac_spectrum", disagree)
         desc = tmp_path / "op.json"
         desc.write_text(json.dumps({"jacobi": FREE_JACOBI, "cmv": FREE_CMV,
                                     "schrodinger": FREE_SCHRODINGER}[kind]), encoding="utf-8")
@@ -731,6 +731,27 @@ class TestClosureCli:
         assert closure_main(["essential", "--input", str(src)]) == 2
         assert "error: cannot read set JSON" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("text", [
+        '{"family": "rational_fat", "truncation": 0}',
+        '{"family": "rational_fat", "truncation": 2.5}',
+        '{"family": "rational_fat", "truncation": 5, "radius_base": 1}',
+        '{"family": "rational_fat", "truncation": 5, "radius_base": 0.5}',
+        '{"family": "rational_fat", "truncation": 5, "radius_base": 1e400}',
+        '{"family": "rational_fat", "truncation": 5, "radius_base": 1%s}' % ("0" * 400),
+        '{"points": [1%s]}' % ("0" * 400)])
+    def test_set_json_out_of_range_exits_2(self, tmp_path, capsys, text):
+        """A rational_fat truncation that is not a whole number >= 1, a
+        radius base that is not a finite number > 1, and a number past the
+        float range exit 2 with one error line and write nothing; a
+        truncation of 0 and an integer past the float range once ended in a
+        traceback, and 2.5 was read as 2."""
+        src, out = tmp_path / "s.json", tmp_path / "out.json"
+        src.write_text(text, encoding="utf-8")
+        assert closure_main(["essential", "--input", str(src), "--output", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: cannot read set JSON") and err.count("\n") == 1
+        assert not out.exists()
+
 
 CSV_HEADERS = {"jacobi": "lambda,xi,error_estimate,verdict",
                "cmv": "theta,re_m11,im_m11,xi,verdict,r00,r11,rank",
@@ -745,7 +766,7 @@ def test_csv_columns_and_cells(request, fixture):
     phase key did not converge, and no cell reads nan."""
     op = request.getfixturevalue(fixture)
     kind = op.to_descriptor()["type"]
-    fam = FAMILY_MODULES[kind]._FAMILY
+    fam = harness_cli.family(op)
     grid = fam.grid(op)
     lines = _csv_for(kind, op, grid).split("\n")
     assert lines.pop() == ""

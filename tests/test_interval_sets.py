@@ -546,6 +546,25 @@ def test_fat_family_is_its_two_parameters():
     assert lebesgue_measure(g)[1] - lebesgue_measure(g)[0] == pytest.approx(3.0 ** -7)
 
 
+@pytest.mark.parametrize("truncation, radius_base", [
+    (0, 4.0), (-3, 4.0), (2.5, 4.0), (True, 4.0), (math.inf, 4.0), (math.nan, 4.0), ("5", 4.0),
+    (5, 1.0), (5, 0.5), (5, -2.0), (5, math.inf), (5, math.nan), (5, "4")])
+def test_fat_family_parameters_out_of_range(truncation, radius_base):
+    """The truncation is a whole number >= 1 (not a bool) and the radius base
+    a finite number > 1: below those the centers are empty or the radii do
+    not shrink, and the tail bound divides by r - 1."""
+    with pytest.raises(ValueError):
+        GeneratedFatSet(truncation, radius_base)
+
+
+def test_fat_family_whole_float_truncation_reads_as_an_int():
+    """A whole float truncation (12.0 in set JSON) is the int 12, and the
+    set's JSON writes it so."""
+    g = set_from_json({"family": "rational_fat", "truncation": 12.0, "radius_base": 2})
+    assert g == GeneratedFatSet(12, 2.0) and type(g.truncation) is int
+    assert json.dumps(set_to_json(g)["truncation"]) == "12"
+
+
 class TestJson:
     @given(line_sets)
     @settings(max_examples=60, deadline=None)

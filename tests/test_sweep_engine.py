@@ -15,12 +15,12 @@ from acspectra import boundary_analysis, cmv, interval_sets, jacobi, schrodinger
 from acspectra.boundary_analysis import (floquet_pair, memo, sweep_ac_spectrum,
                                          sweep_multiplicity_sets, sweep_reflectionless,
                                          sweep_scope)
-from acspectra.harness_cli import (FAMILY_MODULES, TOLERANCES, _csv_for, _json_safe, _load,
-                                   _resolve_grid, run_config, verify_inclusion)
+from acspectra.harness_cli import (TOLERANCES, _csv_for, _json_safe, _load, _resolve_grid,
+                                   run_config, verify_inclusion)
 from acspectra.interval_sets import (canonicalize, circle_set, contains_mask,
                                      longest_component, set_algebra, set_to_json)
-from conftest import (SCHRODINGER_STEPLIKE, STEPLIKE, resolvent_entry,
-                      schrodinger_steplike_kernel, steplike_kernel)
+from conftest import (CMV_STEPLIKE, SCHRODINGER_STEPLIKE, STEPLIKE, cmv_steplike_kernel,
+                      resolvent_entry, schrodinger_steplike_kernel, steplike_kernel)
 
 SWEEPS = ((jacobi, "boundary_weyl_grid"), (cmv, "boundary_cmv_grid"),
           (schrodinger, "boundary_schrodinger_grid"))
@@ -329,24 +329,64 @@ def test_schrodinger_steplike_multiplicity_sets_are_the_band_algebra(seed):
                          _schrodinger_steplike(seed))
 
 
+def _cmv_steplike(seed):
+    """A seeded steplike CMV operator (L, R): two unpatched bases of period
+    1-4, L's |alpha| in [0.05, 0.4) and R's in [0.45, 0.8), so that their
+    bands differ on arcs of positive measure."""
+    rng = np.random.default_rng(3800 + seed)
+    return tuple(cmv.VerblunskyCoefficients(int(p), tuple(
+        rng.uniform(lo, lo + 0.35, p) * np.exp(2j * math.pi * rng.uniform(size=p))))
+        for p, lo in zip(rng.integers(1, 5, 2), (0.05, 0.45)))
+
+
+@pytest.mark.parametrize("seed", range(10))
+def test_cmv_steplike_kernel_is_the_glued_operator(seed):
+    """The steplike M11 at sites 0 and 1 is the Cayley diagonal of one
+    operator, L's alphas at n <= 0 and R's beyond, read off the truncation
+    of 1024 sites (truncation_cayley_diag) at 20 draws with |z| < 0.9."""
+    L, R = _cmv_steplike(seed)
+    glued = cmv.VerblunskyCoefficients(L.period, L.alpha_base,
+                                       {n: R.alpha(n) for n in range(1, 516)})
+    rng = np.random.default_rng(seed)
+    zs = np.sqrt(rng.uniform(0.0, 0.81, 20)) * np.exp(2j * math.pi * rng.uniform(size=20))
+    for n0 in (0, 1):
+        m11 = cmv_steplike_kernel(L, R, zs, n0)["M11"]
+        want = cmv.truncation_cayley_diag(glued, zs, n0, 1024)
+        assert np.max(np.abs(m11 - want)) < 1e-12, (n0, m11, want)
+
+
+@pytest.mark.parametrize("seed", range(10))
+def test_cmv_steplike_multiplicity_sets_are_the_band_algebra(seed):
+    """The same for a steplike CMV operator on 1024 angles, L's alphas at
+    n <= 0 and R's beyond (conftest.CMV_STEPLIKE), with the bands of
+    cmv.discriminant."""
+    _assert_band_algebra(CMV_STEPLIKE, cmv.discriminant, _cmv_steplike(seed))
+
+
 def _assert_band_algebra(fam, discriminant, op):
     """fam's ac spectrum, M2 and M1 of the steplike op = (L, R) against
     the union, intersection and symmetric difference of the bands of L and
-    R, and reflectionless_on False on each M1 piece longer than 4 steps."""
+    R, and reflectionless_on False on each M1 piece longer than 4 steps.
+    On the circle the bands are read on the grid closed by 2 pi."""
     grid = fam.grid(op)
     step = grid[1] - grid[0]
-    band_l, band_r = (_bands(lambda x, base=base: discriminant(base, x), grid) for base in op)
+    carrier_set = circle_set if fam.circle else canonicalize
+    xs = np.append(grid, 2.0 * math.pi) if fam.circle else grid
+    band_l, band_r = (carrier_set([(iv.lo, iv.hi, "cc") for iv in _bands(
+        lambda x, base=base: discriminant(base, x), xs).intervals]) for base in op)
     with sweep_scope():
         _assert_matches(sweep_ac_spectrum(fam, op, grid),
                         set_algebra(band_l, band_r, "union"), step)
         M2, M1 = sweep_multiplicity_sets(fam, op, grid)
         _assert_matches(M2, set_algebra(band_l, band_r, "intersect"), step)
         _assert_matches(M1, set_algebra(band_l, band_r, "symmetric_difference"), step)
-        long = [iv for iv in M1.intervals if iv.hi - iv.lo > 4.0 * step]
+        ends = ([(a.theta1, a.theta2) for a in M1.arcs] if fam.circle
+                else [(iv.lo, iv.hi) for iv in M1.intervals])
+        long = [(lo, hi) for lo, hi in ends if hi - lo > 4.0 * step]
         assert long, M1
-        for iv in long:
-            piece = canonicalize([(iv.lo, iv.hi, "cc")])
-            assert not sweep_reflectionless(fam, op, piece, grid, 1e-4).verdict, iv
+        for lo, hi in long:
+            piece = carrier_set([(lo, hi, "cc")])
+            assert not sweep_reflectionless(fam, op, piece, grid, 1e-4).verdict, (lo, hi)
 
 
 def test_random_period1_cmv_ac_spectrum_is_the_arc():
@@ -458,10 +498,9 @@ def test_scoped_report_equals_standalone_calls(tmp_path, kind):
     report = json.loads(files["op_report.json"])
 
     op, grid, *_ = _load(descriptor, None, GRIDS[kind])
-    mod = FAMILY_MODULES[kind]
-    ac = mod.ac_spectrum(op, grid)
-    refl = mod.reflectionless_on(op, ac, grid)
-    M2, M1 = mod.multiplicity_sets(op, grid)
+    ac = boundary_analysis.ac_spectrum(op, grid)
+    refl = boundary_analysis.reflectionless_on(op, ac, grid)
+    M2, M1 = boundary_analysis.multiplicity_sets(op, grid)
     assert boundary_analysis._memo is None
 
     def same(x):
