@@ -19,7 +19,7 @@ value is its distance to the reference value.  Points where no root is
 clearly nearest (band edges, multipliers of near-equal modulus at the
 reference) are undetermined, and so are non-finite values and poles; at a
 closed gap the monodromy is scalar and the axis takes the reference's
-eigenvectors.  A one-point read follows the same rule: one_point raises
+eigenvectors.  A one-point read follows the same rule: weyl_data raises
 MonodromyDegenerate exactly where the kernel marks its branch ambiguous.
 
 exact_sweep is the package's one boundary route; the tests keep a
@@ -28,13 +28,16 @@ Richardson extrapolation toward the axis as its independent oracle.
 The sweeps serve the Jacobi, CMV and Schrodinger modules: one exact
 sweep, grid rule, phase, ac hull, reflectionless test, multiplicity
 classifier and CSV writer, with each family's conventions passed as
-data, plus the Floquet chooser and 2x2 helpers of the kernels.  Each
-phase is its family's phase grid (SweepFamily.phase), sweep_phase's one
-caller.  ac_spectrum, reflectionless_on and multiplicity_sets run the
-sweeps with family(op), the operator's SweepFamily, for every family, and
-each family module imports them under its own name.  The reflectionless
-test reads E in its intervals only (tested_mask): it is almost-everywhere,
-and isolated points are null.
+data, plus the Floquet chooser and 2x2 helpers of the kernels.  Every
+read runs with family(op), the operator's SweepFamily, whose kernel is
+its module's: boundary_grid sweeps it, phase_grid (sweep_phase's one
+caller) reads the phase off that sweep, phase_at and weyl_data read the
+phase grid and the kernel at one point, and ac_spectrum,
+reflectionless_on and multiplicity_sets run the sweeps.  Each family
+module imports them under its own names (boundary_weyl_grid, Xi11_grid,
+xi, ...), so the names of one concept are one function.  The
+reflectionless test reads E in its intervals only (tested_mask): it is
+almost-everywhere, and isolated points are null.
 
 Every one-period transfer product of the families, in the kernels and
 the discriminants alike, is transfer_product's: 2x2 steps multiplied out
@@ -54,7 +57,8 @@ the entry 'floquet'; the CMV Schur function is the fixed point the
 growing eigenvector gives.  The Schrodinger seeds do not depend on the
 reference point either, so in a report scope both reference points read
 one seed pair per kernel call (memo).  Every one-point value of a family
-is its grid kernel or its phase grid read at one point (one_point, phase_at).
+is its grid kernel or its phase grid read at one point (weyl_data,
+phase_at).
 
 The truncation oracles of the Jacobi and CMV identity residuals share one
 solver: tridiagonal_resolvent reads a diagonal entry of the inverse, and
@@ -102,20 +106,6 @@ def require_in_disk(z) -> complex:
     if abs(z) >= 1.0:
         raise ValueError("spectral parameter must lie in the open unit disk")
     return z
-
-
-def one_point(kernel, op, z, *args, circle: bool = False) -> dict:
-    """The grid kernel kernel(op, zs, *args) read at the one point z, after
-    the domain check of the carrier (off the real axis, resp. in the open
-    unit disk): each array of its dict but 'floquet' as a Python complex.
-    Where the kernel's branch is ambiguous (floquet_pair), exactly where a
-    sweep leaves the point undetermined, it raises MonodromyDegenerate."""
-    z = require_in_disk(z) if circle else require_off_axis(z)
-    out = kernel(op, np.array([z]), *args)
-    if out.pop("floquet")[1][0]:
-        raise MonodromyDegenerate(f"Floquet branch ambiguous at z = {z}: the multipliers "
-                                  "coincide or have equal modulus; move z off the axis")
-    return {k: complex(v[0]) for k, v in out.items()}
 
 
 def transfer_product(steps):
@@ -186,7 +176,7 @@ def floquet_pair(m00, m01, m10, m11, det, near=0.0, exponent=0):
     relative to the traceless part of the monodromy (band edges), or whose
     distances to near differ by at most BRANCH_TOL of their sum (for near =
     0, near-equal moduli).  It never raises: a sweep leaves the ambiguous
-    points undetermined, and one_point raises MonodromyDegenerate there."""
+    points undetermined, and weyl_data raises MonodromyDegenerate there."""
     half, h = (m00 + m11) / 2.0, (m00 - m11) / 2.0
     s = np.sqrt(h * h + m01 * m10)
     sign = np.where(np.abs(half + s) >= np.abs(half - s), 1.0, -1.0)
@@ -298,10 +288,12 @@ class SweepFamily:
     """An operator family's conventions, as data for the shared grid sweeps.
 
     Each family module holds its record as _FAMILY, where family(op) finds
-    it.  Family modules pass lambdas for sweep and phase so that their
-    boundary_*_grid and phase-grid functions are looked up at call time;
-    both are memo reads, so a report scope computes each once per site.
+    it.  Its kernel is a lambda over the module's grid kernel, so that the
+    kernel is looked up at call time; its sweep and phase are memo_sweep and
+    memo_phase, the memo reads of boundary_grid and phase_grid, so a report
+    scope computes each once per site.
     """
+    kernel: callable        # kernel(op, zs, site, near) -> {key: array, 'floquet': ...}
     sweep: callable         # sweep(op, grid, site) -> exact_sweep dict
     phase: callable         # phase(op, grid, site) -> (values, errors, ok)
     grid: callable          # grid(op) -> default grid
@@ -472,13 +464,55 @@ def interior(fam: SweepFamily, vals):
         return (vals > lo) & (vals < hi)
 
 
-def phase_at(fam: SweepFamily, op, loc: float, site) -> float:
-    """The boundary phase at the one grid point loc, the family's phase grid
+def boundary_grid(op, grid, site) -> dict:
+    """exact_sweep of op's family kernel at a reference site on a grid:
+    (value, error, ok) per key plus the 'inf_'/'div_' flags.  The reference
+    points lie REFERENCE_EPS inside the circle, resp. REFERENCE_EPS (1 +
+    op.sup_bound()) above the line."""
+    fam = family(op)
+    eps = REFERENCE_EPS if fam.circle else REFERENCE_EPS * (1.0 + op.sup_bound())
+    return exact_sweep(lambda zs, near: fam.kernel(op, zs, site, near), grid, fam.circle, eps)
+
+
+def phase_grid(op, grid, site):
+    """The boundary phase of op's family on a grid at a reference site:
+    sweep_phase of its sweep, (values, errors, ok), nan where not ok."""
+    fam = family(op)
+    return sweep_phase(fam, fam.sweep(op, grid, site))
+
+
+def memo_sweep(op, grid, site) -> dict:
+    """boundary_grid, a memo read (each family record's sweep)."""
+    return memo(boundary_grid, op, grid, site)
+
+
+def memo_phase(op, grid, site):
+    """phase_grid, a memo read (each family record's phase)."""
+    return memo(phase_grid, op, grid, site)
+
+
+def phase_at(op, loc: float, site) -> float:
+    """The boundary phase at the one grid point loc, op's family phase grid
     read there at the given site; NonConvergent where it is undetermined."""
-    vals, _, ok = fam.phase(op, np.array([float(loc)]), site)
+    vals, _, ok = family(op).phase(op, np.array([float(loc)]), site)
     if not bool(ok[0]):
         raise NonConvergent(f"boundary phase undetermined at {loc}, reference {site}")
     return float(vals[0])
+
+
+def weyl_data(op, z, site) -> dict:
+    """op's family kernel read at the one point z, after the domain check
+    of the carrier (off the real axis, resp. in the open unit disk): each
+    array of its dict but 'floquet' as a Python complex.  Where the
+    kernel's branch is ambiguous (floquet_pair), exactly where a sweep
+    leaves the point undetermined, it raises MonodromyDegenerate."""
+    fam = family(op)
+    z = require_in_disk(z) if fam.circle else require_off_axis(z)
+    out = fam.kernel(op, np.array([z]), site, 0.0)
+    if out.pop("floquet")[1][0]:
+        raise MonodromyDegenerate(f"Floquet branch ambiguous at z = {z}: the multipliers "
+                                  "coincide or have equal modulus; move z off the axis")
+    return {k: complex(v[0]) for k, v in out.items()}
 
 
 @sweep_scope()

@@ -25,7 +25,12 @@ and Xi11 = 0 (equivalently M_+ = -conj(M_-)) characterizes reflectionless
 arcs.  The 2x2 matrix Caratheodory function on the site pair (n0-1, n0),
 whose boundary density has rank two on the ac spectrum, is closed form in
 the same m_+ and m_- (matrix_M_and_R).  Every value is read on the circle
-by boundary_analysis.exact_sweep.
+by boundary_analysis.exact_sweep.  The kernel _M11_grid returns M_+, M_-
+and M11; the sweep, the phase grid and the one-point reads are
+boundary_analysis's, imported as boundary_cmv_grid, Xi11_grid, Xi11 and
+weyl_data, with the reference points at radius 1 - REFERENCE_EPS.
+Boundary zeros of M11 (|M11| within 100 errors of 0) leave Xi11
+undefined, and it is marked not ok there; they carry zero ac density.
 
 The oracles are numpy only: truncations, exactly unitary thanks to the
 alpha = 1 cuts, give the Cayley diagonal (truncation_cayley_diag) and the
@@ -43,10 +48,12 @@ import numpy as np
 
 from .errors import DegenerateDenominator, check_keys
 from .boundary_analysis import (MIN_ANGLES, REFERENCE_EPS, SweepFamily, _axis_margin,
-                                exact_sweep, floquet_pair, memo, one_point, phase_at,
-                                require_in_disk, stack_2x2, sweep_grid, sweep_phase,
-                                transfer_product, transfer_trace, tridiagonal_resolvent)
-from .boundary_analysis import ac_spectrum, multiplicity_sets, reflectionless_on  # re-exported
+                                exact_sweep, floquet_pair, memo_phase, memo_sweep,
+                                require_in_disk, stack_2x2, sweep_grid, transfer_product,
+                                transfer_trace, tridiagonal_resolvent)
+from .boundary_analysis import (ac_spectrum, multiplicity_sets, reflectionless_on,  # re-exported
+                                weyl_data, boundary_grid as boundary_cmv_grid,
+                                phase_at as Xi11, phase_grid as Xi11_grid)
 from .interval_sets import CircleArcSet, circle_set, full_circle
 
 TWO_PI = 2.0 * math.pi
@@ -229,7 +236,7 @@ def M11(V: VerblunskyCoefficients, z: complex, n0: int, mode: str = "formula",
         return complex(truncation_cayley_diag(V, require_in_disk(z), n0, window))
     if mode != "formula":
         raise ValueError(f"mode must be 'formula' or 'oracle', got {mode!r}")
-    d = one_point(_M11_grid, V, z, n0, circle=True)
+    d = weyl_data(V, z, n0)
     if not cmath.isfinite(d["M_minus"]):
         raise ZeroDivisionError(f"M_- denominator vanished at z={z}, n0={n0}")
     if abs(d["M_plus"] - d["M_minus"]) <= 1e-12:
@@ -238,47 +245,16 @@ def M11(V: VerblunskyCoefficients, z: complex, n0: int, mode: str = "formula",
     return d["M11"]
 
 
-def weyl_data(V: VerblunskyCoefficients, z: complex, n0: int) -> dict:
-    """M_plus, M_minus and M11 at (z, n0), z in the open unit disk, plus
-    m_plus = M_plus and m_minus = m_-(z, n0): _M11_grid and _m_grid read at
-    one point (boundary_analysis.one_point)."""
-    d = one_point(_M11_grid, V, z, n0, circle=True)
-    return dict(d, m_plus=d["M_plus"], m_minus=one_point(_m_grid, V, z, n0, "-", circle=True)["m"])
-
-
 # ---------------------------------------------------------------------------
 # Boundary sweeps
-
-def boundary_cmv_grid(V: VerblunskyCoefficients, thetas, n0: int) -> dict:
-    """Boundary values of M_+, M_-, M11 on an angle grid, read on the circle
-    by boundary_analysis.exact_sweep with the reference points at radius
-    1 - REFERENCE_EPS: (value, error, ok) per key plus the 'inf_'/'div_'
-    flags."""
-    return exact_sweep(lambda zs, near: _M11_grid(V, zs, n0, near), thetas, True,
-                       REFERENCE_EPS)
-
-
-def Xi11_grid(V: VerblunskyCoefficients, thetas, n0: int):
-    """Xi11 = Arg(M11(zeta))/pi in [-1/2, 1/2] over an angle grid: (values,
-    errors, ok mask), by boundary_analysis.sweep_phase.  Boundary zeros of
-    M11 (|M11| within 100 errors of 0) leave the phase undefined and are
-    marked not ok; they carry zero ac density."""
-    return sweep_phase(_FAMILY, _FAMILY.sweep(V, thetas, n0))
-
-
-def Xi11(V: VerblunskyCoefficients, theta: float, n0: int) -> float:
-    """Boundary phase of M11 at angle theta, in [-1/2, 1/2]."""
-    return phase_at(_FAMILY, V, theta, n0)
-
 
 def default_angles(points: int = MIN_ANGLES):
     return np.linspace(0.0, TWO_PI, points, endpoint=False)
 
 
 _FAMILY = SweepFamily(
-    sweep=lambda V, thetas, n0: memo(boundary_cmv_grid, V, thetas, n0),
-    phase=lambda V, thetas, n0: memo(Xi11_grid, V, thetas, n0),
-    grid=lambda V: default_angles(), sites=lambda V: (0, 1), circle=True,
+    kernel=lambda V, zs, n0, near: _M11_grid(V, zs, n0, near), sweep=memo_sweep,
+    phase=memo_phase, grid=lambda V: default_angles(), sites=lambda V: (0, 1), circle=True,
     pair=("M_plus", "M_minus"), phase_key="M11",
     csv_columns=(("theta", "loc"), ("re_m11", "re"), ("im_m11", "im"), ("xi", "phase"),
                  ("verdict", "verdict"), ("r00", "empty"), ("r11", "empty"), ("rank", "empty")),

@@ -18,7 +18,7 @@ class MonodromyDegenerate(RuntimeError):
     """The Floquet branch is ambiguous at a one-point z: the multipliers
     coincide (a band edge) or have (numerically) equal modulus.
 
-    Cannot happen off the real axis in exact arithmetic; one_point raises it
+    Cannot happen off the real axis in exact arithmetic; weyl_data raises it
     exactly where floquet_pair marks the branch ambiguous, the points a sweep
     leaves undetermined, rather than silently picking a branch.
     """

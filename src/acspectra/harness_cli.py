@@ -375,7 +375,7 @@ def _report(entry: Entry, name: str, seed: int) -> SpectralReport:
         identity_residuals=identities, theorem_inclusion=inclusion)
 
 
-def _csv_for(kind: str, op, grid) -> str:
+def _csv_for(op, grid) -> str:
     return sweep_csv(family(op), op, grid)
 
 
@@ -458,7 +458,7 @@ def run_config(path: str, out_dir: str = None) -> int:
         with sweep_scope():     # the report and its CSV share one sweep memo
             rep = _report(entry, name, seed)
             files = {f"{name}_report.json": _json_text(rep.to_json()),
-                     f"{name}.csv": _csv_for(rep.family, entry.op, entry.grid)}
+                     f"{name}.csv": _csv_for(entry.op, entry.grid)}
         for file_name, text in files.items():
             if _write_out(os.path.join(out, file_name), text):
                 return 1
@@ -604,7 +604,7 @@ def spec_main(argv=None) -> int:
 
     failed = False
     if ns.emit == "xi":
-        text = _csv_for(kind, op, grid)
+        text = _csv_for(op, grid)
     elif ns.emit == "spectrum":
         try:
             ac = ac_spectrum(op, grid)

@@ -80,7 +80,7 @@ def _piece(raw) -> tuple:
                          f"{sorted(_FLAG_CODES)}, or (lo, hi, lo_closed, hi_closed); got {raw!r}")
     try:
         return float(raw[0]), float(raw[1]), lo_c, hi_c
-    except (TypeError, ValueError):
+    except (TypeError, ValueError, OverflowError):
         raise ValueError(f"interval endpoints must be numbers, got {raw!r}") from None
 
 
@@ -93,13 +93,16 @@ def _pieces(raws):
         for raw in raws:
             rows.append((raw.lo, raw.hi, raw.lo_closed, raw.hi_closed)
                         if isinstance(raw, Interval) else _piece(raw))
-    except (ValueError, OverflowError) as exc:
+    except ValueError as exc:
         return np.array(rows, dtype=float).reshape(-1, 4), exc
     return np.array(rows, dtype=float).reshape(-1, 4), None
 
 
 def _points(points) -> np.ndarray:
-    pts = np.fromiter(map(float, points), dtype=float)
+    try:
+        pts = np.fromiter(map(float, points), dtype=float)
+    except OverflowError:
+        raise ValueError("isolated points must be finite") from None
     if pts.size and not np.isfinite(pts).all():
         raise ValueError("isolated points must be finite")
     return pts

@@ -18,9 +18,15 @@ solutions:
     g(z, n0)   = [M_-(z, n0) - M_+(z, n0)]^-1             (diagonal Green)
 
 m_+ and m_- are both Herglotz; M_+ is Herglotz and M_- anti-Herglotz.  The
-phase xi(lambda, n0) = Arg(g(lambda+i0, n0))/pi lies in [0, 1]; the set
-{0 < xi < 1} recovers the ac spectrum through its essential closure, and
-xi = 1/2 (equivalently M_+ = conj(M_-)) characterizes reflectionless points.
+phase xi(lambda, n0) = Arg(g(lambda+i0, n0))/pi lies in [0, 1] (nan where
+undetermined); the set {0 < xi < 1} recovers the ac spectrum through its
+essential closure, and xi = 1/2 (equivalently M_+ = conj(M_-))
+characterizes reflectionless points.
+
+The kernel _weyl_grid returns all five quantities; the sweep, the phase
+grid and the one-point reads are boundary_analysis's, imported as
+boundary_weyl_grid, xi_grid, xi and weyl_data, with the reference points
+REFERENCE_EPS (1 + sup|b| + 2 sup|a|) above the axis.
 """
 
 from __future__ import annotations
@@ -30,10 +36,12 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .boundary_analysis import (REFERENCE_EPS, SweepFamily, exact_sweep, floquet_pair, memo,
-                                normalize_pair, one_point, phase_at, sweep_phase, transfer_matrix,
-                                transfer_product, transfer_trace, tridiagonal_resolvent)
-from .boundary_analysis import ac_spectrum, multiplicity_sets, reflectionless_on  # re-exported
+from .boundary_analysis import (SweepFamily, floquet_pair, memo_phase, memo_sweep, normalize_pair,
+                                transfer_matrix, transfer_product, transfer_trace,
+                                tridiagonal_resolvent)
+from .boundary_analysis import (ac_spectrum, multiplicity_sets, reflectionless_on,  # re-exported
+                                weyl_data, boundary_grid as boundary_weyl_grid,
+                                phase_at as xi, phase_grid as xi_grid)
 from .errors import check_keys
 
 
@@ -169,32 +177,6 @@ def _weyl_grid(J: JacobiCoefficients, zs, n0: int, near=0.0) -> dict:
             "floquet": tuple(branch)}
 
 
-def weyl_data(J: JacobiCoefficients, z: complex, n0: int) -> dict:
-    """m_plus, m_minus, M_plus, M_minus and g at (z, n0), z off the real
-    axis: _weyl_grid read at one point (boundary_analysis.one_point)."""
-    return one_point(_weyl_grid, J, z, n0)
-
-
-def boundary_weyl_grid(J: JacobiCoefficients, lams, n0: int) -> dict:
-    """Boundary values of the Weyl quantities on a real grid, read on the
-    axis by boundary_analysis.exact_sweep with the reference points
-    REFERENCE_EPS (1 + sup|b| + 2 sup|a|) above it: (value, error, ok) per
-    key plus the 'inf_'/'div_' flags."""
-    return exact_sweep(lambda zs, near: _weyl_grid(J, zs, n0, near), lams, False,
-                       REFERENCE_EPS * (1.0 + J.sup_bound()))
-
-
-def xi_grid(J: JacobiCoefficients, lams, n0: int):
-    """xi = Arg(g(lambda+i0, n0))/pi in [0, 1] over a real grid: (values,
-    errors, ok mask), by boundary_analysis.sweep_phase; xi = nan where not ok."""
-    return sweep_phase(_FAMILY, _FAMILY.sweep(J, lams, n0))
-
-
-def xi(J: JacobiCoefficients, lam: float, n0: int) -> float:
-    """Boundary phase of the diagonal Green's function, in [0, 1]."""
-    return phase_at(_FAMILY, J, lam, n0)
-
-
 def default_grid(J: JacobiCoefficients, points: int = 4001):
     """Spectral window [-sup|b|-2sup|a|-1, sup|b|+2sup|a|+1]."""
     R = J.sup_bound() + 1.0
@@ -202,9 +184,8 @@ def default_grid(J: JacobiCoefficients, points: int = 4001):
 
 
 _FAMILY = SweepFamily(
-    sweep=lambda J, lams, n0: memo(boundary_weyl_grid, J, lams, n0),
-    phase=lambda J, lams, n0: memo(xi_grid, J, lams, n0),
-    grid=default_grid, sites=lambda J: (0, 1), circle=False, pair=("M_plus", "M_minus"),
+    kernel=lambda J, zs, n0, near: _weyl_grid(J, zs, n0, near), sweep=memo_sweep,
+    phase=memo_phase, grid=default_grid, sites=lambda J: (0, 1), circle=False, pair=("M_plus", "M_minus"),
     phase_key="g",
     csv_columns=(("lambda", "loc"), ("xi", "phase"), ("error_estimate", "err"),
                  ("verdict", "verdict")))

@@ -24,6 +24,13 @@ is Herglotz (free: i/(2 sqrt(z))); its boundary phase xi = Arg g(lam+i0)/pi
 lies in [0, 1], equals 1/2 exactly where the operator is reflectionless, and
 {0 < xi < 1} recovers the ac spectrum through its essential closure.  The
 periodic spectrum is also {|tr monodromy| <= 2} (discriminant), a check.
+
+The sweep, the phase grid and the one-point reads of the kernel are
+boundary_analysis's, imported as boundary_schrodinger_grid, xi_grid, xi
+and weyl_data, with the reference points REFERENCE_EPS (1 + sup|V|) above
+the axis.  At a closed gap (lambda = (k pi/L)^2 for the free cell) the
+monodromy is +-I, and the axis value takes the reference's eigenvectors
+(floquet_pair).
 """
 
 from __future__ import annotations
@@ -36,10 +43,11 @@ from functools import cached_property
 
 import numpy as np
 
-from .boundary_analysis import (REFERENCE_EPS, SweepFamily, exact_sweep, floquet_pair, memo,
-                                normalize_pair, one_point, phase_at, sweep_phase, transfer_matrix,
-                                transfer_product, transfer_trace)
-from .boundary_analysis import ac_spectrum, multiplicity_sets, reflectionless_on  # re-exported
+from .boundary_analysis import (SweepFamily, floquet_pair, memo, memo_phase, memo_sweep,
+                                normalize_pair, transfer_matrix, transfer_product, transfer_trace)
+from .boundary_analysis import (ac_spectrum, multiplicity_sets, reflectionless_on,  # re-exported
+                                weyl_data, boundary_grid as boundary_schrodinger_grid,
+                                phase_at as xi, phase_grid as xi_grid)
 from .errors import check_keys
 
 LAMBDA_TOP = 25.0
@@ -203,12 +211,6 @@ def _m_grid(V: PiecewisePotential, zs, x0: float, near=0.0) -> dict:
     return {"m_plus": mp, "m_minus": mm, "g": 1.0 / (mm - mp), "floquet": tuple(branch)}
 
 
-def weyl_data(V: PiecewisePotential, z: complex, x0: float = 0.0) -> dict:
-    """m_plus, m_minus and g at (z, x0), z off the real axis: _m_grid read
-    at one point (boundary_analysis.one_point)."""
-    return one_point(_m_grid, V, z, x0)
-
-
 def green_identity_residual(V: PiecewisePotential, zs, x0: float = 0.0) -> float:
     """Max residual of |g*(m_- - m_+) - 1| where g = psi_+ psi_- / W with the
     Wronskian W evaluated at x1, halfway from x0 + L/2 to the next
@@ -270,37 +272,14 @@ def discriminant(V: PiecewisePotential, lams) -> np.ndarray:
 # ---------------------------------------------------------------------------
 # Boundary values and the xi phase
 
-def boundary_schrodinger_grid(V: PiecewisePotential, lams, x0: float) -> dict:
-    """Boundary values of m_+, m_-, g on a real grid, read on the axis by
-    boundary_analysis.exact_sweep with the reference points REFERENCE_EPS
-    (1 + sup|V|) above it: (value, error, ok) per key plus the
-    'inf_'/'div_' flags."""
-    return exact_sweep(lambda zs, near: _m_grid(V, zs, x0, near), lams, False,
-                       REFERENCE_EPS * (1.0 + V.sup_bound()))
-
-
-def xi_grid(V: PiecewisePotential, lams, x0: float = 0.0):
-    """xi(lam) = Arg g(lam + i0)/pi over a grid: (values, errors, ok mask),
-    by boundary_analysis.sweep_phase.  At a closed gap (lambda = (k pi/L)^2
-    for the free cell) the monodromy is +-I, and the axis value takes the
-    reference's eigenvectors (floquet_pair)."""
-    return sweep_phase(_FAMILY, _FAMILY.sweep(V, lams, x0))
-
-
-def xi(V: PiecewisePotential, lam: float, x0: float = 0.0) -> float:
-    """Boundary phase of the diagonal Green's function, in [0, 1]."""
-    return phase_at(_FAMILY, V, lam, x0)
-
-
 def default_grid(V: PiecewisePotential, points: int = 2001) -> np.ndarray:
     """Uniform grid on [-sup|V| - 1, 25]."""
     return np.linspace(-V.sup_bound() - 1.0, LAMBDA_TOP, points)
 
 
 _FAMILY = SweepFamily(
-    sweep=lambda V, lams, x0: memo(boundary_schrodinger_grid, V, lams, x0),
-    phase=lambda V, lams, x0: memo(xi_grid, V, lams, x0),
-    grid=default_grid, sites=lambda V: (0.0, 0.5 * V.period), circle=False,
+    kernel=lambda V, zs, x0, near: _m_grid(V, zs, x0, near), sweep=memo_sweep,
+    phase=memo_phase, grid=default_grid, sites=lambda V: (0.0, 0.5 * V.period), circle=False,
     pair=("m_plus", "m_minus"), phase_key="g",
     csv_columns=(("lambda", "loc"), ("xi", "phase"), ("re_g", "re"), ("im_g", "im"),
                  ("verdict", "verdict")), site_word="points")

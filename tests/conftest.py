@@ -252,6 +252,7 @@ def _steplike_family(kernel, grid, sites, pair, circle=False) -> SweepFamily:
         return exact_sweep(lambda zs, near: kernel(L, R, zs, site, near), grid, circle, eps)
 
     fam = SweepFamily(
+        kernel=lambda op, zs, site, near: kernel(*op, zs, site, near),
         sweep=lambda op, grid, site: memo(sweep, op, grid, site),
         phase=lambda op, grid, site: sweep_phase(fam, fam.sweep(op, grid, site)),
         grid=grid, sites=sites, circle=circle, pair=pair,

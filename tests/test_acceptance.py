@@ -232,12 +232,12 @@ def test_criterion_5_geronimus_cmv(geronimus_cmv):
 def test_criterion_6_free_schrodinger(free_schrodinger):
     rng = np.random.default_rng(6)
     lams = rng.uniform(0.5, 20.0, 20)
-    vals, _, ok = schrodinger.xi_grid(free_schrodinger, lams)
+    vals, _, ok = schrodinger.xi_grid(free_schrodinger, lams, 0.0)
     xi_dev = float(np.abs(vals - 0.5).max())
     xi_ok = bool(ok.all()) and xi_dev <= 1e-4
 
     neg = np.array([-3.0, -1.0, -0.25])
-    nvals, _, nok = schrodinger.xi_grid(free_schrodinger, neg)
+    nvals, _, nok = schrodinger.xi_grid(free_schrodinger, neg, 0.0)
     neg_dev = float(np.abs(nvals).max())
     neg_ok = bool(nok.all()) and neg_dev <= 1e-4
 

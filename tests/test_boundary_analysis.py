@@ -66,7 +66,7 @@ def family(circle, zero_floor=False, columns=()):
 
     def sweep(op, grid, site):
         return accepted_sweep(boundary_sweep(kernel, grid, circle))
-    fam = SweepFamily(sweep=sweep,
+    fam = SweepFamily(kernel=None, sweep=sweep,
                       phase=lambda op, grid, site: sweep_phase(fam, sweep(op, grid, site)),
                       grid=None, sites=lambda op: (0, 1), circle=circle,
                       pair=(key, key), phase_key=key,
@@ -433,7 +433,7 @@ class TestOffAxisRule:
         Mp = np.array([1.0, 1.0, 1.0, 1.0 + 1e-3j], dtype=complex)
         Mm = np.array([1.0 + 3e-10, 1.0 + 5e-10, 1.0 - 1e-3j, 1.0 - 1e-3j], dtype=complex)
         bd = {**sweep_of("p", Mp), **sweep_of("q", Mm)}
-        fam = SweepFamily(sweep=lambda op, grid, site: bd, phase=None, grid=None,
+        fam = SweepFamily(kernel=None, sweep=lambda op, grid, site: bd, phase=None, grid=None,
                           sites=lambda op: (0, 1), circle=False, pair=("p", "q"),
                           phase_key="p", csv_columns=())
         M2, M1 = sweep_multiplicity_sets(fam, None, np.arange(4.0))
@@ -522,7 +522,7 @@ class TestSweepCsv:
         conv = np.array([True, True, True, False, True, True, False, True, True])
         bd = {"p": (v, err, conv), "inf_p": np.zeros(v.shape, bool),
               "div_p": np.arange(v.size) == 5}
-        fam = SweepFamily(sweep=lambda op, grid, site: bd,
+        fam = SweepFamily(kernel=None, sweep=lambda op, grid, site: bd,
                           phase=lambda op, grid, site: sweep_phase(fam, bd), grid=None,
                           sites=lambda op: (0, 1), circle=circle, pair=("p", "p"),
                           phase_key="p", csv_columns=self.COLUMNS)

@@ -175,8 +175,8 @@ class TestWeylData:
     def test_free_closed_forms(self, free_cmv):
         z = 0.3 + 0.4j
         wd = weyl_data(free_cmv, z, 0)
-        assert wd["m_plus"] == pytest.approx(1.0)
-        assert wd["m_minus"] == pytest.approx(-1.0)
+        assert wd["M_plus"] == pytest.approx(1.0)
+        assert cmv._m_grid(free_cmv, np.array([z]), 0, "-")["m"][0] == pytest.approx(-1.0)
         assert M11(free_cmv, z, 0) == pytest.approx(1.0)
 
     @given(st.floats(0.02, 0.93), st.floats(0, TWO_PI))
@@ -185,7 +185,7 @@ class TestWeylData:
         V = VerblunskyCoefficients(2, (0.4, -0.2 + 0.3j))
         z = r * complex(math.cos(phi), math.sin(phi))
         wd = weyl_data(V, z, 0)
-        assert wd["m_plus"].real > 0 and wd["m_minus"].real < 0
+        assert wd["M_plus"].real > 0 and cmv._m_grid(V, np.array([z]), 0, "-")["m"][0].real < 0
         assert wd["M_plus"].real > 0 and wd["M_minus"].real < 0
         assert wd["M11"].real > 0
 
@@ -199,7 +199,7 @@ class TestWeylData:
     def test_degenerate_denominator_guard(self, free_cmv, monkeypatch):
         """M11's formula mode refuses a point where its kernel gives M_+ = M_-."""
         half = np.array([0.5 + 0.0j])
-        monkeypatch.setattr(cmv, "_M11_grid", lambda V, zs, n0: {
+        monkeypatch.setattr(cmv, "_M11_grid", lambda V, zs, n0, near=0.0: {
             "M_plus": half, "M_minus": half, "M11": np.array([np.inf + 0.0j]),
             "floquet": (np.zeros((2, 5, 1), dtype=complex), np.array([False]))})
         with pytest.raises(DegenerateDenominator):
@@ -221,8 +221,8 @@ class TestWeylData:
         V, z = VerblunskyCoefficients(2, (0.4, -0.2 + 0.3j), patch=((1, 0.5j),)), 0.2 - 0.5j
         wd = weyl_data(V, z, 1)
         one = np.array([z])
-        assert wd["m_plus"] == wd["M_plus"] == cmv._m_grid(V, one, 1, "+")["m"][0]
-        assert wd["m_minus"] == cmv._m_grid(V, one, 1, "-")["m"][0]
+        assert wd["M_plus"] == cmv._m_grid(V, one, 1, "+")["m"][0]
+        assert wd["M_minus"] == cmv._twist(V.alpha(1), cmv._m_grid(V, one, 0, "-")["m"])[0]
         assert wd["M_minus"] == pytest.approx(cmv._M11_grid(V, one, 1)["M_minus"][0], rel=1e-13)
         assert wd["M11"] == pytest.approx(M11(V, z, 1), rel=1e-13)
 

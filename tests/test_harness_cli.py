@@ -11,7 +11,7 @@ import numpy as np
 import pytest
 
 import acspectra
-from acspectra import cmv, harness_cli, jacobi
+from acspectra import boundary_analysis, cmv, harness_cli, jacobi
 from acspectra.errors import SiteDisagreement
 from acspectra.harness_cli import (OPERATOR_TYPES, UnknownOperatorType, _csv_for,
                                    build_operator, bundled_config_path, closure_main,
@@ -149,15 +149,15 @@ class TestFailureLines:
     def test_undetermined_bound(self, monkeypatch, count, status):
         """The phase of site 1 undetermined at the first count of 1000 grid
         points, below the band: at 1% the report PASSes, past it it FAILs."""
-        xi_grid = jacobi.xi_grid
+        phase_grid = boundary_analysis.phase_grid
 
         def stub(J, lams, n0):
-            vals, errs, ok = xi_grid(J, lams, n0)
+            vals, errs, ok = phase_grid(J, lams, n0)
             if n0 == 1:
                 ok = ok.copy()
                 ok[:count] = False
             return np.where(ok, vals, np.nan), errs, ok
-        monkeypatch.setattr(jacobi, "xi_grid", stub)
+        monkeypatch.setattr(boundary_analysis, "phase_grid", stub)
         rep = verify_inclusion(FREE_JACOBI, E_JACOBI, {"start": -3.0, "stop": 3.0, "points": 1000})
         assert rep.status == status
         assert rep.failures == ([] if status == "PASS" else
@@ -485,14 +485,14 @@ def site_one_cut(monkeypatch):
     """Site 1 of every Jacobi operator reads its phase on the axis below
     -3.0253, so the ac spectra of SITE_DISAGREEMENT's two sites differ by 4
     grid steps at the lower edge."""
-    xi_grid = jacobi.xi_grid
+    phase_grid = boundary_analysis.phase_grid
 
     def cut(J, lams, n0):
-        vals, errs, ok = xi_grid(J, lams, n0)
+        vals, errs, ok = phase_grid(J, lams, n0)
         if n0 == 1:
             vals = np.where(ok & (np.asarray(lams) < -3.0253), 0.0, vals)
         return vals, errs, ok
-    monkeypatch.setattr(jacobi, "xi_grid", cut)
+    monkeypatch.setattr(boundary_analysis, "phase_grid", cut)
 
 
 def test_both_sites_read_one_ac_spectrum_and_no_m1_interval():
@@ -738,13 +738,16 @@ class TestClosureCli:
         '{"family": "rational_fat", "truncation": 5, "radius_base": 0.5}',
         '{"family": "rational_fat", "truncation": 5, "radius_base": 1e400}',
         '{"family": "rational_fat", "truncation": 5, "radius_base": 1%s}' % ("0" * 400),
-        '{"points": [1%s]}' % ("0" * 400)])
+        '{"points": [1%s]}' % ("0" * 400),
+        '{"intervals": [[0, 1%s, "cc"]]}' % ("0" * 400),
+        '{"carrier": "circle", "intervals": [[0, 1%s, "cc"]]}' % ("0" * 400)])
     def test_set_json_out_of_range_exits_2(self, tmp_path, capsys, text):
         """A rational_fat truncation that is not a whole number >= 1, a
         radius base that is not a finite number > 1, and a number past the
         float range exit 2 with one error line and write nothing; a
-        truncation of 0 and an integer past the float range once ended in a
-        traceback, and 2.5 was read as 2."""
+        truncation of 0 and an integer past the float range (a point, a
+        line or a circle interval end) once ended in a traceback, and 2.5
+        was read as 2."""
         src, out = tmp_path / "s.json", tmp_path / "out.json"
         src.write_text(text, encoding="utf-8")
         assert closure_main(["essential", "--input", str(src), "--output", str(out)]) == 2
@@ -768,7 +771,7 @@ def test_csv_columns_and_cells(request, fixture):
     kind = op.to_descriptor()["type"]
     fam = harness_cli.family(op)
     grid = fam.grid(op)
-    lines = _csv_for(kind, op, grid).split("\n")
+    lines = _csv_for(op, grid).split("\n")
     assert lines.pop() == ""
     assert lines[0] == CSV_HEADERS[kind]
     header = lines[0].split(",")

@@ -635,6 +635,9 @@ class TestEdgeBehaviour:
         ([(0, math.nan, "xx"), (0, 1)], (), "interval spec must be"),
         ([(1, 0)], [math.nan], "lo > hi"),
         ([(0, 1)], [math.inf], "isolated points must be finite"),
+        ([(0, 10 ** 400)], (), "must be numbers"),
+        ([(1, 0), (0, 10 ** 400)], (), "lo > hi"),
+        ([(0, 1)], [10 ** 400], "isolated points must be finite"),
     ])
     def test_first_malformed_piece_raises_its_own_error(self, raw, points, message):
         with pytest.raises(ValueError, match=message):
@@ -661,6 +664,14 @@ class TestEdgeBehaviour:
                 circle_set([(0.5, 1.0), arc])
             with pytest.raises(ValueError, match="isolated points must be finite"):
                 circle_set([(0.5, 1.0)], [x for x in arc if not math.isfinite(x)])
+
+    def test_circle_set_refuses_ends_past_the_float_range(self):
+        """An integer end or point past the float range is a malformed spec
+        (ValueError), as a non-number is, not an OverflowError."""
+        with pytest.raises(ValueError, match="must be numbers"):
+            circle_set([(0, 10 ** 400)])
+        with pytest.raises(ValueError, match="isolated points must be finite"):
+            circle_set([(0.5, 1.0)], [10 ** 400])
 
     def test_circle_less_angle_zero_starts_at_plus_zero(self):
         """A component open at both ends from 0 to 2pi is the arc (0.0, 2pi),

@@ -97,10 +97,10 @@ def test_cmv_one_point_values_are_kernel_reads(V, z, n0):
     want = _read(cmv._M11_grid, V, z, n0)
     _same_bits(cmv.M11(V, z, n0), want["M11"])
     wd = cmv.weyl_data(V, z, n0)
-    assert wd.keys() == {"m_plus", "m_minus"} | want.keys()
-    _same_bits(wd["m_plus"], want["M_plus"])
-    _same_bits(wd["m_plus"], _read(cmv._m_grid, V, z, n0, "+")["m"])
-    _same_bits(wd["m_minus"], _read(cmv._m_grid, V, z, n0, "-")["m"])
+    assert wd.keys() == want.keys() == {"M_plus", "M_minus", "M11"}
+    _same_bits(wd["M_plus"], _read(cmv._m_grid, V, z, n0, "+")["m"])
+    mm = cmv._m_grid(V, np.array([z]), n0 - 1, "-")["m"]
+    _same_bits(wd["M_minus"], complex(cmv._twist(V.alpha(n0), mm)[0]))
     for key, value in want.items():
         _same_bits(wd[key], value)
 
@@ -114,7 +114,7 @@ ONE_POINT = {
     "schrodinger": [(lambda zs: schrodinger._m_grid(S0, zs, 0.0),
                      [lambda z: schrodinger.weyl_data(S0, z, 0.0)])],
     "cmv": [(lambda zs: cmv._m_grid(C0, zs, 0, "+"), [lambda z: cmv.weyl_data(C0, z, 0)]),
-            (lambda zs: cmv._m_grid(C0, zs, 0, "-"), [lambda z: cmv.weyl_data(C0, z, 0)]),
+            (lambda zs: cmv._m_grid(C0, zs, -1, "-"), [lambda z: cmv.weyl_data(C0, z, 0)]),
             (lambda zs: cmv._M11_grid(C0, zs, 0),
              [lambda z: cmv.M11(C0, z, 0), lambda z: cmv.weyl_data(C0, z, 0)])],
 }

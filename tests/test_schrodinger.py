@@ -197,18 +197,18 @@ class TestWeylData:
 class TestXi:
     def test_free_interior_half(self, free_schrodinger):
         for lam in (0.5, 4.0, 11.0, 20.0):
-            assert xi(free_schrodinger, lam) == pytest.approx(0.5, abs=1e-4)
+            assert xi(free_schrodinger, lam, 0.0) == pytest.approx(0.5, abs=1e-4)
 
     def test_free_below_spectrum(self, free_schrodinger):
         for lam in (-0.5, -2.0):
-            assert xi(free_schrodinger, lam) == pytest.approx(0.0, abs=1e-4)
+            assert xi(free_schrodinger, lam, 0.0) == pytest.approx(0.0, abs=1e-4)
 
     def test_grid_masks_accept_closing_gaps(self, free_schrodinger):
         # lambda = (k pi)^2 are closing band edges of the period-1
         # representation; the eigenvector there is noisy at the 1e-10 level
         # and the sweep must still accept the points
         lams = np.array([math.pi ** 2, 4 * math.pi ** 2, 9 * math.pi ** 2])
-        vals, err, ok = xi_grid(free_schrodinger, lams)
+        vals, err, ok = xi_grid(free_schrodinger, lams, 0.0)
         assert ok.all()
         assert np.abs(vals - 0.5).max() < 1e-4
 

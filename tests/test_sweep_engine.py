@@ -40,12 +40,11 @@ def test_sweeps_per_report(request, monkeypatch, fixture, grid_config, expected)
     the multiplicity sets, the CSV and, for CMV, the boundary identity
     residual on angles of E read again."""
     calls, phases = [], []
-    for (mod, name), phase in zip(SWEEPS, ("xi_grid", "Xi11_grid", "xi_grid")):
-        for fn, log in ((name, calls), (phase, phases)):
-            def counting(*args, _fn=getattr(mod, fn), _log=log, **kwargs):
-                _log.append(_fn)
-                return _fn(*args, **kwargs)
-            monkeypatch.setattr(mod, fn, counting)
+    for fn, log in (("boundary_grid", calls), ("phase_grid", phases)):
+        def counting(*args, _fn=getattr(boundary_analysis, fn), _log=log, **kwargs):
+            _log.append(_fn)
+            return _fn(*args, **kwargs)
+        monkeypatch.setattr(boundary_analysis, fn, counting)
     op = request.getfixturevalue(fixture)
     descriptor = op.to_descriptor()
     kind = descriptor["type"]
@@ -53,7 +52,7 @@ def test_sweeps_per_report(request, monkeypatch, fixture, grid_config, expected)
         rep = verify_inclusion(descriptor, grid_config=grid_config)
         assert rep.status == "PASS"
         grid, _ = _resolve_grid(kind, op, grid_config)
-        _csv_for(kind, op, grid)
+        _csv_for(op, grid)
     assert len(calls) == expected and len(phases) == 2
 
 
@@ -85,8 +84,7 @@ def test_sweep_phase_calls_per_entry(tmp_path, monkeypatch, request, fixture):
     def counting(fam, bd):
         sizes.append(bd[fam.phase_key][0].size)
         return phase(fam, bd)
-    for m in (boundary_analysis, mod):
-        monkeypatch.setattr(m, "sweep_phase", counting)
+    monkeypatch.setattr(boundary_analysis, "sweep_phase", counting)
     monkeypatch.setattr(mod, kernel.__name__, lambda *a, **k: kernels.append(1) or kernel(*a, **k))
     op = request.getfixturevalue(fixture)
     kind = op.to_descriptor()["type"]
@@ -96,7 +94,7 @@ def test_sweep_phase_calls_per_entry(tmp_path, monkeypatch, request, fixture):
     assert sizes == [grid.size] * 2, sizes
     sizes.clear()
     kernels.clear()
-    assert _csv_for(kind, op, grid).encode() == files["op.csv"]
+    assert _csv_for(op, grid).encode() == files["op.csv"]
     assert sizes == [grid.size] and len(kernels) == 2
 
 
@@ -115,7 +113,7 @@ def test_seeds_per_schrodinger_report(monkeypatch, square_well):
     with sweep_scope():
         assert verify_inclusion(descriptor).status == "PASS"
         grid, _ = _resolve_grid("schrodinger", square_well, None)
-        _csv_for("schrodinger", square_well, grid)
+        _csv_for(square_well, grid)
     draws = TOLERANCES["identity_draws"][0]
     assert sorted(sizes) == sorted([grid.size] * 2 + [draws])
     assert len(kernel_calls) == 4
@@ -513,7 +511,7 @@ def test_scoped_report_equals_standalone_calls(tmp_path, kind):
     assert report["reflectionless"]["defect_points"] == same(list(refl.defect_points))
     assert report["multiplicity"]["M2"] == same(set_to_json(M2))
     assert report["multiplicity"]["M1"] == same(set_to_json(M1))
-    assert files["op.csv"] == _csv_for(kind, op, grid).encode()
+    assert files["op.csv"] == _csv_for(op, grid).encode()
 
 
 @pytest.mark.parametrize("kind", ["jacobi", "cmv", "schrodinger"])
@@ -619,3 +617,42 @@ def test_period_multiples_read_the_same_operator(kind, period, m, patched):
     assert one["theorem_inclusion"]["status"] == many["theorem_inclusion"]["status"]
     assert one["ac_spectrum"] == many["ac_spectrum"]
     assert one["multiplicity"] == many["multiplicity"]
+
+
+def _dyadic_jacobi(rng, shift=0.0):
+    """A seeded Jacobi operator of period 1-4 patched on 1-3 sites, each a
+    in [1/2, 3/2] and b in [-1, 1] a multiple of 2^-7, and the same
+    operator with every b moved by shift."""
+    period = int(rng.integers(1, 5))
+    a = rng.integers(64, 193, period + 3) / 128.0
+    b = rng.integers(-128, 129, period + 3) / 128.0
+    sites = rng.choice(np.arange(-3, 4), int(rng.integers(1, 4)), replace=False).tolist()
+
+    def op(s):
+        return jacobi.JacobiCoefficients(period, a[:period], b[:period] + s,
+                                         {n: (a[period + k], b[period + k] + s)
+                                          for k, n in enumerate(sites)})
+    return op(0.0), op(shift)
+
+
+def _moved(S, s):
+    """The line set S translated by s."""
+    return canonicalize([(iv.lo + s, iv.hi + s, iv.lo_closed, iv.hi_closed) for iv in S.intervals],
+                        [x + s for x in S.isolated_points])
+
+
+@pytest.mark.parametrize("seed", range(10))
+def test_shifted_diagonal_moves_the_sets_by_the_shift(seed):
+    """b -> b + s moves the spectrum of a Jacobi operator by s.  With the
+    coefficients multiples of 2^-7, s = +-2^k (k in [-4, 1]) and a grid of
+    step 2^-9, z - b(n) has the same bits on the moved grid, so the ac
+    spectrum, M2 and M1 of the shifted operator on grid + s are exactly the
+    unshifted sets moved by s."""
+    rng = np.random.default_rng(3400 + seed)
+    s = float(rng.choice([-1.0, 1.0]) * 2.0 ** int(rng.integers(-4, 2)))
+    J, shifted = _dyadic_jacobi(rng, s)
+    grid = np.arange(-2600, 2601) * 2.0 ** -9
+    ac, moved = jacobi.ac_spectrum(J, grid), jacobi.ac_spectrum(shifted, grid + s)
+    assert ac.intervals and moved == _moved(ac, s)
+    for S, T in zip(jacobi.multiplicity_sets(J, grid), jacobi.multiplicity_sets(shifted, grid + s)):
+        assert T == _moved(S, s)

@@ -38,14 +38,37 @@ def test_every_hook_resolves_but_the_known_absent():
 
 
 SHARED = ("ac_spectrum", "reflectionless_on", "multiplicity_sets")
+# each shared read of boundary_analysis -> its name in jacobi, cmv and schrodinger
+ALIASES = {"boundary_grid": ("boundary_weyl_grid", "boundary_cmv_grid",
+                             "boundary_schrodinger_grid"),
+           "phase_grid": ("xi_grid", "Xi11_grid", "xi_grid"),
+           "phase_at": ("xi", "Xi11", "xi"),
+           "weyl_data": ("weyl_data", "weyl_data", "weyl_data")}
+# kernel calls of one report: two sweeps of two calls each, plus one batch
+# of identity draws (Jacobi, CMV)
+KERNEL_CALLS = {"jacobi": 5, "cmv": 5, "schrodinger": 4}
+
+
+def test_family_names_are_the_shared_functions():
+    """The sweep, phase grid, one-point phase and weyl_data of every family
+    are boundary_analysis's, under the family module's names."""
+    for shared, names in ALIASES.items():
+        fn = getattr(boundary_analysis, shared)
+        for mod, name in zip((jacobi, cmv, schrodinger), names):
+            assert mod.__dict__[name] is fn, (mod.__name__, name)
 
 
 def test_hooks_fire_through_the_shared_names(period2_jacobi, geronimus_cmv, square_well):
-    """The derived-set hooks name each family module's ac_spectrum,
-    reflectionless_on and multiplicity_sets, which are boundary_analysis's;
-    the tracer wraps every binding of them, so each report counts one call
-    of each and its two sweeps, and uninstall restores every binding."""
+    """The derived-set, sweep and phase hooks name each family module's
+    functions, which are boundary_analysis's; the tracer wraps every binding
+    of them, so each report counts one call of each derived set, its two
+    sweeps and its family's kernel calls, the phase hook sees its points,
+    and uninstall restores every binding."""
     modules = (acspectra, boundary_analysis, cmv, harness_cli, jacobi, schrodinger)
+    names = set(SHARED) | set(ALIASES) | {n for group in ALIASES.values() for n in group} \
+        | {"_weyl_grid", "_M11_grid", "_m_grid"}
+    before = [(mod, name, mod.__dict__[name]) for mod in modules for name in names
+              if name in mod.__dict__]
     shared = {name: getattr(boundary_analysis, name) for name in SHARED}
     for name, fn in shared.items():
         assert jacobi.__dict__[name] is cmv.__dict__[name] is schrodinger.__dict__[name] is fn
@@ -60,12 +83,20 @@ def test_hooks_fire_through_the_shared_names(period2_jacobi, geronimus_cmv, squa
                 lambda: harness_cli.verify_inclusion(op.to_descriptor(), grid_config=grid))
             assert rep.status == "PASS"
             stats.add_op(tracer.spans, first)
+            one = tracing.LayerStats()
+            one.add_op(tracer.spans, first)
+            assert one.calls["sweep"] == 2, rep.family
+            assert {k: c for k, c in one.calls.items() if k.endswith(".kernel")} == {
+                f"{rep.family}.kernel": KERNEL_CALLS[rep.family]}
     finally:
         tracer.uninstall()
     assert stats.ops == 3
     for name in SHARED:
         assert stats.calls[f"derived.{name}"] == 3, name
     assert stats.calls["sweep"] == 6
+    assert tracer.phase_points > 0
     for mod in modules:
         for name, fn in shared.items():
             assert getattr(mod, name) is fn, (mod.__name__, name)
+    for mod, name, fn in before:
+        assert mod.__dict__[name] is fn, (mod.__name__, name)
