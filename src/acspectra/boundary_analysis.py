@@ -29,13 +29,15 @@ The sweeps serve the Jacobi, CMV and Schrodinger modules: one exact
 sweep, grid rule, phase, ac hull, reflectionless test, multiplicity
 classifier and CSV writer, with each family's conventions passed as
 data, plus the Floquet chooser and 2x2 helpers of the kernels.  Every
-read runs with family(op), the operator's SweepFamily, whose kernel is
-its module's: boundary_grid sweeps it, phase_grid (sweep_phase's one
-caller) reads the phase off that sweep, phase_at and weyl_data read the
-phase grid and the kernel at one point, and ac_spectrum,
-reflectionless_on and multiplicity_sets run the sweeps.  Each family
-module imports them under its own names (boundary_weyl_grid, Xi11_grid,
-xi, ...), so the names of one concept are one function.  The
+read is one function of the operator and runs with family(op), the
+SweepFamily its type carries as _FAMILY, whose kernel is its module's:
+boundary_grid sweeps it, phase_grid (sweep_phase's one caller) reads the
+phase off that sweep, phase_at and weyl_data read the phase grid and the
+kernel at one point, and ac_spectrum, reflectionless_on,
+multiplicity_sets and sweep_csv read the sweeps and phases through
+memo_sweep and memo_phase.  Each family module imports them under its
+own names (boundary_weyl_grid, Xi11_grid, xi, ...), so the names of one
+concept are one function.  The
 reflectionless test reads E in its intervals only (tested_mask): it is
 almost-everywhere, and isolated points are null.
 
@@ -69,7 +71,6 @@ from products of 2x2 continued-fraction steps.
 from __future__ import annotations
 
 import math
-import sys
 from contextlib import contextmanager
 from dataclasses import dataclass, replace
 
@@ -287,15 +288,11 @@ class ReflectionlessReport:
 class SweepFamily:
     """An operator family's conventions, as data for the shared grid sweeps.
 
-    Each family module holds its record as _FAMILY, where family(op) finds
-    it.  Its kernel is a lambda over the module's grid kernel, so that the
-    kernel is looked up at call time; its sweep and phase are memo_sweep and
-    memo_phase, the memo reads of boundary_grid and phase_grid, so a report
-    scope computes each once per site.
+    Each family module sets its record on its coefficient type as _FAMILY,
+    where family(op) finds it.  Its kernel is a lambda over the module's
+    grid kernel, so that the kernel is looked up at call time.
     """
     kernel: callable        # kernel(op, zs, site, near) -> {key: array, 'floquet': ...}
-    sweep: callable         # sweep(op, grid, site) -> exact_sweep dict
-    phase: callable         # phase(op, grid, site) -> (values, errors, ok)
     grid: callable          # grid(op) -> default grid
     sites: callable         # sites(op) -> (first, second) reference sites
     circle: bool            # carrier: the unit circle (angles), else the real line
@@ -316,8 +313,8 @@ class SweepFamily:
 
 
 def family(op) -> SweepFamily:
-    """The SweepFamily of an operator or its type: its module's _FAMILY."""
-    return sys.modules[op.__module__]._FAMILY
+    """The SweepFamily of an operator or its type: the type's _FAMILY."""
+    return op._FAMILY
 
 
 def sweep_grid(fam: SweepFamily, op, grid):
@@ -477,24 +474,23 @@ def boundary_grid(op, grid, site) -> dict:
 def phase_grid(op, grid, site):
     """The boundary phase of op's family on a grid at a reference site:
     sweep_phase of its sweep, (values, errors, ok), nan where not ok."""
-    fam = family(op)
-    return sweep_phase(fam, fam.sweep(op, grid, site))
+    return sweep_phase(family(op), memo_sweep(op, grid, site))
 
 
 def memo_sweep(op, grid, site) -> dict:
-    """boundary_grid, a memo read (each family record's sweep)."""
+    """boundary_grid, a memo read."""
     return memo(boundary_grid, op, grid, site)
 
 
 def memo_phase(op, grid, site):
-    """phase_grid, a memo read (each family record's phase)."""
+    """phase_grid, a memo read."""
     return memo(phase_grid, op, grid, site)
 
 
 def phase_at(op, loc: float, site) -> float:
     """The boundary phase at the one grid point loc, op's family phase grid
     read there at the given site; NonConvergent where it is undetermined."""
-    vals, _, ok = family(op).phase(op, np.array([float(loc)]), site)
+    vals, _, ok = memo_phase(op, np.array([float(loc)]), site)
     if not bool(ok[0]):
         raise NonConvergent(f"boundary phase undetermined at {loc}, reference {site}")
     return float(vals[0])
@@ -516,17 +512,18 @@ def weyl_data(op, z, site) -> dict:
 
 
 @sweep_scope()
-def sweep_csv(fam: SweepFamily, op, grid) -> str:
+def sweep_csv(op, grid) -> str:
     """Per-point CSV, LF line ends, of the boundary phase at the first
-    reference site, in the columns of fam.csv_columns.  A phase cell is
-    empty where the point is undetermined, a re/im cell where the phase
-    key's value is not ok.  Each row takes the template of its verdict word
-    and present cells; one % formats the whole table.  The sweep and the
-    phase are the family's memo reads, in a report's scope or its own."""
+    reference site, in the columns of the family's csv_columns.  A phase
+    cell is empty where the point is undetermined, a re/im cell where the
+    phase key's value is not ok.  Each row takes the template of its
+    verdict word and present cells; one % formats the whole table.  The
+    sweep and the phase are memo reads, in a report's scope or its own."""
+    fam = family(op)
     grid = np.asarray(grid, dtype=float)
     site = fam.sites(op)[0]
-    v, _, conv = fam.sweep(op, grid, site)[fam.phase_key]
-    vals, errs, ok = fam.phase(op, grid, site)
+    v, _, conv = memo_sweep(op, grid, site)[fam.phase_key]
+    vals, errs, ok = memo_phase(op, grid, site)
     words = ("undetermined", "interior", "edge" if fam.circle else "exterior")
     word = np.where(ok, np.where(interior(fam, vals), 1, 2), 0)
     # numeric cell kinds: (values, format, present given ok and conv)
@@ -554,14 +551,15 @@ def sweep_csv(fam: SweepFamily, op, grid) -> str:
     return f"{header}\n" + body % tuple(values[present].tolist())
 
 
-def sweep_ac_spectrum(fam: SweepFamily, op, grid):
+def ac_spectrum(op, grid=None):
     """Essential closure of the grid hull of the interior-phase points at
     the first reference site; a disagreement with the second site
     beyond two grid steps raises SiteDisagreement, carrying the first set."""
+    fam = family(op)
     grid, step = sweep_grid(fam, op, grid)
 
     def one_site(site):
-        passing = grid[interior(fam, fam.phase(op, grid, site)[0])]
+        passing = grid[interior(fam, memo_phase(op, grid, site)[0])]
         return essential_closure(fam.hull(passing, step))
 
     first, second = fam.sites(op)
@@ -582,13 +580,14 @@ def tested_mask(E, grid):
 
 
 @sweep_scope()
-def sweep_reflectionless(fam: SweepFamily, op, E, grid, tol: float) -> ReflectionlessReport:
+def reflectionless_on(op, E, grid=None, tol: float = 1e-4) -> ReflectionlessReport:
     """Boundary matching of the pair on the grid points of tested_mask(E)
     at both sites: M_+ is the reflection of M_- (conj across the line,
     -conj across the circle) at more than 99% of the points, phase at its
     center; in its own sweep scope, as sweep_csv, where no report opened one."""
     if E.measure() <= 0.0:
         raise ValueError("reflectionless test needs a set of positive measure")
+    fam = family(op)
     grid, _ = sweep_grid(fam, op, grid)
     inside = tested_mask(E, grid)
     lams = grid[inside]
@@ -602,7 +601,7 @@ def sweep_reflectionless(fam: SweepFamily, op, E, grid, tol: float) -> Reflectio
     for site in fam.sites(op):
         # the whole grid's sweep and phase (the ac spectrum's, in a report
         # scope) read on E; the kernels work point by point, so bits agree
-        bd = sweep_at(fam.sweep(op, grid, site), inside)
+        bd = sweep_at(memo_sweep(op, grid, site), inside)
         Mp, Mm = bd[fam.pair[0]][0], bd[fam.pair[1]][0]
         okm = bd[fam.pair[0]][2] & bd[fam.pair[1]][2]
         res = np.abs(Mp + np.conj(Mm)) if fam.circle else np.abs(Mp - np.conj(Mm))
@@ -611,7 +610,7 @@ def sweep_reflectionless(fam: SweepFamily, op, E, grid, tol: float) -> Reflectio
         max_res = max(max_res, float(np.max(np.where(okm, res, 0.0))))
         defects.update(lams[~pass_mask].tolist())
 
-        vals, _, okx = (a[inside] for a in fam.phase(op, grid, site))
+        vals, _, okx = (a[inside] for a in memo_phase(op, grid, site))
         xi_fraction = min(xi_fraction, float(np.mean(okx & (np.abs(vals - center) < 10 * tol))))
         witness = max(witness, _witness(fam, bd, pass_mask))
 
@@ -640,13 +639,14 @@ def _witness(fam: SweepFamily, bd: dict, passing) -> float:
     return float(np.max(np.where(passing & ok, np.maximum(wp, wm), 0.0)))
 
 
-def sweep_multiplicity_sets(fam: SweepFamily, op, grid):
+def multiplicity_sets(op, grid=None):
     """Grid hulls (M2, M1) of the uniform-multiplicity sets from the
     boundary pair at the first reference site.  An ok value is off the
     axis by off_axis; two on the axis are equal when they differ by
     at most the sum of their axis margins."""
+    fam = family(op)
     grid, step = sweep_grid(fam, op, grid)
-    bd = fam.sweep(op, grid, fam.sites(op)[0])
+    bd = memo_sweep(op, grid, fam.sites(op)[0])
 
     def side(key):
         v, e, ok = bd[key]
@@ -660,17 +660,3 @@ def sweep_multiplicity_sets(fam: SweepFamily, op, grid):
     mask1 = equal_on | (infp & infm) | (on_p & off_m) | (on_m & off_p)
     return fam.hull(grid[mask2], step), fam.hull(grid[mask1], step)
 
-
-def ac_spectrum(op, grid=None):
-    """sweep_ac_spectrum of op's family, on its default grid for None."""
-    return sweep_ac_spectrum(family(op), op, grid)
-
-
-def reflectionless_on(op, E, grid=None, tol: float = 1e-4) -> ReflectionlessReport:
-    """sweep_reflectionless of op's family on E, grid as for ac_spectrum."""
-    return sweep_reflectionless(family(op), op, E, grid, tol)
-
-
-def multiplicity_sets(op, grid=None):
-    """sweep_multiplicity_sets of op's family, (M2, M1), grid as for ac_spectrum."""
-    return sweep_multiplicity_sets(family(op), op, grid)

@@ -46,11 +46,11 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DegenerateDenominator, check_keys
+from .errors import DegenerateDenominator, check_keys, check_number
 from .boundary_analysis import (MIN_ANGLES, REFERENCE_EPS, SweepFamily, _axis_margin,
-                                exact_sweep, floquet_pair, memo_phase, memo_sweep,
-                                require_in_disk, stack_2x2, sweep_grid, transfer_product,
-                                transfer_trace, tridiagonal_resolvent)
+                                exact_sweep, family, floquet_pair, require_in_disk, stack_2x2,
+                                sweep_grid, transfer_product, transfer_trace,
+                                tridiagonal_resolvent)
 from .boundary_analysis import (ac_spectrum, multiplicity_sets, reflectionless_on,  # re-exported
                                 weyl_data, boundary_grid as boundary_cmv_grid,
                                 phase_at as Xi11, phase_grid as Xi11_grid)
@@ -110,12 +110,14 @@ class VerblunskyCoefficients:
         if d.get("type") != "cmv":
             raise ValueError("descriptor type must be 'cmv'")
         check_keys(d, ("type", "period", "alpha", "patch"), "cmv descriptor key")
-        base = tuple(complex(re, im) for re, im in d["alpha"])
+        num = lambda v: check_number(v, "cmv alpha part")
+        period = check_number(d["period"], "cmv period")
+        base = tuple(complex(num(re), num(im)) for re, im in d["alpha"])
         patch = d.get("patch", {})
         if not isinstance(patch, dict):
             raise ValueError(f"patch must be an object of site: [re, im], not {patch!r:.80}")
-        patch = {int(n): complex(v[0], v[1]) for n, v in patch.items()}
-        return cls(d["period"], base, patch)
+        patch = {int(n): complex(num(v[0]), num(v[1])) for n, v in patch.items()}
+        return cls(period, base, patch)
 
 
 # ---------------------------------------------------------------------------
@@ -252,9 +254,9 @@ def default_angles(points: int = MIN_ANGLES):
     return np.linspace(0.0, TWO_PI, points, endpoint=False)
 
 
-_FAMILY = SweepFamily(
-    kernel=lambda V, zs, n0, near: _M11_grid(V, zs, n0, near), sweep=memo_sweep,
-    phase=memo_phase, grid=lambda V: default_angles(), sites=lambda V: (0, 1), circle=True,
+VerblunskyCoefficients._FAMILY = SweepFamily(
+    kernel=lambda V, zs, n0, near: _M11_grid(V, zs, n0, near),
+    grid=lambda V: default_angles(), sites=lambda V: (0, 1), circle=True,
     pair=("M_plus", "M_minus"), phase_key="M11",
     csv_columns=(("theta", "loc"), ("re_m11", "re"), ("im_m11", "im"), ("xi", "phase"),
                  ("verdict", "verdict"), ("r00", "empty"), ("r11", "empty"), ("rank", "empty")),
@@ -427,7 +429,7 @@ def matrix_M_and_R(V: VerblunskyCoefficients, n0: int, grid=None,
     margins of M00 and M11.  window sizes the truncation oracle of the
     identity and trace checks only.
     """
-    grid, _ = sweep_grid(_FAMILY, V, grid)
+    grid, _ = sweep_grid(family(V), V, grid)
     bd = exact_sweep(lambda zs, near: _M_matrix_grid(V, zs, n0, near), grid, True,
                      REFERENCE_EPS)
     ok = np.logical_and.reduce([bd[k][2] for k in _MATRIX_KEYS])

@@ -1,5 +1,5 @@
 """Shared exception types for boundary sweeps and transfer-matrix kernels,
-and the key check of every JSON object the package reads."""
+and the key and number checks of every JSON object the package reads."""
 
 
 def check_keys(d: dict, keys, what: str) -> None:
@@ -8,6 +8,15 @@ def check_keys(d: dict, keys, what: str) -> None:
     unknown = next((k for k in d if k not in keys), None)
     if unknown is not None:
         raise ValueError(f"unknown {what} {unknown!r:.80}; the {what}s are " + ", ".join(keys))
+
+
+def check_number(v, what: str):
+    """v, unless it is a string or a bool: ValueError `{what} must be a
+    number, not v`.  float() and int() would read the JSON string "1" and
+    true as numbers; a documented number takes neither."""
+    if isinstance(v, (str, bool)):
+        raise ValueError(f"{what} must be a number, not {v!r:.80}")
+    return v
 
 
 class NonConvergent(RuntimeError):

@@ -55,6 +55,8 @@ out_dir, seed, operators; entry name, descriptor, E, grid, tolerances; line
 grid start, stop, points; circle grid angles; descriptors type, period and
 a, b, patch (jacobi), alpha, patch (cmv) or pieces, patch (schrodinger);
 set JSON carrier, intervals, points, or family, radius_base, truncation.
+A documented number that is a JSON string or boolean exits 2 as well
+(errors.check_number).
 Entry names (operator_k by default) are distinct non-empty strings free of
 '/', os.sep and NUL, as each names two files of the output directory.
 
@@ -79,10 +81,10 @@ import numpy as np
 from . import jacobi as _jacobi
 from . import cmv as _cmv
 from . import schrodinger as _schrodinger
-from .boundary_analysis import (ReflectionlessReport, ac_spectrum, family, multiplicity_sets,
-                                reflectionless_on, sweep_at, sweep_csv, sweep_grid,
-                                sweep_scope, tested_mask)
-from .errors import SiteDisagreement, check_keys
+from .boundary_analysis import (ReflectionlessReport, ac_spectrum, family, memo_phase, memo_sweep,
+                                multiplicity_sets, reflectionless_on, sweep_at, sweep_csv,
+                                sweep_grid, sweep_scope, tested_mask)
+from .errors import SiteDisagreement, check_keys, check_number
 from .interval_sets import (CircleArcSet, GeneratedFatSet, RealIntervalSet, canonicalize,
                             essential_closure, fat_density_report,
                             lebesgue_measure, longest_component, rational_enumeration,
@@ -124,8 +126,9 @@ def build_operator(descriptor: dict):
 
 
 def _whole(value, what: str) -> int:
-    """value as an int; a fractional or non-finite number raises ValueError."""
-    if isinstance(value, bool) or not float(value).is_integer():
+    """value as an int; a fractional or non-finite number, a string or a
+    bool raises ValueError."""
+    if not float(check_number(value, f"grid {what}")).is_integer():
         raise ValueError(f"grid {what} must be a whole number, not {value!r:.80}")
     return int(value)
 
@@ -147,8 +150,9 @@ def _resolve_grid(kind: str, op, grid_config):
         echo = {"angles": _whole(grid_config["angles"], "angles")}
         grid = _cmv.default_angles(max(echo["angles"], 0))
     else:
-        echo = {"start": float(grid_config["start"]), "stop": float(grid_config["stop"]),
-                "points": _whole(grid_config["points"], "points")}
+        echo = {end: float(check_number(grid_config[end], f"grid {end}"))
+                for end in ("start", "stop")}
+        echo["points"] = _whole(grid_config["points"], "points")
         if not math.isfinite(echo["stop"] - echo["start"]):     # np.linspace would warn
             raise ValueError(f"grid start, stop and their difference must be finite: {echo!r}")
         grid = np.linspace(echo["start"], echo["stop"], max(echo["points"], 0))
@@ -275,7 +279,7 @@ def _identity_residuals(kind: str, op, grid, E, refl_verdict: bool, rng, toleran
             # the report's site-0 sweep, read at the sampled angles of E; the
             # kernel works point by point, so a sweep of those angles alone
             # has the same bits
-            bd = sweep_at(family(op).sweep(op, grid, 0), idx)
+            bd = sweep_at(memo_sweep(op, grid, 0), idx)
             entry("m11_boundary_real_part", _cmv.m11_identity_residual(bd), idx.size)
     return out
 
@@ -312,7 +316,7 @@ def _report(entry: Entry, name: str, seed: int) -> SpectralReport:
         failures.append(str(exc))
     fam = family(op)
     for site in fam.sites(op):      # the phases the ac spectrum read, from the memo
-        undetermined = int(np.count_nonzero(~fam.phase(op, grid, site)[2]))
+        undetermined = int(np.count_nonzero(~memo_phase(op, grid, site)[2]))
         if undetermined > MAX_UNDETERMINED * grid.size:
             failures.append(f"undetermined: {undetermined} of {grid.size} grid points at "
                             f"reference {site} (> {MAX_UNDETERMINED:.0%})")
@@ -376,7 +380,7 @@ def _report(entry: Entry, name: str, seed: int) -> SpectralReport:
 
 
 def _csv_for(op, grid) -> str:
-    return sweep_csv(family(op), op, grid)
+    return sweep_csv(op, grid)
 
 
 def _fail(code: int, message: str) -> int:

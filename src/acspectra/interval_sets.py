@@ -38,7 +38,7 @@ from itertools import chain
 
 import numpy as np
 
-from .errors import check_keys
+from .errors import check_keys, check_number
 
 TWO_PI = 2.0 * math.pi
 
@@ -667,11 +667,17 @@ def set_from_json(d: dict):
     carrier = d.get("carrier", "line")
     ivs = _json_list(d, "intervals")
     pts = [_json_value(float, p, "point") for p in _json_list(d, "points")]
-    if carrier == "circle":
-        return circle_set(ivs, pts)
-    if carrier == "line":
-        return canonicalize(ivs, pts)
-    raise ValueError(f"unknown carrier {carrier!r}")
+    build = {"circle": circle_set, "line": canonicalize}.get(carrier)
+    if build is None:
+        raise ValueError(f"unknown carrier {carrier!r}")
+    for k, raw in enumerate(ivs):
+        try:
+            for end in raw[:2] if isinstance(raw, (list, tuple)) else ():
+                check_number(end, "set JSON interval end")
+        except ValueError:
+            build(ivs[:k + 1])      # a malformed piece up to this one raises its own error
+            raise
+    return build(ivs, pts)
 
 
 def _json_list(d: dict, key: str) -> list:
@@ -683,6 +689,6 @@ def _json_list(d: dict, key: str) -> list:
 
 def _json_value(convert, v, what: str):
     try:
-        return convert(v)
+        return convert(check_number(v, what))
     except (TypeError, ValueError, OverflowError):
         raise ValueError(f"set JSON {what} must be a number, not {v!r:.80}") from None

@@ -36,13 +36,12 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .boundary_analysis import (SweepFamily, floquet_pair, memo_phase, memo_sweep, normalize_pair,
-                                transfer_matrix, transfer_product, transfer_trace,
-                                tridiagonal_resolvent)
+from .boundary_analysis import (SweepFamily, floquet_pair, normalize_pair, transfer_matrix,
+                                transfer_product, transfer_trace, tridiagonal_resolvent)
 from .boundary_analysis import (ac_spectrum, multiplicity_sets, reflectionless_on,  # re-exported
                                 weyl_data, boundary_grid as boundary_weyl_grid,
                                 phase_at as xi, phase_grid as xi_grid)
-from .errors import check_keys
+from .errors import check_keys, check_number
 
 
 @dataclass(frozen=True)
@@ -116,11 +115,14 @@ class JacobiCoefficients:
         if d.get("type") != "jacobi":
             raise ValueError("descriptor type must be 'jacobi'")
         check_keys(d, ("type", "period", "a", "b", "patch"), "jacobi descriptor key")
+        num = lambda v: check_number(v, "jacobi coefficient")
+        period = check_number(d["period"], "jacobi period")
+        a, b = tuple(map(num, d["a"])), tuple(map(num, d["b"]))
         patch = d.get("patch", {})
         if not isinstance(patch, dict):
             raise ValueError(f"patch must be an object of site: [a, b], not {patch!r:.80}")
-        patch = {int(n): (ab[0], ab[1]) for n, ab in patch.items()}
-        return cls(d["period"], tuple(d["a"]), tuple(d["b"]), patch)
+        patch = {int(n): (num(ab[0]), num(ab[1])) for n, ab in patch.items()}
+        return cls(period, a, b, patch)
 
 
 def _monodromy_entries(J: JacobiCoefficients, zs, n_start: int):
@@ -183,10 +185,9 @@ def default_grid(J: JacobiCoefficients, points: int = 4001):
     return np.linspace(-R, R, points)
 
 
-_FAMILY = SweepFamily(
-    kernel=lambda J, zs, n0, near: _weyl_grid(J, zs, n0, near), sweep=memo_sweep,
-    phase=memo_phase, grid=default_grid, sites=lambda J: (0, 1), circle=False, pair=("M_plus", "M_minus"),
-    phase_key="g",
+JacobiCoefficients._FAMILY = SweepFamily(
+    kernel=lambda J, zs, n0, near: _weyl_grid(J, zs, n0, near), grid=default_grid,
+    sites=lambda J: (0, 1), circle=False, pair=("M_plus", "M_minus"), phase_key="g",
     csv_columns=(("lambda", "loc"), ("xi", "phase"), ("error_estimate", "err"),
                  ("verdict", "verdict")))
 

@@ -43,12 +43,12 @@ from functools import cached_property
 
 import numpy as np
 
-from .boundary_analysis import (SweepFamily, floquet_pair, memo, memo_phase, memo_sweep,
-                                normalize_pair, transfer_matrix, transfer_product, transfer_trace)
+from .boundary_analysis import (SweepFamily, floquet_pair, memo, normalize_pair, transfer_matrix,
+                                transfer_product, transfer_trace)
 from .boundary_analysis import (ac_spectrum, multiplicity_sets, reflectionless_on,  # re-exported
                                 weyl_data, boundary_grid as boundary_schrodinger_grid,
                                 phase_at as xi, phase_grid as xi_grid)
-from .errors import check_keys
+from .errors import check_keys, check_number
 
 LAMBDA_TOP = 25.0
 
@@ -111,9 +111,10 @@ class PiecewisePotential:
         if d.get("type") != "schrodinger":
             raise ValueError("descriptor type must be 'schrodinger'")
         check_keys(d, ("type", "period", "pieces", "patch"), "schrodinger descriptor key")
-        return cls(float(d["period"]),
-                   tuple((l, v) for l, v in d["pieces"]),
-                   tuple((l, v) for l, v in d.get("patch", [])))
+        num = lambda v: check_number(v, "schrodinger piece length or value")
+        return cls(float(check_number(d["period"], "schrodinger period")),
+                   tuple((num(l), num(v)) for l, v in d["pieces"]),
+                   tuple((num(l), num(v)) for l, v in d.get("patch", [])))
 
 
 def _sinhc(x):
@@ -277,9 +278,9 @@ def default_grid(V: PiecewisePotential, points: int = 2001) -> np.ndarray:
     return np.linspace(-V.sup_bound() - 1.0, LAMBDA_TOP, points)
 
 
-_FAMILY = SweepFamily(
-    kernel=lambda V, zs, x0, near: _m_grid(V, zs, x0, near), sweep=memo_sweep,
-    phase=memo_phase, grid=default_grid, sites=lambda V: (0.0, 0.5 * V.period), circle=False,
-    pair=("m_plus", "m_minus"), phase_key="g",
+PiecewisePotential._FAMILY = SweepFamily(
+    kernel=lambda V, zs, x0, near: _m_grid(V, zs, x0, near), grid=default_grid,
+    sites=lambda V: (0.0, 0.5 * V.period), circle=False, pair=("m_plus", "m_minus"),
+    phase_key="g",
     csv_columns=(("lambda", "loc"), ("xi", "phase"), ("re_g", "re"), ("im_g", "im"),
                  ("verdict", "verdict")), site_word="points")

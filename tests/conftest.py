@@ -11,19 +11,26 @@ The references need scipy: banded solves of the Jacobi and CMV truncations
 boundary_sweep, the Richardson extrapolation toward the axis that is the
 oracle of the package's exact boundary route (exact_sweep).
 
-STEPLIKE, SCHRODINGER_STEPLIKE and CMV_STEPLIKE are test SweepFamilies
-over steplike Jacobi, Schrodinger and CMV operators, periodic with one base
-on the left half line and another on the right: the oracle of the
-multiplicity classifier's multiplicity-one branch.
+JacobiSteplike, SchrodingerSteplike and CMVSteplike are steplike Jacobi,
+Schrodinger and CMV operators (L, R), periodic with one base on the left
+half line and another on the right: the oracle of the multiplicity
+classifier's multiplicity-one branch.  Each type carries its SweepFamily
+as _FAMILY, as the package's coefficient types do, so the shared sweeps,
+phases and derived sets read it unchanged.
+
+geronimus maps a periodic CMV operator with real coefficients to its
+Jacobi image under the Szego mapping: the oracle of the cross-family
+relation between the two lattice families.
 """
+
+import math
 
 import numpy as np
 import pytest
 from scipy.linalg import solve_banded
 
 from acspectra import cmv, schrodinger
-from acspectra.boundary_analysis import (INFINITE_LIMIT, REFERENCE_EPS, SweepFamily,
-                                         exact_sweep, memo, sweep_phase)
+from acspectra.boundary_analysis import INFINITE_LIMIT, SweepFamily
 from acspectra.cmv import VerblunskyCoefficients
 from acspectra.jacobi import JacobiCoefficients, _weyl_grid
 from acspectra.schrodinger import PiecewisePotential
@@ -241,41 +248,72 @@ def cmv_steplike_kernel(L, R, zs, n0: int, near=0.0) -> dict:
     return {"M_plus": Mp, "M_minus": Mm, "M11": (1.0 - Mp * Mm) / (Mp - Mm), "floquet": floquet}
 
 
-def _steplike_family(kernel, grid, sites, pair, circle=False) -> SweepFamily:
-    """A SweepFamily over steplike operators op = (L, R), swept at a site
-    by exact_sweep of kernel(L, R, zs, site, near), with the phase of g on
-    the line and of M11 on the circle (its boundary zeros undefined, as
-    CMV's), the reference points as the family's."""
-    def sweep(op, grid, site):
-        L, R = op
-        eps = REFERENCE_EPS * (1.0 if circle else 1.0 + max(L.sup_bound(), R.sup_bound()))
-        return exact_sweep(lambda zs, near: kernel(L, R, zs, site, near), grid, circle, eps)
-
-    fam = SweepFamily(
-        kernel=lambda op, zs, site, near: kernel(*op, zs, site, near),
-        sweep=lambda op, grid, site: memo(sweep, op, grid, site),
-        phase=lambda op, grid, site: sweep_phase(fam, fam.sweep(op, grid, site)),
-        grid=grid, sites=sites, circle=circle, pair=pair,
-        phase_key="M11" if circle else "g", csv_columns=(), zero_floor=circle)
-    return fam
-
-
 def steplike_grid(op):
-    """2001 points on [-R, R], R = 1 + the larger sup_bound of L and R."""
-    r = max(J.sup_bound() for J in op) + 1.0
+    """2001 points on [-R, R], R = 1 + op.sup_bound()."""
+    r = op.sup_bound() + 1.0
     return np.linspace(-r, r, 2001)
 
 
 def schrodinger_steplike_grid(op):
-    """2001 points on [-1 - the larger sup_bound of L and R, LAMBDA_TOP], as
-    schrodinger.default_grid."""
-    return np.linspace(-1.0 - max(V.sup_bound() for V in op), schrodinger.LAMBDA_TOP, 2001)
+    """2001 points on [-1 - op.sup_bound(), LAMBDA_TOP], as schrodinger.default_grid."""
+    return np.linspace(-1.0 - op.sup_bound(), schrodinger.LAMBDA_TOP, 2001)
 
 
-STEPLIKE = _steplike_family(steplike_kernel, steplike_grid, lambda op: (0, 1),
-                            ("M_plus", "M_minus"))
-# the second site is R.period, where L's patch ends
-SCHRODINGER_STEPLIKE = _steplike_family(schrodinger_steplike_kernel, schrodinger_steplike_grid,
-                                        lambda op: (0.0, op[1].period), ("m_plus", "m_minus"))
-CMV_STEPLIKE = _steplike_family(cmv_steplike_kernel, lambda op: cmv.default_angles(1024),
-                                lambda op: (0, 1), ("M_plus", "M_minus"), circle=True)
+def _steplike_family(kernel, grid, sites, pair, circle=False) -> SweepFamily:
+    """The SweepFamily of steplike operators op = (L, R) whose kernel at a
+    site is kernel(L, R, zs, site, near), with the phase of g on the line
+    and of M11 on the circle (its boundary zeros undefined, as CMV's)."""
+    return SweepFamily(kernel=lambda op, zs, site, near: kernel(*op, zs, site, near),
+                       grid=grid, sites=sites, circle=circle, pair=pair,
+                       phase_key="M11" if circle else "g", csv_columns=(), zero_floor=circle)
+
+
+class _Steplike(tuple):
+    """A steplike operator (L, R): L's coefficients left of the step, R's
+    right of it.  Its scale, the larger of L's and R's, sets the reference
+    points of its sweeps as an operator's does."""
+
+    def sup_bound(self) -> float:
+        return max(half.sup_bound() for half in self)
+
+
+class JacobiSteplike(_Steplike):
+    _FAMILY = _steplike_family(steplike_kernel, steplike_grid, lambda op: (0, 1),
+                               ("M_plus", "M_minus"))
+
+
+class SchrodingerSteplike(_Steplike):
+    # the second site is R.period, where L's patch ends
+    _FAMILY = _steplike_family(schrodinger_steplike_kernel, schrodinger_steplike_grid,
+                               lambda op: (0.0, op[1].period), ("m_plus", "m_minus"))
+
+
+class CMVSteplike(_Steplike):
+    _FAMILY = _steplike_family(cmv_steplike_kernel, lambda op: cmv.default_angles(1024),
+                               lambda op: (0, 1), ("M_plus", "M_minus"), circle=True)
+
+
+# ---------------------------------------------------------------------------
+# The Geronimus relations: real-alpha CMV operators and their Jacobi images
+
+def geronimus(alpha) -> JacobiCoefficients:
+    """The Jacobi image of the periodic CMV operator with real Verblunsky
+    coefficients alpha (period p = len(alpha)) under the Szego mapping x =
+    2 cos theta (Simon, OPUC Part 2, AMS 2005, ch. 13): with A(k) =
+    alpha[k mod p],
+
+        a(n) = sqrt((1 - A(2n-1)) (1 - A(2n)^2) (1 + A(2n+1)))
+        b(n) = (1 - A(2n-1)) A(2n) - (1 + A(2n-1)) A(2n-2)
+
+    for n = 0 .. q-1, q = p for odd p and p/2 for even p.  Its bands are the
+    images of the CMV bands in [0, pi]."""
+    p = len(alpha)
+
+    def A(k):
+        return float(alpha[k % p])
+    q = p if p % 2 else p // 2
+    a = tuple(math.sqrt((1.0 - A(2 * n - 1)) * (1.0 - A(2 * n) ** 2) * (1.0 + A(2 * n + 1)))
+              for n in range(q))
+    b = tuple((1.0 - A(2 * n - 1)) * A(2 * n) - (1.0 + A(2 * n - 1)) * A(2 * n - 2)
+              for n in range(q))
+    return JacobiCoefficients(q, a, b)

@@ -20,9 +20,9 @@ import pytest
 from acspectra import boundary_analysis, cmv, jacobi, schrodinger
 from acspectra.boundary_analysis import (SweepFamily, exact_sweep, interior,
                                          normalize_pair, off_axis,
-                                         require_off_axis, stack_2x2, sweep_at, sweep_csv,
-                                         sweep_multiplicity_sets, sweep_phase,
-                                         transfer_product, transfer_trace)
+                                         multiplicity_sets, require_off_axis, stack_2x2,
+                                         sweep_at, sweep_csv, sweep_phase, transfer_product,
+                                         transfer_trace)
 from acspectra.interval_sets import essential_closure, points_hull
 from conftest import (DIVERGENCE_CAP, SCHEDULE, blowup_flags, boundary_sweep, relaxed_ok,
                       richardson_sequence)
@@ -60,18 +60,23 @@ def accepted_sweep(bd):
 
 def family(circle, zero_floor=False, columns=()):
     """A SweepFamily over the analytic models: the phase key is 'm' on the
-    line and 'f' on the circle, the sweep, a Richardson sweep through its
-    own acceptance, ignores the operator, and the phase is its sweep_phase."""
-    kernel, key = (disk_mixed, "f") if circle else (uniform, "m")
+    line and 'f' on the circle."""
+    key = "f" if circle else "m"
+    return SweepFamily(kernel=None, grid=None, sites=lambda op: (0, 1), circle=circle,
+                       pair=(key, key), phase_key=key, csv_columns=columns,
+                       zero_floor=zero_floor)
 
-    def sweep(op, grid, site):
-        return accepted_sweep(boundary_sweep(kernel, grid, circle))
-    fam = SweepFamily(kernel=None, sweep=sweep,
-                      phase=lambda op, grid, site: sweep_phase(fam, sweep(op, grid, site)),
-                      grid=None, sites=lambda op: (0, 1), circle=circle,
-                      pair=(key, key), phase_key=key,
-                      csv_columns=columns, zero_floor=zero_floor)
-    return fam
+
+def swept(monkeypatch, fam, sweep=None):
+    """An operator of family fam whose boundary sweep at every site is
+    sweep(grid), boundary_grid (which every shared read calls) monkeypatched;
+    by default the Richardson sweep of fam's analytic model through its own
+    acceptance."""
+    if sweep is None:
+        kernel = disk_mixed if fam.circle else uniform
+        sweep = lambda grid: accepted_sweep(boundary_sweep(kernel, grid, fam.circle))
+    monkeypatch.setattr(boundary_analysis, "boundary_grid", lambda op, grid, site: sweep(grid))
+    return type("Model", (), {"_FAMILY": fam})()
 
 
 def sweep_of(key, values, err=0.0, conv=True, div=False):
@@ -426,17 +431,16 @@ class TestOffAxisRule:
         assert ok.all() and vals[:2].tolist() == [0.5, -0.5]
         assert interior(family(True), vals).tolist() == [False, False, True]
 
-    def test_equal_values_within_the_summed_margins_are_multiplicity_one(self):
+    def test_equal_values_within_the_summed_margins_are_multiplicity_one(self, monkeypatch):
         # each margin is 1e-10 (1 + |v|) ~ 2e-10 here, so 3e-10 apart is
         # equal and 5e-10 apart is not; a nonreal M_- makes the third point
         # multiplicity one, a nonreal pair the fourth multiplicity two
         Mp = np.array([1.0, 1.0, 1.0, 1.0 + 1e-3j], dtype=complex)
         Mm = np.array([1.0 + 3e-10, 1.0 + 5e-10, 1.0 - 1e-3j, 1.0 - 1e-3j], dtype=complex)
         bd = {**sweep_of("p", Mp), **sweep_of("q", Mm)}
-        fam = SweepFamily(kernel=None, sweep=lambda op, grid, site: bd, phase=None, grid=None,
-                          sites=lambda op: (0, 1), circle=False, pair=("p", "q"),
-                          phase_key="p", csv_columns=())
-        M2, M1 = sweep_multiplicity_sets(fam, None, np.arange(4.0))
+        fam = SweepFamily(kernel=None, grid=None, sites=lambda op: (0, 1), circle=False,
+                          pair=("p", "q"), phase_key="p", csv_columns=())
+        M2, M1 = multiplicity_sets(swept(monkeypatch, fam, lambda grid: bd), np.arange(4.0))
         assert M1.isolated_points == (0.0, 2.0) and M1.intervals == ()
         assert M2.isolated_points == (3.0,) and M2.intervals == ()
 
@@ -445,9 +449,10 @@ class TestSweepCsv:
     COLUMNS = (("x", "loc"), ("xi", "phase"), ("error_estimate", "err"),
                ("re", "re"), ("im", "im"), ("verdict", "verdict"), ("pad", "empty"))
 
-    def test_every_cell_kind_on_the_line(self):
+    def test_every_cell_kind_on_the_line(self, monkeypatch):
         grid = np.array([-0.5, 0.5, 1.5])
-        lines = sweep_csv(family(False, columns=self.COLUMNS), None, grid).split("\n")
+        op = swept(monkeypatch, family(False, columns=self.COLUMNS))
+        lines = sweep_csv(op, grid).split("\n")
         assert lines.pop() == ""
         assert lines[0] == "x,xi,error_estimate,re,im,verdict,pad"
         rows = [line.split(",") for line in lines[1:]]
@@ -458,23 +463,22 @@ class TestSweepCsv:
         assert float(rows[1][4]) == pytest.approx(math.pi, abs=1e-8)
         assert float(rows[0][1]) in (0.0, 1.0)
 
-    def test_circle_verdicts(self):
+    def test_circle_verdicts(self, monkeypatch):
         grid = np.array([0.0, 1.0, 2.0])
-        lines = sweep_csv(family(True, columns=(("theta", "loc"), ("verdict", "verdict"))),
-                          None, grid).strip().split("\n")
+        op = swept(monkeypatch, family(True, columns=(("theta", "loc"), ("verdict", "verdict"))))
+        lines = sweep_csv(op, grid).strip().split("\n")
         # no limit at the point mass; elsewhere Re f = 1, inside the arc
         assert [line.split(",")[1] for line in lines[1:]] == ["undetermined", "interior", "interior"]
 
 
-    @pytest.mark.parametrize("module, fixture", [
-        (jacobi, "period2_jacobi"), (cmv, "geronimus_cmv"), (schrodinger, "square_well")])
-    def test_family_csv_reads_back(self, request, module, fixture):
+    @pytest.mark.parametrize("fixture", ["period2_jacobi", "geronimus_cmv", "square_well"])
+    def test_family_csv_reads_back(self, request, fixture):
         """A family CSV has LF line ends and the header of csv_columns, and
         csv.reader reads back the cells it joined: none needed quoting."""
         op = request.getfixturevalue(fixture)
-        fam = module._FAMILY
+        fam = op._FAMILY
         grid = fam.grid(op)[::40]
-        text = sweep_csv(fam, op, grid)
+        text = sweep_csv(op, grid)
         assert "\r" not in text and text.endswith("\n")
         lines = text[:-1].split("\n")
         assert list(csv.reader(io.StringIO(text))) == [line.split(",") for line in lines]
@@ -482,10 +486,11 @@ class TestSweepCsv:
         assert len(lines) == grid.size + 1
 
     @staticmethod
-    def per_cell_csv(fam, op, grid) -> str:
+    def per_cell_csv(op, grid) -> str:
         """The CSV written one f-string per cell: the reference of sweep_csv."""
+        fam = op._FAMILY
         grid = np.asarray(grid, dtype=float)
-        bd = fam.sweep(op, grid, fam.sites(op)[0])
+        bd = boundary_analysis.boundary_grid(op, grid, fam.sites(op)[0])
         v, _, conv = bd[fam.phase_key]
         vals, errs, ok = sweep_phase(fam, bd)
         inside = interior(fam, vals)
@@ -503,17 +508,15 @@ class TestSweepCsv:
             lines.append(",".join(cells[kind] for _, kind in fam.csv_columns))
         return "\n".join(lines) + "\n"
 
-    @pytest.mark.parametrize("module, fixture", [
-        (jacobi, "free_jacobi"), (jacobi, "period2_jacobi"), (cmv, "free_cmv"),
-        (cmv, "geronimus_cmv"), (schrodinger, "free_schrodinger"), (schrodinger, "square_well")])
-    def test_fixture_csv_equals_the_per_cell_writer(self, request, module, fixture):
+    @pytest.mark.parametrize("fixture", ["free_jacobi", "period2_jacobi", "free_cmv",
+                                         "geronimus_cmv", "free_schrodinger", "square_well"])
+    def test_fixture_csv_equals_the_per_cell_writer(self, request, fixture):
         op = request.getfixturevalue(fixture)
-        fam = module._FAMILY
-        grid = fam.grid(op)
-        assert sweep_csv(fam, op, grid) == self.per_cell_csv(fam, op, grid)
+        grid = op._FAMILY.grid(op)
+        assert sweep_csv(op, grid) == self.per_cell_csv(op, grid)
 
     @pytest.mark.parametrize("circle", [False, True])
-    def test_odd_cells_equal_the_per_cell_writer(self, circle):
+    def test_odd_cells_equal_the_per_cell_writer(self, monkeypatch, circle):
         """Undetermined points, non-finite values and errors, signed zeros,
         and values not ok beside ok ones, in every cell kind."""
         v = np.array([-0.0 + 0.5j, 0.5 - 0.0j, math.inf + 1j, math.nan + 0j, 1e-300 + 1e300j,
@@ -522,21 +525,20 @@ class TestSweepCsv:
         conv = np.array([True, True, True, False, True, True, False, True, True])
         bd = {"p": (v, err, conv), "inf_p": np.zeros(v.shape, bool),
               "div_p": np.arange(v.size) == 5}
-        fam = SweepFamily(kernel=None, sweep=lambda op, grid, site: bd,
-                          phase=lambda op, grid, site: sweep_phase(fam, bd), grid=None,
-                          sites=lambda op: (0, 1), circle=circle, pair=("p", "p"),
-                          phase_key="p", csv_columns=self.COLUMNS)
+        fam = SweepFamily(kernel=None, grid=None, sites=lambda op: (0, 1), circle=circle,
+                          pair=("p", "p"), phase_key="p", csv_columns=self.COLUMNS)
+        op = swept(monkeypatch, fam, lambda grid: bd)
         grid = np.array([-0.0, 0.0, 1e-300, -1e300, 2.0 / 3.0, 1.0, 5e-324, math.pi, 123456789.0])
-        text = sweep_csv(fam, None, grid)
-        assert text == self.per_cell_csv(fam, None, grid)
+        text = sweep_csv(op, grid)
+        assert text == self.per_cell_csv(op, grid)
         rows = [line.split(",") for line in text.splitlines()[1:]]
         assert rows[0][0] == "-0" and "-0" in rows[1] + rows[8]
         assert {"inf", "nan"} <= {cell for row in rows for cell in row}
         assert {row[5] for row in rows} >= {"undetermined", "interior"}
 
-    def test_no_grid_points_is_the_header(self):
-        fam = family(False, columns=self.COLUMNS)
-        assert sweep_csv(fam, None, np.empty(0)) == "x,xi,error_estimate,re,im,verdict,pad\n"
+    def test_no_grid_points_is_the_header(self, monkeypatch):
+        op = swept(monkeypatch, family(False, columns=self.COLUMNS))
+        assert sweep_csv(op, np.empty(0)) == "x,xi,error_estimate,re,im,verdict,pad\n"
 
 
 class TestHelpers:

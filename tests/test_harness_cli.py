@@ -783,7 +783,7 @@ def test_csv_columns_and_cells(request, fixture):
     outside = "edge" if kind == "cmv" else "exterior"
     assert {"interior", outside} <= set(cell["verdict"]) <= {"interior", outside, "undetermined"}
     assert [v == "undetermined" for v in cell["verdict"]] == [x == "" for x in cell["xi"]]
-    conv = fam.sweep(op, grid, fam.sites(op)[0])[fam.phase_key][2]
+    conv = boundary_analysis.boundary_grid(op, grid, fam.sites(op)[0])[fam.phase_key][2]
     for name in header:
         if name.startswith(("re_", "im_")):
             assert [x == "" for x in cell[name]] == (~conv).tolist()
@@ -988,6 +988,80 @@ class TestDocumentedKeys:
         for d in (FREE_JACOBI, FREE_CMV, FREE_SCHRODINGER):
             op = build_operator(d)
             assert build_operator(op.to_descriptor()) == op
+
+
+# entries whose documented numbers are JSON strings or booleans; float()
+# and int() read each as a number, and each once reported PASS
+STRING_NUMBERS = {
+    "jacobi_a_b": {"descriptor": {**FREE_JACOBI, "a": ["1"], "b": ["0"]}},
+    "jacobi_a_true": {"descriptor": {**FREE_JACOBI, "a": [True]}},
+    "jacobi_period": {"descriptor": {**FREE_JACOBI, "period": "1"}},
+    "jacobi_patch": {"descriptor": {**FREE_JACOBI, "patch": {"0": ["0.5", "0"]}}},
+    "cmv_alpha_true": {"descriptor": {**FREE_CMV, "alpha": [[True, 0.0]]}},
+    "cmv_patch": {"descriptor": {**FREE_CMV, "patch": {"0": ["0.5", 0.0]}}},
+    "cmv_period": {"descriptor": {**FREE_CMV, "period": "1"}},
+    "schrodinger_pieces": {"descriptor": {**FREE_SCHRODINGER, "period": "1",
+                                          "pieces": [["1", "0"]]}},
+    "schrodinger_piece_value": {"descriptor": {**FREE_SCHRODINGER, "pieces": [[1.0, "0"]]}},
+    "schrodinger_patch": {"descriptor": {**FREE_SCHRODINGER, "patch": [[0.5, "1"]]}},
+    "grid_start_stop": {"descriptor": FREE_JACOBI,
+                        "grid": {"start": "-3", "stop": "3", "points": 101}},
+    "grid_stop": {"descriptor": FREE_JACOBI, "grid": {"start": -3, "stop": "3", "points": 101}},
+    "grid_points": {"descriptor": FREE_JACOBI, "grid": {"start": -3, "stop": 3, "points": "101"}},
+    "grid_points_true": {"descriptor": FREE_JACOBI,
+                         "grid": {"start": -3, "stop": 3, "points": True}},
+    "grid_angles": {"descriptor": FREE_CMV, "grid": {"angles": "512"}},
+    "E_interval_end": {"descriptor": FREE_JACOBI,
+                       "E": {**E_JACOBI, "intervals": [[-2.0, "2", "cc"]]}},
+    "E_point": {"descriptor": FREE_JACOBI, "E": {**E_JACOBI, "points": ["2.5"]}},
+}
+
+
+class TestJsonNumbers:
+    @pytest.mark.parametrize("case", sorted(STRING_NUMBERS))
+    def test_spec_run_exits_2_without_writes(self, tmp_path, capsys, case):
+        cfg = tmp_path / "c.json"
+        cfg.write_text(json.dumps({"operators": [
+            {"name": "ok", "descriptor": FREE_JACOBI, "grid": SMALL_GRIDS["jacobi"]},
+            {"name": "bad", **STRING_NUMBERS[case]}]}), encoding="utf-8")
+        out = tmp_path / "out"
+        assert spec_main(["run", "--config", str(cfg), "--out", str(out)]) == 2
+        assert not out.exists()
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1
+        assert "must be a number" in err
+
+    @pytest.mark.parametrize("doc", [
+        {"intervals": [["0", "1", "cc"]], "points": ["2"]},
+        {"intervals": [["0", "1", "cc"]]},
+        {"intervals": [[0, 1, "cc"]], "points": [True]},
+        {"carrier": "circle", "intervals": [[0, "1"]]},
+        {"family": "rational_fat", "truncation": 5, "radius_base": "4"},
+        {"family": "rational_fat", "truncation": "5"}])
+    def test_closure_essential_exits_2_without_writes(self, tmp_path, capsys, doc):
+        """`closure essential` on the first of these once wrote [0, 1]."""
+        src, out = tmp_path / "s.json", tmp_path / "out.json"
+        src.write_text(json.dumps(doc), encoding="utf-8")
+        assert closure_main(["essential", "--input", str(src), "--output", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: cannot read set JSON") and err.count("\n") == 1
+        assert not out.exists()
+
+    @pytest.mark.parametrize("carrier", ["line", "circle"])
+    @pytest.mark.parametrize("intervals, message", [
+        ([[8.0, -6.5], ["0", 1]], "lo > hi"),
+        ([["x"], [0, "1"]], "interval spec must be"),
+        ([[0, "1", "xx"]], "interval spec must be"),
+        ([[0, 1, "cc"], [True, 2]], "interval end must be a number, not True"),
+        ([["0", 1], [8.0, -6.5]], "interval end must be a number, not '0'")])
+    def test_first_malformed_piece_raises_its_own_error(self, carrier, intervals, message):
+        with pytest.raises(ValueError, match=message):
+            set_from_json({"carrier": carrier, "intervals": intervals})
+
+    def test_patch_sites_stay_strings(self):
+        """Patch sites are JSON object keys, so strings."""
+        op = build_operator({**FREE_JACOBI, "patch": {"0": [0.5, 0.0]}})
+        assert op.patch == ((0, 0.5, 0.0),)
 
 
 class TestEntryNames:

@@ -71,7 +71,7 @@ def test_csv_interior_rows_lie_in_the_ac_spectrum():
     grid = cmv.default_angles(1024)
     with sweep_scope():
         ac = cmv.ac_spectrum(GAP_CMV, grid)
-        rows = list(csv.DictReader(io.StringIO(sweep_csv(cmv._FAMILY, GAP_CMV, grid))))
+        rows = list(csv.DictReader(io.StringIO(sweep_csv(GAP_CMV, grid))))
     inside = np.array([row["verdict"] == "interior" for row in rows])
     assert inside.any() and not inside.all()
     assert np.all(contains_mask(ac, grid)[inside])

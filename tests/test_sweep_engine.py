@@ -12,15 +12,14 @@ import numpy as np
 import pytest
 
 from acspectra import boundary_analysis, cmv, interval_sets, jacobi, schrodinger
-from acspectra.boundary_analysis import (floquet_pair, memo, sweep_ac_spectrum,
-                                         sweep_multiplicity_sets, sweep_reflectionless,
-                                         sweep_scope)
+from acspectra.boundary_analysis import (ac_spectrum, family, floquet_pair, memo,
+                                         multiplicity_sets, reflectionless_on, sweep_scope)
 from acspectra.harness_cli import (TOLERANCES, _csv_for, _json_safe, _load, _resolve_grid,
                                    run_config, verify_inclusion)
 from acspectra.interval_sets import (canonicalize, circle_set, contains_mask,
                                      longest_component, set_algebra, set_to_json)
-from conftest import (CMV_STEPLIKE, SCHRODINGER_STEPLIKE, STEPLIKE, cmv_steplike_kernel,
-                      resolvent_entry, schrodinger_steplike_kernel, steplike_kernel)
+from conftest import (CMVSteplike, JacobiSteplike, SchrodingerSteplike, cmv_steplike_kernel,
+                      geronimus, resolvent_entry, schrodinger_steplike_kernel, steplike_kernel)
 
 SWEEPS = ((jacobi, "boundary_weyl_grid"), (cmv, "boundary_cmv_grid"),
           (schrodinger, "boundary_schrodinger_grid"))
@@ -262,7 +261,7 @@ def test_unpatched_periodic_m1_has_no_intervals(kind):
 def _steplike(seed):
     """A seeded steplike operator (L, R): two unpatched bases of period 1-4."""
     rng = np.random.default_rng(3600 + seed)
-    return tuple(jacobi.JacobiCoefficients(p, tuple(rng.uniform(0.5, 1.5, p)),
+    return JacobiSteplike(jacobi.JacobiCoefficients(p, tuple(rng.uniform(0.5, 1.5, p)),
                                            tuple(rng.uniform(-1.0, 1.0, p)))
                  for p in rng.integers(1, 5, 2))
 
@@ -286,19 +285,19 @@ def test_steplike_kernel_is_the_glued_operator(seed):
 @pytest.mark.parametrize("seed", range(10))
 def test_steplike_multiplicity_sets_are_the_band_algebra(seed):
     """A steplike Jacobi operator, base L on the left half line and R on the
-    right (conftest.STEPLIKE), has multiplicity two exactly on bands_L ∩
+    right (conftest.JacobiSteplike), has multiplicity two exactly on bands_L ∩
     bands_R and one on their symmetric difference (Teschl 2000, ch. 2-3),
     and ac spectrum bands_L ∪ bands_R; each within 2 grid steps.  By the
     paper's theorem it is reflectionless on no M1 piece of positive measure,
     so reflectionless_on fails on each one longer than 4 steps."""
-    _assert_band_algebra(STEPLIKE, jacobi.discriminant, _steplike(seed))
+    _assert_band_algebra(jacobi.discriminant, _steplike(seed))
 
 
 def _schrodinger_steplike(seed):
     """A seeded steplike Schrodinger operator (L, R): two unpatched bases of
     1-3 pieces of length 0.2-0.6 and value in [0, 5]."""
     rng = np.random.default_rng(3700 + seed)
-    return tuple(schrodinger.PiecewisePotential(lengths.sum(), tuple(zip(lengths, values)))
+    return SchrodingerSteplike(schrodinger.PiecewisePotential(lengths.sum(), tuple(zip(lengths, values)))
                  for lengths, values in ((rng.uniform(0.2, 0.6, n), rng.uniform(0.0, 5.0, n))
                                          for n in rng.integers(1, 4, 2)))
 
@@ -322,9 +321,8 @@ def test_schrodinger_steplike_kernel_carries_across_the_step(seed):
 @pytest.mark.parametrize("seed", range(10))
 def test_schrodinger_steplike_multiplicity_sets_are_the_band_algebra(seed):
     """The same for a steplike Schrodinger operator, L's potential left of 0
-    and R's right of it (conftest.SCHRODINGER_STEPLIKE)."""
-    _assert_band_algebra(SCHRODINGER_STEPLIKE, schrodinger.discriminant,
-                         _schrodinger_steplike(seed))
+    and R's right of it (conftest.SchrodingerSteplike)."""
+    _assert_band_algebra(schrodinger.discriminant, _schrodinger_steplike(seed))
 
 
 def _cmv_steplike(seed):
@@ -332,7 +330,7 @@ def _cmv_steplike(seed):
     1-4, L's |alpha| in [0.05, 0.4) and R's in [0.45, 0.8), so that their
     bands differ on arcs of positive measure."""
     rng = np.random.default_rng(3800 + seed)
-    return tuple(cmv.VerblunskyCoefficients(int(p), tuple(
+    return CMVSteplike(cmv.VerblunskyCoefficients(int(p), tuple(
         rng.uniform(lo, lo + 0.35, p) * np.exp(2j * math.pi * rng.uniform(size=p))))
         for p, lo in zip(rng.integers(1, 5, 2), (0.05, 0.45)))
 
@@ -356,16 +354,17 @@ def test_cmv_steplike_kernel_is_the_glued_operator(seed):
 @pytest.mark.parametrize("seed", range(10))
 def test_cmv_steplike_multiplicity_sets_are_the_band_algebra(seed):
     """The same for a steplike CMV operator on 1024 angles, L's alphas at
-    n <= 0 and R's beyond (conftest.CMV_STEPLIKE), with the bands of
+    n <= 0 and R's beyond (conftest.CMVSteplike), with the bands of
     cmv.discriminant."""
-    _assert_band_algebra(CMV_STEPLIKE, cmv.discriminant, _cmv_steplike(seed))
+    _assert_band_algebra(cmv.discriminant, _cmv_steplike(seed))
 
 
-def _assert_band_algebra(fam, discriminant, op):
-    """fam's ac spectrum, M2 and M1 of the steplike op = (L, R) against
+def _assert_band_algebra(discriminant, op):
+    """The ac spectrum, M2 and M1 of the steplike op = (L, R) against
     the union, intersection and symmetric difference of the bands of L and
     R, and reflectionless_on False on each M1 piece longer than 4 steps.
     On the circle the bands are read on the grid closed by 2 pi."""
+    fam = family(op)
     grid = fam.grid(op)
     step = grid[1] - grid[0]
     carrier_set = circle_set if fam.circle else canonicalize
@@ -373,9 +372,9 @@ def _assert_band_algebra(fam, discriminant, op):
     band_l, band_r = (carrier_set([(iv.lo, iv.hi, "cc") for iv in _bands(
         lambda x, base=base: discriminant(base, x), xs).intervals]) for base in op)
     with sweep_scope():
-        _assert_matches(sweep_ac_spectrum(fam, op, grid),
+        _assert_matches(ac_spectrum(op, grid),
                         set_algebra(band_l, band_r, "union"), step)
-        M2, M1 = sweep_multiplicity_sets(fam, op, grid)
+        M2, M1 = multiplicity_sets(op, grid)
         _assert_matches(M2, set_algebra(band_l, band_r, "intersect"), step)
         _assert_matches(M1, set_algebra(band_l, band_r, "symmetric_difference"), step)
         ends = ([(a.theta1, a.theta2) for a in M1.arcs] if fam.circle
@@ -384,7 +383,46 @@ def _assert_band_algebra(fam, discriminant, op):
         assert long, M1
         for lo, hi in long:
             piece = carrier_set([(lo, hi, "cc")])
-            assert not sweep_reflectionless(fam, op, piece, grid, 1e-4).verdict, (lo, hi)
+            assert not reflectionless_on(op, piece, grid, 1e-4).verdict, (lo, hi)
+
+
+def _real_alpha(seed):
+    """Seeded real Verblunsky coefficients of period 1-4 in [-0.6, 0.6]."""
+    rng = np.random.default_rng(4000 + seed)
+    return tuple(rng.uniform(-0.6, 0.6, int(rng.integers(1, 5))))
+
+
+def test_geronimus_bands_are_the_cmv_bands():
+    """Under x = 2 cos theta the bands {|Delta_J(x)| <= 2} of the Jacobi
+    image (conftest.geronimus) are the CMV bands {|Delta(e^{i theta})| <=
+    2} in [0, pi]: the two masks agree on 20001 angles but for at most one
+    band-edge angle, on 20 seeds."""
+    thetas = np.linspace(0.0, math.pi, 20001)
+    for seed in range(20):
+        alpha = _real_alpha(seed)
+        on_circle = np.abs(cmv.discriminant(cmv.VerblunskyCoefficients(len(alpha), alpha),
+                                            thetas)) <= 2.0
+        on_line = np.abs(jacobi.discriminant(geronimus(alpha), 2.0 * np.cos(thetas))) <= 2.0
+        assert np.count_nonzero(on_circle != on_line) <= 1, (seed, alpha)
+
+
+@pytest.mark.parametrize("seed", range(10))
+def test_geronimus_ac_spectra_agree(seed):
+    """The CMV ac spectrum on 4096 angles, its arcs in [0, pi] mapped by 2
+    cos, against the ac spectrum of the Jacobi image on 8001 points of
+    [-2.05, 2.05]: as many pieces, each end within one step of the coarser
+    grid there (the angle step mapped by 2 cos, or the Jacobi step)."""
+    alpha = _real_alpha(seed)
+    angles, xs = cmv.default_angles(4096), np.linspace(-2.05, 2.05, 8001)
+    upper = set_algebra(cmv.ac_spectrum(cmv.VerblunskyCoefficients(len(alpha), alpha), angles),
+                        circle_set([(0.0, math.pi, "cc")]), "intersect")
+    mapped = sorted((2.0 * math.cos(a.theta2), 2.0 * math.cos(a.theta1)) for a in upper.arcs)
+    pieces = [(iv.lo, iv.hi) for iv in jacobi.ac_spectrum(geronimus(alpha), xs).intervals]
+    assert len(mapped) == len(pieces), (seed, mapped, pieces)
+    d_theta, d_x = angles[1] - angles[0], xs[1] - xs[0]
+    for end, want in zip(np.ravel(mapped), np.ravel(pieces)):
+        step = 2.0 * d_theta * math.sqrt(max(0.0, 1.0 - end * end / 4.0)) + d_theta ** 2
+        assert abs(end - want) <= max(step, d_x) + 1e-12, (seed, end, want)
 
 
 def test_random_period1_cmv_ac_spectrum_is_the_arc():
