@@ -14,8 +14,10 @@
 # - a period-1024 Jacobi report is written;
 # - a config with a misspelled descriptor key, one with two entries of one
 #   name, one with a coefficient written as a JSON string, one with a grid
-#   end written as a JSON string, and a cmv angle range whose stop - start
-#   overflows each exit 2 with one `error:` line and write nothing.
+#   end written as a JSON string, one with an entry `tolerances` key (the
+#   tolerances are fixed), one with a grid of 2^20 + 1 points, and a cmv
+#   angle range whose stop - start overflows each exit 2 with one `error:`
+#   line and write nothing.
 set -eu
 spec=$1
 out=$2
@@ -50,6 +52,10 @@ printf '{"operators": [{"name": "x", "descriptor": %s}]}' \
   '{"type": "jacobi", "period": 1, "a": ["1"], "b": [0.0]}' > "$out/string_coefficient.config.json"
 printf '{"operators": [{"name": "x", "descriptor": %s, "grid": %s}]}' \
   "$free" '{"start": "-3", "stop": 3, "points": 101}' > "$out/string_grid.config.json"
+printf '{"operators": [{"name": "x", "descriptor": %s, "tolerances": %s}]}' \
+  "$free" '{"oracle_window": 512}' > "$out/tolerances.config.json"
+printf '{"operators": [{"name": "x", "descriptor": %s, "grid": %s}]}' \
+  "$free" '{"start": -3, "stop": 3, "points": 1048577}' > "$out/huge_grid.config.json"
 # refused NAME COMMAND...: COMMAND --out OUT/NAME exits 2, prints one
 # `error:` line and writes nothing
 refused() {
@@ -66,5 +72,7 @@ refused misspelled $spec run --config "$out/misspelled.config.json"
 refused duplicate $spec run --config "$out/duplicate.config.json"
 refused string_coefficient $spec run --config "$out/string_coefficient.config.json"
 refused string_grid $spec run --config "$out/string_grid.config.json"
+refused tolerances $spec run --config "$out/tolerances.config.json"
+refused huge_grid $spec run --config "$out/huge_grid.config.json"
 refused cmv_overflow $spec cmv --desc tests/data/xi/cmv.json --grid=-1e308:1e308:600 --emit xi
 echo "cli checks passed"

@@ -28,7 +28,7 @@ misses more than 1% of E); every failure names the violated inequality and
 its margin.
 
 Config runs are deterministic: fixed seed, sorted JSON keys, LF endings, no
-timestamps; reports embed the effective tolerances for auditability.
+timestamps; reports embed the tolerances (TOLERANCES, fixed) for auditability.
 
 Each entry is loaded and checked once (_load), and spec run, `spec
 <family> --emit report` and verify_inclusion assemble its report from that
@@ -42,19 +42,20 @@ the undetermined count.
 
 Exit codes for `spec run`: 0 all reports PASS, 1 failures or IO errors,
 2 malformed input, every entry checked before anything is written (config
-JSON, operators list, seed, entry name, descriptor, grid, tolerances,
-target set E, a Schrodinger potential whose transfers would overflow, no
-output directory), 3 unknown operator type.  `spec jacobi|cmv|schrodinger`
+JSON, operators list, seed, entry name, descriptor, grid, target set E, a
+Schrodinger potential whose transfers would overflow, no output
+directory), 3 unknown operator type.  `spec jacobi|cmv|schrodinger`
 exits the same way: 1 when the report it writes is FAILED, the sites of
 the ac spectrum it writes (the first site's) disagree, or its --out file
 cannot be written, 2 for an unreadable descriptor, a malformed --grid or a
 cmv report grid short of the whole circle.  Grid limits are
-boundary_analysis.sweep_grid's alone.  A JSON object read takes
-only its documented keys, and another key exits 2 naming it: config
-out_dir, seed, operators; entry name, descriptor, E, grid, tolerances; line
-grid start, stop, points; circle grid angles; descriptors type, period and
-a, b, patch (jacobi), alpha, patch (cmv) or pieces, patch (schrodinger);
-set JSON carrier, intervals, points, or family, radius_base, truncation.
+boundary_analysis.sweep_grid's, and a grid count is at most
+MAX_GRID_POINTS.  A JSON object read takes only its documented keys, and
+another key exits 2 naming it: config out_dir, seed, operators; entry
+name, descriptor, E, grid; line grid start, stop, points; circle grid
+angles; descriptors type, period and a, b, patch (jacobi), alpha, patch
+(cmv) or pieces, patch (schrodinger); set JSON carrier, intervals,
+points, or family, radius_base, truncation.
 A documented number that is a JSON string or boolean exits 2 as well
 (errors.check_number).
 Entry names (operator_k by default) are distinct non-empty strings free of
@@ -70,7 +71,6 @@ from __future__ import annotations
 import argparse
 import json
 import math
-import numbers
 import os
 import sys
 from collections import namedtuple
@@ -101,14 +101,15 @@ MAX_UNDETERMINED = 0.01
 # identity residual's Wronskian multiplies two solutions carried across the
 # patch and a period at their true scale, so products reach exp(3x)
 MAX_TRANSFER_EXPONENT = 700.0 / 3.0
+# the most grid points or angles a config or --grid may ask for
+MAX_GRID_POINTS = 2 ** 20
 SCHEMA = "v1"
 
-# the report tolerances, name -> (default, least value): a count has an integer
-# least value, every other tolerance (None) is a finite number; the last three
-# are identity residual thresholds
-TOLERANCES = {"reflectionless_tol": (1e-4, None), "identity_draws": (20, 1),
-              "oracle_window": (1024, 6), "green_inverse_identity": (1e-10, None),
-              "m11_formula_vs_oracle": (1e-10, None), "m11_boundary_real_part": (1e-3, None)}
+# the report tolerances, each a fixed value; the last three are identity
+# residual thresholds
+TOLERANCES = {"reflectionless_tol": 1e-4, "identity_draws": 20, "oracle_window": 1024,
+              "green_inverse_identity": 1e-10, "m11_formula_vs_oracle": 1e-10,
+              "m11_boundary_real_part": 1e-3}
 
 
 class UnknownOperatorType(ValueError):
@@ -126,16 +127,18 @@ def build_operator(descriptor: dict):
 
 
 def _whole(value, what: str) -> int:
-    """value as an int; a fractional or non-finite number, a string or a
-    bool raises ValueError."""
-    if not float(check_number(value, f"grid {what}")).is_integer():
+    """value as an int of at most MAX_GRID_POINTS; a larger, fractional or
+    non-finite number, a string or a bool raises ValueError."""
+    if check_number(value, f"grid {what}") > MAX_GRID_POINTS:
+        raise ValueError(f"grid {what} must be at most {MAX_GRID_POINTS}, not {value!r:.80}")
+    if not float(value).is_integer():
         raise ValueError(f"grid {what} must be a whole number, not {value!r:.80}")
     return int(value)
 
 
 def _resolve_grid(kind: str, op, grid_config):
     """Grid array plus its JSON echo from a config dict or the family
-    default, refused by sweep_grid alone (a negative count reads as none)."""
+    default, refused by _whole and sweep_grid (a negative count reads as none)."""
     if grid_config is not None and not isinstance(grid_config, dict):
         raise ValueError(f"grid must be an object or null, not {grid_config!r:.80}")
     fam = family(op)
@@ -159,36 +162,14 @@ def _resolve_grid(kind: str, op, grid_config):
     return sweep_grid(fam, op, grid)[0], echo
 
 
-def _check_tolerances(tolerances) -> dict:
-    """Each TOLERANCES value, given (as a Python number) or default.  Raise
-    ValueError unless tolerances is None or maps known names to finite numbers
-    (numpy scalars too), counts to integers of at least their least value."""
-    tolerances = {} if tolerances is None else tolerances
-    if not isinstance(tolerances, dict):
-        raise ValueError(f"tolerances must be an object, not {tolerances!r:.80}")
-    check_keys(tolerances, TOLERANCES, "tolerance")
-    for name, value in tolerances.items():
-        least = TOLERANCES[name][1]
-        number = isinstance(value, numbers.Real) and not isinstance(value, bool)
-        if least is not None:
-            if not (number and isinstance(value, numbers.Integral) and value >= least):
-                raise ValueError(f"tolerance {name!r} must be an integer >= {least}, "
-                                 f"not {value!r:.80}")
-        elif not (number and math.isfinite(value)):
-            raise ValueError(f"tolerance {name!r} must be a finite number, not {value!r:.80}")
-    return {name: type(default)(tolerances.get(name, default))
-            for name, (default, _) in TOLERANCES.items()}
-
-
 # one operator entry as _load checked it, E None when the entry has none
-Entry = namedtuple("Entry", "op grid grid_echo E tolerances descriptor")
+Entry = namedtuple("Entry", "op grid grid_echo E descriptor")
 
 
-def _load(descriptor: dict, E, grid_config, tolerances=None) -> Entry:
-    """The Entry of one operator entry; a malformed descriptor, grid, target
-    set or tolerances raises ValueError, and so does a Schrodinger potential
-    whose transfers would overflow on the grid."""
-    tolerances = _check_tolerances(tolerances)
+def _load(descriptor: dict, E, grid_config) -> Entry:
+    """The Entry of one operator entry; a malformed descriptor, grid or
+    target set raises ValueError, and so does a Schrodinger potential whose
+    transfers would overflow on the grid."""
     try:
         op = build_operator(descriptor)
         kind = descriptor["type"]
@@ -207,7 +188,7 @@ def _load(descriptor: dict, E, grid_config, tolerances=None) -> Entry:
     if E_set is not None and not (isinstance(E_set, carrier) and _testable(E_set, grid)):
         raise ValueError(f"E must be an explicit {carrier.__name__} of positive measure "
                          f"with a grid point in its intervals, not {E_set!r:.80}")
-    return Entry(op, grid, grid_echo, E_set, tolerances, descriptor)
+    return Entry(op, grid, grid_echo, E_set, descriptor)
 
 
 def _testable(E, grid) -> bool:
@@ -249,13 +230,13 @@ class SpectralReport:
         return _json_safe(dict(doc, schema=SCHEMA, ac_spectrum=set_to_json(self.ac_spectrum)))
 
 
-def _identity_residuals(kind: str, op, grid, E, refl_verdict: bool, rng, tolerances: dict) -> dict:
+def _identity_residuals(kind: str, op, grid, E, refl_verdict: bool, rng) -> dict:
     """Named identity residual maxima for one operator family."""
-    draws = tolerances["identity_draws"]
+    draws = TOLERANCES["identity_draws"]
     out = {}
 
     def entry(name, value, n):
-        thr = tolerances[name]
+        thr = TOLERANCES[name]
         out[name] = {"value": float(value), "threshold": thr,
                      "passed": bool(value < thr), "n_draws": int(n)}
 
@@ -271,7 +252,7 @@ def _identity_residuals(kind: str, op, grid, E, refl_verdict: bool, rng, toleran
         # the formula route and the truncation oracle of M11's oracle mode,
         # each at all draws in one call
         m11 = _cmv._M11_grid(op, zs, 0)["M11"]
-        oracle = _cmv.truncation_cayley_diag(op, zs, 0, tolerances["oracle_window"])
+        oracle = _cmv.truncation_cayley_diag(op, zs, 0, TOLERANCES["oracle_window"])
         entry("m11_formula_vs_oracle", np.max(np.abs(m11 - oracle)), draws)
         if refl_verdict:    # so E has a grid point in its arcs
             idx = np.flatnonzero(tested_mask(E, grid))
@@ -284,8 +265,8 @@ def _identity_residuals(kind: str, op, grid, E, refl_verdict: bool, rng, toleran
     return out
 
 
-def verify_inclusion(descriptor: dict, E=None, grid_config=None, tolerances=None,
-                     name: str = "operator", seed: int = 0) -> SpectralReport:
+def verify_inclusion(descriptor: dict, E=None, grid_config=None, name: str = "operator",
+                     seed: int = 0) -> SpectralReport:
     """Assemble the full report for one operator descriptor.
 
     E may be a canonical set, a set JSON dict, or None (then the computed ac
@@ -296,16 +277,17 @@ def verify_inclusion(descriptor: dict, E=None, grid_config=None, tolerances=None
     between the two reference sites by more than two grid steps, the report
     keeps the first site's set and is FAILED; so it is when the phase is
     undetermined at more than MAX_UNDETERMINED of the grid at either site.
+    Every threshold is the fixed TOLERANCES value.
     """
-    return _report(_load(descriptor, E, grid_config, tolerances), name, seed)
+    return _report(_load(descriptor, E, grid_config), name, seed)
 
 
 @sweep_scope()
 def _report(entry: Entry, name: str, seed: int) -> SpectralReport:
     """The report of one operator entry from its _load result."""
-    op, grid, tolerances, kind = entry.op, entry.grid, entry.tolerances, entry.descriptor["type"]
+    op, grid, kind = entry.op, entry.grid, entry.descriptor["type"]
     step = float(grid[1] - grid[0])
-    refl_tol = tolerances["reflectionless_tol"]
+    refl_tol = TOLERANCES["reflectionless_tol"]
     rng = np.random.default_rng(seed)
     failures = []
 
@@ -331,7 +313,7 @@ def _report(entry: Entry, name: str, seed: int) -> SpectralReport:
             n_points=0, defect_points=(), xi_fraction=math.nan)
     M2, M1 = multiplicity_sets(op, grid)
 
-    identities = _identity_residuals(kind, op, grid, E_set, refl.verdict, rng, tolerances)
+    identities = _identity_residuals(kind, op, grid, E_set, refl.verdict, rng)
     for nm, e in identities.items():
         if not e["passed"]:
             failures.append(f"identity {nm}: {e['value']:.3e} >= {e['threshold']:.1e}")
@@ -366,7 +348,7 @@ def _report(entry: Entry, name: str, seed: int) -> SpectralReport:
             "reflectionless test cannot run; ") + "the containment theorem does not apply"
 
     echo = ("reflectionless_tol", "identity_draws") + (("oracle_window",) if kind == "cmv" else ())
-    eff_tol = dict({name: tolerances[name] for name in echo}, slack_steps=1)
+    eff_tol = dict({name: TOLERANCES[name] for name in echo}, slack_steps=1)
     # a shallow read of the test's fields: asdict would deep-copy every defect point
     reflectionless = vars(refl)
 
@@ -414,7 +396,7 @@ def _entry_names(ops: list) -> list:
     '/', os.sep and NUL, since each names two files of the output directory."""
     names = []
     for k, entry in enumerate(ops):
-        check_keys(entry, ("name", "descriptor", "E", "grid", "tolerances"), "operator entry key")
+        check_keys(entry, ("name", "descriptor", "E", "grid"), "operator entry key")
         name = entry.get("name", f"operator_{k}")
         if not (isinstance(name, str) and name) or {"/", os.sep, "\0"} & set(name):
             raise ValueError(f"entry name must be a non-empty string without '/', not {name!r:.80}")
@@ -428,8 +410,8 @@ def run_config(path: str, out_dir: str = None) -> int:
     """Process a config file; one report JSON + one CSV per operator.
 
     Config schema: {"out_dir": str, "seed": int, "operators": [{"name": str,
-    "descriptor": {...}, "E": set JSON or null, "grid": {...} or null,
-    "tolerances": {...} or null}, ...]}, and no other key.
+    "descriptor": {...}, "E": set JSON or null, "grid": {...} or null}, ...]},
+    and no other key; every report reads the fixed TOLERANCES.
     """
     try:
         with open(path, encoding="utf-8") as fh:
@@ -445,8 +427,7 @@ def run_config(path: str, out_dir: str = None) -> int:
         if not (isinstance(seed, int) and not isinstance(seed, bool) and seed >= 0):
             raise ValueError(f"seed must be a non-negative integer, not {seed!r:.80}")
         names = _entry_names(ops)
-        loaded = [_load(e.get("descriptor"), e.get("E"), e.get("grid"), e.get("tolerances"))
-                  for e in ops]
+        loaded = [_load(e.get("descriptor"), e.get("E"), e.get("grid")) for e in ops]
     except ValueError as exc:
         return _fail(3 if isinstance(exc, UnknownOperatorType) else 2, str(exc))
     out = out_dir or cfg.get("out_dir")

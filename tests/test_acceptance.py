@@ -299,26 +299,26 @@ def test_criterion_8_inclusion_workflow(free_jacobi, period2_jacobi, free_cmv,
     cases = [
         ("free jacobi", free_jacobi.to_descriptor(),
          {"carrier": "line", "intervals": [[-2.0, 2.0, "cc"]], "points": []},
-         {"start": -3.0, "stop": 3.0, "points": 2001}, None),
+         {"start": -3.0, "stop": 3.0, "points": 2001}),
         ("free cmv", free_cmv.to_descriptor(), set_to_json(full_circle()),
-         {"angles": 512}, {"oracle_window": 512}),
+         {"angles": 512}),
         ("free schrodinger", free_schrodinger.to_descriptor(),
          {"carrier": "line", "intervals": [[0.0, 24.0, "cc"]], "points": []},
-         {"start": -1.0, "stop": 25.0, "points": 2001}, None),
+         {"start": -1.0, "stop": 25.0, "points": 2001}),
         ("period-2 jacobi", period2_jacobi.to_descriptor(),
          {"carrier": "line",
           "intervals": [[-sqrt5, -1.0, "cc"], [1.0, sqrt5, "cc"]], "points": []},
-         {"start": -3.0, "stop": 3.0, "points": 2001}, None),
+         {"start": -3.0, "stop": 3.0, "points": 2001}),
         ("alpha=1/2 cmv", geronimus_cmv.to_descriptor(),
          {"carrier": "circle",
           "intervals": [[math.pi / 3 + 0.02, 5 * math.pi / 3 - 0.02, "cc"]],
           "points": []},
-         {"angles": 1024}, {"oracle_window": 512}),
+         {"angles": 1024}),
     ]
     lines = []
     all_ok = True
-    for name, desc, E, grid_cfg, tol in cases:
-        rep = verify_inclusion(desc, E, grid_cfg, tolerances=tol, name=name)
+    for name, desc, E, grid_cfg in cases:
+        rep = verify_inclusion(desc, E, grid_cfg, name=name)
         ok = (rep.status == "PASS"
               and rep.theorem_inclusion["status"] == "PASS"
               and rep.theorem_inclusion["contained_in_ac"]

@@ -13,10 +13,10 @@ import pytest
 import acspectra
 from acspectra import boundary_analysis, cmv, harness_cli, jacobi
 from acspectra.errors import SiteDisagreement
-from acspectra.harness_cli import (OPERATOR_TYPES, UnknownOperatorType, _csv_for,
-                                   build_operator, bundled_config_path, closure_main,
-                                   emit_sets_demo, format_set, run_config, spec_main,
-                                   verify_inclusion)
+from acspectra.harness_cli import (MAX_GRID_POINTS, OPERATOR_TYPES, UnknownOperatorType,
+                                   _csv_for, _resolve_grid, _whole, build_operator,
+                                   bundled_config_path, closure_main, emit_sets_demo,
+                                   format_set, run_config, spec_main, verify_inclusion)
 from acspectra.interval_sets import (canonicalize, circle_set, full_circle, set_algebra,
                                      set_from_json, set_to_json)
 
@@ -43,8 +43,7 @@ def small_config(tmp_path, seed=0):
             {"name": "free_jacobi", "descriptor": FREE_JACOBI, "E": E_JACOBI,
              "grid": SMALL_GRIDS["jacobi"]},
             {"name": "free_cmv", "descriptor": FREE_CMV, "E": E_CIRCLE,
-             "grid": SMALL_GRIDS["cmv"],
-             "tolerances": {"oracle_window": 512}},
+             "grid": SMALL_GRIDS["cmv"]},
             {"name": "free_schrodinger", "descriptor": FREE_SCHRODINGER,
              "E": E_SCHRODINGER, "grid": SMALL_GRIDS["schrodinger"]},
         ],
@@ -74,9 +73,7 @@ class TestVerifyInclusion:
         (FREE_SCHRODINGER, E_SCHRODINGER, "schrodinger"),
     ])
     def test_free_operators_pass(self, descriptor, E, kind):
-        tol = {"oracle_window": 512} if kind == "cmv" else None
-        rep = verify_inclusion(descriptor, E, SMALL_GRIDS[kind],
-                               tolerances=tol, name=f"free_{kind}")
+        rep = verify_inclusion(descriptor, E, SMALL_GRIDS[kind], name=f"free_{kind}")
         assert rep.status == "PASS"
         assert rep.failures == []
         assert rep.theorem_inclusion["status"] == "PASS"
@@ -86,24 +83,21 @@ class TestVerifyInclusion:
         for entry in rep.identity_residuals.values():
             assert entry["passed"]
 
-    def test_numpy_scalar_tolerances_are_accepted(self):
-        """Library callers may pass numpy scalars; the report is the one of
-        the equal Python numbers."""
-        plain = {"oracle_window": 512, "identity_draws": 3, "m11_formula_vs_oracle": 1e-9}
-        numpy = {"oracle_window": np.int64(512), "identity_draws": np.int32(3),
-                 "m11_formula_vs_oracle": np.float64(1e-9),
-                 "reflectionless_tol": np.float32(1e-4)}
-        args = (FREE_CMV, E_CIRCLE, SMALL_GRIDS["cmv"])
-        want = verify_inclusion(*args, tolerances=dict(plain, reflectionless_tol=
-                                                       float(np.float32(1e-4))))
-        assert verify_inclusion(*args, tolerances=numpy).to_json() == want.to_json()
-
-    @pytest.mark.parametrize("name", ["xi_tol", "reflectionless_tl"])
-    def test_unknown_tolerance_name_raises(self, name):
-        """A retired or misspelt tolerance is refused, not silently ignored."""
-        with pytest.raises(ValueError, match=f"unknown tolerance '{name}'"):
-            verify_inclusion(FREE_JACOBI, E_JACOBI, SMALL_GRIDS["jacobi"],
-                             tolerances={name: 1e-3})
+    @pytest.mark.parametrize("descriptor,grid,threshold", [
+        (FREE_JACOBI, SMALL_GRIDS["jacobi"], "green_inverse_identity"),
+        (FREE_CMV, SMALL_GRIDS["cmv"], "m11_formula_vs_oracle")], ids=["jacobi", "cmv"])
+    def test_report_reads_the_tolerance_table(self, monkeypatch, descriptor, grid, threshold):
+        """Every report echoes and applies the one TOLERANCES table: a zero
+        identity threshold there fails the report on that identity."""
+        rep = verify_inclusion(descriptor, None, grid)
+        echo = ("reflectionless_tol", "identity_draws") + (
+            ("oracle_window",) if descriptor is FREE_CMV else ())
+        assert rep.tolerances == dict({k: harness_cli.TOLERANCES[k] for k in echo},
+                                      slack_steps=1)
+        assert rep.identity_residuals[threshold]["threshold"] == harness_cli.TOLERANCES[threshold]
+        monkeypatch.setitem(harness_cli.TOLERANCES, threshold, 0.0)
+        rep = verify_inclusion(descriptor, None, grid)
+        assert rep.status == "FAILED" and rep.failures[0].startswith(f"identity {threshold}: ")
 
     def test_off_spectrum_set_skips_inclusion(self):
         rep = verify_inclusion(
@@ -198,8 +192,8 @@ class TestOneLoad:
 
     def test_each_entry_is_loaded_once(self, tmp_path, monkeypatch):
         """spec run and `spec <family> --emit report` build each operator,
-        resolve its grid, check its tolerances and test its E once."""
-        names = ("_load", "build_operator", "_resolve_grid", "_check_tolerances", "_testable")
+        resolve its grid and test its E once."""
+        names = ("_load", "build_operator", "_resolve_grid", "_testable")
         calls = dict.fromkeys(names, 0)
         for name in names:
             def counted(*args, _fn=getattr(harness_cli, name), _name=name):
@@ -263,6 +257,43 @@ class TestRunConfig:
         cfg.write_text(json.dumps({"operators": [
             {"name": "ok", "descriptor": FREE_JACOBI}]}), encoding="utf-8")
         assert run_config(str(cfg)) == 2
+
+    def test_empty_operators_list_exits_2_without_writes(self, tmp_path, capsys):
+        cfg = tmp_path / "c.json"
+        cfg.write_text(json.dumps({"operators": []}), encoding="utf-8")
+        out = tmp_path / "out"
+        assert spec_main(["run", "--config", str(cfg), "--out", str(out)]) == 2
+        assert not out.exists()
+        assert capsys.readouterr().err == (
+            "error: config needs a nonempty 'operators' list of objects\n")
+
+    def test_out_under_a_regular_file_exits_1(self, tmp_path, capsys):
+        """An output directory that cannot be made is an IO error: one error
+        line, exit 1."""
+        blocker = tmp_path / "file"
+        blocker.write_text("", encoding="utf-8")
+        cfg = tmp_path / "c.json"
+        cfg.write_text(json.dumps({"operators": [
+            {"name": "ok", "descriptor": FREE_JACOBI, "grid": SMALL_GRIDS["jacobi"]}]}),
+            encoding="utf-8")
+        assert spec_main(["run", "--config", str(cfg), "--out", str(blocker / "out")]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1
+
+    def test_unwritable_report_file_exits_1_and_stops(self, tmp_path, capsys):
+        """A directory in the place of a report file stops the run with exit
+        1 before the entry's CSV or the next entry's files are written."""
+        out = tmp_path / "out"
+        (out / "ok_report.json").mkdir(parents=True)
+        cfg = tmp_path / "c.json"
+        cfg.write_text(json.dumps({"operators": [
+            {"name": "ok", "descriptor": FREE_JACOBI, "grid": SMALL_GRIDS["jacobi"]},
+            {"name": "next", "descriptor": FREE_JACOBI, "grid": SMALL_GRIDS["jacobi"]}]}),
+            encoding="utf-8")
+        assert spec_main(["run", "--config", str(cfg), "--out", str(out)]) == 1
+        assert sorted(p.name for p in out.iterdir()) == ["ok_report.json"]
+        captured = capsys.readouterr()
+        assert captured.err.startswith("error: ") and captured.out == ""
 
     def test_bundled_config_exists(self):
         path = bundled_config_path()
@@ -391,24 +422,21 @@ class TestMalformedInput:
         assert not out.exists()
         assert "seed" in capsys.readouterr().err
 
-    @pytest.mark.parametrize("tolerances", [
-        {"reflectionless_tol": "abc"}, {"reflectionless_tol": math.nan},
-        {"m11_boundary_real_part": math.inf}, {"xi_tol": 1e-3}, {"oracle_windw": 512},
-        {"green_inverse_identity": None}, {"identity_draws": 2.5}, {"identity_draws": 0},
-        {"oracle_window": 4}, {"oracle_window": True}, [1e-3]])
-    def test_spec_run_bad_tolerances_exit_2_without_writes(self, tmp_path, capsys,
-                                                            tolerances):
-        """A bad tolerance on the second operator stops the run before the
-        first report is written."""
+    def test_spec_run_bad_tolerances_exit_2_without_writes(self, tmp_path, capsys):
+        """The tolerances are fixed, so a tolerances key on the second
+        operator, even one whose value float() cannot read, stops the run
+        before the first report is written, with one error line naming it."""
         cfg = tmp_path / "c.json"
         cfg.write_text(json.dumps({"operators": [
             {"name": "ok", "descriptor": FREE_JACOBI, "grid": SMALL_GRIDS["jacobi"]},
             {"name": "bad", "descriptor": FREE_CMV, "grid": SMALL_GRIDS["cmv"],
-             "tolerances": tolerances}]}), encoding="utf-8")
+             "tolerances": {"reflectionless_tol": 10 ** 400}}]}), encoding="utf-8")
         out = tmp_path / "out"
         assert spec_main(["run", "--config", str(cfg), "--out", str(out)]) == 2
         assert not out.exists()
-        assert "tolerance" in capsys.readouterr().err
+        err = capsys.readouterr().err
+        assert err.startswith("error: unknown operator entry key 'tolerances'")
+        assert err.count("\n") == 1
 
     def test_spec_cmv_report_needs_the_full_circle(self, tmp_path, capsys):
         """The report's step is 2 pi/n over the whole circle, so a partial
@@ -442,6 +470,34 @@ class TestMalformedInput:
         assert not out.exists()
         assert capsys.readouterr().err == (
             "error: a grid needs at least 2 finite points and a positive first step\n")
+
+    @pytest.mark.parametrize("kind,grid", [
+        ("jacobi", {"start": -3.0, "stop": 3.0, "points": MAX_GRID_POINTS + 1}),
+        ("cmv", {"angles": MAX_GRID_POINTS + 1}),
+        ("jacobi", {"start": -3.0, "stop": 3.0, "points": 10 ** 400})],
+        ids=["points", "angles", "points_401_digits"])
+    def test_grid_counts_are_bounded(self, kind, grid):
+        """A config asks for at most MAX_GRID_POINTS points or angles; the
+        bound is refused before any grid is built."""
+        assert _whole(MAX_GRID_POINTS, "points") == MAX_GRID_POINTS
+        op = build_operator({"jacobi": FREE_JACOBI, "cmv": FREE_CMV}[kind])
+        with pytest.raises(ValueError, match=f"must be at most {MAX_GRID_POINTS}, not "):
+            _resolve_grid(kind, op, grid)
+
+    @pytest.mark.parametrize("kind,grid", [
+        ("jacobi", f"-3:3:{MAX_GRID_POINTS + 1}"),
+        ("cmv", f"0:{2 * math.pi!r}:{MAX_GRID_POINTS + 1}")])
+    def test_spec_family_grid_count_is_bounded(self, tmp_path, capsys, kind, grid):
+        desc = tmp_path / "op.json"
+        desc.write_text(json.dumps({"jacobi": FREE_JACOBI, "cmv": FREE_CMV}[kind]),
+                        encoding="utf-8")
+        out = tmp_path / "xi.csv"
+        assert spec_main([kind, "--desc", str(desc), f"--grid={grid}", "--emit", "xi",
+                          "--out", str(out)]) == 2
+        assert not out.exists()
+        assert capsys.readouterr().err == (
+            f"error: grid {'angles' if kind == 'cmv' else 'points'} must be at most "
+            f"{MAX_GRID_POINTS}, not {MAX_GRID_POINTS + 1}\n")
 
     @pytest.mark.parametrize("grid", ["1:2", "0:1:x", "0:1:2:3"])
     def test_spec_family_malformed_grid_exits_2_without_writes(self, tmp_path, capsys, grid):
@@ -702,6 +758,13 @@ class TestClosureCli:
         assert closure_main(["essential", "--input",
                              str(tmp_path / "nope.json")]) == 2
 
+    def test_sets_without_demo_exits_2(self, capsys):
+        with pytest.raises(SystemExit) as exc:
+            closure_main(["sets"])
+        assert exc.value.code == 2
+        captured = capsys.readouterr()
+        assert "nothing to do: pass --demo" in captured.err and captured.out == ""
+
     @pytest.mark.parametrize("name", ["line", "circle"])
     def test_essential_bytes(self, tmp_path, name):
         """The bytes CI compares the `closure essential` console script with."""
@@ -839,6 +902,14 @@ class TestSpecCli:
         doc = json.loads(capsys.readouterr().out)
         assert doc["status"] == "PASS"
         assert doc["family"] == "cmv"
+
+    def test_missing_descriptor_exits_2(self, tmp_path, capsys):
+        out = tmp_path / "report.json"
+        assert spec_main(["jacobi", "--desc", str(tmp_path / "missing.json"),
+                          "--out", str(out)]) == 2
+        assert not out.exists()
+        err = capsys.readouterr().err
+        assert err.startswith("error: cannot read descriptor ") and err.count("\n") == 1
 
     def test_type_mismatch_exits_3(self, tmp_path):
         desc = tmp_path / "op.json"

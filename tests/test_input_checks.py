@@ -1,12 +1,14 @@
 """Every documented input check of the families, the sets and the sweeps
-raises ValueError with its own message."""
+raises ValueError with its own message, and a truncation window's site
+lookup raises IndexError outside the window."""
 
 import numpy as np
 import pytest
 
 from acspectra import cmv, jacobi, schrodinger
-from acspectra.boundary_analysis import require_in_disk
-from acspectra.interval_sets import canonicalize, full_circle, set_algebra
+from acspectra.boundary_analysis import reflectionless_on, require_in_disk
+from acspectra.interval_sets import (canonicalize, full_circle, points_hull, set_algebra,
+                                     set_from_json)
 
 V = cmv.VerblunskyCoefficients(2, (0.2 - 0.3j, 0.6))
 J = jacobi.JacobiCoefficients(1, (1.0,), (0.0,))
@@ -68,6 +70,14 @@ CHECKS = {
     "set_algebra_op": (lambda: set_algebra(LINE, LINE, "xor"), "unknown op 'xor'"),
     "set_algebra_carriers": (lambda: set_algebra(LINE, full_circle(), "union"),
                              "mixed carriers"),
+    "set_json_unknown_family": (lambda: set_from_json({"family": "cantor"}),
+                                "unknown generated family 'cantor'"),
+    "points_hull_nan": (lambda: points_hull([0.0, np.nan], 0.1),
+                        "interval endpoints must be finite"),
+    "reflectionless_on_E_between_grid_points": (
+        lambda: reflectionless_on(J, canonicalize([(0.0002, 0.0013, "cc")]),
+                                  np.linspace(-3.0, 3.0, 4001)),
+        "grid does not meet E"),
     "require_in_disk": (lambda: require_in_disk(1.0), "open unit disk"),
 }
 
@@ -77,3 +87,11 @@ def test_input_check_raises(case):
     call, message = CHECKS[case]
     with pytest.raises(ValueError, match=message):
         call()
+
+
+@pytest.mark.parametrize("window", [jacobi.truncated_matrix(J, 6),
+                                    cmv.build_truncation(V, (-3, 2))], ids=["jacobi", "cmv"])
+def test_site_outside_the_truncation_window_raises(window):
+    assert window.index_of(-3) == 0
+    with pytest.raises(IndexError, match="site 100 outside the truncation window"):
+        window.index_of(100)

@@ -113,7 +113,7 @@ def test_seeds_per_schrodinger_report(monkeypatch, square_well):
         assert verify_inclusion(descriptor).status == "PASS"
         grid, _ = _resolve_grid("schrodinger", square_well, None)
         _csv_for(square_well, grid)
-    draws = TOLERANCES["identity_draws"][0]
+    draws = TOLERANCES["identity_draws"]
     assert sorted(sizes) == sorted([grid.size] * 2 + [draws])
     assert len(kernel_calls) == 4
 
@@ -393,16 +393,22 @@ def _real_alpha(seed):
 
 
 def test_geronimus_bands_are_the_cmv_bands():
-    """Under x = 2 cos theta the bands {|Delta_J(x)| <= 2} of the Jacobi
-    image (conftest.geronimus) are the CMV bands {|Delta(e^{i theta})| <=
-    2} in [0, pi]: the two masks agree on 20001 angles but for at most one
-    band-edge angle, on 20 seeds."""
+    """Under x = 2 cos theta the discriminant of the Jacobi image
+    (conftest.geronimus) is the CMV one: Delta_J(x) = Delta(e^{i theta})
+    for even p, and Delta(e^{i theta})^2 - 2 for odd p, where the image's
+    period p is two half-periods of the CMV operator.  So the bands
+    {|Delta_J(x)| <= 2} are the CMV bands {|Delta(e^{i theta})| <= 2} in
+    [0, pi]: on 20001 angles and 20 seeds the two sides agree within
+    1e-12 relative to 1 + |Delta_J|, and the two masks but for at most one
+    band-edge angle."""
     thetas = np.linspace(0.0, math.pi, 20001)
     for seed in range(20):
         alpha = _real_alpha(seed)
-        on_circle = np.abs(cmv.discriminant(cmv.VerblunskyCoefficients(len(alpha), alpha),
-                                            thetas)) <= 2.0
-        on_line = np.abs(jacobi.discriminant(geronimus(alpha), 2.0 * np.cos(thetas))) <= 2.0
+        delta = cmv.discriminant(cmv.VerblunskyCoefficients(len(alpha), alpha), thetas)
+        delta_j = jacobi.discriminant(geronimus(alpha), 2.0 * np.cos(thetas))
+        image = delta if len(alpha) % 2 == 0 else delta ** 2 - 2.0
+        assert np.max(np.abs(delta_j - image) / (1.0 + np.abs(delta_j))) <= 1e-12, (seed, alpha)
+        on_circle, on_line = np.abs(delta) <= 2.0, np.abs(delta_j) <= 2.0
         assert np.count_nonzero(on_circle != on_line) <= 1, (seed, alpha)
 
 
