@@ -15,9 +15,10 @@
 # - a config with a misspelled descriptor key, one with two entries of one
 #   name, one with a coefficient written as a JSON string, one with a grid
 #   end written as a JSON string, one with an entry `tolerances` key (the
-#   tolerances are fixed), one with a grid of 2^20 + 1 points, and a cmv
-#   angle range whose stop - start overflows each exit 2 with one `error:`
-#   line and write nothing.
+#   tolerances are fixed), one with a grid of 2^20 + 1 points, a cmv
+#   angle range whose stop - start overflows, and Jacobi reports with a =
+#   1e300 and with a = 5e-324 (past jacobi.MAX_COEFFICIENT and
+#   MIN_OFF_DIAGONAL) each exit 2 with one `error:` line and write nothing.
 set -eu
 spec=$1
 out=$2
@@ -75,4 +76,8 @@ refused string_grid $spec run --config "$out/string_grid.config.json"
 refused tolerances $spec run --config "$out/tolerances.config.json"
 refused huge_grid $spec run --config "$out/huge_grid.config.json"
 refused cmv_overflow $spec cmv --desc tests/data/xi/cmv.json --grid=-1e308:1e308:600 --emit xi
+for a in 1e300 5e-324; do
+  printf '{"type": "jacobi", "period": 1, "a": [%s], "b": [0]}' "$a" > "$out/jacobi_$a.json"
+  refused "jacobi_$a" $spec jacobi --desc "$out/jacobi_$a.json" --emit report
+done
 echo "cli checks passed"

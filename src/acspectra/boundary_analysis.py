@@ -91,6 +91,9 @@ REFERENCE_EPS = 1e-8
 EDGE_TOL = 1e-6
 BRANCH_TOL = 1e-10
 MIN_ANGLES = 512            # the fewest angles of a grid on the whole circle
+# the most (batch row, padded step) pairs tridiagonal_resolvent multiplies at
+# once (one row at least): 4 draws of a report's 801- or 1024-site window
+RESOLVENT_BLOCK = 2 ** 11
 
 # ---------------------------------------------------------------------------
 # Grid sweeps shared by the operator families
@@ -236,6 +239,12 @@ def tridiagonal_resolvent(d, up, lo, c: int):
     multiplied pairwise in log depth, each product scaled by a power of two
     (exactly) to its largest entry.  The only division is by det A, never by
     a partial pivot, so an exact zero pivot (some theta_k = 0) needs no care.
+
+    The batch is flattened and solved in blocks of rows, at most
+    RESOLVENT_BLOCK (row, padded step) pairs at a time and one row at
+    least, so the products hold about 320 bytes per pair: under 1 MB for a
+    report's draws, 5 MB for one row of a 2^15 + 1 site window.  Every
+    row's products are its own, so the blocks change no bit.
     """
     d = np.asarray(d, dtype=complex)
     n = d.shape[-1]
@@ -244,22 +253,37 @@ def tridiagonal_resolvent(d, up, lo, c: int):
     lo = np.asarray(lo, dtype=complex)
     p = np.asarray(up, dtype=complex) * lo
     batch = np.broadcast_shapes(d.shape[:-1], p.shape[:-1], lo.shape[:-1])
-    d = np.broadcast_to(d, batch + (n,))
-    zero = np.zeros(batch + (1,), dtype=complex)
+    rows = math.prod(batch)
+    d = np.broadcast_to(d, batch + (n,)).reshape(rows, n)
+    p = np.broadcast_to(p, batch + (n - 1,)).reshape(rows, n - 1)
+    lo_prev = np.broadcast_to(lo[..., c - 1], batch).reshape(rows) if c > 0 else np.zeros(rows)
+    steps = 1 << (max(c, n - 1 - c, 1) - 1).bit_length()
+    block = max(1, RESOLVENT_BLOCK // steps)
+    g = np.empty((2, rows), dtype=complex)
+    for r in range(0, rows, block):
+        rs = slice(r, r + block)
+        g[:, rs] = _resolvent_rows(d[rs], p[rs], lo_prev[rs], c, steps)
+    return g[0].reshape(batch), g[1].reshape(batch)
+
+
+def _resolvent_rows(d, p, lo_prev, c: int, steps: int):
+    """tridiagonal_resolvent on rows (r, n) of d, (r, n - 1) of p = up lo and
+    (r,) of lo[c - 1] (0 for c = 0), both chains padded to steps."""
+    rows, n = d.shape
+    zero = np.zeros((rows, 1), dtype=complex)
     # pe[k + 1] = up[k] lo[k] for k = -1 .. n-1, zero at both ends
-    pe = np.concatenate([zero, np.broadcast_to(p, batch + (n - 1,)), zero], axis=-1)
-    # m[i, j, chain, ..., step] holds entry (i, j) of one step: chain 0 maps
+    pe = np.concatenate([zero, p, zero], axis=-1)
+    # m[i, j, chain, row, step] holds entry (i, j) of one step: chain 0 maps
     # (theta_{k-1}, theta_k) to (theta_k, theta_{k+1}) with d[k], pe[k] for
     # k = 0 .. c-1, chain 1 maps (phi_{k+2}, phi_{k+1}) to (phi_{k+1}, phi_k)
     # with d[k], pe[k+1] for k = n-1 .. c+1, each in the order applied;
-    # identities pad both to a power of two
-    m = np.zeros((2, 2, 2) + batch + (1 << (max(c, n - 1 - c, 1) - 1).bit_length(),),
-                 dtype=complex)
+    # identities pad both to steps, a power of two
+    m = np.zeros((2, 2, 2, rows, steps), dtype=complex)
     m[0, 0] = m[1, 1] = 1.0
-    for chain, dk, pk in ((0, d[..., :c], pe[..., :c]), (1, d[..., :c:-1], pe[..., :c + 1:-1])):
+    for chain, dk, pk in ((0, d[:, :c], pe[:, :c]), (1, d[:, :c:-1], pe[:, :c + 1:-1])):
         k = dk.shape[-1]
-        m[0, 0, chain, ..., :k], m[0, 1, chain, ..., :k] = 0.0, 1.0
-        m[1, 0, chain, ..., :k], m[1, 1, chain, ..., :k] = -pk, dk
+        m[0, 0, chain, :, :k], m[0, 1, chain, :, :k] = 0.0, 1.0
+        m[1, 0, chain, :, :k], m[1, 1, chain, :, :k] = -pk, dk
     while m.shape[-1] > 1:
         a, b = m[..., 1::2], m[..., 0::2]       # each later step times the one before
         m = a[:, 0, None] * b[None, 0] + a[:, 1, None] * b[None, 1]
@@ -267,8 +291,7 @@ def tridiagonal_resolvent(d, up, lo, c: int):
         top = np.maximum(top[..., 0::2], top[..., 1::2])
         m *= np.ldexp(1.0, -np.frexp(top)[1])
     (th_prev, ph_next), (th, ph) = m[0, 1, ..., 0], m[1, 1, ..., 0]
-    det = (d[..., c] * th - pe[..., c] * th_prev) * ph - pe[..., c + 1] * th * ph_next
-    lo_prev = lo[..., c - 1] if c > 0 else 0.0
+    det = (d[:, c] * th - pe[:, c] * th_prev) * ph - pe[:, c + 1] * th * ph_next
     return th * ph / det, -lo_prev * th_prev * ph / det
 
 

@@ -29,6 +29,8 @@ its margin.
 
 Config runs are deterministic: fixed seed, sorted JSON keys, LF endings, no
 timestamps; reports embed the tolerances (TOLERANCES, fixed) for auditability.
+The seed drives the identity draws through stdlib random.Random, so a
+report process never imports numpy.random.
 
 Each entry is loaded and checked once (_load), and spec run, `spec
 <family> --emit report` and verify_inclusion assemble its report from that
@@ -43,8 +45,9 @@ the undetermined count.
 Exit codes for `spec run`: 0 all reports PASS, 1 failures or IO errors,
 2 malformed input, every entry checked before anything is written (config
 JSON, operators list, seed, entry name, descriptor, grid, target set E, a
-Schrodinger potential whose transfers would overflow, no output
-directory), 3 unknown operator type.  `spec jacobi|cmv|schrodinger`
+Schrodinger potential whose transfers would overflow, Jacobi coefficients
+past jacobi.MAX_COEFFICIENT or MIN_OFF_DIAGONAL, no output directory), 3
+unknown operator type.  `spec jacobi|cmv|schrodinger`
 exits the same way: 1 when the report it writes is FAILED, the sites of
 the ac spectrum it writes (the first site's) disagree, or its --out file
 cannot be written, 2 for an unreadable descriptor, a malformed --grid or a
@@ -61,9 +64,10 @@ A documented number that is a JSON string or boolean exits 2 as well
 Entry names (operator_k by default) are distinct non-empty strings free of
 '/', os.sep and NUL, as each names two files of the output directory.
 
-The report path needs numpy alone: both identity oracles (Jacobi's
-Dirichlet-window resolvent, CMV's truncated Cayley diagonal) are batched
-tridiagonal solves (boundary_analysis.tridiagonal_resolvent).
+The report path needs numpy alone, without numpy.random: both identity
+oracles (Jacobi's Dirichlet-window resolvent, CMV's truncated Cayley
+diagonal) are batched tridiagonal solves
+(boundary_analysis.tridiagonal_resolvent), in blocks of draws.
 """
 
 from __future__ import annotations
@@ -72,6 +76,7 @@ import argparse
 import json
 import math
 import os
+import random
 import sys
 from collections import namedtuple
 from dataclasses import dataclass, fields
@@ -230,9 +235,16 @@ class SpectralReport:
         return _json_safe(dict(doc, schema=SCHEMA, ac_spectrum=set_to_json(self.ac_spectrum)))
 
 
-def _identity_residuals(kind: str, op, grid, E, refl_verdict: bool, rng) -> dict:
-    """Named identity residual maxima for one operator family."""
+def _identity_residuals(kind: str, op, grid, E, refl_verdict: bool, seed: int) -> dict:
+    """Named identity residual maxima for one operator family, at
+    TOLERANCES["identity_draws"] points drawn from random.Random(seed): on
+    the line Re z uniform on the grid's range, then Im z uniform on [0.5,
+    2]; on the circle the radius sqrt(U[0, 0.81]), then the angle U[0,
+    2 pi).  Stdlib random keeps numpy.random, and its memory, out of a
+    report process."""
     draws = TOLERANCES["identity_draws"]
+    rng = random.Random(seed)
+    uniform = lambda lo, hi: np.array([rng.uniform(lo, hi) for _ in range(draws)])
     out = {}
 
     def entry(name, value, n):
@@ -242,13 +254,13 @@ def _identity_residuals(kind: str, op, grid, E, refl_verdict: bool, rng) -> dict
 
     if kind != "cmv":
         lo, hi = float(grid[0]), float(grid[-1])
-        zs = rng.uniform(lo, hi, draws) + 1j * rng.uniform(0.5, 2.0, draws)
+        zs = uniform(lo, hi) + 1j * uniform(0.5, 2.0)
         residual = (_jacobi.green_inverse_identity_residual if kind == "jacobi"
                     else _schrodinger.green_identity_residual)
         entry("green_inverse_identity", residual(op, zs), draws)
     else:
-        r = np.sqrt(rng.uniform(0.0, 0.81, draws))
-        zs = r * np.exp(1j * rng.uniform(0.0, 2.0 * math.pi, draws))
+        r = np.sqrt(uniform(0.0, 0.81))
+        zs = r * np.exp(1j * uniform(0.0, 2.0 * math.pi))
         # the formula route and the truncation oracle of M11's oracle mode,
         # each at all draws in one call
         m11 = _cmv._M11_grid(op, zs, 0)["M11"]
@@ -288,7 +300,6 @@ def _report(entry: Entry, name: str, seed: int) -> SpectralReport:
     op, grid, kind = entry.op, entry.grid, entry.descriptor["type"]
     step = float(grid[1] - grid[0])
     refl_tol = TOLERANCES["reflectionless_tol"]
-    rng = np.random.default_rng(seed)
     failures = []
 
     try:
@@ -313,7 +324,7 @@ def _report(entry: Entry, name: str, seed: int) -> SpectralReport:
             n_points=0, defect_points=(), xi_fraction=math.nan)
     M2, M1 = multiplicity_sets(op, grid)
 
-    identities = _identity_residuals(kind, op, grid, E_set, refl.verdict, rng)
+    identities = _identity_residuals(kind, op, grid, E_set, refl.verdict, seed)
     for nm, e in identities.items():
         if not e["passed"]:
             failures.append(f"identity {nm}: {e['value']:.3e} >= {e['threshold']:.1e}")

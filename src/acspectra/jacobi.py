@@ -44,6 +44,13 @@ from .boundary_analysis import (ac_spectrum, multiplicity_sets, reflectionless_o
 from .errors import check_keys, check_number
 
 
+# the coefficient range a report runs in without overflow: a uniform scale
+# s (a = s, or a = b = s) overflows from s = 2^341 and from s = 2^-1022 (2^-1021
+# as a patch), and b alone from 2^512
+MAX_COEFFICIENT = 2.0 ** 320
+MIN_OFF_DIAGONAL = 2.0 ** -1000
+
+
 @dataclass(frozen=True)
 class JacobiCoefficients:
     """Two-sided Jacobi coefficients: period-p base plus a finite patch.
@@ -75,8 +82,13 @@ class JacobiCoefficients:
         if not all(map(math.isfinite, self.a_base + self.b_base
                        + tuple(x for _, a, b in norm for x in (a, b)))):
             raise ValueError("coefficients must be finite numbers")
-        if any(a <= 0 for a in self.a_base) or any(a <= 0 for _, a, _ in self.patch):
+        a_all = self.a_base + tuple(a for _, a, _ in norm)
+        b_all = self.b_base + tuple(b for _, _, b in norm)
+        if any(a <= 0 for a in a_all):
             raise ValueError("off-diagonal coefficients a(n) must be positive")
+        if max(a_all + tuple(map(abs, b_all))) > MAX_COEFFICIENT or min(a_all) < MIN_OFF_DIAGONAL:
+            raise ValueError("coefficients must have magnitudes of at most 2^320, and a(n) of "
+                             f"at least 2^-1000, not a = {a_all!r:.80}, b = {b_all!r:.80}")
         seen = [n for n, _, _ in self.patch]
         if len(seen) != len(set(seen)):
             raise ValueError("patch sites must be distinct")
@@ -230,10 +242,13 @@ def green_inverse_identity_residual(J: JacobiCoefficients, zs) -> float:
     of the Floquet M-functions.  The resolvent decays like
     exp(-|n| Im z / (2 max a)), so the window is sized from the operator's
     scale: N = max(801, 2 ceil(80 max a / min |Im z|) + 1) sites, where
-    that decay reaches exp(-40), capped at 2^15 + 1 to bound memory (past
-    max a / min |Im z| of about 200 the window stops growing).  The kernel
-    takes the contracting root and never raises, so multipliers of
-    near-equal modulus (a large scale) show as a residual too."""
+    that decay reaches exp(-40), capped at 2^15 + 1 to bound the time of
+    the solve and the draws' diagonals (past max a / min |Im z| of about
+    200 the window stops growing); the solve's products run in blocks of
+    draws (boundary_analysis.RESOLVENT_BLOCK), so its working set does not
+    grow with the window.  The kernel takes the contracting root and never
+    raises, so multipliers of near-equal modulus (a large scale) show as a
+    residual too."""
     zs = np.atleast_1d(np.asarray(zs, dtype=complex))
     im = float(np.abs(zs.imag).min(initial=np.inf))
     reach = 80.0 * max(J.a_base + tuple(a for _, a, _ in J.patch)) / im if im else math.inf

@@ -330,6 +330,15 @@ BAD_ENTRIES = {
     "overflowing_piece_value": {"descriptor": {**FREE_SCHRODINGER, "pieces": [[1.0, 1e300]]}},
     "overflowing_patch_value": {"descriptor": {**FREE_SCHRODINGER, "patch": [[0.5, 1e6]]}},
     "jacobi_patch_list": {"descriptor": {**FREE_JACOBI, "patch": [[1.0, 0.0]]}},
+    # finite, but the kernel or the identity oracle overflows
+    "overflowing_a": {"descriptor": {**FREE_JACOBI, "a": [1.7e308]}},
+    "large_a": {"descriptor": {**FREE_JACOBI, "a": [1e300]}},
+    "subnormal_a": {"descriptor": {**FREE_JACOBI, "a": [5e-324]}},
+    "large_period2": {"descriptor": {"type": "jacobi", "period": 2, "a": [2.0 ** 500] * 2,
+                                     "b": [2.0 ** 500] * 2}},
+    "subnormal_period2": {"descriptor": {"type": "jacobi", "period": 2, "a": [2.0 ** -1074] * 2,
+                                         "b": [2.0 ** -1074] * 2}},
+    "large_jacobi_patch_b": {"descriptor": {**FREE_JACOBI, "patch": {"1": [1.0, 2.0 ** 321]}}},
     "cmv_patch_list": {"descriptor": {**FREE_CMV, "patch": [[0.1, 0.0]]}},
     "cmv_grid_list": {"descriptor": FREE_CMV, "grid": [1]},
 }
@@ -410,6 +419,19 @@ class TestMalformedInput:
         assert proc.returncode == 2, proc.stderr
         assert proc.stderr.startswith("error: ") and "exp(" in proc.stderr
         assert "Warning" not in proc.stderr and not out.exists()
+
+    @pytest.mark.parametrize("period,a,b", [(1, 2.0 ** 320, 0.0), (1, 2.0 ** -1000, 0.0),
+                                            (2, 2.0 ** 320, 2.0 ** 320),
+                                            (2, 2.0 ** -1000, 2.0 ** -1000),
+                                            (2, 2.0 ** 300, 2.0 ** 300)])
+    def test_jacobi_at_the_coefficient_bounds_reports_without_warnings(self, period, a, b):
+        """The largest and smallest accepted Jacobi scales (jacobi.MAX_COEFFICIENT,
+        jacobi.MIN_OFF_DIAGONAL) give a report with no RuntimeWarning."""
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            rep = verify_inclusion({"type": "jacobi", "period": period, "a": [a] * period,
+                                    "b": [b] * period})
+        assert rep.status in ("PASS", "FAILED")
 
     @pytest.mark.parametrize("seed", ["x", -1, 1.5, True, None])
     def test_spec_run_bad_seed_exits_2_without_writes(self, tmp_path, capsys, seed):
@@ -949,6 +971,22 @@ def test_python_m_harness_cli_with_runtime_warnings_as_errors(tmp_path):
         capture_output=True, text=True, env=env, timeout=300)
     assert proc.returncode == 0, proc.stderr
     assert proc.stderr == "" and len(list((tmp_path / "out").iterdir())) == 6
+
+
+def test_report_process_does_not_import_numpy_random(tmp_path):
+    """The identity draws come from stdlib random, so run_config on the
+    bundled free suite leaves numpy.random (about 5 MB of resident memory)
+    unloaded."""
+    src = os.path.dirname(os.path.dirname(os.path.abspath(acspectra.__file__)))
+    env = {**os.environ,
+           "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    code = ("import sys; from acspectra.harness_cli import bundled_config_path, run_config; "
+            "code = run_config(bundled_config_path('free_suite.json'), sys.argv[1]); "
+            "print(code, 'numpy.random' in sys.modules)")
+    proc = subprocess.run([sys.executable, "-c", code, str(tmp_path / "out")],
+                          capture_output=True, text=True, env=env, timeout=300)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.splitlines()[-1] == "0 False"
 
 
 def test_report_api_is_imported_on_first_use():

@@ -2,6 +2,8 @@
 raises ValueError with its own message, and a truncation window's site
 lookup raises IndexError outside the window."""
 
+import re
+
 import numpy as np
 import pytest
 
@@ -15,6 +17,7 @@ J = jacobi.JacobiCoefficients(1, (1.0,), (0.0,))
 W = schrodinger.PiecewisePotential(1.0, ((1.0, 0.0),))
 LINE = canonicalize([(0.0, 1.0, "cc")])
 GRID_RULE = "at least 2 finite points and a positive first step"
+MAGNITUDES = re.escape("magnitudes of at most 2^320, and a(n) of at least 2^-1000")
 
 CHECKS = {
     "cmv_period": (lambda: cmv.VerblunskyCoefficients(0, ()), "period must be a positive"),
@@ -55,6 +58,12 @@ CHECKS = {
     "jacobi_reflectionless_on_nan": (
         lambda: jacobi.reflectionless_on(J, LINE, [0.0, np.nan, 1.0]), GRID_RULE),
     "jacobi_truncation_size": (lambda: jacobi.truncated_matrix(J, 3), "at least 4 sites"),
+    "jacobi_large_a": (lambda: jacobi.JacobiCoefficients(1, (1e300,), (0.0,)), MAGNITUDES),
+    "jacobi_large_b": (lambda: jacobi.JacobiCoefficients(1, (1.0,), (-(2.0 ** 321),)), MAGNITUDES),
+    "jacobi_subnormal_a": (lambda: jacobi.JacobiCoefficients(1, (5e-324,), (0.0,)), MAGNITUDES),
+    "jacobi_small_patch_a": (
+        lambda: jacobi.JacobiCoefficients(1, (1.0,), (0.0,), {3: (2.0 ** -1001, 0.0)}),
+        MAGNITUDES),
     "schrodinger_period": (lambda: schrodinger.PiecewisePotential(0.0, ((1.0, 0.0),)),
                            "period must be positive"),
     "schrodinger_piece_length": (

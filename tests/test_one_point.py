@@ -181,6 +181,6 @@ def test_identity_draws_make_one_kernel_call_per_batch(J, V, draws):
         calls.clear()
         mp.setitem(harness_cli.TOLERANCES, "identity_draws", draws)
         mp.setitem(harness_cli.TOLERANCES, "oracle_window", 64)
-        out = harness_cli._identity_residuals("cmv", V, cmv.default_angles(), None, False, rng)
+        out = harness_cli._identity_residuals("cmv", V, cmv.default_angles(), None, False, draws)
         assert calls == [("_M11_grid", draws)]
         assert out["m11_formula_vs_oracle"]["n_draws"] == draws

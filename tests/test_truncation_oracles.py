@@ -18,12 +18,13 @@ import json
 import os
 import subprocess
 import sys
+import tracemalloc
 
 import numpy as np
 import pytest
 
 import acspectra
-from acspectra import cmv, jacobi
+from acspectra import boundary_analysis, cmv, jacobi
 from acspectra.boundary_analysis import tridiagonal_resolvent
 from acspectra.harness_cli import bundled_config_path, build_operator
 from conftest import cayley_diag, matrix_M_entry, resolvent_entry
@@ -73,6 +74,49 @@ class TestTridiagonalResolvent:
     def test_row_outside_the_window_raises(self):
         with pytest.raises(ValueError):
             tridiagonal_resolvent(np.ones(4), np.ones(3), np.ones(3), 4)
+
+
+@pytest.mark.parametrize("n", [801, 1024])
+@pytest.mark.parametrize("row", ["first", "middle", "last"])
+@pytest.mark.parametrize("shared", [True, False], ids=["shared_off", "batched_off"])
+@pytest.mark.parametrize("batch", [(), (20,), (3, 7)], ids=str)
+def test_blocks_keep_the_bits_of_one_block(monkeypatch, batch, shared, row, n):
+    """The resolvent solved in blocks of rows (one row, a few rows with a
+    short last block, the default budget) equals the one-block solve bit
+    for bit, for a seeded nonsymmetric batch."""
+    default = boundary_analysis.RESOLVENT_BLOCK
+    rng = np.random.default_rng(len(batch) + 2 * shared + 3 * n)
+    c = {"first": 0, "middle": n // 2, "last": n - 1}[row]
+    d = rng.normal(size=batch + (n,)) - 1j * rng.uniform(0.5, 2.0, size=batch + (1,))
+    off = () if shared else batch
+    up = rng.uniform(0.5, 1.5, size=off + (n - 1,))
+    lo = rng.uniform(0.5, 1.5, size=off + (n - 1,)) + 0.1j
+    monkeypatch.setattr(boundary_analysis, "RESOLVENT_BLOCK", 2 ** 62)
+    whole = tridiagonal_resolvent(d, up, lo, c)
+    assert whole[0].shape == whole[1].shape == batch
+    steps = 1 << (max(c, n - 1 - c) - 1).bit_length()
+    for budget in (1, 3 * steps, default):
+        monkeypatch.setattr(boundary_analysis, "RESOLVENT_BLOCK", budget)
+        blocked = tridiagonal_resolvent(d, up, lo, c)
+        assert all(np.array_equal(x, y) for x, y in zip(blocked, whole)), budget
+
+
+def test_capped_window_keeps_its_bits_in_a_bounded_working_set():
+    """A scale-1024 operator sizes the Jacobi oracle's window at its cap,
+    2^15 + 1 sites.  Solved in blocks, its residual keeps the bits of the
+    all-draws-at-once solve, and its traced peak stays under 32 MB (about
+    16 MB in blocks of one draw; that solve peaked at 106 MB)."""
+    J = jacobi.JacobiCoefficients(2, (1024.0, 1024.0), (1024.0, -1024.0))
+    rng = np.random.default_rng(0)
+    zs = rng.uniform(-3e3, 3e3, 20) + 1j * rng.uniform(0.5, 2.0, 20)
+    tracemalloc.start()
+    try:
+        residual = jacobi.green_inverse_identity_residual(J, zs)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert residual == float.fromhex("0x1.6f7691a234073p-26")
+    assert peak < 32 * 2 ** 20, peak / 2 ** 20
 
 
 def _theta_blocks(V, n_lo, n_hi, parity):
