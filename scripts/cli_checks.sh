@@ -11,14 +11,19 @@
 #   `spec <family> --emit report`, and `spec <family> --emit spectrum`
 #   writes the report's ac_spectrum field as the CLIs write JSON (sorted
 #   keys, indent 2, a final LF);
-# - a period-1024 Jacobi report is written;
+# - a period-1024 Jacobi report is written, and so is a PASS report of free
+#   Schrodinger written with period 50;
+# - a Schrodinger piece of value 1e300, whose transfers overflow, gives a
+#   FAILED report with exit 1 and nothing on stderr;
 # - a config with a misspelled descriptor key, one with two entries of one
 #   name, one with a coefficient written as a JSON string, one with a grid
 #   end written as a JSON string, one with an entry `tolerances` key (the
 #   tolerances are fixed), one with a grid of 2^20 + 1 points, a cmv
 #   angle range whose stop - start overflows, and Jacobi reports with a =
 #   1e300 and with a = 5e-324 (past jacobi.MAX_COEFFICIENT and
-#   MIN_OFF_DIAGONAL) each exit 2 with one `error:` line and write nothing.
+#   MIN_OFF_DIAGONAL) and a Schrodinger period of 1e-300 (below
+#   schrodinger.MIN_PERIOD, 2e-15) each exit 2 with one `error:` line and
+#   write nothing.
 set -eu
 spec=$1
 out=$2
@@ -42,6 +47,20 @@ done
 # its one-period transfer products pass the float range off the bands unless rescaled
 $spec jacobi --desc tests/data/xi/jacobi_p1024.json --emit report \
   --out "$out/jacobi_p1024.report.json"
+
+# the free cell written 50 times grows like exp(250) across a period at the grid top
+python -c 'import json; print(json.dumps({"type": "schrodinger", "period": 50.0,
+           "pieces": [[1.0, 0.0]] * 50}))' > "$out/free_x50.json"
+$spec schrodinger --desc "$out/free_x50.json" --emit report --out "$out/free_x50.report.json"
+printf '{"type": "schrodinger", "period": 1, "pieces": [[1, 1e300]]}' > "$out/piece_1e300.json"
+code=0
+$spec schrodinger --desc "$out/piece_1e300.json" --emit report \
+  --out "$out/piece_1e300.report.json" 2> "$out/piece_1e300.err" || code=$?
+if [ "$code" -ne 1 ] || [ -s "$out/piece_1e300.err" ] \
+    || ! grep -q '"status": "FAILED"' "$out/piece_1e300.report.json"; then
+  echo "piece_1e300: exit $code, stderr: $(cat "$out/piece_1e300.err")" >&2
+  exit 1
+fi
 
 free='{"type": "jacobi", "period": 1, "a": [1.0], "b": [0.0]}'
 printf '{"operators": [{"name": "x", "descriptor": %s}]}' \
@@ -80,4 +99,7 @@ for a in 1e300 5e-324; do
   printf '{"type": "jacobi", "period": 1, "a": [%s], "b": [0]}' "$a" > "$out/jacobi_$a.json"
   refused "jacobi_$a" $spec jacobi --desc "$out/jacobi_$a.json" --emit report
 done
+printf '{"type": "schrodinger", "period": 1e-300, "pieces": [[1e-300, 0]]}' \
+  > "$out/short_period.json"
+refused short_period $spec schrodinger --desc "$out/short_period.json" --emit report
 echo "cli checks passed"

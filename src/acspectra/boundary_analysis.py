@@ -627,7 +627,8 @@ def reflectionless_on(op, E, grid=None, tol: float = 1e-4) -> ReflectionlessRepo
         bd = sweep_at(memo_sweep(op, grid, site), inside)
         Mp, Mm = bd[fam.pair[0]][0], bd[fam.pair[1]][0]
         okm = bd[fam.pair[0]][2] & bd[fam.pair[1]][2]
-        res = np.abs(Mp + np.conj(Mm)) if fam.circle else np.abs(Mp - np.conj(Mm))
+        with np.errstate(invalid="ignore"):     # inf - inf where no sweep accepted the point
+            res = np.abs(Mp + np.conj(Mm)) if fam.circle else np.abs(Mp - np.conj(Mm))
         pass_mask = okm & (res < tol)
         worst_fraction = min(worst_fraction, float(np.mean(pass_mask)))
         max_res = max(max_res, float(np.max(np.where(okm, res, 0.0))))
@@ -677,7 +678,8 @@ def multiplicity_sets(op, grid=None):
         return v, _axis_margin(v, e), bd["inf_" + key] | bd["div_" + key], off, ok & ~off
 
     (Mp, tp, infp, off_p, on_p), (Mm, tm, infm, off_m, on_m) = (side(key) for key in fam.pair)
-    equal_on = on_p & on_m & (np.abs(Mp - Mm) <= tp + tm)
+    with np.errstate(invalid="ignore"):     # inf - inf where no sweep accepted the point
+        equal_on = on_p & on_m & (np.abs(Mp - Mm) <= tp + tm)
 
     mask2 = off_p & off_m
     mask1 = equal_on | (infp & infm) | (on_p & off_m) | (on_m & off_p)

@@ -51,6 +51,10 @@ from .boundary_analysis import (ac_spectrum, multiplicity_sets, reflectionless_o
 from .errors import check_keys, check_number
 
 LAMBDA_TOP = 25.0
+# the shortest period accepted: _pieces drops spans under 1e-15 as rounding
+# slivers, so a shorter period leaves the identity residual no piece in the
+# half period it reads (a bound bisected on one-piece potentials)
+MIN_PERIOD = 2e-15
 
 
 @dataclass(frozen=True)
@@ -68,8 +72,8 @@ class PiecewisePotential:
         object.__setattr__(self, "period", float(self.period))
         if not all(map(math.isfinite, (self.period,) + sum(pieces + patch, ()))):
             raise ValueError("period, piece lengths and values must be finite numbers")
-        if self.period <= 0.0:
-            raise ValueError("period must be positive")
+        if self.period < MIN_PERIOD:
+            raise ValueError(f"period must be positive, at least {MIN_PERIOD!r}")
         if any(l <= 0.0 for l, _ in pieces) or any(l <= 0.0 for l, _ in patch):
             raise ValueError("piece lengths must be positive")
         if abs(math.fsum(l for l, _ in pieces) - self.period) > 1e-12:
@@ -118,9 +122,10 @@ class PiecewisePotential:
 
 
 def _sinhc(x):
-    """sinh(x)/x, even entire function; series below the cancellation scale."""
+    """sinh(x)/x, even entire function; series below the cancellation scale,
+    where it replaces the quotient (which overflows at a subnormal x)."""
     x = np.asarray(x, dtype=complex)
-    with np.errstate(invalid="ignore", divide="ignore"):
+    with np.errstate(invalid="ignore", divide="ignore", over="ignore"):
         out = np.sinh(x) / x
     small = np.abs(x) < 1e-4
     if small.any():
@@ -255,13 +260,6 @@ def green_identity_residual(V: PiecewisePotential, zs, x0: float = 0.0) -> float
     # bits of the true-scale quotient wherever that is finite
     g = p * pm / (p1 * qm1 - q1 * pm1) * np.ldexp(1.0, e0 - e1 - e2)
     return float(np.max(np.abs(g * (qm / pm - q / p) - 1.0)))
-
-
-def transfer_exponent(V: PiecewisePotential, reach: float) -> float:
-    """Sum of sqrt(|v| + reach) * ell over the base pieces and the patch.
-    Since |Re sqrt(v - z)| <= sqrt(|v| + |z|), the one-period monodromy and
-    the patch transfers grow at most like exp of it at |z| <= reach."""
-    return math.fsum(math.sqrt(abs(v) + reach) * l for l, v in V.pieces + V.patch)
 
 
 def discriminant(V: PiecewisePotential, lams) -> np.ndarray:

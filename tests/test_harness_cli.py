@@ -326,9 +326,9 @@ BAD_ENTRIES = {
     "nan_piece_length": {"descriptor": {**FREE_SCHRODINGER, "pieces": [[math.nan, 0.0]]}},
     "infinite_piece_value": {"descriptor": {**FREE_SCHRODINGER, "pieces": [[1.0, math.inf]]}},
     "nan_schrodinger_patch": {"descriptor": {**FREE_SCHRODINGER, "patch": [[0.5, math.nan]]}},
-    # finite, but cosh and sinh of sqrt(v - z) overflow
-    "overflowing_piece_value": {"descriptor": {**FREE_SCHRODINGER, "pieces": [[1.0, 1e300]]}},
-    "overflowing_patch_value": {"descriptor": {**FREE_SCHRODINGER, "patch": [[0.5, 1e6]]}},
+    # a period whose half has no span _pieces keeps (schrodinger.MIN_PERIOD)
+    "short_period": {"descriptor": {**FREE_SCHRODINGER, "period": 1e-300,
+                                    "pieces": [[1e-300, 0.0]]}},
     "jacobi_patch_list": {"descriptor": {**FREE_JACOBI, "patch": [[1.0, 0.0]]}},
     # finite, but the kernel or the identity oracle overflows
     "overflowing_a": {"descriptor": {**FREE_JACOBI, "a": [1.7e308]}},
@@ -341,6 +341,20 @@ BAD_ENTRIES = {
     "large_jacobi_patch_b": {"descriptor": {**FREE_JACOBI, "patch": {"1": [1.0, 2.0 ** 321]}}},
     "cmv_patch_list": {"descriptor": {**FREE_CMV, "patch": [[0.1, 0.0]]}},
     "cmv_grid_list": {"descriptor": FREE_CMV, "grid": [1]},
+}
+
+# entries whose transfers overflow the float range on their grids: each
+# gives a FAILED report on its undetermined points, not exit 2
+OVERFLOWING = {
+    # cosh and sinh of sqrt(v - z) overflow
+    "overflowing_piece_value": {**FREE_SCHRODINGER, "pieces": [[1.0, 1e300]]},
+    "largest_piece_value": {**FREE_SCHRODINGER, "pieces": [[1.0, 1.7e308]]},
+    "overflowing_patch_value": {**FREE_SCHRODINGER, "patch": [[0.5, 1e6]]},
+    "deep_well": {**FREE_SCHRODINGER, "pieces": [[0.5, 0.0], [0.5, 1e6]]},
+    # (z - b)/a of the smaller a passes the float range in transfer_product
+    "mixed_scale_jacobi": {"type": "jacobi", "period": 2, "a": [1.18e-13, 9.5e-302],
+                           "b": [0.0, 0.557]},
+    "mixed_scale_jacobi_patch": {**FREE_JACOBI, "a": [2.5e-38], "patch": {"1": [9.5e-302, 0.0]}},
 }
 
 # grids of `spec run` entries that are refused, not truncated or swept
@@ -402,12 +416,15 @@ class TestMalformedInput:
         err = capsys.readouterr().err
         assert err.startswith("error: ") and "grid" in err
 
-    def test_overflowing_potential_exits_2_without_warnings(self, tmp_path):
-        """spec run refuses a potential whose transfers overflow before it
-        computes anything, so no numpy RuntimeWarning is raised."""
+    def test_overflowing_entries_report_failed_without_warnings(self, tmp_path):
+        """Overflow is data, not a load-time estimate: spec run, with
+        RuntimeWarnings as errors, writes each OVERFLOWING entry's report
+        and CSV, FAILED on its undetermined count (every point, for the
+        mixed-scale Jacobi operators), and exits 1 with no traceback."""
         cfg = tmp_path / "c.json"
         cfg.write_text(json.dumps({"operators": [
-            {"name": "huge", **BAD_ENTRIES["overflowing_piece_value"]}]}), encoding="utf-8")
+            {"name": name, "descriptor": d} for name, d in sorted(OVERFLOWING.items())]}),
+            encoding="utf-8")
         out = tmp_path / "out"
         src = os.path.dirname(os.path.dirname(os.path.abspath(acspectra.__file__)))
         env = {**os.environ, "PYTHONWARNINGS": "error::RuntimeWarning",
@@ -416,9 +433,32 @@ class TestMalformedInput:
             [sys.executable, "-c", "import sys; from acspectra.harness_cli import spec_main; "
              "sys.exit(spec_main(sys.argv[1:]))", "run", "--config", str(cfg), "--out", str(out)],
             capture_output=True, text=True, env=env, timeout=120)
-        assert proc.returncode == 2, proc.stderr
-        assert proc.stderr.startswith("error: ") and "exp(" in proc.stderr
-        assert "Warning" not in proc.stderr and not out.exists()
+        assert proc.returncode == 1 and proc.stderr == "", proc.stderr
+        assert len(proc.stdout.splitlines()) == len(OVERFLOWING)
+        for name in OVERFLOWING:
+            rep = json.loads((out / f"{name}_report.json").read_text(encoding="utf-8"))
+            assert rep["status"] == "FAILED"
+            assert rep["failures"][0].startswith("undetermined: "), rep["failures"]
+            if name.startswith("mixed_scale"):
+                n = rep["grid"]["points"]
+                assert rep["failures"][:2] == [f"undetermined: {n} of {n} grid points at "
+                                               f"reference {site} (> 1%)" for site in (0, 1)]
+            assert (out / f"{name}.csv").exists()
+
+    @pytest.mark.parametrize("emit", ["report", "xi", "spectrum"])
+    @pytest.mark.parametrize("case", sorted(OVERFLOWING))
+    def test_overflowing_entries_emit_without_warnings(self, tmp_path, capsys, case, emit):
+        """spec <family> writes each emit of an OVERFLOWING entry without a
+        RuntimeWarning; only the report, FAILED, exits 1."""
+        desc = tmp_path / "op.json"
+        desc.write_text(json.dumps(OVERFLOWING[case]), encoding="utf-8")
+        out = tmp_path / "out"
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            code = spec_main([OVERFLOWING[case]["type"], "--desc", str(desc), "--emit", emit,
+                              "--out", str(out)])
+        assert code == (1 if emit == "report" else 0) and out.exists()
+        assert capsys.readouterr().err == ""
 
     @pytest.mark.parametrize("period,a,b", [(1, 2.0 ** 320, 0.0), (1, 2.0 ** -1000, 0.0),
                                             (2, 2.0 ** 320, 2.0 ** 320),
@@ -647,7 +687,7 @@ class TestSiteDisagreement:
 
 # operators whose ac spectrum has zero measure on the default grid: bands of
 # width ~1e-9 around -1 and 1, and a potential far above the grid top (its
-# transfers grow like exp(141), below the load limit)
+# transfers grow like exp(141) on the grid)
 ZERO_MEASURE_AC = {
     "thin_bands_jacobi": {"type": "jacobi", "period": 2, "a": [1.0, 1e-9], "b": [0.0, 0.0]},
     "huge_schrodinger": {"type": "schrodinger", "period": 1.0, "pieces": [[1.0, 1e4]]},

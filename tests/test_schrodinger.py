@@ -23,7 +23,7 @@ from acspectra.boundary_analysis import floquet_pair, stack_2x2, transfer_trace
 from acspectra.interval_sets import canonicalize, set_algebra
 from acspectra.schrodinger import (PiecewisePotential, ac_spectrum, discriminant, default_grid,
                                    green_identity_residual, multiplicity_sets,
-                                   reflectionless_on, transfer_exponent, transfer_interval,
+                                   reflectionless_on, transfer_interval,
                                    weyl_data, xi, xi_grid)
 
 
@@ -117,6 +117,16 @@ class TestPotential:
         with pytest.raises(ValueError):
             PiecewisePotential(1.0, ((0.4, 0.0), (0.5, 5.0)))
 
+    def test_shortest_period_reports(self):
+        """MIN_PERIOD is the shortest period whose half keeps a span of
+        _pieces, so a one-piece potential of that period reports, and a
+        shorter one is refused."""
+        with pytest.raises(ValueError, match="at least 2e-15"):
+            PiecewisePotential(np.nextafter(schrodinger.MIN_PERIOD, 0.0),
+                               ((np.nextafter(schrodinger.MIN_PERIOD, 0.0), 0.0),))
+        V = PiecewisePotential(schrodinger.MIN_PERIOD, ((schrodinger.MIN_PERIOD, 0.0),))
+        assert green_identity_residual(V, [1.0 + 1.0j]) >= 0.0
+
 
 class TestTransfer:
     @given(st.floats(0.05, 2.0), st.floats(-5, 5),
@@ -138,19 +148,15 @@ class TestTransfer:
         half2 = transfer_interval(square_well, z, 0.7, 2.0)[0]
         assert np.abs(half2 @ half1 - whole).max() < 1e-12
 
-    @pytest.mark.parametrize("reach", [1.0, 100.0, 1e4])
-    def test_transfer_exponent_bounds_the_monodromy(self, square_well, reach):
-        """At z = -reach the bound is nearly tight for a nonnegative
-        potential; the prefactors |w| of the two pieces are all it leaves
-        out."""
-        growth = transfer_exponent(square_well, reach)
-        assert growth == math.fsum([0.5 * math.sqrt(reach), 0.5 * math.sqrt(5.0 + reach)])
-        T = transfer_interval(square_well, np.array([-reach + 0.0j]), 0.0, 1.0)[0]
-        assert growth - 2.0 <= math.log(np.abs(T).max()) \
-            <= growth + 2.0 * math.log(1.0 + math.sqrt(5.0 + reach))
-        patched = PiecewisePotential(1.0, square_well.pieces, patch=((0.25, 9.0),))
-        assert transfer_exponent(patched, reach) == pytest.approx(
-            growth + 0.25 * math.sqrt(9.0 + reach), rel=1e-15)
+    def test_sinhc_at_subnormal_arguments(self):
+        """The series replaces the quotient below 1e-4, so a subnormal
+        argument, whose quotient overflows, reads 1 without a warning, and
+        the discriminant of a subnormal piece is finite."""
+        V = PiecewisePotential(1.0, ((1.0, 0.0), (5e-324, 3.0)))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            assert schrodinger._sinhc([5e-324, 1e-320, 0.0]).tolist() == [1.0, 1.0, 1.0]
+            assert np.isfinite(discriminant(V, [-1.0, 0.5, 30.0])).all()
 
     def test_degenerate_multipliers_are_ambiguous(self):
         # trace 2 and det 1: both multipliers are 1, a Jordan block

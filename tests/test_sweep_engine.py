@@ -639,17 +639,17 @@ def _written_with_period(d, m):
     (period, m, patched, kind) for kind in ("jacobi", "cmv")
     for period, m, patched in ((1, 1024, False), (2, 128, True), (3, 86, False), (4, 64, True))
 ] + [(pieces, m, patched, "schrodinger") for pieces, m, patched in (
-    (1, 2, False), (2, 3, True), (3, 4, False), (1, 8, True), (2, 16, False), (3, 16, True))])
+    (1, 2, False), (2, 3, True), (3, 4, False), (1, 8, True), (2, 16, False), (3, 16, True),
+    (1, 50, True), (2, 64, False), (1, 64, True))])
 def test_period_multiples_read_the_same_operator(kind, period, m, patched):
     """An operator of period p written as period m p, its coefficients
     repeated, is the same operator: its monodromy is the m-th power, so the
     report gives the same status, inclusion status and ac, M2 and M1 sets.
     Past m p of about 200 the one-period products of random Jacobi
     operators pass the float range off the bands, which transfer_product's
-    rescaling keeps finite.  A Schrodinger period of p pieces repeated m
-    times stays at m <= 16: its transfer_exponent grows m-fold, about 5.6
-    per unit period at the grid top, and must stay below the report's
-    MAX_TRANSFER_EXPONENT."""
+    rescaling keeps finite.  So it does for a Schrodinger period of p
+    pieces repeated m times, whose transfer grows up to about exp(5.6 m)
+    across one period at the grid top, exp(360) at m = 64."""
     rng = np.random.default_rng(3200 + 10 * period + ("jacobi", "cmv", "schrodinger").index(kind))
     d = _periodic_descriptor(kind, rng, period, patched)
     grid = {"angles": 512} if kind == "cmv" else None
