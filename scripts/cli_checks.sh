@@ -21,9 +21,12 @@
 #   tolerances are fixed), one with a grid of 2^20 + 1 points, a cmv
 #   angle range whose stop - start overflows, and Jacobi reports with a =
 #   1e300 and with a = 5e-324 (past jacobi.MAX_COEFFICIENT and
-#   MIN_OFF_DIAGONAL) and a Schrodinger period of 1e-300 (below
-#   schrodinger.MIN_PERIOD, 2e-15) each exit 2 with one `error:` line and
-#   write nothing.
+#   MIN_OFF_DIAGONAL), a Schrodinger period of 1e-300 and one of 1e-14
+#   written as 100 pieces of 1e-16 (the second half of each period keeps
+#   no span of at least 1e-15) each exit 2 with one `error:` line and
+#   write nothing;
+# - a Jacobi patch a(1) = 9.5e-302 on a base a = 2.5e-38 reports with exit
+#   0.
 set -eu
 spec=$1
 out=$2
@@ -102,4 +105,12 @@ done
 printf '{"type": "schrodinger", "period": 1e-300, "pieces": [[1e-300, 0]]}' \
   > "$out/short_period.json"
 refused short_period $spec schrodinger --desc "$out/short_period.json" --emit report
+python -c 'import json; print(json.dumps({"type": "schrodinger", "period": 1e-14,
+           "pieces": [[1e-16, 0.0]] * 100}))' > "$out/short_pieces.json"
+refused short_pieces $spec schrodinger --desc "$out/short_pieces.json" --emit report
+
+# the steps divide by a(n) before they sum, so the carry stays finite
+printf '{"type": "jacobi", "period": 1, "a": [2.5e-38], "b": [0], "patch": {"1": [9.5e-302, 0]}}' \
+  > "$out/mixed_scale_patch.json"
+$spec jacobi --desc "$out/mixed_scale_patch.json" --emit report --out "$out/mixed_scale_patch.report.json"
 echo "cli checks passed"

@@ -53,10 +53,12 @@ scaled entries and their exponent and returns the decaying and the
 growing one, each an (x, y) pair, from a single square root, with one
 branch rule for every call: the decaying root is the one nearest near (0,
 the contracting root, unless a sweep's axis call passes its reference's
-branch, whose root it rescales to its own exponent).  A kernel seeds both half lines from one
-matrix without stacking it, and returns its branch and ambiguous mask as
-the entry 'floquet'; the CMV Schur function is the fixed point the
-growing eigenvector gives.  The Schrodinger seeds do not depend on the
+branch, whose root it rescales to its own exponent).  A kernel seeds both
+half lines from one matrix without stacking it, and returns its branch
+and ambiguous mask as the entry 'floquet'; the CMV Schur function is the
+fixed point the growing eigenvector gives.  Each family's one step rule
+feeds both its monodromy and carry, the walk of a seed across the patch
+to the reference site.  The Schrodinger seeds do not depend on the
 reference point either, so in a report scope both reference points read
 one seed pair per kernel call (memo).  Every one-point value of a family
 is its grid kernel or its phase grid read at one point (weyl_data,
@@ -216,11 +218,20 @@ def stack_2x2(m00, m01, m10, m11, shape):
     return M
 
 
-def normalize_pair(x, y):
-    """(x, y) divided by max(|x|, |y|) pointwise (by 1 where both vanish)."""
-    s = np.maximum(np.abs(x), np.abs(y))
-    s = np.where(s == 0.0, 1.0, s)
-    return x / s, y / s
+def carry(pair, steps, backward=False):
+    """The direction of the pair (x, y) across 2x2 steps (s00, s01, s10, s11)
+    in the order given: (s00 x + s01 y, s10 x + s11 y) over max(|x|, |y|) (1
+    where both vanish), or with backward the step's adjugate, its inverse up
+    to the determinant.  No steps return the pair as given."""
+    x, y = pair
+    for s00, s01, s10, s11 in steps:
+        if backward:
+            s00, s01, s10, s11 = s11, -s01, -s10, s00
+        x, y = s00 * x + s01 * y, s10 * x + s11 * y
+        s = np.maximum(np.abs(x), np.abs(y))
+        s = np.where(s == 0.0, 1.0, s)
+        x, y = x / s, y / s
+    return x, y
 
 
 def tridiagonal_resolvent(d, up, lo, c: int):

@@ -11,7 +11,7 @@ computed through the Schur algorithm: the spectral measure of U_{+,n0} has
 Schur parameters gamma_j = -conj(alpha(n0+1+j)), the left Cayley diagonal at
 site m has gamma_j = -alpha(m-j), and for a periodic tail the Schur function
 is the contracting fixed point of the one-period Moebius monodromy, read
-off its growing Floquet eigenvector.  Then
+off its growing Floquet eigenvector carried across the head.  Then
 
     M_+(z, n0) = m_+(z, n0)
     M_-(z, n0) = [Re(1+a0) + i Im(1-a0) m_-(z, n0-1)]
@@ -47,7 +47,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DegenerateDenominator, check_keys, check_number
-from .boundary_analysis import (MIN_ANGLES, REFERENCE_EPS, SweepFamily, _axis_margin,
+from .boundary_analysis import (MIN_ANGLES, REFERENCE_EPS, SweepFamily, _axis_margin, carry,
                                 exact_sweep, family, floquet_pair, require_in_disk, stack_2x2,
                                 sweep_grid, transfer_product, transfer_trace,
                                 tridiagonal_resolvent)
@@ -123,42 +123,44 @@ class VerblunskyCoefficients:
 # ---------------------------------------------------------------------------
 # Schur-algorithm evaluation of the half-lattice m-functions
 
+def _schur_steps(zs, gammas):
+    """The Schur steps [[z, g], [conj(g) z, 1]] of the parameters, last
+    first.  The step of g maps (f, 1) to (g + z f, 1 + conj(g) z f), whose
+    ratio is the Schur function of the parameters g and then f's."""
+    return ((zs, g, np.conj(g) * zs, 1.0) for g in reversed(gammas))
+
+
 def _schur_to_caratheodory(head, period_gammas, zs, near=0.0):
     """Caratheodory value (1 + z f)/(1 - z f) for the Schur function with
     parameter sequence head + periodic tail, vectorized over zs.  The
-    one-period product A of the Schur step matrices [[z, g], [conj(g) z, 1]]
-    is transfer_product's, the last step applied first; det A = z^p
-    prod(1 - |g|^2).  The tail's Schur function is the contracting fixed
-    point of A's Moebius map, x/y of its growing eigenvector (x, y) by
-    floquet_pair: the map's derivative there is the ratio of the other
-    multiplier to this one.  Returns (value, branch, ambiguous)."""
+    one-period product A of _schur_steps is transfer_product's; det A =
+    z^p prod(1 - |g|^2).  The tail's Schur function is the contracting
+    fixed point of A's Moebius map, whose derivative there is the ratio of
+    the other multiplier to this one: x/y of the growing eigenvector (x, y)
+    of floquet_pair, carried across the head's steps.  Returns (value,
+    branch, ambiguous)."""
     zs = np.asarray(zs, dtype=complex)
-    *a, e = transfer_product((zs, g, np.conj(g) * zs, 1.0) for g in reversed(period_gammas))
+    *a, e = transfer_product(_schur_steps(zs, period_gammas))
     det = zs ** len(period_gammas) * math.prod(1.0 - abs(g) ** 2 for g in period_gammas)
-    _, (x, y), *branch = floquet_pair(*a, det * np.ldexp(1.0, -2 * e), near, e)
+    _, grow, *branch = floquet_pair(*a, det * np.ldexp(1.0, -2 * e), near, e)
+    x, y = carry(grow, _schur_steps(zs, head))
     f = x / y
-    for g in reversed(head):
-        f = (g + zs * f) / (1.0 + np.conj(g) * zs * f)
     return ((1.0 + zs * f) / (1.0 - zs * f), *branch)
 
 
-def _gammas_plus(V: VerblunskyCoefficients, n0: int):
-    """Schur parameters of the right half-lattice measure, split into the
-    aperiodic head (through the patch) and one periodic tail period."""
+def _gammas(V: VerblunskyCoefficients, n0: int, plus: bool):
+    """Schur parameters gamma_j, split into the aperiodic head (through the
+    patch) and one periodic tail period: -conj(alpha(n0+1+j)) of the right
+    half-lattice measure at n0 if plus, else -alpha(n0-j) of the left
+    Cayley diagonal at site n0."""
     sites = V.patch_sites
-    j_head = max(0, (max(sites) - n0) if sites else 0)
-    head = [-np.conj(V.alpha(n0 + 1 + j)) for j in range(j_head)]
-    tail = [-np.conj(V.alpha(n0 + 1 + j_head + j)) for j in range(V.period)]
-    return head, tail
-
-
-def _gammas_minus(V: VerblunskyCoefficients, m: int):
-    """Schur parameters of the left Cayley diagonal at site m."""
-    sites = V.patch_sites
-    j_head = max(0, (m - min(sites) + 1) if sites else 0)
-    head = [-V.alpha(m - j) for j in range(j_head)]
-    tail = [-V.alpha(m - j_head - j) for j in range(V.period)]
-    return head, tail
+    if plus:
+        gamma = lambda j: -np.conj(V.alpha(n0 + 1 + j))
+        j_head = max(0, (max(sites) - n0) if sites else 0)
+    else:
+        gamma = lambda j: -V.alpha(n0 - j)
+        j_head = max(0, (n0 - min(sites) + 1) if sites else 0)
+    return [gamma(j) for j in range(j_head)], [gamma(j_head + j) for j in range(V.period)]
 
 
 def _m_grid(V: VerblunskyCoefficients, zs, n0: int, side: str, near=0.0) -> dict:
@@ -166,8 +168,7 @@ def _m_grid(V: VerblunskyCoefficients, zs, n0: int, side: str, near=0.0) -> dict
     'floquet', the branch nearest near and its ambiguous mask
     (_schur_to_caratheodory)."""
     plus = side == "+"
-    value, *branch = _schur_to_caratheodory(*(_gammas_plus if plus else _gammas_minus)(V, n0),
-                                            zs, near)
+    value, *branch = _schur_to_caratheodory(*_gammas(V, n0, plus), zs, near)
     return {"m": value if plus else -value, "floquet": tuple(branch)}
 
 

@@ -46,7 +46,7 @@ Exit codes for `spec run`: 0 all reports PASS, 1 failures or IO errors,
 2 malformed input, every entry checked before anything is written (config
 JSON, operators list, seed, entry name, descriptor, grid, target set E,
 Jacobi coefficients past jacobi.MAX_COEFFICIENT or MIN_OFF_DIAGONAL, a
-Schrodinger period below schrodinger.MIN_PERIOD, no output directory), 3
+Schrodinger period with no span of 1e-15 in its second half, no output dir), 3
 unknown operator type.  Overflow is never a load-time refusal: a value
 that is not finite is an undetermined point of a sweep or a failed
 identity residual, so the report is written.  `spec jacobi|cmv|schrodinger`
@@ -335,8 +335,8 @@ def _report(entry: Entry, name: str, seed: int) -> SpectralReport:
         covers = m2_defect <= 0.01 + 1e-12
         if not contained:
             failures.append(
-                f"inclusion: essential closure of E exceeds the ac spectrum "
-                f"by {overhang:.3e} (> one grid step {step:.3e})")
+                f"inclusion: essential closure of E exceeds the ac spectrum widened by one "
+                f"grid step ({step:.3e}) by {overhang:.3e} (> 1e-12)")
         if not covers:
             failures.append(f"multiplicity: M2 misses {m2_defect:.2%} of E (> 1%)")
         inclusion.update(status="PASS" if (contained and covers) else "FAILED",

@@ -5,8 +5,8 @@ periodic base coefficients and a finite patch of overrides.  Half-lattice
 Weyl functions come from the Floquet theory of the one-period transfer
 matrix: the eigenvector of the monodromy with contracting (|u| < 1)
 multiplier seeds the square-summable solution psi_+ rightward, the expanding
-one seeds psi_- leftward, and coefficient stripping carries the seeds
-through the patch to the reference site.  Both seeds come from one
+one seeds psi_- leftward, and the monodromy's steps carry the seeds
+through the patch to the reference site (carry).  Both seeds come from one
 monodromy per kernel call: the left one sits at a site congruent to the
 right one modulo the period, left of the patch and of n0.  From the Weyl
 solutions:
@@ -36,7 +36,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .boundary_analysis import (SweepFamily, floquet_pair, normalize_pair, transfer_matrix,
+from .boundary_analysis import (SweepFamily, carry, floquet_pair, transfer_matrix,
                                 transfer_product, transfer_trace, tridiagonal_resolvent)
 from .boundary_analysis import (ac_spectrum, multiplicity_sets, reflectionless_on,  # re-exported
                                 weyl_data, boundary_grid as boundary_weyl_grid,
@@ -137,12 +137,16 @@ class JacobiCoefficients:
         return cls(period, a, b, patch)
 
 
+def _steps(J: JacobiCoefficients, zs, sites):
+    """T(n) = [[(z - b(n))/a(n), -a(n-1)/a(n)], [1, 0]] over the sites in
+    order, mapping [psi(n), psi(n-1)] to [psi(n+1), psi(n)]."""
+    return (((zs - J.b(n)) / J.a(n), -J.a(n - 1) / J.a(n), 1.0, 0.0) for n in sites)
+
+
 def _monodromy_entries(J: JacobiCoefficients, zs, n_start: int):
     """(m00, m01, m10, m11, exponent) of monodromy(J, zs, n_start) by
-    transfer_product: T(n) = [[(z - b(n))/a(n), -a(n-1)/a(n)], [1, 0]] maps
-    [psi(n), psi(n-1)] to [psi(n+1), psi(n)]."""
-    return transfer_product(((zs - J.b(n)) / J.a(n), -J.a(n - 1) / J.a(n), 1.0, 0.0)
-                            for n in range(n_start, n_start + J.period))
+    transfer_product of _steps."""
+    return transfer_product(_steps(J, zs, range(n_start, n_start + J.period)))
 
 
 def monodromy(J: JacobiCoefficients, z, n_start: int):
@@ -168,20 +172,12 @@ def _weyl_grid(J: JacobiCoefficients, zs, n0: int, near=0.0) -> dict:
     top = min(n0 + 1, min(sites) - p) if sites else n0 + 1
     n_l = n_r - p * math.ceil((n_r - top) / p)
     *m, e = _monodromy_entries(J, zs, n_r)
-    (hi, lo), (cur, prev), *branch = floquet_pair(*m, m[0] * m[3] - m[1] * m[2], near, e)
-
-    # rightward-decaying solution, stripped down to n0-1; hi = psi(n_r),
-    # lo = psi(n_r - 1)
-    for n in range(n_r - 1, n0 - 1, -1):
-        hi, lo = lo, ((zs - J.b(n)) * lo - J.a(n) * hi) / J.a(n - 1)
-        hi, lo = normalize_pair(hi, lo)
+    dec, grow, *branch = floquet_pair(*m, m[0] * m[3] - m[1] * m[2], near, e)
+    # rightward-decaying solution [psi(n_r), psi(n_r - 1)], back to n0
+    hi, lo = carry(dec, _steps(J, zs, range(n_r - 1, n0 - 1, -1)), backward=True)
     m_plus = -hi / (J.a(n0 - 1) * lo)      # hi = psi(n0), lo = psi(n0-1)
-
-    # leftward-decaying solution, propagated up to n0+1; cur = psi(n_l),
-    # prev = psi(n_l - 1)
-    for n in range(n_l, n0 + 1):
-        cur, prev = ((zs - J.b(n)) * cur - J.a(n - 1) * prev) / J.a(n), cur
-        cur, prev = normalize_pair(cur, prev)
+    # leftward-decaying solution [psi(n_l), psi(n_l - 1)], up to n0+1
+    cur, prev = carry(grow, _steps(J, zs, range(n_l, n0 + 1)))
     m_minus = -prev / (J.a(n0) * cur)      # cur = psi(n0+1), prev = psi(n0)
 
     M_plus = -1.0 / m_plus - zs + J.b(n0)

@@ -13,8 +13,8 @@ region they scale by the Floquet multipliers u, 1/u of the monodromy matrix.
 Both are eigenvectors of the one monodromy of the base pieces at every
 period boundary of the unpatched line, so one call of the kernel, _m_grid,
 seeds psi_+ at the nearest such boundary right of x0 and the patch, psi_-
-at the nearest one left of x0 and 0, and carries each to x0 across the
-pieces in between.  The half-line m-functions are logarithmic derivatives
+at the nearest one left of x0 and 0, and carries each to x0 by the _steps
+of the pieces between (carry).  The m-functions are logarithmic derivatives
 
     m_+(z, x0) = psi_+'(x0)/psi_+(x0)    Herglotz,      free: +i sqrt(z)
     m_-(z, x0) = psi_-'(x0)/psi_-(x0)    anti-Herglotz, free: -i sqrt(z)
@@ -43,7 +43,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .boundary_analysis import (SweepFamily, floquet_pair, memo, normalize_pair, transfer_matrix,
+from .boundary_analysis import (SweepFamily, carry, floquet_pair, memo, transfer_matrix,
                                 transfer_product, transfer_trace)
 from .boundary_analysis import (ac_spectrum, multiplicity_sets, reflectionless_on,  # re-exported
                                 weyl_data, boundary_grid as boundary_schrodinger_grid,
@@ -51,10 +51,6 @@ from .boundary_analysis import (ac_spectrum, multiplicity_sets, reflectionless_o
 from .errors import check_keys, check_number
 
 LAMBDA_TOP = 25.0
-# the shortest period accepted: _pieces drops spans under 1e-15 as rounding
-# slivers, so a shorter period leaves the identity residual no piece in the
-# half period it reads (a bound bisected on one-piece potentials)
-MIN_PERIOD = 2e-15
 
 
 @dataclass(frozen=True)
@@ -72,12 +68,16 @@ class PiecewisePotential:
         object.__setattr__(self, "period", float(self.period))
         if not all(map(math.isfinite, (self.period,) + sum(pieces + patch, ()))):
             raise ValueError("period, piece lengths and values must be finite numbers")
-        if self.period < MIN_PERIOD:
-            raise ValueError(f"period must be positive, at least {MIN_PERIOD!r}")
+        if self.period <= 0.0:
+            raise ValueError("period must be positive")
         if any(l <= 0.0 for l, _ in pieces) or any(l <= 0.0 for l, _ in patch):
             raise ValueError("piece lengths must be positive")
-        if abs(math.fsum(l for l, _ in pieces) - self.period) > 1e-12:
+        if abs(math.fsum(l for l, _ in pieces) - self.period) > 1e-12 * self.period:
             raise ValueError("piece lengths must sum to the period")
+        # _pieces drops spans under 1e-15 as rounding slivers, and the
+        # identity residual reads a piece of the period's second half
+        if not _pieces(self, self.period / 2.0, self.period):
+            raise ValueError("the second half of the period must keep a span of at least 1e-15")
 
     @cached_property
     def patch_length(self) -> float:
@@ -155,11 +155,16 @@ def _pieces(V: PiecewisePotential, a: float, b: float):
                  for lo, hi in zip(xs[:-1], xs[1:]) if hi - lo >= 1e-15)
 
 
+def _steps(zs, pieces):
+    """The transfers (ch, sc, lo, ch) of _piece_entries across the pieces in order."""
+    return ((ch, sc, lo, ch) for ch, sc, lo in
+            (_piece_entries(zs, length, value) for length, value in pieces))
+
+
 def _product(zs, pieces):
     """(t00, t01, t10, t11, exponent) of the transfer across the pieces in
-    order, by transfer_product: 2^exponent times the entries."""
-    return transfer_product((ch, sc, lo, ch) for ch, sc, lo in
-                            (_piece_entries(zs, length, value) for length, value in pieces))
+    order, by transfer_product of _steps: 2^exponent times the entries."""
+    return transfer_product(_steps(zs, pieces))
 
 
 def transfer_interval(V: PiecewisePotential, zs, a: float, b: float) -> np.ndarray:
@@ -177,19 +182,6 @@ def _seed_bounds(V: PiecewisePotential, x0: float):
     left, where the seeds of psi_+ and psi_- are placed."""
     L = V.period
     return L * math.ceil(max(V.patch_length, x0) / L), L * math.floor(min(0.0, x0) / L)
-
-
-def _propagate_vec(zs, vec, spans, inverse: bool):
-    """Carry the pair (psi, psi') across the spans in order (inverted:
-    backward through each), renormalizing between pieces; only the
-    direction is preserved.  Returns the pair (psi, psi')."""
-    p, q = vec
-    for length, value in spans:
-        ch, sc, lo = _piece_entries(zs, length, value)
-        if inverse:             # the inverse of a det-1 [[ch, sc], [lo, ch]]
-            sc, lo = -sc, -lo
-        p, q = normalize_pair(ch * p + sc * q, lo * p + ch * q)
-    return p, q
 
 
 def _seeds(V: PiecewisePotential, zs, near=0.0):
@@ -211,8 +203,8 @@ def _m_grid(V: PiecewisePotential, zs, x0: float, near=0.0) -> dict:
     zs, x0 = np.atleast_1d(np.asarray(zs, dtype=complex)), float(x0)
     cp, cm = _seed_bounds(V, x0)
     dec, grow, *branch = memo(_seeds, V, zs, near)
-    p, q = _propagate_vec(zs, dec, _pieces(V, x0, cp)[::-1], inverse=True)
-    pm, qm = _propagate_vec(zs, grow, _pieces(V, cm, x0), inverse=False)
+    p, q = carry(dec, _steps(zs, _pieces(V, x0, cp)[::-1]), backward=True)
+    pm, qm = carry(grow, _steps(zs, _pieces(V, cm, x0)))
     mp, mm = q / p, qm / pm
     return {"m_plus": mp, "m_minus": mm, "g": 1.0 / (mm - mp), "floquet": tuple(branch)}
 
@@ -242,7 +234,7 @@ def green_identity_residual(V: PiecewisePotential, zs, x0: float = 0.0) -> float
     cp, cm = _seed_bounds(V, x1)[0], _seed_bounds(V, x0)[1]
     dec, grow, _, _ = _seeds(V, zs)
 
-    def carry(v, a, b, backward: bool):
+    def scaled_carry(v, a, b, backward: bool):
         """The pair v carried across [a, b], backward from b (by the
         adjugate, the inverse of a det-1 transfer) or forward from a, at
         _product's scale: the pair and the exponent of its factor 2^e."""
@@ -253,9 +245,9 @@ def green_identity_residual(V: PiecewisePotential, zs, x0: float = 0.0) -> float
             t00, t01, t10, t11 = t11, -t01, -t10, t00
         return (t00 * v[0] + t01 * v[1], t10 * v[0] + t11 * v[1]), e
 
-    ((p, q), e0), ((p1, q1), e1) = carry(dec, x0, cp, True), carry(dec, x1, cp, True)
-    (pm, qm), _ = carry(grow, cm, x0, False)
-    (pm1, qm1), e2 = carry((pm, qm), x0, x1, False)
+    ((p, q), e0), ((p1, q1), e1) = scaled_carry(dec, x0, cp, True), scaled_carry(dec, x1, cp, True)
+    (pm, qm), _ = scaled_carry(grow, cm, x0, False)
+    (pm1, qm1), e2 = scaled_carry((pm, qm), x0, x1, False)
     # the scale of psi_- cancels; powers of two are exact, so g keeps the
     # bits of the true-scale quotient wherever that is finite
     g = p * pm / (p1 * qm1 - q1 * pm1) * np.ldexp(1.0, e0 - e1 - e2)

@@ -21,6 +21,11 @@ phases and derived sets read it unchanged.
 geronimus maps a periodic CMV operator with real coefficients to its
 Jacobi image under the Szego mapping: the oracle of the cross-family
 relation between the two lattice families.
+
+strip_weyl_grid, moebius_M11_grid and propagated_m_grid are the kernels
+with each family's own walk of its seeds to the reference site, as they
+were before the walks became boundary_analysis.carry: the references of
+the carries.
 """
 
 import math
@@ -29,8 +34,8 @@ import numpy as np
 import pytest
 from scipy.linalg import solve_banded
 
-from acspectra import cmv, schrodinger
-from acspectra.boundary_analysis import INFINITE_LIMIT, SweepFamily
+from acspectra import cmv, jacobi, schrodinger
+from acspectra.boundary_analysis import INFINITE_LIMIT, SweepFamily, floquet_pair, transfer_product
 from acspectra.cmv import VerblunskyCoefficients
 from acspectra.jacobi import JacobiCoefficients, _weyl_grid
 from acspectra.schrodinger import PiecewisePotential
@@ -291,6 +296,82 @@ class SchrodingerSteplike(_Steplike):
 class CMVSteplike(_Steplike):
     _FAMILY = _steplike_family(cmv_steplike_kernel, lambda op: cmv.default_angles(1024),
                                lambda op: (0, 1), ("M_plus", "M_minus"), circle=True)
+
+
+# ---------------------------------------------------------------------------
+# The half-line walks of the kernels, each family's own
+
+def _normalized(x, y):
+    """(x, y) divided by max(|x|, |y|) pointwise (by 1 where both vanish)."""
+    s = np.maximum(np.abs(x), np.abs(y))
+    s = np.where(s == 0.0, 1.0, s)
+    return x / s, y / s
+
+
+def strip_weyl_grid(J, zs, n0: int) -> dict:
+    """M_plus, M_minus and g of jacobi._weyl_grid at the contracting
+    branch, each seed carried to n0 by coefficient stripping: the
+    three-term recurrence solved for psi(n-1), resp. psi(n+1), site by
+    site, normalized after each site."""
+    zs = np.asarray(zs, dtype=complex)
+    p, sites = J.period, J.patch_sites
+    n_r = max(n0 + 2, max(sites) + 2) if sites else n0 + 2
+    top = min(n0 + 1, min(sites) - p) if sites else n0 + 1
+    n_l = n_r - p * math.ceil((n_r - top) / p)
+    *m, e = jacobi._monodromy_entries(J, zs, n_r)
+    (hi, lo), (cur, prev), *_ = floquet_pair(*m, m[0] * m[3] - m[1] * m[2], 0.0, e)
+    for n in range(n_r - 1, n0 - 1, -1):
+        hi, lo = lo, ((zs - J.b(n)) * lo - J.a(n) * hi) / J.a(n - 1)
+        hi, lo = _normalized(hi, lo)
+    m_plus = -hi / (J.a(n0 - 1) * lo)      # hi = psi(n0), lo = psi(n0-1)
+    for n in range(n_l, n0 + 1):
+        cur, prev = ((zs - J.b(n)) * cur - J.a(n - 1) * prev) / J.a(n), cur
+        cur, prev = _normalized(cur, prev)
+    m_minus = -prev / (J.a(n0) * cur)      # cur = psi(n0+1), prev = psi(n0)
+    M_plus, M_minus = -1.0 / m_plus - zs + J.b(n0), 1.0 / m_minus
+    return {"M_plus": M_plus, "M_minus": M_minus, "g": 1.0 / (M_minus - M_plus)}
+
+
+def moebius_M11_grid(V, zs, n0: int) -> dict:
+    """M_plus, M_minus and M11 of cmv._M11_grid at the contracting branch,
+    the head of each Schur function applied as Moebius maps f -> (g + z
+    f)/(1 + conj(g) z f) to the periodic tail's fixed point."""
+    zs = np.asarray(zs, dtype=complex)
+
+    def caratheodory(head, period_gammas):
+        *a, e = transfer_product((zs, g, np.conj(g) * zs, 1.0) for g in reversed(period_gammas))
+        det = zs ** len(period_gammas) * math.prod(1.0 - abs(g) ** 2 for g in period_gammas)
+        _, (x, y), *_ = floquet_pair(*a, det * np.ldexp(1.0, -2 * e), 0.0, e)
+        f = x / y
+        for g in reversed(head):
+            f = (g + zs * f) / (1.0 + np.conj(g) * zs * f)
+        return (1.0 + zs * f) / (1.0 - zs * f)
+    Mp = caratheodory(*cmv._gammas(V, n0, True))
+    Mm = cmv._twist(V.alpha(n0), -caratheodory(*cmv._gammas(V, n0 - 1, False)))
+    return {"M_plus": Mp, "M_minus": Mm, "M11": (1.0 - Mp * Mm) / (Mp - Mm)}
+
+
+def propagated_m_grid(V, zs, x0: float) -> dict:
+    """m_plus, m_minus and g of schrodinger._m_grid at the contracting
+    branch, each seed carried to x0 piece by piece, backward by the
+    inverse of each det-1 piece transfer for psi_+, normalized after each
+    piece."""
+    zs, x0 = np.atleast_1d(np.asarray(zs, dtype=complex)), float(x0)
+
+    def propagate_vec(vec, spans, inverse: bool):
+        p, q = vec
+        for length, value in spans:
+            ch, sc, lo = schrodinger._piece_entries(zs, length, value)
+            if inverse:             # the inverse of a det-1 [[ch, sc], [lo, ch]]
+                sc, lo = -sc, -lo
+            p, q = _normalized(ch * p + sc * q, lo * p + ch * q)
+        return p, q
+    cp, cm = schrodinger._seed_bounds(V, x0)
+    dec, grow, _, _ = schrodinger._seeds(V, zs)
+    p, q = propagate_vec(dec, schrodinger._pieces(V, x0, cp)[::-1], inverse=True)
+    pm, qm = propagate_vec(grow, schrodinger._pieces(V, cm, x0), inverse=False)
+    mp, mm = q / p, qm / pm
+    return {"m_plus": mp, "m_minus": mm, "g": 1.0 / (mm - mp)}
 
 
 # ---------------------------------------------------------------------------

@@ -18,11 +18,10 @@ import numpy as np
 import pytest
 
 from acspectra import boundary_analysis, cmv, jacobi, schrodinger
-from acspectra.boundary_analysis import (SweepFamily, exact_sweep, interior,
-                                         normalize_pair, off_axis,
+from acspectra.boundary_analysis import (SweepFamily, carry, exact_sweep, interior, off_axis,
                                          multiplicity_sets, require_off_axis, stack_2x2,
-                                         sweep_at, sweep_csv, sweep_phase, transfer_product,
-                                         transfer_trace)
+                                         sweep_at, sweep_csv, sweep_phase, transfer_matrix,
+                                         transfer_product, transfer_trace)
 from acspectra.interval_sets import essential_closure, points_hull
 from conftest import (DIVERGENCE_CAP, SCHEDULE, blowup_flags, boundary_sweep, relaxed_ok,
                       richardson_sequence)
@@ -548,7 +547,10 @@ class TestHelpers:
             require_off_axis(2.0)
 
     def test_normalize_pair(self):
-        x, y = normalize_pair(np.array([3.0, 0.0, 1j]), np.array([-6.0, 0.0, 0.5]))
+        """carry across the identity step divides by max(|x|, |y|), and by
+        1 where both vanish."""
+        x, y = carry((np.array([3.0, 0.0, 1j]), np.array([-6.0, 0.0, 0.5])),
+                     [(1.0, 0.0, 0.0, 1.0)])
         assert x.tolist() == [0.5, 0.0, 1j] and y.tolist() == [-1.0, 0.0, 0.5]
 
     def test_stack_2x2_layout(self):
@@ -629,3 +631,46 @@ class TestTransferProduct:
         assert transfer_trace(product).tolist() == [1.5, 8.0, math.inf]
         tr = transfer_trace(product, 1j)
         assert tr.dtype == complex and tr[0] == 1.5j
+
+
+def _sine(u, v):
+    """|sin| of the angle between the pairs u and v, pointwise."""
+    cross = np.abs(u[0] * v[1] - u[1] * v[0])
+    return cross / (np.hypot(np.abs(u[0]), np.abs(u[1])) * np.hypot(np.abs(v[0]), np.abs(v[1])))
+
+
+class TestCarry:
+    def test_backward_undoes_forward(self):
+        """Forward across seeded random steps, then backward across the
+        same steps in reverse order, returns the starting direction.  The
+        way back amplifies rounding by the condition of the product, so
+        the products are a few steps long."""
+        rng = np.random.default_rng(3200)
+        for count in (1, 2, 4):
+            steps = _random_steps(rng, count, 65)
+            start = (rng.normal(size=65) + 1j * rng.normal(size=65), rng.normal(size=65) + 0j)
+            there = carry(start, steps)
+            # normalized: the larger modulus is 1 to rounding
+            assert np.all(np.abs(np.maximum(np.abs(there[0]), np.abs(there[1])) - 1.0) <= 1e-15)
+            back = carry(there, steps[::-1], backward=True)
+            assert np.all(_sine(back, start) <= 1e-12), count
+
+    def test_parallel_to_the_product(self):
+        """carry(pair, steps) is parallel to the product of the steps
+        (transfer_product, transfer_matrix) applied to the pair."""
+        rng = np.random.default_rng(3201)
+        for count in (1, 2, 8):
+            steps = _random_steps(rng, count, 65)
+            pair = (rng.normal(size=65) + 0j, rng.normal(size=65) + 1j * rng.normal(size=65))
+            M = transfer_matrix(transfer_product(steps), (65,))
+            want = (M[:, 0, 0] * pair[0] + M[:, 0, 1] * pair[1],
+                    M[:, 1, 0] * pair[0] + M[:, 1, 1] * pair[1])
+            assert np.all(_sine(carry(pair, steps), want) <= 1e-12), count
+
+    def test_no_steps_return_the_pair_unnormalized(self):
+        """An empty step list returns the pair as given, in either
+        direction: CMV reads its unpatched Schur function off it."""
+        pair = (np.array([3.0 + 1j, 1e300]), np.array([-6.0, 5e-324]))
+        for backward in (False, True):
+            x, y = carry(pair, (), backward)
+            assert x is pair[0] and y is pair[1]

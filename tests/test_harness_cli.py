@@ -131,7 +131,7 @@ class TestFailureLines:
         assert rep.reflectionless["fraction"] == pytest.approx(0.9989, abs=1e-4)
         assert rep.theorem_inclusion["status"] == "FAILED"
         assert rep.failures == ["inclusion: essential closure of E exceeds the ac spectrum "
-                                "by 3.500e-03 (> one grid step 1.500e-03)"]
+                                "widened by one grid step (1.500e-03) by 3.500e-03 (> 1e-12)"]
 
     def test_multiplicity_two_misses_E(self, monkeypatch):
         empty = canonicalize([])
@@ -326,9 +326,11 @@ BAD_ENTRIES = {
     "nan_piece_length": {"descriptor": {**FREE_SCHRODINGER, "pieces": [[math.nan, 0.0]]}},
     "infinite_piece_value": {"descriptor": {**FREE_SCHRODINGER, "pieces": [[1.0, math.inf]]}},
     "nan_schrodinger_patch": {"descriptor": {**FREE_SCHRODINGER, "patch": [[0.5, math.nan]]}},
-    # a period whose half has no span _pieces keeps (schrodinger.MIN_PERIOD)
+    # periods whose second half keeps no span of at least 1e-15 (_pieces)
     "short_period": {"descriptor": {**FREE_SCHRODINGER, "period": 1e-300,
                                     "pieces": [[1e-300, 0.0]]}},
+    "short_pieces": {"descriptor": {**FREE_SCHRODINGER, "period": 1e-14,
+                                    "pieces": [[1e-16, 0.0]] * 100}},
     "jacobi_patch_list": {"descriptor": {**FREE_JACOBI, "patch": [[1.0, 0.0]]}},
     # finite, but the kernel or the identity oracle overflows
     "overflowing_a": {"descriptor": {**FREE_JACOBI, "a": [1.7e308]}},
@@ -354,8 +356,11 @@ OVERFLOWING = {
     # (z - b)/a of the smaller a passes the float range in transfer_product
     "mixed_scale_jacobi": {"type": "jacobi", "period": 2, "a": [1.18e-13, 9.5e-302],
                            "b": [0.0, 0.557]},
-    "mixed_scale_jacobi_patch": {**FREE_JACOBI, "a": [2.5e-38], "patch": {"1": [9.5e-302, 0.0]}},
 }
+
+# the same scales as a patch: each step divides its entries by a(n) first,
+# so the carry to the reference site stays finite
+MIXED_SCALE_PATCH = {**FREE_JACOBI, "a": [2.5e-38], "patch": {"1": [9.5e-302, 0.0]}}
 
 # grids of `spec run` entries that are refused, not truncated or swept
 BAD_GRIDS = {
@@ -420,7 +425,7 @@ class TestMalformedInput:
         """Overflow is data, not a load-time estimate: spec run, with
         RuntimeWarnings as errors, writes each OVERFLOWING entry's report
         and CSV, FAILED on its undetermined count (every point, for the
-        mixed-scale Jacobi operators), and exits 1 with no traceback."""
+        mixed-scale Jacobi operator), and exits 1 with no traceback."""
         cfg = tmp_path / "c.json"
         cfg.write_text(json.dumps({"operators": [
             {"name": name, "descriptor": d} for name, d in sorted(OVERFLOWING.items())]}),
@@ -459,6 +464,23 @@ class TestMalformedInput:
                               "--out", str(out)])
         assert code == (1 if emit == "report" else 0) and out.exists()
         assert capsys.readouterr().err == ""
+
+    @pytest.mark.parametrize("emit", ["report", "xi", "spectrum"])
+    def test_mixed_scale_patch_emits_without_warnings(self, tmp_path, capsys, emit):
+        """A patch a(1) = 9.5e-302 on a base a = 2.5e-38: spec jacobi writes
+        each emit with no RuntimeWarning and exits 0.  The report is PASS;
+        its band, [-5e-38, 5e-38], is below the grid's resolution, so the
+        inclusion is SKIPPED."""
+        desc = tmp_path / "op.json"
+        desc.write_text(json.dumps(MIXED_SCALE_PATCH), encoding="utf-8")
+        out = tmp_path / "out"
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            code = spec_main(["jacobi", "--desc", str(desc), "--emit", emit, "--out", str(out)])
+        assert code == 0 and capsys.readouterr().err == ""
+        if emit == "report":
+            doc = json.loads(out.read_text(encoding="utf-8"))
+            assert doc["status"] == "PASS" and doc["theorem_inclusion"]["status"] == "SKIPPED"
 
     @pytest.mark.parametrize("period,a,b", [(1, 2.0 ** 320, 0.0), (1, 2.0 ** -1000, 0.0),
                                             (2, 2.0 ** 320, 2.0 ** 320),

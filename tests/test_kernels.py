@@ -1,9 +1,11 @@
 """The Weyl kernels: their entrywise 2x2 transfer products against per-step
 matrices multiplied with np.matmul, their Floquet seeds at the nearest
 period boundary against seeds further out, the CMV kernel against its
-truncation oracle, two kernel calls per boundary sweep and one monodromy
+truncation oracle, their carries against each family's own walk of its
+seeds (conftest), two kernel calls per boundary sweep and one monodromy
 per kernel call."""
 
+import cmath
 import math
 
 import numpy as np
@@ -11,6 +13,7 @@ import pytest
 
 from acspectra import cmv, jacobi, schrodinger
 from acspectra.boundary_analysis import floquet_pair
+from conftest import moebius_M11_grid, propagated_m_grid, strip_weyl_grid
 
 
 def _patched_jacobi(rng, period):
@@ -235,6 +238,44 @@ def test_cmv_kernel_matches_the_truncation_oracle(period):
         for z, got in zip(zs, m11):
             want = cmv.M11(V, complex(z), n0, mode="oracle")
             assert abs(got - want) <= 1e-10 * (1.0 + abs(want)), (V, z, n0)
+
+
+def _relative_gap(got, want):
+    """max |got - want| / |want|, nan where want is 0 or not finite."""
+    return float(np.max(np.abs(got - want) / np.abs(want)))
+
+
+def test_carry_matches_the_site_by_site_walks():
+    """Each kernel's carry against its family's own walk (conftest), on 40
+    seeded periodic-plus-patch operators per family, 50 off-axis points
+    each: Jacobi M_+-, g and CMV M_+-, M11 at sites 0 and 1, patch sites in
+    [-6, 6], within 1e-12 relative, as the step form and the walk round
+    differently; Schrodinger m_+-, g at its sites and a random x0, bit for
+    bit, as the arithmetic is the same."""
+    rng = np.random.default_rng(4600)
+    for _ in range(40):
+        period = int(rng.integers(1, 5))
+        sites = rng.choice(np.arange(-6, 7), int(rng.integers(1, 4)), replace=False)
+        J = jacobi.JacobiCoefficients(
+            period, tuple(rng.uniform(0.5, 1.5, period)), tuple(rng.uniform(-1.0, 1.0, period)),
+            {int(n): (rng.uniform(0.5, 1.5), rng.uniform(-1.0, 1.0)) for n in sites})
+        alphas = rng.uniform(0.0, 0.9, period) * np.exp(1j * rng.uniform(0.0, 2 * math.pi, period))
+        V = cmv.VerblunskyCoefficients(period, tuple(alphas), {
+            int(n): 0.9 * rng.uniform() * cmath.exp(2j * math.pi * rng.uniform()) for n in sites})
+        zs = _off_axis(rng, 50)
+        ws = np.sqrt(rng.uniform(0.0, 0.998, 50)) * np.exp(2j * math.pi * rng.uniform(size=50))
+        for n0 in (0, 1):
+            got, want = jacobi._weyl_grid(J, zs, n0), strip_weyl_grid(J, zs, n0)
+            for key in ("M_plus", "M_minus", "g"):
+                assert _relative_gap(got[key], want[key]) <= 1e-12, (J, n0, key)
+            got, want = cmv._M11_grid(V, ws, n0), moebius_M11_grid(V, ws, n0)
+            for key in ("M_plus", "M_minus", "M11"):
+                assert _relative_gap(got[key], want[key]) <= 1e-12, (V, n0, key)
+        S = _patched_schrodinger(rng, period)
+        for x0 in (0.0, 0.5 * S.period, float(rng.uniform(-3.0, 3.0))):
+            got, want = schrodinger._m_grid(S, zs, x0), propagated_m_grid(S, zs, x0)
+            for key in ("m_plus", "m_minus", "g"):
+                assert np.array_equal(got[key], want[key]), (S, x0, key)
 
 
 def test_one_kernel_call_per_schedule_stage(monkeypatch):

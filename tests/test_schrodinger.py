@@ -65,7 +65,7 @@ class TestPotential:
         """value bisects the running ends of the patch and the pieces; it
         agrees with the linear scan kept here as its reference, on random
         potentials (some with pieces too short to move a running sum, some
-        whose lengths sum to the period only within 1e-12), at every
+        whose lengths sum to the period only within 1e-12 relative), at every
         breakpoint, its shifts by multiples of the period and their
         neighbors, at the patch end, and at negative and random x."""
         def scan(V, x):
@@ -96,7 +96,7 @@ class TestPotential:
             if trial % 4 == 1:
                 lengths = np.insert(lengths, int(rng.integers(n + 1)), 1e-17)
             if trial % 4 == 2:
-                lengths[-1] += rng.uniform(-5e-13, 5e-13)
+                lengths[-1] += rng.uniform(-5e-13, 5e-13) * period
             patch = tuple(zip(rng.uniform(0.05, 1.5, int(rng.integers(0, 4))),
                               rng.uniform(-5.0, 5.0, 4)))
             V = PiecewisePotential(period, tuple(zip(lengths, rng.uniform(-5.0, 5.0, n + 1))),
@@ -117,14 +117,24 @@ class TestPotential:
         with pytest.raises(ValueError):
             PiecewisePotential(1.0, ((0.4, 0.0), (0.5, 5.0)))
 
+    def test_lengths_sum_to_the_period_relative(self):
+        """The lengths sum to the period within 1e-12 of it: a piece ten
+        times a period of 1e-13 is refused, and period 1e6 as seven pieces
+        of 1e6/7, whose float sum misses it by 1.2e-10, is accepted."""
+        with pytest.raises(ValueError, match="sum to the period"):
+            PiecewisePotential(1e-13, ((1e-12, 0.0),))
+        assert PiecewisePotential(1e6, ((1e6 / 7, 0.0),) * 7).period == 1e6
+
     def test_shortest_period_reports(self):
-        """MIN_PERIOD is the shortest period whose half keeps a span of
-        _pieces, so a one-piece potential of that period reports, and a
-        shorter one is refused."""
-        with pytest.raises(ValueError, match="at least 2e-15"):
-            PiecewisePotential(np.nextafter(schrodinger.MIN_PERIOD, 0.0),
-                               ((np.nextafter(schrodinger.MIN_PERIOD, 0.0), 0.0),))
-        V = PiecewisePotential(schrodinger.MIN_PERIOD, ((schrodinger.MIN_PERIOD, 0.0),))
+        """A potential is refused where the second half of its period keeps
+        no span of _pieces: 2e-15 is the shortest one-piece period whose
+        half does, so it reports, and a shorter one is refused, as is a
+        longer period written as 100 pieces of 1e-16."""
+        with pytest.raises(ValueError, match="second half of the period"):
+            PiecewisePotential(np.nextafter(2e-15, 0.0), ((np.nextafter(2e-15, 0.0), 0.0),))
+        with pytest.raises(ValueError, match="second half of the period"):
+            PiecewisePotential(1e-14, ((1e-16, 0.0),) * 100)
+        V = PiecewisePotential(2e-15, ((2e-15, 0.0),))
         assert green_identity_residual(V, [1.0 + 1.0j]) >= 0.0
 
 
