@@ -18,7 +18,9 @@
 # - a config with a misspelled descriptor key, one with two entries of one
 #   name, one with a coefficient written as a JSON string, one with a grid
 #   end written as a JSON string, one with an entry `tolerances` key (the
-#   tolerances are fixed), one with a grid of 2^20 + 1 points, a cmv
+#   tolerances are fixed), one with a grid of 2^20 + 1 points, two whose
+#   E has an interval row of four with flags that are not booleans
+#   ([0, 1, "oo", 0] and [0, 1, "no", "x"]), a cmv
 #   angle range whose stop - start overflows, and Jacobi reports with a =
 #   1e300 and with a = 5e-324 (past jacobi.MAX_COEFFICIENT and
 #   MIN_OFF_DIAGONAL), a Schrodinger period of 1e-300 and one of 1e-14
@@ -79,6 +81,10 @@ printf '{"operators": [{"name": "x", "descriptor": %s, "tolerances": %s}]}' \
   "$free" '{"oracle_window": 512}' > "$out/tolerances.config.json"
 printf '{"operators": [{"name": "x", "descriptor": %s, "grid": %s}]}' \
   "$free" '{"start": -3, "stop": 3, "points": 1048577}' > "$out/huge_grid.config.json"
+printf '{"operators": [{"name": "x", "descriptor": %s, "E": %s}]}' \
+  "$free" '{"intervals": [[-1, 1, "oo", 0]]}' > "$out/flags_oo.config.json"
+printf '{"operators": [{"name": "x", "descriptor": %s, "E": %s}]}' \
+  "$free" '{"intervals": [[-1, 1, "no", "x"]]}' > "$out/flags_nox.config.json"
 # refused NAME COMMAND...: COMMAND --out OUT/NAME exits 2, prints one
 # `error:` line and writes nothing
 refused() {
@@ -97,6 +103,8 @@ refused string_coefficient $spec run --config "$out/string_coefficient.config.js
 refused string_grid $spec run --config "$out/string_grid.config.json"
 refused tolerances $spec run --config "$out/tolerances.config.json"
 refused huge_grid $spec run --config "$out/huge_grid.config.json"
+refused flags_oo $spec run --config "$out/flags_oo.config.json"
+refused flags_nox $spec run --config "$out/flags_nox.config.json"
 refused cmv_overflow $spec cmv --desc tests/data/xi/cmv.json --grid=-1e308:1e308:600 --emit xi
 for a in 1e300 5e-324; do
   printf '{"type": "jacobi", "period": 1, "a": [%s], "b": [0]}' "$a" > "$out/jacobi_$a.json"

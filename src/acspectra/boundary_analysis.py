@@ -31,13 +31,14 @@ classifier and CSV writer, with each family's conventions passed as
 data, plus the Floquet chooser and 2x2 helpers of the kernels.  Every
 read is one function of the operator and runs with family(op), the
 SweepFamily its type carries as _FAMILY, whose kernel is its module's:
-boundary_grid sweeps it, phase_grid (sweep_phase's one caller) reads the
-phase off that sweep, phase_at and weyl_data read the phase grid and the
-kernel at one point, and ac_spectrum, reflectionless_on,
-multiplicity_sets and sweep_csv read the sweeps and phases through
-memo_sweep and memo_phase.  Each family module imports them under its
-own names (boundary_weyl_grid, Xi11_grid, xi, ...), so the names of one
-concept are one function.  The
+boundary_grid sweeps it, keeping only the family's boundary pair and
+phase key (all a report reads), phase_grid (sweep_phase's one caller)
+reads the phase off that sweep, phase_at and weyl_data read the phase
+grid and the kernel at one point (weyl_data every key), and ac_spectrum,
+reflectionless_on, multiplicity_sets and sweep_csv read the sweeps and
+phases through memo_sweep and memo_phase.  Each family module imports
+them under its own names (boundary_weyl_grid, Xi11_grid, xi, ...), so
+the names of one concept are one function.  The
 reflectionless test reads E in its intervals only (tested_mask): it is
 almost-everywhere, and isolated points are null.
 
@@ -54,15 +55,16 @@ growing one, each an (x, y) pair, from a single square root, with one
 branch rule for every call: the decaying root is the one nearest near (0,
 the contracting root, unless a sweep's axis call passes its reference's
 branch, whose root it rescales to its own exponent).  A kernel seeds both
-half lines from one matrix without stacking it, and returns its branch
-and ambiguous mask as the entry 'floquet'; the CMV Schur function is the
-fixed point the growing eigenvector gives.  Each family's one step rule
-feeds both its monodromy and carry, the walk of a seed across the patch
-to the reference site.  The Schrodinger seeds do not depend on the
-reference point either, so in a report scope both reference points read
-one seed pair per kernel call (memo).  Every one-point value of a family
-is its grid kernel or its phase grid read at one point (weyl_data,
-phase_at).
+half lines from one matrix without stacking it, and returns its branch,
+the unstacked tuple (u, dec_x, dec_y, grow_x, grow_y, exponent) (CMV: a
+pair of them, one per half line), and its ambiguous mask as the entry
+'floquet'; the CMV Schur function is the fixed point the growing
+eigenvector gives.  Each family's one step rule feeds both its monodromy
+and carry, the walk of a seed across the patch to the reference site.
+The Schrodinger seeds do not depend on the reference point either, so in
+a report scope both reference points read one seed pair per kernel call
+(memo).  Every one-point value of a family is its grid kernel or its
+phase grid read at one point (weyl_data, phase_at).
 
 The truncation oracles of the Jacobi and CMV identity residuals share one
 solver: tridiagonal_resolvent reads a diagonal entry of the inverse, and
@@ -173,11 +175,12 @@ def floquet_pair(m00, m01, m10, m11, det, near=0.0, exponent=0):
     The decaying multiplier is the root nearest near: near = 0 (a one-point
     read, an oracle, a sweep's reference call) takes the contracting root,
     and a sweep's axis call passes the branch its reference call returned.
-    branch stacks the decaying root, both eigenvectors and exponent, shape
-    (6,) + shape; an axis call scales its reference's root by 2^(reference
-    exponent - exponent), and nothing else depends on scale.  Where the
-    monodromy is scalar within EDGE_TOL (a closed gap) every vector is an
-    eigenvector, and an axis call takes the reference's.
+    branch is the tuple (u, dec_x, dec_y, grow_x, grow_y, exponent) of the
+    decaying root, both eigenvectors and exponent, unstacked so that the
+    integer exponent stays an integer; an axis call scales its reference's
+    root by 2^(reference exponent - exponent), and nothing else depends on
+    scale.  Where the monodromy is scalar within EDGE_TOL (a closed gap)
+    every vector is an eigenvector, and an axis call takes the reference's.
     ambiguous marks the entries whose roots coincide within EDGE_TOL
     relative to the traceless part of the monodromy (band edges), or whose
     distances to near differ by at most BRANCH_TOL of their sum (for near =
@@ -188,8 +191,8 @@ def floquet_pair(m00, m01, m10, m11, det, near=0.0, exponent=0):
     sign = np.where(np.abs(half + s) >= np.abs(half - s), 1.0, -1.0)
     big = half + sign * s
     small = det / big
-    ref = np.ndim(near) == 0
-    root = near if ref else near[0] * np.ldexp(1.0, near[5].real.astype(int) - exponent)
+    ref = not isinstance(near, tuple)
+    root = near if ref else near[0] * np.ldexp(1.0, near[5] - exponent)
     d_small, d_big = np.abs(small - root), np.abs(big - root)
     first = d_small <= d_big
     traceless = np.abs(h) + np.abs(m01) + np.abs(m10)
@@ -206,7 +209,7 @@ def floquet_pair(m00, m01, m10, m11, det, near=0.0, exponent=0):
     if not ref:
         dec = tuple(np.where(scalar, near[k], c) for k, c in zip((1, 2), dec))
         grow = tuple(np.where(scalar, near[k], c) for k, c in zip((3, 4), grow))
-    return dec, grow, np.stack(np.broadcast_arrays(u, *dec, *grow, exponent)), ambiguous
+    return dec, grow, (u, *dec, *grow, exponent), ambiguous
 
 
 def stack_2x2(m00, m01, m10, m11, shape):
@@ -433,7 +436,10 @@ def _freeze(x):
 
 
 def _key(a):
-    """a, or for an array (or a list, read as one) its dtype, shape and bytes."""
+    """a, or for an array (or a list, read as one) its dtype, shape and
+    bytes, and for a tuple (a Floquet branch) its elements' keys."""
+    if isinstance(a, tuple):
+        return tuple(map(_key, a))
     if not isinstance(a, (np.ndarray, list)):
         return a
     a = np.asarray(a)
@@ -443,7 +449,7 @@ def _key(a):
 def memo(fn, op, *args):
     """fn(op, *args), computed once per (fn, op, args) in the open scope and
     kept, its arrays read-only, until the scope closes; an array argument
-    is keyed by its dtype, shape and bytes.  Outside any scope it is
+    is keyed by its dtype, shape and bytes (_key).  Outside any scope it is
     computed on every call."""
     if _memo is None:
         return fn(op, *args)
@@ -496,13 +502,18 @@ def interior(fam: SweepFamily, vals):
 
 
 def boundary_grid(op, grid, site) -> dict:
-    """exact_sweep of op's family kernel at a reference site on a grid:
-    (value, error, ok) per key plus the 'inf_'/'div_' flags.  The reference
-    points lie REFERENCE_EPS inside the circle, resp. REFERENCE_EPS (1 +
+    """exact_sweep of op's family kernel at a reference site on a grid, of
+    its pair and phase key only (what the reports read): (value, error, ok)
+    per key plus the 'inf_'/'div_' flags.  The reference points lie
+    REFERENCE_EPS inside the circle, resp. REFERENCE_EPS (1 +
     op.sup_bound()) above the line."""
     fam = family(op)
     eps = REFERENCE_EPS if fam.circle else REFERENCE_EPS * (1.0 + op.sup_bound())
-    return exact_sweep(lambda zs, near: fam.kernel(op, zs, site, near), grid, fam.circle, eps)
+    keep = (*fam.pair, fam.phase_key, "floquet")
+
+    def kernel(zs, near):
+        return {k: v for k, v in fam.kernel(op, zs, site, near).items() if k in keep}
+    return exact_sweep(kernel, grid, fam.circle, eps)
 
 
 def phase_grid(op, grid, site):
@@ -551,8 +562,9 @@ def sweep_csv(op, grid) -> str:
     reference site, in the columns of the family's csv_columns.  A phase
     cell is empty where the point is undetermined, a re/im cell where the
     phase key's value is not ok.  Each row takes the template of its
-    verdict word and present cells; one % formats the whole table.  The
-    sweep and the phase are memo reads, in a report's scope or its own."""
+    verdict word and present cells, from a list of six; one % formats the
+    whole table.  The sweep and the phase are memo reads, in a report's
+    scope or its own."""
     fam = family(op)
     grid = np.asarray(grid, dtype=float)
     site = fam.sites(op)[0]
@@ -574,14 +586,14 @@ def sweep_csv(op, grid) -> str:
         return ",".join(cells) + "\n"
 
     # the template of verdict word w and conv c sits at 2 w + c
-    templates = np.array([template(w, c) for w in range(3) for c in (False, True)])
+    templates = [template(w, c) for w in range(3) for c in (False, True)]
     kinds = [kind for _, kind in fam.csv_columns if kind in numeric]
     values = np.column_stack([numeric[kind][0] for kind in kinds])
     present = np.column_stack([np.broadcast_to(numeric[kind][2](ok, conv), grid.shape)
                                for kind in kinds])
     # no cell holds a comma, a quote or a line end, so none needs quoting
     header = ",".join(name for name, _ in fam.csv_columns)
-    body = "".join(templates[2 * word + conv].tolist())
+    body = "".join([templates[t] for t in (2 * word + conv).tolist()])
     return f"{header}\n" + body % tuple(values[present].tolist())
 
 

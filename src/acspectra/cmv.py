@@ -180,13 +180,13 @@ def _twist(a0: complex, mm):
 
 
 def _half_lattices(V: VerblunskyCoefficients, zs, n0: int, near):
-    """(m_+(z, n0), m_-(z, n0-1), floquet) over zs: floquet stacks the
-    branches of both half lattices nearest near (0, or such a stack) and
+    """(m_+(z, n0), m_-(z, n0-1), floquet) over zs: floquet pairs the
+    branches of both half lattices nearest near (0, or such a pair) and
     joins their ambiguous masks (floquet_pair)."""
-    near_p, near_m = (near, near) if np.ndim(near) == 0 else near
+    near_p, near_m = near if isinstance(near, tuple) else (near, near)
     plus, minus = _m_grid(V, zs, n0, "+", near_p), _m_grid(V, zs, n0 - 1, "-", near_m)
     (up, ap), (um, am) = plus["floquet"], minus["floquet"]
-    return plus["m"], minus["m"], (np.stack([up, um]), ap | am)
+    return plus["m"], minus["m"], ((up, um), ap | am)
 
 
 def _M11_grid(V: VerblunskyCoefficients, zs, n0: int, near=0.0) -> dict:

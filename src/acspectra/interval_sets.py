@@ -67,17 +67,20 @@ class Interval:
 
 def _piece(raw) -> tuple:
     """(lo, hi, lo_closed, hi_closed) of an interval or arc spec: (lo, hi)
-    closed, (lo, hi, flags) with a flag code, or (lo, hi, lo_closed, hi_closed)."""
+    closed, (lo, hi, flags) with a flag code, or (lo, hi, lo_closed,
+    hi_closed) with two booleans (a number or a string is refused, not read
+    by its truth value)."""
     n = len(raw) if isinstance(raw, (list, tuple)) else 0
     if n == 3 and isinstance(raw[2], str) and raw[2] in _FLAG_CODES:
         lo_c, hi_c = _FLAG_CODES[raw[2]]
     elif n == 2:
         lo_c = hi_c = True
-    elif n == 4:
+    elif n == 4 and all(isinstance(f, (bool, np.bool_)) for f in raw[2:]):
         lo_c, hi_c = bool(raw[2]), bool(raw[3])
     else:
         raise ValueError(f"interval spec must be (lo, hi), (lo, hi, flags) with flags one of "
-                         f"{sorted(_FLAG_CODES)}, or (lo, hi, lo_closed, hi_closed); got {raw!r}")
+                         f"{sorted(_FLAG_CODES)}, or (lo, hi, lo_closed, hi_closed) with "
+                         f"boolean lo_closed and hi_closed; got {raw!r}")
     try:
         return float(raw[0]), float(raw[1]), lo_c, hi_c
     except (TypeError, ValueError, OverflowError):

@@ -26,7 +26,9 @@ characterizes reflectionless points.
 The kernel _weyl_grid returns all five quantities; the sweep, the phase
 grid and the one-point reads are boundary_analysis's, imported as
 boundary_weyl_grid, xi_grid, xi and weyl_data, with the reference points
-REFERENCE_EPS (1 + sup|b| + 2 sup|a|) above the axis.
+REFERENCE_EPS (1 + sup|b| + 2 sup|a|) above the axis.  weyl_data returns
+all five, and the sweep keeps the three a report reads: M_plus, M_minus
+and g.
 """
 
 from __future__ import annotations

@@ -206,13 +206,13 @@ def steplike_halves(L, R, n0: int):
 
 def _halves(plus, minus, near):
     """(r, l, floquet): the kernel dicts plus(near) of the right half line
-    and minus(near) of the left one, each at its rows of near, and their
-    'floquet': both branches stacked (12 rows) and their ambiguous masks
-    ORed, so that exact_sweep runs the glued kernel unchanged."""
-    near_r, near_l = (near, near) if np.ndim(near) == 0 else (near[:6], near[6:])
+    and minus(near) of the left one, each at its branch of near, and their
+    'floquet': both branches paired and their ambiguous masks ORed, so that
+    exact_sweep runs the glued kernel unchanged."""
+    near_r, near_l = near if isinstance(near, tuple) else (near, near)
     r, l = plus(near_r), minus(near_l)
     (ur, ar), (ul, al) = r["floquet"], l["floquet"]
-    return r, l, (np.concatenate([ur, ul]), ar | al)
+    return r, l, ((ur, ul), ar | al)
 
 
 def _glued(kernel, left, right, zs, site, near, pair) -> dict:

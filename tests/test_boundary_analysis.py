@@ -229,15 +229,40 @@ def report_suite_operators(seed, rotation, workdir):
     return suite.rotation(rotation)
 
 
+def raw_exact_sweep(fam, op, grid, site):
+    """exact_sweep of every key of the family kernel, Jacobi's m_plus and
+    m_minus too, which the reports' sweep (boundary_grid, the pair and the
+    phase key only) drops; at boundary_grid's reference points, whose eps
+    assert_report_sweep_is_raw pins by the bits."""
+    kernel, circle = SWEEPS[fam][0], fam == "cmv"
+    eps = boundary_analysis.REFERENCE_EPS * (1.0 if circle else 1.0 + op.sup_bound())
+    return exact_sweep(lambda zs, near: kernel(op, zs, site, near), grid, circle, eps)
+
+
+def assert_report_sweep_is_raw(fam, op, grid, site, raw):
+    """The reports' sweep (boundary_grid) keeps the family's pair and phase
+    key and their flags, each with the bits of raw, the raw_exact_sweep
+    at the same site; returns the reports' sweep."""
+    got = SWEEPS[fam][1](op, grid, site)
+    keys = (*op._FAMILY.pair, op._FAMILY.phase_key)
+    assert set(got) == {p + k for k in keys for p in ("", "inf_", "div_")}
+    for key, v in got.items():
+        for a, b in zip(v, raw[key]) if isinstance(v, tuple) else [(v, raw[key])]:
+            assert a.dtype == b.dtype and a.tobytes() == b.tobytes(), (site, key)
+    return got
+
+
 def assert_exact_matches_richardson(fam, op, grid):
     """At both reference sites, wherever the exact sweep and the 13-stage
     Richardson reference both accept a value, they agree within
     3 err_R + 1e-9 (1 + |v|), so the Richardson error estimate err_R does
     not under-report; and the exact sweep leaves at most 1% of the points
-    the reference accepts undetermined."""
-    kernel, sweep, _, sites_of = SWEEPS[fam]
+    the reference accepts undetermined.  The exact sweep is of every
+    kernel key, and the reports' sweep has its bits on the keys it keeps."""
+    kernel, _, _, sites_of = SWEEPS[fam]
     for site in sites_of(op):
-        exact = sweep(op, grid, site)
+        exact = raw_exact_sweep(fam, op, grid, site)
+        assert_report_sweep_is_raw(fam, op, grid, site, exact)
         want, _ = reference_sweep(lambda zs: kernel(op, zs, site), grid, fam == "cmv")
         for key in want:
             if key.startswith(("inf_", "div_")):
@@ -271,6 +296,20 @@ class TestExactRoute:
                 grid_config = {"angles": 1024} if descriptor["type"] == "cmv" else None
                 op, grid, *_ = _load(descriptor, None, grid_config)
                 assert_exact_matches_richardson(descriptor["type"], op, grid[::4])
+
+    @pytest.mark.parametrize("name", ["period2_jacobi", "geronimus_cmv", "square_well"])
+    def test_report_sweep_keeps_the_pair_and_phase_key_only(self, request, name):
+        """At both sites boundary_grid keeps the family's pair and phase
+        key, with the bits of exact_sweep of the raw kernel, on the full
+        default grid; a Jacobi sweep drops m_plus and m_minus."""
+        fam = FIXTURES[name]
+        op = request.getfixturevalue(name)
+        _, _, grid_of, sites_of = SWEEPS[fam]
+        grid = grid_of(op)
+        for site in sites_of(op):
+            got = assert_report_sweep_is_raw(fam, op, grid, site,
+                                             raw_exact_sweep(fam, op, grid, site))
+            assert ("m_plus" in got) == (fam == "schrodinger")
 
     def test_two_kernel_calls_on_the_axis_and_off_it(self):
         """exact_sweep calls the kernel at the reference points with near =

@@ -643,6 +643,20 @@ class TestEdgeBehaviour:
         with pytest.raises(ValueError, match=message):
             canonicalize(raw, points)
 
+    @pytest.mark.parametrize("flags", [("oo", 0), ("no", "x"), (1, 0), (0.0, True), (None, False)])
+    def test_row_of_four_refuses_flags_that_are_not_booleans(self, flags):
+        """(lo, hi, lo_closed, hi_closed) reads two booleans, never a
+        flag's truth value: ("oo", 0) once read as [0, 1), ("no", "x") as
+        [0, 1]."""
+        for build in (canonicalize, circle_set):
+            with pytest.raises(ValueError, match="boolean lo_closed and hi_closed"):
+                build([(0.0, 1.0, *flags)])
+
+    def test_row_of_four_reads_python_and_numpy_booleans(self):
+        for lo_c, hi_c in ((True, False), (np.bool_(False), np.bool_(True))):
+            iv = canonicalize([(0.0, 1.0, lo_c, hi_c)]).intervals[0]
+            assert (iv.lo_closed, iv.hi_closed) == (bool(lo_c), bool(hi_c))
+
     def test_circle_set_reads_pieces_in_order(self):
         with pytest.raises(ValueError, match="lo > hi"):
             circle_set([(8.0, -6.5)])           # t2 + 2pi < t1: an arc run backwards

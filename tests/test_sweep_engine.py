@@ -165,12 +165,13 @@ def test_floquet_pair_branch_rule():
     m = entries((0.5, 0, 0, 2), (1, 0, 0, 1 + 1e-12), (1, 1, 1e-16, 1), (1, 0, 0, 1))
     det = m[0] * m[3] - m[1] * m[2]
     dec, grow, branch, ambiguous = floquet_pair(*m, det, 0.0)
-    assert branch.shape == (6, 4)
-    assert branch[0, 0] == 0.5 and ambiguous.tolist() == [False, True, True, True]
-    near = np.array([[2.1, 0.9, 0.9, 0.9], [0, 0, 0, 0.6], [1, 1, 1, 0.8],
-                     [1, 1, 1, 0.8], [0, 0, 0, -0.6], [0, 0, 0, 0]], dtype=complex)
+    assert len(branch) == 6 and all(np.shape(a) == (4,) for a in branch[:5])
+    assert branch[0][0] == 0.5 and ambiguous.tolist() == [False, True, True, True]
+    near = tuple(np.array(row, dtype=complex) for row in
+                 ([2.1, 0.9, 0.9, 0.9], [0, 0, 0, 0.6], [1, 1, 1, 0.8],
+                  [1, 1, 1, 0.8], [0, 0, 0, -0.6])) + (0,)
     dec, grow, branch, ambiguous = floquet_pair(*m, det, near)
-    assert branch[0, 0] == 2.0 and dec[0][0] == 0.0     # the eigenvector (0, y) of 2
+    assert branch[0][0] == 2.0 and dec[0][0] == 0.0     # the eigenvector (0, y) of 2
     assert ambiguous.tolist() == [False, False, True, False]
     assert (dec[0][3], dec[1][3], grow[0][3], grow[1][3]) == (0.6, 0.8, 0.8, -0.6)
     assert (dec[0][1], dec[1][1]) == (0.0, 1.0)
@@ -488,15 +489,17 @@ def test_memo_lives_only_in_a_scope():
         assert memo(zeros, V, zs) is not pair
         assert memo(seeds, V, zs.copy()) is pair and memo(zeros, V, zs) is memo(zeros, V, zs)
         assert memo(seeds, V, zs.astype(np.complex64)) is not pair
-        # the two eigenvector pairs, then the branch and the ambiguous mask
-        for arr in [a for half in pair[:2] for a in half] + list(pair[2:]):
+        # the two eigenvector pairs, the branch's five arrays (its exponent
+        # is the int 0 here) and the ambiguous mask
+        assert pair[2][5] == 0
+        for arr in [a for half in pair[:2] for a in half] + list(pair[2][:5]) + [pair[3]]:
             with pytest.raises(ValueError):
                 arr[0] = 0.0
     assert calls == ["seeds", "seeds", "seeds", "zeros", "seeds"]
     assert memo(seeds, V, zs) is not pair and len(calls) == 6
     for half, again in zip(pair, outside):
         for a, b in zip(half, again):
-            assert a.tobytes() == b.tobytes()
+            assert np.asarray(a).tobytes() == np.asarray(b).tobytes()
 
 
 def _patched_operator(kind, rng):
