@@ -6,10 +6,11 @@ Subdirectories are compared by name, file by file, so two trees of
 `scripts/verdict_census.py --keep` (DIR/seed0, DIR/seed9) compare as a
 whole.  Exits 1 when the directories differ in anything a report decides:
 the set of files, a status, a failure message, a verdict, a set (any JSON
-object with a "carrier"), the defect points, any field that is not a
-float, or a CSV verdict column.  Otherwise exits 0 and prints, for each other float
-field (report numbers and CSV number columns, list positions merged), the
-largest relative change |a - b| / max(|a|, |b|) and the file it was seen in.
+object with a "carrier", the defect points among them), any field that is
+not a float, or a CSV verdict column.  Otherwise exits 0 and prints, for
+each other float field (report numbers and CSV number columns, list
+positions merged), the largest relative change |a - b| / max(|a|, |b|) and
+the file it was seen in.
 """
 
 import argparse
@@ -18,8 +19,6 @@ import io
 import json
 import os
 import sys
-
-EXACT_KEYS = ("defect_points",)     # float lists that must not move at all
 
 
 def _walk(a, b, path, floats, diffs):
@@ -32,8 +31,7 @@ def _walk(a, b, path, floats, diffs):
             return
         for k in sorted(a):
             _walk(a[k], b[k], f"{path}.{k}" if path else k, floats, diffs)
-    elif (isinstance(a, list) and isinstance(b, list) and len(a) == len(b)
-          and path.rsplit(".", 1)[-1] not in EXACT_KEYS):
+    elif isinstance(a, list) and isinstance(b, list) and len(a) == len(b):
         for x, y in zip(a, b):
             _walk(x, y, path + "[]", floats, diffs)
     elif isinstance(a, float) and isinstance(b, float):

@@ -94,6 +94,7 @@ RESCALE_AT = 2.0 ** 256
 REFERENCE_EPS = 1e-8
 EDGE_TOL = 1e-6
 BRANCH_TOL = 1e-10
+REFLECTIONLESS_TOL = 1e-4   # the largest pair residual reflectionless_on accepts
 MIN_ANGLES = 512            # the fewest angles of a grid on the whole circle
 # the most (batch row, padded step) pairs tridiagonal_resolvent multiplies at
 # once (one row at least): 4 draws of a report's 801- or 1024-site window
@@ -311,12 +312,12 @@ def _resolvent_rows(d, p, lo_prev, c: int, steps: int):
 
 @dataclass(frozen=True)
 class ReflectionlessReport:
+    """reflectionless_on's result; its defect_points is a set on the grid's carrier."""
     verdict: bool
     fraction: float              # worst passing fraction across reference sites
     max_residual: float          # max matching residual over tested points
-    tol: float
     n_points: int
-    defect_points: tuple         # grid points failing the matching condition
+    defect_points: object        # grid hull of the tested points failing at either site
     xi_fraction: float = 0.0     # fraction with the phase within tolerance of its center
     witness_residual: float = math.nan
 
@@ -336,7 +337,7 @@ class SweepFamily:
     pair: tuple             # sweep keys of the boundary pair (M_+, M_-)
     phase_key: str          # sweep key whose boundary argument is the phase
     csv_columns: tuple      # ((header, cell), ...) of sweep_csv; cell is one of
-                            # loc, phase, err, re, im, verdict, empty
+                            # loc, phase, err, re, im, verdict
     zero_floor: bool = False    # phase undefined where |value| <= 100 err + 1e-12
     site_word: str = "sites"    # what messages call the reference sites
 
@@ -626,15 +627,16 @@ def tested_mask(E, grid):
 
 
 @sweep_scope()
-def reflectionless_on(op, E, grid=None, tol: float = 1e-4) -> ReflectionlessReport:
+def reflectionless_on(op, E, grid=None) -> ReflectionlessReport:
     """Boundary matching of the pair on the grid points of tested_mask(E)
-    at both sites: M_+ is the reflection of M_- (conj across the line,
-    -conj across the circle) at more than 99% of the points, phase at its
-    center; in its own sweep scope, as sweep_csv, where no report opened one."""
+    at both sites: M_+ is the reflection of M_- (conj across the line, -conj
+    across the circle) within REFLECTIONLESS_TOL at more than 99% of them,
+    phase at its center; defect_points is the grid hull of those failing at
+    either site.  In its own sweep scope where no report opened one."""
     if E.measure() <= 0.0:
         raise ValueError("reflectionless test needs a set of positive measure")
     fam = family(op)
-    grid, _ = sweep_grid(fam, op, grid)
+    grid, step = sweep_grid(fam, op, grid)
     inside = tested_mask(E, grid)
     lams = grid[inside]
     if lams.size == 0:
@@ -643,7 +645,7 @@ def reflectionless_on(op, E, grid=None, tol: float = 1e-4) -> ReflectionlessRepo
     center = sum(fam.phase_range) / 2.0
     worst_fraction = xi_fraction = 1.0
     max_res = witness = 0.0
-    defects = set()
+    defect = np.zeros(lams.size, dtype=bool)
     for site in fam.sites(op):
         # the whole grid's sweep and phase (the ac spectrum's, in a report
         # scope) read on E; the kernels work point by point, so bits agree
@@ -652,19 +654,20 @@ def reflectionless_on(op, E, grid=None, tol: float = 1e-4) -> ReflectionlessRepo
         okm = bd[fam.pair[0]][2] & bd[fam.pair[1]][2]
         with np.errstate(invalid="ignore"):     # inf - inf where no sweep accepted the point
             res = np.abs(Mp + np.conj(Mm)) if fam.circle else np.abs(Mp - np.conj(Mm))
-        pass_mask = okm & (res < tol)
+        pass_mask = okm & (res < REFLECTIONLESS_TOL)
         worst_fraction = min(worst_fraction, float(np.mean(pass_mask)))
         max_res = max(max_res, float(np.max(np.where(okm, res, 0.0))))
-        defects.update(lams[~pass_mask].tolist())
+        defect |= ~pass_mask
 
         vals, _, okx = (a[inside] for a in memo_phase(op, grid, site))
-        xi_fraction = min(xi_fraction, float(np.mean(okx & (np.abs(vals - center) < 10 * tol))))
+        centered = okx & (np.abs(vals - center) < 10 * REFLECTIONLESS_TOL)
+        xi_fraction = min(xi_fraction, float(np.mean(centered)))
         witness = max(witness, _witness(fam, bd, pass_mask))
 
     verdict = worst_fraction > 0.99
     return ReflectionlessReport(
-        verdict=verdict, fraction=worst_fraction, max_residual=max_res, tol=tol,
-        n_points=int(lams.size), defect_points=tuple(sorted(defects)),
+        verdict=verdict, fraction=worst_fraction, max_residual=max_res,
+        n_points=int(lams.size), defect_points=fam.hull(lams[defect], step),
         xi_fraction=xi_fraction,
         witness_residual=witness if verdict else math.nan)
 

@@ -260,7 +260,7 @@ VerblunskyCoefficients._FAMILY = SweepFamily(
     grid=lambda V: default_angles(), sites=lambda V: (0, 1), circle=True,
     pair=("M_plus", "M_minus"), phase_key="M11",
     csv_columns=(("theta", "loc"), ("re_m11", "re"), ("im_m11", "im"), ("xi", "phase"),
-                 ("verdict", "verdict"), ("r00", "empty"), ("r11", "empty"), ("rank", "empty")),
+                 ("verdict", "verdict")),
     zero_floor=True)
 
 

@@ -88,9 +88,9 @@ import numpy as np
 from . import jacobi as _jacobi
 from . import cmv as _cmv
 from . import schrodinger as _schrodinger
-from .boundary_analysis import (ReflectionlessReport, ac_spectrum, family, memo_phase, memo_sweep,
-                                multiplicity_sets, reflectionless_on, sweep_at, sweep_csv,
-                                sweep_grid, sweep_scope, tested_mask)
+from .boundary_analysis import (REFLECTIONLESS_TOL, ReflectionlessReport, ac_spectrum, family,
+                                memo_phase, memo_sweep, multiplicity_sets, reflectionless_on,
+                                sweep_at, sweep_csv, sweep_grid, sweep_scope, tested_mask)
 from .errors import SiteDisagreement, check_keys, check_number
 from .interval_sets import (CircleArcSet, GeneratedFatSet, RealIntervalSet, canonicalize,
                             essential_closure, fat_density_report,
@@ -104,13 +104,13 @@ OPERATOR_TYPES = {"jacobi": _jacobi.JacobiCoefficients, "cmv": _cmv.VerblunskyCo
 MAX_UNDETERMINED = 0.01
 # the most grid points or angles a config or --grid may ask for
 MAX_GRID_POINTS = 2 ** 20
-SCHEMA = "v1"
+SCHEMA = "v2"
 
 # the report tolerances, each a fixed value; the last three are identity
 # residual thresholds
-TOLERANCES = {"reflectionless_tol": 1e-4, "identity_draws": 20, "oracle_window": 1024,
-              "green_inverse_identity": 1e-10, "m11_formula_vs_oracle": 1e-10,
-              "m11_boundary_real_part": 1e-3}
+TOLERANCES = {"reflectionless_tol": REFLECTIONLESS_TOL, "identity_draws": 20,
+              "oracle_window": 1024, "green_inverse_identity": 1e-10,
+              "m11_formula_vs_oracle": 1e-10, "m11_boundary_real_part": 1e-3}
 
 
 class UnknownOperatorType(ValueError):
@@ -291,7 +291,6 @@ def _report(entry: Entry, name: str, seed: int) -> SpectralReport:
     """The report of one operator entry from its _load result."""
     op, grid, kind = entry.op, entry.grid, entry.descriptor["type"]
     step = float(grid[1] - grid[0])
-    refl_tol = TOLERANCES["reflectionless_tol"]
     failures = []
 
     try:
@@ -309,11 +308,11 @@ def _report(entry: Entry, name: str, seed: int) -> SpectralReport:
     testable = entry.E is not None or _testable(ac, grid)   # _load tests a given E
     E_set = ac if entry.E is None else entry.E
     if testable:
-        refl = reflectionless_on(op, E_set, grid, tol=refl_tol)
+        refl = reflectionless_on(op, E_set, grid)
     else:       # only a computed E: a given one is checked on loading
         refl = ReflectionlessReport(
-            verdict=False, fraction=math.nan, max_residual=math.nan, tol=refl_tol,
-            n_points=0, defect_points=(), xi_fraction=math.nan)
+            verdict=False, fraction=math.nan, max_residual=math.nan,
+            n_points=0, defect_points=fam.hull(grid[:0], step), xi_fraction=math.nan)
     M2, M1 = multiplicity_sets(op, grid)
 
     identities = _identity_residuals(kind, op, grid, E_set, refl.verdict, seed)
@@ -322,7 +321,7 @@ def _report(entry: Entry, name: str, seed: int) -> SpectralReport:
             failures.append(f"identity {nm}: {e['value']:.3e} >= {e['threshold']:.1e}")
 
     E_closure = essential_closure(E_set)
-    inclusion = {"status": "SKIPPED", "reason": "", "E": set_to_json(E_set),
+    inclusion = {"status": "SKIPPED", "reason": "",
                  "essential_closure_E": set_to_json(E_closure), "contained_in_ac": None,
                  "overhang": None, "slack": float(step),
                  "multiplicity_two_covers_E": None, "m2_defect_fraction": None}
@@ -352,13 +351,12 @@ def _report(entry: Entry, name: str, seed: int) -> SpectralReport:
 
     echo = ("reflectionless_tol", "identity_draws") + (("oracle_window",) if kind == "cmv" else ())
     eff_tol = dict({name: TOLERANCES[name] for name in echo}, slack_steps=1)
-    # a shallow read of the test's fields: asdict would deep-copy every defect point
-    reflectionless = vars(refl)
 
     return SpectralReport(
         name=name, family=kind, descriptor=entry.descriptor, failures=failures,
         status="FAILED" if failures else "PASS", tolerances=eff_tol, grid=entry.grid_echo,
-        ac_spectrum=ac, reflectionless=dict(reflectionless, E=set_to_json(E_set)),
+        ac_spectrum=ac, reflectionless=dict(vars(refl), E=set_to_json(E_set),
+                                            defect_points=set_to_json(refl.defect_points)),
         multiplicity={"M2": set_to_json(M2), "M1": set_to_json(M1),
                       "boundary_pair": f"({', '.join(fam.pair)})"},
         identity_residuals=identities, theorem_inclusion=inclusion)

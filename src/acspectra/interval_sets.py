@@ -28,7 +28,6 @@ runs are sorted and apart, so the hulls build their sets with no sweep.
 
 from __future__ import annotations
 
-import bisect
 import math
 import numbers
 import operator
@@ -439,13 +438,13 @@ class CircleArcSet:
     @staticmethod
     def _from_line(cols) -> "CircleArcSet":
         """Arcs of the sweep columns of a line representative on [0, 2pi).
-        Where angle 0 is covered, the component ending at 2pi (within 1e-15)
-        continues through it into the component starting at 0, or into the
-        point 0 if it ends exactly at 2pi.  A component from 0 to 2pi is the
-        full circle, less angle 0 when it is open at both ends."""
+        Where angle 0 is covered, the last component, if it ends at 2pi
+        (within 1e-15), continues through it into the component starting at
+        0, or into the point 0 if it ends exactly at 2pi.  A component from 0
+        to 2pi is the full circle, less angle 0 when it is open at both ends."""
         lo, hi, lo_c, hi_c, pts = cols
-        last = bisect.bisect_left(hi, TWO_PI - 1e-15)   # the first component reaching 2pi
-        reach = last < len(hi)
+        last = len(hi) - 1      # the components are sorted and apart: only the last reaches 2pi
+        reach = last >= 0 and hi[last] >= TWO_PI - 1e-15
         at_zero = reach and lo[0] == 0.0
         if at_zero and (lo_c[0] or hi_c[last]):
             if last == 0:

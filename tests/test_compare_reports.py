@@ -97,15 +97,16 @@ def _set(doc):
 
 
 def _defect_points(doc):
-    doc["reflectionless"]["defect_points"] = [0.5, 1.0000000001]
+    doc["reflectionless"]["defect_points"]["intervals"] = [[0.5, 1.0000000001, "cc"]]
 
 
 @pytest.mark.parametrize("change", [_status, _set, _defect_points],
                          ids=["status", "set", "defect_points"])
 def test_report_change_fails(trees, capsys, change):
     a, b = trees
-    if change is _defect_points:        # the same length in both, one point moved
-        _edit_report(a, lambda doc: doc["reflectionless"].update(defect_points=[0.5, 1.0]))
+    if change is _defect_points:        # the same pieces in both, one end moved
+        _edit_report(a, lambda doc: doc["reflectionless"]["defect_points"].update(
+            intervals=[[0.5, 1.0, "cc"]]))
     _edit_report(b, change)
     code, out = _run(a, b, capsys)
     assert code == 1 and "differs" in out

@@ -118,7 +118,7 @@ class TestVerifyInclusion:
         rep = verify_inclusion(FREE_JACOBI, E_JACOBI, SMALL_GRIDS["jacobi"])
         doc = json.dumps(rep.to_json(), sort_keys=True, allow_nan=False)
         parsed = json.loads(doc)
-        assert parsed["schema"] == "v1"
+        assert parsed["schema"] == "v2"
         assert parsed["family"] == "jacobi"
 
 
@@ -980,7 +980,7 @@ class TestClosureCli:
 
 
 CSV_HEADERS = {"jacobi": "lambda,xi,error_estimate,verdict",
-               "cmv": "theta,re_m11,im_m11,xi,verdict,r00,r11,rank",
+               "cmv": "theta,re_m11,im_m11,xi,verdict",
                "schrodinger": "lambda,xi,re_g,im_g,verdict"}
 
 

@@ -179,6 +179,18 @@ def _assert_canonical(s):
         assert not any(iv.lo <= p <= iv.hi for iv in ivs)
 
 
+def _assert_arcs_apart(s):
+    """Arcs sorted by start, each apart from the next, the last apart from
+    the first one turn up; touching only where neither holds the shared end."""
+    arcs = [(a.theta1, a.theta2, a.lo_closed, a.hi_closed) for a in s.arcs]
+    assert arcs == sorted(arcs) and all(lo < hi <= lo + 2 * math.pi for lo, hi, *_ in arcs)
+    if len(arcs) > 1:
+        lo, hi, lo_c, hi_c = arcs[0]
+        arcs.append((lo + 2 * math.pi, hi + 2 * math.pi, lo_c, hi_c))
+    for prev, nxt in zip(arcs, arcs[1:]):
+        assert prev[1] < nxt[0] or (prev[1] == nxt[0] and not prev[3] and not nxt[2]), s
+
+
 class TestAgainstBruteForce:
     @given(grid_raw_sets)
     @settings(max_examples=200, deadline=None)
@@ -701,6 +713,37 @@ class TestEdgeBehaviour:
         them are not in the set; kept so that outputs stay the same."""
         s = circle_set([(0.0, 1.0, "oc"), (5.0, math.nextafter(2 * math.pi, 0.0), "cc")])
         assert s == CircleArcSet((Arc(5.0, 1.0 + 2 * math.pi, True, True),))
+
+    def test_only_the_last_component_joins_the_component_at_zero(self):
+        """Of two components ending within 1e-15 of 2pi, the last one joins
+        the component at 0; the arcs stay apart and miss the missing point."""
+        u = math.nextafter(2 * math.pi, 0.0)
+        s = circle_set([(6.0, u, "co"), (u, 2 * math.pi, "oo"), (0.0, 1.0, "cc")])
+        assert s == CircleArcSet((Arc(6.0, u, True, False),
+                                  Arc(u, 1.0 + 2 * math.pi, False, True)))
+        assert not s.contains(u)
+        _assert_arcs_apart(s)
+
+    def test_arcs_ending_near_two_pi_stay_apart(self):
+        """circle_set and circle set_algebra results built from arcs with
+        ends at 0 and within 1e-15 of 2pi have sorted, pairwise disjoint
+        arcs, the last one apart from the first one turn up."""
+        rng = np.random.default_rng(50)
+        ends = [0.0, 2 * math.pi] + [2 * math.pi - k * 2.0 ** -50 for k in range(1, 5)]
+
+        def raw_arcs():
+            arcs = []
+            for _ in range(rng.integers(1, 5)):
+                lo = ends[rng.integers(len(ends))] if rng.random() < 0.5 else rng.uniform(0, 6.2)
+                hi = ends[rng.integers(len(ends))] if rng.random() < 0.5 else rng.uniform(0, 6.2)
+                arcs.append((lo, hi, FLAGS[rng.integers(4)]))
+            return arcs, [ends[rng.integers(len(ends))]] if rng.random() < 0.3 else []
+
+        for _ in range(300):
+            a, b = circle_set(*raw_arcs()), circle_set(*raw_arcs())
+            _assert_arcs_apart(a)
+            for op in OPS:
+                _assert_arcs_apart(set_algebra(a, b, op))
 
     def test_outputs_hold_python_floats_and_bools(self):
         a = canonicalize([(0.0, 1.0, "co"), (2.0, 3.0, "oc")], [5.0])

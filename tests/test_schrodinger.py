@@ -306,7 +306,7 @@ class TestReflectionless:
         E = canonicalize([(2.5, 25.0, "cc")])
         rep = reflectionless_on(square_well, E, np.linspace(-1.0, 25.0, 1301))
         assert not rep.verdict
-        assert len(rep.defect_points) > 0
+        assert not rep.defect_points.is_empty()
 
     def test_patched_fails(self, free_schrodinger):
         patched = PiecewisePotential(1.0, ((1.0, 0.0),), patch=((1.0, 3.0),))

@@ -5,8 +5,10 @@ multiplicity sets of random steplike operators against their bands."""
 
 import json
 import math
+import os
 import sys
 import warnings
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -17,7 +19,8 @@ from acspectra.boundary_analysis import (ac_spectrum, family, floquet_pair, memo
 from acspectra.harness_cli import (TOLERANCES, _csv_for, _json_safe, _load, _resolve_grid,
                                    run_config, verify_inclusion)
 from acspectra.interval_sets import (canonicalize, circle_set, contains_mask,
-                                     longest_component, set_algebra, set_to_json)
+                                     longest_component, set_algebra, set_from_json,
+                                     set_to_json)
 from conftest import (CMVSteplike, JacobiSteplike, SchrodingerSteplike, cmv_steplike_kernel,
                       geronimus, resolvent_entry, schrodinger_steplike_kernel, steplike_kernel)
 
@@ -384,7 +387,7 @@ def _assert_band_algebra(discriminant, op):
         assert long, M1
         for lo, hi in long:
             piece = carrier_set([(lo, hi, "cc")])
-            assert not reflectionless_on(op, piece, grid, 1e-4).verdict, (lo, hi)
+            assert not reflectionless_on(op, piece, grid).verdict, (lo, hi)
 
 
 def _real_alpha(seed):
@@ -555,10 +558,66 @@ def test_scoped_report_equals_standalone_calls(tmp_path, kind):
     for field in ("verdict", "fraction", "max_residual", "n_points", "xi_fraction",
                   "witness_residual"):
         assert report["reflectionless"][field] == same(getattr(refl, field)), field
-    assert report["reflectionless"]["defect_points"] == same(list(refl.defect_points))
+    assert report["reflectionless"]["defect_points"] == same(set_to_json(refl.defect_points))
     assert report["multiplicity"]["M2"] == same(set_to_json(M2))
     assert report["multiplicity"]["M1"] == same(set_to_json(M1))
     assert files["op.csv"] == _csv_for(op, grid).encode()
+
+
+def _assert_defect_set_is_the_failing_points(descriptor, E, grid_config):
+    """The grid points inside the report's defect set are exactly the
+    tested points (in the intervals of the report's E) where the boundary
+    pair fails the matching at either site, recomputed here from
+    boundary_grid; the report's defect_points JSON reads back to the set
+    reflectionless_on returns."""
+    report = json.loads(json.dumps(verify_inclusion(descriptor, E, grid_config).to_json()))
+    refl = report["reflectionless"]
+    assert refl["n_points"] > 0
+    op, grid, *_ = _load(descriptor, None, grid_config)
+    fam = family(op)
+    E_set = set_from_json(refl["E"])
+    failing = np.zeros(grid.size, dtype=bool)
+    for site in fam.sites(op):
+        bd = boundary_analysis.boundary_grid(op, grid, site)
+        (Mp, _, ok_p), (Mm, _, ok_m) = bd[fam.pair[0]], bd[fam.pair[1]]
+        reflected = -np.conj(Mm) if fam.circle else np.conj(Mm)
+        with np.errstate(invalid="ignore"):
+            failing |= ~(ok_p & ok_m & (np.abs(Mp - reflected)
+                                         < boundary_analysis.REFLECTIONLESS_TOL))
+    tested = contains_mask(replace(E_set, isolated_points=()), grid)
+    defects = reflectionless_on(op, E_set, grid).defect_points
+    assert grid[contains_mask(defects, grid)].tolist() == grid[tested & failing].tolist()
+    assert set_from_json(refl["defect_points"]) == defects
+    return defects
+
+
+@pytest.mark.parametrize("fixture", ["free_jacobi", "period2_jacobi", "free_cmv",
+                                     "geronimus_cmv", "free_schrodinger", "square_well"])
+def test_defect_set_of_a_fixture_is_its_failing_points(request, fixture):
+    defects = _assert_defect_set_is_the_failing_points(
+        request.getfixturevalue(fixture).to_descriptor(), None, None)
+    assert defects.is_empty()
+
+
+@pytest.mark.parametrize("seed", range(10))
+@pytest.mark.parametrize("kind", ["jacobi", "cmv", "schrodinger"])
+def test_defect_set_of_a_patched_operator_is_its_failing_points(kind, seed):
+    descriptor = _patched_operator(kind, np.random.default_rng(5000 + seed))
+    _assert_defect_set_is_the_failing_points(descriptor, None, GRIDS[kind])
+
+
+with open(os.path.join(os.path.dirname(__file__), "data", "given_e.json"),
+          encoding="utf-8") as _fh:
+    GIVEN_E = json.load(_fh)
+
+
+@pytest.mark.parametrize("entry", GIVEN_E, ids=[e["name"] for e in GIVEN_E])
+def test_defect_set_of_a_given_E_is_its_failing_points(entry):
+    """E is the computed ac spectrum plus one gap piece, whose one grid
+    point is the whole defect set."""
+    defects = set_to_json(_assert_defect_set_is_the_failing_points(
+        entry["descriptor"], entry["E"], None))
+    assert not defects["intervals"] and len(defects["points"]) == 1
 
 
 @pytest.mark.parametrize("kind", ["jacobi", "cmv", "schrodinger"])
