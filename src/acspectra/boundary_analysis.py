@@ -96,9 +96,12 @@ EDGE_TOL = 1e-6
 BRANCH_TOL = 1e-10
 REFLECTIONLESS_TOL = 1e-4   # the largest pair residual reflectionless_on accepts
 MIN_ANGLES = 512            # the fewest angles of a grid on the whole circle
-# the most (batch row, padded step) pairs tridiagonal_resolvent multiplies at
-# once (one row at least): 4 draws of a report's 801- or 1024-site window
+# the most (batch row, padded step) pairs resolvent_in_blocks builds and
+# multiplies at once (one row at least): 4 draws of a report's 801- or
+# 1024-site window
 RESOLVENT_BLOCK = 2 ** 11
+# the most rows sweep_csv formats with one %
+CSV_BLOCK = 2 ** 9
 
 # ---------------------------------------------------------------------------
 # Grid sweeps shared by the operator families
@@ -196,17 +199,20 @@ def floquet_pair(m00, m01, m10, m11, det, near=0.0, exponent=0):
     root = near if ref else near[0] * np.ldexp(1.0, near[5] - exponent)
     d_small, d_big = np.abs(small - root), np.abs(big - root)
     first = d_small <= d_big
+    u = np.where(first, small, big)
     traceless = np.abs(h) + np.abs(m01) + np.abs(m10)
     scalar = (not ref) & (traceless <= EDGE_TOL * np.abs(half))
     ambiguous = ~scalar & ((np.abs(s) <= EDGE_TOL * traceless)
                            | (np.abs(d_big - d_small) <= BRANCH_TOL * (d_big + d_small)))
+    # the multipliers and their distances are read: free them before the
+    # eigenvectors, which a whole-grid call holds at once
+    del half, small, big, root, d_small, d_big, traceless
 
     def eigvec(sigma):      # eigenvector of half + sigma s
         x1, y1, x2, y2 = m01, sigma * s - h, sigma * s + h, m10
         use1 = np.abs(x1) + np.abs(y1) >= np.abs(x2) + np.abs(y2)
         return np.where(use1, x1, x2), np.where(use1, y1, y2)
     dec, grow = eigvec(np.where(first, -sign, sign)), eigvec(np.where(first, sign, -sign))
-    u = np.where(first, small, big)
     if not ref:
         dec = tuple(np.where(scalar, near[k], c) for k, c in zip((1, 2), dec))
         grow = tuple(np.where(scalar, near[k], c) for k, c in zip((3, 4), grow))
@@ -255,30 +261,45 @@ def tridiagonal_resolvent(d, up, lo, c: int):
     (exactly) to its largest entry.  The only division is by det A, never by
     a partial pivot, so an exact zero pivot (some theta_k = 0) needs no care.
 
-    The batch is flattened and solved in blocks of rows, at most
-    RESOLVENT_BLOCK (row, padded step) pairs at a time and one row at
-    least, so the products hold about 320 bytes per pair: under 1 MB for a
-    report's draws, 5 MB for one row of a 2^15 + 1 site window.  Every
-    row's products are its own, so the blocks change no bit.
+    The batch is flattened and solved by resolvent_in_blocks.
     """
-    d = np.asarray(d, dtype=complex)
-    n = d.shape[-1]
+    d, up, lo = (np.asarray(x, dtype=complex) for x in (d, up, lo))
+    batch = np.broadcast_shapes(d.shape[:-1], up.shape[:-1], lo.shape[:-1])
+    rows = math.prod(batch)
+    flat = [np.broadcast_to(x, batch + x.shape[-1:]).reshape(rows, x.shape[-1])
+            for x in (d, up, lo)]
+    g, g_prev = resolvent_in_blocks(lambda b: [x[b] for x in flat], rows, d.shape[-1], c)
+    return g.reshape(batch), g_prev.reshape(batch)
+
+
+def resolvent_in_blocks(rows, count: int, n: int, c: int):
+    """tridiagonal_resolvent on a batch of count matrices of n rows, given
+    as rows(b) -> (d, up, lo) of the matrices of each slice b of the batch,
+    broadcast against (len(b), n), resp. (len(b), n - 1).
+
+    The slices are the batch's blocks, at most RESOLVENT_BLOCK (row, padded
+    step) pairs each and one row at least, and each is built, multiplied
+    and dropped in turn.  So the products hold about 320 bytes per pair:
+    under 1 MB for a block of a report's draws, 5 MB for one row of a 2^15
+    + 1 site window; and a caller that builds its rows from its draws, as
+    both truncation oracles do, never holds a (draws x window) array.
+    Every row's products are its own, so the blocks change no bit.
+    """
     if not 0 <= c < n:
         raise ValueError(f"row {c} outside a window of {n} rows")
-    lo = np.asarray(lo, dtype=complex)
-    p = np.asarray(up, dtype=complex) * lo
-    batch = np.broadcast_shapes(d.shape[:-1], p.shape[:-1], lo.shape[:-1])
-    rows = math.prod(batch)
-    d = np.broadcast_to(d, batch + (n,)).reshape(rows, n)
-    p = np.broadcast_to(p, batch + (n - 1,)).reshape(rows, n - 1)
-    lo_prev = np.broadcast_to(lo[..., c - 1], batch).reshape(rows) if c > 0 else np.zeros(rows)
     steps = 1 << (max(c, n - 1 - c, 1) - 1).bit_length()
     block = max(1, RESOLVENT_BLOCK // steps)
-    g = np.empty((2, rows), dtype=complex)
-    for r in range(0, rows, block):
-        rs = slice(r, r + block)
-        g[:, rs] = _resolvent_rows(d[rs], p[rs], lo_prev[rs], c, steps)
-    return g[0].reshape(batch), g[1].reshape(batch)
+    g = np.empty((2, count), dtype=complex)
+    for r in range(0, count, block):
+        b = slice(r, min(r + block, count))
+        d, up, lo = rows(b)
+        lo = np.asarray(lo, dtype=complex)
+        p = np.asarray(up, dtype=complex) * lo
+        k = b.stop - r
+        lo_prev = np.broadcast_to(lo[..., c - 1], (k,)) if c > 0 else np.zeros(k)
+        g[:, b] = _resolvent_rows(np.broadcast_to(np.asarray(d, dtype=complex), (k, n)),
+                                  np.broadcast_to(p, (k, n - 1)), lo_prev, c, steps)
+    return g[0], g[1]
 
 
 def _resolvent_rows(d, p, lo_prev, c: int, steps: int):
@@ -396,12 +417,23 @@ def exact_sweep(kernel, grid, circle: bool, eps_ref: float) -> dict:
         vals = kernel(axis, near)
         edge = edge | vals.pop("floquet")[1]
         out = {}
-        for k, v in vals.items():
-            mag, r = np.abs(v), ref[k]
-            div = ~edge & ~np.isfinite(v)
-            inf = ~edge & np.isfinite(v) & (mag > INFINITE_LIMIT) & (mag >= np.abs(r))
+        for k in list(vals):
+            v, r = vals.pop(k), ref.pop(k)
+            # the five arrays kept per key are allocated before the
+            # temporaries that fill them, so the freed temporaries leave no
+            # holes under them in the heap: the benchmark's report_suite
+            # peaks about 0.25 MB lower in resident memory (Python 3.11,
+            # numpy 2.4, BENCH_working_set.json), with the same bits
+            value, error = np.empty_like(v), np.empty(v.shape)
+            ok, inf, div = (np.empty(v.shape, bool) for _ in range(3))
+            mag = np.abs(v)
+            div[:] = ~edge & ~np.isfinite(v)
+            inf[:] = ~edge & np.isfinite(v) & (mag > INFINITE_LIMIT) & (mag >= np.abs(r))
             err = np.abs(v - r)
-            out[k] = (v, np.where(np.isnan(err), np.inf, err), ~(edge | div | inf))
+            error[:] = np.where(np.isnan(err), np.inf, err)
+            ok[:] = ~(edge | div | inf)
+            value[:] = v
+            out[k] = (value, error, ok)
             out["inf_" + k], out["div_" + k] = inf, div
     return out
 
@@ -563,9 +595,10 @@ def sweep_csv(op, grid) -> str:
     reference site, in the columns of the family's csv_columns.  A phase
     cell is empty where the point is undetermined, a re/im cell where the
     phase key's value is not ok.  Each row takes the template of its
-    verdict word and present cells, from a list of six; one % formats the
-    whole table.  The sweep and the phase are memo reads, in a report's
-    scope or its own."""
+    verdict word and present cells, from a list of six; one % formats each
+    block of CSV_BLOCK rows, so the table's Python floats and templates are
+    held one block at a time.  The sweep and the phase are memo reads, in a
+    report's scope or its own."""
     fam = family(op)
     grid = np.asarray(grid, dtype=float)
     site = fam.sites(op)[0]
@@ -588,14 +621,18 @@ def sweep_csv(op, grid) -> str:
 
     # the template of verdict word w and conv c sits at 2 w + c
     templates = [template(w, c) for w in range(3) for c in (False, True)]
+    codes = 2 * word + conv
     kinds = [kind for _, kind in fam.csv_columns if kind in numeric]
-    values = np.column_stack([numeric[kind][0] for kind in kinds])
-    present = np.column_stack([np.broadcast_to(numeric[kind][2](ok, conv), grid.shape)
-                               for kind in kinds])
     # no cell holds a comma, a quote or a line end, so none needs quoting
-    header = ",".join(name for name, _ in fam.csv_columns)
-    body = "".join([templates[t] for t in (2 * word + conv).tolist()])
-    return f"{header}\n" + body % tuple(values[present].tolist())
+    table = [",".join(name for name, _ in fam.csv_columns) + "\n"]
+    for start in range(0, grid.size, CSV_BLOCK):
+        b = slice(start, start + CSV_BLOCK)
+        values = np.column_stack([numeric[kind][0][b] for kind in kinds])
+        present = np.column_stack([np.broadcast_to(numeric[kind][2](ok[b], conv[b]),
+                                                   values.shape[:1]) for kind in kinds])
+        table.append("".join([templates[t] for t in codes[b].tolist()])
+                     % tuple(values[present].tolist()))
+    return "".join(table)
 
 
 def ac_spectrum(op, grid=None):

@@ -49,8 +49,8 @@ import numpy as np
 from .errors import DegenerateDenominator, check_keys, check_number
 from .boundary_analysis import (MIN_ANGLES, REFERENCE_EPS, SweepFamily, _axis_margin, carry,
                                 exact_sweep, family, floquet_pair, require_in_disk, stack_2x2,
-                                sweep_grid, transfer_product, transfer_trace,
-                                tridiagonal_resolvent)
+                                resolvent_in_blocks, sweep_grid, transfer_product,
+                                transfer_trace)
 from .boundary_analysis import (ac_spectrum, multiplicity_sets, reflectionless_on,  # re-exported
                                 weyl_data, boundary_grid as boundary_cmv_grid,
                                 phase_at as Xi11, phase_grid as Xi11_grid)
@@ -374,8 +374,10 @@ def build_truncation(V: VerblunskyCoefficients, window) -> CMVTruncation:
 
 def truncation_cayley_diag(V: VerblunskyCoefficients, zs, n0: int, window: int):
     """((U + z)(U - z)^-1)(n0, n0) at each z of zs, U the unitary truncation
-    onto the window sites [n0 - window//2, n0 + window//2 - 1] (that of
-    build_truncation), from the alphas in one batched tridiagonal solve.
+    onto the window sites [n0 - window/2, n0 + window/2 - 1] (that of
+    build_truncation), from the alphas by a tridiagonal solve whose rows
+    are built one block of draws at a time (resolvent_in_blocks).  ValueError
+    unless window is even and at least 6, as build_truncation's.
 
     With Theta(m) = [[-a(m+1), r(m+1)], [r(m+1), conj(a(m+1))]] on the site
     pair (m, m+1), U = O E, E the direct sum of Theta(m) over even m and O
@@ -386,18 +388,24 @@ def truncation_cayley_diag(V: VerblunskyCoefficients, zs, n0: int, window: int):
     inverse, the Cayley diagonal is
     1 + 2z [G(n0, n0) a(n0) + G(n0, n0-1) r(n0)].
     """
-    half = window // 2
-    if half < 3:
+    if window % 2 or window < 6:
         raise ValueError("window must span an even number of sites, at least 6")
-    zs = np.asarray(zs, dtype=complex)[..., None]
+    half = window // 2
+    zs = np.asarray(zs, dtype=complex)
     a, r = _window_alphas(V, n0 - half, n0 + half - 1)
     a, r = a[1:-1], r[1:-1]            # sites n0 - half .. n0 + half
     # site n of the window starts a pair of Q when n - n0 is even
     q_first = np.arange(-half, half) % 2 == 0
-    diag = np.where(q_first, -a[1:] - zs * a[:-1], np.conj(a[:-1]) + zs * np.conj(a[1:]))
-    off = np.where(q_first[:-1], r[1:-1], -zs * r[1:-1])
-    g, g_prev = tridiagonal_resolvent(diag, off, off, half)
-    return 1.0 + 2.0 * zs[..., 0] * (g * a[half] + g_prev * r[half])
+    column = zs.reshape(-1, 1)
+
+    def rows(b):
+        z = column[b]
+        off = np.where(q_first[:-1], r[1:-1], -z * r[1:-1])
+        return (np.where(q_first, -a[1:] - z * a[:-1], np.conj(a[:-1]) + z * np.conj(a[1:])),
+                off, off)
+
+    g, g_prev = (x.reshape(zs.shape) for x in resolvent_in_blocks(rows, zs.size, window, half))
+    return 1.0 + 2.0 * zs * (g * a[half] + g_prev * r[half])
 
 
 @dataclass(frozen=True)
@@ -430,6 +438,11 @@ def matrix_M_and_R(V: VerblunskyCoefficients, n0: int, grid=None,
     margins of M00 and M11.  window sizes the truncation oracle of the
     identity and trace checks only.
     """
+    # the truncation oracle first: it refuses a window it cannot take
+    # before the sweep runs
+    probes = np.array([0.3 + 0.2j, -0.4 + 0.1j, 0.05 - 0.55j])
+    oracle = truncation_cayley_diag(V, probes, n0 - 1, window)
+    tr0 = sum(truncation_cayley_diag(V, 0.0, n, window).real for n in (n0 - 1, n0))
     grid, _ = sweep_grid(family(V), V, grid)
     bd = exact_sweep(lambda zs, near: _M_matrix_grid(V, zs, n0, near), grid, True,
                      REFERENCE_EPS)
@@ -449,10 +462,7 @@ def matrix_M_and_R(V: VerblunskyCoefficients, n0: int, grid=None,
         return float(values[defined].max()) if defined.any() else math.nan
 
     # pointwise identity between the two diagonal Caratheodory entries
-    probes = np.array([0.3 + 0.2j, -0.4 + 0.1j, 0.05 - 0.55j])
-    ident = np.abs(_M_matrix_grid(V, probes, n0)["M00"]
-                   - truncation_cayley_diag(V, probes, n0 - 1, window)).max()
-    tr0 = sum(truncation_cayley_diag(V, 0.0, n, window).real for n in (n0 - 1, n0))
+    ident = np.abs(_M_matrix_grid(V, probes, n0)["M00"] - oracle).max()
     return MatrixMeasureData(
         R=R, rank=rank,
         min_eigenvalue=-over_defined(-eigs[:, 0]),

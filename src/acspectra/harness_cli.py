@@ -68,8 +68,10 @@ Entry names (operator_k by default) are distinct non-empty strings free of
 
 The report path needs numpy alone, without numpy.random: both identity
 oracles (Jacobi's Dirichlet-window resolvent, CMV's truncated Cayley
-diagonal) are batched tridiagonal solves
-(boundary_analysis.tridiagonal_resolvent), in blocks of draws.
+diagonal) are tridiagonal solves whose matrices are built and solved one
+block of draws at a time (boundary_analysis.resolvent_in_blocks), and the
+CSV is formatted one block of rows at a time (boundary_analysis.CSV_BLOCK),
+so neither holds a whole-batch temporary.
 """
 
 from __future__ import annotations

@@ -38,8 +38,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .boundary_analysis import (SweepFamily, carry, floquet_pair, transfer_matrix,
-                                transfer_product, transfer_trace, tridiagonal_resolvent)
+from .boundary_analysis import (SweepFamily, carry, floquet_pair, resolvent_in_blocks,
+                                transfer_matrix, transfer_product, transfer_trace)
 from .boundary_analysis import (ac_spectrum, multiplicity_sets, reflectionless_on,  # re-exported
                                 weyl_data, boundary_grid as boundary_weyl_grid,
                                 phase_at as xi, phase_grid as xi_grid)
@@ -175,12 +175,15 @@ def _weyl_grid(J: JacobiCoefficients, zs, n0: int, near=0.0) -> dict:
     n_l = n_r - p * math.ceil((n_r - top) / p)
     *m, e = _monodromy_entries(J, zs, n_r)
     dec, grow, *branch = floquet_pair(*m, m[0] * m[3] - m[1] * m[2], near, e)
+    del m       # each pair below, too, is freed after its last read
     # rightward-decaying solution [psi(n_r), psi(n_r - 1)], back to n0
     hi, lo = carry(dec, _steps(J, zs, range(n_r - 1, n0 - 1, -1)), backward=True)
     m_plus = -hi / (J.a(n0 - 1) * lo)      # hi = psi(n0), lo = psi(n0-1)
+    del hi, lo
     # leftward-decaying solution [psi(n_l), psi(n_l - 1)], up to n0+1
     cur, prev = carry(grow, _steps(J, zs, range(n_l, n0 + 1)))
     m_minus = -prev / (J.a(n0) * cur)      # cur = psi(n0+1), prev = psi(n0)
+    del cur, prev
 
     M_plus = -1.0 / m_plus - zs + J.b(n0)
     M_minus = 1.0 / m_minus
@@ -235,24 +238,25 @@ def truncated_matrix(J: JacobiCoefficients, N: int) -> TridiagonalMatrix:
 
 def green_inverse_identity_residual(J: JacobiCoefficients, zs) -> float:
     """Max residual of |g(z)*(M_-(z) - M_+(z)) - 1| at site 0 with g taken
-    from a Dirichlet-truncation resolvent (one batched tridiagonal solve for
-    all zs), so the inverse identity is tested against a route independent
-    of the Floquet M-functions.  The resolvent decays like
+    from a Dirichlet-truncation resolvent (boundary_analysis.
+    resolvent_in_blocks), so the inverse identity is tested against a route
+    independent of the Floquet M-functions.  The resolvent decays like
     exp(-|n| Im z / (2 max a)), so the window is sized from the operator's
     scale: N = max(801, 2 ceil(80 max a / min |Im z|) + 1) sites, where
     that decay reaches exp(-40), capped at 2^15 + 1 to bound the time of
-    the solve and the draws' diagonals (past max a / min |Im z| of about
-    200 the window stops growing); the solve's products run in blocks of
-    draws (boundary_analysis.RESOLVENT_BLOCK), so its working set does not
-    grow with the window.  The kernel takes the contracting root and never
-    raises, so multipliers of near-equal modulus (a large scale) show as a
-    residual too."""
+    the solve (past max a / min |Im z| of about 200 the window stops
+    growing).  The diagonals T - z are built one block of draws at a time,
+    so no (draws x window) array is ever whole: a report's 20 draws take 5
+    blocks of 4, a capped window one draw at a time.  The kernel takes the
+    contracting root and never raises, so multipliers of near-equal modulus
+    (a large scale) show as a residual too."""
     zs = np.atleast_1d(np.asarray(zs, dtype=complex))
     im = float(np.abs(zs.imag).min(initial=np.inf))
     reach = 80.0 * max(J.a_base + tuple(a for _, a, _ in J.patch)) / im if im else math.inf
     T = truncated_matrix(J, 2 * math.ceil(min(2.0 ** 14, max(400.0, reach))) + 1)
     d = _weyl_grid(J, zs, 0)
-    g, _ = tridiagonal_resolvent(T.diag - zs[:, None], T.offdiag, T.offdiag, T.index_of(0))
+    g, _ = resolvent_in_blocks(lambda b: (T.diag - zs[b, None], T.offdiag, T.offdiag),
+                               zs.size, T.diag.size, T.index_of(0))
     return float(np.max(np.abs(g * (d["M_minus"] - d["M_plus"]) - 1.0), initial=0.0))
 
 

@@ -546,17 +546,23 @@ class TestSweepCsv:
             lines.append(",".join(cells[kind] for _, kind in fam.csv_columns))
         return "\n".join(lines) + "\n"
 
+    @pytest.mark.parametrize("block", [1, 7, boundary_analysis.CSV_BLOCK])
     @pytest.mark.parametrize("fixture", ["free_jacobi", "period2_jacobi", "free_cmv",
                                          "geronimus_cmv", "free_schrodinger", "square_well"])
-    def test_fixture_csv_equals_the_per_cell_writer(self, request, fixture):
+    def test_fixture_csv_equals_the_per_cell_writer(self, request, monkeypatch, fixture, block):
+        """In row blocks of one row, of 7 and of the default CSV_BLOCK."""
+        monkeypatch.setattr(boundary_analysis, "CSV_BLOCK", block)
         op = request.getfixturevalue(fixture)
         grid = op._FAMILY.grid(op)
         assert sweep_csv(op, grid) == self.per_cell_csv(op, grid)
 
+    @pytest.mark.parametrize("block", [1, 7, boundary_analysis.CSV_BLOCK])
     @pytest.mark.parametrize("circle", [False, True])
-    def test_odd_cells_equal_the_per_cell_writer(self, monkeypatch, circle):
+    def test_odd_cells_equal_the_per_cell_writer(self, monkeypatch, circle, block):
         """Undetermined points, non-finite values and errors, signed zeros,
-        and values not ok beside ok ones, in every cell kind."""
+        and values not ok beside ok ones, in every cell kind, in row blocks
+        of one row, of 7 (one short block) and of the default CSV_BLOCK."""
+        monkeypatch.setattr(boundary_analysis, "CSV_BLOCK", block)
         v = np.array([-0.0 + 0.5j, 0.5 - 0.0j, math.inf + 1j, math.nan + 0j, 1e-300 + 1e300j,
                       -2.5 - 0.0j, 0.25 + 0.75j, 1j, -0.0 - 0.0j], dtype=complex)
         err = np.array([0.0, 1e-3, math.inf, math.nan, 1e-17, 0.0, -0.0, 1e10, 0.0])

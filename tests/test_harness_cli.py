@@ -1,5 +1,6 @@
 """Report assembly, inclusion workflow, config runner, and the two CLIs."""
 
+import hashlib
 import json
 import math
 import os
@@ -1053,6 +1054,19 @@ class TestSpecCli:
         with open(os.path.join(data, f"{family}.csv"), "rb") as fh:
             assert out.read_bytes() == fh.read()
 
+    def test_emit_xi_fine_grid_hash(self, tmp_path):
+        """`spec jacobi --emit xi` on 8193 points, 17 CSV row blocks, is
+        pinned by the hash of the CSV that one % for the whole table wrote
+        (Jacobi: its kernel calls no exp, so the hash is as portable as the
+        jacobi.csv comparison above)."""
+        data = os.path.join(os.path.dirname(os.path.abspath(__file__)), "data", "xi")
+        out = tmp_path / "jacobi_8193.csv"
+        assert spec_main(["jacobi", "--desc", os.path.join(data, "jacobi.json"),
+                          "--grid=-3:3:8193", "--emit", "xi", "--out", str(out)]) == 0
+        with open(os.path.join(data, "jacobi_8193.sha256"), encoding="utf-8") as fh:
+            want, name = fh.read().split()
+        assert name == out.name and hashlib.sha256(out.read_bytes()).hexdigest() == want
+
     def test_emit_report(self, tmp_path, capsys):
         desc = tmp_path / "op.json"
         desc.write_text(json.dumps(FREE_CMV), encoding="utf-8")
@@ -1128,18 +1142,24 @@ def test_report_process_does_not_import_numpy_random(tmp_path):
 
 
 # the traced peak, in bytes per grid point, of one run_config entry of the
-# bundled periodic suite on a 2^14-point grid: 1.1 times the 583, 744 and
-# 752 B it reads with sweeps of the pair and phase key only and an
-# unstacked Floquet branch (749, 856 and 938 B without them)
-PEAK_PER_POINT = {"jacobi": 641, "cmv": 818, "schrodinger": 827}
+# bundled periodic suite on a 2^14-point grid: 1.1 times the 512, 673 and
+# 629 B it reads with the oracles built in blocks of draws, the CSV in row
+# blocks and the kernels' temporaries freed after their last read (583,
+# 744 and 752 B without them); measured on Python 3.11.7 with numpy 2.4.6
+PEAK_PER_POINT = {"jacobi": 563, "cmv": 740, "schrodinger": 692}
+# the traced peak, in bytes, of the same entry on report_suite's grid
+# (the family default, CMV 1024 angles): 1.1 times the 2.06, 1.32 and
+# 1.29 MB it reads (2.35, 2.11 and 1.51 MB without the changes above), on
+# the same versions
+PEAK_PER_REPORT = {"jacobi": 2_266_000, "cmv": 1_459_000, "schrodinger": 1_418_000}
 
 
-def test_report_working_set_per_grid_point(tmp_path):
-    """One report and its CSV hold a bounded number of bytes per grid
-    point, under tracemalloc, for each family.  An untraced run of the
-    entry on a 512-point grid first makes the one-time allocations, so
-    that the traced peak does not depend on the tests run before."""
-    n = 2 ** 14
+def _traced_report_peaks(tmp_path, points) -> dict:
+    """{family: traced peak in bytes} of one run_config entry per family of
+    the bundled periodic suite on a grid of the given points (None: the
+    report_suite grid).  An untraced run of the entry on a 512-point grid
+    first makes the one-time allocations, so that the traced peak does not
+    depend on the tests run before."""
     with open(bundled_config_path("periodic_suite.json"), encoding="utf-8") as fh:
         entries = json.load(fh)["operators"]
     peaks = {}
@@ -1148,10 +1168,14 @@ def test_report_working_set_per_grid_point(tmp_path):
         op = build_operator(entry["descriptor"])
         default = boundary_analysis.family(op).grid(op)
         configs = []
-        for points in (512, n):
-            grid = ({"angles": points} if kind == "cmv" else
-                    {"start": float(default[0]), "stop": float(default[-1]), "points": points})
-            configs.append(tmp_path / f"{kind}_{points}.json")
+        for n in (512, points):
+            if kind == "cmv":
+                grid = {"angles": n or 1024}
+            elif n is None:
+                grid = None
+            else:
+                grid = {"start": float(default[0]), "stop": float(default[-1]), "points": n}
+            configs.append(tmp_path / f"{kind}_{n}.json")
             configs[-1].write_text(json.dumps({"operators": [dict(entry, grid=grid)]}),
                                    encoding="utf-8")
         warm, cfg = configs
@@ -1159,10 +1183,27 @@ def test_report_working_set_per_grid_point(tmp_path):
         tracemalloc.start()
         try:
             assert run_config(str(cfg), str(tmp_path / kind)) == 0
-            peaks[kind] = tracemalloc.get_traced_memory()[1] / n
+            peaks[kind] = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
+    return peaks
+
+
+def test_report_working_set_per_grid_point(tmp_path):
+    """One report and its CSV hold a bounded number of bytes per grid
+    point, under tracemalloc, for each family."""
+    n = 2 ** 14
+    peaks = {kind: peak / n for kind, peak in _traced_report_peaks(tmp_path, n).items()}
     assert all(peaks[kind] < bound for kind, bound in PEAK_PER_POINT.items()), peaks
+
+
+def test_report_working_set_on_the_default_grids(tmp_path):
+    """One report and its CSV on report_suite's grids (Jacobi 4001 points,
+    CMV 1024 angles, Schrodinger 2001 points) stay under PEAK_PER_REPORT
+    under tracemalloc: the transient peak is not set by whole-batch
+    temporaries."""
+    peaks = _traced_report_peaks(tmp_path, None)
+    assert all(peaks[kind] < bound for kind, bound in PEAK_PER_REPORT.items()), peaks
 
 
 def test_report_api_is_imported_on_first_use():

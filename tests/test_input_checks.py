@@ -47,6 +47,11 @@ CHECKS = {
     "cmv_empty_support_arcs": (lambda: cmv.support_arcs(np.array([])), "no angles given"),
     "cmv_cayley_window": (lambda: cmv.truncation_cayley_diag(V, 0.1, 0, 4),
                           "even number of sites, at least 6"),
+    # an odd window is refused, not shortened to the even one below it
+    "cmv_M11_oracle_odd_window": (lambda: cmv.M11(V, 0.3j, 0, mode="oracle", window=1025),
+                                  "even number of sites, at least 6"),
+    "cmv_matrix_M_and_R_odd_window": (lambda: cmv.matrix_M_and_R(V, 0, window=1025),
+                                      "even number of sites, at least 6"),
     "jacobi_descriptor_type": (
         lambda: jacobi.JacobiCoefficients.from_descriptor({"type": "cmv"}),
         "descriptor type must be 'jacobi'"),

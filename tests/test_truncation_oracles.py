@@ -104,8 +104,10 @@ def test_blocks_keep_the_bits_of_one_block(monkeypatch, batch, shared, row, n):
 def test_capped_window_keeps_its_bits_in_a_bounded_working_set():
     """A scale-1024 operator sizes the Jacobi oracle's window at its cap,
     2^15 + 1 sites.  Solved in blocks, its residual keeps the bits of the
-    all-draws-at-once solve, and its traced peak stays under 32 MB (about
-    16 MB in blocks of one draw; that solve peaked at 106 MB)."""
+    all-draws-at-once solve, and its traced peak stays under 10 MB, 1.5
+    times the 6.8 MB it reads with each draw's diagonal built in its block
+    (16.3 MB with the draws' diagonals built whole; the all-draws-at-once
+    solve peaked at 106 MB)."""
     J = jacobi.JacobiCoefficients(2, (1024.0, 1024.0), (1024.0, -1024.0))
     rng = np.random.default_rng(0)
     zs = rng.uniform(-3e3, 3e3, 20) + 1j * rng.uniform(0.5, 2.0, 20)
@@ -116,7 +118,28 @@ def test_capped_window_keeps_its_bits_in_a_bounded_working_set():
     finally:
         tracemalloc.stop()
     assert residual == float.fromhex("0x1.6f7691a234073p-26")
-    assert peak < 32 * 2 ** 20, peak / 2 ** 20
+    assert peak < 10 * 2 ** 20, peak / 2 ** 20
+
+
+@pytest.mark.parametrize("draws", [1, 3, 4, 5, 20])
+def test_oracles_in_blocks_of_draws_equal_a_loop_over_draws(draws):
+    """Both truncation oracles build their rows one block of draws at a
+    time (4 draws a block at a report's windows), and equal a loop that
+    solves one draw per call bit for bit: the Jacobi residual is the
+    largest per-draw residual (the window stays at 801 sites for every
+    draw), and the CMV Cayley diagonal is each draw's."""
+    rng = np.random.default_rng(draws)
+    J = jacobi.JacobiCoefficients(2, (1.0, 0.7), (0.5, -0.5), {3: (1.3, 0.2)})
+    zs = rng.uniform(-3.0, 3.0, draws) + 1j * rng.uniform(0.5, 2.0, draws)
+    residual = jacobi.green_inverse_identity_residual(J, zs)
+    assert residual == max(jacobi.green_inverse_identity_residual(J, zs[k:k + 1])
+                           for k in range(draws))
+    V = cmv.VerblunskyCoefficients(2, (0.2 - 0.3j, 0.6), {2: -0.5 + 0.5j})
+    ws = np.sqrt(rng.uniform(0.0, 0.81, draws)) * np.exp(1j * rng.uniform(0.0, 2 * np.pi, draws))
+    got = cmv.truncation_cayley_diag(V, ws, 0, 1024)
+    want = np.concatenate([cmv.truncation_cayley_diag(V, ws[k:k + 1], 0, 1024)
+                           for k in range(draws)])
+    assert got.shape == (draws,) and got.tobytes() == want.tobytes()
 
 
 def _theta_blocks(V, n_lo, n_hi, parity):
