@@ -16,14 +16,16 @@ sweep (`_sweep`), O(n log n) in the number of endpoints: a stable argsort of
 all endpoints, per-break counts from `np.add.reduceat` and the covering depth
 from `cumsum`.  Inputs are read as endpoint arrays; the first malformed piece
 in input order raises its own error.  Of equal breaks (0.0 and -0.0) the first
-stands: left ends, then right ends, then points, each in input order.  The
-sweep returns its output as columns of Python floats and bools, and each
-output Interval or Arc is built once from them as pickle builds an object
-(`_built`: object.__new__, then the instance dict), without __init__'s
-checks, which the strictly increasing breaks of finite input ends cannot
-fail; an Interval a caller constructs is still validated.  `contains_mask`
-tests a whole grid with one `searchsorted` over the endpoints.  A grid hull's
-runs are sorted and apart, so the hulls build their sets with no sweep.
+stands: left ends, then right ends, then points, each in input order.
+Interval and Arc are tuple records (typing.NamedTuple, no instance dict).
+The sweep returns its output as columns of Python floats and bools, and
+`_built` zips them into pieces through the tuple constructor (`_make`),
+without Interval.__new__'s checks, which the strictly increasing breaks of
+finite input ends cannot fail; an Interval a caller constructs is still
+validated.  `_rows` reads pieces back into an endpoint array by chaining
+the tuples.  `contains_mask` tests a whole grid with one `searchsorted`
+over the endpoints.  A grid hull's runs are sorted and apart, so the hulls
+build their sets with no sweep.
 """
 
 from __future__ import annotations
@@ -34,6 +36,7 @@ import operator
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import chain
+from typing import NamedTuple
 
 import numpy as np
 
@@ -46,22 +49,28 @@ _FLAG_CODES = {"oo": (False, False), "oc": (False, True),
 _CODE_FLAGS = {v: k for k, v in _FLAG_CODES.items()}
 
 
-@dataclass(frozen=True, order=True)
-class Interval:
+class _IntervalFields(NamedTuple):
     lo: float
     hi: float
     lo_closed: bool
     hi_closed: bool
 
-    def __post_init__(self):
-        if not (math.isfinite(self.lo) and math.isfinite(self.hi)):
-            raise ValueError("interval endpoints must be finite")
-        if self.lo > self.hi:
-            raise ValueError(f"interval lo > hi: ({self.lo}, {self.hi})")
-
     @property
     def length(self) -> float:
         return self.hi - self.lo
+
+
+class Interval(_IntervalFields):
+    """An interval (lo, hi) with its endpoint flags, as an immutable tuple
+    record; constructing one checks that lo <= hi are finite."""
+    __slots__ = ()
+
+    def __new__(cls, lo, hi, lo_closed, hi_closed):
+        if not (math.isfinite(lo) and math.isfinite(hi)):
+            raise ValueError("interval endpoints must be finite")
+        if lo > hi:
+            raise ValueError(f"interval lo > hi: ({lo}, {hi})")
+        return super().__new__(cls, lo, hi, lo_closed, hi_closed)
 
 
 def _piece(raw) -> tuple:
@@ -93,8 +102,7 @@ def _pieces(raws):
     rows = []
     try:
         for raw in raws:
-            rows.append((raw.lo, raw.hi, raw.lo_closed, raw.hi_closed)
-                        if isinstance(raw, Interval) else _piece(raw))
+            rows.append(raw if isinstance(raw, Interval) else _piece(raw))
     except ValueError as exc:
         return np.array(rows, dtype=float).reshape(-1, 4), exc
     return np.array(rows, dtype=float).reshape(-1, 4), None
@@ -153,23 +161,12 @@ def _sweep(operands, combine=lambda member: member) -> tuple:
 
 
 def _built(cls, lo, hi, lo_closed, hi_closed) -> tuple:
-    """Interval or Arc pieces from field columns, made as pickle makes an
-    object: object.__new__, then the instance dict.  __init__ and its checks
-    are skipped: the sweep's breaks strictly increase and each is an end of
-    a finite input piece, and a hull's runs are sorted finite points, so
-    every piece has finite lo < hi."""
-    k_lo, k_hi, k_lo_closed, k_hi_closed = cls.__dataclass_fields__
-    new = object.__new__
-    pieces = []
-    for a, b, c, d in zip(lo, hi, lo_closed, hi_closed):
-        piece = new(cls)
-        state = piece.__dict__
-        state[k_lo] = a
-        state[k_hi] = b
-        state[k_lo_closed] = c
-        state[k_hi_closed] = d
-        pieces.append(piece)
-    return tuple(pieces)
+    """Interval or Arc pieces from field columns, made by the tuple
+    constructor (_make) without Interval.__new__'s checks: the sweep's
+    breaks strictly increase and each is an end of a finite input piece, and
+    a hull's runs are sorted finite points, so every piece has finite
+    lo < hi."""
+    return tuple(map(cls._make, zip(lo, hi, lo_closed, hi_closed)))
 
 
 def _line_from(cols) -> "RealIntervalSet":
@@ -188,14 +185,9 @@ def _line_set(rows, pts) -> tuple:
     return _sweep([(rows, pts)])
 
 
-_ENDS = operator.attrgetter("lo", "hi", "lo_closed", "hi_closed")
-_ARC_ENDS = operator.attrgetter("theta1", "theta2", "lo_closed", "hi_closed")
-
-
-def _rows(pieces, ends) -> np.ndarray:
-    """(n, 4) float rows of Interval or Arc objects."""
-    return np.fromiter(chain.from_iterable(map(ends, pieces)), float,
-                       4 * len(pieces)).reshape(-1, 4)
+def _rows(pieces) -> np.ndarray:
+    """(n, 4) float rows of Interval or Arc pieces."""
+    return np.fromiter(chain.from_iterable(pieces), float, 4 * len(pieces)).reshape(-1, 4)
 
 
 @dataclass(frozen=True)
@@ -254,7 +246,7 @@ def set_algebra(a, b, op: str):
 
 
 def _line_algebra(a: RealIntervalSet, b: RealIntervalSet, op: str) -> RealIntervalSet:
-    operands = [(_rows(s.intervals, _ENDS), np.array(s.isolated_points, dtype=float))
+    operands = [(_rows(s.intervals), np.array(s.isolated_points, dtype=float))
                 for s in (a, b)]
     return _line_from(_sweep(operands, _OPS[op]))
 
@@ -272,7 +264,7 @@ def essential_closure(s):
         return s.essential_closure()
     if not s.isolated_points and all(iv.lo_closed and iv.hi_closed for iv in s.intervals):
         return s    # closed intervals alone are their own closure
-    rows = _rows(s.intervals, _ENDS)
+    rows = _rows(s.intervals)
     rows[:, 2:] = 1.0
     return _line_from(_sweep([(rows, np.empty(0))]))
 
@@ -284,8 +276,8 @@ def widen(s, slack: float):
     if isinstance(s, CircleArcSet):
         if s.is_full() or any(a.length + 2 * slack >= TWO_PI for a in s.arcs):
             return full_circle()
-        return _arc_set(_widened(_rows(s.arcs, _ARC_ENDS), s.isolated_points, slack), ())
-    rows = _widened(_rows(s.intervals, _ENDS), s.isolated_points, slack)
+        return _arc_set(_widened(_rows(s.arcs), s.isolated_points, slack), ())
+    rows = _widened(_rows(s.intervals), s.isolated_points, slack)
     _check_rows(rows)
     return _line_from(_line_set(rows, np.empty(0)))
 
@@ -312,19 +304,17 @@ def contains_mask(s, xs) -> np.ndarray:
         # the angle reduced into [0, 2pi) and one turn above it, against the
         # arcs read as line intervals
         t = _norm_angles(xs)
-        ends = [(a.theta1, a.theta2, a.lo_closed, a.hi_closed) for a in s.arcs]
         pts = _norm_angles(np.array(s.isolated_points, dtype=float))
-        return (_pieces_mask(ends, t) | _pieces_mask(ends, t + TWO_PI)
+        return (_pieces_mask(s.arcs, t) | _pieces_mask(s.arcs, t + TWO_PI)
                 | np.isin(t, pts))
-    ends = [(iv.lo, iv.hi, iv.lo_closed, iv.hi_closed) for iv in s.intervals]
-    return _pieces_mask(ends, xs) | np.isin(xs, list(s.isolated_points))
+    return _pieces_mask(s.intervals, xs) | np.isin(xs, list(s.isolated_points))
 
 
-def _pieces_mask(ends, xs) -> np.ndarray:
-    """Membership of xs in sorted disjoint (lo, hi, lo_closed, hi_closed) pieces."""
-    if not ends:
+def _pieces_mask(pieces, xs) -> np.ndarray:
+    """Membership of xs in sorted disjoint Interval or Arc pieces."""
+    if not pieces:
         return np.zeros(xs.shape, dtype=bool)
-    lo, hi, lo_c, hi_c = (np.array(col) for col in zip(*ends))
+    lo, hi, lo_c, hi_c = (np.array(col) for col in zip(*pieces))
     # the last piece starting at or left of x is the only one that can hold it
     k = np.searchsorted(lo, xs, side="right") - 1
     kk = np.maximum(k, 0)
@@ -396,8 +386,7 @@ def _arc_pieces(rows, pts):
     return rows, pts
 
 
-@dataclass(frozen=True)
-class Arc:
+class Arc(NamedTuple):
     """Counterclockwise arc from theta1 to theta2; theta1 in [0, 2pi),
     theta2 in (theta1, theta1 + 2pi]. theta2 > 2pi means the arc crosses 0.
     The full circle is the single arc (0, 2pi)."""
@@ -423,7 +412,7 @@ class CircleArcSet:
         return not self.arcs and not self.isolated_points
 
     def is_full(self) -> bool:
-        if len(self.arcs) != 1 or abs(self.measure() - TWO_PI) > 1e-15:
+        if len(self.arcs) != 1 or self.arcs[0].length != TWO_PI:
             return False
         return self.arcs[0].lo_closed or self.arcs[0].hi_closed
 
@@ -432,19 +421,19 @@ class CircleArcSet:
 
     def _to_line(self):
         """The line representative on [0, 2pi) as a _sweep operand (rows, pts)."""
-        return _arc_pieces(_rows(self.arcs, _ARC_ENDS),
+        return _arc_pieces(_rows(self.arcs),
                            _norm_angles(np.array(self.isolated_points, dtype=float)))
 
     @staticmethod
     def _from_line(cols) -> "CircleArcSet":
         """Arcs of the sweep columns of a line representative on [0, 2pi).
-        Where angle 0 is covered, the last component, if it ends at 2pi
-        (within 1e-15), continues through it into the component starting at
-        0, or into the point 0 if it ends exactly at 2pi.  A component from 0
-        to 2pi is the full circle, less angle 0 when it is open at both ends."""
+        Where angle 0 is covered, the last component, if it ends at exactly
+        2pi, continues through it into the component starting at 0, or into
+        the point 0.  A component from 0 to 2pi is the full circle, less
+        angle 0 when it is open at both ends."""
         lo, hi, lo_c, hi_c, pts = cols
         last = len(hi) - 1      # the components are sorted and apart: only the last reaches 2pi
-        reach = last >= 0 and hi[last] >= TWO_PI - 1e-15
+        reach = last >= 0 and hi[last] == TWO_PI
         at_zero = reach and lo[0] == 0.0
         if at_zero and (lo_c[0] or hi_c[last]):
             if last == 0:
@@ -454,8 +443,8 @@ class CircleArcSet:
             lo, hi, lo_c, hi_c = lo[1:], hi[1:], lo_c[1:], hi_c[1:]
             pts = [p for p in pts if p != 0.0]
         elif at_zero and last == 0:
-            lo[0], hi[0] = 0.0, TWO_PI
-        elif reach and hi[last] == TWO_PI and 0.0 in pts:
+            lo[0] = 0.0
+        elif reach and 0.0 in pts:
             hi_c[last] = True
             pts = [p for p in pts if p != 0.0]
         return CircleArcSet(_built(Arc, lo, hi, lo_c, hi_c), tuple(pts))
@@ -465,7 +454,7 @@ class CircleArcSet:
         representative, drop isolated points; closed arcs alone are their own."""
         if not self.isolated_points and all(a.lo_closed and a.hi_closed for a in self.arcs):
             return self
-        rows = _rows(self.arcs, _ARC_ENDS)
+        rows = _rows(self.arcs)
         rows[:, 2:] = 1.0
         return CircleArcSet(CircleArcSet._from_line(_sweep([_arc_pieces(rows, np.empty(0))])).arcs)
 
@@ -487,7 +476,9 @@ def _arc_set(rows, points, err=None) -> CircleArcSet:
     t2 = np.where(t2 < t1, t2 + TWO_PI, t2)  # (t1, t2) with t2 < t1 read as the wrap-around arc
     with np.errstate(invalid="ignore"):     # inf - inf: a non-finite arc, refused below
         span = t2 - t1
-    # the first arc of a full turn or more, or with a non-finite end, decides
+    # the first arc of a full turn or more, or with a non-finite end, decides;
+    # a span one ulp short is a full turn, as (a, a + 2pi) spans at
+    # a = 3.415696558991173, where a + 2pi rounds down
     stop = (~(span < TWO_PI - 1e-15) | (span == -np.inf)).nonzero()[0]
     if stop.size:
         if span[stop[0]] > TWO_PI + 1e-12:
@@ -586,7 +577,7 @@ def fat_density_report(g: GeneratedFatSet) -> FatDensityReport:
     n = int(round((max(centers) - min(centers)) / 1e-3)) + 1
     grid = min(centers) + np.arange(n) * 1e-3
     step = float(grid[1] - grid[0]) if n > 1 else eps_min
-    lo, hi = _rows(g.truncated_set().intervals, _ENDS)[:, :2].T
+    lo, hi = _rows(g.truncated_set().intervals)[:, :2].T
     # (x - eps, x + eps) meets the sorted disjoint intervals with positive
     # measure iff the first one ending right of x - eps starts left of x + eps
     k = np.searchsorted(hi, grid - eps_min, side="right")
@@ -642,14 +633,10 @@ def set_to_json(s) -> dict:
     if isinstance(s, GeneratedFatSet):
         return {"family": "rational_fat", "radius_base": s.radius_base,
                 "truncation": s.truncation}
-    if isinstance(s, CircleArcSet):
-        return {"carrier": "circle",
-                "intervals": [[a.theta1, a.theta2, _CODE_FLAGS[(a.lo_closed, a.hi_closed)]]
-                              for a in s.arcs],
-                "points": list(s.isolated_points)}
-    return {"carrier": "line",
-            "intervals": [[iv.lo, iv.hi, _CODE_FLAGS[(iv.lo_closed, iv.hi_closed)]]
-                          for iv in s.intervals],
+    circle = isinstance(s, CircleArcSet)
+    return {"carrier": "circle" if circle else "line",
+            "intervals": [[lo, hi, _CODE_FLAGS[lo_c, hi_c]]
+                          for lo, hi, lo_c, hi_c in (s.arcs if circle else s.intervals)],
             "points": list(s.isolated_points)}
 
 
