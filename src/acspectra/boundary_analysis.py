@@ -76,13 +76,13 @@ from __future__ import annotations
 
 import math
 from contextlib import contextmanager
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import MonodromyDegenerate, NonConvergent, SiteDisagreement
-from .interval_sets import (angles_hull, contains_mask, essential_closure,
-                            longest_component, points_hull, set_algebra)
+from .interval_sets import (angles_hull, essential_closure, longest_component, pieces_mask,
+                            points_hull, set_algebra)
 
 INFINITE_LIMIT = 1e6
 # transfer_product rescales by a power of two once an entry's part passes this
@@ -660,7 +660,7 @@ def tested_mask(E, grid):
     """Where the grid points lie in E's intervals (arcs on the circle).
     Reflectionless is an almost-everywhere property, so the test reads E
     with its isolated points dropped, a null set."""
-    return contains_mask(replace(E, isolated_points=()), grid)
+    return pieces_mask(E, grid)
 
 
 @sweep_scope()

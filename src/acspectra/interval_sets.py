@@ -17,15 +17,17 @@ all endpoints, per-break counts from `np.add.reduceat` and the covering depth
 from `cumsum`.  Inputs are read as endpoint arrays; the first malformed piece
 in input order raises its own error.  Of equal breaks (0.0 and -0.0) the first
 stands: left ends, then right ends, then points, each in input order.
-Interval and Arc are tuple records (typing.NamedTuple, no instance dict).
-The sweep returns its output as columns of Python floats and bools, and
-`_built` zips them into pieces through the tuple constructor (`_make`),
-without Interval.__new__'s checks, which the strictly increasing breaks of
-finite input ends cannot fail; an Interval a caller constructs is still
-validated.  `_rows` reads pieces back into an endpoint array by chaining
-the tuples.  `contains_mask` tests a whole grid with one `searchsorted`
-over the endpoints.  A grid hull's runs are sorted and apart, so the hulls
-build their sets with no sweep.
+A line or circle set holds just what the sweep reads and writes: a read-only
+(n, 4) float array of (lo, hi, lo_closed, hi_closed) endpoint rows, flags
+1.0 or 0.0, and a read-only array of its isolated points.  The sweep's output
+columns are stacked into those rows, and the set operations, the closure,
+membership, measure and JSON read the rows.  The pieces (`.intervals`,
+`.arcs`) and `.isolated_points` are views, tuples of Interval or Arc records
+(typing.NamedTuple) and of Python floats built on each access; a set's
+`repr`, `==` and `hash` are those of the tuples of its views, so -0.0 equals
+0.0 and each set keeps the zero it was built with.  `contains_mask` tests a
+whole grid with one `searchsorted` over the endpoints.  A grid hull's runs
+are sorted and apart, so the hulls build their sets with no sweep.
 """
 
 from __future__ import annotations
@@ -35,7 +37,7 @@ import numbers
 import operator
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import chain
+from itertools import chain, repeat
 from typing import NamedTuple
 
 import numpy as np
@@ -47,6 +49,14 @@ TWO_PI = 2.0 * math.pi
 _FLAG_CODES = {"oo": (False, False), "oc": (False, True),
                "co": (True, False), "cc": (True, True)}
 _CODE_FLAGS = {v: k for k, v in _FLAG_CODES.items()}
+
+
+def _frozen(a: np.ndarray) -> np.ndarray:
+    a.setflags(write=False)
+    return a
+
+
+_NO_POINTS = _frozen(np.empty(0))
 
 
 class _IntervalFields(NamedTuple):
@@ -126,8 +136,8 @@ _KIND_TABLES = {k: np.kron(np.eye(k, dtype=int), _KINDS) for k in (1, 2)}
 
 def _sweep(operands, combine=lambda member: member) -> tuple:
     """Columns (lo, hi, lo_closed, hi_closed, points) of the canonical set
-    where combine(membership in each operand) holds, as lists of Python
-    floats and bools.
+    where combine(membership in each operand) holds, as arrays: float ends
+    and points, boolean flags.
 
     operands: k (rows, pts) pairs, rows an (n, 4) array of (lo, hi,
     lo_closed, hi_closed) with lo < hi, pts an array of points.  One stable
@@ -138,7 +148,7 @@ def _sweep(operands, combine=lambda member: member) -> tuple:
     values = np.concatenate([r[:, c] for r, _ in operands for c in (0, 1)]
                             + [p for _, p in operands])
     if not values.size:
-        return [], [], [], [], []
+        return (_NO_POINTS,) * 5
     kinds = np.concatenate(
         [r[:, 2 + c] + (5 * j + 2 * c) for j, (r, _) in enumerate(operands) for c in (0, 1)]
         + [np.full(p.size, 5 * j + 4.0) for j, (_, p) in enumerate(operands)]).astype(np.intp)
@@ -156,23 +166,86 @@ def _sweep(operands, combine=lambda member: member) -> tuple:
     lo = gap_on & ~(gap_left & point_on)
     hi = gap_left & ~(gap_on & point_on)
     lone = point_on & ~(gap_left | gap_on)
-    return (breaks[lo].tolist(), breaks[hi].tolist(), point_on[lo].tolist(),
-            point_on[hi].tolist(), breaks[lone].tolist())
+    return breaks[lo], breaks[hi], point_on[lo], point_on[hi], breaks[lone]
 
 
 def _built(cls, lo, hi, lo_closed, hi_closed) -> tuple:
-    """Interval or Arc pieces from field columns, made by the tuple
-    constructor (_make) without Interval.__new__'s checks: the sweep's
-    breaks strictly increase and each is an end of a finite input piece, and
-    a hull's runs are sorted finite points, so every piece has finite
-    lo < hi."""
-    return tuple(map(cls._make, zip(lo, hi, lo_closed, hi_closed)))
+    """Interval or Arc records from field columns, made by the tuple
+    constructor without Interval.__new__'s checks, which no row of a set
+    built here can fail: the sweep's breaks strictly increase and each is an
+    end of a finite input piece, and a hull's runs are sorted finite points."""
+    return tuple(map(tuple.__new__, repeat(cls), zip(lo, hi, lo_closed, hi_closed)))
+
+
+def _stacked(cols) -> np.ndarray:
+    """(n, 4) float rows of field columns (lo, hi, lo_closed, hi_closed)."""
+    rows = np.empty((len(cols[0]), 4))
+    for c, col in enumerate(cols):
+        rows[:, c] = col
+    return rows
+
+
+def _rows(pieces) -> np.ndarray:
+    """(n, 4) float rows of Interval or Arc pieces."""
+    return np.fromiter(chain.from_iterable(pieces), float, 4 * len(pieces)).reshape(-1, 4)
+
+
+def _lengths(rows) -> np.ndarray:
+    return rows[:, 1] - rows[:, 0]
+
+
+class _EndpointSet:
+    """A canonical set as its endpoint rows and isolated points (see the
+    module docstring); the constructor reads a tuple of pieces and one of
+    points as given, as a dataclass of those tuples would."""
+    __slots__ = ("_ends", "_pts")
+
+    def __init__(self, pieces=(), isolated_points=()):
+        self._hold(_rows(pieces), np.array(isolated_points, dtype=float).reshape(-1))
+
+    def _hold(self, rows, pts):
+        self._ends, self._pts = _frozen(rows), _frozen(pts) if pts.size else _NO_POINTS
+
+    @classmethod
+    def _of(cls, rows, pts):
+        """The set of endpoint rows and points, which it takes over read-only."""
+        s = object.__new__(cls)
+        s._hold(rows, pts)
+        return s
+
+    def _view(self) -> tuple:
+        """The pieces, as records of Python floats and bools."""
+        rows = self._ends
+        return _built(self._PIECE, rows[:, 0].tolist(), rows[:, 1].tolist(),
+                      *(rows[:, 2:] > 0.0).T.tolist())
+
+    @property
+    def isolated_points(self) -> tuple:
+        return tuple(self._pts.tolist())
+
+    def __repr__(self) -> str:
+        return (f"{type(self).__name__}({self._VIEW}={self._view()!r}, "
+                f"isolated_points={self.isolated_points!r})")
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return (np.array_equal(self._ends, other._ends)
+                and np.array_equal(self._pts, other._pts))
+
+    def __hash__(self) -> int:
+        return hash((self._view(), self.isolated_points))
+
+    def measure(self) -> float:
+        return math.fsum(_lengths(self._ends).tolist())
+
+    def is_empty(self) -> bool:
+        return not (len(self._ends) or self._pts.size)
 
 
 def _line_from(cols) -> "RealIntervalSet":
     """The line set of sweep columns (lo, hi, lo_closed, hi_closed, points)."""
-    *ends, pts = cols
-    return RealIntervalSet(_built(Interval, *ends), tuple(pts))
+    return RealIntervalSet._of(_stacked(cols[:4]), cols[4])
 
 
 def _line_set(rows, pts) -> tuple:
@@ -185,23 +258,17 @@ def _line_set(rows, pts) -> tuple:
     return _sweep([(rows, pts)])
 
 
-def _rows(pieces) -> np.ndarray:
-    """(n, 4) float rows of Interval or Arc pieces."""
-    return np.fromiter(chain.from_iterable(pieces), float, 4 * len(pieces)).reshape(-1, 4)
-
-
-@dataclass(frozen=True)
-class RealIntervalSet:
+class RealIntervalSet(_EndpointSet):
     """Canonical finite union of disjoint intervals plus isolated points."""
+    __slots__ = ()
+    _PIECE, _VIEW = Interval, "intervals"
 
-    intervals: tuple = ()
-    isolated_points: tuple = ()
+    def __init__(self, intervals=(), isolated_points=()):
+        super().__init__(intervals, isolated_points)
 
-    def measure(self) -> float:
-        return math.fsum(iv.length for iv in self.intervals)
-
-    def is_empty(self) -> bool:
-        return not self.intervals and not self.isolated_points
+    @property
+    def intervals(self) -> tuple:
+        return self._view()
 
     def contains(self, x: float) -> bool:
         return bool(contains_mask(self, [x])[0])
@@ -246,9 +313,16 @@ def set_algebra(a, b, op: str):
 
 
 def _line_algebra(a: RealIntervalSet, b: RealIntervalSet, op: str) -> RealIntervalSet:
-    operands = [(_rows(s.intervals), np.array(s.isolated_points, dtype=float))
-                for s in (a, b)]
-    return _line_from(_sweep(operands, _OPS[op]))
+    return _line_from(_sweep([(a._ends, a._pts), (b._ends, b._pts)], _OPS[op]))
+
+
+def _closed_rows(s) -> np.ndarray | None:
+    """s's rows with every end closed, or None when s is closed pieces alone."""
+    if not s._pts.size and s._ends[:, 2:].all():
+        return None
+    rows = s._ends.copy()
+    rows[:, 2:] = 1.0
+    return rows
 
 
 def essential_closure(s):
@@ -262,11 +336,10 @@ def essential_closure(s):
         return fat_density_report(s).closure
     if isinstance(s, CircleArcSet):
         return s.essential_closure()
-    if not s.isolated_points and all(iv.lo_closed and iv.hi_closed for iv in s.intervals):
+    rows = _closed_rows(s)
+    if rows is None:
         return s    # closed intervals alone are their own closure
-    rows = _rows(s.intervals)
-    rows[:, 2:] = 1.0
-    return _line_from(_sweep([(rows, np.empty(0))]))
+    return _line_from(_sweep([(rows, _NO_POINTS)]))
 
 
 def widen(s, slack: float):
@@ -274,17 +347,17 @@ def widen(s, slack: float):
     points included; on the circle an arc reaching around becomes the full
     circle."""
     if isinstance(s, CircleArcSet):
-        if s.is_full() or any(a.length + 2 * slack >= TWO_PI for a in s.arcs):
+        if s.is_full() or (_lengths(s._ends) + 2 * slack >= TWO_PI).any():
             return full_circle()
-        return _arc_set(_widened(_rows(s.arcs), s.isolated_points, slack), ())
-    rows = _widened(_rows(s.intervals), s.isolated_points, slack)
+        return _arc_set(_widened(s._ends, s._pts, slack), ())
+    rows = _widened(s._ends, s._pts, slack)
     _check_rows(rows)
-    return _line_from(_line_set(rows, np.empty(0)))
+    return _line_from(_line_set(rows, _NO_POINTS))
 
 
 def _widened(rows, points, slack) -> np.ndarray:
     """The rows, then a row per point, closed and widened by slack on each side."""
-    rows = np.concatenate([rows, np.repeat(np.array(points, dtype=float), 4).reshape(-1, 4)])
+    rows = np.concatenate([rows, np.repeat(points, 4).reshape(-1, 4)])
     rows[:, 0] -= slack
     rows[:, 1] += slack
     rows[:, 2:] = 1.0
@@ -293,33 +366,49 @@ def _widened(rows, points, slack) -> np.ndarray:
 
 def longest_component(s) -> float:
     """Length of the longest interval or arc of a canonical set (0 if none)."""
-    pieces = s.arcs if isinstance(s, CircleArcSet) else s.intervals
-    return max((p.length for p in pieces), default=0.0)
+    return max(_lengths(s._ends).tolist(), default=0.0)
 
 
 def contains_mask(s, xs) -> np.ndarray:
     """Boolean array of membership in a canonical line or circle set over xs."""
-    xs = np.asarray(xs, dtype=float)
-    if isinstance(s, CircleArcSet):
-        # the angle reduced into [0, 2pi) and one turn above it, against the
-        # arcs read as line intervals
-        t = _norm_angles(xs)
-        pts = _norm_angles(np.array(s.isolated_points, dtype=float))
-        return (_pieces_mask(s.arcs, t) | _pieces_mask(s.arcs, t + TWO_PI)
-                | np.isin(t, pts))
-    return _pieces_mask(s.intervals, xs) | np.isin(xs, list(s.isolated_points))
+    return _mask(s, xs, s._pts)
 
 
-def _pieces_mask(pieces, xs) -> np.ndarray:
-    """Membership of xs in sorted disjoint Interval or Arc pieces."""
-    if not pieces:
+def pieces_mask(s, xs) -> np.ndarray:
+    """Boolean array of membership in the intervals (arcs on the circle) of
+    a canonical set over xs, its isolated points left out."""
+    return _mask(s, xs, _NO_POINTS)
+
+
+def _mask(s, xs, pts) -> np.ndarray:
+    """Membership over xs in the rows of s and the points pts.  On the
+    circle the angle reduced into [0, 2pi) is tested against the arcs, and
+    one turn up against an arc through 0 alone (theta2 > 2pi), rounding as
+    its theta2 did; an arc ending at 2pi holds angle 0 by its closed end,
+    not the angles next to 0 that round onto 2pi one turn up."""
+    xs, rows = np.asarray(xs, dtype=float), s._ends
+    if not isinstance(s, CircleArcSet):
+        return _rows_mask(rows, xs) | np.isin(xs, pts)
+    t = _norm_angles(xs)
+    mask = _rows_mask(rows, t) | np.isin(t, _norm_angles(pts))
+    # the arcs are sorted and apart: only the last reaches 2pi
+    if len(rows) and rows[-1, 1] > TWO_PI:
+        mask |= _rows_mask(rows[-1:], t + TWO_PI)
+    elif len(rows) and rows[-1, 1] == TWO_PI and rows[-1, 3]:
+        mask |= t == 0.0
+    return mask
+
+
+def _rows_mask(rows, xs) -> np.ndarray:
+    """Membership of xs in sorted disjoint endpoint rows."""
+    if not len(rows):
         return np.zeros(xs.shape, dtype=bool)
-    lo, hi, lo_c, hi_c = (np.array(col) for col in zip(*pieces))
-    # the last piece starting at or left of x is the only one that can hold it
+    lo, hi, lo_c, hi_c = rows.T
+    # the last row starting at or left of x is the only one that can hold it
     k = np.searchsorted(lo, xs, side="right") - 1
     kk = np.maximum(k, 0)
     lo, hi, lo_c, hi_c = lo[kk], hi[kk], lo_c[kk], hi_c[kk]
-    inside = ((lo < xs) & (xs < hi)) | ((xs == lo) & lo_c) | ((xs == hi) & hi_c)
+    inside = ((lo < xs) & (xs < hi)) | ((xs == lo) & (lo_c > 0.0)) | ((xs == hi) & (hi_c > 0.0))
     return (k >= 0) & inside
 
 
@@ -400,29 +489,29 @@ class Arc(NamedTuple):
         return self.theta2 - self.theta1
 
 
-@dataclass(frozen=True)
-class CircleArcSet:
-    arcs: tuple = ()
-    isolated_points: tuple = ()
+class CircleArcSet(_EndpointSet):
+    """Canonical finite union of disjoint arcs plus isolated angles."""
+    __slots__ = ()
+    _PIECE, _VIEW = Arc, "arcs"
 
-    def measure(self) -> float:
-        return math.fsum(a.length for a in self.arcs)
+    def __init__(self, arcs=(), isolated_points=()):
+        super().__init__(arcs, isolated_points)
 
-    def is_empty(self) -> bool:
-        return not self.arcs and not self.isolated_points
+    @property
+    def arcs(self) -> tuple:
+        return self._view()
 
     def is_full(self) -> bool:
-        if len(self.arcs) != 1 or self.arcs[0].length != TWO_PI:
-            return False
-        return self.arcs[0].lo_closed or self.arcs[0].hi_closed
+        rows = self._ends
+        return bool(len(rows) == 1 and rows[0, 1] - rows[0, 0] == TWO_PI
+                    and (rows[0, 2] or rows[0, 3]))
 
     def contains(self, theta: float) -> bool:
         return bool(contains_mask(self, [theta])[0])
 
     def _to_line(self):
         """The line representative on [0, 2pi) as a _sweep operand (rows, pts)."""
-        return _arc_pieces(_rows(self.arcs),
-                           _norm_angles(np.array(self.isolated_points, dtype=float)))
+        return _arc_pieces(self._ends, _norm_angles(self._pts))
 
     @staticmethod
     def _from_line(cols) -> "CircleArcSet":
@@ -431,36 +520,35 @@ class CircleArcSet:
         2pi, continues through it into the component starting at 0, or into
         the point 0.  A component from 0 to 2pi is the full circle, less
         angle 0 when it is open at both ends."""
-        lo, hi, lo_c, hi_c, pts = cols
-        last = len(hi) - 1      # the components are sorted and apart: only the last reaches 2pi
-        reach = last >= 0 and hi[last] == TWO_PI
-        at_zero = reach and lo[0] == 0.0
-        if at_zero and (lo_c[0] or hi_c[last]):
+        rows, pts = _stacked(cols[:4]), cols[4]
+        last = len(rows) - 1    # the components are sorted and apart: only the last reaches 2pi
+        reach = last >= 0 and rows[last, 1] == TWO_PI
+        at_zero = reach and rows[0, 0] == 0.0
+        if at_zero and (rows[0, 2] or rows[last, 3]):
             if last == 0:
                 return full_circle()
             # the last component goes on past 2pi as far as the first one
-            hi[last], hi_c[last] = hi[0] + TWO_PI, hi_c[0]
-            lo, hi, lo_c, hi_c = lo[1:], hi[1:], lo_c[1:], hi_c[1:]
-            pts = [p for p in pts if p != 0.0]
+            rows[last, 1], rows[last, 3] = rows[0, 1] + TWO_PI, rows[0, 3]
+            rows, pts = rows[1:], pts[pts != 0.0]
         elif at_zero and last == 0:
-            lo[0] = 0.0
-        elif reach and 0.0 in pts:
-            hi_c[last] = True
-            pts = [p for p in pts if p != 0.0]
-        return CircleArcSet(_built(Arc, lo, hi, lo_c, hi_c), tuple(pts))
+            rows[0, 0] = 0.0
+        elif reach and (pts == 0.0).any():
+            rows[last, 3] = 1.0
+            pts = pts[pts != 0.0]
+        return CircleArcSet._of(rows, pts)
 
     def essential_closure(self) -> "CircleArcSet":
         """The line's rule: close every arc, canonicalize once through the line
         representative, drop isolated points; closed arcs alone are their own."""
-        if not self.isolated_points and all(a.lo_closed and a.hi_closed for a in self.arcs):
+        rows = _closed_rows(self)
+        if rows is None:
             return self
-        rows = _rows(self.arcs)
-        rows[:, 2:] = 1.0
-        return CircleArcSet(CircleArcSet._from_line(_sweep([_arc_pieces(rows, np.empty(0))])).arcs)
+        closed = CircleArcSet._from_line(_sweep([_arc_pieces(rows, _NO_POINTS)]))
+        return CircleArcSet._of(closed._ends, _NO_POINTS)
 
 
 def full_circle() -> CircleArcSet:
-    return CircleArcSet((Arc(0.0, TWO_PI, True, False),), ())
+    return CircleArcSet._of(np.array([[0.0, TWO_PI, 1.0, 0.0]]), _NO_POINTS)
 
 
 def circle_set(arcs, points=()) -> CircleArcSet:
@@ -577,7 +665,7 @@ def fat_density_report(g: GeneratedFatSet) -> FatDensityReport:
     n = int(round((max(centers) - min(centers)) / 1e-3)) + 1
     grid = min(centers) + np.arange(n) * 1e-3
     step = float(grid[1] - grid[0]) if n > 1 else eps_min
-    lo, hi = _rows(g.truncated_set().intervals)[:, :2].T
+    lo, hi = g.truncated_set()._ends[:, :2].T
     # (x - eps, x + eps) meets the sorted disjoint intervals with positive
     # measure iff the first one ending right of x - eps starts left of x + eps
     k = np.searchsorted(hi, grid - eps_min, side="right")
@@ -597,10 +685,10 @@ def angles_hull(thetas, step: float) -> CircleArcSet:
     lo, hi = _runs(np.concatenate([ts[-1:] - TWO_PI, ts, ts[:1] + TWO_PI]), step)
     arc = (lo < hi) & (lo < TWO_PI) & (hi > 0.0)
     lone = (lo == hi) & (0.0 <= lo) & (lo < TWO_PI)
-    closed = [True] * np.count_nonzero(arc)
-    return CircleArcSet._from_line((np.where(lo < 0.0, 0.0, lo)[arc].tolist(),
-                                    np.where(hi > TWO_PI, TWO_PI, hi)[arc].tolist(),
-                                    closed, closed, lo[lone].tolist()))
+    closed = np.ones(np.count_nonzero(arc))
+    return CircleArcSet._from_line((np.where(lo < 0.0, 0.0, lo)[arc],
+                                    np.where(hi > TWO_PI, TWO_PI, hi)[arc],
+                                    closed, closed, lo[lone]))
 
 
 def points_hull(xs, step: float) -> RealIntervalSet:
@@ -609,8 +697,8 @@ def points_hull(xs, step: float) -> RealIntervalSet:
     a one-point run is an isolated point, any other a closed interval."""
     lo, hi = _runs(xs, step)
     iv = lo < hi
-    closed = [True] * np.count_nonzero(iv)
-    return _line_from((lo[iv].tolist(), hi[iv].tolist(), closed, closed, lo[~iv].tolist()))
+    closed = np.ones(np.count_nonzero(iv))
+    return _line_from((lo[iv], hi[iv], closed, closed, lo[~iv]))
 
 
 def _runs(xs, step: float):
@@ -633,11 +721,11 @@ def set_to_json(s) -> dict:
     if isinstance(s, GeneratedFatSet):
         return {"family": "rational_fat", "radius_base": s.radius_base,
                 "truncation": s.truncation}
-    circle = isinstance(s, CircleArcSet)
-    return {"carrier": "circle" if circle else "line",
+    return {"carrier": "circle" if isinstance(s, CircleArcSet) else "line",
+            # the flags 1.0 and 0.0 hash and compare as True and False
             "intervals": [[lo, hi, _CODE_FLAGS[lo_c, hi_c]]
-                          for lo, hi, lo_c, hi_c in (s.arcs if circle else s.intervals)],
-            "points": list(s.isolated_points)}
+                          for lo, hi, lo_c, hi_c in s._ends.tolist()],
+            "points": s._pts.tolist()}
 
 
 def set_from_json(d: dict):

@@ -1,10 +1,12 @@
 """Canonical interval/arc sets, set algebra, and the essential closure."""
 
 import bisect
+import hashlib
 import json
 import math
+import tracemalloc
 import warnings
-from dataclasses import fields, replace
+from dataclasses import fields
 from fractions import Fraction
 
 import numpy as np
@@ -290,12 +292,23 @@ def _turn(t) -> float:
     return 0.0 if r == 2 * math.pi else r
 
 
+def _probe_arc(a, t) -> bool:
+    """Membership of t in [0, 2pi) in the arc a read as a line interval,
+    one turn up only for an arc through 0 (theta2 > 2pi); an arc ending at
+    2pi holds angle 0 by its closed end, and no angle that rounds onto 2pi
+    one turn up."""
+    two_pi = 2 * math.pi
+    return (_in_piece(a.theta1, a.theta2, a.lo_closed, a.hi_closed, t)
+            or a.theta2 > two_pi and _in_piece(a.theta1, a.theta2, a.lo_closed, a.hi_closed,
+                                               t + two_pi)
+            or t == 0.0 and a.theta2 == two_pi and a.hi_closed)
+
+
 def _probe_circle(s, theta) -> bool:
-    """Membership of theta in s, one arc at a time: the reduced angle and
-    one turn above it against each arc read as a line interval."""
+    """Membership of theta in s, one arc at a time: the reduced angle
+    against each arc (_probe_arc)."""
     t = _turn(theta)
-    return (any(_in_piece(a.theta1, a.theta2, a.lo_closed, a.hi_closed, tt)
-                for a in s.arcs for tt in (t, t + 2 * math.pi))
+    return (any(_probe_arc(a, t) for a in s.arcs)
             or t in [_turn(p) for p in s.isolated_points])
 
 
@@ -446,7 +459,7 @@ class TestEssentialClosure:
             if s.isolated_points or not all(p.lo_closed and p.hi_closed for p in pieces):
                 continue
             assert essential_closure(s) is s
-            assert essential_closure(replace(s, isolated_points=(0.5,))) == s
+            assert essential_closure(type(s)(pieces, (0.5,))) == s
 
     def test_arc_ending_at_two_pi_holds_angle_zero(self):
         s = circle_set([(5.0, 0.0, "oc")])      # closed end at 2pi is the angle 0
@@ -547,6 +560,7 @@ class TestHulls:
     @example([True, False, False, False])           # a single angle at 0
     @example([True, True, True])                    # every angle
     @example([3 <= k <= 10 for k in range(18)])     # theta2 - theta1 rounds down
+    @example([k in (0, 1, 35) for k in range(36)])  # a run through 0 whose theta2 rounds down
     @settings(max_examples=200, deadline=None)
     def test_angles_hull_grid_mask_runs(self, mask):
         """Runs of the mask read cyclically: a grid angle is in the hull iff
@@ -927,7 +941,7 @@ def _random_specs(rng, n, span):
 
 
 class TestBuiltPieces:
-    """Output pieces are built from the sweep's columns without
+    """A set's pieces are built from its endpoint rows without
     Interval.__new__'s checks; they are the records the constructor builds,
     and callers' pieces still validate."""
 
@@ -980,3 +994,97 @@ class TestBuiltPieces:
         assert _rebuilt(fat.closure) == fat.closure
         trunc = GeneratedFatSet.rational_fat(25).truncated_set()
         assert _rebuilt(trunc) == trunc
+
+
+def _view_cases(seed: int, count: int):
+    """Seeded sets of every construction: canonicalize, circle_set, the four
+    operations on each carrier, essential_closure and widen."""
+    rng = np.random.default_rng(seed)
+    for _ in range(count):
+        n = int(rng.integers(0, 20))
+        a = canonicalize(_random_specs(rng, n, 8.0), rng.uniform(-1.0, 8.0, 2).tolist())
+        b = canonicalize(_random_specs(rng, n, 8.0), [-0.0, 0.0][:int(rng.integers(0, 3))])
+        c = circle_set(_random_specs(rng, n, 7.0), rng.uniform(-1.0, 7.0, 2).tolist())
+        d = circle_set(_random_specs(rng, n, 7.0) + [(6.0, 2 * math.pi, "oc")], [-0.0])
+        slack = float(rng.choice([0.05, 0.25, 0.5]))
+        yield from (a, b, c, d)
+        for x, y in ((a, b), (c, d)):
+            yield from (set_algebra(x, y, op) for op in OPS)
+        yield from (essential_closure(a), essential_closure(c), widen(a, slack), widen(c, slack))
+
+
+class TestViews:
+    """A line or circle set holds its endpoint rows; its pieces and points
+    are views built on each access, which rebuild the same set."""
+
+    # sha256 of the reprs of every _view_cases(53, 200) set, as the set
+    # layer wrote them when the sets held Interval and Arc records
+    REPRS_SHA256 = "423b65ca9f8edd0bf863eaa3a161cda3f0c8a5bba8359e5705c9db6598d9820b"
+
+    def test_every_set_is_the_one_built_from_its_views(self):
+        digest = hashlib.sha256()
+        for s in _view_cases(53, 200):
+            pieces = s.arcs if isinstance(s, CircleArcSet) else s.intervals
+            back = type(s)(pieces, s.isolated_points)
+            assert back == s and not back != s and hash(back) == hash(s), s
+            assert repr(back) == repr(s), s
+            assert [_sign(x) for x in _fields(back)] == [_sign(x) for x in _fields(s)], s
+            digest.update(repr(s).encode() + b"\n")
+        assert digest.hexdigest() == self.REPRS_SHA256
+
+    def test_signed_zero_ends_compare_and_hash_as_tuples(self):
+        """-0.0 equals 0.0 and hashes equal, as in the tuples of the pieces;
+        each set keeps the zero it was built with."""
+        for build in (canonicalize, circle_set):
+            neg, pos = build([(-0.0, 1.0, "co")], [-0.0]), build([(0.0, 1.0, "co")], [0.0])
+            assert neg == pos and hash(neg) == hash(pos) and repr(neg) != repr(pos)
+        line = canonicalize([(-0.0, 1.0, "co")], [3.0])
+        assert line.intervals == (Interval(-0.0, 1.0, True, False),)
+        assert _sign(line.intervals[0].lo) == -1.0
+        assert line != circle_set([(0.0, 1.0, "co")], [3.0])
+
+    def test_views_are_the_records_of_python_floats_and_bools(self):
+        s, c = canonicalize([(0, 1, "co")], [2]), circle_set([(6.0, 1.0, "oc")], [3])
+        assert s.intervals == (Interval(0.0, 1.0, True, False),) and s.isolated_points == (2.0,)
+        assert c.arcs == (Arc(6.0, 1.0 + 2 * math.pi, False, True),)
+        assert c.isolated_points == (3.0,)
+        for piece in s.intervals + c.arcs:
+            assert [type(v) for v in piece] == [float, float, bool, bool]
+        assert s.intervals is not s.intervals   # a view, built on each access
+        with pytest.raises(AttributeError):
+            s.intervals = ()
+
+    @pytest.mark.parametrize("build, specs", [
+        (canonicalize, [(2.0 * k, 2.0 * k + 1.0, FLAGS[k % 4]) for k in range(10 ** 4)]),
+        (circle_set, [(k * 2 * math.pi / 10 ** 4, (k + 0.5) * 2 * math.pi / 10 ** 4, FLAGS[k % 4])
+                      for k in range(10 ** 4)])], ids=["line", "circle"])
+    def test_a_set_holds_at_most_50_bytes_a_piece(self, build, specs):
+        """Under tracemalloc a canonical set of 10^4 pieces holds its (n, 4)
+        float rows, 32 bytes a piece, and not a record and two floats each.
+        What the set holds is what dropping it frees: the temporaries of its
+        build may stay in the interpreter's free lists."""
+        tracemalloc.start()
+        try:
+            s = build(specs)
+            pieces = len(s.arcs if isinstance(s, CircleArcSet) else s.intervals)
+            with_set = tracemalloc.get_traced_memory()[0]
+            del s
+            held = with_set - tracemalloc.get_traced_memory()[0]
+        finally:
+            tracemalloc.stop()
+        assert pieces == len(specs) and held <= 50 * len(specs), held / len(specs)
+
+
+class TestAngleZeroMembership:
+    def test_an_angle_next_to_zero_is_not_rounded_onto_two_pi(self):
+        """An arc ending at 2pi holds angle 0 by its closed end; the angles
+        next to 0, which round onto 2pi one turn up, are not in it.  An arc
+        through 0 holds the angles up to its end."""
+        s = circle_set([(1.0, 0.0, "oc"), (1e-300, 1.0, "oo")])
+        assert s.contains(0.0) and not s.contains(5e-301) and not s.contains(1e-300)
+        xs = [0.0, 5e-301, 1e-300, 2e-300, 2 * math.pi, -5e-301]
+        assert contains_mask(s, xs).tolist() == [True, False, False, True, True, True]
+        assert not circle_set([(1.0, 0.0, "oo")]).contains(5e-301)
+        wrap = circle_set([(6.0, 0.25, "cc")])
+        assert contains_mask(wrap, [0.0, 1e-300, 0.2, 0.25]).tolist() == [True] * 4
+        assert not wrap.contains(0.25 + math.ulp(2 * math.pi))

@@ -8,7 +8,6 @@ import math
 import os
 import sys
 import warnings
-from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -18,7 +17,7 @@ from acspectra.boundary_analysis import (ac_spectrum, family, floquet_pair, memo
                                          multiplicity_sets, reflectionless_on, sweep_scope)
 from acspectra.harness_cli import (TOLERANCES, _csv_for, _json_safe, _load, _resolve_grid,
                                    run_config, verify_inclusion)
-from acspectra.interval_sets import (canonicalize, circle_set, contains_mask,
+from acspectra.interval_sets import (CircleArcSet, canonicalize, circle_set, contains_mask,
                                      longest_component, set_algebra, set_from_json,
                                      set_to_json)
 from conftest import (CMVSteplike, JacobiSteplike, SchrodingerSteplike, cmv_steplike_kernel,
@@ -584,7 +583,8 @@ def _assert_defect_set_is_the_failing_points(descriptor, E, grid_config):
         with np.errstate(invalid="ignore"):
             failing |= ~(ok_p & ok_m & (np.abs(Mp - reflected)
                                          < boundary_analysis.REFLECTIONLESS_TOL))
-    tested = contains_mask(replace(E_set, isolated_points=()), grid)
+    pieces = E_set.arcs if isinstance(E_set, CircleArcSet) else E_set.intervals
+    tested = contains_mask(type(E_set)(pieces), grid)
     defects = reflectionless_on(op, E_set, grid).defect_points
     assert grid[contains_mask(defects, grid)].tolist() == grid[tested & failing].tolist()
     assert set_from_json(refl["defect_points"]) == defects
