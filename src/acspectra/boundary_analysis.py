@@ -39,7 +39,7 @@ reflectionless_on, multiplicity_sets and sweep_csv read the sweeps and
 phases through memo_sweep and memo_phase.  Each family module imports
 them under its own names (boundary_weyl_grid, Xi11_grid, xi, ...), so
 the names of one concept are one function.  The
-reflectionless test reads E in its intervals only (tested_mask): it is
+reflectionless test reads E in its intervals only (pieces_mask): it is
 almost-everywhere, and isolated points are null.
 
 Every one-period transfer product of the families, in the kernels and
@@ -656,25 +656,21 @@ def ac_spectrum(op, grid=None):
     return main
 
 
-def tested_mask(E, grid):
-    """Where the grid points lie in E's intervals (arcs on the circle).
-    Reflectionless is an almost-everywhere property, so the test reads E
-    with its isolated points dropped, a null set."""
-    return pieces_mask(E, grid)
-
-
 @sweep_scope()
 def reflectionless_on(op, E, grid=None) -> ReflectionlessReport:
-    """Boundary matching of the pair on the grid points of tested_mask(E)
-    at both sites: M_+ is the reflection of M_- (conj across the line, -conj
-    across the circle) within REFLECTIONLESS_TOL at more than 99% of them,
-    phase at its center; defect_points is the grid hull of those failing at
-    either site.  In its own sweep scope where no report opened one."""
+    """Boundary matching of the pair on the grid points in E's intervals
+    (arcs on the circle) at both sites: M_+ is the reflection of M_- (conj
+    across the line, -conj across the circle) within REFLECTIONLESS_TOL at
+    more than 99% of them, phase at its center; defect_points is the grid
+    hull of those failing at either site.  Reflectionless is an
+    almost-everywhere property, so the test reads E with its isolated
+    points dropped, a null set (pieces_mask).  In its own sweep scope where
+    no report opened one."""
     if E.measure() <= 0.0:
         raise ValueError("reflectionless test needs a set of positive measure")
     fam = family(op)
     grid, step = sweep_grid(fam, op, grid)
-    inside = tested_mask(E, grid)
+    inside = pieces_mask(E, grid)
     lams = grid[inside]
     if lams.size == 0:
         raise ValueError("grid does not meet E")

@@ -92,10 +92,10 @@ from . import cmv as _cmv
 from . import schrodinger as _schrodinger
 from .boundary_analysis import (REFLECTIONLESS_TOL, ReflectionlessReport, ac_spectrum, family,
                                 memo_phase, memo_sweep, multiplicity_sets, reflectionless_on,
-                                sweep_at, sweep_csv, sweep_grid, sweep_scope, tested_mask)
+                                sweep_at, sweep_csv, sweep_grid, sweep_scope)
 from .errors import SiteDisagreement, check_keys, check_number
 from .interval_sets import (CircleArcSet, GeneratedFatSet, RealIntervalSet, canonicalize,
-                            essential_closure, fat_density_report,
+                            essential_closure, fat_density_report, pieces_mask,
                             lebesgue_measure, longest_component, rational_enumeration,
                             set_algebra, set_from_json, set_to_json, widen)
 
@@ -188,8 +188,8 @@ def _load(descriptor: dict, E, grid_config) -> Entry:
 
 def _testable(E, grid) -> bool:
     """Whether the reflectionless test can read E on the grid: E has
-    positive measure and a grid point in its intervals (tested_mask)."""
-    return E.measure() > 0.0 and bool(tested_mask(E, grid).any())
+    positive measure and a grid point in its intervals (pieces_mask)."""
+    return E.measure() > 0.0 and bool(pieces_mask(E, grid).any())
 
 
 def _json_safe(x):
@@ -261,7 +261,7 @@ def _identity_residuals(kind: str, op, grid, E, refl_verdict: bool, seed: int) -
             oracle = _cmv.truncation_cayley_diag(op, zs, 0, TOLERANCES["oracle_window"])
             entry("m11_formula_vs_oracle", np.max(np.abs(m11 - oracle)), draws)
             if refl_verdict:    # so E has a grid point in its arcs
-                idx = np.flatnonzero(tested_mask(E, grid))
+                idx = np.flatnonzero(pieces_mask(E, grid))
                 idx = idx[:: max(1, idx.size // 64)]
                 # the report's site-0 sweep, read at the sampled angles of E; the
                 # kernel works point by point, so a sweep of those angles alone

@@ -19,15 +19,19 @@ in input order raises its own error.  Of equal breaks (0.0 and -0.0) the first
 stands: left ends, then right ends, then points, each in input order.
 A line or circle set holds just what the sweep reads and writes: a read-only
 (n, 4) float array of (lo, hi, lo_closed, hi_closed) endpoint rows, flags
-1.0 or 0.0, and a read-only array of its isolated points.  The sweep's output
-columns are stacked into those rows, and the set operations, the closure,
-membership, measure and JSON read the rows.  The pieces (`.intervals`,
-`.arcs`) and `.isolated_points` are views, tuples of Interval or Arc records
-(typing.NamedTuple) and of Python floats built on each access; a set's
-`repr`, `==` and `hash` are those of the tuples of its views, so -0.0 equals
-0.0 and each set keeps the zero it was built with.  `contains_mask` tests a
-whole grid with one `searchsorted` over the endpoints.  A grid hull's runs
-are sorted and apart, so the hulls build their sets with no sweep.
+1.0 or 0.0, and a read-only array of its isolated points.  A circle set's
+rows are its line representative on [0, 2pi), as the sweep gave them: an
+arc through angle 0 is a row ending at 2pi, open, and a row from 0, and
+angle 0 is held by a row from 0 closed or by the point 0.  So both carriers
+take one path through the set operations, the closure and membership, and
+an arc's end is the float it was given or the sweep produced.  The pieces
+(`.intervals`, `.arcs`) and `.isolated_points` are views, tuples of
+Interval or Arc records (typing.NamedTuple) and of Python floats built on
+each access; the arcs join across angle 0 there alone (`_shown`), as do a
+set's `repr`, `==`, `hash`, measure and JSON, so -0.0 equals 0.0 and each
+set keeps the zero it was built with.  `contains_mask` tests a whole grid
+with one `searchsorted` over the endpoints.  A grid hull's runs are sorted
+and apart, so the hulls build their sets with no sweep.
 """
 
 from __future__ import annotations
@@ -213,15 +217,19 @@ class _EndpointSet:
         s._hold(rows, pts)
         return s
 
+    def _shown(self) -> tuple:
+        """(rows, points) of the pieces and isolated points the set shows."""
+        return self._ends, self._pts
+
     def _view(self) -> tuple:
         """The pieces, as records of Python floats and bools."""
-        rows = self._ends
+        rows = self._shown()[0]
         return _built(self._PIECE, rows[:, 0].tolist(), rows[:, 1].tolist(),
                       *(rows[:, 2:] > 0.0).T.tolist())
 
     @property
     def isolated_points(self) -> tuple:
-        return tuple(self._pts.tolist())
+        return tuple(self._shown()[1].tolist())
 
     def __repr__(self) -> str:
         return (f"{type(self).__name__}({self._VIEW}={self._view()!r}, "
@@ -230,14 +238,14 @@ class _EndpointSet:
     def __eq__(self, other):
         if other.__class__ is not self.__class__:
             return NotImplemented
-        return (np.array_equal(self._ends, other._ends)
-                and np.array_equal(self._pts, other._pts))
+        (rows, pts), (other_rows, other_pts) = self._shown(), other._shown()
+        return np.array_equal(rows, other_rows) and np.array_equal(pts, other_pts)
 
     def __hash__(self) -> int:
         return hash((self._view(), self.isolated_points))
 
     def measure(self) -> float:
-        return math.fsum(_lengths(self._ends).tolist())
+        return math.fsum(_lengths(self._shown()[0]).tolist())
 
     def is_empty(self) -> bool:
         return not (len(self._ends) or self._pts.size)
@@ -262,6 +270,7 @@ class RealIntervalSet(_EndpointSet):
     """Canonical finite union of disjoint intervals plus isolated points."""
     __slots__ = ()
     _PIECE, _VIEW = Interval, "intervals"
+    _from_line = staticmethod(_line_from)
 
     def __init__(self, intervals=(), isolated_points=()):
         super().__init__(intervals, isolated_points)
@@ -307,22 +316,12 @@ def set_algebra(a, b, op: str):
         raise ValueError(f"unknown op {op!r}; use one of {sorted(_OPS)}")
     if isinstance(a, CircleArcSet) != isinstance(b, CircleArcSet):
         raise ValueError("mixed carriers (line vs circle) rejected")
-    if isinstance(a, CircleArcSet):
-        return CircleArcSet._from_line(_sweep([a._to_line(), b._to_line()], _OPS[op]))
     return _line_algebra(a, b, op)
 
 
-def _line_algebra(a: RealIntervalSet, b: RealIntervalSet, op: str) -> RealIntervalSet:
-    return _line_from(_sweep([(a._ends, a._pts), (b._ends, b._pts)], _OPS[op]))
-
-
-def _closed_rows(s) -> np.ndarray | None:
-    """s's rows with every end closed, or None when s is closed pieces alone."""
-    if not s._pts.size and s._ends[:, 2:].all():
-        return None
-    rows = s._ends.copy()
-    rows[:, 2:] = 1.0
-    return rows
+def _line_algebra(a, b, op: str):
+    """set_algebra of the rows, a circle set's being its line representative."""
+    return a._from_line(_sweep([(a._ends, a._pts), (b._ends, b._pts)], _OPS[op]))
 
 
 def essential_closure(s):
@@ -334,23 +333,24 @@ def essential_closure(s):
     """
     if isinstance(s, GeneratedFatSet):
         return fat_density_report(s).closure
-    if isinstance(s, CircleArcSet):
-        return s.essential_closure()
-    rows = _closed_rows(s)
-    if rows is None:
-        return s    # closed intervals alone are their own closure
-    return _line_from(_sweep([(rows, _NO_POINTS)]))
+    rows, pts = s._shown()
+    if not pts.size and rows[:, 2:].all():
+        return s    # closed pieces alone are their own closure
+    rows = s._ends.copy()
+    rows[:, 2:] = 1.0
+    return s._from_line(_sweep([(rows, _NO_POINTS)]))
 
 
 def widen(s, slack: float):
     """Outward widening of a canonical set by slack on each side, isolated
     points included; on the circle an arc reaching around becomes the full
     circle."""
+    rows, pts = s._shown()
     if isinstance(s, CircleArcSet):
-        if s.is_full() or (_lengths(s._ends) + 2 * slack >= TWO_PI).any():
+        if s.is_full() or (_lengths(rows) + 2 * slack >= TWO_PI).any():
             return full_circle()
-        return _arc_set(_widened(s._ends, s._pts, slack), ())
-    rows = _widened(s._ends, s._pts, slack)
+        return _arc_set(_widened(rows, pts, slack), ())
+    rows = _widened(rows, pts, slack)
     _check_rows(rows)
     return _line_from(_line_set(rows, _NO_POINTS))
 
@@ -366,7 +366,7 @@ def _widened(rows, points, slack) -> np.ndarray:
 
 def longest_component(s) -> float:
     """Length of the longest interval or arc of a canonical set (0 if none)."""
-    return max(_lengths(s._ends).tolist(), default=0.0)
+    return max(_lengths(s._shown()[0]).tolist(), default=0.0)
 
 
 def contains_mask(s, xs) -> np.ndarray:
@@ -376,27 +376,20 @@ def contains_mask(s, xs) -> np.ndarray:
 
 def pieces_mask(s, xs) -> np.ndarray:
     """Boolean array of membership in the intervals (arcs on the circle) of
-    a canonical set over xs, its isolated points left out."""
-    return _mask(s, xs, _NO_POINTS)
+    a canonical set over xs, its isolated points left out: the point 0
+    that closes an arc at 2pi stays."""
+    # a canonical set's points are unique; so told, isin skips np.unique,
+    # whose first call imports numpy.ma (about 1 MB)
+    return _mask(s, xs, s._pts[~np.isin(s._pts, s._shown()[1], assume_unique=True)])
 
 
 def _mask(s, xs, pts) -> np.ndarray:
-    """Membership over xs in the rows of s and the points pts.  On the
-    circle the angle reduced into [0, 2pi) is tested against the arcs, and
-    one turn up against an arc through 0 alone (theta2 > 2pi), rounding as
-    its theta2 did; an arc ending at 2pi holds angle 0 by its closed end,
-    not the angles next to 0 that round onto 2pi one turn up."""
-    xs, rows = np.asarray(xs, dtype=float), s._ends
-    if not isinstance(s, CircleArcSet):
-        return _rows_mask(rows, xs) | np.isin(xs, pts)
-    t = _norm_angles(xs)
-    mask = _rows_mask(rows, t) | np.isin(t, _norm_angles(pts))
-    # the arcs are sorted and apart: only the last reaches 2pi
-    if len(rows) and rows[-1, 1] > TWO_PI:
-        mask |= _rows_mask(rows[-1:], t + TWO_PI)
-    elif len(rows) and rows[-1, 1] == TWO_PI and rows[-1, 3]:
-        mask |= t == 0.0
-    return mask
+    """Membership over xs in the rows of s and the points pts; on the
+    circle, of the angles reduced into [0, 2pi)."""
+    xs = np.asarray(xs, dtype=float)
+    if isinstance(s, CircleArcSet):
+        xs = _norm_angles(xs)
+    return _rows_mask(s._ends, xs) | np.isin(xs, pts)
 
 
 def _rows_mask(rows, xs) -> np.ndarray:
@@ -458,21 +451,17 @@ def _norm_angles(t) -> np.ndarray:
     return np.where(r == TWO_PI, 0.0, r)
 
 
-def _arc_pieces(rows, pts):
-    """(rows, pts) of the line representative on [0, 2pi) of arc rows: an arc
-    reaching 2pi is cut there, open, and its rest from 0 goes after all arcs
-    (_from_line rejoins them, so that place never shows)."""
-    reach = (rows[:, 1] >= TWO_PI).nonzero()[0]
-    if reach.size:
-        rest = rows[reach]
-        rest[:, 0], rest[:, 1], rest[:, 2] = 0.0, rest[:, 1] - TWO_PI, 1.0
-        rows = rows.copy()
-        rows[reach, 1], rows[reach, 3] = TWO_PI, 0.0
-        # an arc ending at 2pi has no rest, only its closed end at angle 0
-        ends = rest[:, 1] == 0.0
-        rows = np.concatenate([rows, rest[~ends]])
-        pts = np.concatenate([pts, np.zeros(np.count_nonzero(ends & (rest[:, 3] > 0)))])
-    return rows, pts
+def _split(rows, lo, hi, wrap) -> np.ndarray:
+    """Line pieces on [0, 2pi) of the arcs of rows from lo to hi, both in
+    [0, 2pi): an arc through angle 0 (wrap) is [lo, 2pi), open at 2pi, and
+    [0, hi], closed at 0 unless hi is 0 (then the point 0 if closed there).
+    rows is overwritten."""
+    rest = rows[wrap]
+    rest[:, 0], rest[:, 1] = 0.0, hi[wrap]
+    rest[:, 2] = np.where(rest[:, 1] > 0.0, 1.0, rest[:, 3])
+    rows[:, 0], rows[:, 1] = lo, np.where(wrap, TWO_PI, hi)
+    rows[wrap, 3] = 0.0
+    return np.concatenate([rows, rest])
 
 
 class Arc(NamedTuple):
@@ -495,7 +484,14 @@ class CircleArcSet(_EndpointSet):
     _PIECE, _VIEW = Arc, "arcs"
 
     def __init__(self, arcs=(), isolated_points=()):
-        super().__init__(arcs, isolated_points)
+        """The set of arcs as its view shows them (theta2 up to theta1 +
+        2pi) and of angles, held as their line representative."""
+        rows = _rows(arcs)
+        wrap = rows[:, 1] >= TWO_PI
+        hi = np.where(wrap, rows[:, 1] - TWO_PI, rows[:, 1])
+        pts = _norm_angles(np.array(isolated_points, dtype=float).reshape(-1))
+        s = CircleArcSet._from_line(_line_set(_split(rows, rows[:, 0], hi, wrap), pts))
+        self._hold(s._ends, s._pts)
 
     @property
     def arcs(self) -> tuple:
@@ -503,48 +499,44 @@ class CircleArcSet(_EndpointSet):
 
     def is_full(self) -> bool:
         rows = self._ends
-        return bool(len(rows) == 1 and rows[0, 1] - rows[0, 0] == TWO_PI
-                    and (rows[0, 2] or rows[0, 3]))
+        return bool(len(rows) == 1 and rows[0, 1] - rows[0, 0] == TWO_PI and rows[0, 2])
 
     def contains(self, theta: float) -> bool:
         return bool(contains_mask(self, [theta])[0])
 
-    def _to_line(self):
-        """The line representative on [0, 2pi) as a _sweep operand (rows, pts)."""
-        return _arc_pieces(self._ends, _norm_angles(self._pts))
-
     @staticmethod
     def _from_line(cols) -> "CircleArcSet":
-        """Arcs of the sweep columns of a line representative on [0, 2pi).
-        Where angle 0 is covered, the last component, if it ends at exactly
-        2pi, continues through it into the component starting at 0, or into
-        the point 0.  A component from 0 to 2pi is the full circle, less
-        angle 0 when it is open at both ends."""
+        """The circle set of the sweep columns of a line set on [0, 2pi]: a
+        closed end at 2pi is angle 0, held by the row from 0 or by the point 0."""
         rows, pts = _stacked(cols[:4]), cols[4]
-        last = len(rows) - 1    # the components are sorted and apart: only the last reaches 2pi
-        reach = last >= 0 and rows[last, 1] == TWO_PI
-        at_zero = reach and rows[0, 0] == 0.0
-        if at_zero and (rows[0, 2] or rows[last, 3]):
-            if last == 0:
-                return full_circle()
-            # the last component goes on past 2pi as far as the first one
-            rows[last, 1], rows[last, 3] = rows[0, 1] + TWO_PI, rows[0, 3]
-            rows, pts = rows[1:], pts[pts != 0.0]
-        elif at_zero and last == 0:
-            rows[0, 0] = 0.0
-        elif reach and (pts == 0.0).any():
-            rows[last, 3] = 1.0
-            pts = pts[pts != 0.0]
+        if len(rows) and rows[-1, 1] == TWO_PI and rows[-1, 3]:
+            rows[-1, 3] = 0.0
+            if rows[0, 0] == 0.0:
+                rows[0, 2] = 1.0
+            elif not (pts.size and pts[0] == 0.0):
+                pts = np.concatenate(([0.0], pts))
         return CircleArcSet._of(rows, pts)
 
-    def essential_closure(self) -> "CircleArcSet":
-        """The line's rule: close every arc, canonicalize once through the line
-        representative, drop isolated points; closed arcs alone are their own."""
-        rows = _closed_rows(self)
-        if rows is None:
-            return self
-        closed = CircleArcSet._from_line(_sweep([_arc_pieces(rows, _NO_POINTS)]))
-        return CircleArcSet._of(closed._ends, _NO_POINTS)
+    def _shown(self) -> tuple:
+        """The arcs and isolated angles of the rows.  Where angle 0 is held,
+        the row ending at 2pi goes on through it: into the row from 0, closed
+        there, as one arc past 2pi, or else to a closed end at 2pi in place
+        of the point 0.  A row from 0 to 2pi is the full circle, or, open at
+        both ends, the circle less angle 0; either starts at +0.0."""
+        rows, pts = self._ends, self._pts
+        last = len(rows) - 1
+        if last < 0 or rows[last, 1] != TWO_PI:
+            return rows, pts
+        rows = rows.copy()
+        if rows[0, 0] == 0.0 and last == 0:
+            rows[0, 0] = 0.0
+        elif rows[0, 0] == 0.0 and rows[0, 2]:
+            rows[last, 1], rows[last, 3] = rows[0, 1] + TWO_PI, rows[0, 3]
+            rows, pts = rows[1:], pts[pts != 0.0]
+        elif (pts == 0.0).any():
+            rows[last, 3] = 1.0
+            pts = pts[pts != 0.0]
+        return rows, pts
 
 
 def full_circle() -> CircleArcSet:
@@ -577,11 +569,11 @@ def _arc_set(rows, points, err=None) -> CircleArcSet:
     if err is not None:
         raise err
     pts = _norm_angles(_points(points))
-    a1 = _norm_angles(t1)
-    rows[:, 0], rows[:, 1] = a1, np.where(a1 == t1, t2, a1 + span)
-    _check_rows(rows)   # t2 + 2pi < t1 is an arc backwards
-    # canonicalize via the line representative
-    return CircleArcSet._from_line(_line_set(*_arc_pieces(rows, pts)))
+    _check_rows(np.column_stack([t1, t2]))     # t2 + 2pi < t1 is an arc backwards
+    # each end reduced into [0, 2pi) on its own, so an end given there or
+    # past 2pi is held exactly; an arc whose end comes before its start passes 0
+    lo, hi = _norm_angles(t1), _norm_angles(rows[:, 1])
+    return CircleArcSet._from_line(_line_set(_split(rows, lo, hi, hi < lo), pts))
 
 
 # ---------------------------------------------------------------------------
@@ -721,11 +713,12 @@ def set_to_json(s) -> dict:
     if isinstance(s, GeneratedFatSet):
         return {"family": "rational_fat", "radius_base": s.radius_base,
                 "truncation": s.truncation}
+    rows, pts = s._shown()
     return {"carrier": "circle" if isinstance(s, CircleArcSet) else "line",
             # the flags 1.0 and 0.0 hash and compare as True and False
             "intervals": [[lo, hi, _CODE_FLAGS[lo_c, hi_c]]
-                          for lo, hi, lo_c, hi_c in s._ends.tolist()],
-            "points": s._pts.tolist()}
+                          for lo, hi, lo_c, hi_c in rows.tolist()],
+            "points": pts.tolist()}
 
 
 def set_from_json(d: dict):

@@ -237,39 +237,25 @@ SEAM_ENDS = ([k * math.ulp(2 * math.pi) for k in range(4)]
 
 
 def _exact_on_spec(theta, lo, hi, flags) -> bool:
-    """theta in [0, 2pi) on the arc spec (lo, hi, flags), lo <= hi, in exact
-    arithmetic with the period the float 2pi; circle_set's one rounding rule
-    stands: a spec spanning 2pi less 1e-15 or more is the full circle."""
-    if not hi - lo < 2 * math.pi - 1e-15:
+    """theta in [0, 2pi) on the arc spec (lo, hi, flags), from lo
+    counterclockwise to hi, in exact arithmetic with each end reduced into
+    [0, 2pi) on its own (exactly, unless the end is negative); circle_set's
+    one rounding rule stands: a spec spanning 2pi less 1e-15 or more is the
+    full circle."""
+    if not (hi + 2 * math.pi if hi < lo else hi) - lo < 2 * math.pi - 1e-15:
         return True
-    turn = Fraction(2 * math.pi)
-    a, b = Fraction(_turn(lo)), Fraction(_turn(lo)) + Fraction(hi) - Fraction(lo)
-    return any(a < x < b or (x == a and flags[0] == "c") or (x == b and flags[1] == "c")
-               for x in (Fraction(theta), Fraction(theta) + turn))
+    a, b, x = Fraction(_turn(lo)), Fraction(_turn(hi)), Fraction(theta)
+    inside = a < x < b if a <= b else x > a or x < b
+    return inside or (x == a and flags[0] == "c") or (x == b and flags[1] == "c")
 
 
-def _exact_member(s, theta) -> bool:
-    """theta in [0, 2pi) in the circle set s, the part past 2pi of its arc
-    through 0 read one turn down: theta2 - 2pi is exact, where
-    contains_mask's theta + 2pi rounds within half an ulp of 2pi."""
-    past = [(0.0, a.theta2 - 2 * math.pi, a.theta2 > 2 * math.pi or a.hi_closed, a.hi_closed)
-            for a in s.arcs if a.theta2 >= 2 * math.pi]
-    return (any(_in_piece(*p, theta) for p in list(s.arcs) + past)
-            or theta in [_turn(p) for p in s.isolated_points])
+def _exact_in_raw(theta, raw) -> bool:
+    """theta in [0, 2pi) in the raw circle set (specs, points), exactly."""
+    specs, pts = raw
+    return any(_exact_on_spec(theta, *spec) for spec in specs) or theta in [_turn(p) for p in pts]
 
 
-def _unheld(s) -> set:
-    """Angles within an ulp of 2pi of where the arc through 0 of s ends,
-    when its end past 8 is a float coarser than the angle it stands for
-    (test_arc_through_zero_holds_its_end_near_two_pi)."""
-    if not s.arcs or s.arcs[-1].theta2 < 8.0:
-        return set()
-    end = s.arcs[-1].theta2 - 2 * math.pi
-    return {end + k * math.ulp(2 * math.pi) for k in (-1, 0, 1)}
-
-
-circle_sets = st.builds(
-    circle_set,
+circle_raws = st.tuples(
     st.lists(st.tuples(_coords(0.0, 6.28), _coords(0.0, 6.28), st.sampled_from(FLAGS)),
              max_size=5),
     st.lists(_coords(0.0, 6.28), max_size=3))
@@ -292,26 +278,6 @@ def _turn(t) -> float:
     return 0.0 if r == 2 * math.pi else r
 
 
-def _probe_arc(a, t) -> bool:
-    """Membership of t in [0, 2pi) in the arc a read as a line interval,
-    one turn up only for an arc through 0 (theta2 > 2pi); an arc ending at
-    2pi holds angle 0 by its closed end, and no angle that rounds onto 2pi
-    one turn up."""
-    two_pi = 2 * math.pi
-    return (_in_piece(a.theta1, a.theta2, a.lo_closed, a.hi_closed, t)
-            or a.theta2 > two_pi and _in_piece(a.theta1, a.theta2, a.lo_closed, a.hi_closed,
-                                               t + two_pi)
-            or t == 0.0 and a.theta2 == two_pi and a.hi_closed)
-
-
-def _probe_circle(s, theta) -> bool:
-    """Membership of theta in s, one arc at a time: the reduced angle
-    against each arc (_probe_arc)."""
-    t = _turn(theta)
-    return (any(_probe_arc(a, t) for a in s.arcs)
-            or t in [_turn(p) for p in s.isolated_points])
-
-
 class TestCircleSeam:
     """Membership near angle 0, where the line representative [0, 2pi)
     wraps, against the raw specs in exact arithmetic."""
@@ -319,33 +285,27 @@ class TestCircleSeam:
     def test_membership_at_the_seam_against_exact_specs(self):
         """200 seeded cases of two circle sets with ends within three ulps
         of 0 and of 2pi, each set and its four operations probed at every
-        end and at the floats next to it.  Specs run from lo <= hi: a spec
-        with hi < lo is read as hi + 2pi, which rounds."""
+        end and at the floats next to it.  A spec's ends come in either
+        order: one with hi < lo passes angle 0."""
         rng = np.random.default_rng(26)
 
         def raw():
             ends = rng.choice(SEAM_ENDS, (int(rng.integers(1, 4)), 2))
-            specs = [(min(e), max(e), FLAGS[rng.integers(4)]) for e in ends.tolist()]
+            specs = [(lo, hi, FLAGS[rng.integers(4)]) for lo, hi in ends.tolist()]
             return specs, rng.choice(SEAM_ENDS, int(rng.integers(0, 2))).tolist()
-
-        def member(theta, raw_set):
-            specs, pts = raw_set
-            return (any(_exact_on_spec(theta, *spec) for spec in specs)
-                    or theta in [_turn(p) for p in pts])
 
         for _ in range(200):
             ra, rb = raw(), raw()
             a, b = circle_set(*ra), circle_set(*rb)
             ends = [e for r in (ra, rb) for e in [x for spec in r[0] for x in spec[:2]] + r[1]]
-            probes = {_turn(float(x)) for e in ends
-                      for x in (np.nextafter(e, -np.inf), e, np.nextafter(e, np.inf))}
-            probes -= _unheld(a) | _unheld(b)
-            results = [(a, lambda t: member(t, ra))]
-            results += [(set_algebra(a, b, op), lambda t, f=f: f(member(t, ra), member(t, rb)))
+            probes = sorted({_turn(float(x)) for e in ends
+                             for x in (np.nextafter(e, -np.inf), e, np.nextafter(e, np.inf))})
+            results = [(a, lambda t: _exact_in_raw(t, ra))]
+            results += [(set_algebra(a, b, op),
+                         lambda t, f=f: f(_exact_in_raw(t, ra), _exact_in_raw(t, rb)))
                         for op, f in OPS.items()]
             for s, want in results:
-                for t in sorted(probes - _unheld(s)):
-                    assert _exact_member(s, t) == want(t), (ra, rb, s, t)
+                assert contains_mask(s, probes).tolist() == [want(t) for t in probes], (ra, rb, s)
 
     def test_a_turn_an_ulp_short_in_floats_is_the_full_circle(self):
         """circle_set reads a spec whose float span falls one ulp short of
@@ -354,13 +314,51 @@ class TestCircleSeam:
         assert (a + 2 * math.pi) - a == 2 * math.pi - math.ulp(2 * math.pi)
         assert circle_set([(a, a + 2 * math.pi)]) == full_circle()
 
-    @pytest.mark.xfail(strict=True, reason=(
-        "an arc through angle 0 stores theta2 = end + 2pi; past 8 floats are two "
-        "ulps of 2pi apart, so an end an odd number of ulps below 2pi rounds"))
     def test_arc_through_zero_holds_its_end_near_two_pi(self):
         u = math.ulp(2 * math.pi)
         s = circle_set([(0.0, 2 * math.pi - 3 * u, "oo"), (2 * math.pi - u, 2 * math.pi, "oc")])
         assert s.contains(2 * math.pi - 4 * u)
+
+    @pytest.mark.parametrize("kind", ["hi < lo", "lo < 0", "hi > 2pi"])
+    def test_spec_ends_are_held_exactly(self, kind):
+        """circle_set reads each end of a spec into [0, 2pi) on its own, so a
+        closed end given there, or past 2pi (reduced exactly), is in the set
+        and the next float outside the arc is not: 2000 seeded closed specs
+        of each kind."""
+        rng = np.random.default_rng(55)
+        two_pi = 2 * math.pi
+        if kind == "hi < lo":
+            hi, lo = np.sort(rng.uniform(0.0, two_pi, (2000, 2)), axis=1).T
+        elif kind == "lo < 0":
+            lo = rng.uniform(-two_pi, 0.0, 2000)
+            hi = lo + rng.uniform(0.0, two_pi, 2000)
+        else:
+            lo = rng.uniform(0.0, two_pi, 2000)
+            hi = rng.uniform(two_pi, lo + two_pi)
+        failed = checked = 0
+        for lo_, hi_ in zip(lo.tolist(), hi.tolist()):
+            s = circle_set([(lo_, hi_, "cc")])
+            # each end given at or past 0, reduced exactly, and the float just outside the arc
+            ends = [(e, np.nextafter(e, out)) for e, out in (
+                (lo_, -np.inf), (math.fmod(hi_, two_pi), np.inf)) if e > 0.0]
+            for end, outside in ends:
+                checked += 1
+                failed += not (s.contains(end) and not s.contains(outside))
+        assert checked >= 1000 and failed == 0, (failed, checked)
+
+    @pytest.mark.parametrize("n", [36, 512, 1000, 1024, 4001, 4096])
+    def test_hull_membership_is_the_intersection_with_the_point(self, n):
+        """contains and set_algebra read an angles_hull run through angle 0
+        alike: every grid angle of the run is in the hull, and the hull meets
+        the point there, also at the run's last angle past 0, where the end
+        of its arc past 2pi is no float."""
+        grid = np.linspace(0.0, 2 * math.pi, n, endpoint=False)
+        for before, after in ((1, 0), (1, 1), (2, 1), (1, 2), (3, 3), (2, 5), (5, 2)):
+            run = grid[np.r_[n - before:n, 0:after + 1]]
+            h = angles_hull(run, 2 * math.pi / n)
+            for g in run.tolist():
+                meet = set_algebra(h, circle_set([], [g]), "intersect")
+                assert h.contains(g) and not meet.is_empty(), (n, before, after, g)
 
 
 class TestContainsMask:
@@ -374,15 +372,21 @@ class TestContainsMask:
         assert list(contains_mask(s, xs)) == [_probe_line(s, x) for x in xs]
         assert [s.contains(x) for x in xs] == [_probe_line(s, x) for x in xs]
 
-    @given(st.one_of(circle_sets, grid_raw_arcs.map(lambda r: circle_set(*r))),
-           st.lists(_coords(-20.0, 20.0), max_size=10))
+    @given(st.one_of(circle_raws, grid_raw_arcs), st.lists(_coords(-20.0, 20.0), max_size=10))
     @settings(max_examples=150, deadline=None)
-    def test_circle_matches_contains(self, s, extra):
-        ends = [t for a in s.arcs for t in (a.theta1, a.theta2)]   # theta2 may pass 2pi
-        xs = ends + list(s.isolated_points) + extra
+    def test_circle_matches_contains(self, raw, extra):
+        """Membership of the raw specs, exactly, at every end of the set's
+        arcs (theta2 may pass 2pi), every spec end and the floats next to it,
+        and each of those turns away."""
+        s = circle_set(*raw)
+        ends = [t for a in s.arcs for t in (a.theta1, a.theta2)] + list(s.isolated_points)
+        ends += [x for spec in raw[0] for x in spec[:2]] + list(raw[1])
+        xs = [float(y) for x in ends for y in (np.nextafter(x, -np.inf), x,
+                                                np.nextafter(x, np.inf))] + extra
         xs += [x + k * 2 * math.pi for x in list(xs) for k in (-1, 1, 2)]
-        assert list(contains_mask(s, xs)) == [_probe_circle(s, x) for x in xs]
-        assert [s.contains(x) for x in xs] == [_probe_circle(s, x) for x in xs]
+        want = [_exact_in_raw(_turn(x), raw) for x in xs]
+        assert contains_mask(s, xs).tolist() == want
+        assert [s.contains(x) for x in xs] == want
 
     def test_empty_and_full(self):
         xs = [-1.0, 0.0, 3.0, 2 * math.pi]
@@ -699,6 +703,22 @@ class TestJson:
     def test_circle_round_trip(self):
         s = circle_set([(5.8, 0.4, "oo"), (2.0, 3.0, "cc")], [1.0])
         assert set_from_json(set_to_json(s)) == s
+
+    def test_circle_json_writes_the_arcs_and_points_of_the_view(self):
+        """A circle set's JSON is its view: the arc through angle 0 joined,
+        and an arc closed at 2pi in place of the point 0."""
+        codes = {(False, False): "oo", (False, True): "oc", (True, False): "co",
+                 (True, True): "cc"}
+        for s in (circle_set([(5.0, 0.3, "cc"), (1.0, 2.0, "oo")], [4.0]),
+                  circle_set([(5.0, 2 * math.pi, "oc")], [-0.0, 3.0]),
+                  essential_closure(circle_set([(5.0, 2 * math.pi, "co")]))):
+            d = set_to_json(s)
+            assert d["intervals"] == [[a.theta1, a.theta2, codes[a.lo_closed, a.hi_closed]]
+                                      for a in s.arcs]
+            assert d["points"] == list(s.isolated_points)
+            assert set_from_json(d) == s
+        assert set_to_json(circle_set([(5.0, 0.3, "cc")]))["intervals"] == [
+            [5.0, 0.3 + 2 * math.pi, "cc"]]
 
     def test_fat_family_round_trip(self):
         g = GeneratedFatSet.rational_fat(12, 5.0)
@@ -1018,8 +1038,8 @@ class TestViews:
     are views built on each access, which rebuild the same set."""
 
     # sha256 of the reprs of every _view_cases(53, 200) set, as the set
-    # layer wrote them when the sets held Interval and Arc records
-    REPRS_SHA256 = "423b65ca9f8edd0bf863eaa3a161cda3f0c8a5bba8359e5705c9db6598d9820b"
+    # layer writes them with each circle set held as its line representative
+    REPRS_SHA256 = "7c89c8beb35f389b1ed9085fc688e23182ff974bdd2f0e6e2b6a50776b52345a"
 
     def test_every_set_is_the_one_built_from_its_views(self):
         digest = hashlib.sha256()

@@ -14,10 +14,13 @@ from acspectra import boundary_analysis, cmv, harness_cli, jacobi, schrodinger
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 
 # hooked, but no such function exists: the CSV of every family is written
-# by boundary_analysis.sweep_csv, and the Richardson extrapolation is the
-# tests' oracle (conftest), not the package's
+# by boundary_analysis.sweep_csv, the Richardson extrapolation is the
+# tests' oracle (conftest), not the package's, and a circle set holds its
+# line representative, so it has no conversion to it and no closure of its own
 KNOWN_ABSENT = {"acspectra.boundary_analysis:richardson_sequence", "acspectra.jacobi:xi_csv",
-                "acspectra.cmv:angle_csv", "acspectra.schrodinger:xi_csv"}
+                "acspectra.cmv:angle_csv", "acspectra.schrodinger:xi_csv",
+                "acspectra.interval_sets:CircleArcSet.essential_closure",
+                "acspectra.interval_sets:CircleArcSet._to_line"}
 
 
 def _tracing():
