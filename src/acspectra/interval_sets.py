@@ -11,12 +11,16 @@ intervals with all isolated points dropped.  A generated "fat" family (open
 intervals of radius radius_base^-n around the first `truncation` rationals of
 [0, 1]) is supported with explicit truncation-tail bookkeeping.
 
-Canonicalization, the set operations and the essential closure are one array
-sweep (`_sweep`), O(n log n) in the number of endpoints: a stable argsort of
-all endpoints, per-break counts from `np.add.reduceat` and the covering depth
-from `cumsum`.  Inputs are read as endpoint arrays; the first malformed piece
-in input order raises its own error.  Of equal breaks (0.0 and -0.0) the first
-stands: left ends, then right ends, then points, each in input order.
+Canonicalization and the set operations are one array sweep (`_sweep`),
+O(n log n) in the number of endpoints: an argsort of all endpoints (the
+stable one on a canonical set's sorted runs, the default one on unsorted
+ends), per-break counts (`np.add.reduceat`, where breaks tie) and the
+covering depth from `cumsum`.  Of equal breaks (0.0 and -0.0) the first
+stands, whichever sort ran: left ends, then right ends, then points, each in
+input order.  The essential closure merges a set's touching rows in one pass.
+Specs of one documented form are read a column at a time (`_columns`), any
+other input spec by spec (`_piece`); either way the first malformed piece in
+input order raises its own error.
 A line or circle set holds just what the sweep reads and writes: a read-only
 (n, 4) float array of (lo, hi, lo_closed, hi_closed) endpoint rows, flags
 1.0 or 0.0, and a read-only array of its isolated points.  A circle set's
@@ -30,8 +34,9 @@ Interval or Arc records (typing.NamedTuple) and of Python floats built on
 each access; the arcs join across angle 0 there alone (`_shown`), as do a
 set's `repr`, `==`, `hash`, measure and JSON, so -0.0 equals 0.0 and each
 set keeps the zero it was built with.  `contains_mask` tests a whole grid
-with one `searchsorted` over the endpoints.  A grid hull's runs are sorted
-and apart, so the hulls build their sets with no sweep.
+with one `searchsorted` over the endpoints, and over the points too unless
+they are few.  A grid hull's runs are sorted and apart, so the hulls build
+their sets with no sweep.
 """
 
 from __future__ import annotations
@@ -39,9 +44,9 @@ from __future__ import annotations
 import math
 import numbers
 import operator
+from array import array
 from dataclasses import dataclass
-from fractions import Fraction
-from itertools import chain, repeat
+from itertools import chain, islice, repeat
 from typing import NamedTuple
 
 import numpy as np
@@ -52,7 +57,7 @@ TWO_PI = 2.0 * math.pi
 
 _FLAG_CODES = {"oo": (False, False), "oc": (False, True),
                "co": (True, False), "cc": (True, True)}
-_CODE_FLAGS = {v: k for k, v in _FLAG_CODES.items()}
+_CODES = np.array(list(_FLAG_CODES))    # code 2 * lo_closed + hi_closed
 
 
 def _frozen(a: np.ndarray) -> np.ndarray:
@@ -113,6 +118,10 @@ def _pieces(raws):
     """(n, 4) float array of (lo, hi, lo_closed, hi_closed) rows of interval
     or arc specs, and the error of the first malformed spec (or None).  The
     rows stop before it, so checking them first keeps the input order."""
+    raws = raws if isinstance(raws, (list, tuple)) else list(raws)
+    rows = _columns(raws)
+    if rows is not None:
+        return rows, None
     rows = []
     try:
         for raw in raws:
@@ -122,9 +131,48 @@ def _pieces(raws):
     return np.array(rows, dtype=float).reshape(-1, 4), None
 
 
-def _points(points) -> np.ndarray:
+def _columns(raws):
+    """The rows of specs all of one form, read a column at a time: tuples or
+    lists (lo, hi), (lo, hi, flags) or (lo, hi, lo_closed, hi_closed), with
+    number ends, a flag code or two bools.  None for any other input, which
+    _piece reads spec by spec."""
+    if not (raws and set(map(type, raws)) <= {tuple, list}):
+        return None if raws else np.empty((0, 4))
     try:
-        pts = np.fromiter(map(float, points), dtype=float)
+        cols = tuple(zip(*raws, strict=True))
+        coded = len(cols) == 3 and set(cols[2]) <= _FLAG_CODES.keys()
+    except (TypeError, ValueError):     # specs of unequal length, or an unhashable code
+        return None
+    ends = _numbers(cols[0] + cols[1]) if 2 <= len(cols) <= 4 else None
+    if ends is None:
+        return None
+    rows = np.ones((len(raws), 4))
+    rows[:, :2] = ends.reshape(2, -1).T
+    if coded:
+        # each code is two of "o" and "c", so the codes joined are the flags in turn
+        rows[:, 2:] = np.frombuffer("".join(cols[2]).encode(), np.uint8).reshape(-1, 2) == ord("c")
+    elif len(cols) == 4 and set(map(type, cols[2] + cols[3])) <= {bool, np.bool_}:
+        rows[:, 2], rows[:, 3] = cols[2], cols[3]
+    elif len(cols) != 2:
+        return None
+    return rows
+
+
+def _numbers(seq):
+    """A float array of a list or tuple of numbers, each read as float()
+    reads it; None if some item is not a number (array("d") refuses a str,
+    which float() would parse)."""
+    try:
+        return np.frombuffer(array("d", seq))
+    except (TypeError, ValueError, OverflowError):
+        return None
+
+
+def _points(points) -> np.ndarray:
+    pts = _numbers(points) if isinstance(points, (list, tuple)) else None
+    try:
+        if pts is None:
+            pts = np.fromiter(map(float, points), dtype=float)
     except OverflowError:
         raise ValueError("isolated points must be finite") from None
     if pts.size and not np.isfinite(pts).all():
@@ -144,11 +192,16 @@ def _sweep(operands, combine=lambda member: member) -> tuple:
     and points, boolean flags.
 
     operands: k (rows, pts) pairs, rows an (n, 4) array of (lo, hi,
-    lo_closed, hi_closed) with lo < hi, pts an array of points.  One stable
-    sort of the left ends, then the right ends, operand by operand, then the
-    points gives the breaks, the first of equal values (0.0, -0.0) standing
-    for them.  reduceat sums each break's starts, ends and closed ends; their
-    running sum is the covering depth of the gap right of it."""
+    lo_closed, hi_closed) with lo < hi, pts an array of points.  One argsort
+    of the left ends, then the right ends, operand by operand, then the
+    points gives the breaks: the stable one where these come as sorted runs,
+    as a canonical operand's do, which it merges in about linear time, and
+    the default one, several times faster on unsorted ends, elsewhere.
+    Equal ends differ at most as 0.0 and -0.0, so the sorts differ only in
+    the zero they put first; the first zero in input order stands for its
+    break, as under the stable sort.  Each break sums its starts, ends and
+    closed ends (reduceat, where breaks tie); their running sum is the
+    covering depth of the gap right of it."""
     values = np.concatenate([r[:, c] for r, _ in operands for c in (0, 1)]
                             + [p for _, p in operands])
     if not values.size:
@@ -156,20 +209,27 @@ def _sweep(operands, combine=lambda member: member) -> tuple:
     kinds = np.concatenate(
         [r[:, 2 + c] + (5 * j + 2 * c) for j, (r, _) in enumerate(operands) for c in (0, 1)]
         + [np.full(p.size, 5 * j + 4.0) for j, (_, p) in enumerate(operands)]).astype(np.intp)
-    order = values.argsort(kind="stable")
-    values = values[order]
-    at = np.concatenate(([True], values[1:] != values[:-1])).nonzero()[0]
-    breaks = values[at]
-    counts = np.add.reduceat(_KIND_TABLES[len(operands)][:, kinds[order]], at, axis=1)
+    # each operand's left ends, right ends and points: 3k runs at most
+    runs = np.count_nonzero(values[1:] < values[:-1]) < 3 * len(operands)
+    order = values.argsort(kind="stable" if runs else None)
+    breaks = values[order]
+    counts = np.take(_KIND_TABLES[len(operands)], kinds[order], axis=1)
+    tie = breaks[1:] == breaks[:-1]
+    if tie.any():
+        at = np.concatenate(([0], (~tie).nonzero()[0] + 1))
+        breaks, counts = breaks[at], np.add.reduceat(counts, at, axis=1)
+    zero = breaks == 0.0
+    if zero.any():
+        breaks[zero] = values[(values == 0.0).argmax()]
     depth = counts[0::3].cumsum(axis=1)
     # depth - starts intervals hold the break strictly inside
     point_on = combine(*((counts[2::3] > 0) | (depth > counts[1::3])))
     gap_on = combine(*(depth > 0))
     # a run of covered gaps is one interval; a missing break inside it splits it
     gap_left = np.concatenate(([False], gap_on[:-1]))
-    lo = gap_on & ~(gap_left & point_on)
-    hi = gap_left & ~(gap_on & point_on)
-    lone = point_on & ~(gap_left | gap_on)
+    lo = (gap_on & ~(gap_left & point_on)).nonzero()[0]
+    hi = (gap_left & ~(gap_on & point_on)).nonzero()[0]
+    lone = (point_on & ~(gap_left | gap_on)).nonzero()[0]
     return breaks[lo], breaks[hi], point_on[lo], point_on[hi], breaks[lone]
 
 
@@ -336,9 +396,14 @@ def essential_closure(s):
     rows, pts = s._shown()
     if not pts.size and rows[:, 2:].all():
         return s    # closed pieces alone are their own closure
-    rows = s._ends.copy()
-    rows[:, 2:] = 1.0
-    return s._from_line(_sweep([(rows, _NO_POINTS)]))
+    rows = s._ends
+    if not len(rows):
+        return s._from_line((_NO_POINTS,) * 5)
+    # the rows are sorted and apart, so the closed ones merge just where they touch
+    cut = (rows[1:, 0] != rows[:-1, 1]).nonzero()[0]
+    closed = np.ones(cut.size + 1)
+    return s._from_line((rows[np.concatenate(([0], cut + 1)), 0],
+                         rows[np.append(cut, len(rows) - 1), 1], closed, closed, _NO_POINTS))
 
 
 def widen(s, slack: float):
@@ -378,9 +443,7 @@ def pieces_mask(s, xs) -> np.ndarray:
     """Boolean array of membership in the intervals (arcs on the circle) of
     a canonical set over xs, its isolated points left out: the point 0
     that closes an arc at 2pi stays."""
-    # a canonical set's points are unique; so told, isin skips np.unique,
-    # whose first call imports numpy.ma (about 1 MB)
-    return _mask(s, xs, s._pts[~np.isin(s._pts, s._shown()[1], assume_unique=True)])
+    return _mask(s, xs, s._pts[~_points_mask(s._shown()[1], s._pts)])
 
 
 def _mask(s, xs, pts) -> np.ndarray:
@@ -389,7 +452,19 @@ def _mask(s, xs, pts) -> np.ndarray:
     xs = np.asarray(xs, dtype=float)
     if isinstance(s, CircleArcSet):
         xs = _norm_angles(xs)
-    return _rows_mask(s._ends, xs) | np.isin(xs, pts)
+    return _rows_mask(s._ends, xs) | _points_mask(pts, xs)
+
+
+def _points_mask(pts, xs) -> np.ndarray:
+    """Membership of xs in sorted points: a pass over xs per point where the
+    points are few, as np.isin makes them, else one searchsorted (where
+    np.isin would sort, and its first sort imports numpy.ma)."""
+    if pts.size < 10 * np.size(xs) ** 0.145:
+        mask = np.zeros(np.shape(xs), dtype=bool)
+        for p in pts.tolist():
+            mask |= xs == p
+        return mask
+    return pts[np.minimum(np.searchsorted(pts, xs), pts.size - 1)] == xs
 
 
 def _rows_mask(rows, xs) -> np.ndarray:
@@ -585,13 +660,10 @@ def rational_enumeration(count: int):
     out = []
     q = 1
     while len(out) < count:
-        for p in range(0, q + 1):
-            if math.gcd(p, q) == 1:
-                out.append(Fraction(p, q))
-                if len(out) == count:
-                    break
+        # p / q is correctly rounded, so it is float(Fraction(p, q))
+        out += [p / q for p in range(q + 1) if math.gcd(p, q) == 1][:count - len(out)]
         q += 1
-    return [float(f) for f in out]
+    return out
 
 
 @dataclass(frozen=True)
@@ -662,7 +734,7 @@ def fat_density_report(g: GeneratedFatSet) -> FatDensityReport:
     # measure iff the first one ending right of x - eps starts left of x + eps
     k = np.searchsorted(hi, grid - eps_min, side="right")
     truncated = np.append(lo, np.inf)[k] < grid + eps_min
-    verdicts = tuple(zip(grid.tolist(), np.where(truncated, "truncated", "tail").tolist()))
+    verdicts = tuple(zip(grid.tolist(), map(("tail", "truncated").__getitem__, truncated.tolist())))
     return FatDensityReport(points_hull(grid, step), verdicts, step)
 
 
@@ -714,10 +786,9 @@ def set_to_json(s) -> dict:
         return {"family": "rational_fat", "radius_base": s.radius_base,
                 "truncation": s.truncation}
     rows, pts = s._shown()
+    codes = _CODES[(rows[:, 2] > 0.0) * 2 + (rows[:, 3] > 0.0)].tolist()
     return {"carrier": "circle" if isinstance(s, CircleArcSet) else "line",
-            # the flags 1.0 and 0.0 hash and compare as True and False
-            "intervals": [[lo, hi, _CODE_FLAGS[lo_c, hi_c]]
-                          for lo, hi, lo_c, hi_c in rows.tolist()],
+            "intervals": list(map(list, zip(rows[:, 0].tolist(), rows[:, 1].tolist(), codes))),
             "points": pts.tolist()}
 
 
@@ -740,7 +811,7 @@ def set_from_json(d: dict):
     build = {"circle": circle_set, "line": canonicalize}.get(carrier)
     if build is None:
         raise ValueError(f"unknown carrier {carrier!r}")
-    for k, raw in enumerate(ivs):
+    for k, raw in enumerate(() if _no_text_ends(ivs) else ivs):
         try:
             for end in raw[:2] if isinstance(raw, (list, tuple)) else ():
                 check_number(end, "set JSON interval end")
@@ -748,6 +819,16 @@ def set_from_json(d: dict):
             build(ivs[:k + 1])      # a malformed piece up to this one raises its own error
             raise
     return build(ivs, pts)
+
+
+def _no_text_ends(ivs) -> bool:
+    """True if no spec's first two fields hold a str or a bool, which
+    check_number refuses; False also where it cannot tell."""
+    try:
+        lo, hi = islice(zip(*ivs), 2)
+    except (TypeError, ValueError):
+        return False
+    return not any(issubclass(t, (str, bool)) for t in set(map(type, lo + hi)))
 
 
 def _json_list(d: dict, key: str) -> list:
